@@ -1,17 +1,26 @@
 GO ?= go
 
-.PHONY: all build vet test race bench bench-json benchdiff bench-baseline bench-gate experiments examples fmt check chaos guard fuzz trace-smoke serve-smoke collective-smoke elastic-smoke obs-smoke
+.PHONY: all build vet test race bench bench-test bench-json benchdiff bench-baseline bench-gate experiments examples fmt check chaos guard fuzz trace-smoke serve-smoke collective-smoke elastic-smoke obs-smoke
 
 all: build vet test
 
-# check is the CI gate: vet, build, full test suite, then a short race
-# pass over the packages that share caches/pools across goroutines or
-# mutate shared controller/registry state.
+# check is the CI gate: vet, build, full test suite, a short race pass
+# over the packages that share caches/pools across goroutines, mutate
+# shared controller/registry state or run the worker fleet (dist: about
+# a minute on two cores), then the nested benchmark module.
 check:
 	$(GO) vet ./...
 	$(GO) build ./...
 	$(GO) test ./...
-	$(GO) test -race -short ./internal/cfft/ ./internal/sparsify/ ./internal/compress/ ./internal/comm/ ./internal/collective/ ./internal/telemetry/ ./internal/adapt/ ./internal/cluster/ ./internal/chaos/ ./internal/guard/ ./internal/checkpoint/ ./internal/trace/ ./internal/obs/ ./internal/ps/ ./internal/serve/
+	$(GO) test -race -short ./internal/cfft/ ./internal/sparsify/ ./internal/compress/ ./internal/comm/ ./internal/collective/ ./internal/telemetry/ ./internal/adapt/ ./internal/cluster/ ./internal/chaos/ ./internal/guard/ ./internal/checkpoint/ ./internal/trace/ ./internal/obs/ ./internal/ps/ ./internal/serve/ ./internal/dist/ ./internal/feedback/ ./internal/parallel/ ./internal/scratch/
+	$(MAKE) bench-test
+
+# bench/ is a module of its own, outside `go test ./...`: its vet and
+# self-test are the compile-time check that every API the benchmark
+# replays over (compress, guard, cluster, collective, dist.Config) is
+# still source-compatible.
+bench-test:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 build:
 	$(GO) build ./...

@@ -57,12 +57,7 @@ import (
 	"fftgrad/internal/collective"
 	"fftgrad/internal/comm"
 	"fftgrad/internal/compress"
-	"fftgrad/internal/data"
 	"fftgrad/internal/guard"
-	"fftgrad/internal/nn"
-	"fftgrad/internal/obs"
-	"fftgrad/internal/optim"
-	"fftgrad/internal/telemetry"
 	"fftgrad/internal/trace"
 )
 
@@ -107,19 +102,6 @@ type FaultReport struct {
 	LostWorkers int
 }
 
-// residualSink is implemented by error-feedback compressors; the trainer
-// uses it to keep a computed-but-unshipped gradient in the information
-// stream instead of discarding it. scaledResidualSink is its
-// bounded-staleness sibling: the damped remainder of a stale
-// contribution re-enters through the residual at the discount's
-// complement.
-type (
-	residualSink       interface{ AddToResidual([]float32) }
-	scaledResidualSink interface {
-		AddToResidualScaled([]float32, float32)
-	}
-)
-
 // trainFault is Train for Config.Fault != nil.
 func trainFault(cfg Config) (*Result, error) {
 	if cfg.UseSparseAllreduce {
@@ -128,12 +110,9 @@ func trainFault(cfg Config) (*Result, error) {
 	if cfg.MeasureAlpha {
 		return nil, fmt.Errorf("dist: MeasureAlpha requires the barrier-based exchange; disable Fault")
 	}
-	colCfg := collective.Config{}.WithDefaults()
-	if cfg.Collective != nil {
-		colCfg = *cfg.Collective
-	}
-	gossipMode := colCfg.Strategy == collective.Gossip
-	if gossipMode && colCfg.BucketBytes > 0 {
+	colCfg := cfg.strategy()
+	gossip := colCfg.Strategy == collective.Gossip
+	if gossip && colCfg.BucketBytes > 0 {
 		return nil, fmt.Errorf("dist: gossip exchanges whole gradients with ring neighbors; BucketBytes does not apply")
 	}
 	if cfg.Fault.Staleness < 0 {
@@ -154,9 +133,8 @@ func trainFault(cfg Config) (*Result, error) {
 
 	// Seqs per iteration: buckets burn Count() exchange seqs, gossip
 	// burns two (gradient round, then the parameter-consensus round).
-	nb := collective.MakeBuckets(cfg.Model(cfg.Seed).NumParams(), colCfg.BucketBytes).Count()
-	spi := nb
-	if gossipMode {
+	spi := collective.MakeBuckets(cfg.Model(cfg.Seed).NumParams(), colCfg.BucketBytes).Count()
+	if gossip {
 		spi = 2
 	}
 
@@ -166,10 +144,10 @@ func trainFault(cfg Config) (*Result, error) {
 		// parked in rejoin; the halt signal abandons the park.
 		clCfg.Halt = cfg.Stop
 	}
-	if v := (*guardState)(nil).verifier(cfg); v != nil {
+	if cfg.Guard != nil && cfg.Guard.Framing() {
 		// Guard framing on: the cluster receiver rejects corrupt frames
 		// before they can reach a decompressor; nack/resend repairs them.
-		clCfg.Verify = v
+		clCfg.Verify = guard.Verify
 	}
 	if clCfg.SendDepth <= 0 && (spi > 1 || cfg.Fault.Staleness > 0) {
 		// Multi-seq iterations and bounded staleness both let the seq
@@ -180,67 +158,48 @@ func trainFault(cfg Config) (*Result, error) {
 	}
 	rt := cluster.NewElastic(p, pmax, clCfg)
 	rt.AttachTracer(cfg.Tracer)
-	mesh := comm.NewMesh(pmax)
+	net := comm.NewMesh(pmax)
+	sources := []instrumented{rt}
 	var harness *chaos.Harness
 	if cfg.Fault.Chaos != nil {
 		harness = chaos.NewHarness(pmax, *cfg.Fault.Chaos)
 		harness.AttachTracer(cfg.Tracer)
+		sources = append(sources, harness)
 	}
-
-	if cfg.Adapt != nil {
-		cfg.stageTimer = cfg.Adapt.StageTimer()
-	} else if cfg.Telemetry != nil {
-		cfg.stageTimer = telemetry.NewStageTimer()
-	}
+	cfg.instrument(sources...)
 	rt.AttachStageTimer(cfg.stageTimer)
-	if cfg.Telemetry != nil {
-		rt.Instrument(cfg.Telemetry)
-		if harness != nil {
-			harness.Instrument(cfg.Telemetry)
-		}
-		cfg.Tracer.Instrument(cfg.Telemetry)
-		cfg.Profiler.Instrument(cfg.Telemetry)
-		cfg.stageTimer.Register(cfg.Telemetry)
-		if cfg.Adapt != nil {
-			cfg.Adapt.Register(cfg.Telemetry)
-		}
-		if cfg.guardStats != nil {
-			cfg.guardStats.Register(cfg.Telemetry)
-		}
-	}
 
 	members := make([]*cluster.Member, pmax)
-	for rank := 0; rank < p; rank++ {
-		var tr comm.Transport = mesh.Endpoint(rank)
+	results := make([]*Result, pmax)
+	errs := make([]error, pmax)
+	// run is one rank's life on the mesh, from joining it to the end of
+	// training. A worker that finished cleanly keeps its member alive —
+	// heartbeats and nack repair keep serving a slower rank still catching
+	// up after a rejoin. A terminally failed worker goes silent instead,
+	// so survivors suspect it rather than waiting on a straggler that will
+	// never deliver.
+	run := func(rank, startIter int, restore *checkpoint.State) {
+		var tr comm.Transport = net.Endpoint(rank)
 		if harness != nil {
 			tr = harness.Wrap(tr)
 		}
-		members[rank] = rt.Join(tr)
+		m := rt.Join(tr)
+		members[rank] = m
+		results[rank], errs[rank] = runRank(cfg, rank, pmax, startIter, restore, func(w *worker) exchanger {
+			if gossip {
+				return newGossipEx(newMesh(w, m, rt, spi))
+			}
+			return &clusterEx{mesh: newMesh(w, m, rt, spi)}
+		})
+		if errs[rank] != nil {
+			m.Close()
+		}
 	}
 
-	results := make([]*Result, pmax)
-	errs := make([]error, pmax)
-	var wg sync.WaitGroup
+	var wg, wgJoin sync.WaitGroup
 	for rank := 0; rank < p; rank++ {
-		wg.Add(1)
-		go func(rank int) {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					cfg.Flight.Trigger(rank, trace.ReasonPanic)
-					panic(r)
-				}
-			}()
-			results[rank], errs[rank] = runWorkerFault(cfg, members[rank], rt, 0, nil)
-			// A worker that finished cleanly keeps its member alive —
-			// heartbeats and nack repair keep serving a slower rank still
-			// catching up after a rejoin. A terminally failed worker goes
-			// silent instead, so survivors suspect it rather than waiting
-			// on a straggler that will never deliver.
-			if errs[rank] != nil {
-				members[rank].Close()
-			}
-		}(rank)
+		rank := rank
+		cfg.spawn(&wg, rank, func() { run(rank, 0, nil) })
 	}
 
 	// Elastic join watchers: each parks until the fleet's exchange
@@ -248,18 +207,10 @@ func trainFault(cfg Config) (*Result, error) {
 	// handshake and becomes a regular worker from the frontier on. A
 	// watcher whose moment never comes (halt, early completion) exits
 	// without joining.
-	var wgJoin sync.WaitGroup
 	trainingDone := make(chan struct{})
 	for k, atIter := range joins {
-		wgJoin.Add(1)
-		go func(rank int, target uint64) {
-			defer wgJoin.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					cfg.Flight.Trigger(rank, trace.ReasonPanic)
-					panic(r)
-				}
-			}()
+		rank, target := p+k, uint64(atIter)*uint64(spi)
+		cfg.spawn(&wgJoin, rank, func() {
 			for rt.Frontier() < target {
 				select {
 				case <-trainingDone:
@@ -269,24 +220,16 @@ func trainFault(cfg Config) (*Result, error) {
 				case <-time.After(200 * time.Microsecond):
 				}
 			}
-			_, frontier, st, aerr := rt.AdmitJoin(rank)
-			if aerr != nil {
-				errs[rank] = fmt.Errorf("dist: rank %d join: %w", rank, aerr)
+			_, frontier, st, err := rt.AdmitJoin(rank)
+			if err != nil {
+				errs[rank] = fmt.Errorf("dist: rank %d join: %w", rank, err)
 				return
 			}
-			var tr comm.Transport = mesh.Endpoint(rank)
-			if harness != nil {
-				tr = harness.Wrap(tr)
-			}
-			members[rank] = rt.Join(tr)
 			// The view just grew: dump the timeline so the quorum change
 			// and the frontier the joiner entered at are on record.
 			cfg.Flight.Trigger(rank, trace.ReasonViewGrow)
-			results[rank], errs[rank] = runWorkerFault(cfg, members[rank], rt, int(frontier)/spi, st)
-			if errs[rank] != nil {
-				members[rank].Close()
-			}
-		}(p+k, uint64(atIter)*uint64(spi))
+			run(rank, int(frontier)/spi, st)
+		})
 	}
 
 	wg.Wait()
@@ -324,827 +267,387 @@ func trainFault(cfg Config) (*Result, error) {
 		}
 		return nil, err
 	}
-	res := results[0]
+	res := cfg.finish(results[0])
 	res.Fault = report
-	if cfg.Telemetry != nil {
-		res.Telemetry = cfg.Telemetry.Snapshot()
-	}
-	if cfg.guardStats != nil {
-		rep := cfg.guardStats.Report()
-		rep.CorruptFrames = report.Cluster.CorruptFrames
-		res.Guard = &rep
+	if res.Guard != nil {
+		res.Guard.CorruptFrames = report.Cluster.CorruptFrames
 	}
 	return res, nil
 }
 
-// runWorkerFault is runWorker with the exchange and parameter sync
-// routed through the failure-aware member. startIter/restore are the
-// elastic-join entry point: a mid-run joiner restores the published
-// checkpoint and resumes at the frontier's iteration; initial ranks pass
-// (0, nil).
-func runWorkerFault(cfg Config, m *cluster.Member, rt *cluster.Runtime, startIter int, restore *checkpoint.State) (*Result, error) {
-	rank := m.Rank()
-	p := rt.P()
-	isRoot := rank == 0
+// mesh is what the failure-aware exchangers share: this rank's member on
+// the point-to-point mesh (nack/resend repairs individual links, so the
+// hier/tree strategies inform the modeled collective price only), the
+// rejoin protocol, and the checkpoint store rejoiners restore from.
+type mesh struct {
+	w   *worker
+	m   *cluster.Member
+	rt  *cluster.Runtime
+	spi int // exchange seqs one iteration burns
 
-	// Same tracing shape as the barrier path; the member additionally
-	// records per-peer send/recv sub-spans and cluster incidents on the
-	// same rank track (attached at Join via Runtime.AttachTracer).
-	tc := cfg.Tracer.Rank(rank)
-	wst := cfg.stageTimer.WithSink(tc.StageSink())
-	oc := cfg.Profiler.Rank(rank)
+	// lambda damps a contribution d iterations stale by λ^d; window is the
+	// bounded-staleness budget K in seqs (0 = strict rounds).
+	lambda float64
+	window uint64
+	view   cluster.View // the view the last round completed under
+}
 
-	net := cfg.Model(cfg.Seed)
-	n := net.NumParams()
-	shard := cfg.Train.Shard(rank, p)
-	it := data.NewIterator(shard.Len(), cfg.Batch, cfg.Seed+int64(rank)*7919)
-	sgd := optim.NewSGD(cfg.LR.LR(0), cfg.Momentum, n)
-	if cfg.Resume != nil {
-		if err := cfg.Resume.Apply(net, sgd); err != nil {
-			return nil, fmt.Errorf("dist: rank %d resume: %w", rank, err)
-		}
+// newMesh also seeds the rejoin store, so a rank crashing before the
+// first epoch boundary can still restore something consistent.
+func newMesh(w *worker, m *cluster.Member, rt *cluster.Runtime, spi int) mesh {
+	f := w.cfg.Fault
+	x := mesh{w: w, m: m, rt: rt, spi: spi, lambda: f.StalenessDiscount, window: uint64(f.Staleness) * uint64(spi)}
+	if x.lambda <= 0 || x.lambda > 1 {
+		x.lambda = 0.9
 	}
-	if restore != nil {
-		if err := restore.Apply(net, sgd); err != nil {
-			return nil, fmt.Errorf("dist: rank %d restoring join checkpoint: %w", rank, err)
-		}
+	if w.rank == 0 {
+		rt.PublishCheckpoint(checkpoint.Capture(w.net, w.sgd, 0, 0), 0)
 	}
-	gs := newGuardState(cfg, rank, n, tc)
+	return x
+}
 
-	// Exchange strategy: on the fault path the point-to-point mesh keeps
-	// per-peer delivery (nack/resend repairs individual links), so the
-	// hier/tree schedules inform the *modeled* collective price only;
-	// gossip however changes the real message flow (ring neighbors only).
-	// Bucketing is also real: the iteration's exchange runs as Count()
-	// member rounds under sequence numbers iter·B+b, each bucket with its
-	// own codec instance (own CRC frames, own residual slice), so a chaos
-	// crash mid-iteration lands between buckets and the unshipped tail
-	// folds into the per-bucket residuals.
-	colCfg := collective.Config{}.WithDefaults()
-	if cfg.Collective != nil {
-		colCfg = *cfg.Collective
+// failed classifies an exchange error: a recoverable one — the local
+// transport is inside a crash window, or this rank was evicted — becomes
+// the aborted outcome the step handles; anything else is terminal.
+func (x *mesh) failed(err error, what string, bucket int, msg []byte) error {
+	if cluster.IsRecoverable(err) {
+		return &aborted{cause: err, bucket: bucket, msg: msg, rejoin: x.rejoin}
 	}
-	bk := collective.MakeBuckets(n, colCfg.BucketBytes)
-	nb := bk.Count()
-	gossipMode := colCfg.Strategy == collective.Gossip
-	spi := nb
-	if gossipMode {
-		spi = 2
-	}
-	bounded := cfg.Fault.Staleness > 0
-	lambda := cfg.Fault.StalenessDiscount
-	if lambda <= 0 || lambda > 1 {
-		lambda = 0.9
-	}
-	// Staleness windows in exchange-seq units: K iterations of spi seqs.
-	// Gossip folds at-most-one-iteration-old caches even without an
-	// explicit staleness budget (self-weight absorption covers the rest).
-	var staleWindow uint64
-	if bounded {
-		staleWindow = uint64(cfg.Fault.Staleness) * uint64(spi)
-	}
-	gossipWindow := staleWindow
-	if gossipMode && gossipWindow == 0 {
-		gossipWindow = uint64(spi)
-	}
+	return fmt.Errorf("%s: %w", what, err)
+}
 
-	var bcomps, bwire []compress.Compressor
-	var comp compress.Compressor
-	if nb > 1 {
-		bcomps = make([]compress.Compressor, nb)
-		bwire = make([]compress.Compressor, nb)
-		for b := 0; b < nb; b++ {
-			bcomps[b] = gs.wrap(cfg.NewCompressor())
-			compress.Instrument(bcomps[b], wst)
-			bwire[b] = gs.wrap(compress.FP32{})
-		}
-	} else {
-		comp = gs.wrap(cfg.NewCompressor())
-		compress.Instrument(comp, wst)
+// rejoin parks until the transport heals and fast-forwards to the
+// exchange frontier. The frontier is in seq units; resume at the
+// iteration *containing* it — never past it: survivors parked
+// mid-iteration are waiting on this rank's remaining rounds, so skipping
+// to the next boundary would deadlock both sides. Replaying the
+// iteration's earlier seqs is safe: peers discard late data for completed
+// rounds and serve (or degrade) the replayed exchanges from their send
+// cache.
+func (x *mesh) rejoin(iter int) (int, *checkpoint.State, error) {
+	_, frontier, st, err := x.m.AwaitRejoin()
+	if err != nil {
+		return 0, nil, err
 	}
-	pickBucket := func(b int, compressed bool) compress.Compressor {
-		if compressed {
-			return bcomps[b]
-		}
-		return bwire[b]
+	if f := int(frontier) / x.spi; f > iter {
+		iter = f
 	}
+	return iter, st, nil
+}
 
-	grad := make([]float32, n)
-	avg := make([]float32, n)
-	recon := make([]float32, n)
-	delta := make([]float32, n)
-	loss := nn.SoftmaxCE{}
-	fp32 := compress.FP32{}
-	wireFP32 := gs.wrap(fp32)
-	gs.retain(checkpoint.Capture(net, sgd, 0, -1))
-
-	res := &Result{GradSize: n}
-	var totalMsgBytes float64
-	var lossSum float64
-	var lossCount int
-	totalIters := cfg.Epochs * cfg.ItersPerEpoch
-
-	var msgBuf []byte // mesh sends copy, so one buffer suffices
-	var bmaxs []int   // per-bucket max message size (pricing)
-	if nb > 1 {
-		bmaxs = make([]int, nb)
+// epochEnd publishes the rejoin/join checkpoint from the current sync
+// root (not necessarily rank 0 — it may be dead).
+func (x *mesh) epochEnd(iter int) {
+	w := x.w
+	if w.rank == x.view.LowestAlive() {
+		x.rt.PublishCheckpoint(checkpoint.Capture(w.net, w.sgd, int64(iter/w.cfg.ItersPerEpoch), int64(iter)), uint64((iter+1)*x.spi))
 	}
-	var syncFlat []float32
-	var syncPayload []byte
-	var liveRatio float64
-	var gossipEpoch uint64 // last view epoch acted on (gossip mode)
+}
 
-	// Seed the rejoin store so a rank crashing before the first epoch
-	// boundary can still restore something consistent.
-	if isRoot {
-		rt.PublishCheckpoint(checkpoint.Capture(net, sgd, 0, 0), 0)
-	}
-
-	iter := startIter
-	forceSync := startIter > 0 || restore != nil
-	// rejoin parks until the transport heals, restores the published
-	// checkpoint when this rank was evicted, and fast-forwards to the
-	// exchange frontier. Returns a terminal error when re-entry failed.
-	rejoin := func() error {
-		view, frontier, st, err := m.AwaitRejoin()
-		if err != nil {
-			return fmt.Errorf("dist: rank %d: %w", rank, err)
-		}
-		if st != nil {
-			if aerr := st.Apply(net, sgd); aerr != nil {
-				return fmt.Errorf("dist: rank %d restoring checkpoint on rejoin: %w", rank, aerr)
-			}
-		}
-		// The frontier is in exchange-sequence units (iter·spi+s when the
-		// iteration burns several seqs). Resume at the iteration
-		// *containing* it — never past it: survivors parked mid-iteration
-		// are waiting on this rank's remaining rounds, so skipping to the
-		// next boundary would deadlock both sides. Replaying the
-		// iteration's earlier seqs is safe: peers discard late data for
-		// completed rounds and serve (or degrade) the replayed exchanges
-		// from their send cache.
-		if f := int(frontier) / spi; f > iter {
-			iter = f
-		}
-		forceSync = true
-		_ = view
+// throttle is the bounded-staleness brake: never start an exchange more
+// than K iterations ahead of the slowest live rank's frontier.
+func (x *mesh) throttle(iter int) error {
+	if x.window == 0 {
 		return nil
 	}
+	if _, err := x.rt.WaitWithinWindow(x.w.rank, uint64(iter*x.spi), x.window); err != nil {
+		return errHalted
+	}
+	return nil
+}
 
-	for iter < totalIters {
-		if cfg.haltCheck(iter) {
-			res.Halted = true
-			break
-		}
-		// Bounded-staleness throttle: never start an exchange more than K
-		// iterations ahead of the slowest live rank's frontier.
-		if bounded {
-			if _, werr := rt.WaitWithinWindow(rank, uint64(iter)*uint64(spi), staleWindow); werr != nil {
-				res.Halted = true
-				break
-			}
-		}
-		epoch := iter / cfg.ItersPerEpoch
-		sgd.LR = cfg.LR.LR(epoch)
-		tc.SetIter(uint64(iter))
-		var tIter time.Time
-		if tc != nil {
-			tIter = time.Now()
-		}
-		var obsStart int64
-		if oc != nil {
-			obsStart = oc.NowNs()
-		}
-		theta := math.NaN()
-		if cfg.ThetaSchedule != nil {
-			theta = cfg.ThetaSchedule.Theta(epoch)
-			if nb > 1 {
-				for _, c := range bcomps {
-					if ts, ok := c.(compress.ThetaSetter); ok {
-						ts.SetTheta(theta)
-					}
-				}
-			} else if ts, ok := comp.(compress.ThetaSetter); ok {
-				ts.SetTheta(theta)
-			}
-		}
+// staleWeight is the one rule for a contribution served from a peer's
+// cache, d seqs old (0 when the strict exchange reused it without
+// measuring its age). It counts only when it is provably this stream's
+// payload from a whole number of iterations back — at one seq per
+// iteration that is every cached payload — and is damped by λ per
+// iteration of age. ok is false when the entry must be dropped.
+func (x *mesh) staleWeight(d uint64) (wt float32, ok bool) {
+	spi := uint64(x.spi)
+	if d%spi != 0 || (d == 0 && spi > 1) {
+		return 0, false
+	}
+	return float32(math.Pow(x.lambda, float64(d/spi))), true
+}
 
-		// --- local gradient ---------------------------------------------
+// clusterEx runs the gradient round as the member's failure-aware
+// allgather, one round per bucket under sequence numbers iter·B+b, so a
+// crash mid-iteration lands between buckets; the parameter sync is a
+// broadcast from the lowest alive rank.
+type clusterEx struct {
+	mesh
+	msgBuf []byte // mesh sends copy, so one staging buffer serves every bucket
+}
+
+func (x *clusterEx) round(iter int, compressed bool) (roundStats, error) {
+	w, tc, nb := x.w, x.w.tc, x.spi
+	st := roundStats{blamePeer: -1}
+	if err := x.throttle(iter); err != nil {
+		return st, err
+	}
+	// One fingerprint per iteration, riding bucket 0's frame.
+	drift := w.gs.driftDue(iter)
+	if drift {
+		w.gs.attachFingerprint(w.net, w.pick(0, compressed))
+	}
+	for b := 0; b < nb; b++ {
+		lo, hi := w.bk.Range(b)
+		comp := w.pick(b, compressed)
 		t0 := time.Now()
-		x, labels := shard.Batch(it.Next())
-		net.ZeroGrads()
-		logits := net.Forward(x, true)
-		l, dl := loss.Loss(logits, labels)
-		net.Backward(dl)
-		net.FlattenGrads(grad)
-		if tc != nil {
-			tScrub := time.Now()
-			gs.scrubGrad(grad)
-			tc.SpanSince(trace.OpScrub, int64(n), tScrub)
-		} else {
-			gs.scrubGrad(grad)
+		msg, err := compress.AppendCompress(comp, x.msgBuf[:0], w.grad[lo:hi])
+		if err != nil {
+			return st, fmt.Errorf("bucket %d compress: %w", b, err)
 		}
-		computeT := time.Since(t0)
-		tc.SpanTimed(trace.OpCompute, int64(cfg.Batch), t0, computeT)
-		if isRoot {
-			lossSum += l
-			lossCount++
-			if cfg.SampleGradients > 0 && iter%cfg.SampleGradients == 0 {
-				res.GradSamples = append(res.GradSamples, append([]float32(nil), grad...))
-			}
-		}
+		x.msgBuf = msg
+		cmpD := time.Since(t0)
+		st.compressT += cmpD
+		st.msgBytes += len(msg)
+		tc.SpanTimed(trace.OpCompress, int64(len(msg)), t0, cmpD)
 
-		// --- adaptive compression decision -------------------------------
-		iterComp := comp
-		compressed := true
-		if cfg.Adapt != nil {
-			adTheta := theta
-			if math.IsNaN(adTheta) {
-				adTheta = 0
-			}
-			d := cfg.Adapt.DecideIter(iter, liveRatio, adTheta)
-			if !d.Compress {
-				iterComp = wireFP32
-				compressed = false
-				tc.Instant(trace.OpBypass, 0)
-			} else if d.ThetaAdjusted {
-				if nb > 1 {
-					for _, c := range bcomps {
-						if ts, ok := c.(compress.ThetaSetter); ok {
-							ts.SetTheta(d.Theta)
-							theta = d.Theta
-						}
-					}
-				} else if ts, ok := comp.(compress.ThetaSetter); ok {
-					ts.SetTheta(d.Theta)
-					theta = d.Theta
-				}
-			}
-		}
-		// Drift fingerprints need every replica to hold nominally equal
-		// parameters; gossip replicas intentionally differ between mixing
-		// rounds, so the check only runs on the root-synced modes.
-		if !gossipMode && gs.driftDue(iter) {
-			if nb > 1 {
-				gs.attachFingerprint(net, pickBucket(0, compressed))
-			} else {
-				gs.attachFingerprint(net, iterComp)
-			}
-		}
-
-		// --- compress + failure-aware exchange ----------------------------
-		var compressT, decompressT time.Duration
-		var exchangeS float64
-		var msgBytes, maxBytes int
-		var exchEndNs int64 // exchange-end instant (obs)
-		// The cluster layer's in-exchange straggler attribution: the peer
-		// this rank waited for longest this iteration and the marginal
-		// wait it caused (see ExchangeResult.SlowestPeer). Gossip has no
-		// global round to attribute, so it stays -1 there.
-		blamePeer, blameWait := int64(-1), int64(0)
+		tEx := time.Now()
 		var ex *cluster.ExchangeResult
-		var view cluster.View
-		epochChanged := false
-		crashed := false
-		if gossipMode {
-			t0 = time.Now()
-			msg, err := compress.AppendCompress(iterComp, msgBuf[:0], grad)
-			if err != nil {
-				return nil, fmt.Errorf("dist: rank %d compress: %w", rank, err)
-			}
-			msgBuf = msg
-			compressT = time.Since(t0)
-			msgBytes = len(msg)
-			tc.SpanTimed(trace.OpCompress, int64(msgBytes), t0, compressT)
-			if compressed && msgBytes > 0 {
-				liveRatio = float64(4*n) / float64(msgBytes)
-			}
+		if x.window > 0 {
+			ex, err = x.m.ExchangeBounded(uint64(iter*nb+b), msg, x.window)
+		} else {
+			ex, err = x.m.Exchange(uint64(iter*nb+b), msg)
+		}
+		exD := time.Since(tEx)
+		st.exchangeS += exD.Seconds()
+		tc.SpanTimed(trace.OpExchange, int64(len(msg)), tEx, exD)
+		st.endNs = w.oc.NowNs() // the last bucket's round wins
+		if err != nil {
+			return st, x.failed(err, fmt.Sprintf("exchange %d.%d", iter, b), b, msg)
+		}
+		// The cluster layer's in-exchange straggler attribution: the
+		// peer this rank waited for longest this iteration.
+		if ex.SlowestPeer >= 0 && (st.blamePeer < 0 || ex.WaitNs > st.blameWaitNs) {
+			st.blamePeer, st.blameWaitNs = int64(ex.SlowestPeer), ex.WaitNs
+		}
 
-			tEx := time.Now()
-			gr, gerr := m.GossipExchange(uint64(iter)*uint64(spi), msg, gossipWindow)
-			exchangeD := time.Since(tEx)
-			exchangeS = exchangeD.Seconds()
-			tc.SpanTimed(trace.OpExchange, int64(msgBytes), tEx, exchangeD)
-			if oc != nil {
-				exchEndNs = oc.NowNs()
-			}
-			if gerr != nil {
-				if cluster.IsRecoverable(gerr) {
-					cfg.Flight.Trigger(rank, trace.ReasonCrash)
-					if sink, ok := comp.(residualSink); ok {
-						sink.AddToResidual(grad)
-					}
-					if rerr := rejoin(); rerr != nil {
-						return res, rerr
-					}
-					continue
-				}
-				return nil, fmt.Errorf("dist: rank %d gossip %d: %w", rank, iter, gerr)
-			}
-
-			// --- Metropolis mixing over the live neighborhood ----------
-			// avg = Σ w_j·peer_j + (1−Σ w_j)·self. A stale fold is damped
-			// to w_j = PeerWeight·λ^d; an absent (or wrong-stream) cache
-			// contributes nothing and its mass reverts to self, so the
-			// realized mixing row always sums to one.
-			t0 = time.Now()
-			for i := range avg {
-				avg[i] = 0
-			}
-			if msgBytes > maxBytes {
-				maxBytes = msgBytes
-			}
-			var peerW float32
-			for k, mm := range gr.Msgs {
-				w := float32(gr.PeerWeight)
-				if gr.Stale[k] {
-					d := gr.StaleBy[k]
-					if d == 0 || d%uint64(spi) != 0 {
-						continue // cached payload is from the parameter stream
-					}
-					w *= float32(math.Pow(lambda, float64(d/uint64(spi))))
-				}
-				if len(mm) > maxBytes {
-					maxBytes = len(mm)
-				}
-				if derr := compress.DecompressInto(iterComp, recon, mm); derr != nil {
-					return nil, fmt.Errorf("dist: rank %d gossip decompress: %w", rank, derr)
-				}
-				for i, v := range recon {
-					avg[i] += w * v
-				}
-				peerW += w
-			}
-			if derr := compress.DecompressInto(iterComp, recon, msgBuf); derr != nil {
-				return nil, fmt.Errorf("dist: rank %d gossip self-decode: %w", rank, derr)
-			}
-			selfW := 1 - peerW
-			for i, v := range recon {
-				avg[i] += selfW * v
-			}
-			decompressT = time.Since(t0)
-			tc.SpanTimed(trace.OpDecompress, int64(len(gr.Peers)+1), t0, decompressT)
-			view = gr.View
-			epochChanged = gr.View.Epoch != gossipEpoch
-			gossipEpoch = gr.View.Epoch
-		} else if nb > 1 {
-			// Bucketed: Count() member rounds under seq iter·nb+b. The
-			// mesh copies sends, so one staging buffer serves every bucket.
-			for i := range avg {
-				avg[i] = 0
-			}
-			for b := range bmaxs {
-				bmaxs[b] = 0
-			}
-			for b := 0; b < nb; b++ {
-				lo, hi := bk.Range(b)
-				bcomp := pickBucket(b, compressed)
-				t0 = time.Now()
-				msg, err := compress.AppendCompress(bcomp, msgBuf[:0], grad[lo:hi])
-				if err != nil {
-					return nil, fmt.Errorf("dist: rank %d bucket %d compress: %w", rank, b, err)
-				}
-				msgBuf = msg
-				cmpD := time.Since(t0)
-				compressT += cmpD
-				msgBytes += len(msg)
-				tc.SpanTimed(trace.OpCompress, int64(len(msg)), t0, cmpD)
-
-				var tB time.Time
-				if tc != nil {
-					tB = time.Now()
-				}
-				tEx := time.Now()
-				var exb *cluster.ExchangeResult
-				if bounded {
-					exb, err = m.ExchangeBounded(uint64(iter*nb+b), msg, staleWindow)
-				} else {
-					exb, err = m.Exchange(uint64(iter*nb+b), msg)
-				}
-				exD := time.Since(tEx)
-				exchangeS += exD.Seconds()
-				tc.SpanTimed(trace.OpExchange, int64(len(msg)), tEx, exD)
-				if oc != nil {
-					exchEndNs = oc.NowNs() // last bucket's round wins
-				}
-				if err != nil {
-					if cluster.IsRecoverable(err) {
-						// Crash mid-iteration, between bucket rounds: dump
-						// the timeline, then fold every unshipped bucket
-						// slice into its own error-feedback residual before
-						// parking in rejoin — buckets below b were already
-						// averaged by the survivors.
-						cfg.Flight.Trigger(rank, trace.ReasonCrash)
-						for bb := b; bb < nb; bb++ {
-							l2, h2 := bk.Range(bb)
-							if sink, ok := bcomps[bb].(residualSink); ok {
-								sink.AddToResidual(grad[l2:h2])
-							}
-						}
-						crashed = true
-						break
-					}
-					return nil, fmt.Errorf("dist: rank %d exchange %d.%d: %w", rank, iter, b, err)
-				}
-				if exb.SlowestPeer >= 0 && exb.WaitNs > blameWait {
-					blamePeer, blameWait = int64(exb.SlowestPeer), exb.WaitNs
-				}
-				t0 = time.Now()
-				// In strict mode a stale cache entry was served from the
-				// previous *seq* — under bucketed sequencing that is the
-				// previous bucket, a different slice shape — so stale
-				// contributions are dropped and the average rescales over
-				// the fresh ones (this rank's own message is always fresh,
-				// so the weight sum ≥ 1). In bounded mode a cache that is a
-				// whole number of iterations old is the *same* bucket from
-				// d iterations back: it folds in damped by λ^d, and the
-				// withheld share is banked in this bucket's residual.
-				var wsumB float32
-				for j, mm := range exb.Msgs {
-					if mm == nil {
-						continue
-					}
-					w := float32(1)
-					if exb.Stale != nil && exb.Stale[j] {
-						if !bounded {
-							continue
-						}
-						d := exb.StaleBy[j]
-						if d == 0 || d%uint64(nb) != 0 {
-							continue // different bucket: wrong slice shape
-						}
-						w = float32(math.Pow(lambda, float64(d/uint64(nb))))
-					}
-					if len(mm) > bmaxs[b] {
-						bmaxs[b] = len(mm)
-					}
-					if derr := compress.DecompressInto(bcomp, recon[lo:hi], mm); derr != nil {
-						return nil, fmt.Errorf("dist: rank %d bucket %d decompress: %w", rank, b, derr)
-					}
-					for i, v := range recon[lo:hi] {
-						avg[lo+i] += w * v
-					}
-					wsumB += w
-					if w < 1 {
-						if sink, ok := bcomps[b].(scaledResidualSink); ok {
-							sink.AddToResidualScaled(recon[lo:hi], (1-w)/float32(exb.Contributors))
-						}
-					}
-				}
-				invB := 1 / wsumB
-				for i := lo; i < hi; i++ {
-					avg[i] *= invB
-				}
-				decD := time.Since(t0)
-				decompressT += decD
-				tc.SpanTimed(trace.OpDecompress, int64(exb.Contributors), t0, decD)
-				if bmaxs[b] > maxBytes {
-					maxBytes = bmaxs[b]
-				}
-				// One fingerprint per iteration, riding bucket 0's frames.
-				if b == 0 && gs.driftDue(iter) && gs.checkDrift(exb.Msgs, exb.Stale) {
-					forceSync = true
-				}
-				epochChanged = epochChanged || exb.EpochChanged
-				ex = exb
-				tc.SpanSince(trace.OpBucket, int64(b), tB)
-			}
-			if crashed {
-				if rerr := rejoin(); rerr != nil {
-					return res, rerr
-				}
+		// Average over the actual contributors. This rank's own message
+		// is always fresh, so the weight sum is at least 1; the share a
+		// damped contribution withholds is banked in the bucket's
+		// residual.
+		t0 = time.Now()
+		avg, recon := w.avg[lo:hi], w.recon[lo:hi]
+		for i := range avg {
+			avg[i] = 0
+		}
+		var wsum float32
+		max := 0
+		for j, m := range ex.Msgs {
+			if m == nil {
 				continue
 			}
-			view = ex.View
-			if compressed && msgBytes > 0 {
-				liveRatio = float64(4*n) / float64(msgBytes)
-			}
-		} else {
-			t0 = time.Now()
-			msg, err := compress.AppendCompress(iterComp, msgBuf[:0], grad)
-			if err != nil {
-				return nil, fmt.Errorf("dist: rank %d compress: %w", rank, err)
-			}
-			msgBuf = msg
-			compressT = time.Since(t0)
-			msgBytes = len(msg)
-			tc.SpanTimed(trace.OpCompress, int64(msgBytes), t0, compressT)
-			if compressed && msgBytes > 0 {
-				liveRatio = float64(4*n) / float64(msgBytes)
-			}
-
-			tEx := time.Now()
-			if bounded {
-				ex, err = m.ExchangeBounded(uint64(iter), msg, staleWindow)
-			} else {
-				ex, err = m.Exchange(uint64(iter), msg)
-			}
-			exchangeD := time.Since(tEx)
-			exchangeS = exchangeD.Seconds()
-			tc.SpanTimed(trace.OpExchange, int64(msgBytes), tEx, exchangeD)
-			if oc != nil {
-				exchEndNs = oc.NowNs()
-			}
-			if err != nil {
-				if cluster.IsRecoverable(err) {
-					// The local transport is inside a chaos crash window (or this
-					// rank was evicted): dump the timeline while the pre-crash
-					// events are still in the ring, then park in rejoin.
-					cfg.Flight.Trigger(rank, trace.ReasonCrash)
-					// This gradient was computed but never averaged anywhere:
-					// keep it in the stream via the error-feedback residual.
-					if sink, ok := comp.(residualSink); ok {
-						sink.AddToResidual(grad)
-					}
-					if rerr := rejoin(); rerr != nil {
-						return res, rerr
-					}
+			wt := float32(1)
+			if ex.Stale != nil && ex.Stale[j] {
+				var d uint64
+				if ex.StaleBy != nil {
+					d = ex.StaleBy[j]
+				}
+				var ok bool
+				if wt, ok = x.staleWeight(d); !ok {
 					continue
 				}
-				return nil, fmt.Errorf("dist: rank %d exchange %d: %w", rank, iter, err)
 			}
-			if ex.SlowestPeer >= 0 {
-				blamePeer, blameWait = int64(ex.SlowestPeer), ex.WaitNs
+			if len(m) > max {
+				max = len(m)
 			}
+			if err := compress.DecompressInto(comp, recon, m); err != nil {
+				return st, fmt.Errorf("bucket %d decompress: %w", b, err)
+			}
+			for i, v := range recon {
+				avg[i] += wt * v
+			}
+			wsum += wt
+			if wt < 1 {
+				if sink, ok := w.comps[b].(scaledResidualSink); ok {
+					sink.AddToResidualScaled(recon, (1-wt)/float32(ex.Contributors))
+				}
+			}
+		}
+		inv := 1 / wsum
+		for i := range avg {
+			avg[i] *= inv
+		}
+		decD := time.Since(t0)
+		st.decompressT += decD
+		tc.SpanTimed(trace.OpDecompress, int64(ex.Contributors), t0, decD)
+		if b == 0 && drift && w.gs.checkDrift(ex.Msgs, ex.Stale) {
+			st.resync = true
+		}
+		st.resync = st.resync || ex.EpochChanged
+		st.modelS += w.observeRound(len(msg), max, exD.Seconds())
+		x.view = ex.View
+		if nb > 1 {
+			tc.SpanSince(trace.OpBucket, int64(b), tEx)
+		}
+	}
+	return st, nil
+}
 
-			// --- average over actual contributors -------------------------
-			// Strict mode: every contribution weighs 1 (one-round-stale
-			// reuse included), so the weight sum is just Contributors.
-			// Bounded mode: a d-iterations-stale contribution weighs λ^d
-			// and its withheld share is banked in the residual.
-			t0 = time.Now()
-			for i := range avg {
-				avg[i] = 0
-			}
-			var wsum float32
-			for j, mm := range ex.Msgs {
-				if mm == nil {
-					continue
-				}
-				w := float32(1)
-				if bounded && ex.Stale != nil && ex.Stale[j] && ex.StaleBy != nil && ex.StaleBy[j] > 0 {
-					w = float32(math.Pow(lambda, float64(ex.StaleBy[j])))
-				}
-				if len(mm) > maxBytes {
-					maxBytes = len(mm)
-				}
-				if err := compress.DecompressInto(iterComp, recon, mm); err != nil {
-					return nil, fmt.Errorf("dist: rank %d decompress: %w", rank, err)
-				}
-				for i, v := range recon {
-					avg[i] += w * v
-				}
-				wsum += w
-				if w < 1 {
-					if sink, ok := comp.(scaledResidualSink); ok {
-						sink.AddToResidualScaled(recon, (1-w)/float32(ex.Contributors))
-					}
-				}
-			}
-			inv := 1 / wsum
-			for i := range avg {
-				avg[i] *= inv
-			}
-			decompressT = time.Since(t0)
-			tc.SpanTimed(trace.OpDecompress, int64(ex.Contributors), t0, decompressT)
-			if gs.driftDue(iter) && gs.checkDrift(ex.Msgs, ex.Stale) {
-				forceSync = true
-			}
-			epochChanged = ex.EpochChanged
-			view = ex.View
+func (x *clusterEx) sync(iter int) (int, error) {
+	w := x.w
+	root := x.view.LowestAlive()
+	if root < 0 {
+		return 0, nil
+	}
+	var payload []byte
+	if w.rank == root {
+		var err error
+		if payload, err = w.encodeParams(iter); err != nil {
+			return 0, err
 		}
+	}
+	got, ok, err := x.m.SyncBroadcast(uint64((iter+1)*x.spi), payload, root)
+	if err != nil {
+		return 0, x.failed(err, fmt.Sprintf("sync %d", iter), len(w.comps), nil)
+	}
+	if !ok {
+		return 0, nil
+	}
+	if w.rank != root {
+		if err := w.decodeParams(iter, got); err != nil {
+			return 0, err
+		}
+	}
+	return w.n * 4, nil
+}
 
-		if st := cfg.stageTimer; st != nil && msgBytes > 0 {
-			if cfg.Fabric != nil {
-				if isRoot {
-					st.ObserveStage(telemetry.StageComm, maxBytes, colCfg.ModelAllgather(cfg.Fabric, p, maxBytes))
-				}
-			} else {
-				st.ObserveStage(telemetry.StageComm, msgBytes, exchangeS)
-			}
-		}
+// gossipEx is decentralized D-PSGD-style averaging with the nearest live
+// ring neighbors under Metropolis weights: seq 2·iter carries the
+// gradient round, seq 2·iter+1 the parameter-consensus round that stands
+// in for the root broadcast. Replicas intentionally differ between mixing
+// rounds, so no drift fingerprints are exchanged.
+type gossipEx struct {
+	mesh
+	msgBuf []byte
+	fold   uint64 // how old (in seqs) a neighbor's cached gradient may be
+	epoch  uint64 // last view epoch acted on
+}
 
-		// --- update --------------------------------------------------------
-		t0 = time.Now()
-		switch gs.observe(avg) {
-		case guard.ActionRollback:
-			gs.rollback(net, sgd)
-			forceSync = true
-			if isRoot {
-				cfg.Flight.Trigger(rank, trace.ReasonRollback)
-			}
-		case guard.ActionSkip:
-			// Poisoned round: no update.
-		default:
-			sgd.Delta(delta, avg)
-			net.AddToParams(delta)
-		}
-		updateT := time.Since(t0)
-		tc.SpanTimed(trace.OpUpdate, int64(n), t0, updateT)
+func newGossipEx(x mesh) *gossipEx {
+	// Gossip folds at-most-one-iteration-old caches even without an
+	// explicit staleness budget (self-weight absorption covers the rest).
+	fold := x.window
+	if fold == 0 {
+		fold = uint64(x.spi)
+	}
+	x.w.priceSync = x.w.col.ModelAllgather // the parameter round is a neighbor exchange too
+	return &gossipEx{mesh: x, fold: fold}
+}
 
-		// --- parameter re-sync ---------------------------------------------
-		// The periodic sync also runs early after any view change: degraded
-		// rounds, rejoins and elastic joins all leave replicas apart, and
-		// the re-sync is what bounds that drift window. Root-synced modes
-		// broadcast from the lowest alive rank; gossip mode instead runs a
-		// parameter-consensus gossip round under the same Metropolis
-		// weights (no root to depend on).
-		var syncBytes int
-		var syncD time.Duration
-		if (iter+1)%cfg.SyncEvery == 0 || forceSync || epochChanged {
-			var tSync time.Time
-			if tc != nil || oc != nil {
-				tSync = time.Now()
+// mix leaves Σ w_j·decode(peer_j) + (1−Σ w_j)·self in avg. A stale fold
+// is damped to w_j = PeerWeight·λ^d; an absent (or wrong-stream) cache
+// contributes nothing and its mass reverts to self, so the realized
+// mixing row always sums to one. self is decoded from selfMsg when it is
+// not given. Returns the largest peer message folded.
+func (x *gossipEx) mix(codec compress.Compressor, g *cluster.GossipResult, self []float32, selfMsg []byte) (int, error) {
+	avg, recon := x.w.avg, x.w.recon
+	for i := range avg {
+		avg[i] = 0
+	}
+	var peerW float32
+	max := 0
+	for k, m := range g.Msgs {
+		wt := float32(g.PeerWeight)
+		if g.Stale[k] {
+			damp, ok := x.staleWeight(g.StaleBy[k])
+			if !ok {
+				continue
 			}
-			if gossipMode {
-				if syncFlat == nil {
-					syncFlat = make([]float32, n)
-				}
-				flat := net.GetParams(syncFlat)
-				payload, _ := compress.AppendCompress(wireFP32, syncPayload[:0], flat)
-				syncPayload = payload
-				// Window 0: a parameter round never folds a stale cache —
-				// the cache would be a gradient payload from the other
-				// seq stream; an absent neighbor's mass reverts to self.
-				pg, perr := m.GossipExchange(uint64(iter)*uint64(spi)+1, payload, 0)
-				if perr != nil {
-					if cluster.IsRecoverable(perr) {
-						if rerr := rejoin(); rerr != nil {
-							return res, rerr
-						}
-						continue
-					}
-					return nil, fmt.Errorf("dist: rank %d param gossip %d: %w", rank, iter, perr)
-				}
-				if len(pg.Msgs) > 0 {
-					for i := range avg {
-						avg[i] = 0
-					}
-					var pws float32
-					for k, mm := range pg.Msgs {
-						if pg.Stale[k] {
-							continue
-						}
-						if derr := compress.DecompressInto(wireFP32, recon, mm); derr != nil {
-							return nil, fmt.Errorf("dist: rank %d param gossip decode: %w", rank, derr)
-						}
-						w := float32(pg.PeerWeight)
-						for i, v := range recon {
-							avg[i] += w * v
-						}
-						pws += w
-					}
-					sw := 1 - pws
-					for i, v := range flat {
-						avg[i] += sw * v
-					}
-					net.SetParams(avg)
-					syncBytes = n * 4
-				}
-				forceSync = false
-				tc.SpanSince(trace.OpSync, int64(syncBytes), tSync)
-				if oc != nil {
-					syncD = time.Since(tSync)
-				}
-			} else {
-				root := view.LowestAlive()
-				if root >= 0 {
-					if syncFlat == nil {
-						syncFlat = make([]float32, n)
-					}
-					var payload []byte
-					if rank == root {
-						flat := net.GetParams(syncFlat)
-						payload, _ = compress.AppendCompress(wireFP32, syncPayload[:0], flat)
-						syncPayload = payload
-					}
-					got, ok, serr := m.SyncBroadcast(uint64((iter+1)*spi), payload, root)
-					if serr != nil {
-						if cluster.IsRecoverable(serr) {
-							if rerr := rejoin(); rerr != nil {
-								return res, rerr
-							}
-							continue
-						}
-						return nil, fmt.Errorf("dist: rank %d sync %d: %w", rank, iter, serr)
-					}
-					if ok && rank != root {
-						if err := compress.DecompressInto(wireFP32, syncFlat, got); err != nil {
-							return nil, err
-						}
-						net.SetParams(syncFlat)
-					}
-					if ok {
-						syncBytes = n * 4
-					}
-				}
-				forceSync = false
-				tc.SpanSince(trace.OpSync, int64(syncBytes), tSync)
-				if oc != nil {
-					syncD = time.Since(tSync)
-				}
-			}
+			wt *= damp
 		}
+		if len(m) > max {
+			max = len(m)
+		}
+		if err := compress.DecompressInto(codec, recon, m); err != nil {
+			return 0, err
+		}
+		for i, v := range recon {
+			avg[i] += wt * v
+		}
+		peerW += wt
+	}
+	if self == nil {
+		if err := compress.DecompressInto(codec, recon, selfMsg); err != nil {
+			return 0, err
+		}
+		self = recon
+	}
+	selfW := 1 - peerW
+	for i, v := range self {
+		avg[i] += selfW * v
+	}
+	return max, nil
+}
 
-		// --- bookkeeping (rank 0) ------------------------------------------
-		if isRoot {
-			res.Iterations++
-			totalMsgBytes += float64(msgBytes)
-			res.ComputeSeconds += computeT.Seconds() + updateT.Seconds()
-			res.CompressSeconds += compressT.Seconds() + decompressT.Seconds()
-			res.CommMeasuredSeconds += exchangeS
-			if !compressed {
-				res.BypassedIterations++
-			}
-			var commS float64
-			if cfg.Fabric != nil {
-				if nb > 1 {
-					for _, mb := range bmaxs {
-						if mb > 0 {
-							commS += colCfg.ModelAllgather(cfg.Fabric, p, mb)
-						}
-					}
-				} else {
-					commS = colCfg.ModelAllgather(cfg.Fabric, p, maxBytes)
-				}
-				if syncBytes > 0 {
-					if gossipMode {
-						commS += colCfg.ModelAllgather(cfg.Fabric, p, syncBytes)
-					} else {
-						commS += colCfg.ModelBroadcast(cfg.Fabric, p, syncBytes)
-					}
-				}
-				res.CommSeconds += commS
-			}
-			if cfg.Trace {
-				res.Trace = append(res.Trace, IterTrace{
-					Iter:          iter,
-					ComputeS:      computeT.Seconds() + updateT.Seconds(),
-					CompressS:     compressT.Seconds() + decompressT.Seconds(),
-					CommS:         commS,
-					CommMeasuredS: exchangeS,
-					MsgBytes:      msgBytes,
-					Theta:         theta,
-					Compressed:    compressed,
-				})
-			}
-		}
+func (x *gossipEx) round(iter int, compressed bool) (roundStats, error) {
+	w, tc := x.w, x.w.tc
+	st := roundStats{blamePeer: -1}
+	if err := x.throttle(iter); err != nil {
+		return st, err
+	}
+	comp := w.pick(0, compressed)
+	t0 := time.Now()
+	msg, err := compress.AppendCompress(comp, x.msgBuf[:0], w.grad)
+	if err != nil {
+		return st, fmt.Errorf("compress: %w", err)
+	}
+	x.msgBuf = msg
+	st.compressT = time.Since(t0)
+	st.msgBytes = len(msg)
+	tc.SpanTimed(trace.OpCompress, int64(len(msg)), t0, st.compressT)
 
-		// --- epoch boundary -------------------------------------------------
-		if (iter+1)%cfg.ItersPerEpoch == 0 {
-			if isRoot {
-				stats := EpochStats{
-					Epoch:     epoch,
-					TrainLoss: lossSum / float64(lossCount),
-					LR:        sgd.LR,
-					Theta:     theta,
-				}
-				lossSum, lossCount = 0, 0
-				if cfg.Test != nil {
-					stats.TestAcc = evaluate(net, cfg.Test, cfg.Batch)
-				}
-				res.Epochs = append(res.Epochs, stats)
-				if cfg.OnEpoch != nil {
-					cfg.OnEpoch(stats)
-				}
-				if cfg.CheckpointEvery > 0 && cfg.OnCheckpoint != nil && (epoch+1)%cfg.CheckpointEvery == 0 {
-					cfg.OnCheckpoint(checkpoint.Capture(net, sgd, int64(epoch), int64(iter)))
-				}
-			}
-			// The current sync root (not necessarily rank 0 — it may be
-			// dead) publishes the rejoin/join checkpoint.
-			if rank == view.LowestAlive() {
-				rt.PublishCheckpoint(checkpoint.Capture(net, sgd, int64(epoch), int64(iter)), uint64((iter+1)*spi))
-			}
-		}
-		gs.maybeRetain(iter, epoch, net, sgd)
-		tc.SpanSince(trace.OpIteration, int64(msgBytes), tIter)
-		if oc != nil {
-			oc.Commit(obs.IterRecord{
-				Iter:         int64(iter),
-				StartNs:      obsStart,
-				ExchEndNs:    exchEndNs,
-				EndNs:        oc.NowNs(),
-				ComputeNs:    computeT.Nanoseconds(),
-				CompressNs:   compressT.Nanoseconds(),
-				ExchangeNs:   int64(exchangeS * 1e9),
-				DecompressNs: decompressT.Nanoseconds(),
-				UpdateNs:     updateT.Nanoseconds(),
-				SyncNs:       syncD.Nanoseconds(),
-				MsgBytes:     int64(msgBytes),
-				BlamePeer:    blamePeer,
-				BlameWaitNs:  blameWait,
-			})
-		}
-		iter++
+	tEx := time.Now()
+	g, err := x.m.GossipExchange(uint64(iter*x.spi), msg, x.fold)
+	exD := time.Since(tEx)
+	st.exchangeS = exD.Seconds()
+	tc.SpanTimed(trace.OpExchange, int64(len(msg)), tEx, exD)
+	st.endNs = w.oc.NowNs()
+	if err != nil {
+		return st, x.failed(err, fmt.Sprintf("gossip %d", iter), 0, msg)
 	}
 
-	if isRoot && res.Iterations > 0 {
-		res.AvgMsgBytes = totalMsgBytes / float64(res.Iterations)
-		res.CompressionRatio = float64(n*4) / res.AvgMsgBytes
+	// Self mixes in as the peers see it: through its own message.
+	t0 = time.Now()
+	max, err := x.mix(comp, g, nil, msg)
+	if err != nil {
+		return st, fmt.Errorf("gossip decompress: %w", err)
 	}
-	if isRoot {
-		cfg.finalState(res, net, sgd)
+	if len(msg) > max {
+		max = len(msg)
 	}
-	return res, nil
+	st.decompressT = time.Since(t0)
+	tc.SpanTimed(trace.OpDecompress, int64(len(g.Peers)+1), t0, st.decompressT)
+	st.modelS = w.observeRound(len(msg), max, st.exchangeS)
+	x.view = g.View
+	st.resync = g.View.Epoch != x.epoch
+	x.epoch = g.View.Epoch
+	return st, nil
+}
+
+// sync is a parameter-consensus gossip round under the same Metropolis
+// weights (no root to depend on).
+func (x *gossipEx) sync(iter int) (int, error) {
+	w := x.w
+	payload, err := w.encodeParams(iter)
+	if err != nil {
+		return 0, err
+	}
+	// Window 0: a parameter round never folds a stale cache — the cache
+	// would be a gradient payload from the other seq stream; an absent
+	// neighbor's mass reverts to self.
+	g, err := x.m.GossipExchange(uint64(iter*x.spi)+1, payload, 0)
+	if err != nil {
+		return 0, x.failed(err, fmt.Sprintf("param gossip %d", iter), len(w.comps), nil)
+	}
+	if len(g.Msgs) == 0 {
+		return 0, nil
+	}
+	if _, err := x.mix(w.wireSync, g, w.syncFlat, nil); err != nil {
+		return 0, fmt.Errorf("param gossip decode: %w", err)
+	}
+	w.net.SetParams(w.avg)
+	return w.n * 4, nil
 }

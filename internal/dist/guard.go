@@ -62,15 +62,6 @@ func (gs *guardState) wrap(c compress.Compressor) compress.Compressor {
 	return guard.NewFramed(c, gs.cfg.CRC)
 }
 
-// verifier returns the wire integrity check for the cluster receiver,
-// or nil when frames are not in use.
-func (gs *guardState) verifier(cfg Config) func([]byte) error {
-	if cfg.Guard == nil || !cfg.Guard.Framing() {
-		return nil
-	}
-	return guard.Verify
-}
-
 // scrubGrad runs the pre-compress scrub in place. Under ScrubSkip a
 // poisoned gradient is withheld entirely: the rank ships zeros (keeping
 // the BSP collective in lockstep without coordination) and the

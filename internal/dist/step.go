@@ -1,0 +1,543 @@
+package dist
+
+// The training step. The paper describes one BSP iteration (Sec. 3):
+// gradient → compress → exchange → decode → average → update, with the
+// parameters re-aligned every SyncEvery iterations. This file is that
+// iteration, written once: newWorker builds one rank's state, train runs
+// the loop, and the two stages that differ between runtimes — the gradient
+// round and the parameter sync — go through the exchanger interface
+// (exchange.go for the barrier collectives, fault.go for the cluster mesh).
+
+import (
+	"errors"
+	"fmt"
+	"math"
+	"time"
+
+	"fftgrad/internal/checkpoint"
+	"fftgrad/internal/collective"
+	"fftgrad/internal/compress"
+	"fftgrad/internal/data"
+	"fftgrad/internal/guard"
+	"fftgrad/internal/nn"
+	"fftgrad/internal/obs"
+	"fftgrad/internal/optim"
+	"fftgrad/internal/telemetry"
+	"fftgrad/internal/trace"
+)
+
+// exchanger hides the exchange algorithm from the step. Every
+// implementation reads the local gradient from worker.grad, leaves the
+// cross-rank average in worker.avg, and may use worker.recon as decode
+// scratch.
+type exchanger interface {
+	// round compresses the gradient through the worker's bucket codecs
+	// (the wire-FP32 twins when compressed is false), exchanges it and
+	// decodes the average. A recoverable failure of the local endpoint is
+	// returned as *aborted; any other error ends the run.
+	round(iter int, compressed bool) (roundStats, error)
+	// sync re-aligns the replicas' parameters after iteration iter and
+	// returns the payload bytes, 0 when the sync was skipped or abandoned.
+	// It fails like round does.
+	sync(iter int) (bytes int, err error)
+	// epochEnd runs at every epoch boundary, after the sync.
+	epochEnd(iter int)
+}
+
+// roundStats is what one gradient round reports back to the step.
+type roundStats struct {
+	compressT, decompressT time.Duration
+	exchangeS              float64 // measured wall time inside the collectives
+	modelS                 float64 // modeled price (rank 0, with a Fabric)
+	msgBytes               int     // bytes this rank put on the wire
+	endNs                  int64   // profiler-clock instant the last collective returned
+	// The peer this rank waited for longest and the marginal wait it
+	// caused (cluster rounds only; -1 elsewhere).
+	blamePeer, blameWaitNs int64
+	// resync asks for an off-cycle parameter sync: fingerprint drift, or
+	// the membership view changed under the round.
+	resync bool
+}
+
+// aborted is the one typed outcome of a recoverable exchange failure: this
+// rank's endpoint went down (or the rank was evicted) inside a round or a
+// sync. bucket is the first bucket the peers never received — msg holds
+// its compressed bytes, the buckets above it were not compressed yet; a
+// sync abort, where the whole gradient was delivered, reports the bucket
+// count.
+type aborted struct {
+	cause  error // the cluster's typed error
+	bucket int
+	msg    []byte
+	// rejoin parks until the rank may re-enter, and returns the iteration
+	// to resume at (never before iter) and the state to restore when the
+	// rank was evicted meanwhile.
+	rejoin func(iter int) (int, *checkpoint.State, error)
+}
+
+func (a *aborted) Error() string { return a.cause.Error() }
+
+// errHalted is round's report that the run's stop signal fired while the
+// rank was held back by the staleness throttle.
+var errHalted = errors.New("dist: halted before the exchange")
+
+// residualSink is implemented by error-feedback compressors; the step
+// uses it to keep a computed-but-unshipped gradient in the information
+// stream instead of discarding it. scaledResidualSink is its
+// bounded-staleness sibling: the damped remainder of a stale contribution
+// re-enters through the residual at the discount's complement.
+type (
+	residualSink       interface{ AddToResidual([]float32) }
+	scaledResidualSink interface {
+		AddToResidualScaled([]float32, float32)
+	}
+)
+
+// worker is one rank's training state: model replica, data shard,
+// optimizer, guard state, the per-bucket gradient codecs and the flat
+// buffers the step shares with its exchanger.
+type worker struct {
+	cfg     Config
+	rank, p int
+	n       int               // flat gradient length
+	col     collective.Config // defaulted strategy: pricing and bucketing
+
+	// tc is this rank's timeline track and oc its profiler handle (nil
+	// when off — every call degrades to a pointer check).
+	tc *trace.Ctx
+	oc *obs.RankCtx
+
+	net   *nn.Network
+	shard *data.Dataset
+	it    *data.Iterator
+	sgd   *optim.SGD
+	gs    *guardState
+
+	// One codec per bucket (the monolithic exchange is the one-bucket
+	// case), so each bucket keeps its own CRC frame and its own
+	// error-feedback residual slice — the flat residual partitioned. wire
+	// holds the FP32 twins the adapt bypass ships through, wireSync the
+	// one parameter syncs use: under guard every exchanged message shares
+	// one frame format. comps is nil on the sparse-allreduce exchange,
+	// where the collective itself is the compression.
+	bk          collective.Buckets
+	comps, wire []compress.Compressor
+	wireSync    compress.Compressor
+
+	grad, avg, recon, delta []float32
+	syncFlat                []float32
+	syncPayload             []byte
+
+	// priceSync models one parameter sync of m bytes across n ranks: the
+	// strategy's broadcast, unless the exchanger syncs some other way.
+	priceSync func(f collective.Fabric, n, m int) float64
+
+	theta     float64 // this iteration's drop ratio (NaN without a schedule)
+	forceSync bool    // sync after this iteration whatever the period says
+	ex        exchanger
+	res       *Result
+}
+
+// newWorker builds rank's state. restore is the elastic-join entry point:
+// a mid-run joiner applies the published checkpoint on top of Resume.
+func newWorker(cfg Config, rank, p int, restore *checkpoint.State) (*worker, error) {
+	w := &worker{cfg: cfg, rank: rank, p: p, col: cfg.strategy()}
+	w.priceSync = w.col.ModelBroadcast
+	w.tc = cfg.Tracer.Rank(rank)
+	w.oc = cfg.Profiler.Rank(rank)
+
+	w.net = cfg.Model(cfg.Seed) // identical init on every rank
+	w.n = w.net.NumParams()
+	w.shard = cfg.Train.Shard(rank, p)
+	w.it = data.NewIterator(w.shard.Len(), cfg.Batch, cfg.Seed+int64(rank)*7919)
+	w.sgd = optim.NewSGD(cfg.LR.LR(0), cfg.Momentum, w.n)
+	for _, st := range []*checkpoint.State{cfg.Resume, restore} {
+		if st == nil {
+			continue
+		}
+		if err := st.Apply(w.net, w.sgd); err != nil {
+			return nil, fmt.Errorf("dist: rank %d restoring checkpoint: %w", rank, err)
+		}
+	}
+	w.forceSync = restore != nil
+	w.gs = newGuardState(cfg, rank, w.n, w.tc)
+	// The retained ring seeds with the initial state so a rollback always
+	// has a target.
+	w.gs.retain(checkpoint.Capture(w.net, w.sgd, 0, -1))
+
+	w.bk = collective.MakeBuckets(w.n, w.col.BucketBytes)
+	if !cfg.UseSparseAllreduce {
+		// The compressors' internal stage timings reach the track through
+		// a sink-carrying handle of the shared stage timer, so Tm/Tf/Ts/Tp
+		// spans get rank and iteration attribution without the compressors
+		// knowing about tracing.
+		wst := cfg.stageTimer.WithSink(w.tc.StageSink())
+		nb := w.bk.Count()
+		w.comps = make([]compress.Compressor, nb)
+		w.wire = make([]compress.Compressor, nb)
+		for b := range w.comps {
+			w.comps[b] = w.gs.wrap(cfg.NewCompressor())
+			compress.Instrument(w.comps[b], wst)
+			w.wire[b] = w.gs.wrap(compress.FP32{})
+		}
+	}
+	w.wireSync = w.gs.wrap(compress.FP32{})
+
+	w.grad = make([]float32, w.n)
+	w.avg = make([]float32, w.n)
+	w.recon = make([]float32, w.n)
+	w.delta = make([]float32, w.n)
+	w.syncFlat = make([]float32, w.n)
+	w.res = &Result{GradSize: w.n}
+	return w, nil
+}
+
+// pick returns bucket b's wire codec for this iteration: the configured
+// compressor, or the FP32 bypass when the adapt controller said so.
+func (w *worker) pick(b int, compressed bool) compress.Compressor {
+	if compressed {
+		return w.comps[b]
+	}
+	return w.wire[b]
+}
+
+// setTheta drives every bucket codec implementing compress.ThetaSetter and
+// reports whether any took it.
+func (w *worker) setTheta(theta float64) bool {
+	took := false
+	for _, c := range w.comps {
+		if ts, ok := c.(compress.ThetaSetter); ok {
+			ts.SetTheta(theta)
+			took = true
+		}
+	}
+	return took
+}
+
+// observeRound is called by the exchanger after every collective of a
+// round (one per bucket): it feeds the live Tcomm of Eq. 2 and returns the
+// collective's modeled price. With a Fabric the modeled time prices the
+// exchange (the in-process wall time is not a fabric) at the largest
+// message of the round; without one the measured wall time is the real
+// thing (TCP or an actual deployment).
+func (w *worker) observeRound(sent, max int, seconds float64) float64 {
+	var modelS float64
+	if w.cfg.Fabric != nil && w.rank == 0 && max > 0 {
+		modelS = w.col.ModelAllgather(w.cfg.Fabric, w.p, max)
+	}
+	if st := w.cfg.stageTimer; st != nil && sent > 0 {
+		if w.cfg.Fabric == nil {
+			st.ObserveStage(telemetry.StageComm, sent, seconds)
+		} else if w.rank == 0 {
+			st.ObserveStage(telemetry.StageComm, max, modelS)
+		}
+	}
+	return modelS
+}
+
+// encodeParams frames the current parameters for a sync. Reusing the
+// payload buffer across syncs is safe on every exchanger: the mesh copies
+// on send, and on the barrier path every receiver finishes decoding before
+// entering the next collective's barrier, at least one of which separates
+// consecutive syncs.
+func (w *worker) encodeParams(iter int) ([]byte, error) {
+	payload, err := compress.AppendCompress(w.wireSync, w.syncPayload[:0], w.net.GetParams(w.syncFlat))
+	if err != nil {
+		return nil, fmt.Errorf("encoding the sync payload of iteration %d: %w", iter, err)
+	}
+	w.syncPayload = payload
+	return payload, nil
+}
+
+// decodeParams adopts a received sync payload as this replica's parameters.
+func (w *worker) decodeParams(iter int, payload []byte) error {
+	if err := compress.DecompressInto(w.wireSync, w.syncFlat, payload); err != nil {
+		return fmt.Errorf("decoding the sync payload of iteration %d: %w", iter, err)
+	}
+	w.net.SetParams(w.syncFlat)
+	return nil
+}
+
+// recover handles an aborted round or sync — the only place a recoverable
+// exchange failure is dealt with: dump the timeline while the pre-crash
+// events are still in the ring, keep what was computed but never shipped
+// in the error-feedback stream, park until the rank may re-enter, and
+// report the iteration to resume at.
+func (w *worker) recover(ab *aborted, iter int, compressed bool) (int, error) {
+	w.cfg.Flight.Trigger(w.rank, trace.ReasonCrash)
+	if err := w.fold(ab, compressed); err != nil {
+		return 0, err
+	}
+	next, st, err := ab.rejoin(iter)
+	if err != nil {
+		return 0, err
+	}
+	if st != nil {
+		if err := st.Apply(w.net, w.sgd); err != nil {
+			return 0, fmt.Errorf("restoring checkpoint on rejoin: %w", err)
+		}
+	}
+	w.forceSync = true
+	return next, nil
+}
+
+// fold returns the undelivered part of this iteration's gradient to the
+// per-bucket error-feedback residuals (DGC's accumulation rule, Sec. 5),
+// so that each ends at exactly previous residual + gradient. Buckets below
+// ab.bucket were averaged by the survivors. Compressing bucket ab.bucket
+// already moved its gradient into the residual, less what the message
+// carries — so what the message carries goes back; the buckets above it
+// were never compressed and fold whole.
+func (w *worker) fold(ab *aborted, compressed bool) error {
+	for b := ab.bucket; b < len(w.comps); b++ {
+		sink, ok := w.comps[b].(residualSink)
+		if !ok {
+			continue
+		}
+		lo, hi := w.bk.Range(b)
+		lost := w.grad[lo:hi]
+		if b == ab.bucket && compressed {
+			lost = w.recon[lo:hi]
+			if err := compress.DecompressInto(w.comps[b], lost, ab.msg); err != nil {
+				return fmt.Errorf("bucket %d decoding the undelivered message: %w", b, err)
+			}
+		}
+		sink.AddToResidual(lost)
+	}
+	return nil
+}
+
+// train runs the iteration loop from startIter and returns the rank's
+// statistics (only rank 0's are reported).
+func (w *worker) train(startIter int) (*Result, error) {
+	cfg, res, tc, oc, gs := &w.cfg, w.res, w.tc, w.oc, w.gs
+	isRoot := w.rank == 0
+	fail := func(err error) (*Result, error) { return nil, fmt.Errorf("dist: rank %d: %w", w.rank, err) }
+	loss := nn.SoftmaxCE{}
+	totalIters := cfg.Epochs * cfg.ItersPerEpoch
+	w.forceSync = w.forceSync || startIter > 0 // a mid-run entrant aligns first
+	var totalMsgBytes, lossSum float64
+	var lossCount int
+	// liveRatio is the compression ratio of this rank's most recent
+	// compressed message, fed to the adapt controller (which remembers it
+	// across bypassed stretches so re-enablement can be judged).
+	var liveRatio float64
+
+	for iter := startIter; iter < totalIters; {
+		if cfg.haltCheck(iter) {
+			res.Halted = true
+			break
+		}
+		epoch := iter / cfg.ItersPerEpoch
+		w.sgd.LR = cfg.LR.LR(epoch)
+		tc.SetIter(uint64(iter))
+		tIter, obsStart := time.Now(), oc.NowNs()
+		w.theta = math.NaN()
+		if cfg.ThetaSchedule != nil {
+			w.theta = cfg.ThetaSchedule.Theta(epoch)
+			w.setTheta(w.theta)
+		}
+
+		// --- local gradient ---------------------------------------------
+		t0 := time.Now()
+		x, labels := w.shard.Batch(w.it.Next())
+		w.net.ZeroGrads()
+		l, dl := loss.Loss(w.net.Forward(x, true), labels)
+		w.net.Backward(dl)
+		w.net.FlattenGrads(w.grad)
+		tScrub := time.Now()
+		gs.scrubGrad(w.grad)
+		tc.SpanSince(trace.OpScrub, int64(w.n), tScrub)
+		computeT := time.Since(t0)
+		tc.SpanTimed(trace.OpCompute, int64(cfg.Batch), t0, computeT)
+		if isRoot {
+			lossSum += l
+			lossCount++
+			if cfg.SampleGradients > 0 && iter%cfg.SampleGradients == 0 {
+				res.GradSamples = append(res.GradSamples, append([]float32(nil), w.grad...))
+			}
+		}
+
+		// --- adaptive compression decision ------------------------------
+		// All ranks consult the controller before building any message; the
+		// per-iteration decision cache guarantees they agree on the wire
+		// format even though telemetry keeps moving between calls.
+		compressed := true
+		if cfg.Adapt != nil && w.comps != nil {
+			adTheta := w.theta
+			if math.IsNaN(adTheta) {
+				adTheta = 0 // no schedule: suppress θ suggestions
+			}
+			d := cfg.Adapt.DecideIter(iter, liveRatio, adTheta)
+			if !d.Compress {
+				compressed = false
+				tc.Instant(trace.OpBypass, 0)
+			} else if d.ThetaAdjusted && w.setTheta(d.Theta) {
+				w.theta = d.Theta
+			}
+		}
+		// --- compress + exchange + average, then update and sync ---------
+		st, err := w.ex.round(iter, compressed)
+		if err == errHalted {
+			res.Halted = true
+			break
+		}
+		var updateT, syncD time.Duration
+		var syncBytes int
+		if err == nil {
+			if compressed && st.msgBytes > 0 {
+				liveRatio = float64(4*w.n) / float64(st.msgBytes)
+			}
+			w.forceSync = w.forceSync || st.resync
+
+			// The detector sees the post-average norm (identical on every
+			// rank), so all ranks take the same escalation rung in lockstep.
+			t0 = time.Now()
+			switch gs.observe(w.avg) {
+			case guard.ActionRollback:
+				gs.rollback(w.net, w.sgd)
+				w.forceSync = true
+				if isRoot {
+					// The decision is global and identical on every rank; one
+					// dump (root's) captures all tracks.
+					cfg.Flight.Trigger(w.rank, trace.ReasonRollback)
+				}
+			case guard.ActionSkip:
+				// Poisoned round: no update.
+			default:
+				w.sgd.Delta(w.delta, w.avg)
+				w.net.AddToParams(w.delta)
+			}
+			updateT = time.Since(t0)
+			tc.SpanTimed(trace.OpUpdate, int64(w.n), t0, updateT)
+
+			// The periodic sync also runs early after drift, a rollback or
+			// any view change: degraded rounds, rejoins and elastic joins
+			// all leave replicas apart, and the re-sync is what bounds that
+			// drift window.
+			if (iter+1)%cfg.SyncEvery == 0 || w.forceSync {
+				tSync := time.Now()
+				syncBytes, err = w.ex.sync(iter)
+				if err == nil {
+					w.forceSync = false
+					syncD = time.Since(tSync)
+					tc.SpanTimed(trace.OpSync, int64(syncBytes), tSync, syncD)
+				}
+			}
+		}
+		if err != nil {
+			var ab *aborted
+			if !errors.As(err, &ab) {
+				return fail(err)
+			}
+			// The iteration restarts — at the frontier the fleet reached
+			// meanwhile, or in place when it is still waiting on this rank.
+			if iter, err = w.recover(ab, iter, compressed); err != nil {
+				return fail(err)
+			}
+			continue
+		}
+
+		gs.maybeRetain(iter, epoch, w.net, w.sgd)
+		tc.SpanSince(trace.OpIteration, int64(st.msgBytes), tIter)
+		oc.Commit(obs.IterRecord{
+			Iter:         int64(iter),
+			StartNs:      obsStart,
+			ExchEndNs:    st.endNs,
+			EndNs:        oc.NowNs(),
+			ComputeNs:    computeT.Nanoseconds(),
+			CompressNs:   st.compressT.Nanoseconds(),
+			ExchangeNs:   int64(st.exchangeS * 1e9),
+			DecompressNs: st.decompressT.Nanoseconds(),
+			UpdateNs:     updateT.Nanoseconds(),
+			SyncNs:       syncD.Nanoseconds(),
+			MsgBytes:     int64(st.msgBytes),
+			BlamePeer:    st.blamePeer,
+			BlameWaitNs:  st.blameWaitNs,
+		})
+
+		// --- bookkeeping (rank 0) ---------------------------------------
+		if isRoot {
+			res.Iterations++
+			totalMsgBytes += float64(st.msgBytes)
+			res.ComputeSeconds += computeT.Seconds() + updateT.Seconds()
+			res.CompressSeconds += st.compressT.Seconds() + st.decompressT.Seconds()
+			res.CommMeasuredSeconds += st.exchangeS
+			commS := st.modelS
+			if cfg.Fabric != nil && syncBytes > 0 {
+				commS += w.priceSync(cfg.Fabric, w.p, syncBytes)
+			}
+			res.CommSeconds += commS
+			if !compressed {
+				res.BypassedIterations++
+			}
+			if cfg.Trace {
+				res.Trace = append(res.Trace, IterTrace{
+					Iter:          iter,
+					ComputeS:      computeT.Seconds() + updateT.Seconds(),
+					CompressS:     st.compressT.Seconds() + st.decompressT.Seconds(),
+					CommS:         commS,
+					CommMeasuredS: st.exchangeS,
+					MsgBytes:      st.msgBytes,
+					Theta:         w.theta,
+					Compressed:    compressed,
+				})
+			}
+		}
+
+		// --- epoch boundary ---------------------------------------------
+		if (iter+1)%cfg.ItersPerEpoch == 0 {
+			if isRoot {
+				stats := EpochStats{
+					Epoch:     epoch,
+					TrainLoss: lossSum / float64(lossCount),
+					LR:        w.sgd.LR,
+					Theta:     w.theta,
+				}
+				lossSum, lossCount = 0, 0
+				if cfg.Test != nil {
+					stats.TestAcc = evaluate(w.net, cfg.Test, cfg.Batch)
+				}
+				res.Epochs = append(res.Epochs, stats)
+				if cfg.OnEpoch != nil {
+					cfg.OnEpoch(stats)
+				}
+				if cfg.CheckpointEvery > 0 && cfg.OnCheckpoint != nil && (epoch+1)%cfg.CheckpointEvery == 0 {
+					cfg.OnCheckpoint(checkpoint.Capture(w.net, w.sgd, int64(epoch), int64(iter)))
+				}
+			}
+			w.ex.epochEnd(iter)
+		}
+		iter++
+	}
+
+	if isRoot {
+		if res.Iterations > 0 {
+			res.AvgMsgBytes = totalMsgBytes / float64(res.Iterations)
+			res.CompressionRatio = float64(w.n*4) / res.AvgMsgBytes
+		}
+		cfg.finalState(res, w.net, w.sgd)
+	}
+	return res, nil
+}
+
+// evaluate computes top-1 accuracy over the full test set in eval mode.
+func evaluate(net *nn.Network, test *data.Dataset, batch int) float64 {
+	correct := 0.0
+	total := 0
+	idx := make([]int, 0, batch)
+	for s := 0; s < test.Len(); s += batch {
+		idx = idx[:0]
+		for j := s; j < s+batch && j < test.Len(); j++ {
+			idx = append(idx, j)
+		}
+		x, labels := test.Batch(idx)
+		logits := net.Forward(x, false)
+		correct += nn.Accuracy(logits, labels) * float64(len(idx))
+		total += len(idx)
+	}
+	if total == 0 {
+		return 0
+	}
+	return correct / float64(total)
+}

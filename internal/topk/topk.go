@@ -7,14 +7,18 @@
 // interchangeable strategies with identical semantics:
 //
 //   - KthLargest: iterative quickselect with median-of-three pivots, O(n)
-//     expected time, operating on a scratch copy.
+//     expected time on any mix of ties, operating on a scratch copy.
 //   - KthLargestBucket: the bucketSelect analogue — a parallel histogram
 //     over the value range, recursing into the bucket containing the k-th
 //     element. Data-parallel and cache-friendly for large n.
 //   - KthLargestSort: full sort, O(n log n); the reference used in tests.
+//
+// NaN ranks below every number in all three, so the k-th largest of an
+// input with m NaNs is NaN exactly when k > len(x)-m.
 package topk
 
 import (
+	"math"
 	"sort"
 
 	"fftgrad/internal/parallel"
@@ -47,50 +51,70 @@ func kthLargestScratch(x []float64, k int) float64 {
 	return kthLargestInPlace(s, k)
 }
 
-// kthLargestInPlace selects the k-th largest element, reordering s.
+// kthLargestInPlace selects the k-th largest element, reordering s: Hoare's
+// Find with a median-of-three pivot. Both scans stop at elements equal to
+// the pivot, so a run of ties is split down the middle instead of landing
+// on one side — all-equal input halves every round and selection stays
+// linear on the tie-heavy vectors sparsification produces (a ReLU-dead
+// gradient is mostly exact zeros). NaN ranks lowest, as in sort.Float64s:
+// the NaNs are parked at the front first, which also keeps them away from
+// the comparisons below.
 func kthLargestInPlace(s []float64, k int) float64 {
 	// Select index len-k in ascending order.
 	target := len(s) - k
 	lo, hi := 0, len(s)-1
+	for i, v := range s {
+		if v != v {
+			s[i], s[lo] = s[lo], s[i]
+			lo++
+		}
+	}
+	if target < lo {
+		return s[target]
+	}
 	for lo < hi {
-		p := partition(s, lo, hi)
+		pivot := median3(s[lo], s[lo+(hi-lo)/2], s[hi])
+		i, j := lo, hi
+		for i <= j {
+			// The pivot's value occurs in s[lo..hi], and every swap leaves
+			// an element ≥ pivot above i and one ≤ pivot below j, so the
+			// scans stop inside the range.
+			for s[i] < pivot {
+				i++
+			}
+			for s[j] > pivot {
+				j--
+			}
+			if i <= j {
+				s[i], s[j] = s[j], s[i]
+				i++
+				j--
+			}
+		}
+		// s[lo..j] ≤ pivot ≤ s[i..hi]; anything in between equals the pivot.
 		switch {
-		case p == target:
-			return s[p]
-		case p < target:
-			lo = p + 1
+		case target <= j:
+			hi = j
+		case target >= i:
+			lo = i
 		default:
-			hi = p - 1
+			return s[target]
 		}
 	}
 	return s[target]
 }
 
-// partition performs Hoare-style partitioning around a median-of-three
-// pivot and returns the final pivot index (Lomuto placement).
-func partition(s []float64, lo, hi int) int {
-	mid := lo + (hi-lo)/2
-	// median of three to s[hi]
-	if s[mid] < s[lo] {
-		s[mid], s[lo] = s[lo], s[mid]
+func median3(a, b, c float64) float64 {
+	if b < a {
+		a, b = b, a
 	}
-	if s[hi] < s[lo] {
-		s[hi], s[lo] = s[lo], s[hi]
+	if c < b {
+		b = c
 	}
-	if s[hi] < s[mid] {
-		s[hi], s[mid] = s[mid], s[hi]
+	if b < a {
+		b = a
 	}
-	s[mid], s[hi] = s[hi], s[mid]
-	pivot := s[hi]
-	i := lo
-	for j := lo; j < hi; j++ {
-		if s[j] < pivot {
-			s[i], s[j] = s[j], s[i]
-			i++
-		}
-	}
-	s[i], s[hi] = s[hi], s[i]
-	return i
+	return b
 }
 
 // bucketCount is the histogram width per refinement round of the
@@ -106,8 +130,8 @@ func KthLargestBucket(x []float64, k int) float64 {
 	checkK(len(x), k)
 
 	lo, hi := parMinMax(x)
-	if lo == hi {
-		return lo
+	if !(lo <= hi) {
+		return x[0] // nothing but NaNs
 	}
 	// remaining = how many of the largest elements we still need to skip
 	// inside the current [lo, hi] range.
@@ -220,23 +244,28 @@ func histogram(hist *[bucketCount]int64, cur []float64, lo, invWidth float64) {
 }
 
 // bucketOf maps v into [0, bucketCount) for a histogram starting at lo
-// with bucket width 1/invWidth, clamping outliers into the end buckets.
+// with bucket width 1/invWidth, clamping outliers into the end buckets and
+// NaN (which ranks lowest) into the bottom one. The clamps run on the
+// float: converting NaN or an out-of-range value to int is
+// implementation-defined.
 func bucketOf(v, lo, invWidth float64) int {
-	b := int((v - lo) * invWidth)
-	if b < 0 {
-		b = 0
+	f := (v - lo) * invWidth
+	if !(f >= 0) {
+		return 0
 	}
-	if b >= bucketCount {
-		b = bucketCount - 1
+	if f >= bucketCount {
+		return bucketCount - 1
 	}
-	return b
+	return int(f)
 }
 
+// parMinMax returns the range of the numbers in x, ignoring NaNs; an
+// all-NaN x yields the empty range (+Inf, -Inf).
 func parMinMax(x []float64) (lo, hi float64) {
 	chunks, size := parallel.Plan(len(x), 16384)
 	if chunks <= 1 {
-		lo, hi = x[0], x[0]
-		for _, v := range x[1:] {
+		lo, hi = math.Inf(1), math.Inf(-1)
+		for _, v := range x {
 			if v < lo {
 				lo = v
 			}
@@ -253,8 +282,8 @@ func parMinMax(x []float64) (lo, hi float64) {
 	parallel.ForGrain(chunks, 1, func(clo, chi int) {
 		for c := clo; c < chi; c++ {
 			ilo, ihi := parallel.ChunkBounds(c, size, len(x))
-			l, h := x[ilo], x[ilo]
-			for i := ilo + 1; i < ihi; i++ {
+			l, h := math.Inf(1), math.Inf(-1)
+			for i := ilo; i < ihi; i++ {
 				v := x[i]
 				if v < l {
 					l = v
