@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race bench bench-test bench-json benchdiff bench-baseline bench-gate experiments examples fmt check chaos guard fuzz trace-smoke serve-smoke collective-smoke elastic-smoke obs-smoke
+.PHONY: all build vet test race loc bench bench-test bench-json benchdiff bench-baseline bench-gate experiments examples fmt check chaos guard fuzz trace-smoke serve-smoke collective-smoke elastic-smoke obs-smoke
 
 all: build vet test
 
@@ -51,10 +51,21 @@ guard:
 		-chaos-corrupt 0.05
 
 # Fuzz smoke: a short wall-clock-bounded pass over the compressed
-# message decoder and the guard frame decoder.
+# message decoders, the guard frame decoder and the framed codec decoder.
 fuzz:
 	$(GO) test -fuzz=FuzzDecompressRobustness -fuzztime=15s -run '^$$' ./internal/compress/
 	$(GO) test -fuzz=FuzzUnframe -fuzztime=15s -run '^$$' ./internal/guard/
+	$(GO) test -fuzz=FuzzFramedDecompress -fuzztime=15s -run '^$$' ./internal/guard/
+
+# Non-blank, non-comment, non-test Go lines per package directory, then
+# the total outside the nested bench/ module: the count the before/after
+# tables in CHANGES.md use.
+LOC = xargs cat | grep -v '^\s*//' | grep -v '^\s*$$' | wc -l
+loc:
+	@for d in $$(find . -name '*.go' ! -name '*_test.go' ! -path './.bench_build/*' -exec dirname {} \; | sort -u); do \
+		printf '%6d  %s\n' $$(find $$d -maxdepth 1 -name '*.go' ! -name '*_test.go' | $(LOC)) $$d; \
+	done
+	@printf '%6d  total outside bench/\n' $$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' | $(LOC))
 
 # One pass over every benchmark (each experiment bench runs its full
 # quick workload once).

@@ -192,7 +192,7 @@ func main() {
 
 	fftc := compress.NewFFT(0.85)
 	rate("full FFT pipeline", func() {
-		if _, err := fftc.Compress(grad); err != nil {
+		if _, err := fftc.AppendCompress(nil, grad); err != nil {
 			panic(err)
 		}
 	})
@@ -289,22 +289,22 @@ func main() {
 		}
 		var msg []byte
 		compRate, _ := measure(func() {
-			msg, err = compress.AppendCompress(c, msg[:0], grad)
+			msg, err = c.AppendCompress(msg[:0], grad)
 			if err != nil {
 				panic(err)
 			}
 		})
 		decRate, _ := measure(func() {
-			if err := compress.DecompressInto(c, rec, msg); err != nil {
+			if err := c.DecompressInto(rec, msg); err != nil {
 				panic(err)
 			}
 		})
 		_, rtAllocs := measure(func() {
-			msg, err = compress.AppendCompress(c, msg[:0], grad)
+			msg, err = c.AppendCompress(msg[:0], grad)
 			if err != nil {
 				panic(err)
 			}
-			if err := compress.DecompressInto(c, rec, msg); err != nil {
+			if err := c.DecompressInto(rec, msg); err != nil {
 				panic(err)
 			}
 		})

@@ -51,12 +51,12 @@ func main() {
 			c := compress.NewFFT(theta)
 			c.QuantBits = b
 			start := time.Now()
-			msg, err := c.Compress(grad)
+			msg, err := c.AppendCompress(nil, grad)
 			if err != nil {
 				fmt.Fprintln(os.Stderr, err)
 				os.Exit(1)
 			}
-			if err := c.Decompress(rec, msg); err != nil {
+			if err := c.DecompressInto(rec, msg); err != nil {
 				fmt.Fprintln(os.Stderr, err)
 				os.Exit(1)
 			}
@@ -70,12 +70,12 @@ func main() {
 	t2 := &stats.Table{Headers: []string{"θ", "ratio", "relL2 err"}}
 	for _, theta := range thetas {
 		c := compress.NewTopK(theta)
-		msg, err := c.Compress(grad)
+		msg, err := c.AppendCompress(nil, grad)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		if err := c.Decompress(rec, msg); err != nil {
+		if err := c.DecompressInto(rec, msg); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}

@@ -88,7 +88,7 @@ func main() {
 	suspectAfter := flag.Duration("suspect-after", 0, "with -fault-aware, silence before a peer is suspected dead (0: 50x heartbeat)")
 	maxRetries := flag.Int("max-retries", 5, "with -fault-aware, nack/resend rounds per exchange before classifying the absentee")
 	onFailure := flag.String("on-failure", "rescale", "with -fault-aware, dead-rank policy: failfast | rescale | stale")
-	onStraggler := flag.String("on-straggler", "wait", "with -fault-aware, straggler policy: wait | drop | stale")
+	onStraggler := flag.String("on-straggler", "wait", "with -fault-aware, straggler policy: wait | drop")
 	staleness := flag.Int("staleness", 0, "with -fault-aware, bounded-staleness window K in iterations: ranks run up to K ahead, late gradients fold in damped (0: strict BSP)")
 	stalenessDiscount := flag.Float64("staleness-discount", 0.9, "with -staleness, per-iteration damping factor applied to stale gradients")
 	elasticJoin := flag.String("elastic-join", "", "comma-separated iterations at which brand-new ranks join mid-run (implies -fault-aware; e.g. 10,20)")
@@ -168,10 +168,6 @@ func main() {
 			BucketBytes: *bucketBytes,
 			Partitioned: *partitioned,
 		}
-		if err := cfg.Collective.Validate(); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
 	}
 	if *dropEpoch >= 0 {
 		cfg.ThetaSchedule = sparsify.StepDrop{Initial: *theta, Final: 0, DropEpoch: *dropEpoch}
@@ -208,17 +204,17 @@ func main() {
 		}
 	}
 	chaosWanted := *chaosDrop > 0 || *chaosDelay > 0 || *chaosDup > 0 || *chaosCrash >= 0 || *chaosCorrupt > 0 || *chaosStraggle >= 0
+	policy, err := cluster.ParsePolicy(*onFailure)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
+	stragglerPolicy, err := cluster.ParseStragglerPolicy(*onStraggler)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
 	if *faultAware || chaosWanted || *staleness > 0 || len(joinIters) > 0 || *collectiveStrategy == "gossip" {
-		policy, err := cluster.ParsePolicy(*onFailure)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		stragglerPolicy, err := cluster.ParseStragglerPolicy(*onStraggler)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
 		cfg.Fault = &dist.FaultConfig{
 			Cluster: cluster.Config{
 				Heartbeat:    *heartbeat,

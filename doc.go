@@ -17,14 +17,14 @@
 // # Buffer reuse and the zero-allocation contract
 //
 // The compression hot path is designed to allocate nothing in the steady
-// state. Every Compressor also implements the append-style pair
+// state. compress.Compressor is the append-style pair
 //
 //	AppendCompress(dst []byte, grad []float32) ([]byte, error)
 //	DecompressInto(dst []float32, msg []byte) error
 //
-// (compress.Appender / compress.IntoDecompressor; the package-level
-// compress.AppendCompress and compress.DecompressInto helpers fall back
-// to the allocating path for third-party implementations). The contract:
+// (plus Name) and nothing else: codecs, the guard's CRC framing and the
+// error-feedback wrappers all implement exactly these, and a fresh
+// message is AppendCompress(nil, grad). The contract:
 //
 //   - AppendCompress appends the message to dst and returns the extended
 //     slice, exactly like the standard library's append-style encoders.

@@ -26,12 +26,12 @@ func main() {
 	// components, quantize the survivors to 10-bit range-based floats.
 	c := compress.NewFFT(0.85)
 
-	msg, err := c.Compress(grad)
+	msg, err := c.AppendCompress(nil, grad)
 	if err != nil {
 		log.Fatal(err)
 	}
 	rec := make([]float32, len(grad))
-	if err := c.Decompress(rec, msg); err != nil {
+	if err := c.DecompressInto(rec, msg); err != nil {
 		log.Fatal(err)
 	}
 
@@ -43,12 +43,12 @@ func main() {
 	// Compare against spatial Top-k at the same drop ratio: FFT keeps the
 	// distribution, Top-k zeroes 85% of entries outright.
 	tk := compress.NewTopK(0.85)
-	tmsg, err := tk.Compress(grad)
+	tmsg, err := tk.AppendCompress(nil, grad)
 	if err != nil {
 		log.Fatal(err)
 	}
 	trec := make([]float32, len(grad))
-	if err := tk.Decompress(trec, tmsg); err != nil {
+	if err := tk.DecompressInto(trec, tmsg); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("\nat the same θ=0.85, Top-k error: %.4f (FFT wins: %v)\n",

@@ -60,7 +60,7 @@ func main() {
 		go func(rank int) {
 			defer wg.Done()
 			c := compress.NewFFT(0.85)
-			msg, err := c.Compress(grads[rank])
+			msg, err := c.AppendCompress(nil, grads[rank])
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -72,7 +72,7 @@ func main() {
 			avg := make([]float32, n)
 			rec := make([]float32, n)
 			for _, m := range msgs {
-				if err := c.Decompress(rec, m); err != nil {
+				if err := c.DecompressInto(rec, m); err != nil {
 					log.Fatal(err)
 				}
 				for i, v := range rec {

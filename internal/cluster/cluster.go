@@ -129,8 +129,6 @@ const (
 	// StragglerDrop excludes the straggler from this round only — no view
 	// change, it is expected back next iteration.
 	StragglerDrop
-	// StragglerStale reuses the straggler's previous gradient this round.
-	StragglerStale
 )
 
 func (p StragglerPolicy) String() string {
@@ -139,23 +137,21 @@ func (p StragglerPolicy) String() string {
 		return "wait"
 	case StragglerDrop:
 		return "drop"
-	case StragglerStale:
-		return "stale"
 	}
 	return "unknown"
 }
 
-// ParseStragglerPolicy parses "wait" | "drop" | "stale".
+// ParseStragglerPolicy parses "wait" | "drop". Folding a straggler's
+// older gradient into the round is bounded staleness (-staleness K,
+// dist.FaultConfig.Staleness), not a straggler policy.
 func ParseStragglerPolicy(s string) (StragglerPolicy, error) {
 	switch s {
 	case "wait":
 		return StragglerWait, nil
 	case "drop":
 		return StragglerDrop, nil
-	case "stale":
-		return StragglerStale, nil
 	}
-	return 0, fmt.Errorf("cluster: unknown straggler policy %q (want wait|drop|stale)", s)
+	return 0, fmt.Errorf("cluster: unknown straggler policy %q (want wait|drop; to reuse a straggler's older gradient set -staleness K)", s)
 }
 
 // Config tunes the runtime. Zero values take the documented defaults.

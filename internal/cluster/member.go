@@ -94,7 +94,7 @@ type Member struct {
 	pending map[uint64][][]byte
 
 	// lastGood[j] is the most recent payload received from rank j, for
-	// StaleReuse / StragglerStale and the bounded-staleness stale folds;
+	// StaleReuse and the bounded-staleness stale folds;
 	// lastGoodSeq[j] is the exchange seq it was sent under, which is what
 	// turns a cached payload into a measurable staleness.
 	lastGood    [][]byte
@@ -638,13 +638,6 @@ func (m *Member) resolveMissing(seq uint64, missing []int, msgs [][]byte, stale 
 				keepWaiting = true
 			case StragglerDrop:
 				*degraded = true // round proceeds without j; no view change
-			case StragglerStale:
-				if m.lastGood[j] != nil {
-					msgs[j] = m.lastGood[j]
-					stale[j] = true
-					m.rt.noteStaleReuse()
-				}
-				*degraded = true
 			}
 			continue
 		}

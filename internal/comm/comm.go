@@ -1,13 +1,14 @@
 // Package comm implements the collective-communication substrate for the
-// in-process worker cluster: allgather, ring allreduce, broadcast and
-// barrier across goroutine "ranks".
+// in-process worker cluster: allgather, sparse ring allreduce, broadcast
+// and barrier across goroutine "ranks".
 //
 // The paper exchanges compressed gradients with NCCL2's allgather because
 // no MPI implementation offers sparse allreduce (Sec. 4, Implementation,
 // and the conclusion's call for sparse collectives). This package mirrors
-// that API surface: byte-message Allgather for compressed payloads, a real
-// ring Allreduce for float32 buffers (the lossless baseline path), and a
-// Broadcast used for the periodic parameter re-synchronization.
+// that API surface: byte-message Allgather for every payload (the lossless
+// baseline included, as in the paper) and a Broadcast used for the periodic
+// parameter re-synchronization; SparseAllreduce is the collective the
+// conclusion asks for.
 package comm
 
 import (
@@ -15,7 +16,6 @@ import (
 	"sync"
 	"time"
 
-	"fftgrad/internal/scratch"
 	"fftgrad/internal/telemetry"
 	"fftgrad/internal/trace"
 )
@@ -25,7 +25,6 @@ type Cluster struct {
 	p          int
 	barrier    *barrier
 	slots      [][]byte // allgather / broadcast staging, one slot per rank
-	ring       []chan *[]float32
 	sparseRing []chan sparseSeg
 	tx, rx     *telemetry.Counter // logical bytes-on-wire (nil = off)
 }
@@ -53,11 +52,9 @@ func NewCluster(p int) *Cluster {
 		p:          p,
 		barrier:    newBarrier(p),
 		slots:      make([][]byte, p),
-		ring:       make([]chan *[]float32, p),
 		sparseRing: make([]chan sparseSeg, p),
 	}
-	for i := range c.ring {
-		c.ring[i] = make(chan *[]float32, 1)
+	for i := range c.sparseRing {
 		c.sparseRing[i] = make(chan sparseSeg, 1)
 	}
 	return c
@@ -187,79 +184,6 @@ func (c *Comm) Broadcast(data []byte, root int) []byte {
 	}
 	cl.barrier.await()
 	return out
-}
-
-// Allreduce sums x element-wise across all ranks, in place, using the
-// two-phase ring algorithm (reduce-scatter then allgather): 2(p−1) steps
-// each moving n/p elements — the bandwidth-optimal schedule the lossless
-// baseline would use on a real fabric.
-func (c *Comm) Allreduce(x []float32) {
-	cl := c.cluster
-	p := cl.p
-	if p == 1 {
-		return
-	}
-	n := len(x)
-	// Chunk boundaries: chunk i covers [bounds[i], bounds[i+1]).
-	boundsb := scratch.Ints(p + 1)
-	defer scratch.PutInts(boundsb)
-	bounds := *boundsb
-	for i := 0; i <= p; i++ {
-		bounds[i] = i * n / p
-	}
-	next := cl.ring[(c.rank+1)%p]
-	prev := cl.ring[c.rank]
-
-	// Every rank borrows ONE buffer sized for the largest chunk and the
-	// ring rotates ownership: each step reslices the owned buffer to the
-	// outgoing chunk, sends it, and adopts the buffer received from the
-	// previous rank as next step's send buffer. When n is not a multiple
-	// of p the chunks are ragged, but because every in-flight buffer was
-	// born with maxChunk capacity the reslice always fits — the padding
-	// happens once per call, not per step, and the steady state allocates
-	// nothing regardless of whether p is a power of two.
-	maxChunk := 0
-	for i := 0; i < p; i++ {
-		if w := bounds[i+1] - bounds[i]; w > maxChunk {
-			maxChunk = w
-		}
-	}
-	bufb := scratch.Float32s(maxChunk)
-
-	// Phase 1: reduce-scatter. After step s, rank r has accumulated the
-	// chunk (r - s + p) % p from s+1 ranks.
-	for s := 0; s < p-1; s++ {
-		sendIdx := (c.rank - s + p) % p
-		chunk := x[bounds[sendIdx]:bounds[sendIdx+1]]
-		*bufb = (*bufb)[:len(chunk)]
-		copy(*bufb, chunk)
-		cl.tx.Add(c.rank, 4*len(chunk))
-		next <- bufb
-		recvb := <-prev
-		cl.rx.Add(c.rank, 4*len(*recvb))
-		recvIdx := (c.rank - s - 1 + p) % p
-		dst := x[bounds[recvIdx]:bounds[recvIdx+1]]
-		for i, v := range *recvb {
-			dst[i] += v
-		}
-		bufb = recvb // adopt: same maxChunk capacity class on every rank
-	}
-	// Phase 2: allgather of the fully-reduced chunks. Rank r owns chunk
-	// (r+1) % p after phase 1.
-	for s := 0; s < p-1; s++ {
-		sendIdx := (c.rank + 1 - s + p) % p
-		chunk := x[bounds[sendIdx]:bounds[sendIdx+1]]
-		*bufb = (*bufb)[:len(chunk)]
-		copy(*bufb, chunk)
-		cl.tx.Add(c.rank, 4*len(chunk))
-		next <- bufb
-		recvb := <-prev
-		cl.rx.Add(c.rank, 4*len(*recvb))
-		recvIdx := (c.rank - s + p) % p
-		copy(x[bounds[recvIdx]:bounds[recvIdx+1]], *recvb)
-		bufb = recvb
-	}
-	scratch.PutFloat32s(bufb)
 }
 
 // barrier is a reusable counting barrier.

@@ -2,7 +2,6 @@ package comm
 
 import (
 	"fmt"
-	"math/rand"
 	"sync"
 	"testing"
 )
@@ -79,59 +78,6 @@ func TestBroadcast(t *testing.T) {
 	}
 }
 
-func TestAllreduceSums(t *testing.T) {
-	for _, p := range []int{1, 2, 3, 4, 7, 8} {
-		for _, n := range []int{1, 2, p, 100, 1000} {
-			c := NewCluster(p)
-			bufs := make([][]float32, p)
-			want := make([]float64, n)
-			r := rand.New(rand.NewSource(int64(p*1000 + n)))
-			for rank := 0; rank < p; rank++ {
-				bufs[rank] = make([]float32, n)
-				for i := range bufs[rank] {
-					bufs[rank][i] = float32(r.Intn(100)) // integers: exact sums
-					want[i] += float64(bufs[rank][i])
-				}
-			}
-			runRanks(c, func(cm *Comm) {
-				cm.Allreduce(bufs[cm.RankID()])
-			})
-			for rank := 0; rank < p; rank++ {
-				for i := range bufs[rank] {
-					if float64(bufs[rank][i]) != want[i] {
-						t.Fatalf("p=%d n=%d rank %d idx %d: %g want %g",
-							p, n, rank, i, bufs[rank][i], want[i])
-					}
-				}
-			}
-		}
-	}
-}
-
-func TestAllreduceRepeated(t *testing.T) {
-	p := 4
-	c := NewCluster(p)
-	runRanks(c, func(cm *Comm) {
-		for round := 1; round <= 30; round++ {
-			x := make([]float32, 64)
-			for i := range x {
-				x[i] = float32(cm.RankID() + round)
-			}
-			cm.Allreduce(x)
-			want := float32(0)
-			for r := 0; r < p; r++ {
-				want += float32(r + round)
-			}
-			for i := range x {
-				if x[i] != want {
-					t.Errorf("round %d rank %d idx %d: %g want %g", round, cm.RankID(), i, x[i], want)
-					return
-				}
-			}
-		}
-	})
-}
-
 func TestBarrierOrdering(t *testing.T) {
 	p := 6
 	c := NewCluster(p)
@@ -170,28 +116,6 @@ func TestNewClusterPanics(t *testing.T) {
 		}
 	}()
 	NewCluster(0)
-}
-
-func BenchmarkAllreduce8x1M(b *testing.B) {
-	p := 8
-	c := NewCluster(p)
-	bufs := make([][]float32, p)
-	for r := range bufs {
-		bufs[r] = make([]float32, 1<<20)
-	}
-	b.SetBytes(int64(p * (1 << 20) * 4))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var wg sync.WaitGroup
-		for r := 0; r < p; r++ {
-			wg.Add(1)
-			go func(rank int) {
-				defer wg.Done()
-				c.Rank(rank).Allreduce(bufs[rank])
-			}(r)
-		}
-		wg.Wait()
-	}
 }
 
 func BenchmarkAllgather8x128K(b *testing.B) {

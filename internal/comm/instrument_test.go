@@ -10,8 +10,8 @@ import (
 
 // TestClusterWireCounters checks the in-process transport's logical
 // bytes-on-wire accounting against the analytic ring-schedule volumes
-// that netsim prices: allgather tx = (p−1)·m per rank, allreduce moves
-// 2(p−1)·(n/p)·4 bytes per rank, broadcast root tx = (p−1)·m.
+// that netsim prices: allgather tx = (p−1)·m per rank, broadcast root
+// tx = (p−1)·m.
 func TestClusterWireCounters(t *testing.T) {
 	const p, m = 4, 1000
 	reg := telemetry.NewRegistry()
@@ -26,8 +26,6 @@ func TestClusterWireCounters(t *testing.T) {
 			cm := cl.Rank(rank)
 			data := make([]byte, m)
 			cm.Allgather(data)
-			x := make([]float32, 64*p)
-			cm.Allreduce(x)
 			cm.Broadcast(data, 0)
 		}(r)
 	}
@@ -36,12 +34,11 @@ func TestClusterWireCounters(t *testing.T) {
 	snap := reg.Snapshot()
 	tx := snap[`fftgrad_comm_tx_bytes_total{transport="inproc"}`]
 	rx := snap[`fftgrad_comm_rx_bytes_total{transport="inproc"}`]
-	// Allgather: p ranks × (p−1)·m. Allreduce: p ranks × 2(p−1) steps ×
-	// 64·4 bytes. Broadcast: root sends (p−1)·m, peers receive it.
+	// Allgather: p ranks × (p−1)·m. Broadcast: root sends (p−1)·m, peers
+	// receive it.
 	wantAG := float64(p * (p - 1) * m)
-	wantAR := float64(p * 2 * (p - 1) * 64 * 4)
 	wantBC := float64((p - 1) * m)
-	want := wantAG + wantAR + wantBC
+	want := wantAG + wantBC
 	if tx != want {
 		t.Errorf("inproc tx = %.0f, want %.0f", tx, want)
 	}

@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"math"
 	"net"
 	"sync"
 	"time"
@@ -350,78 +349,4 @@ func (c *TCPComm) Broadcast(data []byte, root int) ([]byte, error) {
 func (c *TCPComm) Barrier() error {
 	_, err := c.Allgather(nil)
 	return err
-}
-
-// Allreduce sums x element-wise across all ranks in place using the
-// two-phase ring algorithm over the TCP links.
-func (c *TCPComm) Allreduce(x []float32) error {
-	p := c.p
-	if p == 1 {
-		return nil
-	}
-	n := len(x)
-	bounds := make([]int, p+1)
-	for i := 0; i <= p; i++ {
-		bounds[i] = i * n / p
-	}
-	next := (c.rank + 1) % p
-	prev := (c.rank - 1 + p) % p
-
-	sendChunk := func(idx int) error {
-		lo, hi := bounds[idx], bounds[idx+1]
-		buf := make([]byte, (hi-lo)*4)
-		for i := lo; i < hi; i++ {
-			binary.LittleEndian.PutUint32(buf[(i-lo)*4:], math.Float32bits(x[i]))
-		}
-		if err := c.writeFrameTo(next, buf); err != nil {
-			return err
-		}
-		c.tx.Add(c.rank, 4+len(buf))
-		return nil
-	}
-	recvChunk := func() ([]float32, error) {
-		buf, err := c.readFrameFrom(prev)
-		if err != nil {
-			return nil, err
-		}
-		c.rx.Add(c.rank, 4+len(buf))
-		vals := make([]float32, len(buf)/4)
-		for i := range vals {
-			vals[i] = math.Float32frombits(binary.LittleEndian.Uint32(buf[i*4:]))
-		}
-		return vals, nil
-	}
-
-	for step := 0; step < p-1; step++ { // reduce-scatter
-		sendIdx := (c.rank - step + p) % p
-		errCh := make(chan error, 1)
-		go func() { errCh <- sendChunk(sendIdx) }()
-		recv, err := recvChunk()
-		if err != nil {
-			return err
-		}
-		if err := <-errCh; err != nil {
-			return err
-		}
-		recvIdx := (c.rank - step - 1 + p) % p
-		dst := x[bounds[recvIdx]:bounds[recvIdx+1]]
-		for i, v := range recv {
-			dst[i] += v
-		}
-	}
-	for step := 0; step < p-1; step++ { // allgather
-		sendIdx := (c.rank + 1 - step + p) % p
-		errCh := make(chan error, 1)
-		go func() { errCh <- sendChunk(sendIdx) }()
-		recv, err := recvChunk()
-		if err != nil {
-			return err
-		}
-		if err := <-errCh; err != nil {
-			return err
-		}
-		recvIdx := (c.rank - step + p) % p
-		copy(x[bounds[recvIdx]:bounds[recvIdx+1]], recv)
-	}
-	return nil
 }

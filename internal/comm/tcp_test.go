@@ -3,7 +3,6 @@ package comm
 import (
 	"bytes"
 	"fmt"
-	"math/rand"
 	"sync"
 	"testing"
 )
@@ -130,50 +129,6 @@ func TestTCPBarrier(t *testing.T) {
 		}(r)
 	}
 	wg.Wait()
-}
-
-func TestTCPAllreduceMatchesInProcess(t *testing.T) {
-	for _, p := range []int{2, 3, 5} {
-		comms := startOrSkip(t, p)
-		n := 1000
-		r := rand.New(rand.NewSource(int64(p)))
-		tcpBufs := make([][]float32, p)
-		memBufs := make([][]float32, p)
-		for rank := 0; rank < p; rank++ {
-			tcpBufs[rank] = make([]float32, n)
-			memBufs[rank] = make([]float32, n)
-			for i := range tcpBufs[rank] {
-				v := float32(r.Intn(50))
-				tcpBufs[rank][i] = v
-				memBufs[rank][i] = v
-			}
-		}
-		cl := NewCluster(p)
-		var wg sync.WaitGroup
-		for rank := 0; rank < p; rank++ {
-			wg.Add(1)
-			go func(rank int) {
-				defer wg.Done()
-				if err := comms[rank].Allreduce(tcpBufs[rank]); err != nil {
-					t.Errorf("tcp rank %d: %v", rank, err)
-				}
-			}(rank)
-			wg.Add(1)
-			go func(rank int) {
-				defer wg.Done()
-				cl.Rank(rank).Allreduce(memBufs[rank])
-			}(rank)
-		}
-		wg.Wait()
-		for rank := 0; rank < p; rank++ {
-			for i := 0; i < n; i++ {
-				if tcpBufs[rank][i] != memBufs[rank][i] {
-					t.Fatalf("p=%d rank %d idx %d: tcp %g vs mem %g",
-						p, rank, i, tcpBufs[rank][i], memBufs[rank][i])
-				}
-			}
-		}
-	}
 }
 
 func TestTCPRepeatedCollectives(t *testing.T) {

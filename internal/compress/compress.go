@@ -26,15 +26,27 @@ import (
 
 // Compressor encodes gradients for transmission and decodes them back.
 // Implementations are safe for concurrent use unless noted.
+//
+// AppendCompress appends the wire message for grad to dst and returns
+// the extended slice, exactly as the append built-in: dst may be nil
+// (a fresh message is c.AppendCompress(nil, grad)), and callers reusing
+// one buffer across iterations (dst = msg[:0]) pay no allocation once
+// its capacity has grown to the steady-state message size. The returned
+// slice may alias dst's array (and does whenever capacity sufficed); the
+// caller owns it and must not assume dst is still valid independently.
+// grad is never modified and never aliased by the result.
+//
+// DecompressInto reconstructs a gradient into dst from a message
+// produced by the same algorithm. len(dst) must equal the original
+// gradient length; dst is fully overwritten. msg is read-only and may
+// alias network buffers. After a warm-up call per gradient size the
+// round trip performs zero heap allocations (TestZeroAllocRoundTrip).
 type Compressor interface {
 	// Name identifies the algorithm ("fp32", "topk", "qsgd", "terngrad",
 	// "fft") in experiment reports.
 	Name() string
-	// Compress encodes grad into a wire message.
-	Compress(grad []float32) ([]byte, error)
-	// Decompress reconstructs a gradient into dst from a message produced
-	// by the same algorithm. len(dst) must equal the original length.
-	Decompress(dst []float32, msg []byte) error
+	AppendCompress(dst []byte, grad []float32) ([]byte, error)
+	DecompressInto(dst []float32, msg []byte) error
 }
 
 // ThetaSetter is implemented by sparsifying compressors whose drop ratio
@@ -42,31 +54,6 @@ type Compressor interface {
 // Theorem 3.5).
 type ThetaSetter interface {
 	SetTheta(theta float64)
-}
-
-// Appender is the allocation-free compression interface implemented by
-// every compressor in this package. AppendCompress appends the wire
-// message for grad to dst and returns the extended slice, exactly as the
-// append built-in: dst may be nil, and callers reusing one buffer across
-// iterations (dst = msg[:0]) pay no allocation once its capacity has
-// grown to the steady-state message size.
-//
-// Ownership: the returned slice may alias dst's array (and does whenever
-// capacity sufficed); the caller owns it and must not assume dst is still
-// valid independently. grad is never modified and never aliased by the
-// result.
-type Appender interface {
-	AppendCompress(dst []byte, grad []float32) ([]byte, error)
-}
-
-// IntoDecompressor is implemented by compressors whose decode path reuses
-// caller and pooled scratch memory. DecompressInto has the same contract
-// as Decompress — reconstruct into dst, len(dst) equal to the original
-// gradient length — and additionally guarantees that, after a warm-up
-// call per gradient size, decoding performs zero heap allocations. msg is
-// read-only and may alias network buffers; dst is fully overwritten.
-type IntoDecompressor interface {
-	DecompressInto(dst []float32, msg []byte) error
 }
 
 // Instrumentable is implemented by compressors that can report per-stage
@@ -80,35 +67,46 @@ type Instrumentable interface {
 	Instrument(st *telemetry.StageTimer)
 }
 
-// Instrument attaches st to c when the compressor supports per-stage
-// timing, and is a no-op otherwise.
+// As finds an optional capability T (ThetaSetter, Instrumentable, a
+// residual sink, ...) in a decorated compressor, the way errors.As finds
+// an error type in a wrapped chain: it returns c itself when c
+// implements T, otherwise the first layer that does along the chain of
+// Inner() methods. Decorators (guard.Framed, the feedback wrappers)
+// therefore expose Inner and implement only the capabilities that are
+// their own.
+func As[T any](c Compressor) (T, bool) {
+	for c != nil {
+		if t, ok := c.(T); ok {
+			return t, true
+		}
+		w, ok := c.(interface{ Inner() Compressor })
+		if !ok {
+			break
+		}
+		c = w.Inner()
+	}
+	var zero T
+	return zero, false
+}
+
+// Instrument attaches st to the layer of c that supports per-stage
+// timing, and is a no-op when none does.
 func Instrument(c Compressor, st *telemetry.StageTimer) {
-	if i, ok := c.(Instrumentable); ok {
+	if i, ok := As[Instrumentable](c); ok {
 		i.Instrument(st)
 	}
 }
 
-// AppendCompress compresses grad through c, appending to dst. It uses the
-// allocation-free path when c implements Appender and falls back to
-// Compress+append otherwise.
+// AppendCompress is c.AppendCompress(dst, grad), kept as a function for
+// the benchmark module.
 func AppendCompress(c Compressor, dst []byte, grad []float32) ([]byte, error) {
-	if a, ok := c.(Appender); ok {
-		return a.AppendCompress(dst, grad)
-	}
-	msg, err := c.Compress(grad)
-	if err != nil {
-		return nil, err
-	}
-	return append(dst, msg...), nil
+	return c.AppendCompress(dst, grad)
 }
 
-// DecompressInto decompresses msg through c into dst, using the
-// scratch-reusing path when available.
+// DecompressInto is c.DecompressInto(dst, msg), kept as a function for
+// the benchmark module.
 func DecompressInto(c Compressor, dst []float32, msg []byte) error {
-	if d, ok := c.(IntoDecompressor); ok {
-		return d.DecompressInto(dst, msg)
-	}
-	return c.Decompress(dst, msg)
+	return c.DecompressInto(dst, msg)
 }
 
 // Ratio returns the compression ratio achieved by a message for a gradient
@@ -129,17 +127,6 @@ func putHeader(buf []byte, vals ...uint32) []byte {
 		buf = le.AppendUint32(buf, v)
 	}
 	return buf
-}
-
-// readHeader reads count uint32 words, returning the values and the rest
-// of the buffer.
-func readHeader(msg []byte, count int) ([]uint32, []byte, error) {
-	vals := make([]uint32, count)
-	rest, err := readHeaderInto(vals, msg)
-	if err != nil {
-		return nil, nil, err
-	}
-	return vals, rest, nil
 }
 
 // readHeaderInto reads len(dst) uint32 words into dst, returning the rest

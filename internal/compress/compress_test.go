@@ -43,12 +43,12 @@ func relErr(a, b []float32) float64 {
 
 func roundtrip(t *testing.T, c Compressor, grad []float32) []float32 {
 	t.Helper()
-	msg, err := c.Compress(grad)
+	msg, err := c.AppendCompress(nil, grad)
 	if err != nil {
 		t.Fatalf("%s compress: %v", c.Name(), err)
 	}
 	dst := make([]float32, len(grad))
-	if err := c.Decompress(dst, msg); err != nil {
+	if err := c.DecompressInto(dst, msg); err != nil {
 		t.Fatalf("%s decompress: %v", c.Name(), err)
 	}
 	return dst
@@ -72,7 +72,7 @@ func TestFP32Lossless(t *testing.T) {
 			t.Fatalf("fp32 must be lossless, index %d: %g vs %g", i, rec[i], g[i])
 		}
 	}
-	msg, _ := FP32{}.Compress(g)
+	msg, _ := FP32{}.AppendCompress(nil, g)
 	if r := Ratio(len(g), msg); r != 1 {
 		t.Fatalf("fp32 ratio %g want 1", r)
 	}
@@ -110,11 +110,11 @@ func TestAllCompressorsZeroGradient(t *testing.T) {
 func TestDecompressLengthMismatch(t *testing.T) {
 	for _, c := range allCompressors() {
 		g := gaussGrad(100, 0.1, 2)
-		msg, err := c.Compress(g)
+		msg, err := c.AppendCompress(nil, g)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := c.Decompress(make([]float32, 99), msg); err == nil {
+		if err := c.DecompressInto(make([]float32, 99), msg); err == nil {
 			t.Errorf("%s: length mismatch should error", c.Name())
 		}
 	}
@@ -123,12 +123,12 @@ func TestDecompressLengthMismatch(t *testing.T) {
 func TestDecompressTruncatedMessage(t *testing.T) {
 	for _, c := range allCompressors() {
 		g := gaussGrad(1000, 0.1, 3)
-		msg, err := c.Compress(g)
+		msg, err := c.AppendCompress(nil, g)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, cut := range []int{0, 2, len(msg) / 2} {
-			if err := c.Decompress(make([]float32, 1000), msg[:cut]); err == nil {
+			if err := c.DecompressInto(make([]float32, 1000), msg[:cut]); err == nil {
 				t.Errorf("%s: truncated message (%d bytes) should error", c.Name(), cut)
 			}
 		}
@@ -146,7 +146,7 @@ func TestCompressionRatios(t *testing.T) {
 		"fft":      {13, 22},     // 6.67 × 32/10 = 21.3 minus bitmap overhead
 	}
 	for _, c := range allCompressors() {
-		msg, err := c.Compress(g)
+		msg, err := c.AppendCompress(nil, g)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -190,12 +190,12 @@ func TestQSGDUnbiased(t *testing.T) {
 	sum := make([]float64, len(g))
 	const trials = 3000
 	for tr := 0; tr < trials; tr++ {
-		msg, err := c.Compress(g)
+		msg, err := c.AppendCompress(nil, g)
 		if err != nil {
 			t.Fatal(err)
 		}
 		rec := make([]float32, len(g))
-		if err := c.Decompress(rec, msg); err != nil {
+		if err := c.DecompressInto(rec, msg); err != nil {
 			t.Fatal(err)
 		}
 		for i, v := range rec {
@@ -217,12 +217,12 @@ func TestTernGradUnbiased(t *testing.T) {
 	sum := make([]float64, len(g))
 	const trials = 5000
 	for tr := 0; tr < trials; tr++ {
-		msg, err := c.Compress(g)
+		msg, err := c.AppendCompress(nil, g)
 		if err != nil {
 			t.Fatal(err)
 		}
 		rec := make([]float32, len(g))
-		if err := c.Decompress(rec, msg); err != nil {
+		if err := c.DecompressInto(rec, msg); err != nil {
 			t.Fatal(err)
 		}
 		for i, v := range rec {
@@ -297,12 +297,12 @@ func TestThetaSetter(t *testing.T) {
 		if !ok {
 			t.Fatalf("%s must implement ThetaSetter", c.Name())
 		}
-		msgHigh, err := c.Compress(g)
+		msgHigh, err := c.AppendCompress(nil, g)
 		if err != nil {
 			t.Fatal(err)
 		}
 		ts.SetTheta(0.1)
-		msgLow, err := c.Compress(g)
+		msgLow, err := c.AppendCompress(nil, g)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -311,11 +311,11 @@ func TestThetaSetter(t *testing.T) {
 		}
 		recHigh := make([]float32, len(g))
 		recLow := make([]float32, len(g))
-		if err := c.Decompress(recLow, msgLow); err != nil {
+		if err := c.DecompressInto(recLow, msgLow); err != nil {
 			t.Fatal(err)
 		}
 		ts.SetTheta(0.9) // decompress must not depend on current θ
-		if err := c.Decompress(recHigh, msgHigh); err != nil {
+		if err := c.DecompressInto(recHigh, msgHigh); err != nil {
 			t.Fatal(err)
 		}
 		if relErr(g, recLow) >= relErr(g, recHigh) {
@@ -409,7 +409,7 @@ func benchCompress(b *testing.B, c Compressor) {
 	b.SetBytes(int64(len(g) * 4))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := c.Compress(g); err != nil {
+		if _, err := c.AppendCompress(nil, g); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -418,7 +418,7 @@ func benchCompress(b *testing.B, c Compressor) {
 func BenchmarkDecompressFFT1M(b *testing.B) {
 	g := smoothGrad(1<<20, 1)
 	c := NewFFT(0.85)
-	msg, err := c.Compress(g)
+	msg, err := c.AppendCompress(nil, g)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -426,7 +426,7 @@ func BenchmarkDecompressFFT1M(b *testing.B) {
 	b.SetBytes(int64(len(g) * 4))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := c.Decompress(dst, msg); err != nil {
+		if err := c.DecompressInto(dst, msg); err != nil {
 			b.Fatal(err)
 		}
 	}

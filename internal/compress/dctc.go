@@ -61,12 +61,7 @@ func (c *DCT) SetTheta(theta float64) { c.theta.Store(theta) }
 // Theta returns the current drop ratio.
 func (c *DCT) Theta() float64 { return c.theta.Load() }
 
-// Compress implements Compressor; see FFT.Compress.
-func (c *DCT) Compress(grad []float32) ([]byte, error) {
-	return c.AppendCompress(nil, grad)
-}
-
-// AppendCompress implements Appender.
+// AppendCompress implements Compressor.
 //
 // Wire format (u32 unless noted):
 //
@@ -138,12 +133,7 @@ func (c *DCT) AppendCompress(dst []byte, grad []float32) ([]byte, error) {
 	return dst, nil
 }
 
-// Decompress implements Compressor.
-func (c *DCT) Decompress(dst []float32, msg []byte) error {
-	return c.DecompressInto(dst, msg)
-}
-
-// DecompressInto implements IntoDecompressor.
+// DecompressInto implements Compressor.
 func (c *DCT) DecompressInto(dst []float32, msg []byte) error {
 	var hdr [fftHeaderWords]uint32
 	rest, err := readHeaderInto(hdr[:], msg)

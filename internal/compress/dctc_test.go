@@ -37,14 +37,14 @@ func TestDCTZeroAndFullDrop(t *testing.T) {
 func TestDCTLengthAndTruncationErrors(t *testing.T) {
 	c := NewDCT(0.85)
 	g := smoothGrad(500, 2)
-	msg, err := c.Compress(g)
+	msg, err := c.AppendCompress(nil, g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Decompress(make([]float32, 400), msg); err == nil {
+	if err := c.DecompressInto(make([]float32, 400), msg); err == nil {
 		t.Fatal("length mismatch should error")
 	}
-	if err := c.Decompress(make([]float32, 500), msg[:10]); err == nil {
+	if err := c.DecompressInto(make([]float32, 500), msg[:10]); err == nil {
 		t.Fatal("truncated message should error")
 	}
 }
@@ -57,11 +57,11 @@ func TestDCTRatioAccounting(t *testing.T) {
 	g := smoothGrad(1<<18, 3)
 	fftc := NewFFT(0.85)
 	dctc := NewDCT(0.85)
-	fmsg, err := fftc.Compress(g)
+	fmsg, err := fftc.AppendCompress(nil, g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dmsg, err := dctc.Compress(g)
+	dmsg, err := dctc.AppendCompress(nil, g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,12 +87,12 @@ func TestDCTThetaSetter(t *testing.T) {
 	c := NewDCT(0.9)
 	var _ ThetaSetter = c
 	g := smoothGrad(8192, 5)
-	hi, err := c.Compress(g)
+	hi, err := c.AppendCompress(nil, g)
 	if err != nil {
 		t.Fatal(err)
 	}
 	c.SetTheta(0.1)
-	lo, err := c.Compress(g)
+	lo, err := c.AppendCompress(nil, g)
 	if err != nil {
 		t.Fatal(err)
 	}

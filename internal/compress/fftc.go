@@ -70,13 +70,7 @@ func (c *FFT) Theta() float64 { return c.theta.Load() }
 // fftHeaderWords is the number of u32 header words in the wire format.
 const fftHeaderWords = 8
 
-// Compress implements Compressor. It is AppendCompress into a fresh
-// buffer; iteration loops should call AppendCompress with a reused one.
-func (c *FFT) Compress(grad []float32) ([]byte, error) {
-	return c.AppendCompress(nil, grad)
-}
-
-// AppendCompress implements Appender.
+// AppendCompress implements Compressor.
 //
 // Wire format (all u32 unless noted):
 //
@@ -141,12 +135,7 @@ func (c *FFT) AppendCompress(dst []byte, grad []float32) ([]byte, error) {
 	return dst, nil
 }
 
-// Decompress implements Compressor.
-func (c *FFT) Decompress(dst []float32, msg []byte) error {
-	return c.DecompressInto(dst, msg)
-}
-
-// DecompressInto implements IntoDecompressor: the inverse pipeline with
+// DecompressInto implements Compressor: the inverse pipeline with
 // pooled scratch and a cached decode-side quantizer.
 func (c *FFT) DecompressInto(dst []float32, msg []byte) error {
 	var hdr [fftHeaderWords]uint32
@@ -231,12 +220,12 @@ func (c *FFT) DecompressInto(dst []float32, msg []byte) error {
 // relative L2 error ‖g−ĝ‖/‖g‖ — the α of Assumption 3.2 for a single
 // worker. Useful for calibration and the Fig. 12 experiment.
 func ReconstructionError(c Compressor, grad []float32) (float64, error) {
-	msg, err := c.Compress(grad)
+	msg, err := c.AppendCompress(nil, grad)
 	if err != nil {
 		return 0, err
 	}
 	rec := make([]float32, len(grad))
-	if err := c.Decompress(rec, msg); err != nil {
+	if err := c.DecompressInto(rec, msg); err != nil {
 		return 0, err
 	}
 	var num, den float64

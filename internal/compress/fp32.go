@@ -14,12 +14,7 @@ type FP32 struct{}
 // Name implements Compressor.
 func (FP32) Name() string { return "fp32" }
 
-// Compress serializes grad as raw little-endian float32 bytes.
-func (FP32) Compress(grad []float32) ([]byte, error) {
-	return FP32{}.AppendCompress(make([]byte, 0, 4*len(grad)), grad)
-}
-
-// AppendCompress implements Appender.
+// AppendCompress implements Compressor.
 func (FP32) AppendCompress(dst []byte, grad []float32) ([]byte, error) {
 	off := len(dst)
 	dst = extendBytes(dst, 4*len(grad))
@@ -31,12 +26,7 @@ func (FP32) AppendCompress(dst []byte, grad []float32) ([]byte, error) {
 	return dst, nil
 }
 
-// Decompress deserializes raw float32 bytes.
-func (FP32) Decompress(dst []float32, msg []byte) error {
-	return FP32{}.DecompressInto(dst, msg)
-}
-
-// DecompressInto implements IntoDecompressor.
+// DecompressInto implements Compressor.
 func (FP32) DecompressInto(dst []float32, msg []byte) error {
 	if len(msg) != 4*len(dst) {
 		return fmt.Errorf("fp32: message %d bytes, want %d", len(msg), 4*len(dst))

@@ -1,15 +1,10 @@
 package compress
 
-import (
-	"testing"
+import "testing"
 
-	"fftgrad/internal/guard"
-)
-
-// fuzzTargets builds one of every decompressor, including the chunked
-// composite and the guard's CRC-framed wrapper (whose decoder must
-// reject — never crash on — arbitrary bytes before they reach the
-// inner codec).
+// fuzzTargets builds one of every decompressor in this package; the
+// guard's CRC-framed decoder is fuzzed from internal/guard
+// (FuzzFramedDecompress).
 func fuzzTargets() []Compressor {
 	return []Compressor{
 		FP32{},
@@ -18,8 +13,6 @@ func fuzzTargets() []Compressor {
 		NewTernGrad(),
 		NewFFT(0.85),
 		NewDCT(0.85),
-		NewChunked(64, func() Compressor { return NewFFT(0.85) }),
-		guard.NewFramed(NewFFT(0.85), true),
 	}
 }
 
@@ -30,7 +23,7 @@ func fuzzTargets() []Compressor {
 func FuzzDecompressRobustness(f *testing.F) {
 	g := smoothGrad(500, 1)
 	for _, c := range fuzzTargets() {
-		msg, err := c.Compress(g)
+		msg, err := c.AppendCompress(nil, g)
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -44,7 +37,7 @@ func FuzzDecompressRobustness(f *testing.F) {
 		dst := make([]float32, n)
 		for _, c := range fuzzTargets() {
 			// Errors are expected for garbage; panics are bugs.
-			_ = c.Decompress(dst, data)
+			_ = c.DecompressInto(dst, data)
 		}
 	})
 }
@@ -67,11 +60,11 @@ func FuzzCompressRoundTrip(f *testing.F) {
 		}
 		dst := make([]float32, n)
 		for _, c := range fuzzTargets() {
-			msg, err := c.Compress(grad)
+			msg, err := c.AppendCompress(nil, grad)
 			if err != nil {
 				t.Fatalf("%s compress: %v", c.Name(), err)
 			}
-			if err := c.Decompress(dst, msg); err != nil {
+			if err := c.DecompressInto(dst, msg); err != nil {
 				t.Fatalf("%s decompress own message: %v", c.Name(), err)
 			}
 			for i, v := range dst {

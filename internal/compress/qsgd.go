@@ -67,12 +67,7 @@ type qsgdDec struct {
 	levels int
 }
 
-// Compress implements Compressor; see FFT.Compress.
-func (q *QSGD) Compress(grad []float32) ([]byte, error) {
-	return q.AppendCompress(nil, grad)
-}
-
-// AppendCompress implements Appender.
+// AppendCompress implements Compressor.
 //
 // Wire format: u32 n | u32 s | f32 ‖v‖₂ | packed (2s+1)-state codes.
 func (q *QSGD) AppendCompress(dst []byte, grad []float32) ([]byte, error) {
@@ -127,12 +122,7 @@ func (q *QSGD) AppendCompress(dst []byte, grad []float32) ([]byte, error) {
 	return dst, nil
 }
 
-// Decompress implements Compressor.
-func (q *QSGD) Decompress(dst []float32, msg []byte) error {
-	return q.DecompressInto(dst, msg)
-}
-
-// DecompressInto implements IntoDecompressor.
+// DecompressInto implements Compressor.
 func (q *QSGD) DecompressInto(dst []float32, msg []byte) error {
 	var hdr [3]uint32
 	rest, err := readHeaderInto(hdr[:], msg)

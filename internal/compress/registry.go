@@ -10,8 +10,8 @@ import (
 type Builder func(theta float64) Compressor
 
 // registry maps algorithm names to builders. The five paper algorithms
-// plus the DCT ablation are pre-registered; wrappers (feedback, chunked)
-// compose on top of these at call sites.
+// plus the DCT ablation are pre-registered; wrappers (feedback, guard
+// framing) compose on top of these at call sites.
 var registry = map[string]Builder{
 	"fp32":     func(theta float64) Compressor { return FP32{} },
 	"fft":      func(theta float64) Compressor { return NewFFT(theta) },

@@ -17,11 +17,11 @@ func TestRegistryBuildsEverything(t *testing.T) {
 		if name != c.Name() {
 			t.Errorf("registry name %q != compressor name %q", name, c.Name())
 		}
-		msg, err := c.Compress(g)
+		msg, err := c.AppendCompress(nil, g)
 		if err != nil {
 			t.Fatalf("%s compress: %v", name, err)
 		}
-		if err := c.Decompress(dst, msg); err != nil {
+		if err := c.DecompressInto(dst, msg); err != nil {
 			t.Fatalf("%s decompress: %v", name, err)
 		}
 	}

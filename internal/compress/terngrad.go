@@ -45,12 +45,7 @@ type ternEnc struct {
 	scale float64
 }
 
-// Compress implements Compressor; see FFT.Compress.
-func (t *TernGrad) Compress(grad []float32) ([]byte, error) {
-	return t.AppendCompress(nil, grad)
-}
-
-// AppendCompress implements Appender.
+// AppendCompress implements Compressor.
 //
 // Wire format: u32 n | f32 scale | packed 2-bit codes (0→0, 1→+1, 2→-1).
 func (t *TernGrad) AppendCompress(dst []byte, grad []float32) ([]byte, error) {
@@ -95,12 +90,7 @@ func (t *TernGrad) AppendCompress(dst []byte, grad []float32) ([]byte, error) {
 	return dst, nil
 }
 
-// Decompress implements Compressor.
-func (t *TernGrad) Decompress(dst []float32, msg []byte) error {
-	return t.DecompressInto(dst, msg)
-}
-
-// DecompressInto implements IntoDecompressor.
+// DecompressInto implements Compressor.
 func (t *TernGrad) DecompressInto(dst []float32, msg []byte) error {
 	var hdr [2]uint32
 	rest, err := readHeaderInto(hdr[:], msg)

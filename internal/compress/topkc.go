@@ -45,12 +45,7 @@ func (t *TopK) SetTheta(theta float64) { t.theta.Store(theta) }
 // Theta returns the current drop ratio.
 func (t *TopK) Theta() float64 { return t.theta.Load() }
 
-// Compress implements Compressor; see FFT.Compress.
-func (t *TopK) Compress(grad []float32) ([]byte, error) {
-	return t.AppendCompress(nil, grad)
-}
-
-// AppendCompress implements Appender.
+// AppendCompress implements Compressor.
 //
 // Wire format: u32 n | u32 kept | bitmap (⌈n/64⌉·8 bytes) | kept·f32.
 func (t *TopK) AppendCompress(dst []byte, grad []float32) ([]byte, error) {
@@ -86,12 +81,7 @@ func (t *TopK) AppendCompress(dst []byte, grad []float32) ([]byte, error) {
 	return dst, nil
 }
 
-// Decompress implements Compressor.
-func (t *TopK) Decompress(dst []float32, msg []byte) error {
-	return t.DecompressInto(dst, msg)
-}
-
-// DecompressInto implements IntoDecompressor.
+// DecompressInto implements Compressor.
 func (t *TopK) DecompressInto(dst []float32, msg []byte) error {
 	var hdr [2]uint32
 	rest, err := readHeaderInto(hdr[:], msg)

@@ -469,26 +469,55 @@ func (c *Config) finish(res *Result) *Result {
 	return res
 }
 
+// validate rejects, before any rank is built, every mode combination the
+// training step cannot run. TestValidateRejects lists them all.
+func (c *Config) validate() error {
+	if c.Model == nil || c.Train == nil {
+		return fmt.Errorf("dist: Model and Train dataset are required")
+	}
+	sparse := c.UseSparseAllreduce
+	if sparse && c.Guard != nil && c.Guard.Enabled() {
+		return fmt.Errorf("dist: Guard requires the compressed-message exchange; disable UseSparseAllreduce")
+	}
+	if col := c.Collective; col != nil {
+		if err := col.Validate(); err != nil {
+			return fmt.Errorf("dist: %w", err)
+		}
+		if col.BucketBytes > 0 && sparse {
+			return fmt.Errorf("dist: BucketBytes applies to the compressed-message exchange; disable UseSparseAllreduce")
+		}
+		if col.Strategy == collective.Gossip && c.Fault == nil {
+			return fmt.Errorf("dist: the gossip strategy is decentralized averaging over the failure-aware mesh; set Fault")
+		}
+	}
+	if f := c.Fault; f != nil {
+		if sparse {
+			return fmt.Errorf("dist: Fault and UseSparseAllreduce are mutually exclusive (the ring collective has no failure-aware variant yet)")
+		}
+		if c.MeasureAlpha {
+			return fmt.Errorf("dist: MeasureAlpha requires the barrier-based exchange; disable Fault")
+		}
+		if f.Staleness < 0 {
+			return fmt.Errorf("dist: negative Fault.Staleness %d", f.Staleness)
+		}
+		if l := f.StalenessDiscount; l < 0 || l > 1 {
+			return fmt.Errorf("dist: Fault.StalenessDiscount %v outside (0,1]", l)
+		}
+		for _, at := range f.ElasticJoins {
+			if at < 0 {
+				return fmt.Errorf("dist: negative ElasticJoins iteration %d", at)
+			}
+		}
+	}
+	return nil
+}
+
 // Train runs BSP data-parallel training and returns rank-0's statistics.
 func Train(c Config) (*Result, error) {
-	if c.Model == nil || c.Train == nil {
-		return nil, fmt.Errorf("dist: Model and Train dataset are required")
+	if err := c.validate(); err != nil {
+		return nil, err
 	}
 	cfg := c.withDefaults()
-	if cfg.Guard != nil && cfg.UseSparseAllreduce {
-		return nil, fmt.Errorf("dist: Guard requires the compressed-message exchange; disable UseSparseAllreduce")
-	}
-	if cfg.Collective != nil {
-		if err := cfg.Collective.Validate(); err != nil {
-			return nil, fmt.Errorf("dist: %w", err)
-		}
-		if cfg.Collective.BucketBytes > 0 && cfg.UseSparseAllreduce {
-			return nil, fmt.Errorf("dist: BucketBytes applies to the compressed-message exchange; disable UseSparseAllreduce")
-		}
-		if cfg.Collective.Strategy == collective.Gossip && cfg.Fault == nil {
-			return nil, fmt.Errorf("dist: the gossip strategy is decentralized averaging over the failure-aware mesh; set Fault")
-		}
-	}
 	if cfg.Fault != nil {
 		return trainFault(cfg)
 	}

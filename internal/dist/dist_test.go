@@ -2,9 +2,11 @@ package dist
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"fftgrad/internal/checkpoint"
+	"fftgrad/internal/collective"
 	"fftgrad/internal/compress"
 	"fftgrad/internal/data"
 	"fftgrad/internal/models"
@@ -200,6 +202,67 @@ func TestSingleWorker(t *testing.T) {
 func TestConfigValidation(t *testing.T) {
 	if _, err := Train(Config{}); err == nil {
 		t.Fatal("empty config should error")
+	}
+}
+
+// TestValidateRejects lists every mode combination Config.validate
+// refuses, with the text that names the conflict; Train must return it
+// before building a rank.
+func TestValidateRejects(t *testing.T) {
+	fault := func(f FaultConfig) *FaultConfig {
+		f.Cluster = faultClusterCfg()
+		return &f
+	}
+	for _, tc := range []struct {
+		name string
+		mut  func(*Config)
+		want string
+	}{
+		{"nil Model", func(c *Config) { c.Model = nil }, "Model and Train dataset are required"},
+		{"nil Train", func(c *Config) { c.Train = nil }, "Model and Train dataset are required"},
+		{"guard + sparse allreduce", func(c *Config) {
+			c.Guard, c.UseSparseAllreduce = fullGuard(), true
+		}, "Guard requires the compressed-message exchange"},
+		{"unknown strategy", func(c *Config) {
+			c.Collective = &collective.Config{Strategy: "mesh"}
+		}, `unknown strategy "mesh"`},
+		{"buckets + sparse allreduce", func(c *Config) {
+			c.Collective, c.UseSparseAllreduce = &collective.Config{BucketBytes: 4096}, true
+		}, "BucketBytes applies to the compressed-message exchange"},
+		{"gossip without Fault", func(c *Config) {
+			c.Collective = &collective.Config{Strategy: collective.Gossip}
+		}, "set Fault"},
+		{"gossip + buckets", func(c *Config) {
+			c.Collective = &collective.Config{Strategy: collective.Gossip, BucketBytes: 4096}
+			c.Fault = fault(FaultConfig{})
+		}, "gossip exchanges whole gradients"},
+		{"Fault + sparse allreduce", func(c *Config) {
+			c.Fault, c.UseSparseAllreduce = fault(FaultConfig{}), true
+		}, "Fault and UseSparseAllreduce are mutually exclusive"},
+		{"Fault + MeasureAlpha", func(c *Config) {
+			c.Fault, c.MeasureAlpha = fault(FaultConfig{}), true
+		}, "MeasureAlpha requires the barrier-based exchange"},
+		{"negative staleness", func(c *Config) {
+			c.Fault = fault(FaultConfig{Staleness: -1})
+		}, "negative Fault.Staleness -1"},
+		{"discount above one", func(c *Config) {
+			c.Fault = fault(FaultConfig{Staleness: 2, StalenessDiscount: 1.5})
+		}, "StalenessDiscount 1.5 outside (0,1]"},
+		{"negative discount", func(c *Config) {
+			c.Fault = fault(FaultConfig{Staleness: 2, StalenessDiscount: -0.5})
+		}, "StalenessDiscount -0.5 outside (0,1]"},
+		{"negative join iteration", func(c *Config) {
+			c.Fault = fault(FaultConfig{ElasticJoins: []int{4, -3}})
+		}, "negative ElasticJoins iteration -3"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := blobCfg(1)
+			tc.mut(&cfg)
+			_, err := Train(cfg)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Train returned %v, want an error containing %q", err, tc.want)
+			}
+		})
 	}
 }
 

@@ -179,7 +179,7 @@ func (e *barrierEx) compressBucket(b int) error {
 	w := e.w
 	lo, hi := w.bk.Range(b)
 	t0 := time.Now()
-	msg, err := compress.AppendCompress(w.pick(b, e.compressed), e.msgs[e.iter&1][b][:0], w.grad[lo:hi])
+	msg, err := w.pick(b, e.compressed).AppendCompress(e.msgs[e.iter&1][b][:0], w.grad[lo:hi])
 	if err != nil {
 		return fmt.Errorf("bucket %d compress: %w", b, err)
 	}
@@ -214,7 +214,7 @@ func (e *barrierEx) exchangeBucket(b int) error {
 		avg[i] = 0
 	}
 	for _, m := range msgs {
-		if err := compress.DecompressInto(comp, recon, m); err != nil {
+		if err := comp.DecompressInto(recon, m); err != nil {
 			return fmt.Errorf("bucket %d decompress: %w", b, err)
 		}
 		for i, v := range recon {

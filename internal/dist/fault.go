@@ -104,28 +104,8 @@ type FaultReport struct {
 
 // trainFault is Train for Config.Fault != nil.
 func trainFault(cfg Config) (*Result, error) {
-	if cfg.UseSparseAllreduce {
-		return nil, fmt.Errorf("dist: Fault and UseSparseAllreduce are mutually exclusive (the ring collective has no failure-aware variant yet)")
-	}
-	if cfg.MeasureAlpha {
-		return nil, fmt.Errorf("dist: MeasureAlpha requires the barrier-based exchange; disable Fault")
-	}
 	colCfg := cfg.strategy()
 	gossip := colCfg.Strategy == collective.Gossip
-	if gossip && colCfg.BucketBytes > 0 {
-		return nil, fmt.Errorf("dist: gossip exchanges whole gradients with ring neighbors; BucketBytes does not apply")
-	}
-	if cfg.Fault.Staleness < 0 {
-		return nil, fmt.Errorf("dist: negative Fault.Staleness %d", cfg.Fault.Staleness)
-	}
-	if l := cfg.Fault.StalenessDiscount; l < 0 || l > 1 {
-		return nil, fmt.Errorf("dist: Fault.StalenessDiscount %v outside (0,1]", l)
-	}
-	for _, at := range cfg.Fault.ElasticJoins {
-		if at < 0 {
-			return nil, fmt.Errorf("dist: negative ElasticJoins iteration %d", at)
-		}
-	}
 
 	p := cfg.Workers
 	joins := cfg.Fault.ElasticJoins
@@ -394,7 +374,7 @@ func (x *clusterEx) round(iter int, compressed bool) (roundStats, error) {
 		lo, hi := w.bk.Range(b)
 		comp := w.pick(b, compressed)
 		t0 := time.Now()
-		msg, err := compress.AppendCompress(comp, x.msgBuf[:0], w.grad[lo:hi])
+		msg, err := comp.AppendCompress(x.msgBuf[:0], w.grad[lo:hi])
 		if err != nil {
 			return st, fmt.Errorf("bucket %d compress: %w", b, err)
 		}
@@ -453,7 +433,7 @@ func (x *clusterEx) round(iter int, compressed bool) (roundStats, error) {
 			if len(m) > max {
 				max = len(m)
 			}
-			if err := compress.DecompressInto(comp, recon, m); err != nil {
+			if err := comp.DecompressInto(recon, m); err != nil {
 				return st, fmt.Errorf("bucket %d decompress: %w", b, err)
 			}
 			for i, v := range recon {
@@ -461,7 +441,7 @@ func (x *clusterEx) round(iter int, compressed bool) (roundStats, error) {
 			}
 			wsum += wt
 			if wt < 1 {
-				if sink, ok := w.comps[b].(scaledResidualSink); ok {
+				if sink, ok := compress.As[scaledResidualSink](w.comps[b]); ok {
 					sink.AddToResidualScaled(recon, (1-wt)/float32(ex.Contributors))
 				}
 			}
@@ -561,7 +541,7 @@ func (x *gossipEx) mix(codec compress.Compressor, g *cluster.GossipResult, self 
 		if len(m) > max {
 			max = len(m)
 		}
-		if err := compress.DecompressInto(codec, recon, m); err != nil {
+		if err := codec.DecompressInto(recon, m); err != nil {
 			return 0, err
 		}
 		for i, v := range recon {
@@ -570,7 +550,7 @@ func (x *gossipEx) mix(codec compress.Compressor, g *cluster.GossipResult, self 
 		peerW += wt
 	}
 	if self == nil {
-		if err := compress.DecompressInto(codec, recon, selfMsg); err != nil {
+		if err := codec.DecompressInto(recon, selfMsg); err != nil {
 			return 0, err
 		}
 		self = recon
@@ -590,7 +570,7 @@ func (x *gossipEx) round(iter int, compressed bool) (roundStats, error) {
 	}
 	comp := w.pick(0, compressed)
 	t0 := time.Now()
-	msg, err := compress.AppendCompress(comp, x.msgBuf[:0], w.grad)
+	msg, err := comp.AppendCompress(x.msgBuf[:0], w.grad)
 	if err != nil {
 		return st, fmt.Errorf("compress: %w", err)
 	}

@@ -180,11 +180,11 @@ type burstInjector struct {
 }
 
 func (b *burstInjector) Name() string { return "burst" }
-func (b *burstInjector) Compress(g []float32) ([]byte, error) {
-	return b.inner.Compress(g)
+func (b *burstInjector) AppendCompress(dst []byte, g []float32) ([]byte, error) {
+	return b.inner.AppendCompress(dst, g)
 }
-func (b *burstInjector) Decompress(dst []float32, msg []byte) error {
-	if err := b.inner.Decompress(dst, msg); err != nil {
+func (b *burstInjector) DecompressInto(dst []float32, msg []byte) error {
+	if err := b.inner.DecompressInto(dst, msg); err != nil {
 		return err
 	}
 	iter := b.calls / b.p

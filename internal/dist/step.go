@@ -81,11 +81,12 @@ func (a *aborted) Error() string { return a.cause.Error() }
 // rank was held back by the staleness throttle.
 var errHalted = errors.New("dist: halted before the exchange")
 
-// residualSink is implemented by error-feedback compressors; the step
-// uses it to keep a computed-but-unshipped gradient in the information
-// stream instead of discarding it. scaledResidualSink is its
-// bounded-staleness sibling: the damped remainder of a stale contribution
-// re-enters through the residual at the discount's complement.
+// residualSink is implemented by error-feedback compressors (found under
+// any guard framing by compress.As); the step uses it to keep a
+// computed-but-unshipped gradient in the information stream instead of
+// discarding it. scaledResidualSink is its bounded-staleness sibling: the
+// damped remainder of a stale contribution re-enters through the residual
+// at the discount's complement.
 type (
 	residualSink       interface{ AddToResidual([]float32) }
 	scaledResidualSink interface {
@@ -206,7 +207,7 @@ func (w *worker) pick(b int, compressed bool) compress.Compressor {
 func (w *worker) setTheta(theta float64) bool {
 	took := false
 	for _, c := range w.comps {
-		if ts, ok := c.(compress.ThetaSetter); ok {
+		if ts, ok := compress.As[compress.ThetaSetter](c); ok {
 			ts.SetTheta(theta)
 			took = true
 		}
@@ -241,7 +242,7 @@ func (w *worker) observeRound(sent, max int, seconds float64) float64 {
 // entering the next collective's barrier, at least one of which separates
 // consecutive syncs.
 func (w *worker) encodeParams(iter int) ([]byte, error) {
-	payload, err := compress.AppendCompress(w.wireSync, w.syncPayload[:0], w.net.GetParams(w.syncFlat))
+	payload, err := w.wireSync.AppendCompress(w.syncPayload[:0], w.net.GetParams(w.syncFlat))
 	if err != nil {
 		return nil, fmt.Errorf("encoding the sync payload of iteration %d: %w", iter, err)
 	}
@@ -251,7 +252,7 @@ func (w *worker) encodeParams(iter int) ([]byte, error) {
 
 // decodeParams adopts a received sync payload as this replica's parameters.
 func (w *worker) decodeParams(iter int, payload []byte) error {
-	if err := compress.DecompressInto(w.wireSync, w.syncFlat, payload); err != nil {
+	if err := w.wireSync.DecompressInto(w.syncFlat, payload); err != nil {
 		return fmt.Errorf("decoding the sync payload of iteration %d: %w", iter, err)
 	}
 	w.net.SetParams(w.syncFlat)
@@ -290,7 +291,7 @@ func (w *worker) recover(ab *aborted, iter int, compressed bool) (int, error) {
 // were never compressed and fold whole.
 func (w *worker) fold(ab *aborted, compressed bool) error {
 	for b := ab.bucket; b < len(w.comps); b++ {
-		sink, ok := w.comps[b].(residualSink)
+		sink, ok := compress.As[residualSink](w.comps[b])
 		if !ok {
 			continue
 		}
@@ -298,7 +299,7 @@ func (w *worker) fold(ab *aborted, compressed bool) error {
 		lost := w.grad[lo:hi]
 		if b == ab.bucket && compressed {
 			lost = w.recon[lo:hi]
-			if err := compress.DecompressInto(w.comps[b], lost, ab.msg); err != nil {
+			if err := w.comps[b].DecompressInto(lost, ab.msg); err != nil {
 				return fmt.Errorf("bucket %d decoding the undelivered message: %w", b, err)
 			}
 		}

@@ -130,7 +130,7 @@ type crashAt struct {
 	at    int
 }
 
-func (c crashAt) Compress(g []float32) ([]byte, error) {
+func (c crashAt) AppendCompress(dst []byte, g []float32) ([]byte, error) {
 	if *c.calls++; *c.calls == c.at {
 		c.tr.down.Store(true)
 		// The receiver loop marks the member down after each failed Recv;
@@ -139,7 +139,7 @@ func (c crashAt) Compress(g []float32) ([]byte, error) {
 			time.Sleep(100 * time.Microsecond)
 		}
 	}
-	return c.Compressor.Compress(g)
+	return c.Compressor.AppendCompress(dst, g)
 }
 
 // TestAbortedRoundConservesMass aborts a round after compress — the

@@ -1,9 +1,11 @@
 package experiments
 
 import (
+	"fmt"
 	"runtime"
 	"time"
 
+	"fftgrad/internal/collective"
 	"fftgrad/internal/comm"
 	"fftgrad/internal/compress"
 	"fftgrad/internal/data"
@@ -35,10 +37,11 @@ func ablations() []Experiment {
 	}
 }
 
-// AblChunk sweeps the bucket size of chunked FFT compression against the
-// whole-gradient pipeline: ratios and errors stay comparable on a
-// homogeneous gradient, while a layer-like gradient whose regions differ
-// by orders of magnitude needs bucket-local quantizer ranges.
+// AblChunk sweeps the bucket size of FFT compression — the splitter
+// training uses, collective.MakeBuckets with one codec per bucket —
+// against the whole-gradient pipeline: ratios and errors stay comparable
+// on a homogeneous gradient, while a layer-like gradient whose regions
+// differ by orders of magnitude needs bucket-local quantizer ranges.
 func AblChunk(o Options) error {
 	n := 1 << 18
 	if o.Quick {
@@ -46,41 +49,56 @@ func AblChunk(o Options) error {
 	}
 	g := correlatedGradient(n, o.Seed)
 
-	t := &stats.Table{Headers: []string{"configuration", "ratio", "relL2 err", "codec ms"}}
-	type res struct{ ratio, err float64 }
-	measure := func(c compress.Compressor) (res, error) {
-		start := time.Now()
-		msg, err := c.Compress(g)
-		if err != nil {
-			return res{}, err
-		}
+	// bucketed round-trips grad through `buckets` independent FFT codecs
+	// and returns the reconstruction and the total wire bytes.
+	bucketed := func(grad []float32, buckets int, theta float64) ([]float32, int, error) {
+		bk := collective.MakeBuckets(n, 4*n/buckets)
 		rec := make([]float32, n)
-		if err := c.Decompress(rec, msg); err != nil {
-			return res{}, err
+		wire := 0
+		for b := 0; b < bk.Count(); b++ {
+			lo, hi := bk.Range(b)
+			c := compress.NewFFT(theta)
+			msg, err := c.AppendCompress(nil, grad[lo:hi])
+			if err != nil {
+				return nil, 0, err
+			}
+			if err := c.DecompressInto(rec[lo:hi], msg); err != nil {
+				return nil, 0, err
+			}
+			wire += len(msg)
+		}
+		return rec, wire, nil
+	}
+
+	t := &stats.Table{Headers: []string{"configuration", "ratio", "relL2 err", "codec ms"}}
+	measure := func(name string, buckets int) (float64, error) {
+		start := time.Now()
+		rec, wire, err := bucketed(g, buckets, 0.85)
+		if err != nil {
+			return 0, err
 		}
 		el := time.Since(start).Seconds() * 1e3
-		r := res{ratio: compress.Ratio(n, msg), err: stats.RelL2(g, rec)}
-		t.AddRow(c.Name(), r.ratio, r.err, el)
-		return r, nil
+		relErr := stats.RelL2(g, rec)
+		t.AddRow(name, float64(4*n)/float64(wire), relErr, el)
+		return relErr, nil
 	}
-	whole, err := measure(compress.NewFFT(0.85))
+	whole, err := measure("fft", 1)
 	if err != nil {
 		return err
 	}
 	var worstErr float64
-	for _, chunk := range []int{n / 16, n / 4} {
-		r, err := measure(compress.NewChunked(chunk, func() compress.Compressor { return compress.NewFFT(0.85) }))
+	for _, buckets := range []int{16, 4} {
+		e, err := measure(fmt.Sprintf("fft x %d buckets", buckets), buckets)
 		if err != nil {
 			return err
 		}
-		if r.err > worstErr {
-			worstErr = r.err
+		if e > worstErr {
+			worstErr = e
 		}
-		_ = r
 	}
 	o.printf("chunk-size ablation on a homogeneous %d-element gradient:\n%s", n, t.String())
 	o.printf("CHECK bucketing keeps error within 1.5x of whole-gradient: %v (%.4f vs %.4f)\n",
-		worstErr <= whole.err*1.5, worstErr, whole.err)
+		worstErr <= whole*1.5, worstErr, whole)
 
 	// Layer-like gradient: region scales differ 100x.
 	mixed := make([]float32, n)
@@ -88,22 +106,18 @@ func AblChunk(o Options) error {
 		mixed[i] = g[i] * 100
 		mixed[n/2+i] = g[n/2+i]
 	}
-	smallErr := func(c compress.Compressor) (float64, error) {
-		msg, err := c.Compress(mixed)
+	smallErr := func(buckets int) (float64, error) {
+		rec, _, err := bucketed(mixed, buckets, 0.5)
 		if err != nil {
-			return 0, err
-		}
-		rec := make([]float32, n)
-		if err := c.Decompress(rec, msg); err != nil {
 			return 0, err
 		}
 		return stats.RelL2(mixed[n/2:], rec[n/2:]), nil
 	}
-	we, err := smallErr(compress.NewFFT(0.5))
+	we, err := smallErr(1)
 	if err != nil {
 		return err
 	}
-	ce, err := smallErr(compress.NewChunked(n/2, func() compress.Compressor { return compress.NewFFT(0.5) }))
+	ce, err := smallErr(2)
 	if err != nil {
 		return err
 	}
@@ -157,12 +171,12 @@ func AblTransform(o Options) error {
 	type result struct{ ratio, err float64 }
 	out := map[string]result{}
 	for _, c := range []compress.Compressor{compress.NewFFT(0.85), compress.NewDCT(0.85)} {
-		msg, err := c.Compress(g)
+		msg, err := c.AppendCompress(nil, g)
 		if err != nil {
 			return err
 		}
 		rec := make([]float32, n)
-		if err := c.Decompress(rec, msg); err != nil {
+		if err := c.DecompressInto(rec, msg); err != nil {
 			return err
 		}
 		r := result{ratio: compress.Ratio(n, msg), err: stats.RelL2(g, rec)}
@@ -196,12 +210,12 @@ func AblQuant(o Options) error {
 	type result struct{ ratio, err float64 }
 	results := map[string]result{}
 	for name, c := range map[string]*compress.FFT{"fft+10bit": full, "fft+24bit": wide} {
-		msg, err := c.Compress(g)
+		msg, err := c.AppendCompress(nil, g)
 		if err != nil {
 			return err
 		}
 		rec := make([]float32, n)
-		if err := c.Decompress(rec, msg); err != nil {
+		if err := c.DecompressInto(rec, msg); err != nil {
 			return err
 		}
 		r := result{ratio: compress.Ratio(n, msg), err: stats.RelL2(g, rec)}

@@ -147,7 +147,7 @@ func paperMethods() []method {
 func measuredRatio(m method, n int, seed int64) (float64, error) {
 	g := correlatedGradient(n, seed)
 	c := m.new()
-	msg, err := c.Compress(g)
+	msg, err := c.AppendCompress(nil, g)
 	if err != nil {
 		return 0, err
 	}

@@ -31,12 +31,12 @@ func Fig15(o Options) error {
 	errCDFs := map[string]*stats.ECDF{}
 	for _, m := range paperMethods() {
 		c := m.new()
-		msg, err := c.Compress(g)
+		msg, err := c.AppendCompress(nil, g)
 		if err != nil {
 			return err
 		}
 		rec := make([]float32, n)
-		if err := c.Decompress(rec, msg); err != nil {
+		if err := c.DecompressInto(rec, msg); err != nil {
 			return err
 		}
 		e := stats.NewECDF(stats.AbsErrors(g, rec))

@@ -20,11 +20,14 @@ import (
 
 // Compressor wraps an inner compressor with error feedback. It is NOT
 // safe for concurrent use: each training worker owns one instance (the
-// residual is per-worker state, exactly as in DGC).
+// residual is per-worker state, exactly as in DGC). Capabilities of the
+// inner compressor (θ schedules, stage timers) are reached through Inner
+// by compress.As.
 type Compressor struct {
 	inner    compress.Compressor
 	residual []float32
 	carry    []float32 // scratch: g + residual
+	rec      []float32 // scratch: decode(msg), what the receiver will see
 }
 
 // New wraps inner with error feedback.
@@ -38,47 +41,55 @@ func (c *Compressor) Name() string { return c.inner.Name() + "+ef" }
 // Inner returns the wrapped compressor.
 func (c *Compressor) Inner() compress.Compressor { return c.inner }
 
-// SetTheta forwards to the inner compressor when it supports schedules.
-func (c *Compressor) SetTheta(theta float64) {
-	if ts, ok := c.inner.(compress.ThetaSetter); ok {
-		ts.SetTheta(theta)
-	}
-}
-
-// Compress adds the accumulated residual to grad, compresses the sum with
-// the inner compressor, and retains what the compression dropped as the
-// next residual. grad is not modified.
-func (c *Compressor) Compress(grad []float32) ([]byte, error) {
-	n := len(grad)
+// sized allocates the per-worker buffers on first use and reports
+// whether they match an n-element gradient.
+func (c *Compressor) sized(n int) bool {
 	if c.residual == nil {
 		c.residual = make([]float32, n)
 		c.carry = make([]float32, n)
+		c.rec = make([]float32, n)
 	}
-	if len(c.residual) != n {
-		return nil, fmt.Errorf("feedback: gradient length changed from %d to %d", len(c.residual), n)
+	return len(c.residual) == n
+}
+
+// AppendCompress adds the accumulated residual to grad, appends the
+// inner compressor's message for the sum to dst, and retains what the
+// compression dropped as the next residual. grad is not modified.
+func (c *Compressor) AppendCompress(dst []byte, grad []float32) ([]byte, error) {
+	if !c.sized(len(grad)) {
+		return nil, fmt.Errorf("feedback: gradient length changed from %d to %d", len(c.residual), len(grad))
 	}
 	for i := range c.carry {
 		c.carry[i] = grad[i] + c.residual[i]
 	}
-	msg, err := c.inner.Compress(c.carry)
+	out, err := roundTrip(c.inner, dst, c.carry, c.rec)
 	if err != nil {
 		return nil, err
 	}
 	// Residual = what the receiver will NOT see: carry − decode(msg).
-	rec := make([]float32, n)
-	if err := c.inner.Decompress(rec, msg); err != nil {
-		return nil, err
-	}
 	for i := range c.residual {
-		c.residual[i] = c.carry[i] - rec[i]
+		c.residual[i] = c.carry[i] - c.rec[i]
 	}
-	return msg, nil
+	return out, nil
 }
 
-// Decompress forwards to the inner compressor (reconstruction is
+// roundTrip appends inner's message for x to dst and decodes that message
+// back into rec, so the caller can keep x − rec.
+func roundTrip(inner compress.Compressor, dst []byte, x, rec []float32) ([]byte, error) {
+	out, err := inner.AppendCompress(dst, x)
+	if err != nil {
+		return nil, err
+	}
+	if err := inner.DecompressInto(rec, out[len(dst):]); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// DecompressInto forwards to the inner compressor (reconstruction is
 // stateless; the feedback lives entirely on the sender).
-func (c *Compressor) Decompress(dst []float32, msg []byte) error {
-	return c.inner.Decompress(dst, msg)
+func (c *Compressor) DecompressInto(dst []float32, msg []byte) error {
+	return c.inner.DecompressInto(dst, msg)
 }
 
 // AddToResidual folds g into the residual. The failure-aware trainer
@@ -87,18 +98,7 @@ func (c *Compressor) Decompress(dst []float32, msg []byte) error {
 // discarding the work, the information re-enters the stream on the next
 // successful iteration, exactly like sparsification error under the
 // Sec. 3.4 bounded-error assumption.
-func (c *Compressor) AddToResidual(g []float32) {
-	if c.residual == nil {
-		c.residual = make([]float32, len(g))
-		c.carry = make([]float32, len(g))
-	}
-	if len(c.residual) != len(g) {
-		return
-	}
-	for i, v := range g {
-		c.residual[i] += v
-	}
-}
+func (c *Compressor) AddToResidual(g []float32) { c.AddToResidualScaled(g, 1) }
 
 // AddToResidualScaled folds scale·g into the residual — the
 // staleness-discounted accumulation of the bounded-staleness mode. When
@@ -108,14 +108,7 @@ func (c *Compressor) AddToResidual(g []float32) {
 // it re-enters through the next compressed message exactly like
 // sparsification error under the Sec. 3.4 bounded-error assumption.
 func (c *Compressor) AddToResidualScaled(g []float32, scale float32) {
-	if scale == 0 {
-		return
-	}
-	if c.residual == nil {
-		c.residual = make([]float32, len(g))
-		c.carry = make([]float32, len(g))
-	}
-	if len(c.residual) != len(g) {
+	if scale == 0 || !c.sized(len(g)) {
 		return
 	}
 	for i, v := range g {

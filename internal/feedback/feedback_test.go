@@ -41,12 +41,12 @@ func TestLosslessInnerTransparent(t *testing.T) {
 		g[i] = float32(r.NormFloat64())
 	}
 	for iter := 0; iter < 3; iter++ {
-		msg, err := c.Compress(g)
+		msg, err := c.AppendCompress(nil, g)
 		if err != nil {
 			t.Fatal(err)
 		}
 		rec := make([]float32, len(g))
-		if err := c.Decompress(rec, msg); err != nil {
+		if err := c.DecompressInto(rec, msg); err != nil {
 			t.Fatal(err)
 		}
 		for i := range g {
@@ -75,12 +75,12 @@ func TestDroppedMassEventuallyTransmitted(t *testing.T) {
 	transmittedTiny := false
 	var recSum [10]float64
 	for iter := 0; iter < 200 && !transmittedTiny; iter++ {
-		msg, err := c.Compress(g)
+		msg, err := c.AppendCompress(nil, g)
 		if err != nil {
 			t.Fatal(err)
 		}
 		rec := make([]float32, 10)
-		if err := c.Decompress(rec, msg); err != nil {
+		if err := c.DecompressInto(rec, msg); err != nil {
 			t.Fatal(err)
 		}
 		for i := 1; i < 10; i++ {
@@ -97,12 +97,12 @@ func TestDroppedMassEventuallyTransmitted(t *testing.T) {
 	// Without feedback they are lost forever.
 	plain := compress.NewTopK(0.9)
 	for iter := 0; iter < 200; iter++ {
-		msg, err := plain.Compress(g)
+		msg, err := plain.AppendCompress(nil, g)
 		if err != nil {
 			t.Fatal(err)
 		}
 		rec := make([]float32, 10)
-		if err := plain.Decompress(rec, msg); err != nil {
+		if err := plain.DecompressInto(rec, msg); err != nil {
 			t.Fatal(err)
 		}
 		for i := 1; i < 10; i++ {
@@ -121,12 +121,12 @@ func TestLongRunMeanMatchesGradient(t *testing.T) {
 	const iters = 500
 	sum := make([]float64, len(g))
 	for iter := 0; iter < iters; iter++ {
-		msg, err := c.Compress(g)
+		msg, err := c.AppendCompress(nil, g)
 		if err != nil {
 			t.Fatal(err)
 		}
 		rec := make([]float32, len(g))
-		if err := c.Decompress(rec, msg); err != nil {
+		if err := c.DecompressInto(rec, msg); err != nil {
 			t.Fatal(err)
 		}
 		for i, v := range rec {
@@ -147,7 +147,7 @@ func TestLongRunMeanMatchesGradient(t *testing.T) {
 
 func TestResetClearsResidual(t *testing.T) {
 	c := New(compress.NewTopK(0.9))
-	if _, err := c.Compress(constGrad(10, 0.1)); err != nil {
+	if _, err := c.AppendCompress(nil, constGrad(10, 0.1)); err != nil {
 		t.Fatal(err)
 	}
 	if c.ResidualNorm() == 0 {
@@ -161,10 +161,10 @@ func TestResetClearsResidual(t *testing.T) {
 
 func TestLengthChangeErrors(t *testing.T) {
 	c := New(compress.NewTopK(0.5))
-	if _, err := c.Compress(constGrad(10, 1)); err != nil {
+	if _, err := c.AppendCompress(nil, constGrad(10, 1)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Compress(constGrad(20, 1)); err == nil {
+	if _, err := c.AppendCompress(nil, constGrad(20, 1)); err == nil {
 		t.Fatal("length change should error")
 	}
 }
@@ -210,21 +210,25 @@ func TestFeedbackComposesWithFFT(t *testing.T) {
 		g[i] = float32(r.NormFloat64() * 0.1)
 	}
 	for iter := 0; iter < 5; iter++ {
-		msg, err := c.Compress(g)
+		msg, err := c.AppendCompress(nil, g)
 		if err != nil {
 			t.Fatal(err)
 		}
 		rec := make([]float32, len(g))
-		if err := c.Decompress(rec, msg); err != nil {
+		if err := c.DecompressInto(rec, msg); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if c.ResidualNorm() == 0 {
 		t.Fatal("expected lossy FFT to produce a residual")
 	}
-	// θ scheduling must pass through the wrapper.
-	c.SetTheta(0)
-	if _, err := c.Compress(g); err != nil {
+	// θ scheduling must reach the inner compressor through the wrapper.
+	ts, ok := compress.As[compress.ThetaSetter](c)
+	if !ok {
+		t.Fatal("no ThetaSetter found under the feedback wrapper")
+	}
+	ts.SetTheta(0)
+	if _, err := c.AppendCompress(nil, g); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -239,7 +243,7 @@ func BenchmarkFeedbackOverhead(b *testing.B) {
 	b.SetBytes(int64(len(g) * 4))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := c.Compress(g); err != nil {
+		if _, err := c.AppendCompress(nil, g); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -22,6 +22,7 @@ type MomentumCorrected struct {
 	inner compress.Compressor
 	m     float64
 	u, v  []float32
+	rec   []float32 // scratch: decode(msg)
 }
 
 // NewMomentumCorrected wraps inner with momentum correction at momentum m.
@@ -32,19 +33,16 @@ func NewMomentumCorrected(inner compress.Compressor, m float64) *MomentumCorrect
 // Name implements compress.Compressor.
 func (c *MomentumCorrected) Name() string { return c.inner.Name() + "+mc" }
 
-// SetTheta forwards to the inner compressor when it supports schedules.
-func (c *MomentumCorrected) SetTheta(theta float64) {
-	if ts, ok := c.inner.(compress.ThetaSetter); ok {
-		ts.SetTheta(theta)
-	}
-}
+// Inner returns the wrapped compressor.
+func (c *MomentumCorrected) Inner() compress.Compressor { return c.inner }
 
-// Compress implements compress.Compressor. grad is not modified.
-func (c *MomentumCorrected) Compress(grad []float32) ([]byte, error) {
+// AppendCompress implements compress.Compressor. grad is not modified.
+func (c *MomentumCorrected) AppendCompress(dst []byte, grad []float32) ([]byte, error) {
 	n := len(grad)
 	if c.u == nil {
 		c.u = make([]float32, n)
 		c.v = make([]float32, n)
+		c.rec = make([]float32, n)
 	}
 	if len(c.u) != n {
 		return nil, fmt.Errorf("feedback: gradient length changed from %d to %d", len(c.u), n)
@@ -54,21 +52,17 @@ func (c *MomentumCorrected) Compress(grad []float32) ([]byte, error) {
 		c.u[i] = m*c.u[i] + grad[i]
 		c.v[i] += c.u[i]
 	}
-	msg, err := c.inner.Compress(c.v)
+	out, err := roundTrip(c.inner, dst, c.v, c.rec)
 	if err != nil {
 		return nil, err
 	}
-	rec := make([]float32, n)
-	if err := c.inner.Decompress(rec, msg); err != nil {
-		return nil, err
-	}
 	for i := range c.v {
-		c.v[i] -= rec[i]
+		c.v[i] -= c.rec[i]
 	}
-	return msg, nil
+	return out, nil
 }
 
-// Decompress implements compress.Compressor.
-func (c *MomentumCorrected) Decompress(dst []float32, msg []byte) error {
-	return c.inner.Decompress(dst, msg)
+// DecompressInto implements compress.Compressor.
+func (c *MomentumCorrected) DecompressInto(dst []float32, msg []byte) error {
+	return c.inner.DecompressInto(dst, msg)
 }

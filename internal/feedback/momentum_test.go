@@ -25,12 +25,12 @@ func TestMomentumCorrectedLosslessEqualsMomentum(t *testing.T) {
 	g := []float32{1, -2}
 	want := [][]float32{{1, -2}, {1.5, -3}, {1.75, -3.5}}
 	for step, w := range want {
-		msg, err := c.Compress(g)
+		msg, err := c.AppendCompress(nil, g)
 		if err != nil {
 			t.Fatal(err)
 		}
 		rec := make([]float32, 2)
-		if err := c.Decompress(rec, msg); err != nil {
+		if err := c.DecompressInto(rec, msg); err != nil {
 			t.Fatal(err)
 		}
 		for i := range w {
@@ -43,10 +43,10 @@ func TestMomentumCorrectedLosslessEqualsMomentum(t *testing.T) {
 
 func TestMomentumCorrectedLengthChange(t *testing.T) {
 	c := NewMomentumCorrected(compress.NewTopK(0.5), 0.9)
-	if _, err := c.Compress(make([]float32, 8)); err != nil {
+	if _, err := c.AppendCompress(nil, make([]float32, 8)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Compress(make([]float32, 9)); err == nil {
+	if _, err := c.AppendCompress(nil, make([]float32, 9)); err == nil {
 		t.Fatal("length change should error")
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"fftgrad/internal/comm"
+	"fftgrad/internal/compress"
 )
 
 // FuzzUnframe feeds arbitrary bytes to the frame decoder: every input
@@ -46,5 +47,30 @@ func FuzzUnframe(f *testing.F) {
 		if string(got) != string(payload) {
 			t.Fatal("payload mutated across re-framing")
 		}
+	})
+}
+
+// FuzzFramedDecompress feeds arbitrary bytes to the CRC-framed FFT
+// decoder: the frame check must reject — never crash on — garbage before
+// it reaches the inner codec, and whatever passes the check must not
+// crash the codec either. A valid framed message seeds the corpus so
+// mutations explore both headers.
+func FuzzFramedDecompress(f *testing.F) {
+	g := make([]float32, 500)
+	for i := range g {
+		g[i] = float32(i%17) - 8
+	}
+	msg, err := NewFramed(compress.NewFFT(0.85), true).AppendCompress(nil, g)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(msg, uint16(500))
+	f.Add([]byte{}, uint16(0))
+	f.Add(AppendFrame(nil, []byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF}, true), uint16(100))
+
+	f.Fuzz(func(t *testing.T, data []byte, nRaw uint16) {
+		dst := make([]float32, int(nRaw)%4096+2)
+		// Errors are expected for garbage; panics are bugs.
+		_ = NewFramed(compress.NewFFT(0.85), true).DecompressInto(dst, data)
 	})
 }

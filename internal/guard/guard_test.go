@@ -6,30 +6,9 @@ import (
 	"testing"
 
 	"fftgrad/internal/comm"
+	"fftgrad/internal/compress"
 	"fftgrad/internal/telemetry"
 )
-
-// rawCodec is a minimal inner compressor for the Framed tests: float32
-// little-endian, no compression.
-type rawCodec struct{}
-
-func (rawCodec) Name() string { return "raw" }
-func (rawCodec) Compress(grad []float32) ([]byte, error) {
-	out := make([]byte, 4*len(grad))
-	for i, v := range grad {
-		putU32(out[4*i:], math.Float32bits(v))
-	}
-	return out, nil
-}
-func (rawCodec) Decompress(dst []float32, msg []byte) error {
-	if len(msg) != 4*len(dst) {
-		return errors.New("raw: length mismatch")
-	}
-	for i := range dst {
-		dst[i] = math.Float32frombits(getU32(msg[4*i:]))
-	}
-	return nil
-}
 
 func TestFrameRoundTrip(t *testing.T) {
 	payload := []byte{0, 1, 2, 3, 250, 251, 252, 253}
@@ -131,12 +110,12 @@ func TestFrameRejectsGarbage(t *testing.T) {
 }
 
 func TestFramedCompressor(t *testing.T) {
-	f := NewFramed(rawCodec{}, true)
-	if f.Name() != "raw+crc" {
+	f := NewFramed(compress.FP32{}, true)
+	if f.Name() != "fp32+crc" {
 		t.Fatalf("Name = %q", f.Name())
 	}
 	grad := []float32{1, -2, 3.5, 0}
-	msg, err := f.Compress(grad)
+	msg, err := f.AppendCompress(nil, grad)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +123,7 @@ func TestFramedCompressor(t *testing.T) {
 		t.Fatalf("framed message fails Verify: %v", err)
 	}
 	dst := make([]float32, len(grad))
-	if err := f.Decompress(dst, msg); err != nil {
+	if err := f.DecompressInto(dst, msg); err != nil {
 		t.Fatal(err)
 	}
 	for i := range grad {
@@ -157,23 +136,23 @@ func TestFramedCompressor(t *testing.T) {
 	// decoder, before the inner codec sees the payload.
 	bad := append([]byte(nil), msg...)
 	bad[len(bad)-1] ^= 0x10
-	if err := f.Decompress(dst, bad); !errors.Is(err, comm.ErrCorrupt) {
+	if err := f.DecompressInto(dst, bad); !errors.Is(err, comm.ErrCorrupt) {
 		t.Fatalf("corrupt framed message: err = %v, want comm.ErrCorrupt", err)
 	}
 }
 
 func TestFramedFingerprintOneShot(t *testing.T) {
-	f := NewFramed(rawCodec{}, true)
+	f := NewFramed(compress.FP32{}, true)
 	grad := []float32{1, 2}
 	f.SetNextFingerprint(77)
-	msg1, err := f.Compress(grad)
+	msg1, err := f.AppendCompress(nil, grad)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if fp, ok := PeekFingerprint(msg1); !ok || fp != 77 {
 		t.Fatalf("first message fingerprint = %d, %v; want 77, true", fp, ok)
 	}
-	msg2, err := f.Compress(grad)
+	msg2, err := f.AppendCompress(nil, grad)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +162,7 @@ func TestFramedFingerprintOneShot(t *testing.T) {
 	// Fingerprinted and plain frames both decode.
 	dst := make([]float32, 2)
 	for _, m := range [][]byte{msg1, msg2} {
-		if err := f.Decompress(dst, m); err != nil {
+		if err := f.DecompressInto(dst, m); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -1,7 +1,6 @@
 package ps
 
 import (
-	"errors"
 	"testing"
 
 	"fftgrad/internal/compress"
@@ -9,14 +8,6 @@ import (
 	"fftgrad/internal/telemetry"
 	"fftgrad/internal/trace"
 )
-
-// appendOnly wraps a real compressor but fails the legacy entry points,
-// pinning the PS exchange to the zero-allocation AppendCompress /
-// DecompressInto path: if either side of the push ever falls back to
-// Compress/Decompress, the run errors and the test fails.
-type appendOnly struct{ inner compress.Compressor }
-
-var errLegacyPath = errors.New("legacy codec entry point used")
 
 // mustNew panics on a bad codec name; NewCompressor runs on worker
 // goroutines where t.Fatal is off-limits.
@@ -26,38 +17,6 @@ func mustNew(name string, theta float64) compress.Compressor {
 		panic(err)
 	}
 	return c
-}
-
-func (a appendOnly) Name() string { return a.inner.Name() }
-func (a appendOnly) Compress(grad []float32) ([]byte, error) {
-	return nil, errLegacyPath
-}
-func (a appendOnly) Decompress(dst []float32, msg []byte) error {
-	return errLegacyPath
-}
-func (a appendOnly) AppendCompress(dst []byte, grad []float32) ([]byte, error) {
-	return compress.AppendCompress(a.inner, dst, grad)
-}
-func (a appendOnly) DecompressInto(dst []float32, msg []byte) error {
-	return compress.DecompressInto(a.inner, dst, msg)
-}
-
-func TestPSExchangeUsesAppendCodecPath(t *testing.T) {
-	cfg := blobCfg(11)
-	cfg.NewCompressor = func() compress.Compressor {
-		return appendOnly{inner: mustNew("fft", 0.85)}
-	}
-	res, err := Train(cfg)
-	if err != nil {
-		t.Fatalf("Train via append-only codec: %v", err)
-	}
-	if res.CompressionRatio < 2 {
-		t.Fatalf("compression ratio = %.2f, want > 2 with theta 0.85", res.CompressionRatio)
-	}
-	acc := res.Epochs[len(res.Epochs)-1].TestAcc
-	if acc < 0.80 {
-		t.Fatalf("final accuracy = %.3f, want >= 0.80", acc)
-	}
 }
 
 func TestPSHaltCapturesAndResumes(t *testing.T) {

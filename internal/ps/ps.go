@@ -279,7 +279,7 @@ func Train(cfg Config) (*Result, error) {
 				serverTC.SetIter(uint64(applied))
 			}
 			t0 := time.Now()
-			if err := compress.DecompressInto(serverComp, grad, pu.msg); err != nil {
+			if err := serverComp.DecompressInto(grad, pu.msg); err != nil {
 				serverErr <- fmt.Errorf("ps: server decompress: %w", err)
 				return
 			}
@@ -418,7 +418,7 @@ func Train(cfg Config) (*Result, error) {
 				}
 
 				t0 = time.Now()
-				msg, err := compress.AppendCompress(comp, msgBuf[:0], grad)
+				msg, err := comp.AppendCompress(msgBuf[:0], grad)
 				if err != nil {
 					workerErrs[rank] = err
 					return
