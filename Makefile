@@ -1,19 +1,32 @@
 GO ?= go
 
-.PHONY: all build vet test race loc bench bench-test bench-json benchdiff bench-baseline bench-gate experiments examples fmt check chaos guard fuzz trace-smoke serve-smoke collective-smoke elastic-smoke obs-smoke
+.PHONY: all build vet test race race-short loc bench bench-test bench-json benchdiff bench-baseline bench-gate experiments examples fmt check chaos guard fuzz trace-smoke serve-smoke collective-smoke elastic-smoke obs-smoke
 
 all: build vet test
 
-# check is the CI gate: vet, build, full test suite, a short race pass
-# over the packages that share caches/pools across goroutines, mutate
-# shared controller/registry state or run the worker fleet (dist: about
-# a minute on two cores), then the nested benchmark module.
+# check is the CI gate: vet, build, full test suite, the short race pass,
+# then the nested benchmark module.
 check:
 	$(GO) vet ./...
 	$(GO) build ./...
 	$(GO) test ./...
-	$(GO) test -race -short ./internal/cfft/ ./internal/sparsify/ ./internal/compress/ ./internal/comm/ ./internal/collective/ ./internal/telemetry/ ./internal/adapt/ ./internal/cluster/ ./internal/chaos/ ./internal/guard/ ./internal/checkpoint/ ./internal/trace/ ./internal/obs/ ./internal/ps/ ./internal/serve/ ./internal/dist/ ./internal/feedback/ ./internal/parallel/ ./internal/scratch/
+	$(MAKE) race-short
 	$(MAKE) bench-test
+
+# The race detector's beat: the packages that share caches/pools across
+# goroutines, mutate shared controller/registry state or run the worker
+# fleet. race-short is the CI pass (dist: about a minute on two cores).
+RACE_PKGS = ./internal/cfft/ ./internal/sparsify/ ./internal/compress/ ./internal/comm/ \
+	./internal/collective/ ./internal/telemetry/ ./internal/adapt/ ./internal/cluster/ \
+	./internal/chaos/ ./internal/guard/ ./internal/checkpoint/ ./internal/trace/ ./internal/obs/ \
+	./internal/ps/ ./internal/serve/ ./internal/dist/ ./internal/feedback/ ./internal/parallel/ \
+	./internal/scratch/
+
+race:
+	$(GO) test -race $(RACE_PKGS)
+
+race-short:
+	$(GO) test -race -short $(RACE_PKGS)
 
 # bench/ is a module of its own, outside `go test ./...`: its vet and
 # self-test are the compile-time check that every API the benchmark
@@ -30,9 +43,6 @@ vet:
 
 test:
 	$(GO) test ./...
-
-race:
-	$(GO) test -race ./internal/comm/ ./internal/collective/ ./internal/dist/ ./internal/ps/ ./internal/cluster/ ./internal/chaos/ ./internal/guard/ ./internal/trace/ ./internal/obs/ ./internal/serve/
 
 # Chaos gate: the failure-policy suite plus a short fault-injected
 # training run (5% drop, delays, one crash+rejoin) that must converge.

@@ -1,8 +1,9 @@
 package cluster
 
-// The asynchrony layer: bounded-staleness and gossip exchange variants
-// on the same member machinery (receiver, heartbeats, nack repair,
-// resend cache) as the strict BSP Exchange.
+// The asynchrony layer: the bounded-staleness and gossip waiting policies
+// of the one exchange round (member.go), on the same member machinery
+// (receiver, heartbeats, nack repair, resend cache) as the strict BSP
+// Exchange.
 //
 //   - ExchangeBounded trades waiting for measured staleness: a peer that
 //     misses the grace budget contributes its freshest cached payload,
@@ -23,13 +24,7 @@ package cluster
 //     matrix stays doubly stochastic — the condition for D-PSGD's
 //     average-consensus convergence.
 
-import (
-	"fmt"
-	"time"
-
-	"fftgrad/internal/comm"
-	"fftgrad/internal/trace"
-)
+import "fftgrad/internal/trace"
 
 // ExchangeBounded is the bounded-staleness allgather: it waits only one
 // short grace budget for live peers, then serves any still-missing peer
@@ -41,141 +36,7 @@ import (
 // identical to Exchange; only the waiting policy differs. The nack retry
 // ladder is reserved for peers with no cache at all (warm-up).
 func (m *Member) ExchangeBounded(seq uint64, payload []byte, window uint64) (*ExchangeResult, error) {
-	if m.selfDown.Load() {
-		return nil, fmt.Errorf("cluster: rank %d: %w", m.rank, ErrSelfDown)
-	}
-	view := m.rt.View()
-	if !view.Alive[m.rank] {
-		return nil, fmt.Errorf("cluster: rank %d: %w", m.rank, ErrEvicted)
-	}
-	startEpoch := m.viewEpoch
-	m.viewEpoch = view.Epoch
-	m.rt.noteExchangeStart(m.rank, seq)
-	m.tc.SetIter(seq)
-	m.resetArrivals()
-	m.storeSent(seq, payload)
-
-	msgs := make([][]byte, m.p)
-	stale := make([]bool, m.p)
-	staleBy := make([]uint64, m.p)
-	msgs[m.rank] = payload
-	m.adoptPending(seq, msgs)
-	if err := m.fanOut(seq, payload, view); err != nil {
-		return nil, err
-	}
-
-	deadline := time.Now().Add(m.rt.cfg.MaxStall)
-	retries := 0
-	degraded := false
-
-	for attempt := 0; ; attempt++ {
-		// The grace budget: one BackoffBase on the first pass (normal
-		// in-process skew), the regular ladder for cache-less warm-up
-		// retries afterwards.
-		budget := m.rt.cfg.BackoffBase
-		if attempt > 0 {
-			budget = m.attemptTimeout(seq, attempt, len(payload))
-		}
-		if remain := time.Until(deadline); budget > remain {
-			budget = remain
-		}
-		m.collect(seq, msgs, budget, view)
-
-		missing := missingRanks(msgs, view)
-		if len(missing) == 0 {
-			break
-		}
-		if m.selfDown.Load() {
-			if retries > 0 {
-				m.rt.noteRetry(m.rank, retries)
-			}
-			return nil, fmt.Errorf("cluster: rank %d: %w", m.rank, ErrSelfDown)
-		}
-		if time.Now().After(deadline) {
-			if retries > 0 {
-				m.rt.noteRetry(m.rank, retries)
-			}
-			return nil, fmt.Errorf("cluster: rank %d bounded exchange %d missing %v after %s: %w",
-				m.rank, seq, missing, m.rt.cfg.MaxStall, ErrStalled)
-		}
-
-		// Resolve each absentee without further waiting where possible.
-		var rest []int
-		for _, j := range missing {
-			if !m.seenWithin(j, m.rt.cfg.SuspectAfter) {
-				// Heartbeat-silent: dead, not slow. Suspicion must run so
-				// the view — and with it the staleness frontier minimum —
-				// stops including the corpse.
-				if err := m.suspectDead(seq, j, msgs, stale, &view, &degraded); err != nil {
-					if retries > 0 {
-						m.rt.noteRetry(m.rank, retries)
-					}
-					return nil, err
-				}
-				continue
-			}
-			if m.lastGood[j] == nil {
-				rest = append(rest, j) // no cache yet: warm-up, worth a nack
-				continue
-			}
-			var d uint64
-			if seq > m.lastGoodSeq[j] {
-				d = seq - m.lastGoodSeq[j]
-			}
-			if d <= window {
-				msgs[j] = m.lastGood[j]
-				stale[j] = true
-				staleBy[j] = d
-				m.rt.noteStaleReuse()
-				m.rt.noteStaleness(d)
-				m.tc.Instant(trace.OpStaleFold, int64(j))
-			}
-			// Beyond the window: the peer is alive but lagging more than
-			// the discount can justify — excluded from this round (its own
-			// training continues; periodic syncs keep it anchored). Either
-			// way this round is degraded and we do not wait.
-			degraded = true
-		}
-		if len(rest) == 0 {
-			break
-		}
-		if attempt < m.rt.cfg.MaxRetries {
-			for _, j := range rest {
-				m.tc.Instant(trace.OpNack, int64(j))
-				_ = m.tr.Send(j, comm.Message{Seq: seq, Kind: kindNack})
-			}
-			retries++
-			continue
-		}
-		// Ladder exhausted with neither data nor cache: drop this round.
-		degraded = true
-		break
-	}
-
-	if retries > 0 {
-		m.rt.noteRetry(m.rank, retries)
-	}
-	for j := 0; j < m.p; j++ {
-		if j != m.rank && msgs[j] != nil && !stale[j] && seq >= m.lastGoodSeq[j] {
-			m.lastGood[j] = msgs[j]
-			m.lastGoodSeq[j] = seq
-		}
-	}
-	res := &ExchangeResult{Msgs: msgs, Stale: stale, StaleBy: staleBy, View: view}
-	for _, b := range msgs {
-		if b != nil {
-			res.Contributors++
-		}
-	}
-	res.Degraded = degraded || res.Contributors < view.AliveCount()
-	if res.Degraded {
-		m.rt.noteDegraded(m.rank)
-	}
-	m.attributeWait(res)
-	latest := m.rt.View()
-	res.EpochChanged = latest.Epoch != startEpoch
-	res.View = latest
-	return res, nil
+	return m.allgather(seq, payload, bounded, window)
 }
 
 // GossipResult is one completed ring-neighbor gossip round.
@@ -209,105 +70,24 @@ const gossipRetries = 2
 // old, and simply carries no weight otherwise. The call cannot return
 // ErrStalled — a partitioned fleet keeps making progress on both sides.
 func (m *Member) GossipExchange(seq uint64, payload []byte, window uint64) (*GossipResult, error) {
-	if m.selfDown.Load() {
-		return nil, fmt.Errorf("cluster: rank %d: %w", m.rank, ErrSelfDown)
+	r, err := m.exchange(seq, payload, gossip, window)
+	if err != nil {
+		return nil, err
 	}
-	view := m.rt.View()
-	if !view.Alive[m.rank] {
-		return nil, fmt.Errorf("cluster: rank %d: %w", m.rank, ErrEvicted)
-	}
-	m.viewEpoch = view.Epoch
-	m.rt.noteExchangeStart(m.rank, seq)
-	m.tc.SetIter(seq)
-	m.resetArrivals()
-	m.storeSent(seq, payload)
-
-	nbrs := RingNeighbors(m.rank, view.Alive)
-	msgs := make([][]byte, m.p)
-	stale := make([]bool, m.p)
-	staleBy := make([]uint64, m.p)
-	msgs[m.rank] = payload
-	m.adoptPending(seq, msgs)
-	for _, j := range nbrs {
-		var ts time.Time
-		if m.tc != nil {
-			ts = time.Now()
-		}
-		err := m.tr.Send(j, comm.Message{Seq: seq, Kind: kindData, Payload: payload})
-		if m.tc != nil {
-			m.tc.SpanSince(trace.OpSendPeer, int64(j), ts)
-		}
-		if err != nil && !comm.IsRetryable(err) {
-			m.selfDown.Store(true)
-			return nil, fmt.Errorf("cluster: rank %d send: %w (%v)", m.rank, ErrSelfDown, err)
-		}
-	}
-
-	retries := 0
-	for attempt := 0; ; attempt++ {
-		m.collectFrom(seq, msgs, nbrs, m.attemptTimeout(seq, attempt, len(payload)))
-		var missing []int
-		for _, j := range nbrs {
-			if msgs[j] == nil {
-				missing = append(missing, j)
-			}
-		}
-		if len(missing) == 0 {
-			break
-		}
-		if m.selfDown.Load() {
-			if retries > 0 {
-				m.rt.noteRetry(m.rank, retries)
-			}
-			return nil, fmt.Errorf("cluster: rank %d: %w", m.rank, ErrSelfDown)
-		}
-		if attempt < gossipRetries {
-			for _, j := range missing {
-				m.tc.Instant(trace.OpNack, int64(j))
-				_ = m.tr.Send(j, comm.Message{Seq: seq, Kind: kindNack})
-			}
-			retries++
-			continue
-		}
-		// Repair budget spent: fold a recent cache or let self-weight
-		// absorb the absentee.
-		for _, j := range missing {
-			if m.lastGood[j] != nil && seq >= m.lastGoodSeq[j] && seq-m.lastGoodSeq[j] <= window {
-				msgs[j] = m.lastGood[j]
-				stale[j] = true
-				staleBy[j] = seq - m.lastGoodSeq[j]
-				m.rt.noteStaleReuse()
-				m.rt.noteStaleness(seq - m.lastGoodSeq[j])
-				m.tc.Instant(trace.OpStaleFold, int64(j))
-			}
-		}
-		break
-	}
-
-	if retries > 0 {
-		m.rt.noteRetry(m.rank, retries)
-	}
-	for _, j := range nbrs {
-		if msgs[j] != nil && !stale[j] && seq >= m.lastGoodSeq[j] {
-			m.lastGood[j] = msgs[j]
-			m.lastGoodSeq[j] = seq
-		}
-	}
-
-	res := &GossipResult{View: view}
-	for _, j := range nbrs {
-		if msgs[j] != nil {
+	res := &GossipResult{View: r.view}
+	for _, j := range r.peers {
+		if r.msgs[j] != nil {
 			res.Peers = append(res.Peers, j)
-			res.Msgs = append(res.Msgs, msgs[j])
-			res.Stale = append(res.Stale, stale[j])
-			res.StaleBy = append(res.StaleBy, staleBy[j])
+			res.Msgs = append(res.Msgs, r.msgs[j])
+			res.Stale = append(res.Stale, r.stale[j])
+			res.StaleBy = append(res.StaleBy, r.staleBy[j])
 		}
 	}
 	// Metropolis weights for a ring: every edge carries 1/(deg+1); the
 	// self loop keeps the remainder, including any absentee's share.
-	res.PeerWeight = 1.0 / float64(len(nbrs)+1)
+	res.PeerWeight = 1.0 / float64(len(r.peers)+1)
 	res.SelfWeight = 1.0 - float64(len(res.Peers))*res.PeerWeight
-	if len(res.Peers) < len(nbrs) {
+	if len(res.Peers) < len(r.peers) {
 		m.rt.noteDegraded(m.rank)
 	}
 	m.rt.noteGossipRound()
@@ -336,71 +116,4 @@ func RingNeighbors(rank int, alive []bool) []int {
 		}
 	}
 	return out
-}
-
-// adoptPending moves anything a fast peer already sent for seq into msgs.
-func (m *Member) adoptPending(seq uint64, msgs [][]byte) {
-	if got := m.pending[seq]; got != nil {
-		for j, b := range got {
-			if b != nil && msgs[j] == nil {
-				msgs[j] = b
-			}
-		}
-		delete(m.pending, seq)
-	}
-}
-
-// fanOut sends payload to every live peer in view.
-func (m *Member) fanOut(seq uint64, payload []byte, view View) error {
-	for j := 0; j < m.p; j++ {
-		if j == m.rank || !view.Alive[j] {
-			continue
-		}
-		var ts time.Time
-		if m.tc != nil {
-			ts = time.Now()
-		}
-		err := m.tr.Send(j, comm.Message{Seq: seq, Kind: kindData, Payload: payload})
-		if m.tc != nil {
-			m.tc.SpanSince(trace.OpSendPeer, int64(j), ts)
-		}
-		if err != nil && !comm.IsRetryable(err) {
-			m.selfDown.Store(true)
-			return fmt.Errorf("cluster: rank %d send: %w (%v)", m.rank, ErrSelfDown, err)
-		}
-	}
-	return nil
-}
-
-// collectFrom drains dataCh into msgs until every rank in `ranks` has
-// contributed or the budget expires.
-func (m *Member) collectFrom(seq uint64, msgs [][]byte, ranks []int, budget time.Duration) {
-	deadline := time.Now().Add(budget)
-	for {
-		done := true
-		for _, j := range ranks {
-			if msgs[j] == nil {
-				done = false
-				break
-			}
-		}
-		if done {
-			return
-		}
-		remain := time.Until(deadline)
-		if remain <= 0 {
-			return
-		}
-		timer := time.NewTimer(remain)
-		select {
-		case msg := <-m.dataCh:
-			timer.Stop()
-			m.absorb(seq, msgs, msg)
-		case <-m.closed:
-			timer.Stop()
-			return
-		case <-timer.C:
-			return
-		}
-	}
 }

@@ -114,6 +114,7 @@ type Member struct {
 	selfDown atomic.Bool    // local transport is failing (crash window)
 
 	viewEpoch uint64 // last view epoch this member acted on
+	peerBuf   []int  // the all-live-ranks peer set, reused across rounds
 
 	// tc is this rank's trace track (nil when tracing is off). The
 	// exchange goroutine and the receiver both record on it; the ring's
@@ -361,6 +362,43 @@ func (m *Member) attemptTimeout(seq uint64, attempt int, msgBytes int) time.Dura
 	return d + jitter
 }
 
+// waiting is the policy of one exchange round: whom it gathers from, how
+// long it waits for them, and what may stand in for a peer that stays
+// absent. The round itself — exchange — is written once.
+//
+//	         gathers from     first budget         nacks               then, for an absentee
+//	strict   every live rank  straggler allowance  MaxRetries rounds   silent: suspicion + Policy; live: OnStraggler
+//	bounded  every live rank  one BackoffBase      cache-less peers    silent: suspicion + Policy; live: its cache ≤ window old
+//	gossip   ring neighbours  straggler allowance  gossipRetries       its cache ≤ window old, else no weight
+//
+// Gossip alone never suspects (so never mutates the view) and never
+// returns ErrStalled.
+type waiting uint8
+
+const (
+	strict waiting = iota
+	bounded
+	gossip
+)
+
+// round is one exchange in progress.
+type round struct {
+	seq    uint64
+	pol    waiting
+	window uint64
+	peers  []int // the ranks this round gathers from
+	miss   []int // missing's result, reused
+	view   View  // the view it runs under; suspicion moves it on
+
+	msgs    [][]byte
+	stale   []bool
+	staleBy []uint64 // nil under strict, which never measures a cache's age
+
+	startEpoch uint64 // the view epoch this member last acted on
+	degraded   bool
+	retries    int
+}
+
 // Exchange is the failure-aware allgather: every live rank contributes
 // payload under sequence number seq and receives everyone's payloads.
 // Missing peers are repaired by nack/resend up to MaxRetries rounds;
@@ -368,139 +406,227 @@ func (m *Member) attemptTimeout(seq uint64, attempt int, msgBytes int) time.Dura
 // heartbeat → OnStraggler policy) or dead (suspicion + Policy). The
 // returned error is always typed (see the Err* sentinels).
 func (m *Member) Exchange(seq uint64, payload []byte) (*ExchangeResult, error) {
+	return m.allgather(seq, payload, strict, 0)
+}
+
+// allgather runs a round over every live rank and shapes its result.
+func (m *Member) allgather(seq uint64, payload []byte, pol waiting, window uint64) (*ExchangeResult, error) {
+	r, err := m.exchange(seq, payload, pol, window)
+	if err != nil {
+		return nil, err
+	}
+	res := &ExchangeResult{Msgs: r.msgs, Stale: r.stale, StaleBy: r.staleBy}
+	for _, b := range r.msgs {
+		if b != nil {
+			res.Contributors++
+		}
+	}
+	// Measured against the view, not the slot count: an elastic slot that
+	// never joined is no absentee.
+	res.Degraded = r.degraded || res.Contributors < r.view.AliveCount()
+	if res.Degraded {
+		m.rt.noteDegraded(m.rank)
+	}
+	m.attributeWait(res)
+	res.View = m.rt.View()
+	res.EpochChanged = res.View.Epoch != r.startEpoch
+	return res, nil
+}
+
+// exchange is the one round: announce seq, fan payload out to the
+// policy's peer set, collect, repair by nack, resolve whoever stays
+// absent, then refresh the stale cache and account the retries. The
+// exported exchanges choose pol and shape the result.
+func (m *Member) exchange(seq uint64, payload []byte, pol waiting, window uint64) (round, error) {
+	r := round{seq: seq, pol: pol, window: window, startEpoch: m.viewEpoch}
 	if m.selfDown.Load() {
-		return nil, fmt.Errorf("cluster: rank %d: %w", m.rank, ErrSelfDown)
+		return r, fmt.Errorf("cluster: rank %d: %w", m.rank, ErrSelfDown)
 	}
-	view := m.rt.View()
-	if !view.Alive[m.rank] {
-		return nil, fmt.Errorf("cluster: rank %d: %w", m.rank, ErrEvicted)
+	r.view = m.rt.View()
+	if !r.view.Alive[m.rank] {
+		return r, fmt.Errorf("cluster: rank %d: %w", m.rank, ErrEvicted)
 	}
-	startEpoch := m.viewEpoch
-	m.viewEpoch = view.Epoch
+	m.viewEpoch = r.view.Epoch
 	m.rt.noteExchangeStart(m.rank, seq)
 	m.tc.SetIter(seq)
 	m.resetArrivals()
 	m.storeSent(seq, payload)
 
-	msgs := make([][]byte, m.p)
-	stale := make([]bool, m.p)
-	msgs[m.rank] = payload
-
+	r.msgs = make([][]byte, m.p)
+	r.stale = make([]bool, m.p)
+	if pol != strict {
+		r.staleBy = make([]uint64, m.p)
+	}
+	r.msgs[m.rank] = payload
 	// Adopt anything a fast peer already sent for this seq.
 	if got := m.pending[seq]; got != nil {
 		for j, b := range got {
-			if b != nil && msgs[j] == nil {
-				msgs[j] = b
+			if b != nil && r.msgs[j] == nil {
+				r.msgs[j] = b
 			}
 		}
 		delete(m.pending, seq)
 	}
-
-	// Fan out our contribution to every live peer.
-	for j := 0; j < m.p; j++ {
-		if j == m.rank || !view.Alive[j] {
-			continue
+	if pol == gossip {
+		r.peers = RingNeighbors(m.rank, r.view.Alive)
+	} else {
+		r.peers = m.peerBuf[:0]
+		for j, a := range r.view.Alive {
+			if a && j != m.rank {
+				r.peers = append(r.peers, j)
+			}
 		}
+		m.peerBuf = r.peers
+	}
+
+	err := m.gather(&r, payload)
+	if r.retries > 0 {
+		m.rt.noteRetry(m.rank, r.retries)
+	}
+	if err != nil {
+		return r, err
+	}
+	// Refresh the cache that StaleReuse and the stale folds serve from.
+	for j, b := range r.msgs {
+		if j != m.rank && b != nil && !r.stale[j] && seq >= m.lastGoodSeq[j] {
+			m.lastGood[j] = b
+			m.lastGoodSeq[j] = seq
+		}
+	}
+	return r, nil
+}
+
+// gather fans payload out and waits for the peer set: collect, nack the
+// absentees still worth waiting for, repeat. It returns once every
+// awaited peer has delivered or been resolved.
+func (m *Member) gather(r *round, payload []byte) error {
+	cfg := m.rt.cfg
+	for _, j := range r.peers {
 		var ts time.Time
 		if m.tc != nil {
 			ts = time.Now()
 		}
-		err := m.tr.Send(j, comm.Message{Seq: seq, Kind: kindData, Payload: payload})
+		err := m.tr.Send(j, comm.Message{Seq: r.seq, Kind: kindData, Payload: payload})
 		if m.tc != nil {
 			m.tc.SpanSince(trace.OpSendPeer, int64(j), ts)
 		}
-		if err != nil {
-			if !comm.IsRetryable(err) {
-				m.selfDown.Store(true)
-				return nil, fmt.Errorf("cluster: rank %d send: %w (%v)", m.rank, ErrSelfDown, err)
-			}
+		if err != nil && !comm.IsRetryable(err) {
+			m.selfDown.Store(true)
+			return fmt.Errorf("cluster: rank %d send: %w (%v)", m.rank, ErrSelfDown, err)
 		}
 	}
 
-	deadline := time.Now().Add(m.rt.cfg.MaxStall)
-	retries := 0
-	degraded := false
-
+	deadline := time.Now().Add(cfg.MaxStall)
 	for attempt := 0; ; attempt++ {
-		// Collect until this attempt's budget expires or we are complete.
-		budget := m.attemptTimeout(seq, attempt, len(payload))
+		budget := m.attemptTimeout(r.seq, attempt, len(payload))
+		if r.pol == bounded && attempt == 0 {
+			// The grace budget: ordinary in-process skew, no more — a peer
+			// slower than that is served from its cache instead.
+			budget = cfg.BackoffBase
+		}
 		if remain := time.Until(deadline); budget > remain {
 			budget = remain
 		}
-		m.collect(seq, msgs, budget, view)
+		m.collect(r, budget)
 
-		missing := missingRanks(msgs, view)
+		missing := r.missing()
 		if len(missing) == 0 {
-			break
+			return nil
 		}
 		if m.selfDown.Load() {
-			if retries > 0 {
-				m.rt.noteRetry(m.rank, retries)
-			}
-			return nil, fmt.Errorf("cluster: rank %d: %w", m.rank, ErrSelfDown)
+			return fmt.Errorf("cluster: rank %d: %w", m.rank, ErrSelfDown)
 		}
-		if time.Now().After(deadline) {
-			if retries > 0 {
-				m.rt.noteRetry(m.rank, retries)
-			}
-			return nil, fmt.Errorf("cluster: rank %d exchange %d missing %v after %s: %w",
-				m.rank, seq, missing, m.rt.cfg.MaxStall, ErrStalled)
+		if r.pol != gossip && time.Now().After(deadline) {
+			return fmt.Errorf("cluster: rank %d exchange %d missing %v after %s: %w",
+				m.rank, r.seq, missing, cfg.MaxStall, ErrStalled)
 		}
+		wait := missing[:0]
+		for _, j := range missing {
+			again, err := m.absent(r, j, attempt)
+			if err != nil {
+				return err
+			}
+			if again {
+				wait = append(wait, j)
+			}
+		}
+		if len(wait) == 0 {
+			return nil
+		}
+		// Repair round (the MaxStall deadline still bounds the loop).
+		for _, j := range wait {
+			m.tc.Instant(trace.OpNack, int64(j))
+			_ = m.tr.Send(j, comm.Message{Seq: r.seq, Kind: kindNack})
+		}
+		r.retries++
+	}
+}
 
-		if attempt < m.rt.cfg.MaxRetries {
-			// Repair round: nack every missing peer.
-			for _, j := range missing {
-				m.tc.Instant(trace.OpNack, int64(j))
-				_ = m.tr.Send(j, comm.Message{Seq: seq, Kind: kindNack})
-			}
-			retries++
-			continue
+// absent decides about peer j, still missing after attempt+1 collections:
+// true keeps waiting for it (it is nacked), false lets the round complete
+// with whatever now stands in its slot.
+func (m *Member) absent(r *round, j, attempt int) (bool, error) {
+	cfg := m.rt.cfg
+	switch r.pol {
+	case strict:
+		if attempt < cfg.MaxRetries {
+			return true, nil
 		}
+		if !m.seenWithin(j, cfg.SuspectAfter) {
+			return false, m.suspectDead(r, j)
+		}
+		// Alive but late — a straggler: keep waiting (BSP), or run this
+		// round without it; no view change either way.
+		if cfg.OnStraggler == StragglerWait {
+			return true, nil
+		}
+	case bounded:
+		if !m.seenWithin(j, cfg.SuspectAfter) {
+			// Dead, not slow. Suspicion must run so the view — and with it
+			// the staleness frontier minimum — stops including the corpse.
+			return false, m.suspectDead(r, j)
+		}
+		if m.lastGood[j] == nil && attempt < cfg.MaxRetries {
+			return true, nil // no cache yet: warm-up, worth a nack
+		}
+		// A cache beyond the window means the peer lags more than the
+		// discount can justify: excluded from this round, never waited on
+		// (its own training continues; periodic syncs keep it anchored).
+		m.foldCache(r, j)
+	case gossip:
+		if attempt < gossipRetries {
+			return true, nil
+		}
+		// Repair budget spent: a recent cache, or self-weight absorbs it.
+		m.foldCache(r, j)
+		return false, nil
+	}
+	r.degraded = true
+	return false, nil
+}
 
-		// Retry budget exhausted: classify each absentee.
-		resolved, err := m.resolveMissing(seq, missing, msgs, stale, &view, &degraded)
-		if err != nil {
-			if retries > 0 {
-				m.rt.noteRetry(m.rank, retries)
-			}
-			return nil, err
-		}
-		if resolved {
-			break
-		}
-		// StragglerWait on a provably-live peer: nack again and keep
-		// collecting (the MaxStall deadline still bounds the loop).
-		for _, j := range missingRanks(msgs, view) {
-			_ = m.tr.Send(j, comm.Message{Seq: seq, Kind: kindNack})
-		}
-		retries++
+// foldCache fills absent peer j's slot with its freshest cached payload
+// when that is at most r.window seqs old, tagged with its age.
+func (m *Member) foldCache(r *round, j int) {
+	if m.lastGood[j] == nil || r.seq < m.lastGoodSeq[j] || r.seq-m.lastGoodSeq[j] > r.window {
+		return
 	}
+	d := r.seq - m.lastGoodSeq[j]
+	r.msgs[j], r.stale[j], r.staleBy[j] = m.lastGood[j], true, d
+	m.rt.noteStaleReuse()
+	m.rt.noteStaleness(d)
+	m.tc.Instant(trace.OpStaleFold, int64(j))
+}
 
-	if retries > 0 {
-		m.rt.noteRetry(m.rank, retries)
-	}
-	// Refresh the cache for StaleReuse after the round completes.
-	for j := 0; j < m.p; j++ {
-		if j != m.rank && msgs[j] != nil && !stale[j] && seq >= m.lastGoodSeq[j] {
-			m.lastGood[j] = msgs[j]
-			m.lastGoodSeq[j] = seq
+// missing lists the awaited peers, still in the view, whose slot is empty.
+func (r *round) missing() []int {
+	r.miss = r.miss[:0]
+	for _, j := range r.peers {
+		if r.msgs[j] == nil && r.view.Alive[j] {
+			r.miss = append(r.miss, j)
 		}
 	}
-	res := &ExchangeResult{Msgs: msgs, Stale: stale, View: view}
-	for _, b := range msgs {
-		if b != nil {
-			res.Contributors++
-		}
-	}
-	res.Degraded = degraded || res.Contributors < m.p
-	if res.Degraded {
-		m.rt.noteDegraded(m.rank)
-	}
-	m.attributeWait(res)
-	latest := m.rt.View()
-	res.EpochChanged = latest.Epoch != startEpoch
-	res.View = latest
-	return res, nil
+	return r.miss
 }
 
 // resetArrivals opens a new blame window: fresh-arrival times are
@@ -556,24 +682,21 @@ func (m *Member) attributeWait(res *ExchangeResult) {
 	}
 }
 
-// collect drains dataCh into msgs until the exchange is complete for the
-// current view or the budget expires. Messages for other seqs are
-// stashed in pending (future) or dropped (past).
-func (m *Member) collect(seq uint64, msgs [][]byte, budget time.Duration, view View) {
+// collect drains dataCh into the round until every awaited peer has
+// delivered or the budget expires. Messages for other seqs are stashed in
+// pending (future) or banked as the sender's freshest payload (past).
+func (m *Member) collect(r *round, budget time.Duration) {
 	deadline := time.Now().Add(budget)
 	for {
-		if missingCount(msgs, view) == 0 {
-			return
-		}
 		remain := time.Until(deadline)
-		if remain <= 0 {
+		if len(r.missing()) == 0 || remain <= 0 {
 			return
 		}
 		timer := time.NewTimer(remain)
 		select {
 		case msg := <-m.dataCh:
 			timer.Stop()
-			m.absorb(seq, msgs, msg)
+			m.absorb(r, msg)
 		case <-m.closed:
 			timer.Stop()
 			return
@@ -583,81 +706,37 @@ func (m *Member) collect(seq uint64, msgs [][]byte, budget time.Duration, view V
 	}
 }
 
-// absorb files one data/sync message relative to exchange seq.
-func (m *Member) absorb(seq uint64, msgs [][]byte, msg comm.Message) {
-	if msg.Kind == kindSync {
-		// A sync raced into the data stream: keep it for SyncBroadcast.
-		m.syncMu.Lock()
-		if msg.Seq >= m.syncSeq {
-			m.syncSeq, m.syncBuf = msg.Seq, msg.Payload
-		}
-		m.syncMu.Unlock()
-		return
-	}
+// absorb files one data/sync message relative to the round in progress.
+func (m *Member) absorb(r *round, msg comm.Message) {
+	from := msg.From
 	switch {
-	case msg.Seq == seq:
-		if msg.From >= 0 && msg.From < m.p && msgs[msg.From] == nil {
-			msgs[msg.From] = msg.Payload
-			m.noteArrival(msg.From)
-			m.tc.Instant(trace.OpRecvPeer, int64(msg.From))
+	case msg.Kind == kindSync || msg.Seq > r.seq:
+		// A sync that raced into the data stream, or a fast peer already
+		// one round on.
+		m.stash(msg)
+	case from < 0 || from >= m.p:
+	case msg.Seq == r.seq:
+		if r.msgs[from] == nil {
+			r.msgs[from] = msg.Payload
+			m.noteArrival(from)
+			m.tc.Instant(trace.OpRecvPeer, int64(from))
 		}
-	case msg.Seq > seq:
-		got := m.pending[msg.Seq]
-		if got == nil {
-			got = make([][]byte, m.p)
-			m.pending[msg.Seq] = got
-		}
-		if msg.From >= 0 && msg.From < m.p && got[msg.From] == nil {
-			got[msg.From] = msg.Payload
-		}
-	default:
+	case from != m.rank && msg.Seq > m.lastGoodSeq[from]:
 		// Data from a past exchange: too late for that round, but still
 		// the peer's freshest payload — bank it so a bounded-staleness
 		// fold can use it with a measured staleness. (A straggler's data
 		// always arrives under old seqs; this is the only way its
 		// gradient ever contributes again.)
-		if msg.From >= 0 && msg.From < m.p && msg.From != m.rank && msg.Seq > m.lastGoodSeq[msg.From] {
-			m.lastGood[msg.From] = msg.Payload
-			m.lastGoodSeq[msg.From] = msg.Seq
-		}
+		m.lastGood[from] = msg.Payload
+		m.lastGoodSeq[from] = msg.Seq
 	}
-}
-
-// resolveMissing classifies and handles each absent rank once the retry
-// budget is spent. Returns resolved=true when the exchange can complete
-// with the (possibly degraded) msgs as they now stand, false when the
-// caller should keep waiting (StragglerWait).
-func (m *Member) resolveMissing(seq uint64, missing []int, msgs [][]byte, stale []bool, view *View, degraded *bool) (bool, error) {
-	cfg := m.rt.cfg
-	keepWaiting := false
-	for _, j := range missing {
-		if m.seenWithin(j, cfg.SuspectAfter) {
-			// Alive but late: a straggler.
-			switch cfg.OnStraggler {
-			case StragglerWait:
-				keepWaiting = true
-			case StragglerDrop:
-				*degraded = true // round proceeds without j; no view change
-			}
-			continue
-		}
-		// Heartbeat-silent past the deadline: dead.
-		if err := m.suspectDead(seq, j, msgs, stale, view, degraded); err != nil {
-			return false, err
-		}
-	}
-	if keepWaiting {
-		return false, nil
-	}
-	return true, nil
 }
 
 // suspectDead runs suspicion for a heartbeat-silent rank and applies the
-// dead-rank Policy to the in-progress round. Suspicion goes first — the
-// quorum guard turns an unrecoverable partition into a fast typed error
-// no matter which degradation policy is configured. Shared by the strict
-// and bounded-staleness exchange paths.
-func (m *Member) suspectDead(seq uint64, j int, msgs [][]byte, stale []bool, view *View, degraded *bool) error {
+// dead-rank Policy to the round. Suspicion goes first — the quorum guard
+// turns an unrecoverable partition into a fast typed error no matter
+// which degradation policy is configured.
+func (m *Member) suspectDead(r *round, j int) error {
 	nv, err := m.rt.suspect(j, m.rank)
 	if err != nil {
 		if errors.Is(err, ErrEvicted) {
@@ -666,46 +745,23 @@ func (m *Member) suspectDead(seq uint64, j int, msgs [][]byte, stale []bool, vie
 		return err // ErrNoQuorum
 	}
 	m.tc.Instant(trace.OpSuspect, int64(j))
-	if nv.Epoch != view.Epoch {
+	if nv.Epoch != r.view.Epoch {
 		m.tc.Instant(trace.OpViewChange, int64(nv.Epoch))
 	}
-	*view = nv
+	r.view = nv
+	r.degraded = true
 	switch m.rt.cfg.Policy {
 	case FailFast:
 		return fmt.Errorf("cluster: rank %d saw rank %d fail at exchange %d: %w",
-			m.rank, j, seq, ErrPeerFailed)
-	case DropRescale:
-		*degraded = true
+			m.rank, j, r.seq, ErrPeerFailed)
 	case StaleReuse:
 		if m.lastGood[j] != nil {
-			msgs[j] = m.lastGood[j]
-			stale[j] = true
+			r.msgs[j] = m.lastGood[j]
+			r.stale[j] = true
 			m.rt.noteStaleReuse()
 		}
-		*degraded = true
 	}
 	return nil
-}
-
-// missingRanks lists live ranks whose slot in msgs is still empty.
-func missingRanks(msgs [][]byte, view View) []int {
-	var out []int
-	for j, b := range msgs {
-		if b == nil && view.Alive[j] {
-			out = append(out, j)
-		}
-	}
-	return out
-}
-
-func missingCount(msgs [][]byte, view View) int {
-	n := 0
-	for j, b := range msgs {
-		if b == nil && view.Alive[j] {
-			n++
-		}
-	}
-	return n
 }
 
 // SyncBroadcast distributes the root's parameter snapshot under sync

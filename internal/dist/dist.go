@@ -535,7 +535,7 @@ func Train(c Config) (*Result, error) {
 				if cfg.UseSparseAllreduce {
 					return newSparseEx(w, cluster.Rank(rank))
 				}
-				return newBarrierEx(w, cluster.Rank(rank))
+				return newPipeline(w, newBarrierLink(w, cluster.Rank(rank)))
 			})
 		})
 	}

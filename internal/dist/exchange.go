@@ -1,28 +1,29 @@
 package dist
 
-// The barrier exchangers: gradient rounds over collective.Exchanger, the
-// strategy-scheduled in-process collectives every rank enters in lockstep.
+// The gradient round. exchanger (step.go) has two implementations:
 //
-//   - barrierEx allgathers compressed messages bucket by bucket as a
-//     two-stage pipeline: while bucket b's message is in flight (exchange +
-//     decompress + accumulate), bucket b+1 is still being compressed —
-//     compute/communication overlap inside the exchange phase. The two
+//   - pipeline runs the compressed-message round the paper describes —
+//     compress, allgather, decode the messages, average — bucket by bucket
+//     as a two-stage pipeline: while bucket b's message is in flight
+//     (gather + average), bucket b+1 is still being compressed. The two
 //     stages touch disjoint state (bucket b's message/recon/avg slices vs
-//     bucket b+1's grad slice and codec), so the only synchronization is the
-//     parallel.Run join between pipeline steps. The monolithic exchange is
-//     the one-bucket case: one compress, one allgather, nothing to overlap.
+//     bucket b+1's grad slice and codec), so the only synchronization is
+//     the parallel.Run join between pipeline steps. The monolithic exchange
+//     is the one-bucket case: one compress, one gather, nothing to overlap.
+//     Every runtime uses this one pipeline; what differs between them sits
+//     behind link: barrierLink (the strategy-scheduled in-process
+//     collectives every rank enters in lockstep, here), clusterLink and
+//     gossipLink (the failure-aware mesh, fault.go).
 //   - sparseEx sums sparsified gradients through the sparse allreduce — the
 //     collective the paper's conclusion calls for — optionally selecting
 //     inside MiCRO-style rotating partitions.
 //
-// Both share rooted: the parameter sync is a broadcast from rank 0, and the
-// Assumption 3.2 α measurement rides a side-channel allgather.
-//
 // Numerics are independent of the bucket count's scheduling: every rank
-// averages the same p reconstructions of the same gradient slices in the
+// averages the same reconstructions of the same gradient slices in the
 // same order, traced or untraced.
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"time"
@@ -36,50 +37,294 @@ import (
 	"fftgrad/internal/trace"
 )
 
-// rooted is what the barrier exchangers share: the endpoint, the
-// root-broadcast parameter sync and the α measurement.
+// link is one runtime's wire under the bucket pipeline. gather is the
+// round's only seam; the rest of the exchanger contract passes through.
+type link interface {
+	// admit holds the round back until the runtime lets iteration iter
+	// start; errHalted when the run's stop signal fired meanwhile.
+	admit(iter int) error
+	// gather ships msg as this rank's contribution to bucket b of iteration
+	// iter and returns everything to average for that bucket. A recoverable
+	// failure of the local endpoint is returned as *aborted.
+	gather(iter, b int, msg []byte) (gathered, error)
+	sync(iter int) (bytes int, err error)
+	epochEnd(iter int)
+}
+
+// gathered is one bucket's contributions in summation order: msgs[k]
+// weighs wt[k], and a nil message contributes nothing. The barrier weighs
+// every rank one; the mesh damps a cached message to λ^d; gossip gives its
+// neighbours their Metropolis weights and itself, last, the remainder.
+type gathered struct {
+	msgs  [][]byte
+	wt    []float32
+	stale []bool // msgs served from a peer's cache (nil: none)
+	// bank > 0: a contribution damped to wt < 1 keeps its withheld mass in
+	// the stream — (1−wt)/bank of it goes to this rank's residual, bank
+	// being the contributor count the fleet splits it over.
+	bank int
+	// The peer this rank waited for longest inside the gather and the
+	// marginal wait it caused; slowest is -1 when nobody was waited for.
+	slowest int
+	waitNs  int64
+	resync  bool // the membership view changed under the gather
+}
+
+// average decodes g's messages through bucket b's codec and leaves their
+// weighted mean, Σ wt·decode(msg) / Σ wt, in avg[lo:hi]; recon[lo:hi] is
+// the decode scratch. It reports how many messages it folded and the
+// largest of them. This is the only place compressed gradients are
+// decoded and summed (ROADMAP item 3 replaces exactly this routine).
+func (w *worker) average(codec compress.Compressor, b int, g *gathered) (n, max int, err error) {
+	lo, hi := w.bk.Range(b)
+	avg, recon := w.avg[lo:hi], w.recon[lo:hi]
+	for i := range avg {
+		avg[i] = 0
+	}
+	var wsum float32
+	for k, m := range g.msgs {
+		if m == nil {
+			continue
+		}
+		if err := codec.DecompressInto(recon, m); err != nil {
+			return 0, 0, fmt.Errorf("bucket %d decompress: %w", b, err)
+		}
+		wt := g.wt[k]
+		for i, v := range recon {
+			avg[i] += wt * v
+		}
+		wsum += wt
+		if wt < 1 && g.bank > 0 {
+			if sink, ok := compress.As[scaledResidualSink](w.comps[b]); ok {
+				sink.AddToResidualScaled(recon, (1-wt)/float32(g.bank))
+			}
+		}
+		n++
+		if len(m) > max {
+			max = len(m)
+		}
+	}
+	// This rank's own message is always among the contributions, so the
+	// weight sum is positive.
+	inv := 1 / wsum
+	for i := range avg {
+		avg[i] *= inv
+	}
+	return n, max, nil
+}
+
+// pipeline is the bucketed compress → gather → average round.
+type pipeline struct {
+	link
+	w *worker
+
+	// Per-bucket compressed messages, double-buffered by iteration parity:
+	// the barrier's Allgather returns aliases of the senders' buffers, and
+	// peers keep reading iteration i's message while decompressing — but
+	// every rank must finish that before it can enter iteration i+1's first
+	// barrier. So by the time this rank compresses iteration i+1 into the
+	// buffer last sent at i-1, no reader of that buffer remains, and the
+	// steady state is allocation-free. (The mesh copies on send.)
+	msgs [2][][]byte
+
+	// The round in progress, read by the two pipeline stages. exFn and
+	// cmpFn are the stages as thunks, built once so that a round allocates
+	// no closures.
+	iter       int
+	compressed bool
+	drift      bool
+	cur        int // bucket in its exchange stage
+	exFn       func()
+	cmpFn      func()
+	exErr      error
+	cmpErr     error
+
+	// Per-bucket results, written only by the bucket's own stage.
+	cmpD, exD, decD []time.Duration
+	sizes           []int
+	modelS          []float64
+	endNs           int64
+	resync          bool
+	blamePeer       int64
+	blameWaitNs     int64
+}
+
+func newPipeline(w *worker, l link) *pipeline {
+	nb := w.bk.Count()
+	e := &pipeline{
+		link:   l,
+		w:      w,
+		msgs:   [2][][]byte{make([][]byte, nb), make([][]byte, nb)},
+		cmpD:   make([]time.Duration, nb),
+		exD:    make([]time.Duration, nb),
+		decD:   make([]time.Duration, nb),
+		sizes:  make([]int, nb),
+		modelS: make([]float64, nb),
+	}
+	e.exFn = func() { e.exErr = e.exchangeBucket(e.cur) }
+	e.cmpFn = func() { e.cmpErr = e.compressBucket(e.cur + 1) }
+	return e
+}
+
+func (e *pipeline) compressBucket(b int) error {
+	w := e.w
+	lo, hi := w.bk.Range(b)
+	t0 := time.Now()
+	msg, err := w.pick(b, e.compressed).AppendCompress(e.msgs[e.iter&1][b][:0], w.grad[lo:hi])
+	if err != nil {
+		return fmt.Errorf("bucket %d compress: %w", b, err)
+	}
+	e.msgs[e.iter&1][b] = msg
+	e.cmpD[b] = time.Since(t0)
+	e.sizes[b] = len(msg)
+	w.tc.SpanTimed(trace.OpCompress, int64(len(msg)), t0, e.cmpD[b])
+	return nil
+}
+
+// exchangeBucket gathers bucket b's contributions and averages them into
+// avg[lo:hi].
+func (e *pipeline) exchangeBucket(b int) error {
+	w := e.w
+	tEx := time.Now()
+	g, err := e.gather(e.iter, b, e.msgs[e.iter&1][b])
+	e.exD[b] = time.Since(tEx)
+	w.tc.SpanTimed(trace.OpExchange, int64(e.sizes[b]), tEx, e.exD[b])
+	e.endNs = w.oc.NowNs() // the last bucket's gather is the clock anchor
+	if err != nil {
+		return err
+	}
+	if g.slowest >= 0 && (e.blamePeer < 0 || g.waitNs > e.blameWaitNs) {
+		e.blamePeer, e.blameWaitNs = int64(g.slowest), g.waitNs
+	}
+
+	t0 := time.Now()
+	n, max, err := w.average(w.pick(b, e.compressed), b, &g)
+	if err != nil {
+		return err
+	}
+	e.decD[b] = time.Since(t0)
+	w.tc.SpanTimed(trace.OpDecompress, int64(n), t0, e.decD[b])
+	if b == 0 && e.drift && w.gs.checkDrift(g.msgs, g.stale) {
+		e.resync = true
+	}
+	e.resync = e.resync || g.resync
+	e.modelS[b] = w.observeRound(e.sizes[b], max, e.exD[b].Seconds())
+	if len(e.sizes) > 1 {
+		w.tc.SpanSince(trace.OpBucket, int64(b), tEx)
+	}
+	return nil
+}
+
+// round runs compress(0); for b: { gather+average(b) ∥ compress(b+1) }.
+func (e *pipeline) round(iter int, compressed bool) (roundStats, error) {
+	w := e.w
+	if err := e.admit(iter); err != nil {
+		return roundStats{}, err
+	}
+	e.iter, e.compressed = iter, compressed
+	e.resync, e.blamePeer, e.blameWaitNs = false, -1, 0
+	// One fingerprint per iteration, riding bucket 0's frame.
+	if e.drift = w.gs.driftDue(iter); e.drift {
+		w.gs.attachFingerprint(w.net, w.pick(0, compressed))
+	}
+	nb := len(e.sizes)
+	if err := e.compressBucket(0); err != nil {
+		return roundStats{}, err
+	}
+	for e.cur = 0; e.cur < nb; e.cur++ {
+		e.cmpErr = nil
+		if e.cur+1 < nb {
+			parallel.Run(e.exFn, e.cmpFn)
+		} else {
+			e.exFn()
+		}
+		if e.exErr != nil {
+			var ab *aborted
+			if errors.As(e.exErr, &ab) {
+				// What was built: the aborted bucket's message, and the next
+				// one when it was compressed beside the gather.
+				built := e.cur + 1
+				if built < nb && e.cmpErr == nil {
+					built++
+				}
+				ab.msgs = e.msgs[iter&1][:built]
+			}
+			return roundStats{}, e.exErr
+		}
+		if e.cmpErr != nil {
+			return roundStats{}, e.cmpErr
+		}
+	}
+	st := roundStats{endNs: e.endNs, blamePeer: e.blamePeer, blameWaitNs: e.blameWaitNs, resync: e.resync}
+	for b := 0; b < nb; b++ {
+		st.compressT += e.cmpD[b]
+		st.decompressT += e.decD[b]
+		st.exchangeS += e.exD[b].Seconds()
+		st.modelS += e.modelS[b]
+		st.msgBytes += e.sizes[b]
+	}
+	return st, w.alpha.measure(w, iter)
+}
+
+// rooted is the barrier runtime under both exchangers: the endpoint and
+// the parameter sync as a broadcast from rank 0.
 type rooted struct {
 	w  *worker
 	ex *collective.Exchanger
-
-	// MeasureAlpha state: raw-FP32 messages double-buffered like the
-	// gradient messages, and rank 0's decode scratch.
-	rawBufs          [2][]byte
-	rawAvg, alphaTmp []float32
 }
 
 func newRooted(w *worker, cm *comm.Comm) rooted {
 	cm.AttachTrace(w.tc)
+	if w.cfg.MeasureAlpha {
+		w.alpha = &alphaProbe{cm: cm}
+	}
 	return rooted{w: w, ex: collective.New(w.cfg.Collective, cm)}
 }
 
 func (r *rooted) sync(iter int) (int, error) {
-	w := r.w
-	var payload []byte
-	if w.rank == 0 {
-		var err error
-		if payload, err = w.encodeParams(iter); err != nil {
-			return 0, err
-		}
-	}
-	got := r.ex.Broadcast(payload, 0)
-	if w.rank != 0 {
-		if err := w.decodeParams(iter, got); err != nil {
-			return 0, err
-		}
-	}
-	return w.n * 4, nil
+	return r.w.syncFrom(iter, 0, func(payload []byte) ([]byte, bool, error) {
+		return r.ex.Broadcast(payload, 0), true, nil
+	})
 }
 
 func (r *rooted) epochEnd(int) {}
 
-// measureAlpha, under Config.MeasureAlpha, allgathers the raw FP32
-// gradients (off the timed path, and outside the guarded data plane — it
-// is a measurement) and records the Assumption 3.2 constant
-// α = ‖v̄−v̂̄‖/‖v̄‖ of this round's average on rank 0.
-func (r *rooted) measureAlpha(iter int) error {
-	w := r.w
-	if !w.cfg.MeasureAlpha {
+// barrierLink gathers through the strategy's allgather: every rank, every
+// round, each weighing one.
+type barrierLink struct {
+	rooted
+	ones []float32
+}
+
+func newBarrierLink(w *worker, cm *comm.Comm) *barrierLink {
+	l := &barrierLink{rooted: newRooted(w, cm), ones: make([]float32, w.p)}
+	for i := range l.ones {
+		l.ones[i] = 1
+	}
+	return l
+}
+
+func (l *barrierLink) admit(int) error { return nil }
+
+func (l *barrierLink) gather(_, _ int, msg []byte) (gathered, error) {
+	return gathered{msgs: l.ex.Allgather(msg), wt: l.ones, slowest: -1}, nil
+}
+
+// alphaProbe is the Config.MeasureAlpha side channel (nil when off): raw-
+// FP32 messages double-buffered like the gradient messages, and rank 0's
+// decode scratch.
+type alphaProbe struct {
+	cm               *comm.Comm
+	rawBufs          [2][]byte
+	rawAvg, alphaTmp []float32
+}
+
+// measure allgathers the raw FP32 gradients (off the timed path, and
+// outside the guarded data plane — it is a measurement) and records the
+// Assumption 3.2 constant α = ‖v̄−v̂̄‖/‖v̄‖ of this round's average on
+// rank 0.
+func (r *alphaProbe) measure(w *worker, iter int) error {
+	if r == nil {
 		return nil
 	}
 	fp32 := compress.FP32{}
@@ -88,7 +333,7 @@ func (r *rooted) measureAlpha(iter int) error {
 		return err
 	}
 	r.rawBufs[iter&1] = raw
-	cm := r.ex.Comm()
+	cm := r.cm
 	raws := cm.Allgather(raw)
 	if w.rank == 0 {
 		if r.rawAvg == nil {
@@ -126,165 +371,20 @@ func (r *rooted) measureAlpha(iter int) error {
 	return nil
 }
 
-// barrierEx is the bucketed allgather pipeline.
-type barrierEx struct {
-	rooted
-
-	// Per-bucket compressed messages, double-buffered by iteration parity:
-	// Allgather returns aliases of the senders' buffers, and peers keep
-	// reading iteration i's message while decompressing — but every rank
-	// must finish that before it can enter iteration i+1's first barrier.
-	// So by the time this rank compresses iteration i+1 into the buffer
-	// last sent at i-1, no reader of that buffer remains, and the steady
-	// state is allocation-free.
-	msgs [2][][]byte
-
-	// The round in progress, read by the two pipeline stages. exFn and
-	// cmpFn are the stages as thunks, built once so that a round allocates
-	// no closures.
-	iter       int
-	compressed bool
-	drift      bool
-	cur        int // bucket in its exchange stage
-	exFn       func()
-	cmpFn      func()
-	exErr      error
-	cmpErr     error
-
-	// Per-bucket results, written only by the bucket's own stage.
-	cmpD, exD, decD []time.Duration
-	sizes           []int
-	modelS          []float64
-	endNs           int64
-	resync          bool
-}
-
-func newBarrierEx(w *worker, cm *comm.Comm) *barrierEx {
-	nb := w.bk.Count()
-	e := &barrierEx{
-		rooted: newRooted(w, cm),
-		msgs:   [2][][]byte{make([][]byte, nb), make([][]byte, nb)},
-		cmpD:   make([]time.Duration, nb),
-		exD:    make([]time.Duration, nb),
-		decD:   make([]time.Duration, nb),
-		sizes:  make([]int, nb),
-		modelS: make([]float64, nb),
-	}
-	e.exFn = func() { e.exErr = e.exchangeBucket(e.cur) }
-	e.cmpFn = func() { e.cmpErr = e.compressBucket(e.cur + 1) }
-	return e
-}
-
-func (e *barrierEx) compressBucket(b int) error {
-	w := e.w
-	lo, hi := w.bk.Range(b)
-	t0 := time.Now()
-	msg, err := w.pick(b, e.compressed).AppendCompress(e.msgs[e.iter&1][b][:0], w.grad[lo:hi])
-	if err != nil {
-		return fmt.Errorf("bucket %d compress: %w", b, err)
-	}
-	e.msgs[e.iter&1][b] = msg
-	e.cmpD[b] = time.Since(t0)
-	e.sizes[b] = len(msg)
-	w.tc.SpanTimed(trace.OpCompress, int64(len(msg)), t0, e.cmpD[b])
-	return nil
-}
-
-// exchangeBucket allgathers bucket b's message and averages the p
-// reconstructions into avg[lo:hi]; recon[lo:hi] is its decode scratch.
-func (e *barrierEx) exchangeBucket(b int) error {
-	w := e.w
-	lo, hi := w.bk.Range(b)
-	comp := w.pick(b, e.compressed)
-	tEx := time.Now()
-	msgs := e.ex.Allgather(e.msgs[e.iter&1][b])
-	e.exD[b] = time.Since(tEx)
-	w.tc.SpanTimed(trace.OpExchange, int64(e.sizes[b]), tEx, e.exD[b])
-	e.endNs = w.oc.NowNs() // the last bucket's barrier is the clock anchor
-	max := 0
-	for _, m := range msgs {
-		if len(m) > max {
-			max = len(m)
-		}
-	}
-
-	t0 := time.Now()
-	avg, recon := w.avg[lo:hi], w.recon[lo:hi]
-	for i := range avg {
-		avg[i] = 0
-	}
-	for _, m := range msgs {
-		if err := comp.DecompressInto(recon, m); err != nil {
-			return fmt.Errorf("bucket %d decompress: %w", b, err)
-		}
-		for i, v := range recon {
-			avg[i] += v
-		}
-	}
-	inv := 1 / float32(w.p)
-	for i := range avg {
-		avg[i] *= inv
-	}
-	e.decD[b] = time.Since(t0)
-	w.tc.SpanTimed(trace.OpDecompress, int64(w.p), t0, e.decD[b])
-	if b == 0 && e.drift && w.gs.checkDrift(msgs, nil) {
-		e.resync = true
-	}
-	e.modelS[b] = w.observeRound(e.sizes[b], max, e.exD[b].Seconds())
-	if len(e.sizes) > 1 {
-		w.tc.SpanSince(trace.OpBucket, int64(b), tEx)
-	}
-	return nil
-}
-
-// round runs compress(0); for b: { exchange+decompress(b) ∥ compress(b+1) }.
-func (e *barrierEx) round(iter int, compressed bool) (roundStats, error) {
-	w := e.w
-	e.iter, e.compressed, e.resync = iter, compressed, false
-	// One fingerprint per iteration, riding bucket 0's frame.
-	if e.drift = w.gs.driftDue(iter); e.drift {
-		w.gs.attachFingerprint(w.net, w.pick(0, compressed))
-	}
-	nb := len(e.sizes)
-	if err := e.compressBucket(0); err != nil {
-		return roundStats{}, err
-	}
-	for e.cur = 0; e.cur < nb; e.cur++ {
-		e.cmpErr = nil
-		if e.cur+1 < nb {
-			parallel.Run(e.exFn, e.cmpFn)
-		} else {
-			e.exFn()
-		}
-		if e.exErr != nil {
-			return roundStats{}, e.exErr
-		}
-		if e.cmpErr != nil {
-			return roundStats{}, e.cmpErr
-		}
-	}
-	st := roundStats{endNs: e.endNs, blamePeer: -1, resync: e.resync}
-	for b := 0; b < nb; b++ {
-		st.compressT += e.cmpD[b]
-		st.decompressT += e.decD[b]
-		st.exchangeS += e.exD[b].Seconds()
-		st.modelS += e.modelS[b]
-		st.msgBytes += e.sizes[b]
-	}
-	return st, e.measureAlpha(iter)
-}
-
 // sparseEx exchanges spatially sparsified gradients through the sparse
 // allreduce.
 type sparseEx struct {
 	rooted
-	pt *collective.Partitioner // nil: plain top-k over the whole gradient
+	pt   *collective.Partitioner // nil: plain top-k over the whole gradient
+	mask []uint64                // the plain selection's keep bitmap, reused
 }
 
 func newSparseEx(w *worker, cm *comm.Comm) *sparseEx {
 	e := &sparseEx{rooted: newRooted(w, cm)}
 	if w.col.Partitioned {
 		e.pt = collective.NewPartitioner(w.p, w.rank, w.n)
+	} else {
+		e.mask = make([]uint64, pack.BitmapWords(w.n))
 	}
 	return e
 }
@@ -304,8 +404,10 @@ func (e *sparseEx) round(iter int, _ bool) (roundStats, error) {
 		// residual until ownership rotates around.
 		sp = e.pt.Select(w.grad, theta, iter)
 	} else {
-		work := append(w.grad[:0:0], w.grad...)
-		sp = pack.PackMask(work, sparsify.TopKSpatial(work, theta))
+		// The collective copies what it ships, so the bitmap is free
+		// again by the next round.
+		sparsify.TopKSpatialMask(e.mask, w.grad, theta)
+		sp = pack.PackMask(w.grad, e.mask)
 	}
 	st.compressT = time.Since(t0)
 	tc.SpanTimed(trace.OpCompress, int64(w.n), t0, st.compressT)
@@ -332,5 +434,5 @@ func (e *sparseEx) round(iter int, _ bool) (roundStats, error) {
 		st.msgBytes = moved / (w.p - 1)
 	}
 	st.modelS = w.observeRound(st.msgBytes, st.msgBytes, st.exchangeS)
-	return st, e.measureAlpha(iter)
+	return st, w.alpha.measure(w, iter)
 }

@@ -1,0 +1,183 @@
+package dist
+
+import (
+	"math"
+	"math/rand"
+	"testing"
+
+	"fftgrad/internal/cluster"
+	"fftgrad/internal/compress"
+	"fftgrad/internal/feedback"
+)
+
+// TestAverage pins the one decode-and-sum routine against what each
+// runtime hands it: the barrier's all-ones weights reproduce the plain
+// mean bit for bit; the mesh's λ^d weights normalise by Σw and bank
+// exactly (1−w)/c of the damped reconstruction in the residual; a gossip
+// row sums to one whatever became of the neighbours.
+func TestAverage(t *testing.T) {
+	const p, theta = 4, 0.5
+	cfg := blobCfg(81)
+	cfg.NewCompressor = func() compress.Compressor { return feedback.New(compress.NewFFT(theta)) }
+	cfg = cfg.withDefaults()
+
+	// One message per rank, and what each decodes to.
+	n := cfg.Model(cfg.Seed).NumParams()
+	rng := rand.New(rand.NewSource(81))
+	enc := compress.NewFFT(theta)
+	msgs, recon := make([][]byte, p), make([][]float32, p)
+	for j := range msgs {
+		g := make([]float32, n)
+		for i := range g {
+			g[i] = float32(rng.NormFloat64())
+		}
+		var err error
+		if msgs[j], err = enc.AppendCompress(nil, g); err != nil {
+			t.Fatal(err)
+		}
+		recon[j] = make([]float32, n)
+		if err := enc.DecompressInto(recon[j], msgs[j]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	norm := func(v []float32) float64 {
+		var s float64
+		for _, x := range v {
+			s += float64(x) * float64(x)
+		}
+		return math.Sqrt(s)
+	}
+
+	bucketed := &clusterLink{mesh{spi: 4, lambda: 0.9, wt: make([]float32, 0, p)}}
+	flat := &clusterLink{mesh{spi: 1, lambda: 0.9, wt: make([]float32, 0, p)}}
+	ring := &gossipLink{mesh: mesh{spi: 2, lambda: 0.9}}
+	for _, tc := range []struct {
+		name string
+		g    func() gathered // built inside the row: the links reuse their buffers
+		want []float64       // the weight each rank's reconstruction carries
+		bits bool            // the result must equal the barrier's plain mean exactly
+		row  bool            // a mixing row: the folded weights must sum to one
+		bank int             // the rank whose damped share must be in the residual, -1: none
+	}{
+		{
+			name: "barrier: every rank weighs one",
+			g:    func() gathered { return gathered{msgs: msgs, wt: []float32{1, 1, 1, 1}} },
+			want: []float64{1, 1, 1, 1}, bits: true, bank: -1,
+		},
+		{
+			name: "mesh: fresh contributors only reproduce the barrier",
+			g: func() gathered {
+				return flat.weigh(&cluster.ExchangeResult{
+					Msgs: [][]byte{msgs[0], msgs[1], msgs[2], msgs[3]}, Stale: make([]bool, p), Contributors: 4})
+			},
+			want: []float64{1, 1, 1, 1}, bits: true, bank: -1,
+		},
+		{
+			name: "mesh: a cache two iterations old weighs λ² and banks the rest",
+			g: func() gathered {
+				return flat.weigh(&cluster.ExchangeResult{
+					Msgs: [][]byte{msgs[0], msgs[1], nil, msgs[3]}, Stale: []bool{false, true, false, false},
+					StaleBy: []uint64{0, 2, 0, 0}, Contributors: 3})
+			},
+			want: []float64{1, 0.81, 0, 1}, bank: 1,
+		},
+		{
+			name: "mesh: a cache of unmeasured age is no part of a bucketed stream",
+			g: func() gathered {
+				return bucketed.weigh(&cluster.ExchangeResult{
+					Msgs: [][]byte{msgs[0], msgs[1], msgs[2], msgs[3]}, Stale: []bool{false, false, true, false}, Contributors: 4})
+			},
+			want: []float64{1, 1, 0, 1}, bank: -1,
+		},
+		{
+			name: "gossip: both neighbours fresh",
+			g: func() gathered {
+				return ring.mix(&cluster.GossipResult{
+					Msgs: [][]byte{msgs[1], msgs[3]}, Stale: make([]bool, 2), StaleBy: make([]uint64, 2), PeerWeight: 1.0 / 3}, msgs[0])
+			},
+			want: []float64{1.0 / 3, 1.0 / 3, 0, 1.0 / 3}, row: true, bank: -1,
+		},
+		{
+			name: "gossip: an absent neighbour's mass reverts to self",
+			g: func() gathered {
+				return ring.mix(&cluster.GossipResult{
+					Msgs: [][]byte{msgs[1]}, Stale: []bool{false}, StaleBy: []uint64{0}, PeerWeight: 1.0 / 3}, msgs[0])
+			},
+			want: []float64{2.0 / 3, 1.0 / 3, 0, 0}, row: true, bank: -1,
+		},
+		{
+			name: "gossip: a damped neighbour and a wrong-stream cache",
+			g: func() gathered {
+				return ring.mix(&cluster.GossipResult{
+					Msgs: [][]byte{msgs[1], msgs[3]}, Stale: []bool{true, true}, StaleBy: []uint64{2, 1}, PeerWeight: 1.0 / 3}, msgs[0])
+			},
+			want: []float64{1 - 0.3, 0.3, 0, 0}, row: true, bank: -1,
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			w, err := newWorker(cfg, 0, p, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			g := tc.g()
+			if _, _, err := w.average(w.comps[0], 0, &g); err != nil {
+				t.Fatal(err)
+			}
+
+			// The float64 reference: Σ want_j·recon_j / Σ want_j.
+			var wsum float64
+			for _, wt := range tc.want {
+				wsum += wt
+			}
+			var off, size float64
+			for i := range w.avg {
+				var ref float64
+				for j, wt := range tc.want {
+					ref += wt * float64(recon[j][i])
+				}
+				ref /= wsum
+				off += (float64(w.avg[i]) - ref) * (float64(w.avg[i]) - ref)
+				size += ref * ref
+			}
+			if math.Sqrt(off) > 1e-6*math.Sqrt(size) {
+				t.Errorf("average is off the weighted mean by norm %.3g (mean's norm %.3g)", math.Sqrt(off), math.Sqrt(size))
+			}
+			if tc.bits {
+				// The barrier's loop as it always was: sum, then scale by 1/p.
+				plain := make([]float32, n)
+				for _, r := range recon {
+					for i, v := range r {
+						plain[i] += v
+					}
+				}
+				for i := range plain {
+					plain[i] *= 1 / float32(p)
+					if math.Float32bits(plain[i]) != math.Float32bits(w.avg[i]) {
+						t.Fatalf("element %d: %x, the plain mean has %x", i, math.Float32bits(w.avg[i]), math.Float32bits(plain[i]))
+					}
+				}
+			}
+			if tc.row {
+				// The weights of what was folded sum to one.
+				var row float32
+				for k, m := range g.msgs {
+					if m != nil {
+						row += g.wt[k]
+					}
+				}
+				if math.Abs(float64(row)-1) > 1e-6 {
+					t.Errorf("mixing row sums to %v", row)
+				}
+			}
+
+			banked := 0.0
+			if tc.bank >= 0 {
+				banked = (1 - tc.want[tc.bank]) / float64(g.bank) * norm(recon[tc.bank])
+			}
+			got := w.comps[0].(*feedback.Compressor).ResidualNorm()
+			if math.Abs(got-banked) > 1e-6*(banked+1e-9) {
+				t.Errorf("residual norm %.6g, want the withheld share's %.6g", got, banked)
+			}
+		})
+	}
+}

@@ -56,7 +56,6 @@ import (
 	"fftgrad/internal/cluster"
 	"fftgrad/internal/collective"
 	"fftgrad/internal/comm"
-	"fftgrad/internal/compress"
 	"fftgrad/internal/guard"
 	"fftgrad/internal/trace"
 )
@@ -167,9 +166,9 @@ func trainFault(cfg Config) (*Result, error) {
 		members[rank] = m
 		results[rank], errs[rank] = runRank(cfg, rank, pmax, startIter, restore, func(w *worker) exchanger {
 			if gossip {
-				return newGossipEx(newMesh(w, m, rt, spi))
+				return newPipeline(w, newGossipLink(newMesh(w, m, rt, spi)))
 			}
-			return &clusterEx{mesh: newMesh(w, m, rt, spi)}
+			return newPipeline(w, &clusterLink{newMesh(w, m, rt, spi)})
 		})
 		if errs[rank] != nil {
 			m.Close()
@@ -255,10 +254,12 @@ func trainFault(cfg Config) (*Result, error) {
 	return res, nil
 }
 
-// mesh is what the failure-aware exchangers share: this rank's member on
-// the point-to-point mesh (nack/resend repairs individual links, so the
+// mesh is what the failure-aware links share: this rank's member on the
+// point-to-point mesh (nack/resend repairs individual links, so the
 // hier/tree strategies inform the modeled collective price only), the
-// rejoin protocol, and the checkpoint store rejoiners restore from.
+// rejoin protocol, and the checkpoint store rejoiners restore from. A
+// gather runs under sequence number iter·spi+b, so a crash mid-iteration
+// lands between buckets.
 type mesh struct {
 	w   *worker
 	m   *cluster.Member
@@ -269,14 +270,15 @@ type mesh struct {
 	// bounded-staleness budget K in seqs (0 = strict rounds).
 	lambda float64
 	window uint64
-	view   cluster.View // the view the last round completed under
+	view   cluster.View // the view the last gather completed under
+	wt     []float32    // gathered.wt, reused across gathers
 }
 
 // newMesh also seeds the rejoin store, so a rank crashing before the
 // first epoch boundary can still restore something consistent.
 func newMesh(w *worker, m *cluster.Member, rt *cluster.Runtime, spi int) mesh {
 	f := w.cfg.Fault
-	x := mesh{w: w, m: m, rt: rt, spi: spi, lambda: f.StalenessDiscount, window: uint64(f.Staleness) * uint64(spi)}
+	x := mesh{w: w, m: m, rt: rt, spi: spi, lambda: f.StalenessDiscount, window: uint64(f.Staleness) * uint64(spi), wt: make([]float32, 0, w.p)}
 	if x.lambda <= 0 || x.lambda > 1 {
 		x.lambda = 0.9
 	}
@@ -289,11 +291,11 @@ func newMesh(w *worker, m *cluster.Member, rt *cluster.Runtime, spi int) mesh {
 // failed classifies an exchange error: a recoverable one — the local
 // transport is inside a crash window, or this rank was evicted — becomes
 // the aborted outcome the step handles; anything else is terminal.
-func (x *mesh) failed(err error, what string, bucket int, msg []byte) error {
+func (x *mesh) failed(err error, what string, iter, bucket int) error {
 	if cluster.IsRecoverable(err) {
-		return &aborted{cause: err, bucket: bucket, msg: msg, rejoin: x.rejoin}
+		return &aborted{cause: err, bucket: bucket, rejoin: x.rejoin}
 	}
-	return fmt.Errorf("%s: %w", what, err)
+	return fmt.Errorf("%s %d.%d: %w", what, iter, bucket, err)
 }
 
 // rejoin parks until the transport heals and fast-forwards to the
@@ -324,9 +326,9 @@ func (x *mesh) epochEnd(iter int) {
 	}
 }
 
-// throttle is the bounded-staleness brake: never start an exchange more
+// admit is the bounded-staleness brake: never start an exchange more
 // than K iterations ahead of the slowest live rank's frontier.
-func (x *mesh) throttle(iter int) error {
+func (x *mesh) admit(iter int) error {
 	if x.window == 0 {
 		return nil
 	}
@@ -350,163 +352,78 @@ func (x *mesh) staleWeight(d uint64) (wt float32, ok bool) {
 	return float32(math.Pow(x.lambda, float64(d/spi))), true
 }
 
-// clusterEx runs the gradient round as the member's failure-aware
-// allgather, one round per bucket under sequence numbers iter·B+b, so a
-// crash mid-iteration lands between buckets; the parameter sync is a
-// broadcast from the lowest alive rank.
-type clusterEx struct {
-	mesh
-	msgBuf []byte // mesh sends copy, so one staging buffer serves every bucket
+// clusterLink gathers through the member's failure-aware allgather —
+// strict, or bounded under a staleness budget — and syncs by a broadcast
+// from the lowest alive rank.
+type clusterLink struct{ mesh }
+
+func (x *clusterLink) gather(iter, b int, msg []byte) (gathered, error) {
+	seq := uint64(iter*x.spi + b)
+	var ex *cluster.ExchangeResult
+	var err error
+	if x.window > 0 {
+		ex, err = x.m.ExchangeBounded(seq, msg, x.window)
+	} else {
+		ex, err = x.m.Exchange(seq, msg)
+	}
+	if err != nil {
+		return gathered{}, x.failed(err, "exchange", iter, b)
+	}
+	x.view = ex.View
+	return x.weigh(ex), nil
 }
 
-func (x *clusterEx) round(iter int, compressed bool) (roundStats, error) {
-	w, tc, nb := x.w, x.w.tc, x.spi
-	st := roundStats{blamePeer: -1}
-	if err := x.throttle(iter); err != nil {
-		return st, err
+// weigh turns a completed allgather into the contributions to average,
+// over the actual contributors: a fresh message weighs one, a cached one
+// what staleWeight gives it, and the share a damped one withholds is
+// banked (split over every contributor's residual).
+func (x *clusterLink) weigh(ex *cluster.ExchangeResult) gathered {
+	g := gathered{
+		msgs: ex.Msgs, wt: x.wt[:len(ex.Msgs)], stale: ex.Stale, bank: ex.Contributors,
+		slowest: ex.SlowestPeer, waitNs: ex.WaitNs, resync: ex.EpochChanged,
 	}
-	// One fingerprint per iteration, riding bucket 0's frame.
-	drift := w.gs.driftDue(iter)
-	if drift {
-		w.gs.attachFingerprint(w.net, w.pick(0, compressed))
-	}
-	for b := 0; b < nb; b++ {
-		lo, hi := w.bk.Range(b)
-		comp := w.pick(b, compressed)
-		t0 := time.Now()
-		msg, err := comp.AppendCompress(x.msgBuf[:0], w.grad[lo:hi])
-		if err != nil {
-			return st, fmt.Errorf("bucket %d compress: %w", b, err)
-		}
-		x.msgBuf = msg
-		cmpD := time.Since(t0)
-		st.compressT += cmpD
-		st.msgBytes += len(msg)
-		tc.SpanTimed(trace.OpCompress, int64(len(msg)), t0, cmpD)
-
-		tEx := time.Now()
-		var ex *cluster.ExchangeResult
-		if x.window > 0 {
-			ex, err = x.m.ExchangeBounded(uint64(iter*nb+b), msg, x.window)
-		} else {
-			ex, err = x.m.Exchange(uint64(iter*nb+b), msg)
-		}
-		exD := time.Since(tEx)
-		st.exchangeS += exD.Seconds()
-		tc.SpanTimed(trace.OpExchange, int64(len(msg)), tEx, exD)
-		st.endNs = w.oc.NowNs() // the last bucket's round wins
-		if err != nil {
-			return st, x.failed(err, fmt.Sprintf("exchange %d.%d", iter, b), b, msg)
-		}
-		// The cluster layer's in-exchange straggler attribution: the
-		// peer this rank waited for longest this iteration.
-		if ex.SlowestPeer >= 0 && (st.blamePeer < 0 || ex.WaitNs > st.blameWaitNs) {
-			st.blamePeer, st.blameWaitNs = int64(ex.SlowestPeer), ex.WaitNs
-		}
-
-		// Average over the actual contributors. This rank's own message
-		// is always fresh, so the weight sum is at least 1; the share a
-		// damped contribution withholds is banked in the bucket's
-		// residual.
-		t0 = time.Now()
-		avg, recon := w.avg[lo:hi], w.recon[lo:hi]
-		for i := range avg {
-			avg[i] = 0
-		}
-		var wsum float32
-		max := 0
-		for j, m := range ex.Msgs {
-			if m == nil {
-				continue
+	for j := range g.msgs {
+		g.wt[j] = 1
+		if ex.Stale[j] {
+			var d uint64
+			if ex.StaleBy != nil {
+				d = ex.StaleBy[j]
 			}
-			wt := float32(1)
-			if ex.Stale != nil && ex.Stale[j] {
-				var d uint64
-				if ex.StaleBy != nil {
-					d = ex.StaleBy[j]
-				}
-				var ok bool
-				if wt, ok = x.staleWeight(d); !ok {
-					continue
-				}
+			var ok bool
+			if g.wt[j], ok = x.staleWeight(d); !ok {
+				g.msgs[j] = nil
 			}
-			if len(m) > max {
-				max = len(m)
-			}
-			if err := comp.DecompressInto(recon, m); err != nil {
-				return st, fmt.Errorf("bucket %d decompress: %w", b, err)
-			}
-			for i, v := range recon {
-				avg[i] += wt * v
-			}
-			wsum += wt
-			if wt < 1 {
-				if sink, ok := compress.As[scaledResidualSink](w.comps[b]); ok {
-					sink.AddToResidualScaled(recon, (1-wt)/float32(ex.Contributors))
-				}
-			}
-		}
-		inv := 1 / wsum
-		for i := range avg {
-			avg[i] *= inv
-		}
-		decD := time.Since(t0)
-		st.decompressT += decD
-		tc.SpanTimed(trace.OpDecompress, int64(ex.Contributors), t0, decD)
-		if b == 0 && drift && w.gs.checkDrift(ex.Msgs, ex.Stale) {
-			st.resync = true
-		}
-		st.resync = st.resync || ex.EpochChanged
-		st.modelS += w.observeRound(len(msg), max, exD.Seconds())
-		x.view = ex.View
-		if nb > 1 {
-			tc.SpanSince(trace.OpBucket, int64(b), tEx)
 		}
 	}
-	return st, nil
+	return g
 }
 
-func (x *clusterEx) sync(iter int) (int, error) {
-	w := x.w
+func (x *clusterLink) sync(iter int) (int, error) {
 	root := x.view.LowestAlive()
 	if root < 0 {
 		return 0, nil
 	}
-	var payload []byte
-	if w.rank == root {
-		var err error
-		if payload, err = w.encodeParams(iter); err != nil {
-			return 0, err
+	return x.w.syncFrom(iter, root, func(payload []byte) ([]byte, bool, error) {
+		got, ok, err := x.m.SyncBroadcast(uint64((iter+1)*x.spi), payload, root)
+		if err != nil {
+			err = x.failed(err, "sync", iter, len(x.w.comps))
 		}
-	}
-	got, ok, err := x.m.SyncBroadcast(uint64((iter+1)*x.spi), payload, root)
-	if err != nil {
-		return 0, x.failed(err, fmt.Sprintf("sync %d", iter), len(w.comps), nil)
-	}
-	if !ok {
-		return 0, nil
-	}
-	if w.rank != root {
-		if err := w.decodeParams(iter, got); err != nil {
-			return 0, err
-		}
-	}
-	return w.n * 4, nil
+		return got, ok, err
+	})
 }
 
-// gossipEx is decentralized D-PSGD-style averaging with the nearest live
-// ring neighbors under Metropolis weights: seq 2·iter carries the
-// gradient round, seq 2·iter+1 the parameter-consensus round that stands
-// in for the root broadcast. Replicas intentionally differ between mixing
-// rounds, so no drift fingerprints are exchanged.
-type gossipEx struct {
+// gossipLink is decentralized D-PSGD-style averaging with the nearest live
+// ring neighbors under Metropolis weights: stream 0 (seq 2·iter) carries
+// the gradient round, stream 1 the parameter-consensus round that stands
+// in for the root broadcast.
+type gossipLink struct {
 	mesh
-	msgBuf []byte
-	fold   uint64 // how old (in seqs) a neighbor's cached gradient may be
-	epoch  uint64 // last view epoch acted on
+	msgs  [][]byte // gathered.msgs, reused across gathers
+	fold  uint64   // how old (in seqs) a neighbor's cached gradient may be
+	epoch uint64   // last view epoch acted on
 }
 
-func newGossipEx(x mesh) *gossipEx {
+func newGossipLink(x mesh) *gossipLink {
 	// Gossip folds at-most-one-iteration-old caches even without an
 	// explicit staleness budget (self-weight absorption covers the rest).
 	fold := x.window
@@ -514,119 +431,71 @@ func newGossipEx(x mesh) *gossipEx {
 		fold = uint64(x.spi)
 	}
 	x.w.priceSync = x.w.col.ModelAllgather // the parameter round is a neighbor exchange too
-	return &gossipEx{mesh: x, fold: fold}
+	// Replicas intentionally differ between mixing rounds, so no drift
+	// fingerprints are exchanged.
+	x.w.gs.noDrift()
+	return &gossipLink{mesh: x, fold: fold}
 }
 
-// mix leaves Σ w_j·decode(peer_j) + (1−Σ w_j)·self in avg. A stale fold
-// is damped to w_j = PeerWeight·λ^d; an absent (or wrong-stream) cache
-// contributes nothing and its mass reverts to self, so the realized
-// mixing row always sums to one. self is decoded from selfMsg when it is
-// not given. Returns the largest peer message folded.
-func (x *gossipEx) mix(codec compress.Compressor, g *cluster.GossipResult, self []float32, selfMsg []byte) (int, error) {
-	avg, recon := x.w.avg, x.w.recon
-	for i := range avg {
-		avg[i] = 0
+func (x *gossipLink) gather(iter, stream int, msg []byte) (gathered, error) {
+	// A parameter round never folds a stale cache — the cache would be a
+	// gradient payload from the other seq stream.
+	window := x.fold
+	if stream != 0 {
+		window = 0
 	}
+	res, err := x.m.GossipExchange(uint64(iter*x.spi+stream), msg, window)
+	if err != nil {
+		return gathered{}, x.failed(err, "gossip", iter, stream)
+	}
+	x.view = res.View
+	g := x.mix(res, msg)
+	if stream == 0 {
+		g.resync = res.View.Epoch != x.epoch
+		x.epoch = res.View.Epoch
+	}
+	return g, nil
+}
+
+// mix weighs a gossip round: Σ w_j·peer_j + (1−Σ w_j)·self, self going in
+// as the peers see it — through its own message, last. A stale fold is
+// damped to w_j = PeerWeight·λ^d; an absent (or wrong-stream) cache
+// contributes nothing and its mass reverts to self, so the realized
+// mixing row always sums to one.
+func (x *gossipLink) mix(res *cluster.GossipResult, self []byte) gathered {
+	g := gathered{msgs: append(x.msgs[:0], res.Msgs...), wt: x.wt[:0], slowest: -1}
 	var peerW float32
-	max := 0
-	for k, m := range g.Msgs {
-		wt := float32(g.PeerWeight)
-		if g.Stale[k] {
-			damp, ok := x.staleWeight(g.StaleBy[k])
+	for k := range res.Msgs {
+		wt := float32(res.PeerWeight)
+		if res.Stale[k] {
+			damp, ok := x.staleWeight(res.StaleBy[k])
 			if !ok {
-				continue
+				g.msgs[k] = nil
 			}
 			wt *= damp
 		}
-		if len(m) > max {
-			max = len(m)
-		}
-		if err := codec.DecompressInto(recon, m); err != nil {
-			return 0, err
-		}
-		for i, v := range recon {
-			avg[i] += wt * v
-		}
+		g.wt = append(g.wt, wt)
 		peerW += wt
 	}
-	if self == nil {
-		if err := codec.DecompressInto(recon, selfMsg); err != nil {
-			return 0, err
-		}
-		self = recon
-	}
-	selfW := 1 - peerW
-	for i, v := range self {
-		avg[i] += selfW * v
-	}
-	return max, nil
-}
-
-func (x *gossipEx) round(iter int, compressed bool) (roundStats, error) {
-	w, tc := x.w, x.w.tc
-	st := roundStats{blamePeer: -1}
-	if err := x.throttle(iter); err != nil {
-		return st, err
-	}
-	comp := w.pick(0, compressed)
-	t0 := time.Now()
-	msg, err := comp.AppendCompress(x.msgBuf[:0], w.grad)
-	if err != nil {
-		return st, fmt.Errorf("compress: %w", err)
-	}
-	x.msgBuf = msg
-	st.compressT = time.Since(t0)
-	st.msgBytes = len(msg)
-	tc.SpanTimed(trace.OpCompress, int64(len(msg)), t0, st.compressT)
-
-	tEx := time.Now()
-	g, err := x.m.GossipExchange(uint64(iter*x.spi), msg, x.fold)
-	exD := time.Since(tEx)
-	st.exchangeS = exD.Seconds()
-	tc.SpanTimed(trace.OpExchange, int64(len(msg)), tEx, exD)
-	st.endNs = w.oc.NowNs()
-	if err != nil {
-		return st, x.failed(err, fmt.Sprintf("gossip %d", iter), 0, msg)
-	}
-
-	// Self mixes in as the peers see it: through its own message.
-	t0 = time.Now()
-	max, err := x.mix(comp, g, nil, msg)
-	if err != nil {
-		return st, fmt.Errorf("gossip decompress: %w", err)
-	}
-	if len(msg) > max {
-		max = len(msg)
-	}
-	st.decompressT = time.Since(t0)
-	tc.SpanTimed(trace.OpDecompress, int64(len(g.Peers)+1), t0, st.decompressT)
-	st.modelS = w.observeRound(len(msg), max, st.exchangeS)
-	x.view = g.View
-	st.resync = g.View.Epoch != x.epoch
-	x.epoch = g.View.Epoch
-	return st, nil
+	g.msgs, g.wt = append(g.msgs, self), append(g.wt, 1-peerW)
+	x.msgs, x.wt = g.msgs, g.wt
+	return g
 }
 
 // sync is a parameter-consensus gossip round under the same Metropolis
 // weights (no root to depend on).
-func (x *gossipEx) sync(iter int) (int, error) {
+func (x *gossipLink) sync(iter int) (int, error) {
 	w := x.w
 	payload, err := w.encodeParams(iter)
 	if err != nil {
 		return 0, err
 	}
-	// Window 0: a parameter round never folds a stale cache — the cache
-	// would be a gradient payload from the other seq stream; an absent
-	// neighbor's mass reverts to self.
-	g, err := x.m.GossipExchange(uint64(iter*x.spi)+1, payload, 0)
-	if err != nil {
-		return 0, x.failed(err, fmt.Sprintf("param gossip %d", iter), len(w.comps), nil)
+	g, err := x.gather(iter, 1, payload)
+	if err != nil || len(g.msgs) == 1 { // nobody to mix with
+		return 0, err
 	}
-	if len(g.Msgs) == 0 {
-		return 0, nil
-	}
-	if _, err := x.mix(w.wireSync, g, w.syncFlat, nil); err != nil {
-		return 0, fmt.Errorf("param gossip decode: %w", err)
+	if _, _, err := w.average(w.wireSync, 0, &g); err != nil {
+		return 0, fmt.Errorf("param gossip: %w", err)
 	}
 	w.net.SetParams(w.avg)
 	return w.n * 4, nil

@@ -89,6 +89,13 @@ func (gs *guardState) driftDue(iter int) bool {
 	return gs != nil && gs.cfg.DriftEvery > 0 && iter > 0 && iter%gs.cfg.DriftEvery == 0
 }
 
+// noDrift turns the fingerprint exchange off for this rank's run.
+func (gs *guardState) noDrift() {
+	if gs != nil {
+		gs.cfg.DriftEvery = 0
+	}
+}
+
 // attachFingerprint hashes the current parameters and rides the result
 // on this iteration's outgoing frame header.
 func (gs *guardState) attachFingerprint(net *nn.Network, iterComp compress.Compressor) {

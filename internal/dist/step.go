@@ -6,7 +6,8 @@ package dist
 // iteration, written once: newWorker builds one rank's state, train runs
 // the loop, and the two stages that differ between runtimes — the gradient
 // round and the parameter sync — go through the exchanger interface
-// (exchange.go for the barrier collectives, fault.go for the cluster mesh).
+// (exchange.go: the bucket pipeline every runtime shares and the sparse
+// allreduce; fault.go: the pipeline's links onto the cluster mesh).
 
 import (
 	"errors"
@@ -61,14 +62,15 @@ type roundStats struct {
 
 // aborted is the one typed outcome of a recoverable exchange failure: this
 // rank's endpoint went down (or the rank was evicted) inside a round or a
-// sync. bucket is the first bucket the peers never received — msg holds
-// its compressed bytes, the buckets above it were not compressed yet; a
-// sync abort, where the whole gradient was delivered, reports the bucket
-// count.
+// sync. bucket is the first bucket the peers never received; msgs[b] holds
+// the compressed bytes of every bucket b whose message was already built —
+// the pipeline compresses one bucket ahead — and the buckets beyond
+// len(msgs) were never compressed. A sync abort, where the whole gradient
+// was delivered, reports the bucket count.
 type aborted struct {
 	cause  error // the cluster's typed error
 	bucket int
-	msg    []byte
+	msgs   [][]byte
 	// rejoin parks until the rank may re-enter, and returns the iteration
 	// to resume at (never before iter) and the state to restore when the
 	// rank was evicted meanwhile.
@@ -136,6 +138,7 @@ type worker struct {
 	theta     float64 // this iteration's drop ratio (NaN without a schedule)
 	forceSync bool    // sync after this iteration whatever the period says
 	ex        exchanger
+	alpha     *alphaProbe // Config.MeasureAlpha's side channel (nil when off)
 	res       *Result
 }
 
@@ -259,6 +262,29 @@ func (w *worker) decodeParams(iter int, payload []byte) error {
 	return nil
 }
 
+// syncFrom is the root-broadcast parameter sync: root frames its
+// parameters, bcast carries them, and every other rank adopts what it
+// received — nothing when bcast reports the sync abandoned (ok false).
+func (w *worker) syncFrom(iter, root int, bcast func(payload []byte) (got []byte, ok bool, err error)) (int, error) {
+	var payload []byte
+	if w.rank == root {
+		var err error
+		if payload, err = w.encodeParams(iter); err != nil {
+			return 0, err
+		}
+	}
+	got, ok, err := bcast(payload)
+	if err != nil || !ok {
+		return 0, err
+	}
+	if w.rank != root {
+		if err := w.decodeParams(iter, got); err != nil {
+			return 0, err
+		}
+	}
+	return w.n * 4, nil
+}
+
 // recover handles an aborted round or sync — the only place a recoverable
 // exchange failure is dealt with: dump the timeline while the pre-crash
 // events are still in the ring, keep what was computed but never shipped
@@ -285,10 +311,11 @@ func (w *worker) recover(ab *aborted, iter int, compressed bool) (int, error) {
 // fold returns the undelivered part of this iteration's gradient to the
 // per-bucket error-feedback residuals (DGC's accumulation rule, Sec. 5),
 // so that each ends at exactly previous residual + gradient. Buckets below
-// ab.bucket were averaged by the survivors. Compressing bucket ab.bucket
-// already moved its gradient into the residual, less what the message
-// carries — so what the message carries goes back; the buckets above it
-// were never compressed and fold whole.
+// ab.bucket were averaged by the survivors; every bucket from ab.bucket up
+// folds. Compressing a bucket already moved its gradient into the
+// residual, less what the message carries — so for a bucket whose message
+// was built, what the message carries goes back; one never compressed
+// folds whole.
 func (w *worker) fold(ab *aborted, compressed bool) error {
 	for b := ab.bucket; b < len(w.comps); b++ {
 		sink, ok := compress.As[residualSink](w.comps[b])
@@ -297,9 +324,9 @@ func (w *worker) fold(ab *aborted, compressed bool) error {
 		}
 		lo, hi := w.bk.Range(b)
 		lost := w.grad[lo:hi]
-		if b == ab.bucket && compressed {
+		if b < len(ab.msgs) && compressed {
 			lost = w.recon[lo:hi]
-			if err := w.comps[b].DecompressInto(lost, ab.msg); err != nil {
+			if err := w.comps[b].DecompressInto(lost, ab.msgs[b]); err != nil {
 				return fmt.Errorf("bucket %d decoding the undelivered message: %w", b, err)
 			}
 		}

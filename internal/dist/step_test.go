@@ -122,16 +122,24 @@ func (c *crashable) Recv(d time.Duration) (comm.Message, error) {
 // crashAt takes the transport down while the at-th message (counted
 // across every codec of the rank) is being compressed, and returns once
 // the member has seen the outage — so that message is compressed but can
-// no longer be delivered.
+// no longer be delivered. The pipeline compresses beside the previous
+// bucket's gather, so the outage waits until `delivered` gathers are
+// through: the buckets meant to reach the peers have reached them.
 type crashAt struct {
 	compress.Compressor
 	tr    *crashable
-	calls *int
-	at    int
+	calls *atomic.Int32
+	at    int32
+
+	gathers   *atomic.Int32
+	delivered int32
 }
 
 func (c crashAt) AppendCompress(dst []byte, g []float32) ([]byte, error) {
-	if *c.calls++; *c.calls == c.at {
+	if c.calls.Add(1) == c.at {
+		for c.gathers.Load() < c.delivered {
+			time.Sleep(100 * time.Microsecond)
+		}
 		c.tr.down.Store(true)
 		// The receiver loop marks the member down after each failed Recv;
 		// by the second failure the first mark is in place.
@@ -142,20 +150,42 @@ func (c crashAt) AppendCompress(dst []byte, g []float32) ([]byte, error) {
 	return c.Compressor.AppendCompress(dst, g)
 }
 
+// gatedLink counts the gathers that completed and holds the first
+// undelivered one until the member has seen the outage, so where the abort
+// lands does not depend on how the pipeline's two stages interleave.
+type gatedLink struct {
+	link
+	tr        *crashable
+	gathers   *atomic.Int32
+	delivered int32
+}
+
+func (l gatedLink) gather(iter, b int, msg []byte) (gathered, error) {
+	for l.gathers.Load() == l.delivered && l.tr.failed.Load() < 2 {
+		time.Sleep(100 * time.Microsecond)
+	}
+	g, err := l.link.gather(iter, b, msg)
+	l.gathers.Add(1)
+	return g, err
+}
+
 // TestAbortedRoundConservesMass aborts a round after compress — the
 // rank's transport dies under bucket `lost` of iteration 1 — and checks
 // error-feedback mass conservation bucket by bucket: a delivered bucket's
 // residual is previous + gradient − what its message carried, and every
 // undelivered bucket ends at exactly previous + gradient, whether its
 // message was already built (the fold adds back what compress moved out)
-// or not.
+// or not. The outage strikes while bucket `during` is being compressed:
+// in the pipelined case that is bucket lost+1, built beside the gather the
+// abort lands on.
 func TestAbortedRoundConservesMass(t *testing.T) {
 	for _, tc := range []struct {
-		name          string
-		buckets, lost int
+		name                  string
+		buckets, lost, during int
 	}{
-		{"B=1", 1, 0},
-		{"B=4 crash between buckets", 4, 2},
+		{"B=1", 1, 0, 0},
+		{"B=4 crash between buckets", 4, 2, 2},
+		{"B=4 crash under the pipeline", 4, 1, 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			c := blobCfg(71)
@@ -165,9 +195,11 @@ func TestAbortedRoundConservesMass(t *testing.T) {
 				c.Collective = &collective.Config{BucketBytes: fourBuckets(c)}
 			}
 			tr := &crashable{Transport: comm.NewMesh(1).Endpoint(0)}
-			calls := 0
+			// Iteration 0 delivers every bucket, iteration 1 those below lost.
+			var calls, gathers atomic.Int32
+			delivered := int32(tc.buckets + tc.lost)
 			c.NewCompressor = func() compress.Compressor {
-				return feedback.New(crashAt{compress.NewFFT(0.85), tr, &calls, tc.buckets + tc.lost + 1})
+				return feedback.New(crashAt{compress.NewFFT(0.85), tr, &calls, int32(tc.buckets + tc.during + 1), &gathers, delivered})
 			}
 			w, err := newWorker(c.withDefaults(), 0, 1, nil)
 			if err != nil {
@@ -179,7 +211,7 @@ func TestAbortedRoundConservesMass(t *testing.T) {
 			rt := cluster.New(1, c.Fault.Cluster)
 			m := rt.Join(tr)
 			defer m.Close()
-			w.ex = &clusterEx{mesh: newMesh(w, m, rt, tc.buckets)}
+			w.ex = newPipeline(w, gatedLink{&clusterLink{newMesh(w, m, rt, tc.buckets)}, tr, &gathers, delivered})
 
 			rng := rand.New(rand.NewSource(71))
 			fill := func() []float32 {
@@ -207,6 +239,9 @@ func TestAbortedRoundConservesMass(t *testing.T) {
 			}
 			if ab.bucket != tc.lost {
 				t.Fatalf("aborted at bucket %d, want %d", ab.bucket, tc.lost)
+			}
+			if tc.during > tc.lost && len(ab.msgs) != tc.during+1 {
+				t.Fatalf("%d messages built at the abort, want bucket %d's among them", len(ab.msgs), tc.during)
 			}
 			if err := w.fold(ab, true); err != nil {
 				t.Fatal(err)
