@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race race-short loc bench bench-test bench-json benchdiff bench-baseline bench-gate experiments examples fmt check chaos guard fuzz trace-smoke serve-smoke collective-smoke elastic-smoke obs-smoke
+.PHONY: all build vet test race race-short loc bench bench-test bench-json benchdiff bench-baseline bench-gate experiments examples fmt check chaos guard fuzz serve-smoke collective-smoke elastic-smoke obs-smoke
 
 all: build vet test
 
@@ -48,8 +48,7 @@ test:
 # training run (5% drop, delays, one crash+rejoin) that must converge.
 chaos:
 	$(GO) test -run 'Chaos|Fault|Partition|Rejoin|Straggler|Suspect' -v ./internal/cluster/ ./internal/chaos/ ./internal/dist/
-	$(GO) run ./cmd/trainer -model mlp -epochs 2 -workers 4 -fault-aware \
-		-chaos-drop 0.05 -chaos-delay 10ms -chaos-crash 2 -chaos-crash-at 1200 -chaos-crash-for 1000
+	$(GO) test -run TestSmokeChaos -v ./cmd/trainer/
 
 # Guard gate: the integrity suite plus a training run under seeded
 # single-bit wire corruption — every corrupt frame must be caught by
@@ -57,8 +56,7 @@ chaos:
 guard:
 	$(GO) test -run 'Guard|Frame|Scrub|Detector|Fingerprint|Corrupt|Ring|WriteFileAtomic' -v \
 		./internal/guard/ ./internal/checkpoint/ ./internal/chaos/ ./internal/dist/
-	$(GO) run ./cmd/trainer -model mlp -epochs 2 -workers 4 -fault-aware -guard \
-		-chaos-corrupt 0.05
+	$(GO) test -run TestSmokeGuard -v ./cmd/trainer/
 
 # Fuzz smoke: a short wall-clock-bounded pass over the compressed
 # message decoders, the guard frame decoder and the framed codec decoder.
@@ -113,14 +111,6 @@ bench-baseline:
 bench-gate:
 	$(GO) run ./cmd/compressbench -json BENCH_ci.json -mb 8 -iters 3
 	$(GO) run ./cmd/benchdiff -threshold $(or $(THRESHOLD),2.0) BENCH_BASELINE.json BENCH_ci.json
-
-# Trace smoke: a short chaos run with the flight recorder armed must
-# produce a Perfetto-loadable trace_event dump covering every rank.
-trace-smoke:
-	$(GO) run ./cmd/trainer -model mlp -epochs 2 -workers 4 -fault-aware -guard \
-		-chaos-drop 0.05 -chaos-corrupt 0.02 -chaos-crash 2 -chaos-crash-at 1200 -chaos-crash-for 1000 \
-		-trace-out trace-smoke.json
-	python3 -c "import json,sys; ev=json.load(open('trace-smoke.json')); ranks={e.get('tid') for e in ev if e.get('ph')=='X'}; assert ranks>={0,1,2,3}, ranks; print('trace-smoke: %d events, ranks %s' % (len(ev), sorted(ranks)))"
 
 # Observability gate: the profiler unit suite (clock offsets under skew,
 # critical-path blame, zero-alloc commit), then a 4-rank chaos run with a
@@ -224,11 +214,8 @@ examples:
 	$(GO) run ./examples/quickstart
 	$(GO) run ./examples/quantization
 	$(GO) run ./examples/perfguide
-	$(GO) run ./examples/recovery
-	$(GO) run ./examples/distributed
 	$(GO) run ./examples/tcpcluster
 	$(GO) run ./examples/faulttolerance
-	$(GO) run ./examples/jobservice
 
 fmt:
 	gofmt -w .

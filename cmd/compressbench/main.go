@@ -84,6 +84,10 @@ func main() {
 	sizes := flag.String("sizes", "65536,1048576", "comma-separated element counts for the transform/kernel benchmark matrix (rounded up to powers of two)")
 	jsonPath := flag.String("json", "", "write a machine-readable report to this file (e.g. BENCH_compress.json)")
 	flag.Parse()
+	if *mega < 1 {
+		fmt.Fprintf(os.Stderr, "-mb %d: the working set must be at least 1 MB\n", *mega)
+		os.Exit(2)
+	}
 
 	matrixSizes, err := parseSizes(*sizes)
 	if err != nil {

@@ -12,6 +12,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -20,238 +21,180 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"syscall"
 	"time"
 
-	"fftgrad/internal/adapt"
 	"fftgrad/internal/buildinfo"
-	"fftgrad/internal/chaos"
 	"fftgrad/internal/checkpoint"
-	"fftgrad/internal/cluster"
-	"fftgrad/internal/collective"
-	"fftgrad/internal/compress"
-	"fftgrad/internal/data"
 	"fftgrad/internal/dist"
-	"fftgrad/internal/guard"
-	"fftgrad/internal/models"
 	"fftgrad/internal/netsim"
-	"fftgrad/internal/nn"
 	"fftgrad/internal/obs"
-	"fftgrad/internal/optim"
 	"fftgrad/internal/serve"
-	"fftgrad/internal/sparsify"
 	"fftgrad/internal/stats"
 	"fftgrad/internal/telemetry"
 	itrace "fftgrad/internal/trace"
 )
 
-func main() {
-	method := flag.String("method", "fft", "fp32 | fft | dct | topk | qsgd | terngrad")
-	theta := flag.Float64("theta", 0.85, "drop ratio for fft/topk")
-	dropEpoch := flag.Int("drop-epoch", -1, "epoch at which theta drops to 0 (-1: never)")
-	workers := flag.Int("workers", 4, "number of BSP workers")
-	epochs := flag.Int("epochs", 4, "training epochs")
-	batch := flag.Int("batch", 16, "per-worker batch size")
-	samples := flag.Int("samples", 2048, "training samples")
-	classes := flag.Int("classes", 8, "number of classes")
-	model := flag.String("model", "cnn", "cnn | mlp")
-	lr := flag.Float64("lr", 0.03, "learning rate")
-	seed := flag.Int64("seed", 1, "random seed")
-	alpha := flag.Bool("alpha", false, "measure Assumption 3.2 alpha each iteration")
-	trace := flag.Bool("trace", false, "print a per-iteration timing breakdown")
-	sparseAR := flag.Bool("sparse-allreduce", false, "exchange via the sparse ring allreduce instead of allgather (uses -theta, ignores -method)")
-	collectiveStrategy := flag.String("collective", "ring", "exchange strategy: ring | hier | tree | gossip (gossip implies -fault-aware)")
-	groupSize := flag.Int("group-size", 4, "with -collective hier, ranks per group (leader fan-in)")
-	bucketBytes := flag.Int("bucket-bytes", 0, "split the gradient into fixed-byte buckets exchanged in flight while later buckets compress (0: monolithic)")
-	partitioned := flag.Bool("partitioned", false, "with -sparse-allreduce, MiCRO-style disjoint rotating index partitions per rank")
-	metricsAddr := flag.String("metrics-addr", "", "serve live Prometheus/JSON metrics on this address (e.g. :9090)")
-	traceOut := flag.String("trace-out", "", "record a per-iteration distributed timeline and write it here as Chrome trace_event JSON (open in ui.perfetto.dev)")
-	traceIters := flag.Int("trace-iters", 256, "with -trace-out, iterations of history the per-rank trace ring retains")
-	pprofOn := flag.Bool("pprof", false, "with -metrics-addr, also serve net/http/pprof under /debug/pprof/")
-	profileOn := flag.Bool("profile", false, "enable the cross-rank iteration profiler: critical paths, straggler blame, anomaly-triggered capture")
-	profileOut := flag.String("profile-out", "", "write the end-of-run iteration profile here as JSON (implies -profile)")
-	topView := flag.Bool("top", false, "live per-rank blame / critical-path table on stderr while training runs (implies -profile)")
-	adaptive := flag.Bool("adapt", false, "let the online perf-model controller bypass compression when it cannot win on the fabric")
-	adaptTheta := flag.Bool("adapt-theta", false, "with -adapt, also let the controller steer theta toward the beneficial ratio")
+func main() { os.Exit(run(os.Args, os.Stdout, os.Stderr)) }
 
-	// Job-service mode (internal/serve).
-	serveMode := flag.Bool("serve", false, "run as a multi-tenant training job service instead of a one-shot run (HTTP job API on -metrics-addr, default :9090)")
-	poolSlots := flag.Int("pool", 8, "with -serve, worker slots in the shared scheduling pool")
-	queueMax := flag.Int("queue", 16, "with -serve, maximum queued jobs before submissions get 429")
-	spoolDir := flag.String("spool", "spool", "with -serve, directory for drain-time job checkpoints (\"\" disables spooling)")
+// options is the process half of the command line: how this run is
+// observed, or that the process is a job service instead.
+type options struct {
+	alpha, trace, pprof, profile, top, serve bool
+	metricsAddr, traceOut, profileOut, spool string
+	traceIters, pool, queue                  int
+}
+
+// parseArgs splits the command line (args[0] is the program name) into
+// the job description and the process options. Like the flag package it
+// has already reported on stderr any error it returns.
+func parseArgs(args []string, stderr io.Writer) (spec serve.Spec, opt options, err error) {
+	fs := flag.NewFlagSet(args[0], flag.ContinueOnError)
+	fs.SetOutput(stderr)
+
+	// The job description: these flags bind onto the same serve.Spec a
+	// POST /jobs body decodes into. The service's defaults table runs
+	// first, so it decides only the fields no flag sets (momentum,
+	// backend, sync_every); every flag's own default overwrites the rest,
+	// and an explicit zero such as -theta 0 stays zero.
+	spec.FillDefaults()
+	spec.GuardCRC, spec.Chaos = new(bool), &serve.ChaosSpec{}
+	ch := spec.Chaos
+	fs.StringVar(&spec.Method, "method", "fft", "fp32 | fft | dct | topk | qsgd | terngrad")
+	fs.Float64Var(&spec.Theta, "theta", 0.85, "drop ratio for fft/topk")
+	fs.IntVar(&spec.DropEpoch, "drop-epoch", -1, "epoch at which theta drops to 0 (-1: never)")
+	fs.IntVar(&spec.Workers, "workers", 4, "number of BSP workers")
+	fs.IntVar(&spec.Epochs, "epochs", 4, "training epochs")
+	fs.IntVar(&spec.Batch, "batch", 16, "per-worker batch size")
+	fs.IntVar(&spec.Samples, "samples", 2048, "training samples")
+	fs.IntVar(&spec.Classes, "classes", 8, "number of classes")
+	fs.StringVar(&spec.Model, "model", "cnn", "cnn | mlp")
+	fs.Float64Var(&spec.LR, "lr", 0.03, "learning rate")
+	fs.Int64Var(&spec.Seed, "seed", 1, "random seed")
+	fs.BoolVar(&spec.SparseAllreduce, "sparse-allreduce", false, "exchange via the sparse ring allreduce instead of allgather (uses -theta, ignores -method)")
+	fs.StringVar(&spec.Collective, "collective", "ring", "exchange strategy: ring | hier | tree | gossip (gossip implies -fault-aware)")
+	fs.IntVar(&spec.GroupSize, "group-size", 4, "with -collective hier, ranks per group (leader fan-in)")
+	fs.IntVar(&spec.BucketBytes, "bucket-bytes", 0, "split the gradient into fixed-byte buckets exchanged in flight while later buckets compress (0: monolithic)")
+	fs.BoolVar(&spec.Partitioned, "partitioned", false, "with -sparse-allreduce, MiCRO-style disjoint rotating index partitions per rank")
+	fs.BoolVar(&spec.Adapt, "adapt", false, "let the online perf-model controller bypass compression when it cannot win on the fabric")
+	fs.BoolVar(&spec.AdaptTheta, "adapt-theta", false, "with -adapt, also let the controller steer theta toward the beneficial ratio")
 
 	// Failure-aware runtime (internal/cluster) + chaos injection.
-	faultAware := flag.Bool("fault-aware", false, "exchange through the failure-aware cluster runtime (heartbeats, retry, degradation, rejoin)")
-	heartbeat := flag.Duration("heartbeat", 2*time.Millisecond, "with -fault-aware, heartbeat period")
-	suspectAfter := flag.Duration("suspect-after", 0, "with -fault-aware, silence before a peer is suspected dead (0: 50x heartbeat)")
-	maxRetries := flag.Int("max-retries", 5, "with -fault-aware, nack/resend rounds per exchange before classifying the absentee")
-	onFailure := flag.String("on-failure", "rescale", "with -fault-aware, dead-rank policy: failfast | rescale | stale")
-	onStraggler := flag.String("on-straggler", "wait", "with -fault-aware, straggler policy: wait | drop")
-	staleness := flag.Int("staleness", 0, "with -fault-aware, bounded-staleness window K in iterations: ranks run up to K ahead, late gradients fold in damped (0: strict BSP)")
-	stalenessDiscount := flag.Float64("staleness-discount", 0.9, "with -staleness, per-iteration damping factor applied to stale gradients")
-	elasticJoin := flag.String("elastic-join", "", "comma-separated iterations at which brand-new ranks join mid-run (implies -fault-aware; e.g. 10,20)")
-	chaosDrop := flag.Float64("chaos-drop", 0, "chaos: per-message drop probability (enables fault injection)")
-	chaosDelay := flag.Duration("chaos-delay", 0, "chaos: max injected message delay")
-	chaosDelayProb := flag.Float64("chaos-delay-prob", 0.1, "chaos: probability a message is delayed (with -chaos-delay)")
-	chaosDup := flag.Float64("chaos-dup", 0, "chaos: per-message duplication probability")
-	chaosCrash := flag.Int("chaos-crash", -1, "chaos: rank to crash mid-run (-1: none)")
-	chaosCrashAt := flag.Uint64("chaos-crash-at", 1000, "chaos: crash at this transport-op index")
-	chaosCrashFor := flag.Uint64("chaos-crash-for", 1000, "chaos: recover after this many ops (0: never)")
-	chaosCorrupt := flag.Float64("chaos-corrupt", 0, "chaos: per-message single-bit-flip probability")
-	chaosStraggle := flag.Int("chaos-straggle", -1, "chaos: rank made persistently slow, never dead (-1: none)")
-	chaosStraggleBy := flag.Duration("chaos-straggle-by", 20*time.Millisecond, "chaos: per-send delivery delay of the straggling rank")
-	chaosStraggleAt := flag.Uint64("chaos-straggle-at", 0, "chaos: transport-op index at which the straggle window opens")
-	chaosStraggleFor := flag.Uint64("chaos-straggle-for", 0, "chaos: ops until the straggler recovers (0: never)")
-	chaosSeed := flag.Int64("chaos-seed", 1, "chaos: fault-schedule seed")
+	fs.BoolVar(&spec.Fault, "fault-aware", false, "exchange through the failure-aware cluster runtime (heartbeats, retry, degradation, rejoin)")
+	fs.DurationVar((*time.Duration)(&spec.HeartbeatMS), "heartbeat", 2*time.Millisecond, "with -fault-aware, heartbeat period")
+	fs.DurationVar((*time.Duration)(&spec.SuspectAfterMS), "suspect-after", 0, "with -fault-aware, silence before a peer is suspected dead (0: 50x heartbeat)")
+	fs.IntVar(&spec.MaxRetries, "max-retries", 5, "with -fault-aware, nack/resend rounds per exchange before classifying the absentee")
+	fs.StringVar(&spec.OnFailure, "on-failure", "rescale", "with -fault-aware, dead-rank policy: failfast | rescale | stale")
+	fs.StringVar(&spec.OnStraggler, "on-straggler", "wait", "with -fault-aware, straggler policy: wait | drop")
+	fs.IntVar(&spec.Staleness, "staleness", 0, "with -fault-aware, bounded-staleness window K in iterations: ranks run up to K ahead, late gradients fold in damped (0: strict BSP)")
+	fs.Float64Var(&spec.StalenessDiscount, "staleness-discount", 0.9, "with -staleness, per-iteration damping factor applied to stale gradients")
+	elasticJoin := fs.String("elastic-join", "", "comma-separated iterations at which brand-new ranks join mid-run (implies -fault-aware; e.g. 10,20)")
+	fs.Float64Var(&ch.Drop, "chaos-drop", 0, "chaos: per-message drop probability (enables fault injection)")
+	fs.DurationVar((*time.Duration)(&ch.DelayMS), "chaos-delay", 0, "chaos: max injected message delay")
+	fs.Float64Var(&ch.DelayProb, "chaos-delay-prob", 0.1, "chaos: probability a message is delayed (with -chaos-delay)")
+	fs.Float64Var(&ch.Dup, "chaos-dup", 0, "chaos: per-message duplication probability")
+	chaosCrash := fs.Int("chaos-crash", -1, "chaos: rank to crash mid-run (-1: none)")
+	fs.Uint64Var(&ch.CrashAtOp, "chaos-crash-at", 1000, "chaos: crash at this transport-op index")
+	fs.Uint64Var(&ch.RecoverAfterOps, "chaos-crash-for", 1000, "chaos: recover after this many ops (0: never)")
+	fs.Float64Var(&ch.Corrupt, "chaos-corrupt", 0, "chaos: per-message single-bit-flip probability")
+	chaosStraggle := fs.Int("chaos-straggle", -1, "chaos: rank made persistently slow, never dead (-1: none)")
+	fs.DurationVar((*time.Duration)(&ch.StraggleByMS), "chaos-straggle-by", 20*time.Millisecond, "chaos: per-send delivery delay of the straggling rank")
+	fs.Uint64Var(&ch.StraggleAtOp, "chaos-straggle-at", 0, "chaos: transport-op index at which the straggle window opens")
+	fs.Uint64Var(&ch.StraggleOps, "chaos-straggle-for", 0, "chaos: ops until the straggler recovers (0: never)")
+	fs.Int64Var(&ch.Seed, "chaos-seed", 1, "chaos: fault-schedule seed")
 
 	// Gradient integrity guard (internal/guard).
-	guardOn := flag.Bool("guard", false, "enable the gradient integrity guard (CRC framing, scrub, anomaly detector, drift checks)")
-	guardCRC := flag.Bool("guard-crc", true, "with -guard, CRC32C-frame every compressed gradient message")
-	guardScrub := flag.String("guard-scrub", "clamp", "with -guard, non-finite gradient policy: off | clamp | skip")
-	guardDriftEvery := flag.Int("guard-drift-every", 50, "with -guard, iterations between cross-rank parameter fingerprint checks (0: off)")
-	guardRollbackAfter := flag.Int("guard-rollback-after", 6, "with -guard, consecutive anomalies before auto-rollback")
-	flag.Parse()
+	fs.BoolVar(&spec.Guard, "guard", false, "enable the gradient integrity guard (CRC framing, scrub, anomaly detector, drift checks)")
+	fs.BoolVar(spec.GuardCRC, "guard-crc", true, "with -guard, CRC32C-frame every compressed gradient message")
+	fs.StringVar(&spec.GuardScrub, "guard-scrub", "clamp", "with -guard, non-finite gradient policy: off | clamp | skip")
+	fs.IntVar(&spec.GuardDriftEvery, "guard-drift-every", 50, "with -guard, iterations between cross-rank parameter fingerprint checks (0: off)")
+	fs.IntVar(&spec.GuardRollbackAfter, "guard-rollback-after", 6, "with -guard, consecutive anomalies before auto-rollback")
 
-	if *serveMode {
-		runServe(*metricsAddr, serve.Config{
-			WorkerSlots: *poolSlots,
-			MaxQueue:    *queueMax,
-			SpoolDir:    *spoolDir,
-		})
-		return
-	}
-
-	newCompressor, err := buildCompressor(*method, *theta)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-
-	var (
-		train, test *data.Dataset
-		modelFn     func(int64) *nn.Network
-	)
-	switch *model {
-	case "cnn":
-		train, test = data.SynthImages(*samples+512, *classes, 16, 0.3, *seed).Split(*samples)
-		modelFn = func(s int64) *nn.Network { return models.TinyCNN(*classes, 16, s) }
-	case "mlp":
-		train, test = data.GaussianBlobs(*samples+512, *classes, 24, 0.8, *seed).Split(*samples)
-		modelFn = func(s int64) *nn.Network { return models.MLP(24, 48, *classes, s) }
-	default:
-		fmt.Fprintf(os.Stderr, "unknown model %q\n", *model)
-		os.Exit(2)
+	fs.BoolVar(&opt.alpha, "alpha", false, "measure Assumption 3.2 alpha each iteration")
+	fs.BoolVar(&opt.trace, "trace", false, "print a per-iteration timing breakdown")
+	fs.StringVar(&opt.metricsAddr, "metrics-addr", "", "serve live Prometheus/JSON metrics on this address (e.g. :9090)")
+	fs.StringVar(&opt.traceOut, "trace-out", "", "record a per-iteration distributed timeline and write it here as Chrome trace_event JSON (open in ui.perfetto.dev)")
+	fs.IntVar(&opt.traceIters, "trace-iters", 256, "with -trace-out, iterations of history the per-rank trace ring retains")
+	fs.BoolVar(&opt.pprof, "pprof", false, "with -metrics-addr, also serve net/http/pprof under /debug/pprof/")
+	fs.BoolVar(&opt.profile, "profile", false, "enable the cross-rank iteration profiler: critical paths, straggler blame, anomaly-triggered capture")
+	fs.StringVar(&opt.profileOut, "profile-out", "", "write the end-of-run iteration profile here as JSON (implies -profile)")
+	fs.BoolVar(&opt.top, "top", false, "live per-rank blame / critical-path table on stderr while training runs (implies -profile)")
+	fs.BoolVar(&opt.serve, "serve", false, "run as a multi-tenant training job service instead of a one-shot run (HTTP job API on -metrics-addr, default :9090)")
+	fs.IntVar(&opt.pool, "pool", 8, "with -serve, worker slots in the shared scheduling pool")
+	fs.IntVar(&opt.queue, "queue", 16, "with -serve, maximum queued jobs before submissions get 429")
+	fs.StringVar(&opt.spool, "spool", "spool", "with -serve, directory for drain-time job checkpoints (\"\" disables spooling)")
+	if err := fs.Parse(args[1:]); err != nil {
+		return spec, opt, err
 	}
 
-	cfg := dist.Config{
-		Workers: *workers, Batch: *batch, Epochs: *epochs, Seed: *seed,
-		Momentum:      0.9,
-		LR:            optim.ConstLR(*lr),
-		Model:         modelFn,
-		Train:         train,
-		Test:          test,
-		NewCompressor: newCompressor,
-		Fabric:        netsim.CometCluster(),
-		MeasureAlpha:  *alpha,
-		Trace:         *trace,
-	}
-	if *sparseAR {
-		cfg.UseSparseAllreduce = true
-		cfg.SparseTheta = *theta
-	}
-	if *collectiveStrategy != "ring" || *bucketBytes > 0 || *partitioned {
-		cfg.Collective = &collective.Config{
-			Strategy:    collective.Strategy(*collectiveStrategy),
-			GroupSize:   *groupSize,
-			BucketBytes: *bucketBytes,
-			Partitioned: *partitioned,
-		}
-	}
-	if *dropEpoch >= 0 {
-		cfg.ThetaSchedule = sparsify.StepDrop{Initial: *theta, Final: 0, DropEpoch: *dropEpoch}
-	}
-	if *metricsAddr != "" || *adaptive {
-		cfg.Telemetry = telemetry.NewRegistry()
-	}
-	if *adaptive {
-		cfg.Adapt = adapt.New(adapt.Config{AdjustTheta: *adaptTheta}, nil)
-	}
-	if *guardOn {
-		policy, err := guard.ParseScrubPolicy(*guardScrub)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		cfg.Guard = &guard.Config{
-			CRC:           *guardCRC,
-			Scrub:         policy,
-			Detect:        true,
-			DriftEvery:    *guardDriftEvery,
-			RollbackAfter: *guardRollbackAfter,
-		}
-	}
-	var joinIters []int
+	// The three job flags whose values a flag cannot hold directly: the
+	// join list, and the two "-1: none" ranks (absent in the Spec).
 	if *elasticJoin != "" {
 		for _, tok := range strings.Split(*elasticJoin, ",") {
-			var at int
-			if _, err := fmt.Sscanf(strings.TrimSpace(tok), "%d", &at); err != nil || at < 0 {
-				fmt.Fprintf(os.Stderr, "bad -elastic-join entry %q\n", tok)
-				os.Exit(2)
+			at, err := strconv.Atoi(strings.TrimSpace(tok))
+			if err != nil || at < 0 {
+				err = fmt.Errorf("bad -elastic-join entry %q", tok)
+				fmt.Fprintln(stderr, err)
+				return spec, opt, err
 			}
-			joinIters = append(joinIters, at)
+			spec.ElasticJoins = append(spec.ElasticJoins, at)
 		}
 	}
-	chaosWanted := *chaosDrop > 0 || *chaosDelay > 0 || *chaosDup > 0 || *chaosCrash >= 0 || *chaosCorrupt > 0 || *chaosStraggle >= 0
-	policy, err := cluster.ParsePolicy(*onFailure)
+	if *chaosCrash >= 0 {
+		ch.CrashRank = chaosCrash
+	}
+	if *chaosStraggle >= 0 {
+		ch.StraggleRank = chaosStraggle
+	}
+	if ch.Drop == 0 && ch.DelayMS == 0 && ch.Dup == 0 && ch.Corrupt == 0 && ch.CrashRank == nil && ch.StraggleRank == nil {
+		spec.Chaos = nil // no fault asked for: no chaos layer, and no implied -fault-aware
+	}
+	return spec, opt, nil
+}
+
+// run is main with its process edges as parameters; the return value is
+// the exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	spec, opt, err := parseArgs(args, stderr)
+	if errors.Is(err, flag.ErrHelp) {
+		return 0
+	} else if err != nil {
+		return 2
+	}
+	if opt.serve {
+		return runServe(stdout, stderr, opt.metricsAddr, serve.Config{
+			WorkerSlots: opt.pool,
+			MaxQueue:    opt.queue,
+			SpoolDir:    opt.spool,
+		})
+	}
+
+	// One compiler for both surfaces; what follows only overlays what
+	// belongs to this process rather than to the job.
+	var cfg dist.Config
+	if err = spec.Validate(); err == nil {
+		cfg, err = spec.Config()
+	}
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, err)
+		return 2
 	}
-	stragglerPolicy, err := cluster.ParseStragglerPolicy(*onStraggler)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+	cfg.MeasureAlpha, cfg.Trace = opt.alpha, opt.trace
+	if opt.metricsAddr != "" && cfg.Telemetry == nil {
+		cfg.Telemetry = telemetry.NewRegistry()
 	}
-	if *faultAware || chaosWanted || *staleness > 0 || len(joinIters) > 0 || *collectiveStrategy == "gossip" {
-		cfg.Fault = &dist.FaultConfig{
-			Cluster: cluster.Config{
-				Heartbeat:    *heartbeat,
-				SuspectAfter: *suspectAfter,
-				MaxRetries:   *maxRetries,
-				Policy:       policy,
-				OnStraggler:  stragglerPolicy,
-				Seed:         *seed,
-			},
-			Staleness:         *staleness,
-			StalenessDiscount: *stalenessDiscount,
-			ElasticJoins:      joinIters,
-		}
-		if chaosWanted {
-			cc := &chaos.Config{
-				Seed:      *chaosSeed,
-				Drop:      *chaosDrop,
-				DelayProb: *chaosDelayProb,
-				Delay:     *chaosDelay,
-				Dup:       *chaosDup,
-				Corrupt:   *chaosCorrupt,
-			}
-			if *chaosCrash >= 0 {
-				cc.Crashes = []chaos.CrashEvent{{Rank: *chaosCrash, AtOp: *chaosCrashAt, RecoverAfterOps: *chaosCrashFor}}
-			}
-			if *chaosStraggle >= 0 {
-				cc.Stragglers = []chaos.StragglerEvent{{Rank: *chaosStraggle, FromOp: *chaosStraggleAt, Ops: *chaosStraggleFor, SlowBy: *chaosStraggleBy}}
-			}
-			cfg.Fault.Chaos = cc
-			fmt.Printf("chaos schedule: %s\n", cc)
-		}
+	if cfg.Fault != nil && cfg.Fault.Chaos != nil {
+		fmt.Fprintf(stdout, "chaos schedule: %s\n", cfg.Fault.Chaos)
 	}
+	ranks := spec.Workers + len(spec.ElasticJoins)
 	var tracer *itrace.Tracer
-	if *traceOut != "" {
-		tracer = itrace.New(*workers+len(joinIters), *traceIters*itrace.DefaultEventsPerIteration)
+	if opt.traceOut != "" {
+		tracer = itrace.New(ranks, opt.traceIters*itrace.DefaultEventsPerIteration)
 		cfg.Tracer = tracer
-		cfg.Flight = itrace.NewFlightRecorder(tracer, flightPath(*traceOut))
+		cfg.Flight = itrace.NewFlightRecorder(tracer, flightPath(opt.traceOut))
 		defer func() {
 			if r := recover(); r != nil {
 				cfg.Flight.Trigger(0, itrace.ReasonPanic)
@@ -261,8 +204,8 @@ func main() {
 	}
 	var prof *obs.Profiler
 	var stopCapture func()
-	if *profileOn || *profileOut != "" || *topView {
-		prof = obs.New(*workers+len(joinIters), 0)
+	if opt.profile || opt.profileOut != "" || opt.top {
+		prof = obs.New(ranks, 0)
 		cfg.Profiler = prof
 		if cfg.Telemetry == nil {
 			// The profiler's rolling blame percentiles live in telemetry
@@ -273,22 +216,22 @@ func main() {
 		// land next to the profile output, else the trace output, else cwd.
 		capDir := "."
 		switch {
-		case *profileOut != "":
-			capDir = filepath.Dir(*profileOut)
-		case *traceOut != "":
-			capDir = filepath.Dir(*traceOut)
+		case opt.profileOut != "":
+			capDir = filepath.Dir(opt.profileOut)
+		case opt.traceOut != "":
+			capDir = filepath.Dir(opt.traceOut)
 		}
 		stopCapture = prof.EnableCapture(obs.CaptureConfig{Dir: capDir, Flight: cfg.Flight})
 	}
 	var draining atomic.Bool // flips /readyz once a halt is requested
-	if *metricsAddr != "" {
+	if opt.metricsAddr != "" {
 		mux := http.NewServeMux()
 		buildinfo.Register(cfg.Telemetry)
 		mux.Handle("/", cfg.Telemetry.Handler())
 		if tracer != nil {
 			mux.Handle("/trace", tracer.Handler())
 		}
-		if *pprofOn {
+		if opt.pprof {
 			mux.HandleFunc("/debug/pprof/", pprof.Index)
 			mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 			mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
@@ -316,21 +259,21 @@ func main() {
 			}
 			_, _ = io.WriteString(w, "ok\n")
 		})
-		bound, shutdown, err := telemetry.ServeHandler(*metricsAddr, mux)
+		bound, shutdown, err := telemetry.ServeHandler(opt.metricsAddr, mux)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, err)
+			return 1
 		}
 		defer func() { _ = shutdown() }()
-		fmt.Printf("metrics: http://%s/metrics (Prometheus) and /metrics.json\n", bound)
+		fmt.Fprintf(stdout, "metrics: http://%s/metrics (Prometheus) and /metrics.json\n", bound)
 		if tracer != nil {
-			fmt.Printf("trace:   http://%s/trace (Chrome trace_event JSON)\n", bound)
+			fmt.Fprintf(stdout, "trace:   http://%s/trace (Chrome trace_event JSON)\n", bound)
 		}
-		if *pprofOn {
-			fmt.Printf("pprof:   http://%s/debug/pprof/\n", bound)
+		if opt.pprof {
+			fmt.Fprintf(stdout, "pprof:   http://%s/debug/pprof/\n", bound)
 		}
 		if prof != nil {
-			fmt.Printf("profile: http://%s/profile (critical paths, blame ledger) and /debug/status\n", bound)
+			fmt.Fprintf(stdout, "profile: http://%s/profile (critical paths, blame ledger) and /debug/status\n", bound)
 		}
 	}
 
@@ -344,28 +287,37 @@ func main() {
 	sigCh := make(chan os.Signal, 2)
 	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
 	defer signal.Stop(sigCh)
+	done := make(chan struct{}) // closed when run returns: releases the watcher
+	defer close(done)
 	go func() {
-		<-sigCh
-		fmt.Fprintln(os.Stderr, "signal: halting at the next iteration boundary (send again to force quit)")
+		select {
+		case <-sigCh:
+		case <-done:
+			return
+		}
+		fmt.Fprintln(stderr, "signal: halting at the next iteration boundary (send again to force quit)")
 		draining.Store(true)
 		close(stopCh)
-		<-sigCh
-		os.Exit(130)
+		select {
+		case <-sigCh:
+			os.Exit(130)
+		case <-done:
+		}
 	}()
 
-	fmt.Printf("training %s with %s (θ=%.2f) on %d workers\n", *model, *method, *theta, *workers)
+	fmt.Fprintf(stdout, "training %s with %s (θ=%.2f) on %d workers\n", spec.Model, spec.Method, spec.Theta, spec.Workers)
 	var stopTop func()
-	if *topView {
+	if opt.top {
 		topStop := make(chan struct{})
 		topDone := make(chan struct{})
 		go func() {
-			prof.Top(os.Stderr, 0, topStop)
+			prof.Top(stderr, 0, topStop)
 			close(topDone)
 		}()
 		stopTop = func() {
 			close(topStop)
 			<-topDone
-			fmt.Fprintln(os.Stderr)
+			fmt.Fprintln(stderr)
 		}
 	}
 	res, err := dist.Train(cfg)
@@ -381,23 +333,23 @@ func main() {
 		// postmortem wants to see.
 		data, merr := tracer.MarshalJSON()
 		if merr == nil {
-			merr = checkpoint.WriteBytesAtomic(*traceOut, data)
+			merr = checkpoint.WriteBytesAtomic(opt.traceOut, data)
 		}
 		if merr != nil {
-			fmt.Fprintf(os.Stderr, "trace dump failed: %v\n", merr)
+			fmt.Fprintf(stderr, "trace dump failed: %v\n", merr)
 		} else {
-			fmt.Printf("trace: wrote %s (%d bytes; open in ui.perfetto.dev)\n", *traceOut, len(data))
+			fmt.Fprintf(stdout, "trace: wrote %s (%d bytes; open in ui.perfetto.dev)\n", opt.traceOut, len(data))
 		}
 		if prof != nil {
 			// The clock-aligned multi-process view: every rank's ring merged
 			// into one timeline, re-based by the profiler's offset estimates.
 			var buf bytes.Buffer
 			if merr := tracer.WriteMergedJSON(&buf, prof.Offsets()); merr == nil {
-				mp := mergedPath(*traceOut)
+				mp := mergedPath(opt.traceOut)
 				if werr := checkpoint.WriteBytesAtomic(mp, buf.Bytes()); werr != nil {
-					fmt.Fprintf(os.Stderr, "merged trace dump failed: %v\n", werr)
+					fmt.Fprintf(stderr, "merged trace dump failed: %v\n", werr)
 				} else {
-					fmt.Printf("trace: wrote %s (clock-aligned multi-process view)\n", mp)
+					fmt.Fprintf(stdout, "trace: wrote %s (clock-aligned multi-process view)\n", mp)
 				}
 			}
 		}
@@ -413,86 +365,86 @@ func main() {
 			}
 		}
 		if topRank >= 0 {
-			fmt.Printf("profile: top blamed rank %d (%.0f%% of %.3fs blocked time over %d iterations)\n",
+			fmt.Fprintf(stdout, "profile: top blamed rank %d (%.0f%% of %.3fs blocked time over %d iterations)\n",
 				topRank, 100*topFrac, float64(doc.Summary.TotalBlockedNs)/1e9, doc.Summary.Iterations)
 		}
 		if n := len(doc.Captures); n > 0 {
-			fmt.Printf("profile: %d anomaly capture(s) written: pprof CPU window + flight dump, cross-linked by iteration\n", n)
+			fmt.Fprintf(stdout, "profile: %d anomaly capture(s) written: pprof CPU window + flight dump, cross-linked by iteration\n", n)
 		}
-		if *profileOut != "" {
+		if opt.profileOut != "" {
 			data, merr := json.MarshalIndent(&doc, "", "  ")
 			if merr == nil {
-				merr = checkpoint.WriteBytesAtomic(*profileOut, data)
+				merr = checkpoint.WriteBytesAtomic(opt.profileOut, data)
 			}
 			if merr != nil {
-				fmt.Fprintf(os.Stderr, "profile dump failed: %v\n", merr)
+				fmt.Fprintf(stderr, "profile dump failed: %v\n", merr)
 			} else {
-				fmt.Printf("profile: wrote %s (%d bytes)\n", *profileOut, len(data))
+				fmt.Fprintf(stdout, "profile: wrote %s (%d bytes)\n", opt.profileOut, len(data))
 			}
 		}
 	}
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, err)
+		return 1
 	}
 
 	if res.Halted {
-		fmt.Printf("halted by signal after %d iterations\n", res.Iterations)
+		fmt.Fprintf(stdout, "halted by signal after %d iterations\n", res.Iterations)
 	}
 	t := &stats.Table{Headers: []string{"epoch", "train loss", "test acc", "lr", "theta"}}
 	for _, ep := range res.Epochs {
 		t.AddRow(ep.Epoch, ep.TrainLoss, ep.TestAcc, ep.LR, ep.Theta)
 	}
-	fmt.Print(t.String())
-	fmt.Printf("\ngradient size: %d floats (%.2f MB)\n", res.GradSize, float64(res.GradSize*4)/(1<<20))
-	fmt.Printf("compression ratio: %.2fx (avg message %.1f KB)\n", res.CompressionRatio, res.AvgMsgBytes/1024)
-	fmt.Printf("measured compute %.2fs, compress %.2fs; modeled comm %.4fs (measured exchange %.4fs)\n",
+	fmt.Fprint(stdout, t.String())
+	fmt.Fprintf(stdout, "\ngradient size: %d floats (%.2f MB)\n", res.GradSize, float64(res.GradSize*4)/(1<<20))
+	fmt.Fprintf(stdout, "compression ratio: %.2fx (avg message %.1f KB)\n", res.CompressionRatio, res.AvgMsgBytes/1024)
+	fmt.Fprintf(stdout, "measured compute %.2fs, compress %.2fs; modeled comm %.4fs (measured exchange %.4fs)\n",
 		res.ComputeSeconds, res.CompressSeconds, res.CommSeconds, res.CommMeasuredSeconds)
 	var rec netsim.Reconciliation
 	rec.Add(res.CommSeconds, res.CommMeasuredSeconds)
 	if rec.Samples() > 0 {
-		fmt.Printf("fabric reconciliation: in-process exchange ran %.2fx the modeled fabric time\n", rec.Ratio())
+		fmt.Fprintf(stdout, "fabric reconciliation: in-process exchange ran %.2fx the modeled fabric time\n", rec.Ratio())
 	}
 	if cfg.Adapt != nil {
 		d := cfg.Adapt.Last()
-		fmt.Printf("adapt: bypassed %d iterations, %d flips; last k_min %.2f at Tcomm %.1f MB/s (ratio %.2f)\n",
+		fmt.Fprintf(stdout, "adapt: bypassed %d iterations, %d flips; last k_min %.2f at Tcomm %.1f MB/s (ratio %.2f)\n",
 			res.BypassedIterations, cfg.Adapt.Flips(), d.KMin, d.Tcomm/1e6, d.Ratio)
 	}
 	if res.Telemetry != nil {
-		fmt.Println("live stage throughput (MB/s):")
+		fmt.Fprintln(stdout, "live stage throughput (MB/s):")
 		for _, s := range []string{"tm", "tf", "tp", "ts", "comm"} {
 			if v := res.Telemetry[`fftgrad_stage_throughput_bytes_per_second{stage="`+s+`"}`]; v > 0 {
-				fmt.Printf("  %-4s %10.1f\n", s, v/1e6)
+				fmt.Fprintf(stdout, "  %-4s %10.1f\n", s, v/1e6)
 			}
 		}
 	}
 	if res.Fault != nil {
 		s := res.Fault.Cluster
-		fmt.Printf("fault runtime: %d retries, %d suspicions, %d degraded iters, %d stale reuses, %d rejoins, %d skipped syncs, %d/%d ranks alive at end\n",
-			s.Retries, s.Suspicions, s.DegradedIterations, s.StaleReuses, s.Rejoins, s.SkippedSyncs, s.FinalAlive, *workers+len(joinIters))
+		fmt.Fprintf(stdout, "fault runtime: %d retries, %d suspicions, %d degraded iters, %d stale reuses, %d rejoins, %d skipped syncs, %d/%d ranks alive at end\n",
+			s.Retries, s.Suspicions, s.DegradedIterations, s.StaleReuses, s.Rejoins, s.SkippedSyncs, s.FinalAlive, ranks)
 		if s.ElasticJoins > 0 || s.GossipRounds > 0 || s.StalenessMax > 0 {
-			fmt.Printf("elasticity: %d elastic joins, %d gossip rounds, max folded staleness %d seqs\n",
+			fmt.Fprintf(stdout, "elasticity: %d elastic joins, %d gossip rounds, max folded staleness %d seqs\n",
 				s.ElasticJoins, s.GossipRounds, s.StalenessMax)
 		}
 		if res.Fault.LostWorkers > 0 {
-			fmt.Printf("fault runtime: %d worker(s) permanently lost; run completed degraded\n", res.Fault.LostWorkers)
+			fmt.Fprintf(stdout, "fault runtime: %d worker(s) permanently lost; run completed degraded\n", res.Fault.LostWorkers)
 		}
 		if c := res.Fault.Chaos; c != nil {
-			fmt.Printf("chaos injected: %d drops, %d delays, %d dups, %d corruptions, %d crashed ops, %d partitioned, %d straggled ops\n",
+			fmt.Fprintf(stdout, "chaos injected: %d drops, %d delays, %d dups, %d corruptions, %d crashed ops, %d partitioned, %d straggled ops\n",
 				c.Drops, c.Delays, c.Dups, c.Corruptions, c.CrashedOps, c.Partitioned, c.StraggledOps)
 		}
 	}
 	if g := res.Guard; g != nil {
-		fmt.Printf("guard: %d corrupt frames rejected, %d values scrubbed (%d gradients withheld), %d anomalies (%d clips, %d skipped updates, %d rollbacks), %d drift checks (%d forced re-syncs)\n",
+		fmt.Fprintf(stdout, "guard: %d corrupt frames rejected, %d values scrubbed (%d gradients withheld), %d anomalies (%d clips, %d skipped updates, %d rollbacks), %d drift checks (%d forced re-syncs)\n",
 			g.CorruptFrames, g.ScrubbedValues, g.SkippedGradients, g.Anomalies, g.Clips, g.SkippedUpdates, g.Rollbacks, g.DriftChecks, g.DriftResyncs)
 	}
-	if *alpha && len(res.Alpha) > 0 {
+	if opt.alpha && len(res.Alpha) > 0 {
 		e := stats.NewECDF(res.Alpha)
-		fmt.Printf("alpha (Assumption 3.2): median %.3f, p95 %.3f, max %.3f\n",
+		fmt.Fprintf(stdout, "alpha (Assumption 3.2): median %.3f, p95 %.3f, max %.3f\n",
 			e.Quantile(0.5), e.Quantile(0.95), e.Quantile(1))
 	}
-	if *trace && len(res.Trace) > 0 {
-		fmt.Println("\nper-iteration breakdown (first 10):")
+	if opt.trace && len(res.Trace) > 0 {
+		fmt.Fprintln(stdout, "\nper-iteration breakdown (first 10):")
 		tt := &stats.Table{Headers: []string{"iter", "compute ms", "codec ms", "comm ms", "msg KB"}}
 		for i, tr := range res.Trace {
 			if i >= 10 {
@@ -500,8 +452,9 @@ func main() {
 			}
 			tt.AddRow(tr.Iter, tr.ComputeS*1e3, tr.CompressS*1e3, tr.CommS*1e3, float64(tr.MsgBytes)/1024)
 		}
-		fmt.Print(tt.String())
+		fmt.Fprint(stdout, tt.String())
 	}
+	return 0
 }
 
 // runServe runs the multi-tenant job service: the job API and the
@@ -509,14 +462,14 @@ func main() {
 // SIGTERM drains gracefully — admission closes, running jobs halt at an
 // iteration boundary, their checkpoints spool to -spool, and the HTTP
 // server shuts down once in-flight requests finish.
-func runServe(addr string, cfg serve.Config) {
+func runServe(stdout, stderr io.Writer, addr string, cfg serve.Config) int {
 	if addr == "" {
 		addr = ":9090"
 	}
 	if cfg.SpoolDir != "" {
 		if err := os.MkdirAll(cfg.SpoolDir, 0o755); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, err)
+			return 1
 		}
 	}
 	srv := serve.New(cfg)
@@ -527,25 +480,26 @@ func runServe(addr string, cfg serve.Config) {
 	srv.Routes(mux)
 	bound, shutdown, err := telemetry.ServeHandler(addr, mux)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, err)
+		return 1
 	}
-	fmt.Printf("job service: http://%s/jobs (%d worker slots, queue %d)\n", bound, cfg.WorkerSlots, cfg.MaxQueue)
+	fmt.Fprintf(stdout, "job service: http://%s/jobs (%d worker slots, queue %d)\n", bound, cfg.WorkerSlots, cfg.MaxQueue)
 
 	sigCh := make(chan os.Signal, 2)
 	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
 	<-sigCh
-	fmt.Println("draining: no new jobs; halting running jobs at their next iteration boundary")
+	fmt.Fprintln(stdout, "draining: no new jobs; halting running jobs at their next iteration boundary")
 	go func() { // second signal skips the drain
 		<-sigCh
 		os.Exit(130)
 	}()
 	for _, d := range srv.Drain() {
 		if d.Spool != "" {
-			fmt.Printf("spooled %s -> %s (resume with {\"resume_from\": %q})\n", d.ID, d.Spool, d.Spool)
+			fmt.Fprintf(stdout, "spooled %s -> %s (resume with {\"resume_from\": %q})\n", d.ID, d.Spool, d.Spool)
 		}
 	}
 	_ = shutdown()
+	return 0
 }
 
 // flightPath derives the flight-recorder dump path from the trace
@@ -560,17 +514,4 @@ func flightPath(traceOut string) string {
 func mergedPath(traceOut string) string {
 	ext := filepath.Ext(traceOut)
 	return strings.TrimSuffix(traceOut, ext) + ".merged" + ext
-}
-
-func buildCompressor(method string, theta float64) (func() compress.Compressor, error) {
-	if _, err := compress.New(method, theta); err != nil {
-		return nil, err
-	}
-	return func() compress.Compressor {
-		c, err := compress.New(method, theta)
-		if err != nil {
-			panic(err) // validated above
-		}
-		return c
-	}, nil
 }

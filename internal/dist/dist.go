@@ -469,9 +469,11 @@ func (c *Config) finish(res *Result) *Result {
 	return res
 }
 
-// validate rejects, before any rank is built, every mode combination the
-// training step cannot run. TestValidateRejects lists them all.
-func (c *Config) validate() error {
+// Validate rejects, before any rank is built, every mode combination the
+// training step cannot run. TestValidateRejects lists them all. Train
+// calls it first; a config compiler (serve.Spec.Config) calls it too, so
+// a bad combination is refused where the job is described.
+func (c *Config) Validate() error {
 	if c.Model == nil || c.Train == nil {
 		return fmt.Errorf("dist: Model and Train dataset are required")
 	}
@@ -514,7 +516,7 @@ func (c *Config) validate() error {
 
 // Train runs BSP data-parallel training and returns rank-0's statistics.
 func Train(c Config) (*Result, error) {
-	if err := c.validate(); err != nil {
+	if err := c.Validate(); err != nil {
 		return nil, err
 	}
 	cfg := c.withDefaults()

@@ -205,7 +205,7 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
-// TestValidateRejects lists every mode combination Config.validate
+// TestValidateRejects lists every mode combination Config.Validate
 // refuses, with the text that names the conflict; Train must return it
 // before building a rank.
 func TestValidateRejects(t *testing.T) {

@@ -70,8 +70,11 @@ func TestProfilerBlamesChaosStraggler(t *testing.T) {
 	cfg.Fault = &FaultConfig{
 		Cluster: cc,
 		Chaos: &chaos.Config{
-			Seed:       17,
-			Stragglers: []chaos.StragglerEvent{{Rank: straggler, SlowBy: 2 * time.Millisecond}},
+			Seed: 17,
+			// 15ms, as in `make obs-smoke`: the injected delay must dwarf
+			// scheduler noise, which under -race on two cores reaches the
+			// low milliseconds and used to outweigh a 2ms straggle.
+			Stragglers: []chaos.StragglerEvent{{Rank: straggler, SlowBy: 15 * time.Millisecond}},
 		},
 	}
 	prof := obs.New(cfg.Workers, 1024)
