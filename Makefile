@@ -59,9 +59,11 @@ guard:
 	$(GO) test -run TestSmokeGuard -v ./cmd/trainer/
 
 # Fuzz smoke: a short wall-clock-bounded pass over the compressed
-# message decoders, the guard frame decoder and the framed codec decoder.
+# message decoders, every codec's encode→decode round trip, the guard
+# frame decoder and the framed codec decoder.
 fuzz:
 	$(GO) test -fuzz=FuzzDecompressRobustness -fuzztime=15s -run '^$$' ./internal/compress/
+	$(GO) test -fuzz=FuzzCompressRoundTrip -fuzztime=15s -run '^$$' ./internal/compress/
 	$(GO) test -fuzz=FuzzUnframe -fuzztime=15s -run '^$$' ./internal/guard/
 	$(GO) test -fuzz=FuzzFramedDecompress -fuzztime=15s -run '^$$' ./internal/guard/
 

@@ -172,6 +172,19 @@ func smoke(t *testing.T, args string) string {
 	return stdout.String()
 }
 
+// TestSmokeOneElementBuckets: -bucket-bytes 4 cuts the gradient into
+// one-float buckets, which Spec.Validate accepts; the transform codecs
+// must pad them to a 2-point transform like cfft.PaddedLen says instead
+// of dying at iteration 0 with "gradient too short".
+func TestSmokeOneElementBuckets(t *testing.T) {
+	for _, method := range []string{"fft", "dct"} {
+		out := smoke(t, "-model mlp -epochs 1 -workers 2 -samples 256 -bucket-bytes 4 -method "+method)
+		if !strings.Contains(out, "\ncompression ratio: ") {
+			t.Fatalf("-method %s did not run to completion:\n%s", method, out)
+		}
+	}
+}
+
 // TestSmokeChaos: a fault-injected run (5% drop, delays, one crash and
 // rejoin) must converge and report its fault accounting.
 func TestSmokeChaos(t *testing.T) {

@@ -48,26 +48,6 @@ func BenchmarkRealPlanForward(b *testing.B) {
 	}
 }
 
-func BenchmarkBluestein(b *testing.B) {
-	// Odd lengths force the chirp-z path; sized near the pow2 ladder.
-	for _, n := range []int{1<<16 + 1, 1<<18 + 3, 1<<20 + 1} {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			src := make([]complex128, n)
-			dst := make([]complex128, n)
-			for i := range src {
-				src[i] = complex(math.Sin(float64(i)), 0)
-			}
-			bluestein(dst, src, false) // warm the chirp cache
-			b.SetBytes(int64(n * 16))
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				bluestein(dst, src, false)
-			}
-		})
-	}
-}
-
 // TestPlanForConcurrent hammers the global caches from many goroutines to
 // prove the publish-once slots hand every caller the same plan.
 func TestPlanForConcurrent(t *testing.T) {
@@ -97,35 +77,6 @@ func TestPaddedLen(t *testing.T) {
 	for _, c := range cases {
 		if got := PaddedLen(c.n); got != c.want {
 			t.Errorf("PaddedLen(%d) = %d, want %d", c.n, got, c.want)
-		}
-	}
-}
-
-// TestBluesteinMatchesPow2Neighbor checks the cached-kernel chirp-z path
-// against the radix-2 path via the defining DFT property on a small case.
-func TestBluesteinCachedKernel(t *testing.T) {
-	const n = 12
-	src := make([]complex128, n)
-	for i := range src {
-		src[i] = complex(float64(i%5)-2, float64(i%3)-1)
-	}
-	got := FFT(src)
-	// Direct O(n²) DFT reference.
-	for k := 0; k < n; k++ {
-		var want complex128
-		for j := 0; j < n; j++ {
-			ang := -2 * math.Pi * float64(j*k) / float64(n)
-			want += src[j] * complex(math.Cos(ang), math.Sin(ang))
-		}
-		if d := got[k] - want; math.Hypot(real(d), imag(d)) > 1e-9 {
-			t.Fatalf("bin %d: got %v, want %v", k, got[k], want)
-		}
-	}
-	// Round trip through the cached inverse kernel.
-	back := IFFT(got)
-	for i := range back {
-		if d := back[i] - src[i]; math.Hypot(real(d), imag(d)) > 1e-9 {
-			t.Fatalf("ifft[%d]: got %v, want %v", i, back[i], src[i])
 		}
 	}
 }

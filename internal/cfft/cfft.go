@@ -1,8 +1,8 @@
-// Package cfft implements fast Fourier transforms from scratch: an
-// iterative radix-2 Cooley-Tukey transform for power-of-two lengths, a
-// Bluestein chirp-z transform for arbitrary lengths, and a real-input
-// transform that maps a length-n real signal onto a length-n/2 complex
-// transform.
+// Package cfft implements fast Fourier transforms from scratch: a fused
+// radix-4 Cooley-Tukey transform for power-of-two lengths (every gradient
+// is padded to one, see PaddedLen), a real-input transform that maps a
+// length-n real signal onto a length-n/2 complex transform, and a type-II
+// DCT on top of it.
 //
 // This is the substrate for the paper's FFT-based gradient sparsification
 // (Sec. 3.1.1): the gradient is linearized into a 1-D signal, transformed,
@@ -15,7 +15,6 @@ package cfft
 import (
 	"math"
 	"math/bits"
-	"sync"
 	"sync/atomic"
 
 	"fftgrad/internal/parallel"
@@ -73,8 +72,7 @@ func PaddedLen(n int) int {
 
 // planCaches hold one process-wide plan per power-of-two length, indexed
 // by log2(n). Plans are immutable once built, so a lock-free
-// publish-once-per-slot cache lets every FFT()/IFFT() call and every
-// sparsifier share twiddle tables and bit-reversal permutations instead of
+// publish-once-per-slot cache lets every sparsifier share twiddle tables and bit-reversal permutations instead of
 // rebuilding them per call.
 var (
 	planCache     [bits.UintSize]atomic.Pointer[Plan]
@@ -419,131 +417,6 @@ func (p *Plan) stagesParallel(x []complex128, inverse bool) {
 					radix4Range(c.x, c.tw, lo, hi, c.inverse)
 				})
 		}
-	}
-}
-
-// FFT computes the unnormalized forward DFT of x, of any positive length,
-// returning a new slice. Power-of-two lengths use the radix-2 path;
-// other lengths use Bluestein's algorithm. Plans and chirp tables come
-// from the process-wide caches, so repeated calls of one length only pay
-// for the transform arithmetic plus the returned slice.
-func FFT(x []complex128) []complex128 {
-	n := len(x)
-	out := make([]complex128, n)
-	if n == 0 {
-		return out
-	}
-	if IsPow2(n) {
-		PlanFor(n).Forward(out, x)
-		return out
-	}
-	bluestein(out, x, false)
-	return out
-}
-
-// IFFT computes the normalized (1/n) inverse DFT of x, of any positive
-// length, returning a new slice.
-func IFFT(x []complex128) []complex128 {
-	n := len(x)
-	out := make([]complex128, n)
-	if n == 0 {
-		return out
-	}
-	if IsPow2(n) {
-		PlanFor(n).Inverse(out, x)
-		return out
-	}
-	bluestein(out, x, true)
-	scale := complex(1/float64(n), 0)
-	for i := range out {
-		out[i] *= scale
-	}
-	return out
-}
-
-// bluePlan is the cached per-(length, direction) state of Bluestein's
-// chirp-z transform: the chirp vector and the forward transform of the
-// mirrored conjugate chirp (the convolution kernel), which never change
-// for a given length. Caching fb also removes one of the two forward
-// transforms the naive formulation pays per call.
-type bluePlan struct {
-	m     int          // padded convolution length, NextPow2(2n-1)
-	plan  *Plan        // shared plan of length m
-	chirp []complex128 // chirp[j] = exp(sign·πi j² / n), len n
-	fb    []complex128 // Forward(b) where b is the mirrored conj chirp, len m
-}
-
-// blueCache maps (n<<1 | inverseBit) to its *bluePlan.
-var blueCache sync.Map
-
-// bluePlanFor returns the cached chirp state for length n in the given
-// direction, building it on first use.
-func bluePlanFor(n int, inverse bool) *bluePlan {
-	key := n<<1 | btoi(inverse)
-	if v, ok := blueCache.Load(key); ok {
-		return v.(*bluePlan)
-	}
-	m := NextPow2(2*n - 1)
-	bp := &bluePlan{m: m, plan: PlanFor(m), chirp: make([]complex128, n)}
-	sign := -1.0
-	if inverse {
-		sign = 1.0
-	}
-	for j := 0; j < n; j++ {
-		// j² mod 2n avoids precision loss for large j.
-		jj := (int64(j) * int64(j)) % int64(2*n)
-		ang := sign * math.Pi * float64(jj) / float64(n)
-		bp.chirp[j] = complex(math.Cos(ang), math.Sin(ang))
-	}
-	b := make([]complex128, m)
-	for j := 0; j < n; j++ {
-		c := complex(real(bp.chirp[j]), -imag(bp.chirp[j])) // conj
-		b[j] = c
-		if j != 0 {
-			b[m-j] = c
-		}
-	}
-	bp.fb = make([]complex128, m)
-	bp.plan.Forward(bp.fb, b)
-	actual, _ := blueCache.LoadOrStore(key, bp)
-	return actual.(*bluePlan)
-}
-
-func btoi(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
-}
-
-// bluestein computes the (unnormalized) DFT of arbitrary length via the
-// chirp-z transform: x[j]·a[j] convolved with b, where a and b are chirps.
-// The chirp and the kernel spectrum are cached per length; the two work
-// buffers are borrowed from the scratch pools.
-func bluestein(dst, src []complex128, inverse bool) {
-	n := len(src)
-	bp := bluePlanFor(n, inverse)
-	m := bp.m
-
-	fab := scratch.Complex128s(m)
-	ab := scratch.Complex128s(m)
-	defer scratch.PutComplex128s(fab)
-	defer scratch.PutComplex128s(ab)
-	a, fa := *ab, *fab
-
-	for j := 0; j < n; j++ {
-		a[j] = src[j] * bp.chirp[j]
-	}
-	for j := n; j < m; j++ {
-		a[j] = 0
-	}
-	bp.plan.Forward(fa, a)
-	for i := 0; i < m; i++ {
-		fa[i] *= bp.fb[i]
-	}
-	bp.plan.Inverse(fa, fa)
-	for k := 0; k < n; k++ {
-		dst[k] = fa[k] * bp.chirp[k]
 	}
 }
 

@@ -85,8 +85,8 @@ func TestShiftTheorem(t *testing.T) {
 	for i := range x {
 		shifted[i] = x[(i+shift)%n]
 	}
-	X := FFT(x)
-	S := FFT(shifted)
+	X := fft(x)
+	S := fft(shifted)
 	for k := 0; k < n; k++ {
 		if math.Abs(cmplx.Abs(X[k])-cmplx.Abs(S[k])) > 1e-9 {
 			t.Fatalf("bin %d magnitude changed under shift", k)

@@ -102,7 +102,7 @@ func TestDCTCompactsRampBetterThanFFT(t *testing.T) {
 	for i, v := range x {
 		cx[i] = complex(v, 0)
 	}
-	X := FFT(cx)
+	X := fft(cx)
 	var fftTotal, fftLow float64
 	for k := range X {
 		e := real(X[k])*real(X[k]) + imag(X[k])*imag(X[k])

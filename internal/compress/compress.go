@@ -8,9 +8,10 @@
 //   - TopK      — spatial top-k sparsification (Aji & Heafield 2017)
 //   - QSGD      — stochastic uniform quantization (Alistarh et al. 2017)
 //   - TernGrad  — ternary quantization (Wen et al. 2017)
-//   - FFT       — the paper's method: fp16 pre-conversion, FFT, top-k in
+//   - Transform — the paper's method: fp16 pre-conversion, FFT, top-k in
 //     the frequency domain, range-based N-bit quantization of
-//     the surviving coefficients, bitmap packing.
+//     the surviving coefficients, bitmap packing (NewFFT); the
+//     same pipeline through the DCT is its ablation (NewDCT).
 //
 // All message formats are little-endian and carry whatever per-message
 // parameters the receiver needs (norms, scales, quantizer settings), so a
@@ -20,6 +21,7 @@ package compress
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 
 	"fftgrad/internal/telemetry"
 )
@@ -43,7 +45,7 @@ import (
 // round trip performs zero heap allocations (TestZeroAllocRoundTrip).
 type Compressor interface {
 	// Name identifies the algorithm ("fp32", "topk", "qsgd", "terngrad",
-	// "fft") in experiment reports.
+	// "fft", "dct") in experiment reports.
 	Name() string
 	AppendCompress(dst []byte, grad []float32) ([]byte, error)
 	DecompressInto(dst []float32, msg []byte) error
@@ -116,6 +118,30 @@ func Ratio(n int, msg []byte) float64 {
 		return 0
 	}
 	return float64(n*4) / float64(len(msg))
+}
+
+// ReconstructionError compresses and decompresses grad, returning the
+// relative L2 error ‖g−ĝ‖/‖g‖ — the α of Assumption 3.2 for a single
+// worker. Useful for calibration and the Fig. 12 experiment.
+func ReconstructionError(c Compressor, grad []float32) (float64, error) {
+	msg, err := c.AppendCompress(nil, grad)
+	if err != nil {
+		return 0, err
+	}
+	rec := make([]float32, len(grad))
+	if err := c.DecompressInto(rec, msg); err != nil {
+		return 0, err
+	}
+	var num, den float64
+	for i := range grad {
+		d := float64(grad[i] - rec[i])
+		num += d * d
+		den += float64(grad[i]) * float64(grad[i])
+	}
+	if den == 0 {
+		return 0, nil
+	}
+	return math.Sqrt(num / den), nil
 }
 
 // le is the byte order used by every wire format in this package.

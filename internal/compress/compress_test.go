@@ -80,7 +80,7 @@ func TestFP32Lossless(t *testing.T) {
 
 func TestAllCompressorsRoundTripShape(t *testing.T) {
 	for _, c := range allCompressors() {
-		for _, n := range []int{2, 64, 1000, 65537} {
+		for _, n := range []int{0, 1, 2, 64, 1000, 65537} {
 			g := smoothGrad(n, int64(n))
 			rec := roundtrip(t, c, g)
 			if len(rec) != n {

@@ -31,9 +31,20 @@ func FuzzDecompressRobustness(f *testing.F) {
 	}
 	f.Add([]byte{}, uint16(0))
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF}, uint16(100))
+	// Destination lengths 0 and 1 (padded to a 2-point transform by the
+	// transform codecs) with their own valid messages.
+	for n := 0; n < 2; n++ {
+		for _, c := range fuzzTargets() {
+			msg, err := c.AppendCompress(nil, g[:n])
+			if err != nil {
+				f.Fatal(err)
+			}
+			f.Add(msg, uint16(n))
+		}
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte, nRaw uint16) {
-		n := int(nRaw)%4096 + 2
+		n := int(nRaw) % 4098
 		dst := make([]float32, n)
 		for _, c := range fuzzTargets() {
 			// Errors are expected for garbage; panics are bugs.
@@ -43,14 +54,14 @@ func FuzzDecompressRobustness(f *testing.F) {
 }
 
 // FuzzCompressRoundTrip checks that every compressor round-trips
-// arbitrary (finite) gradients without panicking and with finite output.
+// arbitrary (finite) gradients of any length, 0 and 1 included, without
+// panicking and with finite output.
 func FuzzCompressRoundTrip(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12})
 	f.Add(make([]byte, 64))
+	f.Add([]byte{})           // n = 0
+	f.Add([]byte{9, 8, 7, 6}) // n = 1
 	f.Fuzz(func(t *testing.T, raw []byte) {
-		if len(raw) < 8 {
-			return
-		}
 		n := len(raw) / 4
 		grad := make([]float32, n)
 		for i := range grad {

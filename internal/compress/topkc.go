@@ -112,6 +112,9 @@ func (t *TopK) DecompressInto(dst []float32, msg []byte) error {
 	if pop != kept {
 		return fmt.Errorf("topk: bitmap popcount %d != kept %d", pop, kept)
 	}
+	if tail := uint(n & 63); tail != 0 && bitmap[words-1]>>tail != 0 {
+		return fmt.Errorf("topk: bitmap marks elements past %d", n)
+	}
 	rest = rest[words*8:]
 	valuesb := scratch.Float32s(kept)
 	defer scratch.PutFloat32s(valuesb)

@@ -1,0 +1,211 @@
+package compress
+
+import (
+	"fmt"
+	"math"
+	"slices"
+	"sync"
+	"time"
+
+	"fftgrad/internal/cfft"
+	"fftgrad/internal/f16"
+	"fftgrad/internal/pack"
+	"fftgrad/internal/quant"
+	"fftgrad/internal/scratch"
+	"fftgrad/internal/sparsify"
+	"fftgrad/internal/telemetry"
+)
+
+// Transform is the paper's compression framework (Fig. 3), written once
+// over the transform it sparsifies in:
+//
+//	① linearize the gradient into a 1-D signal (callers pass the already
+//	   flattened gradient; internal/nn produces it),
+//	② optionally convert to half precision (the GPU pipeline runs the FFT
+//	   in fp16 for 2x throughput; the conversion loss is negligible),
+//	③ transform and keep only the top-(1-θ) bins by magnitude,
+//	④ quantize the surviving coefficients with the range-based N-bit
+//	   float (Alg. 1), re-tuned automatically when the coefficient range
+//	   drifts,
+//	⑤ pack the sparse bins into a dense message: bin bitmap + bit-packed
+//	   codes.
+//
+// The receiver runs the inverse pipeline. Both directions reuse pooled
+// scratch and per-compressor cached state (spectra, quantizers), so the
+// steady state of AppendCompress + DecompressInto allocates nothing.
+//
+// NewFFT builds the paper's codec, NewDCT its real-transform ablation.
+// Ablation finding (tested in transform_test.go): at equal θ the value
+// payload matches the FFT's exactly — the DCT has n real bins where the
+// FFT has n/2 complex ones, so keeping the top (1-θ) fraction keeps the
+// same number of real values — but the DCT's bitmap covers twice as many
+// bins, so its wire ratio is slightly LOWER (≈12.8x vs 16x at
+// θ=0.85/10-bit). Its advantage is energy compaction on non-periodic
+// signals (no wrap-around discontinuity), i.e. equal-or-lower
+// reconstruction error, not ratio.
+type Transform struct {
+	// QuantBits is N of the range-based quantizer (default 10, as in the
+	// paper's evaluation).
+	QuantBits int
+	// UseHalf applies an fp32→fp16→fp32 round trip before the transform,
+	// mirroring the paper's half-precision FFT input.
+	UseHalf bool
+
+	name  string
+	tr    *sparsify.Transform
+	theta atomicTheta
+	qc    quantCache
+	specs sync.Pool // *sparsify.Spectrum reused across calls, both directions
+	st    *telemetry.StageTimer
+}
+
+// FFT is the transform codec under the name its callers have always used.
+type FFT = Transform
+
+func newTransform(name string, tr *sparsify.Transform, theta float64) *Transform {
+	c := &Transform{QuantBits: 10, UseHalf: true, name: name, tr: tr}
+	c.theta.Store(theta)
+	return c
+}
+
+// NewFFT creates the paper-default FFT compressor: drop ratio theta,
+// 10-bit range quantization, fp16 pre-conversion enabled.
+func NewFFT(theta float64) *Transform { return newTransform("fft", sparsify.FFT, theta) }
+
+// NewDCT creates the same pipeline through the type-II DCT, with NewFFT's
+// defaults.
+func NewDCT(theta float64) *Transform { return newTransform("dct", sparsify.DCT, theta) }
+
+// Name implements Compressor: "fft" or "dct".
+func (c *Transform) Name() string { return c.name }
+
+// SetTheta implements ThetaSetter.
+func (c *Transform) SetTheta(theta float64) { c.theta.Store(theta) }
+
+// Theta returns the current drop ratio.
+func (c *Transform) Theta() float64 { return c.theta.Load() }
+
+// Instrument implements Instrumentable: subsequent (de)compressions
+// report per-stage wall time to st. Call before first use.
+func (c *Transform) Instrument(st *telemetry.StageTimer) { c.st = st }
+
+func (c *Transform) spectrum() *sparsify.Spectrum {
+	if spec, _ := c.specs.Get().(*sparsify.Spectrum); spec != nil {
+		return spec
+	}
+	return new(sparsify.Spectrum)
+}
+
+// transformHeaderWords is the number of u32 header words in the wire format.
+const transformHeaderWords = 8
+
+// AppendCompress implements Compressor. A gradient of any length is
+// accepted: lengths 0 and 1 pad to a 2-point transform like every other.
+//
+// Wire format (all u32 unless noted), W = 2 values per bin for the FFT's
+// N/2+1 complex bins, 1 for the DCT's N real ones:
+//
+//	L | paddedN | kept | quantBits | quantM | f32 eps | f32 qmin | f32 qmax
+//	| bin bitmap (⌈bins/64⌉·8 bytes) | packed codes (W·kept · quantBits bits)
+func (c *Transform) AppendCompress(dst []byte, grad []float32) ([]byte, error) {
+	n := len(grad)
+	workb := scratch.Float32s(n)
+	defer scratch.PutFloat32s(workb)
+	work := *workb
+	t0 := time.Now()
+	copy(work, grad)
+	if c.UseHalf {
+		f16.RoundTripSlice(work)
+	}
+	c.st.ObserveSince(telemetry.StageConvert, 4*n, t0)
+	// One cache-blocked sweep builds the keep mask, zeroes dropped bins
+	// and gathers the surviving coefficients as float32 in bin order.
+	spec := c.spectrum()
+	defer c.specs.Put(spec)
+	c.tr.Analyze(spec, work, c.theta.Load(), c.st)
+	if spec.Kept == 0 || spec.AbsMax == 0 {
+		// Nothing survives (θ=1) or all-zero gradient: header-only
+		// message that decompresses to zeros.
+		return putHeader(dst, uint32(n), uint32(spec.N), 0, 0, 0, 0, 0, 0), nil
+	}
+
+	t0 = time.Now()
+	q, err := c.qc.encoder(c.QuantBits, spec.AbsMax, spec.Vals)
+	if err != nil {
+		return nil, err
+	}
+	codesb := scratch.Uint32s(len(spec.Vals))
+	defer scratch.PutUint32s(codesb)
+	codes := q.EncodeSlice(*codesb, spec.Vals)
+	c.st.ObserveSince(telemetry.StageConvert, 4*n, t0)
+
+	t0 = time.Now()
+	dst = putHeader(dst,
+		uint32(n), uint32(spec.N), uint32(spec.Kept),
+		uint32(q.N), uint32(q.M),
+		math.Float32bits(q.Eps), math.Float32bits(q.Min), math.Float32bits(q.Max))
+	for _, w := range spec.Mask {
+		dst = le.AppendUint64(dst, w)
+	}
+	dst = quant.AppendCodes(dst, codes, q.N)
+	c.st.ObserveSince(telemetry.StagePack, 4*n, t0)
+	return dst, nil
+}
+
+// DecompressInto implements Compressor: the inverse pipeline with
+// pooled scratch and a cached decode-side quantizer.
+func (c *Transform) DecompressInto(dst []float32, msg []byte) error {
+	var hdr [transformHeaderWords]uint32
+	rest, err := readHeaderInto(hdr[:], msg)
+	if err != nil {
+		return err
+	}
+	n, paddedN, kept := int(hdr[0]), int(hdr[1]), int(hdr[2])
+	if n != len(dst) {
+		return fmt.Errorf("%s: message for %d elements, dst has %d", c.name, n, len(dst))
+	}
+	// The padded length is a pure function of n; reject anything else so a
+	// corrupt header cannot drive allocations.
+	if want := cfft.PaddedLen(n); paddedN != want {
+		return fmt.Errorf("%s: padded length %d, want %d for %d elements", c.name, paddedN, want, n)
+	}
+	if kept == 0 {
+		clear(dst)
+		return nil
+	}
+	nbins := c.tr.Bins(paddedN)
+	if kept > nbins {
+		return fmt.Errorf("%s: kept %d exceeds %d bins", c.name, kept, nbins)
+	}
+	q, err := c.qc.decoder(hdr[:])
+	if err != nil {
+		return fmt.Errorf("%s: rebuilding quantizer: %w", c.name, err)
+	}
+
+	t0 := time.Now()
+	spec := c.spectrum()
+	defer c.specs.Put(spec)
+	spec.L, spec.N, spec.Kept = n, paddedN, kept
+	words := pack.BitmapWords(nbins)
+	if len(rest) < words*8 {
+		return fmt.Errorf("%s: message truncated in bitmap", c.name)
+	}
+	spec.Mask = slices.Grow(spec.Mask[:0], words)[:words]
+	for i := range spec.Mask {
+		spec.Mask[i] = le.Uint64(rest[8*i:])
+	}
+	rest = rest[words*8:]
+	c.st.ObserveSince(telemetry.StagePack, 4*n, t0)
+
+	t0 = time.Now()
+	nvals := c.tr.Width * kept
+	codesb := scratch.Uint32s(nvals)
+	defer scratch.PutUint32s(codesb)
+	if err := quant.UnpackCodesInto(*codesb, rest, q.N); err != nil {
+		return err
+	}
+	spec.Vals = q.DecodeSlice(slices.Grow(spec.Vals[:0], nvals)[:nvals], *codesb)
+	c.st.ObserveSince(telemetry.StageConvert, 4*n, t0)
+	// Scatter by bitmap (popcount must equal kept), inverse, narrow.
+	return c.tr.Synthesize(dst, spec, c.st)
+}

@@ -7,7 +7,7 @@ import (
 
 func TestDCTRoundTripShape(t *testing.T) {
 	c := NewDCT(0.85)
-	for _, n := range []int{2, 64, 1000, 65537} {
+	for _, n := range []int{0, 1, 2, 64, 1000, 65537} {
 		g := smoothGrad(n, int64(n))
 		rec := roundtrip(t, c, g)
 		for i, v := range rec {

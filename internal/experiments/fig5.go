@@ -18,17 +18,13 @@ func Fig5(o Options) error {
 	if o.Quick {
 		n, trials = 1<<13, 2
 	}
-	f := sparsify.NewFFT()
 
 	t := &stats.Table{Headers: []string{"trial", "FFT relL2", "Top-k relL2", "FFT zeros", "Top-k zeros"}}
 	var fftSum, topkSum float64
 	ok := 0
 	for trial := 0; trial < trials; trial++ {
 		g := correlatedGradient(n, o.Seed+int64(trial))
-		rec, err := f.Roundtrip(g, theta)
-		if err != nil {
-			return err
-		}
+		rec := sparsify.FFT.Roundtrip(g, theta)
 		fftErr := stats.RelL2(g, rec)
 		sp := append([]float32(nil), g...)
 		sparsify.TopKSpatial(sp, theta)

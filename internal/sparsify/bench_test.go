@@ -21,21 +21,16 @@ func benchGrad(n int) []float32 {
 func BenchmarkAnalyzeSynthesize(b *testing.B) {
 	for _, n := range []int{1 << 16, 1 << 18, 1 << 20, 1 << 22} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			f := NewFFT()
 			grad := benchGrad(n)
 			dst := make([]float32, n)
 			var spec Spectrum
-			if err := f.AnalyzeInto(&spec, grad, 0.85); err != nil {
-				b.Fatal(err)
-			}
+			FFT.Analyze(&spec, grad, 0.85, nil)
 			b.SetBytes(int64(n * 4))
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := f.AnalyzeInto(&spec, grad, 0.85); err != nil {
-					b.Fatal(err)
-				}
-				if err := f.SynthesizeInto(dst, spec.L, spec.N, spec.Bins); err != nil {
+				FFT.Analyze(&spec, grad, 0.85, nil)
+				if err := FFT.Synthesize(dst, &spec, nil); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -58,57 +53,22 @@ func BenchmarkTopKSpatialMask(b *testing.B) {
 	}
 }
 
-// TestAnalyzeIntoReuse checks that a Spectrum cycled through AnalyzeInto
-// at mixed sizes keeps producing results identical to fresh Analyze.
+// TestAnalyzeIntoReuse checks that one Spectrum cycled through Analyze at
+// mixed sizes — and, across the subtests, through both transforms — keeps
+// producing results identical to a fresh one.
 func TestAnalyzeIntoReuse(t *testing.T) {
-	f := NewFFT()
 	var spec Spectrum
-	for _, n := range []int{5000, 300, 5000, 8192, 17} {
-		grad := benchGrad(n)
-		if err := f.AnalyzeInto(&spec, grad, 0.85); err != nil {
-			t.Fatal(err)
-		}
-		fresh, err := f.Analyze(grad, 0.85)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if spec.L != fresh.L || spec.N != fresh.N || spec.Kept != fresh.Kept {
-			t.Fatalf("n=%d: header mismatch: reused {L:%d N:%d Kept:%d} fresh {L:%d N:%d Kept:%d}",
-				n, spec.L, spec.N, spec.Kept, fresh.L, fresh.N, fresh.Kept)
-		}
-		for i := range fresh.Bins {
-			if spec.Bins[i] != fresh.Bins[i] {
-				t.Fatalf("n=%d: bin %d mismatch: %v vs %v", n, i, spec.Bins[i], fresh.Bins[i])
+	for _, tr := range transforms {
+		t.Run(tr.name, func(t *testing.T) {
+			for _, n := range []int{5000, 300, 5000, 8192, 17} {
+				grad := benchGrad(n)
+				tr.t.Analyze(&spec, grad, 0.85, nil)
+				var fresh Spectrum
+				tr.t.Analyze(&fresh, grad, 0.85, nil)
+				if err := sameSpectrum(&spec, &fresh); err != nil {
+					t.Fatalf("n=%d: reused vs fresh: %v", n, err)
+				}
 			}
-		}
-		for i := range fresh.Mask {
-			if spec.Mask[i] != fresh.Mask[i] {
-				t.Fatalf("n=%d: mask word %d mismatch", n, i)
-			}
-		}
-	}
-}
-
-// TestDCTAnalyzeIntoReuse mirrors TestAnalyzeIntoReuse for the DCT path.
-func TestDCTAnalyzeIntoReuse(t *testing.T) {
-	d := NewDCT()
-	var spec RealSpectrum
-	for _, n := range []int{5000, 300, 5000} {
-		grad := benchGrad(n)
-		if err := d.AnalyzeInto(&spec, grad, 0.85); err != nil {
-			t.Fatal(err)
-		}
-		fresh, err := d.Analyze(grad, 0.85)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if spec.L != fresh.L || spec.N != fresh.N || spec.Kept != fresh.Kept {
-			t.Fatalf("n=%d: header mismatch", n)
-		}
-		for i := range fresh.Bins {
-			if spec.Bins[i] != fresh.Bins[i] {
-				t.Fatalf("n=%d: bin %d mismatch: %v vs %v", n, i, spec.Bins[i], fresh.Bins[i])
-			}
-		}
+		})
 	}
 }

@@ -1,38 +1,116 @@
 package sparsify
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
+
+	"fftgrad/internal/cfft"
+	"fftgrad/internal/topk"
 )
 
-// gatherReference reproduces the unfused compressor gather: walk the mask
-// in bin order, collecting (re, im) float32 pairs and their max |value|.
-func gatherReference(spec *Spectrum) ([]float32, float64) {
-	vals := make([]float32, 0, 2*spec.Kept)
-	var absMax float64
-	for i, b := range spec.Bins {
+// analyzeReference is the unfused analysis the fused sweep replaced,
+// written once for both transforms: forward transform, magnitudes,
+// topk.MaskTopKInto, a pass zeroing the dropped bins, then a
+// mask-directed gather of the survivors and their max |value| — each a
+// full pass over the bins.
+func analyzeReference(t *Transform, spec *Spectrum, x []float32, theta float64) {
+	l := len(x)
+	n := cfft.PaddedLen(l)
+	nb := t.Bins(n)
+	sig := make([]float64, n)
+	widenF32(sig, x, 0, l)
+	mags := make([]float64, nb)
+	if t.real {
+		spec.rbins = make([]float64, nb)
+		cfft.DCTPlanFor(n).Forward(spec.rbins, sig)
+		magsReal(mags, spec.rbins, 0, nb)
+	} else {
+		spec.cbins = make([]complex128, nb)
+		cfft.RealPlanFor(n).Forward(spec.cbins, sig)
+		magsComplex(mags, spec.cbins, 0, nb)
+	}
+	spec.L, spec.N, spec.Kept = l, n, KeepCount(nb, theta)
+	spec.Mask = make([]uint64, (nb+63)/64)
+	topk.MaskTopKInto(spec.Mask, mags, spec.Kept)
+	for i := 0; i < nb; i++ {
+		if spec.Mask[i>>6]&(1<<(uint(i)&63)) != 0 {
+			continue
+		}
+		if t.real {
+			spec.rbins[i] = 0
+		} else {
+			spec.cbins[i] = 0
+		}
+	}
+	spec.Vals, spec.AbsMax = nil, 0
+	for i := 0; i < nb; i++ {
 		if spec.Mask[i>>6]&(1<<(uint(i)&63)) == 0 {
 			continue
 		}
-		re, im := float32(real(b)), float32(imag(b))
-		vals = append(vals, re, im)
-		if a := math.Abs(float64(re)); a > absMax {
-			absMax = a
-		}
-		if a := math.Abs(float64(im)); a > absMax {
-			absMax = a
+		if t.real {
+			spec.Vals = append(spec.Vals, float32(spec.rbins[i]))
+		} else {
+			spec.Vals = append(spec.Vals, float32(real(spec.cbins[i])), float32(imag(spec.cbins[i])))
 		}
 	}
-	return vals, absMax
+	for _, v := range spec.Vals {
+		spec.AbsMax = math.Max(spec.AbsMax, math.Abs(float64(v)))
+	}
 }
 
-// TestAnalyzePackedMatchesReference pins the fused select+pack sweep
-// against AnalyzeInto + reference gather, bit for bit: same mask words,
-// same zeroed spectrum, same packed values in the same order, same
-// absMax — across signal shapes (random, constant, tie-heavy, sparse
-// impulse), lengths spanning several chunk counts, and the full theta
-// range including the keep-everything and drop-everything edges.
+// transforms is the table dimension every per-transform test ranges over.
+var transforms = []struct {
+	name string
+	t    *Transform
+}{{"fft", FFT}, {"dct", DCT}}
+
+// sameSpectrum compares two spectra bit for bit: shape, mask words, dense
+// coefficients, packed values in order, AbsMax.
+func sameSpectrum(got, want *Spectrum) error {
+	if got.L != want.L || got.N != want.N || got.Kept != want.Kept {
+		return fmt.Errorf("shape (%d,%d,%d) != (%d,%d,%d)", got.L, got.N, got.Kept, want.L, want.N, want.Kept)
+	}
+	if len(got.Mask) != len(want.Mask) {
+		return fmt.Errorf("%d mask words, want %d", len(got.Mask), len(want.Mask))
+	}
+	for w := range want.Mask {
+		if got.Mask[w] != want.Mask[w] {
+			return fmt.Errorf("mask word %d %#x != %#x", w, got.Mask[w], want.Mask[w])
+		}
+	}
+	for i := range want.cbins {
+		if got.cbins[i] != want.cbins[i] {
+			return fmt.Errorf("bin %d %v != %v", i, got.cbins[i], want.cbins[i])
+		}
+	}
+	for i := range want.rbins {
+		if math.Float64bits(got.rbins[i]) != math.Float64bits(want.rbins[i]) {
+			return fmt.Errorf("bin %d %v != %v", i, got.rbins[i], want.rbins[i])
+		}
+	}
+	if len(got.Vals) != len(want.Vals) {
+		return fmt.Errorf("%d packed floats, want %d", len(got.Vals), len(want.Vals))
+	}
+	for i := range want.Vals {
+		if math.Float32bits(got.Vals[i]) != math.Float32bits(want.Vals[i]) {
+			return fmt.Errorf("val %d %g != %g", i, got.Vals[i], want.Vals[i])
+		}
+	}
+	if got.AbsMax != want.AbsMax {
+		return fmt.Errorf("absMax %g != %g", got.AbsMax, want.AbsMax)
+	}
+	return nil
+}
+
+// TestAnalyzePackedMatchesReference pins the fused select+gather sweep
+// against the unfused reference, bit for bit: same mask words, same
+// zeroed spectrum, same packed values in the same order, same absMax —
+// for both transforms, across signal shapes (random, constant, tie-heavy,
+// sparse impulse), lengths from the padded-up 0 and 1 through several
+// chunk counts, and the full theta range including the keep-everything
+// and drop-everything edges.
 func TestAnalyzePackedMatchesReference(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	signals := map[string]func(n int) []float32{
@@ -54,71 +132,45 @@ func TestAnalyzePackedMatchesReference(t *testing.T) {
 		},
 		"impulse": func(n int) []float32 {
 			x := make([]float32, n)
-			x[n/3] = 5
+			if n > 0 {
+				x[n/3] = 5
+			}
 			return x
 		},
 		"zeros": func(n int) []float32 { return make([]float32, n) },
 	}
-	f := NewFFT()
-	for name, gen := range signals {
-		for _, n := range []int{2, 100, 4096, 5000, 1 << 14} {
-			x := gen(n)
-			for _, theta := range []float64{0, 0.15, 0.5, 0.85, 0.99, 1} {
-				var ref, fus Spectrum
-				if err := f.AnalyzeInto(&ref, x, theta); err != nil {
-					t.Fatalf("%s n=%d θ=%g: reference: %v", name, n, theta, err)
-				}
-				wantVals, wantMax := gatherReference(&ref)
-
-				nbins := ref.N/2 + 1
-				vals := make([]float32, 2*KeepCount(nbins, theta)+1)
-				nvals, gotMax, err := f.AnalyzePacked(&fus, vals, x, theta)
-				if err != nil {
-					t.Fatalf("%s n=%d θ=%g: fused: %v", name, n, theta, err)
-				}
-
-				if fus.L != ref.L || fus.N != ref.N || fus.Kept != ref.Kept {
-					t.Fatalf("%s n=%d θ=%g: header (%d,%d,%d) != (%d,%d,%d)",
-						name, n, theta, fus.L, fus.N, fus.Kept, ref.L, ref.N, ref.Kept)
-				}
-				for w := range ref.Mask {
-					if fus.Mask[w] != ref.Mask[w] {
-						t.Fatalf("%s n=%d θ=%g: mask word %d %#x != %#x",
-							name, n, theta, w, fus.Mask[w], ref.Mask[w])
+	var fus Spectrum // reused across every case and both transforms
+	for _, tr := range transforms {
+		for name, gen := range signals {
+			for _, n := range []int{0, 1, 2, 100, 4096, 5000, 1 << 14} {
+				x := gen(n)
+				for _, theta := range []float64{0, 0.15, 0.5, 0.85, 0.99, 1} {
+					var ref Spectrum
+					analyzeReference(tr.t, &ref, x, theta)
+					tr.t.Analyze(&fus, x, theta, nil)
+					if err := sameSpectrum(&fus, &ref); err != nil {
+						t.Fatalf("%s %s n=%d θ=%g: %v", tr.name, name, n, theta, err)
 					}
-				}
-				for i := range ref.Bins {
-					if fus.Bins[i] != ref.Bins[i] {
-						t.Fatalf("%s n=%d θ=%g: bin %d %v != %v",
-							name, n, theta, i, fus.Bins[i], ref.Bins[i])
-					}
-				}
-				if nvals != len(wantVals) {
-					t.Fatalf("%s n=%d θ=%g: %d packed floats, want %d", name, n, theta, nvals, len(wantVals))
-				}
-				for i := 0; i < nvals; i++ {
-					if math.Float32bits(vals[i]) != math.Float32bits(wantVals[i]) {
-						t.Fatalf("%s n=%d θ=%g: val %d %g != %g", name, n, theta, i, vals[i], wantVals[i])
-					}
-				}
-				if gotMax != wantMax {
-					t.Fatalf("%s n=%d θ=%g: absMax %g != %g", name, n, theta, gotMax, wantMax)
 				}
 			}
 		}
 	}
 }
 
-// TestAnalyzePackedBufferTooSmall checks the defensive buffer-length
-// error rather than a silent overrun.
+// TestAnalyzePackedBufferTooSmall: a reused Spectrum whose value buffer
+// is too small for the new keep count is regrown, never overrun.
 func TestAnalyzePackedBufferTooSmall(t *testing.T) {
-	f := NewFFT()
 	x := make([]float32, 100)
 	for i := range x {
 		x[i] = float32(i)
 	}
-	var spec Spectrum
-	if _, _, err := f.AnalyzePacked(&spec, make([]float32, 2), x, 0.5); err == nil {
-		t.Fatal("expected a buffer-too-small error")
+	for _, tr := range transforms {
+		spec := Spectrum{Vals: make([]float32, 2), Mask: make([]uint64, 1)}
+		tr.t.Analyze(&spec, x, 0.5, nil)
+		var ref Spectrum
+		analyzeReference(tr.t, &ref, x, 0.5)
+		if err := sameSpectrum(&spec, &ref); err != nil {
+			t.Fatalf("%s: %v", tr.name, err)
+		}
 	}
 }

@@ -9,15 +9,10 @@
 package sparsify
 
 import (
-	"fmt"
 	"math"
-	mbits "math/bits"
-	"time"
 
-	"fftgrad/internal/cfft"
 	"fftgrad/internal/parallel"
 	"fftgrad/internal/scratch"
-	"fftgrad/internal/telemetry"
 	"fftgrad/internal/topk"
 )
 
@@ -76,454 +71,4 @@ func TopKSpatialMask(mask []uint64, x []float32, theta float64) {
 		}
 	})
 	topk.MaskTopKInto(mask, mags, k)
-}
-
-// Spectrum is the sparsified frequency-domain representation of a gradient:
-// the padded transform length, the surviving complex bins, and the bitmap
-// saying which bins survived.
-type Spectrum struct {
-	L    int          // original gradient length
-	N    int          // padded power-of-two transform length
-	Bins []complex128 // full half-spectrum (len N/2+1); dropped bins zero
-	Mask []uint64     // keep bitmap over the N/2+1 bins
-	Kept int          // number of surviving bins
-}
-
-// NumBins returns the number of half-spectrum bins, N/2+1.
-func (s *Spectrum) NumBins() int { return s.N/2 + 1 }
-
-// FFT analyzes and synthesizes gradients as 1-D real signals. Transform
-// plans come from the process-wide cfft cache and all temporaries are
-// pooled, so one instance (or many — they share everything) is safe for
-// concurrent use and allocation-free in steady state via AnalyzeInto.
-type FFT struct{}
-
-// NewFFT returns an FFT sparsifier; plans are cached process-wide and
-// created lazily.
-func NewFFT() *FFT { return &FFT{} }
-
-// Analyze transforms x (zero-padded to the next power of two) into the
-// frequency domain and keeps only the top-(1-θ) fraction of bins by
-// complex magnitude, zeroing the rest. x is not modified. The returned
-// Spectrum is freshly allocated; loops should reuse one via AnalyzeInto.
-func (f *FFT) Analyze(x []float32, theta float64) (*Spectrum, error) {
-	spec := new(Spectrum)
-	if err := f.AnalyzeInto(spec, x, theta); err != nil {
-		return nil, err
-	}
-	return spec, nil
-}
-
-// AnalyzeInto is Analyze reusing the capacity of spec.Bins and spec.Mask:
-// after a warm-up call at a given padded length, analysis performs no heap
-// allocation. The magnitude pass is fused with top-k selection — squared
-// magnitudes are computed once into a pooled buffer and the selector uses
-// them directly instead of recomputing |z| per bin.
-func (f *FFT) AnalyzeInto(spec *Spectrum, x []float32, theta float64) error {
-	return f.AnalyzeIntoTimed(spec, x, theta, nil)
-}
-
-// AnalyzeIntoTimed is AnalyzeInto reporting the per-stage wall time of
-// the analysis to st: the f32→f64 widening as StageConvert (Tm), the
-// forward transform as StageTransform (Tf) and the fused magnitude +
-// top-k + zeroing pass as StageSelect (Ts), all normalized to the input
-// gradient's byte size — exactly the terms the Sec. 3.3 model prices.
-// A nil st disables timing; the observations themselves are atomic, so
-// the steady state stays allocation-free either way.
-func (f *FFT) AnalyzeIntoTimed(spec *Spectrum, x []float32, theta float64, st *telemetry.StageTimer) error {
-	l := len(x)
-	if l < 2 {
-		return fmt.Errorf("sparsify: gradient too short (%d)", l)
-	}
-	gradBytes := 4 * l
-	n := cfft.PaddedLen(l)
-	plan := cfft.RealPlanFor(n)
-
-	sigb := scratch.Float64s(n)
-	defer scratch.PutFloat64s(sigb)
-	sig := *sigb
-	t0 := time.Now()
-	parallel.For2(l, sig, x, widenF32)
-	for i := l; i < n; i++ {
-		sig[i] = 0
-	}
-	st.ObserveSince(telemetry.StageConvert, gradBytes, t0)
-	nb := plan.SpectrumLen()
-	spec.L, spec.N = l, n
-	spec.Bins = growC128(spec.Bins, nb)
-	spec.Mask = growU64(spec.Mask, (nb+63)/64)
-	t0 = time.Now()
-	plan.Forward(spec.Bins, sig)
-	st.ObserveSince(telemetry.StageTransform, gradBytes, t0)
-
-	t0 = time.Now()
-	k := KeepCount(nb, theta)
-	magsb := scratch.Float64s(nb)
-	defer scratch.PutFloat64s(magsb)
-	mags := *magsb
-	bins := spec.Bins
-	parallel.For2(nb, mags, bins, func(mags []float64, bins []complex128, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			re, im := real(bins[i]), imag(bins[i])
-			mags[i] = re*re + im*im // monotone in |z|; avoids sqrt
-		}
-	})
-	topk.MaskTopKInto(spec.Mask, mags, k)
-	for i := 0; i < nb; i++ {
-		if spec.Mask[i>>6]&(1<<(uint(i)&63)) == 0 {
-			bins[i] = 0
-		}
-	}
-	spec.Kept = k
-	st.ObserveSince(telemetry.StageSelect, gradBytes, t0)
-	return nil
-}
-
-// packChunkWords is the cache-block width of the fused select+pack sweep,
-// in 64-bin bitmap words: 64 words = 4096 bins = 64 KiB of complex128
-// bins plus 32 KiB of magnitudes per chunk, sized to stay L2-resident
-// while a chunk is masked, zeroed, and gathered in one pass.
-const packChunkWords = 64
-
-// passACtx/passBCtx thread the fused-sweep state through ForGrain1 by
-// value so the bodies capture nothing.
-type passACtx struct {
-	mags         []float64
-	mask, eq     []uint64
-	gtCnt, eqCnt []int
-	thr          float64
-	nb           int
-}
-
-type passBCtx struct {
-	bins      []complex128
-	mask, eq  []uint64
-	off, take []int
-	vals      []float32
-	maxes     []float64
-	nb        int
-}
-
-// AnalyzePacked is AnalyzeInto fused with the coefficient gather the
-// compressor would otherwise run as a separate pass: it fills spec as
-// AnalyzeInto does AND writes the surviving coefficients into vals as
-// interleaved (re, im) float32 pairs in bin order, returning the number
-// of floats written and their maximum absolute value. vals must have
-// length >= 2·KeepCount(bins, theta). Bit-for-bit equivalent to
-// AnalyzeInto followed by a mask-directed gather (the property tests pin
-// this, tie cases included).
-func (f *FFT) AnalyzePacked(spec *Spectrum, vals []float32, x []float32, theta float64) (int, float64, error) {
-	return f.AnalyzePackedTimed(spec, vals, x, theta, nil)
-}
-
-// AnalyzePackedTimed is AnalyzePacked reporting stage wall times to st
-// (nil disables timing). Stage accounting matches the unfused pipeline:
-// widening is StageConvert, the forward transform StageTransform, the
-// magnitude+threshold+mask sweep StageSelect, and the zero+gather sweep
-// StagePack.
-//
-// The select and pack work runs cache-blocked: instead of one full pass
-// to build the keep mask, one to zero dropped bins, and one to gather
-// survivors — each streaming all bins from memory — the bins are cut
-// into packChunkWords-word chunks. Pass A builds each chunk's
-// above-threshold and at-threshold masks; a serial prefix over the
-// per-chunk counts then resolves the exact-k tie fill (earliest index
-// wins, exactly topk.MaskTopKInto's rule) and assigns every chunk its
-// output offset; pass B revisits each chunk — still warm in cache — and
-// zeroes dropped bins and gathers survivors in the same sweep.
-func (f *FFT) AnalyzePackedTimed(spec *Spectrum, vals []float32, x []float32, theta float64, st *telemetry.StageTimer) (int, float64, error) {
-	l := len(x)
-	if l < 2 {
-		return 0, 0, fmt.Errorf("sparsify: gradient too short (%d)", l)
-	}
-	gradBytes := 4 * l
-	n := cfft.PaddedLen(l)
-	plan := cfft.RealPlanFor(n)
-
-	sigb := scratch.Float64s(n)
-	defer scratch.PutFloat64s(sigb)
-	sig := *sigb
-	t0 := time.Now()
-	parallel.For2(l, sig, x, widenF32)
-	for i := l; i < n; i++ {
-		sig[i] = 0
-	}
-	st.ObserveSince(telemetry.StageConvert, gradBytes, t0)
-	nb := plan.SpectrumLen()
-	spec.L, spec.N = l, n
-	spec.Bins = growC128(spec.Bins, nb)
-	spec.Mask = growU64(spec.Mask, (nb+63)/64)
-	t0 = time.Now()
-	plan.Forward(spec.Bins, sig)
-	st.ObserveSince(telemetry.StageTransform, gradBytes, t0)
-
-	t0 = time.Now()
-	k := KeepCount(nb, theta)
-	spec.Kept = k
-	if 2*k > len(vals) {
-		return 0, 0, fmt.Errorf("sparsify: vals buffer holds %d floats, need %d", len(vals), 2*k)
-	}
-	bins := spec.Bins
-	if k <= 0 {
-		for i := range spec.Mask {
-			spec.Mask[i] = 0
-		}
-		parallel.For1(nb, bins, func(bins []complex128, lo, hi int) {
-			for i := lo; i < hi; i++ {
-				bins[i] = 0
-			}
-		})
-		spec.Kept = 0
-		st.ObserveSince(telemetry.StageSelect, gradBytes, t0)
-		return 0, 0, nil
-	}
-	if k >= nb {
-		// Everything survives: full mask, straight gather, nothing zeroed.
-		for i := range spec.Mask {
-			spec.Mask[i] = ^uint64(0)
-		}
-		if tail := uint(nb & 63); tail != 0 {
-			spec.Mask[len(spec.Mask)-1] = 1<<tail - 1
-		}
-		spec.Kept = nb
-		st.ObserveSince(telemetry.StageSelect, gradBytes, t0)
-		t0 = time.Now()
-		var absMax float64
-		for i, b := range bins {
-			re, im := float32(real(b)), float32(imag(b))
-			vals[2*i], vals[2*i+1] = re, im
-			if a := math.Abs(float64(re)); a > absMax {
-				absMax = a
-			}
-			if a := math.Abs(float64(im)); a > absMax {
-				absMax = a
-			}
-		}
-		st.ObserveSince(telemetry.StagePack, gradBytes, t0)
-		return 2 * nb, absMax, nil
-	}
-
-	magsb := scratch.Float64s(nb)
-	defer scratch.PutFloat64s(magsb)
-	mags := *magsb
-	parallel.For2(nb, mags, bins, func(mags []float64, bins []complex128, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			re, im := real(bins[i]), imag(bins[i])
-			mags[i] = re*re + im*im // monotone in |z|; avoids sqrt
-		}
-	})
-	thr := topk.KthLargestBucket(mags, k)
-
-	words := len(spec.Mask)
-	chunks := (words + packChunkWords - 1) / packChunkWords
-	eqb := scratch.Uint64s(words)
-	defer scratch.PutUint64s(eqb)
-	cntb := scratch.Ints(2 * chunks)
-	defer scratch.PutInts(cntb)
-	maxb := scratch.Float64s(chunks)
-	defer scratch.PutFloat64s(maxb)
-	eq := *eqb
-	gtCnt, eqCnt := (*cntb)[:chunks], (*cntb)[chunks:]
-	maxes := *maxb
-
-	// Pass A: per-chunk above-threshold and at-threshold masks + counts.
-	parallel.ForGrain1(chunks, 1,
-		passACtx{mags: mags, mask: spec.Mask, eq: eq, gtCnt: gtCnt, eqCnt: eqCnt, thr: thr, nb: nb},
-		func(c passACtx, clo, chi int) {
-			for ch := clo; ch < chi; ch++ {
-				wlo, whi := parallel.ChunkBounds(ch, packChunkWords, len(c.mask))
-				gt, eqn := 0, 0
-				for w := wlo; w < whi; w++ {
-					base := w << 6
-					end := base + 64
-					if end > c.nb {
-						end = c.nb
-					}
-					var gtW, eqW uint64
-					for i := base; i < end; i++ {
-						m := c.mags[i]
-						if m > c.thr {
-							gtW |= 1 << (uint(i) & 63)
-						} else if m == c.thr {
-							eqW |= 1 << (uint(i) & 63)
-						}
-					}
-					c.mask[w], c.eq[w] = gtW, eqW
-					gt += mbits.OnesCount64(gtW)
-					eqn += mbits.OnesCount64(eqW)
-				}
-				c.gtCnt[ch], c.eqCnt[ch] = gt, eqn
-			}
-		})
-
-	// Serial middle: resolve the exact-k tie fill and assign offsets.
-	// Everything above the threshold is kept; remaining slots are filled
-	// with at-threshold bins in index order (chunks are index-ordered, so
-	// a running "still needed" count distributes the fill). gtCnt becomes
-	// each chunk's output offset and eqCnt its tie-fill allowance.
-	totalGt := 0
-	for _, g := range gtCnt {
-		totalGt += g
-	}
-	needEq := k - totalGt
-	off := 0
-	for c := 0; c < chunks; c++ {
-		take := eqCnt[c]
-		if take > needEq {
-			take = needEq
-		}
-		needEq -= take
-		keep := gtCnt[c] + take
-		gtCnt[c], eqCnt[c] = off, take
-		off += keep
-	}
-	st.ObserveSince(telemetry.StageSelect, gradBytes, t0)
-
-	// Pass B: zero dropped bins and gather survivors, chunk by chunk.
-	t0 = time.Now()
-	parallel.ForGrain1(chunks, 1,
-		passBCtx{bins: bins, mask: spec.Mask, eq: eq, off: gtCnt, take: eqCnt, vals: vals, maxes: maxes, nb: nb},
-		func(c passBCtx, clo, chi int) {
-			for ch := clo; ch < chi; ch++ {
-				wlo, whi := parallel.ChunkBounds(ch, packChunkWords, len(c.mask))
-				vi := 2 * c.off[ch]
-				take := c.take[ch]
-				var chunkMax float64
-				for w := wlo; w < whi; w++ {
-					sel := c.mask[w]
-					if take > 0 {
-						eqW := c.eq[w]
-						if cnt := mbits.OnesCount64(eqW); take >= cnt {
-							sel |= eqW
-							take -= cnt
-						} else {
-							for ; take > 0; take-- {
-								low := eqW & -eqW
-								sel |= low
-								eqW &^= low
-							}
-						}
-					}
-					c.mask[w] = sel
-					base := w << 6
-					end := base + 64
-					if end > c.nb {
-						end = c.nb
-					}
-					for i := base; i < end; i++ {
-						if sel&(1<<(uint(i)&63)) == 0 {
-							c.bins[i] = 0
-							continue
-						}
-						b := c.bins[i]
-						re, im := float32(real(b)), float32(imag(b))
-						c.vals[vi], c.vals[vi+1] = re, im
-						vi += 2
-						if a := math.Abs(float64(re)); a > chunkMax {
-							chunkMax = a
-						}
-						if a := math.Abs(float64(im)); a > chunkMax {
-							chunkMax = a
-						}
-					}
-				}
-				c.maxes[ch] = chunkMax
-			}
-		})
-	var absMax float64
-	for _, m := range maxes[:chunks] {
-		if m > absMax {
-			absMax = m
-		}
-	}
-	st.ObserveSince(telemetry.StagePack, gradBytes, t0)
-	// off is the number of bins actually kept — equal to k whenever the
-	// selector's threshold is exact (always, for KthLargestBucket).
-	return 2 * off, absMax, nil
-}
-
-// Synthesize reconstructs the (lossy) gradient from a sparsified spectrum.
-// dst must have length spec.L.
-func (f *FFT) Synthesize(dst []float32, spec *Spectrum) error {
-	return f.SynthesizeInto(dst, spec.L, spec.N, spec.Bins)
-}
-
-// SynthesizeInto reconstructs the gradient from the raw spectrum fields
-// (original length l, padded length n, half-spectrum bins with dropped
-// bins zeroed). dst must have length l. All temporaries are pooled, so
-// synthesis performs no steady-state heap allocation.
-func (f *FFT) SynthesizeInto(dst []float32, l, n int, bins []complex128) error {
-	return f.SynthesizeIntoTimed(dst, l, n, bins, nil)
-}
-
-// SynthesizeIntoTimed is SynthesizeInto reporting the inverse transform
-// as StageTransform and the f64→f32 narrowing as StageConvert on st (nil
-// disables timing).
-func (f *FFT) SynthesizeIntoTimed(dst []float32, l, n int, bins []complex128, st *telemetry.StageTimer) error {
-	if len(dst) != l {
-		return fmt.Errorf("sparsify: dst length %d != gradient length %d", len(dst), l)
-	}
-	if !cfft.IsPow2(n) || l > n {
-		return fmt.Errorf("sparsify: bad padded length %d for gradient length %d", n, l)
-	}
-	plan := cfft.RealPlanFor(n)
-	if plan.SpectrumLen() != len(bins) {
-		return fmt.Errorf("sparsify: spectrum length %d inconsistent with N=%d", len(bins), n)
-	}
-	sigb := scratch.Float64s(n)
-	defer scratch.PutFloat64s(sigb)
-	sig := *sigb
-	t0 := time.Now()
-	plan.Inverse(sig, bins)
-	st.ObserveSince(telemetry.StageTransform, 4*l, t0)
-	t0 = time.Now()
-	parallel.For2(l, dst, sig, narrowF64)
-	st.ObserveSince(telemetry.StageConvert, 4*l, t0)
-	return nil
-}
-
-// widenF32 and narrowF64 are the capture-free precision-conversion bodies
-// shared by the FFT and DCT paths (parallel.For2 keeps them alloc-free).
-func widenF32(dst []float64, src []float32, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		dst[i] = float64(src[i])
-	}
-}
-
-func narrowF64(dst []float32, src []float64, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		dst[i] = float32(src[i])
-	}
-}
-
-// growC128 resizes b to length n, reallocating only when capacity is
-// insufficient. Contents are unspecified (callers fully overwrite).
-func growC128(b []complex128, n int) []complex128 {
-	if cap(b) >= n {
-		return b[:n]
-	}
-	return make([]complex128, n)
-}
-
-// growU64 resizes b to length n, reallocating only when capacity is
-// insufficient. Contents are unspecified (callers fully overwrite).
-func growU64(b []uint64, n int) []uint64 {
-	if cap(b) >= n {
-		return b[:n]
-	}
-	return make([]uint64, n)
-}
-
-// Roundtrip sparsifies x at ratio theta through the frequency domain and
-// returns the reconstruction — the "FFT Top-k" curve of Fig. 5.
-func (f *FFT) Roundtrip(x []float32, theta float64) ([]float32, error) {
-	spec, err := f.Analyze(x, theta)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]float32, len(x))
-	if err := f.Synthesize(out, spec); err != nil {
-		return nil, err
-	}
-	return out, nil
 }

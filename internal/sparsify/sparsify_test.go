@@ -110,13 +110,9 @@ func TestTopKSpatialKeepsLargest(t *testing.T) {
 
 func TestFFTRoundtripLossless(t *testing.T) {
 	// θ=0: nothing dropped, reconstruction must be near-exact.
-	f := NewFFT()
 	for _, n := range []int{2, 100, 1024, 5000} {
 		x := gaussGrad(n, 0.1, int64(n))
-		y, err := f.Roundtrip(x, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
+		y := FFT.Roundtrip(x, 0)
 		if rel := l2(x, y) / norm(x); rel > 1e-6 {
 			t.Fatalf("n=%d lossless roundtrip rel err %g", n, rel)
 		}
@@ -124,24 +120,21 @@ func TestFFTRoundtripLossless(t *testing.T) {
 }
 
 func TestFFTSpectrumShape(t *testing.T) {
-	f := NewFFT()
 	x := gaussGrad(1000, 0.1, 3)
-	spec, err := f.Analyze(x, 0.9)
-	if err != nil {
-		t.Fatal(err)
-	}
+	spec := new(Spectrum)
+	FFT.Analyze(spec, x, 0.9, nil)
 	if spec.L != 1000 || spec.N != 1024 {
 		t.Fatalf("shape: L=%d N=%d", spec.L, spec.N)
 	}
-	if spec.NumBins() != 513 {
-		t.Fatalf("bins=%d want 513", spec.NumBins())
+	if FFT.Bins(spec.N) != 513 {
+		t.Fatalf("bins=%d want 513", FFT.Bins(spec.N))
 	}
 	if spec.Kept != KeepCount(513, 0.9) {
 		t.Fatalf("kept=%d", spec.Kept)
 	}
 	// Every unmasked bin must be zero; masked bins count must match Kept.
 	masked := 0
-	for i, b := range spec.Bins {
+	for i, b := range spec.cbins {
 		on := spec.Mask[i>>6]&(1<<(uint(i)&63)) != 0
 		if on {
 			masked++
@@ -162,19 +155,14 @@ func TestFFTKeepsHighestEnergyBins(t *testing.T) {
 		x[i] = float32(math.Sin(2*math.Pi*3*float64(i)/float64(n)) +
 			0.01*math.Sin(2*math.Pi*200*float64(i)/float64(n)))
 	}
-	f := NewFFT()
-	spec, err := f.Analyze(x, 0.99) // keep ~6 bins
-	if err != nil {
-		t.Fatal(err)
-	}
+	spec := new(Spectrum)
+	FFT.Analyze(spec, x, 0.99, nil) // keep ~6 bins
 	// Bin 3 (the strong tone) must survive.
 	if spec.Mask[3>>6]&(1<<3) == 0 {
 		t.Fatal("dominant bin 3 dropped")
 	}
 	y := make([]float32, n)
-	if err := f.Synthesize(y, spec); err != nil {
-		t.Fatal(err)
-	}
+	FFT.inverse(y, spec, nil)
 	// Reconstruction must capture the strong tone: >90% energy retained.
 	if rel := l2(x, y) / norm(x); rel > 0.3 {
 		t.Fatalf("reconstruction error too high: %g", rel)
@@ -186,13 +174,9 @@ func TestFFTKeepsHighestEnergyBins(t *testing.T) {
 func TestFFTBeatsSpatialOnCorrelatedSignal(t *testing.T) {
 	theta := 0.85
 	var fftErr, topkErr float64
-	f := NewFFT()
 	for seed := int64(0); seed < 5; seed++ {
 		x := smoothGrad(4096, seed)
-		y, err := f.Roundtrip(x, theta)
-		if err != nil {
-			t.Fatal(err)
-		}
+		y := FFT.Roundtrip(x, theta)
 		fftErr += l2(x, y) / norm(x)
 
 		sp := append([]float32(nil), x...)
@@ -209,11 +193,7 @@ func TestFFTBeatsSpatialOnCorrelatedSignal(t *testing.T) {
 // spatial top-k zeroes 85% of entries exactly.
 func TestFFTPreservesDistribution(t *testing.T) {
 	x := smoothGrad(4096, 9)
-	f := NewFFT()
-	y, err := f.Roundtrip(x, 0.85)
-	if err != nil {
-		t.Fatal(err)
-	}
+	y := FFT.Roundtrip(x, 0.85)
 	zeros := 0
 	for _, v := range y {
 		if v == 0 {
@@ -239,13 +219,9 @@ func TestFFTPreservesDistribution(t *testing.T) {
 // Monotonicity: more aggressive θ ⇒ at least as much reconstruction error.
 func TestErrorMonotoneInTheta(t *testing.T) {
 	x := smoothGrad(2048, 4)
-	f := NewFFT()
 	prev := -1.0
 	for _, theta := range []float64{0.1, 0.5, 0.9, 0.99} {
-		y, err := f.Roundtrip(x, theta)
-		if err != nil {
-			t.Fatal(err)
-		}
+		y := FFT.Roundtrip(x, theta)
 		e := l2(x, y)
 		if e < prev-1e-9 {
 			t.Fatalf("error decreased from %g to %g at θ=%g", prev, e, theta)
@@ -254,17 +230,41 @@ func TestErrorMonotoneInTheta(t *testing.T) {
 	}
 }
 
+// TestAnalyzeErrors: analysis is total — lengths 0 and 1 pad to a 2-point
+// transform like cfft.PaddedLen says — and synthesis rejects, never
+// panics on, a destination or a decoded spectrum of the wrong shape.
 func TestAnalyzeErrors(t *testing.T) {
-	f := NewFFT()
-	if _, err := f.Analyze([]float32{1}, 0.5); err == nil {
-		t.Fatal("length-1 gradient should error")
-	}
-	spec, err := f.Analyze(gaussGrad(100, 1, 1), 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Synthesize(make([]float32, 99), spec); err == nil {
-		t.Fatal("wrong dst length should error")
+	for _, tr := range transforms {
+		for _, x := range [][]float32{{}, {1}} {
+			y := tr.t.Roundtrip(x, 0)
+			if len(y) != len(x) || (len(x) == 1 && math.Abs(float64(y[0]-x[0])) > 1e-6) {
+				t.Fatalf("%s: length-%d gradient round-tripped to %v", tr.name, len(x), y)
+			}
+		}
+		spec := new(Spectrum)
+		tr.t.Analyze(spec, gaussGrad(100, 1, 1), 0.5, nil)
+		if err := tr.t.Synthesize(make([]float32, 99), spec, nil); err == nil {
+			t.Fatalf("%s: wrong dst length should error", tr.name)
+		}
+		dst := make([]float32, 100)
+		if err := tr.t.Synthesize(dst, spec, nil); err != nil {
+			t.Fatalf("%s: synthesis of an analyzed spectrum: %v", tr.name, err)
+		}
+		spec.Mask[0] ^= 1 // popcount no longer equals Kept
+		if err := tr.t.Synthesize(dst, spec, nil); err == nil {
+			t.Fatalf("%s: popcount != kept should error", tr.name)
+		}
+		spec.Mask[0] ^= 1
+		spec.Vals = spec.Vals[:len(spec.Vals)-1]
+		if err := tr.t.Synthesize(dst, spec, nil); err == nil {
+			t.Fatalf("%s: short value vector should error", tr.name)
+		}
+		for _, n := range []int{0, 1, 96, 64} { // not a power of two >= max(L, 2)
+			spec.N = n
+			if err := tr.t.Synthesize(dst, spec, nil); err == nil {
+				t.Fatalf("%s: padded length %d should error", tr.name, n)
+			}
+		}
 	}
 }
 
@@ -300,13 +300,10 @@ func TestSchedules(t *testing.T) {
 
 func BenchmarkFFTAnalyze1M(b *testing.B) {
 	x := gaussGrad(1<<20, 0.1, 1)
-	f := NewFFT()
 	b.SetBytes(int64(len(x) * 4))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := f.Analyze(x, 0.85); err != nil {
-			b.Fatal(err)
-		}
+		FFT.Analyze(new(Spectrum), x, 0.85, nil)
 	}
 }
 

@@ -1,0 +1,460 @@
+package sparsify
+
+import (
+	"fmt"
+	"math"
+	mbits "math/bits"
+	"time"
+
+	"fftgrad/internal/cfft"
+	"fftgrad/internal/parallel"
+	"fftgrad/internal/scratch"
+	"fftgrad/internal/telemetry"
+	"fftgrad/internal/topk"
+)
+
+// Transform describes one real-signal transform the sparsifier can work
+// in. Everything but four leaves — the plan call, the magnitude fill, the
+// per-chunk zero+gather and the decode-side scatter — is shared; the
+// leaves are picked once per call or once per 64-word chunk, never per
+// element. Plans come from the process-wide cfft cache and temporaries
+// are pooled, so a Transform is safe for concurrent use and, with a
+// reused Spectrum, allocation-free in steady state.
+type Transform struct {
+	// Width is the number of float values one coefficient bin carries:
+	// 2 (re, im) for the FFT, 1 for the DCT.
+	Width int
+	real  bool // N real coefficients instead of N/2+1 complex bins
+}
+
+var (
+	// FFT is the paper's transform: the N/2+1 non-redundant complex bins
+	// of the real FFT, ranked by |z|².
+	FFT = &Transform{Width: 2}
+	// DCT is the real-coefficient ablation: the N coefficients of the
+	// type-II DCT, ranked by |v| (each kept bin costs one value, not two).
+	DCT = &Transform{Width: 1, real: true}
+)
+
+// Bins returns the number of coefficient bins of an n-point transform.
+func (t *Transform) Bins(n int) int {
+	if t.real {
+		return n
+	}
+	return n/2 + 1
+}
+
+// Spectrum is the sparsified transform-domain representation of a
+// gradient. L, N, Kept, Mask and Vals are exactly what a codec puts on
+// the wire; the dense coefficient array behind them (dropped bins zero)
+// is what the inverse transform reads. A Spectrum is reused across calls
+// and transforms: every slice keeps its capacity.
+type Spectrum struct {
+	L      int       // original gradient length
+	N      int       // padded power-of-two transform length
+	Kept   int       // number of surviving bins
+	Mask   []uint64  // keep bitmap over the bins
+	Vals   []float32 // surviving coefficients in bin order, Width floats per bin
+	AbsMax float64   // max |v| over Vals (set by Analyze)
+
+	cbins []complex128 // FFT: half spectrum, N/2+1 bins
+	rbins []float64    // DCT: N coefficients
+}
+
+// packChunkWords is the cache-block width of the fused select+gather
+// sweep, in 64-bin bitmap words: 64 words = 4096 bins = 64 KiB of
+// complex128 bins plus 32 KiB of magnitudes per chunk, sized to stay
+// L2-resident while a chunk is masked, zeroed, and gathered in one pass.
+const packChunkWords = 64
+
+// passACtx/passBCtx thread the fused-sweep state through ForGrain1 by
+// value so the bodies capture nothing.
+type passACtx struct {
+	mags         []float64
+	mask, eq     []uint64
+	gtCnt, eqCnt []int
+	thr          float64
+	nb           int
+}
+
+type passBCtx struct {
+	t         *Transform
+	spec      *Spectrum
+	eq        []uint64
+	off, take []int
+	maxes     []float64
+	nb        int
+}
+
+// Analyze transforms x (zero-padded to cfft.PaddedLen, so any length
+// including 0 and 1 is accepted) and keeps only the top-(1-θ) fraction of
+// bins by magnitude: it fills spec's shape, keep bitmap, packed surviving
+// values and their AbsMax, and leaves the dense coefficients with every
+// dropped bin zeroed. x is not modified. Ties at the threshold go to the
+// lowest index, exactly topk.MaskTopKInto's rule (the property test pins
+// the sweep against that unfused reference, bit for bit).
+//
+// st (nil disables timing) sees the f32→f64 widening as StageConvert
+// (Tm), the forward transform as StageTransform (Tf), the magnitude +
+// threshold + mask sweep as StageSelect (Ts) and the zero+gather sweep as
+// StagePack, all normalized to the gradient's byte size — the terms the
+// Sec. 3.3 model prices.
+//
+// Select and gather run cache-blocked: instead of one full pass to build
+// the mask, one to zero dropped bins and one to gather survivors — each
+// streaming all bins from memory — the bins are cut into packChunkWords-
+// word chunks. Pass A builds each chunk's above-threshold and
+// at-threshold masks; a serial prefix over the per-chunk counts resolves
+// the exact-k tie fill and assigns every chunk its output offset; pass B
+// revisits each chunk — still warm in cache — and zeroes dropped bins and
+// gathers survivors in the same sweep.
+func (t *Transform) Analyze(spec *Spectrum, x []float32, theta float64, st *telemetry.StageTimer) {
+	l := len(x)
+	gradBytes := 4 * l
+	n := cfft.PaddedLen(l)
+	nb := t.Bins(n)
+	k := KeepCount(nb, theta)
+	words := (nb + 63) / 64
+	spec.L, spec.N = l, n
+	spec.Mask = grow(spec.Mask, words)
+	spec.Vals = grow(spec.Vals, t.Width*k)
+
+	sigb := scratch.Float64s(n)
+	defer scratch.PutFloat64s(sigb)
+	sig := *sigb
+	t0 := time.Now()
+	parallel.For2(l, sig, x, widenF32)
+	for i := l; i < n; i++ {
+		sig[i] = 0
+	}
+	st.ObserveSince(telemetry.StageConvert, gradBytes, t0)
+	t0 = time.Now()
+	if t.real {
+		spec.rbins = grow(spec.rbins, nb)
+		cfft.DCTPlanFor(n).Forward(spec.rbins, sig)
+	} else {
+		spec.cbins = grow(spec.cbins, nb)
+		cfft.RealPlanFor(n).Forward(spec.cbins, sig)
+	}
+	st.ObserveSince(telemetry.StageTransform, gradBytes, t0)
+
+	t0 = time.Now()
+	chunks := (words + packChunkWords - 1) / packChunkWords
+	eqb := scratch.Uint64s(words)
+	defer scratch.PutUint64s(eqb)
+	cntb := scratch.Ints(2 * chunks)
+	defer scratch.PutInts(cntb)
+	maxb := scratch.Float64s(chunks)
+	defer scratch.PutFloat64s(maxb)
+	gtCnt, eqCnt := (*cntb)[:chunks], (*cntb)[chunks:]
+	switch {
+	case k <= 0: // nothing survives: empty mask, pass B zeroes every bin
+		clear(spec.Mask)
+		clear(*cntb)
+	case k >= nb: // everything survives: full mask, no threshold search
+		for w := range spec.Mask {
+			spec.Mask[w] = ^uint64(0)
+		}
+		if tail := uint(nb & 63); tail != 0 {
+			spec.Mask[words-1] = 1<<tail - 1
+		}
+		for ch := range gtCnt {
+			wlo, whi := parallel.ChunkBounds(ch, packChunkWords, words)
+			gtCnt[ch], eqCnt[ch] = min(whi<<6, nb)-(wlo<<6), 0
+		}
+	default:
+		magsb := scratch.Float64s(nb)
+		defer scratch.PutFloat64s(magsb)
+		if t.real {
+			parallel.For2(nb, *magsb, spec.rbins, magsReal)
+		} else {
+			parallel.For2(nb, *magsb, spec.cbins, magsComplex)
+		}
+		thr := topk.KthLargestBucket(*magsb, k)
+		parallel.ForGrain1(chunks, 1,
+			passACtx{mags: *magsb, mask: spec.Mask, eq: *eqb, gtCnt: gtCnt, eqCnt: eqCnt, thr: thr, nb: nb},
+			passA)
+	}
+
+	// Serial middle: resolve the exact-k tie fill and assign offsets.
+	// Everything above the threshold is kept; remaining slots are filled
+	// with at-threshold bins in index order (chunks are index-ordered, so
+	// a running "still needed" count distributes the fill). gtCnt becomes
+	// each chunk's output offset and eqCnt its tie-fill allowance.
+	totalGt := 0
+	for _, g := range gtCnt {
+		totalGt += g
+	}
+	needEq := k - totalGt
+	off := 0
+	for c := 0; c < chunks; c++ {
+		take := min(eqCnt[c], needEq)
+		needEq -= take
+		keep := gtCnt[c] + take
+		gtCnt[c], eqCnt[c] = off, take
+		off += keep
+	}
+	st.ObserveSince(telemetry.StageSelect, gradBytes, t0)
+
+	// Pass B: finish each chunk's mask, zero dropped bins, gather survivors.
+	t0 = time.Now()
+	parallel.ForGrain1(chunks, 1,
+		passBCtx{t: t, spec: spec, eq: *eqb, off: gtCnt, take: eqCnt, maxes: *maxb, nb: nb},
+		passB)
+	spec.AbsMax = 0
+	for _, m := range *maxb {
+		spec.AbsMax = max(spec.AbsMax, m)
+	}
+	// off is the number of bins actually kept — equal to k whenever the
+	// selector's threshold is exact (always, for KthLargestBucket).
+	spec.Kept = off
+	spec.Vals = spec.Vals[:t.Width*off]
+	st.ObserveSince(telemetry.StagePack, gradBytes, t0)
+}
+
+// passA fills chunks [clo, chi) of the above-threshold mask and the
+// at-threshold mask, with their per-chunk popcounts.
+func passA(c passACtx, clo, chi int) {
+	for ch := clo; ch < chi; ch++ {
+		wlo, whi := parallel.ChunkBounds(ch, packChunkWords, len(c.mask))
+		gt, eqn := 0, 0
+		for w := wlo; w < whi; w++ {
+			base := w << 6
+			end := min(base+64, c.nb)
+			var gtW, eqW uint64
+			for i := base; i < end; i++ {
+				m := c.mags[i]
+				if m > c.thr {
+					gtW |= 1 << (uint(i) & 63)
+				} else if m == c.thr {
+					eqW |= 1 << (uint(i) & 63)
+				}
+			}
+			c.mask[w], c.eq[w] = gtW, eqW
+			gt += mbits.OnesCount64(gtW)
+			eqn += mbits.OnesCount64(eqW)
+		}
+		c.gtCnt[ch], c.eqCnt[ch] = gt, eqn
+	}
+}
+
+// passB completes chunks [clo, chi): the chunk's tie-fill allowance goes
+// to its earliest at-threshold bins, then the transform's leaf zeroes the
+// dropped bins and gathers the survivors at the chunk's output offset.
+func passB(c passBCtx, clo, chi int) {
+	mask := c.spec.Mask
+	for ch := clo; ch < chi; ch++ {
+		wlo, whi := parallel.ChunkBounds(ch, packChunkWords, len(mask))
+		take := c.take[ch]
+		for w := wlo; w < whi && take > 0; w++ {
+			eqW := c.eq[w]
+			if cnt := mbits.OnesCount64(eqW); take >= cnt {
+				mask[w] |= eqW
+				take -= cnt
+				continue
+			}
+			for ; take > 0; take-- {
+				low := eqW & -eqW
+				mask[w] |= low
+				eqW &^= low
+			}
+		}
+		vals := c.spec.Vals[c.t.Width*c.off[ch]:]
+		if c.t.real {
+			c.maxes[ch] = keepReal(c.spec.rbins, mask, wlo, whi, c.nb, vals)
+		} else {
+			c.maxes[ch] = keepComplex(c.spec.cbins, mask, wlo, whi, c.nb, vals)
+		}
+	}
+}
+
+// keepComplex zeroes the dropped bins of mask words [wlo, whi) and packs
+// the survivors into vals as (re, im) float32 pairs, returning their max
+// absolute value.
+func keepComplex(bins []complex128, mask []uint64, wlo, whi, nb int, vals []float32) float64 {
+	var absMax float64
+	vi := 0
+	for w := wlo; w < whi; w++ {
+		sel := mask[w]
+		base := w << 6
+		end := min(base+64, nb)
+		for i := base; i < end; i++ {
+			if sel&(1<<(uint(i)&63)) == 0 {
+				bins[i] = 0
+				continue
+			}
+			b := bins[i]
+			re, im := float32(real(b)), float32(imag(b))
+			vals[vi], vals[vi+1] = re, im
+			vi += 2
+			if a := math.Abs(float64(re)); a > absMax {
+				absMax = a
+			}
+			if a := math.Abs(float64(im)); a > absMax {
+				absMax = a
+			}
+		}
+	}
+	return absMax
+}
+
+// keepReal is keepComplex for real coefficients, one float32 per bin.
+func keepReal(bins []float64, mask []uint64, wlo, whi, nb int, vals []float32) float64 {
+	var absMax float64
+	vi := 0
+	for w := wlo; w < whi; w++ {
+		sel := mask[w]
+		base := w << 6
+		end := min(base+64, nb)
+		for i := base; i < end; i++ {
+			if sel&(1<<(uint(i)&63)) == 0 {
+				bins[i] = 0
+				continue
+			}
+			v := float32(bins[i])
+			vals[vi] = v
+			vi++
+			if a := math.Abs(float64(v)); a > absMax {
+				absMax = a
+			}
+		}
+	}
+	return absMax
+}
+
+// Synthesize is the receiver's half: it rebuilds the dense coefficients
+// from a decoded message — spec.L, N, Kept, Mask and Vals as read off the
+// wire — and inverse-transforms them into dst, which must have length
+// spec.L. A shape that no Analyze could have produced (N not the padded
+// length's power of two, Mask or Vals of the wrong size, bitmap popcount
+// other than Kept) is an error, never a panic. st sees the scatter as
+// StagePack, the inverse transform as StageTransform and the f64→f32
+// narrowing as StageConvert (nil disables timing).
+func (t *Transform) Synthesize(dst []float32, spec *Spectrum, st *telemetry.StageTimer) error {
+	if len(dst) != spec.L {
+		return fmt.Errorf("sparsify: dst length %d != gradient length %d", len(dst), spec.L)
+	}
+	if spec.N < 2 || !cfft.IsPow2(spec.N) || spec.L > spec.N {
+		return fmt.Errorf("sparsify: bad padded length %d for gradient length %d", spec.N, spec.L)
+	}
+	nb := t.Bins(spec.N)
+	words := (nb + 63) / 64
+	if len(spec.Mask) != words || len(spec.Vals) != t.Width*spec.Kept {
+		return fmt.Errorf("sparsify: %d mask words and %d values inconsistent with N=%d, kept=%d",
+			len(spec.Mask), len(spec.Vals), spec.N, spec.Kept)
+	}
+	t0 := time.Now()
+	// Bits past the last bin are ignored, as a bit-by-bit walk would.
+	if tail := uint(nb & 63); tail != 0 {
+		spec.Mask[words-1] &= 1<<tail - 1
+	}
+	pop := 0
+	for _, w := range spec.Mask {
+		pop += mbits.OnesCount64(w)
+	}
+	if pop != spec.Kept {
+		return fmt.Errorf("sparsify: bitmap popcount %d != kept %d", pop, spec.Kept)
+	}
+	if t.real {
+		spec.rbins = grow(spec.rbins, nb)
+		scatterReal(spec.rbins, spec.Mask, spec.Vals)
+	} else {
+		spec.cbins = grow(spec.cbins, nb)
+		scatterComplex(spec.cbins, spec.Mask, spec.Vals)
+	}
+	st.ObserveSince(telemetry.StagePack, 4*spec.L, t0)
+	t.inverse(dst, spec, st)
+	return nil
+}
+
+// scatterComplex fills every bin from the packed (re, im) pairs: masked
+// bins take the next pair, the rest are zero. The caller has checked that
+// mask's popcount matches len(vals)/2.
+func scatterComplex(bins []complex128, mask []uint64, vals []float32) {
+	vi := 0
+	for i := range bins {
+		if mask[i>>6]&(1<<(uint(i)&63)) == 0 {
+			bins[i] = 0
+			continue
+		}
+		bins[i] = complex(float64(vals[vi]), float64(vals[vi+1]))
+		vi += 2
+	}
+}
+
+// scatterReal is scatterComplex for one real value per bin.
+func scatterReal(bins []float64, mask []uint64, vals []float32) {
+	vi := 0
+	for i := range bins {
+		if mask[i>>6]&(1<<(uint(i)&63)) == 0 {
+			bins[i] = 0
+			continue
+		}
+		bins[i] = float64(vals[vi])
+		vi++
+	}
+}
+
+// inverse transforms spec's dense coefficients back into dst (length
+// spec.L).
+func (t *Transform) inverse(dst []float32, spec *Spectrum, st *telemetry.StageTimer) {
+	sigb := scratch.Float64s(spec.N)
+	defer scratch.PutFloat64s(sigb)
+	t0 := time.Now()
+	if t.real {
+		cfft.DCTPlanFor(spec.N).Inverse(*sigb, spec.rbins)
+	} else {
+		cfft.RealPlanFor(spec.N).Inverse(*sigb, spec.cbins)
+	}
+	st.ObserveSince(telemetry.StageTransform, 4*spec.L, t0)
+	t0 = time.Now()
+	parallel.For2(spec.L, dst, *sigb, narrowF64)
+	st.ObserveSince(telemetry.StageConvert, 4*spec.L, t0)
+}
+
+// Roundtrip sparsifies x at ratio theta in the transform domain and
+// returns the reconstruction from the unquantised coefficients — the
+// "FFT Top-k" curve of Fig. 5.
+func (t *Transform) Roundtrip(x []float32, theta float64) []float32 {
+	var spec Spectrum
+	t.Analyze(&spec, x, theta, nil)
+	out := make([]float32, len(x))
+	t.inverse(out, &spec, nil)
+	return out
+}
+
+// The capture-free bodies of the element-wise passes (parallel.For2 keeps
+// them alloc-free).
+func widenF32(dst []float64, src []float32, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		dst[i] = float64(src[i])
+	}
+}
+
+func narrowF64(dst []float32, src []float64, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		dst[i] = float32(src[i])
+	}
+}
+
+func magsComplex(mags []float64, bins []complex128, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		re, im := real(bins[i]), imag(bins[i])
+		mags[i] = re*re + im*im // monotone in |z|; avoids sqrt
+	}
+}
+
+func magsReal(mags, bins []float64, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		mags[i] = math.Abs(bins[i])
+	}
+}
+
+// grow resizes b to length n, reallocating only when capacity is
+// insufficient. Contents are unspecified (callers fully overwrite).
+func grow[T any](b []T, n int) []T {
+	if cap(b) >= n {
+		return b[:n]
+	}
+	return make([]T, n)
+}
