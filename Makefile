@@ -1,17 +1,33 @@
 GO ?= go
 
-.PHONY: all build vet test race race-short loc bench bench-test bench-json benchdiff bench-baseline bench-gate experiments examples fmt check chaos guard fuzz serve-smoke collective-smoke elastic-smoke obs-smoke
+.PHONY: all build vet test purego fmt-check race race-short loc bench bench-test bench-json benchdiff bench-baseline bench-gate experiments examples fmt check chaos guard fuzz serve-smoke collective-smoke elastic-smoke obs-smoke
 
 all: build vet test
 
-# check is the CI gate: vet, build, full test suite, the short race pass,
-# then the nested benchmark module.
-check:
+# check is the CI gate: formatting, vet, build, full test suite, the
+# assembly-free build of the kernel packages, the short race pass, then
+# the nested benchmark module.
+check: fmt-check
 	$(GO) vet ./...
 	$(GO) build ./...
 	$(GO) test ./...
+	$(MAKE) purego
 	$(MAKE) race-short
 	$(MAKE) bench-test
+
+# The packages with a vector kernel or a path built on one, vetted and
+# tested with the assembly compiled out (-tags purego is what every
+# non-amd64 platform runs), so the Go reference cannot rot behind it.
+KERNEL_PKGS = ./internal/cfft ./internal/f16 ./internal/sparsify ./internal/compress
+
+purego:
+	$(GO) vet -tags purego $(KERNEL_PKGS)
+	$(GO) test -tags purego $(KERNEL_PKGS)
+
+# gofmt -l prints the files it would rewrite; any is a failure.
+fmt-check:
+	@out=$$(gofmt -l . | grep -v '^\.bench_build/' || true); \
+	if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
 
 # The race detector's beat: the packages that share caches/pools across
 # goroutines, mutate shared controller/registry state or run the worker
@@ -59,11 +75,13 @@ guard:
 	$(GO) test -run TestSmokeGuard -v ./cmd/trainer/
 
 # Fuzz smoke: a short wall-clock-bounded pass over the compressed
-# message decoders, every codec's encode→decode round trip, the guard
-# frame decoder and the framed codec decoder.
+# message decoders, every codec's encode→decode round trip, the fused
+# transform decode against its unfused reference, the guard frame decoder
+# and the framed codec decoder.
 fuzz:
 	$(GO) test -fuzz=FuzzDecompressRobustness -fuzztime=15s -run '^$$' ./internal/compress/
 	$(GO) test -fuzz=FuzzCompressRoundTrip -fuzztime=15s -run '^$$' ./internal/compress/
+	$(GO) test -fuzz=FuzzDecodeMatchesReference -fuzztime=15s -run '^$$' ./internal/compress/
 	$(GO) test -fuzz=FuzzUnframe -fuzztime=15s -run '^$$' ./internal/guard/
 	$(GO) test -fuzz=FuzzFramedDecompress -fuzztime=15s -run '^$$' ./internal/guard/
 

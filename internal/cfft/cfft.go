@@ -10,12 +10,21 @@
 // receiver. The paper uses cuFFT; here the same transforms run on the CPU
 // in float64 so the sparsification error measured by the experiments is
 // dominated by the *dropped coefficients*, not by transform round-off.
+//
+// The butterfly network and the real transform's untangle/retangle passes
+// go through a small kernel table (kernels.go). The Go loops in this
+// package are the reference and the only path on most platforms; on amd64
+// with AVX2 the table is switched, once at init, to assembly that executes
+// the same IEEE operations in the same pairing, four butterflies per
+// instruction, so every output bit is the reference's (DESIGN.md
+// Sec. 10.6).
 package cfft
 
 import (
 	"math"
 	"math/bits"
 	"sync/atomic"
+	"unsafe"
 
 	"fftgrad/internal/parallel"
 	"fftgrad/internal/scratch"
@@ -41,12 +50,26 @@ type Plan struct {
 	leaf int     // largest block transformed iteratively (cache-resident)
 	rev  []int32 // bit-reversal permutation
 	// tw[s] is the twiddle table for the fused stage of block size 1<<s:
-	// interleaved triples (W^k, W^2k, W^3k) with W = exp(-2πi/m), k in
-	// [0, m/4) — unit stride in the butterfly loop, forward sign (the
-	// inverse loop conjugates in registers). The size-4 stage is
+	// the triples (W^k, W^2k, W^3k) with W = exp(-2πi/m), k in [0, m/4),
+	// forward sign (the inverse loop conjugates in registers), laid out
+	// in groups of four rows (see twGroup). The size-4 stage is
 	// multiplication-free and has no table.
-	tw [][]complex128
+	tw [][]float64
 }
+
+// twGroup is the number of float64 in one group of a stage's twiddle
+// table. A group serves four consecutive butterfly rows and is six
+// 4-lane vectors — re(W^k), im(W^k), re(W^2k), im(W^2k), re(W^3k),
+// im(W^3k) — so the vector kernels multiply four rows by one 32-byte load
+// per operand, and the table is no larger than interleaved triples were.
+const twGroup = 24
+
+// laneOf is the lane a row takes inside its group: rows 4g+{0,1,2,3} sit
+// in lanes {0,2,1,3}, the order two in-lane unpacks of (re, im) pairs
+// produce. The size-8 stage has only rows 0 and 1; its single group
+// repeats them in lanes {0,1} and {2,3} so that one vector spans two
+// blocks. Both kernels read this one table.
+var laneOf = [4]int{0, 2, 1, 3}
 
 // IsPow2 reports whether n is a positive power of two.
 func IsPow2(n int) bool { return n > 0 && n&(n-1) == 0 }
@@ -151,7 +174,7 @@ func NewPlan(n int) *Plan {
 		n:    n,
 		logN: bits.TrailingZeros(uint(n)),
 		rev:  make([]int32, n),
-		tw:   make([][]complex128, bits.TrailingZeros(uint(n))+1),
+		tw:   make([][]float64, bits.TrailingZeros(uint(n))+1),
 	}
 	leafLog := leafLogEven
 	if p.logN&1 == 1 {
@@ -173,11 +196,17 @@ func NewPlan(n int) *Plan {
 	}
 	for m := first; m <= n; m <<= 2 {
 		q := m >> 2
-		t := make([]complex128, 3*q)
+		t := make([]float64, twGroup*((q+3)/4))
 		for k := 0; k < q; k++ {
+			at := twGroup*(k>>2) + laneOf[k&3]
 			for e := 1; e <= 3; e++ {
 				ang := -2 * math.Pi * float64(e*k) / float64(m)
-				t[3*k+e-1] = complex(math.Cos(ang), math.Sin(ang))
+				t[at+8*(e-1)], t[at+8*(e-1)+4] = math.Cos(ang), math.Sin(ang)
+			}
+		}
+		if q == 2 { // rows {0,0,1,1}: see laneOf
+			for v := 0; v < twGroup; v += 4 {
+				t[v+1], t[v+3] = t[v], t[v+2]
 			}
 		}
 		p.tw[bits.TrailingZeros(uint(m))] = t
@@ -280,99 +309,27 @@ func (p *Plan) recurse(x []complex128, inverse bool) {
 	p.recurse(x[q:2*q], inverse)
 	p.recurse(x[2*q:3*q], inverse)
 	p.recurse(x[3*q:], inverse)
-	radix4Range(x, p.tw[bits.TrailingZeros(uint(m))], 0, q, inverse)
+	active.radix4(x, p.tw[bits.TrailingZeros(uint(m))], m, 0, q, inverse)
 }
 
 // leafStages transforms one cache-resident block iteratively: the opening
 // multiplication-free stage (size 2 for odd log, size 4 for even), then
-// fused radix-4 stages up to the block size.
+// fused radix-4 stages up to the block size, each one kernel call over
+// all of the stage's blocks.
 func (p *Plan) leafStages(x []complex128, inverse bool) {
 	m := len(x)
 	if m == 1 {
 		return
 	}
-	lg := bits.TrailingZeros(uint(m))
 	s := 16
-	if lg&1 == 1 {
-		stage2(x)
+	if bits.TrailingZeros(uint(m))&1 == 1 {
+		active.stage2(x)
 		s = 8
 	} else {
-		stage4(x, inverse)
+		active.stage4(x, inverse)
 	}
 	for ; s <= m; s <<= 2 {
-		tw := p.tw[bits.TrailingZeros(uint(s))]
-		q := s >> 2
-		for b := 0; b < m; b += s {
-			radix4Range(x[b:b+s], tw, 0, q, inverse)
-		}
-	}
-}
-
-// stage2 applies the size-2 butterfly across the whole block (the opening
-// stage when log2(n) is odd; direction-independent and twiddle-free).
-func stage2(x []complex128) {
-	for j := 0; j+1 < len(x); j += 2 {
-		a, b := x[j], x[j+1]
-		x[j], x[j+1] = a+b, a-b
-	}
-}
-
-// stage4 applies the twiddle-free size-4 fused butterfly across the whole
-// block (the opening stage when log2(n) is even: all twiddles are 1).
-func stage4(x []complex128, inverse bool) {
-	for j := 0; j+3 < len(x); j += 4 {
-		x0, x1, x2, x3 := x[j], x[j+1], x[j+2], x[j+3]
-		s0, s1 := x0+x1, x0-x1
-		s2, s3 := x2+x3, x2-x3
-		// ±i·s3 written out as a rotation: i·(a+bi) = -b + ai.
-		r := complex(-imag(s3), real(s3))
-		if inverse {
-			x[j], x[j+1], x[j+2], x[j+3] = s0+s2, s1+r, s0-s2, s1-r
-		} else {
-			x[j], x[j+1], x[j+2], x[j+3] = s0+s2, s1-r, s0-s2, s1+r
-		}
-	}
-}
-
-// radix4Range applies the fused radix-4 butterfly to rows k in [lo, hi)
-// of one block. tw holds interleaved forward triples (W^k, W^2k, W^3k);
-// the inverse direction conjugates them in registers and swaps the ∓i
-// rotation, which is exactly the conjugate network. Fusing two radix-2
-// stages costs 3 complex multiplies per 4 outputs instead of 4 and makes
-// one memory pass instead of two.
-func radix4Range(x, tw []complex128, lo, hi int, inverse bool) {
-	q := len(x) >> 2
-	a := x[:q:q]
-	b := x[q : 2*q : 2*q]
-	c := x[2*q : 3*q : 3*q]
-	d := x[3*q:]
-	if inverse {
-		for k := lo; k < hi; k++ {
-			t := tw[3*k : 3*k+3]
-			w1 := complex(real(t[0]), -imag(t[0]))
-			w2 := complex(real(t[1]), -imag(t[1]))
-			w3 := complex(real(t[2]), -imag(t[2]))
-			u := b[k] * w2
-			v := c[k] * w1
-			z := d[k] * w3
-			s0, s1 := a[k]+u, a[k]-u
-			s2, s3 := v+z, v-z
-			r := complex(-imag(s3), real(s3))
-			a[k], c[k] = s0+s2, s0-s2
-			b[k], d[k] = s1+r, s1-r
-		}
-		return
-	}
-	for k := lo; k < hi; k++ {
-		t := tw[3*k : 3*k+3]
-		u := b[k] * t[1]
-		v := c[k] * t[0]
-		z := d[k] * t[2]
-		s0, s1 := a[k]+u, a[k]-u
-		s2, s3 := v+z, v-z
-		r := complex(-imag(s3), real(s3))
-		a[k], c[k] = s0+s2, s0-s2
-		b[k], d[k] = s1-r, s1+r
+		active.radix4(x, p.tw[bits.TrailingZeros(uint(s))], s, 0, s>>2, inverse)
 	}
 }
 
@@ -387,7 +344,8 @@ type parCtx struct {
 
 // stageCtx carries one combining stage's k-range dispatch.
 type stageCtx struct {
-	x, tw   []complex128
+	x       []complex128
+	tw      []float64
 	inverse bool
 }
 
@@ -414,7 +372,7 @@ func (p *Plan) stagesParallel(x []complex128, inverse bool) {
 		for b := 0; b < n; b += m {
 			parallel.ForGrain1(q, 1<<13, stageCtx{x[b : b+m], tw, inverse},
 				func(c stageCtx, lo, hi int) {
-					radix4Range(c.x, c.tw, lo, hi, c.inverse)
+					active.radix4(c.x, c.tw, len(c.x), lo, hi, c.inverse)
 				})
 		}
 	}
@@ -424,12 +382,22 @@ func (p *Plan) stagesParallel(x []complex128, inverse bool) {
 // fixed even power-of-two length n, producing the n/2+1 non-redundant
 // spectrum bins. It uses the standard trick of transforming the length-n
 // real signal as a length-n/2 complex signal followed by an untangling
-// pass, halving the transform work relative to a padded complex FFT.
+// pass, halving the transform work relative to a padded complex FFT. The
+// packed complex signal z[j] = x[2j] + i·x[2j+1] is the real signal's own
+// memory, so the work array of both directions is the caller's []float64.
 type RealPlan struct {
 	n    int
 	half *Plan
-	// untw[k] = exp(-2πi k / n) for the untangle pass, k in [0, n/2]
-	untw []complex128
+	// untw holds exp(-2πi k / n) for the untangle pass, k in [0, n/2], in
+	// groups of four: re then im, rows 4g+{0,2,1,3} (laneOf), read through
+	// unrow.
+	untw []float64
+}
+
+// unrow returns the untangle twiddle of bin k.
+func unrow(untw []float64, k int) complex128 {
+	t := untw[8*(k>>2)+laneOf[k&3]:]
+	return complex(t[0], t[4])
 }
 
 // NewRealPlan creates a real-transform plan. n must be a power of two >= 2.
@@ -437,10 +405,11 @@ func NewRealPlan(n int) *RealPlan {
 	if !IsPow2(n) || n < 2 {
 		panic("cfft: real plan length must be a power of two >= 2")
 	}
-	rp := &RealPlan{n: n, half: NewPlan(n / 2), untw: make([]complex128, n/2+1)}
+	rp := &RealPlan{n: n, half: NewPlan(n / 2), untw: make([]float64, 8*(n/8+1))}
 	for k := 0; k <= n/2; k++ {
 		ang := -2 * math.Pi * float64(k) / float64(n)
-		rp.untw[k] = complex(math.Cos(ang), math.Sin(ang))
+		at := 8*(k>>2) + laneOf[k&3]
+		rp.untw[at], rp.untw[at+4] = math.Cos(ang), math.Sin(ang)
 	}
 	return rp
 }
@@ -451,73 +420,44 @@ func (rp *RealPlan) N() int { return rp.n }
 // SpectrumLen returns the number of non-redundant complex bins, n/2+1.
 func (rp *RealPlan) SpectrumLen() int { return rp.n/2 + 1 }
 
+// packed views a real signal as the half-length complex signal of its
+// (even, odd) sample pairs.
+func packed(x []float64) []complex128 {
+	return unsafe.Slice((*complex128)(unsafe.Pointer(unsafe.SliceData(x))), len(x)/2)
+}
+
 // Forward computes the non-redundant half spectrum of the real signal x.
 // spec must have length n/2+1. spec[0] and spec[n/2] have zero imaginary
-// parts (DC and Nyquist bins).
+// parts (DC and Nyquist bins). x is not modified.
 func (rp *RealPlan) Forward(spec []complex128, x []float64) {
+	wb := scratch.Float64s(len(x))
+	defer scratch.PutFloat64s(wb)
+	copy(*wb, x)
+	rp.ForwardInPlace(spec, *wb)
+}
+
+// ForwardInPlace is Forward with x as the work array: x is overwritten.
+// A caller that builds the signal itself (the sparsifier's front end)
+// saves Forward's copy.
+func (rp *RealPlan) ForwardInPlace(spec []complex128, x []float64) {
 	n := rp.n
 	if len(x) != n || len(spec) != n/2+1 {
 		panic("cfft: bad real forward lengths")
 	}
-	h := n / 2
-	zb := scratch.Complex128s(h)
-	defer scratch.PutComplex128s(zb)
-	z := *zb
-	for j := 0; j < h; j++ {
-		z[j] = complex(x[2*j], x[2*j+1])
-	}
+	z := packed(x)
 	rp.half.Forward(z, z)
-
-	// Untangle: X[k] = (Z[k]+conj(Z[h-k]))/2 - i·w^k·(Z[k]-conj(Z[h-k]))/2
-	for k := 0; k <= h; k++ {
-		var zk, zmk complex128
-		if k == h {
-			zk = z[0]
-		} else {
-			zk = z[k]
-		}
-		if k == 0 {
-			zmk = z[0]
-		} else {
-			zmk = z[h-k]
-		}
-		zmk = complex(real(zmk), -imag(zmk))
-		even := (zk + zmk) * 0.5
-		odd := (zk - zmk) * complex(0, -0.5)
-		spec[k] = even + rp.untw[k]*odd
-	}
-	// Enforce exactly-real DC and Nyquist bins.
-	spec[0] = complex(real(spec[0]), 0)
-	spec[h] = complex(real(spec[h]), 0)
+	active.untangle(spec, z, rp.untw)
 }
 
 // Inverse reconstructs the real signal from its half spectrum (normalized:
 // Inverse(Forward(x)) == x up to round-off). x must have length n, spec
-// length n/2+1. spec is not modified.
+// length n/2+1. spec is not modified; x is the only work array.
 func (rp *RealPlan) Inverse(x []float64, spec []complex128) {
 	n := rp.n
 	if len(x) != n || len(spec) != n/2+1 {
 		panic("cfft: bad real inverse lengths")
 	}
-	h := n / 2
-	zb := scratch.Complex128s(h)
-	defer scratch.PutComplex128s(zb)
-	z := *zb
-	// Retangle: Z[k] = E[k] + i·conj(w^k)·O[k] where E,O derive from spec.
-	for k := 0; k < h; k++ {
-		xk := spec[k]
-		xmk := spec[h-k]
-		xmk = complex(real(xmk), -imag(xmk))
-		even := (xk + xmk) * 0.5
-		odd := (xk - xmk) * 0.5
-		// invert the untangle rotation
-		w := rp.untw[k]
-		wc := complex(real(w), -imag(w))
-		z[k] = even + complex(0, 1)*wc*odd
-	}
+	z := packed(x)
+	active.retangle(z, spec, rp.untw)
 	rp.half.Inverse(z, z)
-	for j := 0; j < h; j++ {
-		x[2*j] = real(z[j])
-		x[2*j+1] = imag(z[j])
-	}
 }

@@ -40,23 +40,32 @@ func (p *DCTPlan) N() int { return p.n }
 //
 //	dst[k] = Σ_j src[j] · cos(π(2j+1)k / 2n)
 //
-// dst and src must both have length n.
+// dst and src must both have length n. src is not modified.
 func (p *DCTPlan) Forward(dst, src []float64) {
+	if len(src) != p.n {
+		panic("cfft: bad DCT forward lengths")
+	}
+	yb := scratch.Float64s(2 * p.n)
+	defer scratch.PutFloat64s(yb)
+	copy(*yb, src)
+	p.ForwardInPlace(dst, *yb)
+}
+
+// ForwardInPlace is Forward with the signal in work[:n] and work, of
+// length 2n, as the work array: all of it is overwritten.
+func (p *DCTPlan) ForwardInPlace(dst, work []float64) {
 	n := p.n
-	if len(dst) != n || len(src) != n {
+	if len(dst) != n || len(work) != 2*n {
 		panic("cfft: bad DCT forward lengths")
 	}
 	// Even-symmetric extension: y = [x0..x_{n-1}, x_{n-1}..x0].
-	yb := scratch.Float64s(2 * n)
-	specb := scratch.Complex128s(p.rp.SpectrumLen())
-	defer scratch.PutFloat64s(yb)
-	defer scratch.PutComplex128s(specb)
-	y, spec := *yb, *specb
-	copy(y, src)
 	for j := 0; j < n; j++ {
-		y[2*n-1-j] = src[j]
+		work[2*n-1-j] = work[j]
 	}
-	p.rp.Forward(spec, y)
+	specb := scratch.Complex128s(p.rp.SpectrumLen())
+	defer scratch.PutComplex128s(specb)
+	spec := *specb
+	p.rp.ForwardInPlace(spec, work)
 	// Y[k] = e^{iπk/2n} · 2·C[k]  ⇒  C[k] = Re(Y[k]·e^{-iπk/2n}) / 2.
 	for k := 0; k < n; k++ {
 		dst[k] = real(spec[k]*p.tw[k]) / 2

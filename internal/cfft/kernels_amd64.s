@@ -1,0 +1,412 @@
+//go:build !purego
+
+#include "textflag.h"
+
+// AVX2 forms of the cfft kernels (kernels.go). Four butterflies or bins
+// travel in one register in split form — a vector of real parts and a
+// vector of imaginary parts — so a complex multiply is four VMULPD and
+// one VSUBPD/VADDPD with no shuffles, and the ±i rotation is a choice of
+// operands. Every lane executes the reference's IEEE operations with the
+// reference's operand pairing: separate multiplies and adds, never FMA;
+// an operation the reference performs on a negated operand (a conjugated
+// twiddle, -imag(s3)) is performed as the add/subtract it equals exactly.
+//
+// In the operand order of this assembler, "VSUBPD b, a, d" is d = a - b.
+
+DATA consts<>+0(SB)/8, $0x8000000000000000 // sign bit
+DATA consts<>+8(SB)/8, $0x3fe0000000000000 // 0.5
+DATA consts<>+16(SB)/8, $0xbfe0000000000000 // -0.5
+DATA consts<>+24(SB)/8, $0x0000000000000000
+DATA consts<>+32(SB)/8, $0x8000000000000000 // sign bit of the real part,
+DATA consts<>+40(SB)/8, $0x0000000000000000 // two (re, im) pairs
+DATA consts<>+48(SB)/8, $0x8000000000000000
+DATA consts<>+56(SB)/8, $0x0000000000000000
+GLOBL consts<>(SB), RODATA|NOPTR, $64
+
+// LOAD4 reads four consecutive complex128 (two at p, two at p+off2) into
+// a vector of real parts and one of imaginary parts, elements {0,2,1,3};
+// STORE4 is its inverse.
+#define LOAD4(p, off2, re, im, t0, t1) \
+	VMOVUPD (p), t0; \
+	VMOVUPD off2(p), t1; \
+	VUNPCKLPD t1, t0, re; \
+	VUNPCKHPD t1, t0, im
+
+#define STORE4(p, off2, re, im, t0, t1) \
+	VUNPCKLPD im, re, t0; \
+	VUNPCKHPD im, re, t1; \
+	VMOVUPD t0, (p); \
+	VMOVUPD t1, off2(p)
+
+// CMUL is o = x·w: (xr·wr - xi·wi, xr·wi + xi·wr). CMULC is x·conj(w),
+// which the reference computes with -wi in w's place:
+// (xr·wr + xi·wi, xi·wr - xr·wi).
+#define CMUL(xr, xi, wr, wi, or, oi, t) \
+	VMULPD wr, xr, or; \
+	VMULPD wi, xi, t; \
+	VSUBPD t, or, or; \
+	VMULPD wi, xr, oi; \
+	VMULPD wr, xi, t; \
+	VADDPD t, oi, oi
+
+#define CMULC(xr, xi, wr, wi, or, oi, t) \
+	VMULPD wr, xr, or; \
+	VMULPD wi, xi, t; \
+	VADDPD t, or, or; \
+	VMULPD wi, xr, oi; \
+	VMULPD wr, xi, t; \
+	VSUBPD oi, t, oi
+
+// BUTTERFLY is four rows of the fused radix-4 stage: AX, BX, CX, DX point
+// at the rows' a, b, c, d operands, R13 at their twiddle group. MUL is
+// CMUL and (pm, pp) = (BX, DX) forward; CMULC and (DX, BX) inverse: s1-r
+// goes to pm and s1+r to pp, where r = i·s3.
+#define BUTTERFLY(off2, MUL, pm, pp) \
+	LOAD4(BX, off2, Y2, Y3, Y8, Y9); \
+	VMOVUPD 64(R13), Y10; \
+	VMOVUPD 96(R13), Y11; \
+	MUL(Y2, Y3, Y10, Y11, Y8, Y9, Y12); \
+	LOAD4(AX, off2, Y0, Y1, Y12, Y13); \
+	VADDPD Y8, Y0, Y2; \
+	VADDPD Y9, Y1, Y3; \
+	VSUBPD Y8, Y0, Y0; \
+	VSUBPD Y9, Y1, Y1; \
+	LOAD4(CX, off2, Y4, Y5, Y12, Y13); \
+	VMOVUPD (R13), Y10; \
+	VMOVUPD 32(R13), Y11; \
+	MUL(Y4, Y5, Y10, Y11, Y8, Y9, Y12); \
+	LOAD4(DX, off2, Y6, Y7, Y12, Y13); \
+	VMOVUPD 128(R13), Y10; \
+	VMOVUPD 160(R13), Y11; \
+	MUL(Y6, Y7, Y10, Y11, Y12, Y13, Y14); \
+	VADDPD Y12, Y8, Y4; \
+	VADDPD Y13, Y9, Y5; \
+	VSUBPD Y12, Y8, Y6; \
+	VSUBPD Y13, Y9, Y7; \
+	VADDPD Y4, Y2, Y8; \
+	VADDPD Y5, Y3, Y9; \
+	STORE4(AX, off2, Y8, Y9, Y10, Y11); \
+	VSUBPD Y4, Y2, Y8; \
+	VSUBPD Y5, Y3, Y9; \
+	STORE4(CX, off2, Y8, Y9, Y10, Y11); \
+	VADDPD Y7, Y0, Y8; \
+	VSUBPD Y6, Y1, Y9; \
+	STORE4(pm, off2, Y8, Y9, Y10, Y11); \
+	VSUBPD Y7, Y0, Y8; \
+	VADDPD Y6, Y1, Y9; \
+	STORE4(pp, off2, Y8, Y9, Y10, Y11)
+
+// RADIX4 is the loop nest: for each of R8 blocks R9 bytes apart, starting
+// at DI, R11 groups of four rows, the quarter-blocks R12 bytes apart.
+#define RADIX4(blk, grp, MUL, pm, pp) \
+blk: \
+	MOVQ DI, AX; \
+	LEAQ (AX)(R12*1), BX; \
+	LEAQ (BX)(R12*1), CX; \
+	LEAQ (CX)(R12*1), DX; \
+	MOVQ SI, R13; \
+	MOVQ R11, R10; \
+grp: \
+	BUTTERFLY(32, MUL, pm, pp); \
+	ADDQ $64, AX; \
+	ADDQ $64, BX; \
+	ADDQ $64, CX; \
+	ADDQ $64, DX; \
+	ADDQ $192, R13; \
+	DECQ R10; \
+	JNZ grp; \
+	ADDQ R9, DI; \
+	DECQ R8; \
+	JNZ blk
+
+// func radix4AVX2(x *complex128, nblk int, tw *float64, m, lo, hi int, inverse bool)
+//
+// Rows [lo, hi) — whole groups of four — of the size-m stage (m >= 16)
+// over nblk consecutive blocks.
+TEXT ·radix4AVX2(SB), NOSPLIT, $0-49
+	MOVQ x+0(FP), DI
+	MOVQ nblk+8(FP), R8
+	MOVQ tw+16(FP), SI
+	MOVQ m+24(FP), R9
+	MOVQ lo+32(FP), R10
+	MOVQ hi+40(FP), R11
+	SUBQ R10, R11
+	SHRQ $2, R11
+	JZ   r4done
+	TESTQ R8, R8
+	JZ   r4done
+	LEAQ (R9*4), R12
+	SHLQ $4, R9
+	MOVQ R10, AX
+	SHLQ $4, AX
+	ADDQ AX, DI
+	SHRQ $2, R10
+	IMUL3Q $192, R10, R10
+	ADDQ R10, SI
+	CMPB inverse+48(FP), $0
+	JNE  r4inv
+	RADIX4(r4fblk, r4fgrp, CMUL, BX, DX)
+	VZEROUPPER
+	RET
+r4inv:
+	RADIX4(r4iblk, r4igrp, CMULC, DX, BX)
+r4done:
+	VZEROUPPER
+	RET
+
+// func radix4x8AVX2(x *complex128, npair int, tw *float64, inverse bool)
+//
+// The size-8 stage has two rows per block, so each vector spans the same
+// two rows of two adjacent blocks (128 bytes apart); tw is the stage's
+// single group with rows {0,0,1,1}.
+TEXT ·radix4x8AVX2(SB), NOSPLIT, $0-25
+	MOVQ x+0(FP), AX
+	MOVQ npair+8(FP), R8
+	MOVQ tw+16(FP), R13
+	TESTQ R8, R8
+	JZ   r8done
+	LEAQ 32(AX), BX
+	LEAQ 64(AX), CX
+	LEAQ 96(AX), DX
+	CMPB inverse+24(FP), $0
+	JNE  r8inv
+r8fwd:
+	BUTTERFLY(128, CMUL, BX, DX)
+	ADDQ $256, AX
+	ADDQ $256, BX
+	ADDQ $256, CX
+	ADDQ $256, DX
+	DECQ R8
+	JNZ  r8fwd
+	VZEROUPPER
+	RET
+r8inv:
+	BUTTERFLY(128, CMULC, DX, BX)
+	ADDQ $256, AX
+	ADDQ $256, BX
+	ADDQ $256, CX
+	ADDQ $256, DX
+	DECQ R8
+	JNZ  r8inv
+r8done:
+	VZEROUPPER
+	RET
+
+// func stage2AVX2(x *complex128, nquad int)
+//
+// Size-2 butterflies over nquad groups of four elements: (a, b) pairs are
+// split across the two 128-bit halves, added and subtracted, and rejoined.
+TEXT ·stage2AVX2(SB), NOSPLIT, $0-16
+	MOVQ x+0(FP), AX
+	MOVQ nquad+8(FP), R8
+	TESTQ R8, R8
+	JZ   s2done
+s2loop:
+	VMOVUPD (AX), Y0
+	VMOVUPD 32(AX), Y1
+	VPERM2F128 $0x20, Y1, Y0, Y2 // a0 a1
+	VPERM2F128 $0x31, Y1, Y0, Y3 // b0 b1
+	VADDPD Y3, Y2, Y4
+	VSUBPD Y3, Y2, Y5
+	VPERM2F128 $0x20, Y5, Y4, Y0
+	VPERM2F128 $0x31, Y5, Y4, Y1
+	VMOVUPD Y0, (AX)
+	VMOVUPD Y1, 32(AX)
+	ADDQ $64, AX
+	DECQ R8
+	JNZ  s2loop
+s2done:
+	VZEROUPPER
+	RET
+
+// func stage4AVX2(x *complex128, npair int, inverse bool)
+//
+// The twiddle-free size-4 stage over npair pairs of blocks, element j of
+// both blocks in one register as two (re, im) pairs.
+TEXT ·stage4AVX2(SB), NOSPLIT, $0-17
+	MOVQ x+0(FP), AX
+	MOVQ npair+8(FP), R8
+	MOVBLZX inverse+16(FP), R9
+	VMOVUPD consts<>+32(SB), Y15
+	TESTQ R8, R8
+	JZ   s4done
+s4loop:
+	VMOVUPD (AX), Y0
+	VMOVUPD 32(AX), Y1
+	VMOVUPD 64(AX), Y2
+	VMOVUPD 96(AX), Y3
+	VPERM2F128 $0x20, Y2, Y0, Y4 // x0
+	VPERM2F128 $0x31, Y2, Y0, Y5 // x1
+	VPERM2F128 $0x20, Y3, Y1, Y6 // x2
+	VPERM2F128 $0x31, Y3, Y1, Y7 // x3
+	VADDPD Y5, Y4, Y8  // s0
+	VSUBPD Y5, Y4, Y9  // s1
+	VADDPD Y7, Y6, Y10 // s2
+	VSUBPD Y7, Y6, Y11 // s3
+	VPERMILPD $5, Y11, Y11
+	VXORPD Y15, Y11, Y11 // r = (-im s3, re s3)
+	VADDPD Y10, Y8, Y4 // out 0
+	VSUBPD Y10, Y8, Y6 // out 2
+	VSUBPD Y11, Y9, Y5 // s1 - r
+	VADDPD Y11, Y9, Y7 // s1 + r
+	TESTQ R9, R9
+	JZ   s4store
+	VSUBPD Y11, Y9, Y7
+	VADDPD Y11, Y9, Y5
+s4store:
+	VPERM2F128 $0x20, Y5, Y4, Y0
+	VPERM2F128 $0x20, Y7, Y6, Y1
+	VPERM2F128 $0x31, Y5, Y4, Y2
+	VPERM2F128 $0x31, Y7, Y6, Y3
+	VMOVUPD Y0, (AX)
+	VMOVUPD Y1, 32(AX)
+	VMOVUPD Y2, 64(AX)
+	VMOVUPD Y3, 96(AX)
+	ADDQ $128, AX
+	DECQ R8
+	JNZ  s4loop
+s4done:
+	VZEROUPPER
+	RET
+
+// LOAD4R reads the four complex128 at p, p-16, p-32, p-48 (descending
+// addresses) in LOAD4's element order.
+#define LOAD4R(p, re, im, t0, t1, x0, x1) \
+	VMOVUPD (p), x0; \
+	VINSERTF128 $1, -16(p), t0, t0; \
+	VMOVUPD -32(p), x1; \
+	VINSERTF128 $1, -48(p), t1, t1; \
+	VUNPCKLPD t1, t0, re; \
+	VUNPCKHPD t1, t0, im
+
+// HALVE is (or, oi) = (xr, xi)·(c + 0i) written out as the reference's
+// full complex multiply, zero products included (they decide the sign of
+// a zero result): (xr·c - xi·0, xr·0 + xi·c). Y13 holds zeros.
+#define HALVE(xr, xi, c, or, oi, t) \
+	VMULPD c, xr, or; \
+	VMULPD Y13, xi, t; \
+	VSUBPD t, or, or; \
+	VMULPD Y13, xr, t; \
+	VMULPD c, xi, oi; \
+	VADDPD oi, t, oi
+
+// func untangleAVX2(spec, z *complex128, untw *float64, h int)
+//
+// Bins [4, h) of untangleGo, h = len(z) >= 8.
+TEXT ·untangleAVX2(SB), NOSPLIT, $0-32
+	MOVQ spec+0(FP), DI
+	MOVQ z+8(FP), SI
+	MOVQ untw+16(FP), BX
+	MOVQ h+24(FP), CX
+	MOVQ CX, DX
+	SHLQ $4, DX
+	ADDQ SI, DX                 // &z[h]
+	SUBQ $64, DX                // &z[h-4]: mirror of bin 4
+	ADDQ $64, SI
+	ADDQ $64, DI
+	ADDQ $64, BX
+	SHRQ $2, CX
+	DECQ CX                     // groups 1 .. h/4-1
+	VBROADCASTSD consts<>+0(SB), Y12
+	VXORPD Y13, Y13, Y13
+	VBROADCASTSD consts<>+8(SB), Y14
+	VBROADCASTSD consts<>+16(SB), Y15
+unloop:
+	LOAD4(SI, 32, Y0, Y1, Y8, Y9)               // zk
+	LOAD4R(DX, Y2, Y3, Y8, Y9, X8, X9)          // Z[h-k]
+	VXORPD Y12, Y3, Y3                          // zmk = conj
+	VADDPD Y2, Y0, Y4                           // zk + zmk
+	VADDPD Y3, Y1, Y5
+	VSUBPD Y2, Y0, Y6                           // zk - zmk
+	VSUBPD Y3, Y1, Y7
+	HALVE(Y4, Y5, Y14, Y0, Y1, Y8)              // even
+	// odd = (dr + i·di)·(0 - 0.5i) = (dr·0 - di·(-0.5), dr·(-0.5) + di·0)
+	VMULPD Y13, Y6, Y2
+	VMULPD Y15, Y7, Y8
+	VSUBPD Y8, Y2, Y2
+	VMULPD Y15, Y6, Y3
+	VMULPD Y13, Y7, Y8
+	VADDPD Y8, Y3, Y3
+	VMOVUPD (BX), Y10
+	VMOVUPD 32(BX), Y11
+	CMUL(Y2, Y3, Y10, Y11, Y4, Y5, Y8)          // odd·w
+	VADDPD Y4, Y0, Y0
+	VADDPD Y5, Y1, Y1
+	STORE4(DI, 32, Y0, Y1, Y8, Y9)
+	ADDQ $64, SI
+	ADDQ $64, DI
+	ADDQ $64, BX
+	SUBQ $64, DX
+	DECQ CX
+	JNZ  unloop
+	VZEROUPPER
+	RET
+
+// func retangleAVX2(z, spec *complex128, untw *float64, h int)
+//
+// Bins [4, h) of retangleGo, h = len(z) >= 8.
+TEXT ·retangleAVX2(SB), NOSPLIT, $0-32
+	MOVQ z+0(FP), DI
+	MOVQ spec+8(FP), SI
+	MOVQ untw+16(FP), BX
+	MOVQ h+24(FP), CX
+	MOVQ CX, DX
+	SHLQ $4, DX
+	ADDQ SI, DX
+	SUBQ $64, DX                // &spec[h-4]
+	ADDQ $64, SI
+	ADDQ $64, DI
+	ADDQ $64, BX
+	SHRQ $2, CX
+	DECQ CX
+	VBROADCASTSD consts<>+0(SB), Y12
+	VXORPD Y13, Y13, Y13
+	VBROADCASTSD consts<>+8(SB), Y14
+reloop:
+	LOAD4(SI, 32, Y0, Y1, Y8, Y9)               // xk
+	LOAD4R(DX, Y2, Y3, Y8, Y9, X8, X9)          // X[h-k]
+	VXORPD Y12, Y3, Y3                          // xmk = conj
+	VADDPD Y2, Y0, Y4
+	VADDPD Y3, Y1, Y5
+	VSUBPD Y2, Y0, Y6
+	VSUBPD Y3, Y1, Y7
+	HALVE(Y4, Y5, Y14, Y0, Y1, Y8)              // even
+	HALVE(Y6, Y7, Y14, Y2, Y3, Y8)              // odd
+	// j = i·conj(w) = (0 + 1i)·(wr - wi·i) = (0·wr - (-wi), 0·(-wi) + wr)
+	VMOVUPD (BX), Y10
+	VMOVUPD 32(BX), Y11
+	VXORPD Y12, Y11, Y11
+	VMULPD Y13, Y10, Y4
+	VSUBPD Y11, Y4, Y4
+	VMULPD Y13, Y11, Y5
+	VADDPD Y10, Y5, Y5
+	CMUL(Y4, Y5, Y2, Y3, Y6, Y7, Y8)            // j·odd
+	VADDPD Y6, Y0, Y0
+	VADDPD Y7, Y1, Y1
+	STORE4(DI, 32, Y0, Y1, Y8, Y9)
+	ADDQ $64, SI
+	ADDQ $64, DI
+	ADDQ $64, BX
+	SUBQ $64, DX
+	DECQ CX
+	JNZ  reloop
+	VZEROUPPER
+	RET
+
+// func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
+TEXT ·cpuid(SB), NOSPLIT, $0-24
+	MOVL leaf+0(FP), AX
+	MOVL sub+4(FP), CX
+	CPUID
+	MOVL AX, eax+8(FP)
+	MOVL BX, ebx+12(FP)
+	MOVL CX, ecx+16(FP)
+	MOVL DX, edx+20(FP)
+	RET
+
+// func xgetbv0() uint32
+TEXT ·xgetbv0(SB), NOSPLIT, $0-4
+	XORL CX, CX
+	XGETBV
+	MOVL AX, ret+0(FP)
+	RET

@@ -90,9 +90,9 @@ type Config struct {
 
 // Stats counts injected faults across all endpoints of one Harness.
 type Stats struct {
-	Drops       uint64
-	Delays      uint64
-	Dups        uint64
+	Drops        uint64
+	Delays       uint64
+	Dups         uint64
 	Corruptions  uint64
 	CrashedOps   uint64
 	Partitioned  uint64
@@ -132,10 +132,10 @@ func NewHarness(p int, cfg Config) *Harness {
 // Stats returns the cumulative injected-fault counts.
 func (h *Harness) Stats() Stats {
 	return Stats{
-		Drops:       h.drops.Load(),
-		Delays:      h.delays.Load(),
-		Dups:        h.dups.Load(),
-		Corruptions: h.corruptions.Load(),
+		Drops:        h.drops.Load(),
+		Delays:       h.delays.Load(),
+		Dups:         h.dups.Load(),
+		Corruptions:  h.corruptions.Load(),
 		CrashedOps:   h.crashedOps.Load(),
 		Partitioned:  h.partitioned.Load(),
 		StraggledOps: h.straggledOps.Load(),

@@ -139,10 +139,10 @@ type Member struct {
 func (rt *Runtime) Join(tr comm.Transport) *Member {
 	rank := tr.RankID()
 	m := &Member{
-		rt:       rt,
-		tr:       tr,
-		rank:     rank,
-		p:        rt.p,
+		rt:          rt,
+		tr:          tr,
+		rank:        rank,
+		p:           rt.p,
 		dataCh:      make(chan comm.Message, 64*rt.p),
 		pending:     make(map[uint64][][]byte),
 		sent:        make([]sentSlot, rt.cfg.SendDepth),

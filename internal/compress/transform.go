@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"fftgrad/internal/cfft"
-	"fftgrad/internal/f16"
 	"fftgrad/internal/pack"
 	"fftgrad/internal/quant"
 	"fftgrad/internal/scratch"
@@ -109,27 +108,24 @@ const transformHeaderWords = 8
 //	| bin bitmap (⌈bins/64⌉·8 bytes) | packed codes (W·kept · quantBits bits)
 func (c *Transform) AppendCompress(dst []byte, grad []float32) ([]byte, error) {
 	n := len(grad)
-	workb := scratch.Float32s(n)
-	defer scratch.PutFloat32s(workb)
-	work := *workb
-	t0 := time.Now()
-	copy(work, grad)
-	if c.UseHalf {
-		f16.RoundTripSlice(work)
-	}
-	c.st.ObserveSince(telemetry.StageConvert, 4*n, t0)
-	// One cache-blocked sweep builds the keep mask, zeroes dropped bins
-	// and gathers the surviving coefficients as float32 in bin order.
+	// One pass rounds (UseHalf) and widens the gradient into the
+	// transform's work array; after the transform one cache-blocked sweep
+	// builds the keep mask, zeroes dropped bins and gathers the surviving
+	// coefficients as float32 in bin order.
 	spec := c.spectrum()
 	defer c.specs.Put(spec)
-	c.tr.Analyze(spec, work, c.theta.Load(), c.st)
+	if c.UseHalf {
+		c.tr.AnalyzeHalf(spec, grad, c.theta.Load(), c.st)
+	} else {
+		c.tr.Analyze(spec, grad, c.theta.Load(), c.st)
+	}
 	if spec.Kept == 0 || spec.AbsMax == 0 {
 		// Nothing survives (θ=1) or all-zero gradient: header-only
 		// message that decompresses to zeros.
 		return putHeader(dst, uint32(n), uint32(spec.N), 0, 0, 0, 0, 0, 0), nil
 	}
 
-	t0 = time.Now()
+	t0 := time.Now()
 	q, err := c.qc.encoder(c.QuantBits, spec.AbsMax, spec.Vals)
 	if err != nil {
 		return nil, err
@@ -199,12 +195,10 @@ func (c *Transform) DecompressInto(dst []float32, msg []byte) error {
 
 	t0 = time.Now()
 	nvals := c.tr.Width * kept
-	codesb := scratch.Uint32s(nvals)
-	defer scratch.PutUint32s(codesb)
-	if err := quant.UnpackCodesInto(*codesb, rest, q.N); err != nil {
+	spec.Vals = slices.Grow(spec.Vals[:0], nvals)[:nvals]
+	if err := q.DecodePacked(spec.Vals, rest); err != nil {
 		return err
 	}
-	spec.Vals = q.DecodeSlice(slices.Grow(spec.Vals[:0], nvals)[:nvals], *codesb)
 	c.st.ObserveSince(telemetry.StageConvert, 4*n, t0)
 	// Scatter by bitmap (popcount must equal kept), inverse, narrow.
 	return c.tr.Synthesize(dst, spec, c.st)

@@ -454,6 +454,7 @@ func runRank(cfg Config, rank, p, startIter int, restore *checkpoint.State, mk f
 		return nil, err
 	}
 	w.ex = mk(w)
+	defer w.ex.stop()
 	return w.train(startIter)
 }
 

@@ -8,7 +8,8 @@ package dist
 //     (gather + average), bucket b+1 is still being compressed. The two
 //     stages touch disjoint state (bucket b's message/recon/avg slices vs
 //     bucket b+1's grad slice and codec), so the only synchronization is
-//     the parallel.Run join between pipeline steps. The monolithic exchange
+//     the hand-off to the pipeline's compress goroutine and its reply
+//     between pipeline steps. The monolithic exchange
 //     is the one-bucket case: one compress, one gather, nothing to overlap.
 //     Every runtime uses this one pipeline; what differs between them sits
 //     behind link: barrierLink (the strategy-scheduled in-process
@@ -32,7 +33,6 @@ import (
 	"fftgrad/internal/comm"
 	"fftgrad/internal/compress"
 	"fftgrad/internal/pack"
-	"fftgrad/internal/parallel"
 	"fftgrad/internal/sparsify"
 	"fftgrad/internal/trace"
 )
@@ -127,16 +127,16 @@ type pipeline struct {
 	// steady state is allocation-free. (The mesh copies on send.)
 	msgs [2][][]byte
 
-	// The round in progress, read by the two pipeline stages. exFn and
-	// cmpFn are the stages as thunks, built once so that a round allocates
-	// no closures.
+	// The round in progress, read by the two pipeline stages. The caller
+	// of round runs the exchange stage; a bucketed pipeline owns one
+	// long-lived goroutine for the compress stage (stop ends it), handed a
+	// bucket over ahead and answering on cmpDone with cmpErr set, so a
+	// round starts no goroutine and allocates nothing.
 	iter       int
 	compressed bool
 	drift      bool
-	cur        int // bucket in its exchange stage
-	exFn       func()
-	cmpFn      func()
-	exErr      error
+	ahead      chan int      // nil when there is one bucket: nothing overlaps
+	cmpDone    chan struct{} // closed when the compress goroutine exits
 	cmpErr     error
 
 	// Per-bucket results, written only by the bucket's own stage.
@@ -161,9 +161,30 @@ func newPipeline(w *worker, l link) *pipeline {
 		sizes:  make([]int, nb),
 		modelS: make([]float64, nb),
 	}
-	e.exFn = func() { e.exErr = e.exchangeBucket(e.cur) }
-	e.cmpFn = func() { e.cmpErr = e.compressBucket(e.cur + 1) }
+	if nb > 1 {
+		e.ahead, e.cmpDone = make(chan int), make(chan struct{})
+		go e.compressAhead()
+	}
 	return e
+}
+
+// compressAhead is the pipeline's compress stage: it compresses each
+// bucket handed over on ahead and reports back on cmpDone.
+func (e *pipeline) compressAhead() {
+	defer close(e.cmpDone)
+	for b := range e.ahead {
+		e.cmpErr = e.compressBucket(b)
+		e.cmpDone <- struct{}{}
+	}
+}
+
+// stop ends the compress goroutine and returns once it has exited. No
+// round may be in progress or follow.
+func (e *pipeline) stop() {
+	if e.ahead != nil {
+		close(e.ahead)
+		<-e.cmpDone
+	}
 }
 
 func (e *pipeline) compressBucket(b int) error {
@@ -231,25 +252,27 @@ func (e *pipeline) round(iter int, compressed bool) (roundStats, error) {
 	if err := e.compressBucket(0); err != nil {
 		return roundStats{}, err
 	}
-	for e.cur = 0; e.cur < nb; e.cur++ {
+	for b := 0; b < nb; b++ {
 		e.cmpErr = nil
-		if e.cur+1 < nb {
-			parallel.Run(e.exFn, e.cmpFn)
-		} else {
-			e.exFn()
+		if b+1 < nb {
+			e.ahead <- b + 1
 		}
-		if e.exErr != nil {
+		exErr := e.exchangeBucket(b)
+		if b+1 < nb {
+			<-e.cmpDone
+		}
+		if exErr != nil {
 			var ab *aborted
-			if errors.As(e.exErr, &ab) {
+			if errors.As(exErr, &ab) {
 				// What was built: the aborted bucket's message, and the next
 				// one when it was compressed beside the gather.
-				built := e.cur + 1
+				built := b + 1
 				if built < nb && e.cmpErr == nil {
 					built++
 				}
 				ab.msgs = e.msgs[iter&1][:built]
 			}
-			return roundStats{}, e.exErr
+			return roundStats{}, exErr
 		}
 		if e.cmpErr != nil {
 			return roundStats{}, e.cmpErr
@@ -378,6 +401,8 @@ type sparseEx struct {
 	pt   *collective.Partitioner // nil: plain top-k over the whole gradient
 	mask []uint64                // the plain selection's keep bitmap, reused
 }
+
+func (e *sparseEx) stop() {}
 
 func newSparseEx(w *worker, cm *comm.Comm) *sparseEx {
 	e := &sparseEx{rooted: newRooted(w, cm)}

@@ -3,9 +3,12 @@ package dist
 import (
 	"math"
 	"math/rand"
+	"runtime/debug"
 	"testing"
 
 	"fftgrad/internal/cluster"
+	"fftgrad/internal/collective"
+	"fftgrad/internal/comm"
 	"fftgrad/internal/compress"
 	"fftgrad/internal/feedback"
 )
@@ -179,5 +182,46 @@ func TestAverage(t *testing.T) {
 				t.Errorf("residual norm %.6g, want the withheld share's %.6g", got, banked)
 			}
 		})
+	}
+}
+
+// TestBucketedRoundZeroAlloc is the allocation gate over the bucketed
+// pipeline: with its caches warm, a four-bucket round — compress ahead on
+// the pipeline's own goroutine, gather, decode, average — allocates
+// nothing. (The round used to join two fresh goroutines per bucket.)
+func TestBucketedRoundZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are inflated under -race")
+	}
+	cfg := blobCfg(83)
+	cfg.Workers = 1
+	cfg.NewCompressor = func() compress.Compressor { return compress.NewFFT(0.85) }
+	cfg.Collective = &collective.Config{BucketBytes: fourBuckets(cfg)}
+	w, err := newWorker(cfg.withDefaults(), 0, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := w.bk.Count(); got != 4 {
+		t.Fatalf("%d buckets, want 4", got)
+	}
+	ex := newPipeline(w, newBarrierLink(w, comm.NewCluster(1).Rank(0)))
+	defer ex.stop()
+	rng := rand.New(rand.NewSource(83))
+	for i := range w.grad {
+		w.grad[i] = float32(rng.NormFloat64())
+	}
+	iter := 0
+	round := func() {
+		if _, err := ex.round(iter, true); err != nil {
+			t.Fatal(err)
+		}
+		iter++
+	}
+	for i := 0; i < 4; i++ { // warm pools, plans, tuned quantizers, both message buffers
+		round()
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	if n := testing.AllocsPerRun(20, round); n != 0 {
+		t.Errorf("a bucketed round allocates %.2f allocs/op, want 0", n)
 	}
 }

@@ -43,6 +43,9 @@ type exchanger interface {
 	sync(iter int) (bytes int, err error)
 	// epochEnd runs at every epoch boundary, after the sync.
 	epochEnd(iter int)
+	// stop releases what the exchanger started for itself, after the last
+	// round.
+	stop()
 }
 
 // roundStats is what one gradient round reports back to the step.

@@ -222,14 +222,62 @@ func DecodeSlice(dst []float32, src []Bits) []float32 {
 	return dst
 }
 
+// roundBits returns the float32 bit pattern of the binary16 value a
+// float32 with bit pattern b converts to: decodeBits(encodeBits(b)) in one
+// step, without forming the 16-bit code. It is the kernel of the
+// pipeline's "convert to half before the FFT" step, where only the
+// rounded value is needed.
+//
+//   - Normal halves keep 10 mantissa bits: round-to-nearest-even on the 13
+//     dropped bits is an integer add and a mask on the float32 pattern
+//     itself; a carry that reaches 2^16 is infinity.
+//   - Subnormal halves are the multiples of 2^-24, which is exactly
+//     float32's spacing in [0.5, 1): (f + 0.5) - 0.5 lets the FPU round to
+//     it, ties to even included.
+//   - |v| < 2^-24 goes to signed zero, as FromFloat32 and encodeBits send
+//     it (IEEE round-to-nearest would take (2^-25, 2^-24) up to 2^-24;
+//     DESIGN.md Sec. 10.3 records the deviation and why it stays).
+//   - NaN keeps the payload bits binary16 has room for, quiet bit set.
+//
+// Every class is computed and the right one selected, so mixed-magnitude
+// gradients cost no mispredicted branches.
+func roundBits(b uint32) uint32 {
+	x := b & 0x7FFFFFFF
+	r := (x + 0xFFF + x>>13&1) &^ 0x1FFF
+	if r >= 0x47800000 { // 2^16 and up, Inf included
+		r = 0x7F800000
+	}
+	if x > 0x7F800000 {
+		r = 0x7FC00000 | x&0x007FE000
+	}
+	sub := math.Float32bits(math.Float32frombits(x) + 0.5 - 0.5)
+	if x < 0x33800000 { // below 2^-24
+		sub = 0
+	}
+	if x < 0x38800000 { // below 2^-14, the smallest normal half
+		r = sub
+	}
+	return r | b&0x80000000
+}
+
+// RoundWiden writes every element of src, rounded to the nearest binary16
+// value, to dst as a float64: the half-precision conversion and the
+// widening the float64 transform needs, in one pass. dst must be at least
+// len(src) long.
+func RoundWiden(dst []float64, src []float32) {
+	dst = dst[:len(src)]
+	for i, v := range src {
+		dst[i] = float64(math.Float32frombits(roundBits(math.Float32bits(v))))
+	}
+}
+
 // RoundTripSlice applies f32→f16→f32 in place, i.e. quantizes every element
-// of x to the nearest binary16 value. This is the "convert to half before
-// FFT" step of the compression pipeline.
+// of x to the nearest binary16 value.
 func RoundTripSlice(x []float32) {
 	parallel.For1(len(x), x, func(x []float32, lo, hi int) {
 		x = x[lo:hi]
 		for i, v := range x {
-			x[i] = decodeBits(encodeBits(math.Float32bits(v)))
+			x[i] = math.Float32frombits(roundBits(math.Float32bits(v)))
 		}
 	})
 }

@@ -1,0 +1,116 @@
+package f16
+
+import (
+	"math"
+	"math/rand"
+	"runtime"
+	"sync"
+	"testing"
+)
+
+// TestRoundBitsMatchesEncodeDecode pins the one-step rounding kernel to
+// the two-step conversion it replaced, decodeBits(encodeBits(·)), on every
+// float32 bit pattern (every 251st under -short, plus each class boundary
+// and its neighbours either way).
+func TestRoundBitsMatchesEncodeDecode(t *testing.T) {
+	// decodeBits depends on the 16-bit code alone: tabulate it once.
+	decoded := make([]uint32, 1<<16)
+	for h := range decoded {
+		decoded[h] = math.Float32bits(decodeBits(Bits(h)))
+	}
+	check := func(b uint32) bool {
+		want := decoded[encodeBits(b)]
+		if got := roundBits(b); got != want {
+			t.Errorf("bits=%#08x: roundBits %#08x, decodeBits(encodeBits) %#08x", b, got, want)
+			return false
+		}
+		return true
+	}
+	// Class boundaries: zero, 2^-25, 2^-24, 2^-14, 65504, 65520, 2^16, Inf,
+	// first/last NaN, the float32 subnormal/normal edge.
+	for _, edge := range []uint32{0, 0x00800000, 0x33000000, 0x33800000, 0x38800000,
+		0x477FE000, 0x477FF000, 0x47800000, 0x7F800000, 0x7FC00000, 0x7FFFFFFF} {
+		for d := -4; d <= 4; d++ {
+			for _, sign := range []uint32{0, 0x80000000} {
+				check((edge + uint32(d)) ^ sign)
+			}
+		}
+	}
+	stride := uint64(1)
+	if testing.Short() {
+		stride = 251
+	}
+	// Half the cores: the sweep runs beside other packages' timing-
+	// sensitive tests under `go test ./...`.
+	workers := max(1, runtime.GOMAXPROCS(0)/2)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			lo := uint64(w) << 32 / uint64(workers)
+			hi := uint64(w+1) << 32 / uint64(workers)
+			for b := lo; b < hi; b += stride {
+				if roundBits(uint32(b)) != decoded[encodeBits(uint32(b))] {
+					check(uint32(b)) // reports it
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+}
+
+// gradLike is a gradient-shaped input: zero-mean, magnitudes spread over
+// six decades, so normal and subnormal halves and flushed values mix.
+func gradLike(n int) []float32 {
+	r := rand.New(rand.NewSource(11))
+	x := make([]float32, n)
+	for i := range x {
+		x[i] = float32(r.NormFloat64() * math.Pow(10, -6*r.Float64()))
+	}
+	return x
+}
+
+// TestRoundWidenMatchesRoundTrip pins the fused front end to the separate
+// round-trip and widening passes.
+func TestRoundWidenMatchesRoundTrip(t *testing.T) {
+	src := gradLike(1 << 12)
+	src = append(src, 0, float32(math.Copysign(0, -1)), float32(math.Inf(1)), float32(math.NaN()),
+		MinSubnormal, MinSubnormal*0.75, MinNormal, MaxValue, 65520, 1e-9)
+	want := append([]float32(nil), src...)
+	for i, v := range want {
+		want[i] = decodeBits(encodeBits(math.Float32bits(v)))
+	}
+	got := make([]float64, len(src))
+	RoundWiden(got, src)
+	rt := append([]float32(nil), src...)
+	RoundTripSlice(rt)
+	for i := range src {
+		if math.Float64bits(got[i]) != math.Float64bits(float64(want[i])) {
+			t.Fatalf("RoundWiden[%d] of %g: %g, want %g", i, src[i], got[i], want[i])
+		}
+		if math.Float32bits(rt[i]) != math.Float32bits(want[i]) {
+			t.Fatalf("RoundTripSlice[%d] of %g: %g, want %g", i, src[i], rt[i], want[i])
+		}
+	}
+}
+
+func BenchmarkRoundWiden(b *testing.B) {
+	src := gradLike(1 << 16)
+	dst := make([]float64, len(src))
+	b.SetBytes(int64(4 * len(src)))
+	for i := 0; i < b.N; i++ {
+		RoundWiden(dst, src)
+	}
+}
+
+func BenchmarkRoundTripParent(b *testing.B) {
+	src := gradLike(1 << 16)
+	b.SetBytes(int64(4 * len(src)))
+	for i := 0; i < b.N; i++ {
+		for j, v := range src {
+			src[j] = decodeBits(encodeBits(math.Float32bits(v)))
+		}
+	}
+}

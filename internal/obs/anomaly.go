@@ -61,9 +61,9 @@ func (e *ewmaZ) observe(x float64) float64 {
 // anomalyState is one rank's engine cell, touched only by that rank's
 // Commit goroutine.
 type anomalyState struct {
-	latency   ewmaZ // iteration latency (seconds)
-	commShare ewmaZ // exchange share of the iteration
-	compShare ewmaZ // compute share of the iteration
+	latency   ewmaZ    // iteration latency (seconds)
+	commShare ewmaZ    // exchange share of the iteration
+	compShare ewmaZ    // compute share of the iteration
 	_         [40]byte // pad: keep neighbouring ranks off one cache line
 }
 

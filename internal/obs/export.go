@@ -109,13 +109,13 @@ type Status struct {
 	Version string `json:"version"`
 	Go      string `json:"go"`
 
-	Ranks           int    `json:"ranks"`
-	Iterations      int64  `json:"iterations"`
+	Ranks           int     `json:"ranks"`
+	Iterations      int64   `json:"iterations"`
 	TotalBlockedS   float64 `json:"total_blocked_s"`
-	TopBlamedRank   int    `json:"top_blamed_rank"`
+	TopBlamedRank   int     `json:"top_blamed_rank"`
 	TopBlamedFrac   float64 `json:"top_blamed_frac"`
-	AnomalyBreaches uint64 `json:"anomaly_breaches"`
-	TraceDropped    uint64 `json:"trace_dropped"`
+	AnomalyBreaches uint64  `json:"anomaly_breaches"`
+	TraceDropped    uint64  `json:"trace_dropped"`
 }
 
 // BuildStatus assembles the status document; traceDropped is supplied by

@@ -44,36 +44,79 @@ type RangeQuantizer struct {
 // zero). P is derived from max: every positive code up to the code of max
 // is positive; the rest are negative.
 func NewRangeQuantizer(n, m int, eps, min, max float32) (*RangeQuantizer, error) {
+	q := new(RangeQuantizer)
+	if why, p := q.set(n, m, eps, min, max); why != 0 {
+		return nil, paramError(why, n, m, eps, min, max, p)
+	}
+	return q, nil
+}
+
+// The reasons a parameter set describes no quantizer. set reports one as
+// a code and paramError words it, so the tuner's search, which rejects
+// candidates by the dozen, never pays for a message.
+const (
+	badN = iota + 1
+	badM
+	badRange
+	badEps
+	epsUnderflow
+	maxBelowEps
+	tooFewCodes
+)
+
+func paramError(why uint8, n, m int, eps, min, max float32, p uint32) error {
+	switch why {
+	case badN:
+		return fmt.Errorf("quant: N=%d out of range [2,24]", n)
+	case badM:
+		return fmt.Errorf("quant: m=%d out of range [1,23]", m)
+	case badRange:
+		return fmt.Errorf("quant: range [%g,%g] must straddle zero", min, max)
+	case badEps:
+		return fmt.Errorf("quant: eps=%g must be in (0, max)", eps)
+	case epsUnderflow:
+		return fmt.Errorf("quant: eps=%g underflows at m=%d", eps, m)
+	case maxBelowEps:
+		return fmt.Errorf("quant: max=%g below eps=%g at m=%d", max, eps, m)
+	default:
+		return fmt.Errorf("quant: N=%d m=%d eps=%g cannot reach max=%g (needs %d positive codes)", n, m, eps, max, p)
+	}
+}
+
+// set validates the parameters and fills q from them: why is 0 on
+// success (p is then the positive code count), and q is unspecified
+// otherwise.
+func (q *RangeQuantizer) set(n, m int, eps, min, max float32) (why uint8, p uint32) {
 	switch {
 	case n < 2 || n > 24:
-		return nil, fmt.Errorf("quant: N=%d out of range [2,24]", n)
+		return badN, 0
 	case m < 1 || m > 23:
-		return nil, fmt.Errorf("quant: m=%d out of range [1,23]", m)
+		return badM, 0
 	case !(min < 0 && max > 0):
-		return nil, fmt.Errorf("quant: range [%g,%g] must straddle zero", min, max)
+		return badRange, 0
 	case !(eps > 0) || eps >= max:
-		return nil, fmt.Errorf("quant: eps=%g must be in (0, max)", eps)
+		return badEps, 0
 	}
-	q := &RangeQuantizer{N: n, M: m, Min: min, Max: max, shift: uint(23 - m)}
+	*q = RangeQuantizer{N: n, M: m, Min: min, Max: max, shift: uint(23 - m)}
 	q.pbase = math.Float32bits(eps) >> q.shift
 	// Snap eps to its representable value (code 1) so Decode(Encode(eps))
 	// == eps exactly.
 	q.Eps = math.Float32frombits(q.pbase << q.shift)
 	if !(q.Eps > 0) {
-		return nil, fmt.Errorf("quant: eps=%g underflows at m=%d", eps, m)
+		return epsUnderflow, 0
 	}
 	keyMax := math.Float32bits(max) >> q.shift
 	if keyMax < q.pbase {
-		return nil, fmt.Errorf("quant: max=%g below eps=%g at m=%d", max, eps, m)
+		return maxBelowEps, 0
 	}
-	p := keyMax - q.pbase + 1
+	p = keyMax - q.pbase + 1
 	total := uint32(1) << uint(n)
 	if p > total-2 {
-		return nil, fmt.Errorf("quant: N=%d m=%d eps=%g cannot reach max=%g (needs %d positive codes)", n, m, eps, max, p)
+		return tooFewCodes, p
 	}
 	q.pcount = p
 	q.ncount = total - 1 - p
-	return q, nil
+	return 0, p
 }
 
 // P returns the number of positive codes.
@@ -200,24 +243,12 @@ func (q *RangeQuantizer) Representable() []float32 {
 // tuneEps binary-searches P (equivalently eps) for a given mantissa width
 // so that the most negative representable value lands on min, following
 // the paper's iterative eps-adjustment but on integer code counts, which
-// converges exactly. Returns the tuned quantizer or an error if m cannot
-// cover the range at all.
-func tuneEps(n, m int, min, max float32) (*RangeQuantizer, error) {
+// converges exactly. ok is false if m cannot cover the range at all.
+// Candidates are values: the search allocates nothing.
+func tuneEps(n, m int, min, max float32) (best RangeQuantizer, ok bool) {
 	shift := uint(23 - m)
 	keyMax := math.Float32bits(max) >> shift
 	total := uint32(1) << uint(n)
-
-	mk := func(p uint32) (*RangeQuantizer, error) {
-		if p < 1 || p > total-2 || keyMax+1 < p {
-			return nil, fmt.Errorf("quant: p=%d infeasible", p)
-		}
-		pbase := keyMax - p + 1
-		eps := math.Float32frombits(pbase << shift)
-		if !(eps > 0) {
-			return nil, fmt.Errorf("quant: eps underflow at m=%d p=%d", m, p)
-		}
-		return NewRangeQuantizer(n, m, eps, min, max)
-	}
 
 	// actualMin is monotone in P: larger P ⇒ fewer negative codes but each
 	// starts from a smaller eps... search for the P whose ActualMin is
@@ -226,16 +257,17 @@ func tuneEps(n, m int, min, max float32) (*RangeQuantizer, error) {
 	if keyMax+1 < hi {
 		hi = keyMax + 1
 	}
-	if lo > hi {
-		return nil, fmt.Errorf("quant: m=%d cannot represent max=%g", m, max)
-	}
-	var best *RangeQuantizer
 	bestScore := math.Inf(1)
 	for lo <= hi {
 		mid := lo + (hi-lo)/2
-		q, err := mk(mid)
-		if err != nil {
-			// infeasible p; shrink from the top
+		var q RangeQuantizer
+		eps := math.Float32frombits((keyMax - mid + 1) << shift)
+		if !(eps > 0) {
+			// eps underflow: infeasible p; shrink from the top
+			hi = mid - 1
+			continue
+		}
+		if why, _ := q.set(n, m, eps, min, max); why != 0 {
 			hi = mid - 1
 			continue
 		}
@@ -243,7 +275,7 @@ func tuneEps(n, m int, min, max float32) (*RangeQuantizer, error) {
 		score := math.Abs(math.Log(math.Abs(am) / math.Abs(float64(min))))
 		if score < bestScore {
 			bestScore = score
-			best = q
+			best, ok = q, true
 		}
 		if am < float64(min) {
 			// reaches below min ⇒ too many negative codes ⇒ increase P
@@ -257,17 +289,15 @@ func tuneEps(n, m int, min, max float32) (*RangeQuantizer, error) {
 			break
 		}
 	}
-	if best == nil {
-		return nil, fmt.Errorf("quant: no feasible eps for n=%d m=%d range [%g,%g]", n, m, min, max)
-	}
-	return best, nil
+	return best, ok
 }
 
 // Tune selects (m, eps) for the given bit width and range by minimizing
 // the mean squared quantization error over sample. If sample is empty, a
 // synthetic zero-mean Gaussian with σ = max/4 is used, matching the
 // empirical gradient distribution of Fig. 4. This implements the paper's
-// "we iterate every m to tune for eps" procedure.
+// "we iterate every m to tune for eps" procedure. The winner is the only
+// quantizer that reaches the heap.
 func Tune(n int, min, max float32, sample []float32) (*RangeQuantizer, error) {
 	if !(min < 0 && max > 0) {
 		return nil, fmt.Errorf("quant: range [%g,%g] must straddle zero", min, max)
@@ -275,27 +305,28 @@ func Tune(n int, min, max float32, sample []float32) (*RangeQuantizer, error) {
 	if len(sample) == 0 {
 		sample = gaussianSample(4096, float64(max)/4)
 	}
-	var best *RangeQuantizer
+	var best RangeQuantizer
+	found := false
 	bestMSE := math.Inf(1)
 	maxM := n - 1
 	if maxM > 23 {
 		maxM = 23
 	}
 	for m := 1; m <= maxM; m++ {
-		q, err := tuneEps(n, m, min, max)
-		if err != nil {
+		q, ok := tuneEps(n, m, min, max)
+		if !ok {
 			continue
 		}
-		mse := quantMSE(q, sample)
+		mse := quantMSE(&q, sample)
 		if mse < bestMSE {
 			bestMSE = mse
-			best = q
+			best, found = q, true
 		}
 	}
-	if best == nil {
+	if !found {
 		return nil, fmt.Errorf("quant: tuning failed for n=%d range [%g,%g]", n, min, max)
 	}
-	return best, nil
+	return &best, nil
 }
 
 func quantMSE(q *RangeQuantizer, sample []float32) float64 {

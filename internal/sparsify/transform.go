@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"fftgrad/internal/cfft"
+	"fftgrad/internal/f16"
 	"fftgrad/internal/parallel"
 	"fftgrad/internal/scratch"
 	"fftgrad/internal/telemetry"
@@ -109,6 +110,17 @@ type passBCtx struct {
 // revisits each chunk — still warm in cache — and zeroes dropped bins and
 // gathers survivors in the same sweep.
 func (t *Transform) Analyze(spec *Spectrum, x []float32, theta float64, st *telemetry.StageTimer) {
+	t.analyze(spec, x, theta, false, st)
+}
+
+// AnalyzeHalf is Analyze of x rounded to half precision — the paper's
+// fp32→fp16 conversion in front of the FFT — with the rounding folded into
+// the widening pass instead of a pass and a copy of its own.
+func (t *Transform) AnalyzeHalf(spec *Spectrum, x []float32, theta float64, st *telemetry.StageTimer) {
+	t.analyze(spec, x, theta, true, st)
+}
+
+func (t *Transform) analyze(spec *Spectrum, x []float32, theta float64, half bool, st *telemetry.StageTimer) {
 	l := len(x)
 	gradBytes := 4 * l
 	n := cfft.PaddedLen(l)
@@ -119,22 +131,31 @@ func (t *Transform) Analyze(spec *Spectrum, x []float32, theta float64, st *tele
 	spec.Mask = grow(spec.Mask, words)
 	spec.Vals = grow(spec.Vals, t.Width*k)
 
-	sigb := scratch.Float64s(n)
-	defer scratch.PutFloat64s(sigb)
-	sig := *sigb
-	t0 := time.Now()
-	parallel.For2(l, sig, x, widenF32)
-	for i := l; i < n; i++ {
-		sig[i] = 0
+	// The front end: one pass takes the gradient — through half precision
+	// or not — to float64, straight into the array the transform works
+	// in (the DCT's is twice as long: it mirrors the signal behind itself).
+	wlen := n
+	if t.real {
+		wlen = 2 * n
 	}
+	workb := scratch.Float64s(wlen)
+	defer scratch.PutFloat64s(workb)
+	work := *workb
+	t0 := time.Now()
+	if half {
+		parallel.For2(l, work, x, roundWidenF32)
+	} else {
+		parallel.For2(l, work, x, widenF32)
+	}
+	clear(work[l:n])
 	st.ObserveSince(telemetry.StageConvert, gradBytes, t0)
 	t0 = time.Now()
 	if t.real {
 		spec.rbins = grow(spec.rbins, nb)
-		cfft.DCTPlanFor(n).Forward(spec.rbins, sig)
+		cfft.DCTPlanFor(n).ForwardInPlace(spec.rbins, work)
 	} else {
 		spec.cbins = grow(spec.cbins, nb)
-		cfft.RealPlanFor(n).Forward(spec.cbins, sig)
+		cfft.RealPlanFor(n).ForwardInPlace(spec.cbins, work)
 	}
 	st.ObserveSince(telemetry.StageTransform, gradBytes, t0)
 
@@ -369,29 +390,27 @@ func (t *Transform) Synthesize(dst []float32, spec *Spectrum, st *telemetry.Stag
 
 // scatterComplex fills every bin from the packed (re, im) pairs: masked
 // bins take the next pair, the rest are zero. The caller has checked that
-// mask's popcount matches len(vals)/2.
+// mask's popcount matches len(vals)/2 and that no bit lies past the bins.
 func scatterComplex(bins []complex128, mask []uint64, vals []float32) {
+	clear(bins)
 	vi := 0
-	for i := range bins {
-		if mask[i>>6]&(1<<(uint(i)&63)) == 0 {
-			bins[i] = 0
-			continue
+	for w, m := range mask {
+		for ; m != 0; m &= m - 1 {
+			bins[w<<6+mbits.TrailingZeros64(m)] = complex(float64(vals[vi]), float64(vals[vi+1]))
+			vi += 2
 		}
-		bins[i] = complex(float64(vals[vi]), float64(vals[vi+1]))
-		vi += 2
 	}
 }
 
 // scatterReal is scatterComplex for one real value per bin.
 func scatterReal(bins []float64, mask []uint64, vals []float32) {
+	clear(bins)
 	vi := 0
-	for i := range bins {
-		if mask[i>>6]&(1<<(uint(i)&63)) == 0 {
-			bins[i] = 0
-			continue
+	for w, m := range mask {
+		for ; m != 0; m &= m - 1 {
+			bins[w<<6+mbits.TrailingZeros64(m)] = float64(vals[vi])
+			vi++
 		}
-		bins[i] = float64(vals[vi])
-		vi++
 	}
 }
 
@@ -429,6 +448,10 @@ func widenF32(dst []float64, src []float32, lo, hi int) {
 	for i := lo; i < hi; i++ {
 		dst[i] = float64(src[i])
 	}
+}
+
+func roundWidenF32(dst []float64, src []float32, lo, hi int) {
+	f16.RoundWiden(dst[lo:hi], src[lo:hi])
 }
 
 func narrowF64(dst []float32, src []float64, lo, hi int) {
