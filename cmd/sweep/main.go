@@ -114,7 +114,8 @@ func main() {
 	fmt.Print(t3.String())
 
 	fmt.Println("\npick the smallest error whose ratio clears your network's minimal k" +
-		" (see cmd/compressbench / examples/perfguide)")
+		" (`trainer -adapt` applies that rule live; the bench ledger's perfmodel.max_tcomm_gbps" +
+		" is the fastest link on which any ratio pays off on this machine)")
 }
 
 func correlated(n int, seed int64) []float32 {

@@ -16,6 +16,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/pprof"
 	"os"
@@ -305,7 +306,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}()
 
-	fmt.Fprintf(stdout, "training %s with %s (θ=%.2f) on %d workers\n", spec.Model, spec.Method, spec.Theta, spec.Workers)
+	method := spec.Method
+	if spec.SparseAllreduce {
+		method = "the sparse allreduce" // -method is ignored on this path
+	}
+	fmt.Fprintf(stdout, "training %s with %s (θ=%.2f) on %d workers\n", spec.Model, method, spec.Theta, spec.Workers)
 	var stopTop func()
 	if opt.top {
 		topStop := make(chan struct{})
@@ -393,11 +398,19 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	t := &stats.Table{Headers: []string{"epoch", "train loss", "test acc", "lr", "theta"}}
 	for _, ep := range res.Epochs {
-		t.AddRow(ep.Epoch, ep.TrainLoss, ep.TestAcc, ep.LR, ep.Theta)
+		var theta any = ep.Theta
+		if math.IsNaN(ep.Theta) {
+			theta = "-" // the codec has no drop ratio (fp32, qsgd, terngrad)
+		}
+		t.AddRow(ep.Epoch, ep.TrainLoss, ep.TestAcc, ep.LR, theta)
 	}
 	fmt.Fprint(stdout, t.String())
 	fmt.Fprintf(stdout, "\ngradient size: %d floats (%.2f MB)\n", res.GradSize, float64(res.GradSize*4)/(1<<20))
-	fmt.Fprintf(stdout, "compression ratio: %.2fx (avg message %.1f KB)\n", res.CompressionRatio, res.AvgMsgBytes/1024)
+	if res.CompressionRatio > 0 {
+		fmt.Fprintf(stdout, "compression ratio: %.2fx (avg message %.1f KB)\n", res.CompressionRatio, res.AvgMsgBytes/1024)
+	} else {
+		fmt.Fprintln(stdout, "compression ratio: n/a (nothing was sent)")
+	}
 	fmt.Fprintf(stdout, "measured compute %.2fs, compress %.2fs; modeled comm %.4fs (measured exchange %.4fs)\n",
 		res.ComputeSeconds, res.CompressSeconds, res.CommSeconds, res.CommMeasuredSeconds)
 	var rec netsim.Reconciliation
@@ -483,15 +496,22 @@ func runServe(stdout, stderr io.Writer, addr string, cfg serve.Config) int {
 		fmt.Fprintln(stderr, err)
 		return 1
 	}
-	fmt.Fprintf(stdout, "job service: http://%s/jobs (%d worker slots, queue %d)\n", bound, cfg.WorkerSlots, cfg.MaxQueue)
-
+	// Listening for the signal before announcing the address: whoever
+	// reads the announcement may signal at once.
 	sigCh := make(chan os.Signal, 2)
 	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
+	defer signal.Stop(sigCh)
+	fmt.Fprintf(stdout, "job service: http://%s/jobs (%d worker slots, queue %d)\n", bound, cfg.WorkerSlots, cfg.MaxQueue)
 	<-sigCh
 	fmt.Fprintln(stdout, "draining: no new jobs; halting running jobs at their next iteration boundary")
+	done := make(chan struct{}) // closed on return: releases the watcher
+	defer close(done)
 	go func() { // second signal skips the drain
-		<-sigCh
-		os.Exit(130)
+		select {
+		case <-sigCh:
+			os.Exit(130)
+		case <-done:
+		}
 	}()
 	for _, d := range srv.Drain() {
 		if d.Spool != "" {

@@ -4,11 +4,16 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"net/http"
 	"os"
 	"path/filepath"
 	"reflect"
+	"regexp"
 	"strings"
+	"sync"
+	"syscall"
 	"testing"
+	"time"
 
 	"fftgrad/internal/compress"
 	"fftgrad/internal/data"
@@ -19,15 +24,20 @@ import (
 	"fftgrad/internal/nn"
 	"fftgrad/internal/optim"
 	"fftgrad/internal/serve"
+	itrace "fftgrad/internal/trace"
 )
 
-// The flag sets of the three CLI gates (make chaos, make guard and the
-// trace smoke): rows of TestBothSurfacesCompileOneConfig, and what
-// TestSmoke* run.
+// The flag sets of the CLI gates (make chaos, make guard and the trace,
+// observability, collective and elasticity smokes): rows of
+// TestBothSurfacesCompileOneConfig, and what TestSmoke* run.
 const (
-	chaosArgs = "-model mlp -epochs 2 -workers 4 -fault-aware -chaos-drop 0.05 -chaos-delay 10ms -chaos-crash 2 -chaos-crash-at 1200 -chaos-crash-for 1000"
-	guardArgs = "-model mlp -epochs 2 -workers 4 -fault-aware -guard -chaos-corrupt 0.05"
-	traceArgs = "-model mlp -epochs 2 -workers 4 -fault-aware -guard -chaos-drop 0.05 -chaos-corrupt 0.02 -chaos-crash 2 -chaos-crash-at 1200 -chaos-crash-for 1000"
+	chaosArgs   = "-model mlp -epochs 2 -workers 4 -fault-aware -chaos-drop 0.05 -chaos-delay 10ms -chaos-crash 2 -chaos-crash-at 1200 -chaos-crash-for 1000"
+	guardArgs   = "-model mlp -epochs 2 -workers 4 -fault-aware -guard -chaos-corrupt 0.05"
+	traceArgs   = "-model mlp -epochs 2 -workers 4 -fault-aware -guard -chaos-drop 0.05 -chaos-corrupt 0.02 -chaos-crash 2 -chaos-crash-at 1200 -chaos-crash-for 1000"
+	obsArgs     = "-model mlp -epochs 2 -workers 4 -fault-aware -chaos-straggle 2 -chaos-straggle-by 15ms"
+	hierArgs    = "-model mlp -epochs 2 -workers 4 -fault-aware -collective hier -group-size 2 -bucket-bytes 1024 -chaos-drop 0.05 -chaos-delay 10ms -chaos-crash 2 -chaos-crash-at 1200 -chaos-crash-for 1000"
+	staleArgs   = "-model mlp -epochs 2 -workers 4 -seed 7 -staleness 4 -chaos-drop 0.03 -chaos-delay 5ms"
+	elasticArgs = staleArgs + " -elastic-join 20 -chaos-straggle 3 -chaos-straggle-at 300 -chaos-straggle-by 20ms"
 )
 
 // compile is what run does with a command line: flags → Spec → Config.
@@ -76,8 +86,8 @@ func sameJob(t *testing.T, got, want dist.Config) {
 	}
 }
 
-// TestBothSurfacesCompileOneConfig: every trainer invocation the README,
-// the Makefile and ci.yml show, parsed to a Spec, must survive the JSON
+// TestBothSurfacesCompileOneConfig: every trainer invocation the README
+// and the smoke tests show, parsed to a Spec, must survive the JSON
 // surface — marshal, decode — and compile to the same dist.Config, so
 // whatever the flags can say a POST /jobs body can say too.
 func TestBothSurfacesCompileOneConfig(t *testing.T) {
@@ -97,15 +107,14 @@ func TestBothSurfacesCompileOneConfig(t *testing.T) {
 		"-fault-aware -on-failure rescale -on-straggler wait -chaos-drop 0.05 -chaos-delay 10ms -chaos-crash 2",
 		"-fault-aware -staleness 4 -elastic-join 20 -chaos-straggle 3 -chaos-straggle-by 20ms",
 		"-fault-aware -guard -chaos-corrupt 0.05",
-		// Makefile and ci.yml: chaos, guard, trace, obs-smoke,
-		// collective-smoke, elastic-smoke (both runs)
+		// the TestSmoke* gates below
 		chaosArgs,
 		guardArgs,
 		traceArgs + " -trace-out trace-smoke.json",
-		"-model mlp -epochs 2 -workers 4 -fault-aware -chaos-straggle 2 -chaos-straggle-by 15ms -profile-out obs-smoke.json -trace-out obs-smoke-trace.json",
-		"-model mlp -epochs 2 -workers 4 -fault-aware -collective hier -group-size 2 -bucket-bytes 1024 -chaos-drop 0.05 -chaos-delay 10ms -chaos-crash 2 -chaos-crash-at 1200 -chaos-crash-for 1000",
-		"-model mlp -epochs 2 -workers 4 -seed 7 -staleness 4 -chaos-drop 0.03 -chaos-delay 5ms",
-		"-model mlp -epochs 2 -workers 4 -seed 7 -staleness 4 -elastic-join 20 -chaos-drop 0.03 -chaos-delay 5ms -chaos-straggle 3 -chaos-straggle-at 300 -chaos-straggle-by 20ms -trace-out elastic-smoke.json",
+		obsArgs + " -profile-out obs-smoke.json -trace-out obs-smoke-trace.json",
+		hierArgs,
+		staleArgs,
+		elasticArgs + " -trace-out elastic-smoke.json",
 		// values whose zero must survive both surfaces
 		"-theta 0 -drop-epoch 0 -guard -guard-crc=false -guard-drift-every 0 -chaos-crash 0 -chaos-crash-for 0 -chaos-delay 500us",
 	} {
@@ -172,6 +181,18 @@ func smoke(t *testing.T, args string) string {
 	return stdout.String()
 }
 
+// readJSON decodes the file at path into v.
+func readJSON(t *testing.T, path string, v any) {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(raw, v); err != nil {
+		t.Fatalf("%s does not parse: %v", path, err)
+	}
+}
+
 // TestSmokeOneElementBuckets: -bucket-bytes 4 cuts the gradient into
 // one-float buckets, which Spec.Validate accepts; the transform codecs
 // must pad them to a 2-point transform like cfft.PaddedLen says instead
@@ -206,17 +227,11 @@ func TestSmokeGuard(t *testing.T) {
 func TestSmokeTrace(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "trace-smoke.json")
 	smoke(t, traceArgs+" -trace-out "+path)
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var events []struct {
 		Ph  string `json:"ph"`
 		Tid int    `json:"tid"`
 	}
-	if err := json.Unmarshal(raw, &events); err != nil {
-		t.Fatalf("trace dump does not parse: %v", err)
-	}
+	readJSON(t, path, &events)
 	spans := map[int]int{}
 	for _, e := range events {
 		if e.Ph == "X" {
@@ -227,5 +242,207 @@ func TestSmokeTrace(t *testing.T) {
 		if spans[rank] == 0 {
 			t.Errorf("no complete span on rank %d (of %d events)", rank, len(events))
 		}
+	}
+}
+
+// TestSmokeReportsWhatRan: the banner, the theta column and the ratio
+// line describe the run that happened — the codec's own drop ratio when
+// no schedule sets one, "-" for a codec without one, the sparse
+// allreduce rather than the -method it ignores, and no ratio where a
+// lone rank sent nothing.
+func TestSmokeReportsWhatRan(t *testing.T) {
+	const tiny = "-model mlp -epochs 1 -samples 256 "
+	for _, tc := range []struct {
+		args string
+		want []string
+	}{
+		{tiny + "-workers 2", []string{"with fft (θ=0.85)", "0.03  0.85 "}},
+		{tiny + "-workers 2 -method fp32", []string{"0.03  -  "}},
+		{tiny + "-workers 2 -sparse-allreduce -theta 0.9", []string{"training mlp with the sparse allreduce (θ=0.90)", "0.03  0.9 "}},
+		{tiny + "-workers 1 -sparse-allreduce", []string{"compression ratio: n/a"}},
+	} {
+		out := smoke(t, tc.args)
+		for _, w := range append(tc.want, "\ncompression ratio: ") {
+			if !strings.Contains(out, w) {
+				t.Errorf("%s: no %q in:\n%s", tc.args, w, out)
+			}
+		}
+		if strings.Contains(out, "NaN") || strings.Contains(out, "Inf") {
+			t.Errorf("%s prints a non-number:\n%s", tc.args, out)
+		}
+	}
+}
+
+// TestSmokeObs: with a permanent 15ms straggler on rank 2 the exported
+// blame ledger must name rank 2 and charge it at least half of all
+// cross-rank blocked time, and the merged multi-process timeline must
+// cover every rank.
+func TestSmokeObs(t *testing.T) {
+	dir := t.TempDir()
+	profile, timeline := filepath.Join(dir, "profile.json"), filepath.Join(dir, "trace.json")
+	out := smoke(t, obsArgs+" -profile-out "+profile+" -trace-out "+timeline)
+	if !strings.Contains(out, "\nprofile: top blamed rank 2 ") {
+		t.Errorf("headline does not blame rank 2:\n%s", out)
+	}
+	var doc struct {
+		Build   struct{ Version string }
+		Summary struct{ Iterations int }
+		Blame   []struct {
+			Rank       int
+			BlamedFrac float64 `json:"blamed_frac"`
+		}
+	}
+	readJSON(t, profile, &doc)
+	if doc.Summary.Iterations == 0 || doc.Build.Version == "" {
+		t.Errorf("profile without iterations or build stamp: %+v", doc)
+	}
+	for _, b := range doc.Blame {
+		if b.Rank == 2 && b.BlamedFrac < 0.5 {
+			t.Errorf("straggled rank 2 only blamed for %.0f%% of blocked time", 100*b.BlamedFrac)
+		}
+	}
+	var events []struct {
+		Ph  string
+		Pid int
+	}
+	readJSON(t, mergedPath(timeline), &events)
+	pids := map[int]bool{}
+	for _, e := range events {
+		pids[e.Pid] = pids[e.Pid] || e.Ph == "X"
+	}
+	for pid := 1; pid <= 4; pid++ {
+		if !pids[pid] {
+			t.Errorf("merged timeline has no complete span of process %d", pid)
+		}
+	}
+}
+
+// TestSmokeHierBucketedChaos: the 2-group hierarchical bucketed pipeline
+// with one rank crashing between bucket rounds, through the CLI flags.
+func TestSmokeHierBucketedChaos(t *testing.T) {
+	if out := smoke(t, hierArgs); !strings.Contains(out, "\nfault runtime: ") {
+		t.Fatalf("no fault summary in:\n%s", out)
+	}
+}
+
+// TestSmokeElastic: under -staleness 4, a mid-run elastic join plus a
+// permanent straggler (20ms per send: far above the per-round grace, well
+// below the suspicion deadline, never recovering) must dump the timeline
+// on the quorum-grow join and finish within 1.5x of the straggler-free
+// run (+1s for the extra rank's startup) — bounded staleness folds the
+// straggler's cached gradients instead of waiting, so a permanently slow
+// rank no longer sets the fleet's pace.
+func TestSmokeElastic(t *testing.T) {
+	t0 := time.Now()
+	smoke(t, staleArgs)
+	base := time.Since(t0)
+	timeline := filepath.Join(t.TempDir(), "trace.json")
+	t0 = time.Now()
+	smoke(t, elasticArgs+" -trace-out "+timeline)
+	strag := time.Since(t0)
+	// The dump carries its own cause as a flight_trigger instant.
+	var dump []struct {
+		Name string
+		Args struct{ Arg int64 }
+	}
+	readJSON(t, flightPath(timeline), &dump)
+	grew := false
+	for _, e := range dump {
+		grew = grew || e.Name == "flight_trigger" && e.Args.Arg == int64(itrace.ReasonViewGrow)
+	}
+	if !grew {
+		t.Errorf("no view_grow trigger among the flight dump's %d events", len(dump))
+	}
+	if strag > base*3/2+time.Second {
+		t.Errorf("permanent straggler set the pace: %v vs %v straggler-free", strag, base)
+	}
+}
+
+// syncBuffer is a stdout the test may read while run still writes it.
+type syncBuffer struct {
+	mu sync.Mutex
+	b  bytes.Buffer
+}
+
+func (s *syncBuffer) Write(p []byte) (int, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.b.Write(p)
+}
+
+func (s *syncBuffer) String() string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.b.String()
+}
+
+// TestSmokeServe: `trainer -serve` runs two concurrent jobs with
+// different compressors over the HTTP API, both complete with their
+// metrics distinguishable per job, and a SIGTERM drains the service.
+func TestSmokeServe(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full training runs in -short mode")
+	}
+	var stdout, stderr syncBuffer
+	exit := make(chan int, 1)
+	go func() {
+		exit <- run([]string{"trainer", "-serve", "-metrics-addr", "127.0.0.1:0", "-pool", "4", "-spool", t.TempDir()}, &stdout, &stderr)
+	}()
+	await := func(what string, cond func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(60 * time.Second); !cond(); time.Sleep(10 * time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s\nstdout: %s\nstderr: %s", what, &stdout, &stderr)
+			}
+		}
+	}
+	var base string
+	await("the listen address", func() bool {
+		m := regexp.MustCompile(`job service: (http://\S+)/jobs`).FindStringSubmatch(stdout.String())
+		if m != nil {
+			base = m[1]
+		}
+		return m != nil
+	})
+	call := func(method, path, body string) (info struct{ ID, State string }, raw string) {
+		t.Helper()
+		req, _ := http.NewRequest(method, base+path, strings.NewReader(body))
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		b, _ := io.ReadAll(resp.Body)
+		if resp.StatusCode >= 300 {
+			t.Fatalf("%s %s: %s: %s", method, path, resp.Status, b)
+		}
+		_ = json.Unmarshal(b, &info) // the metrics page is not JSON
+		return info, string(b)
+	}
+	a, _ := call("POST", "/jobs", `{"name":"fft","method":"fft","theta":0.85,"workers":2,"epochs":2,"samples":1024}`)
+	b, _ := call("POST", "/jobs", `{"name":"topk","method":"topk","theta":0.9,"workers":2,"epochs":2,"samples":1024}`)
+	for _, id := range []string{a.ID, b.ID} {
+		await("job "+id, func() bool {
+			info, _ := call("GET", "/jobs/"+id, "")
+			return info.State == "completed"
+		})
+	}
+	_, metrics := call("GET", "/jobs/metrics", "")
+	for _, id := range []string{a.ID, b.ID} {
+		if !strings.Contains(metrics, `job="`+id+`"`) {
+			t.Errorf("no job=%q label on /jobs/metrics", id)
+		}
+	}
+
+	if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case code := <-exit:
+		if code != 0 || !strings.Contains(stdout.String(), "\ndraining: ") {
+			t.Errorf("exit %d after SIGTERM\nstdout: %s\nstderr: %s", code, &stdout, &stderr)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("the service did not drain on SIGTERM")
 	}
 }

@@ -42,8 +42,8 @@
 //
 // The contract is enforced by testing.AllocsPerRun regression gates in
 // internal/compress (TestZeroAllocRoundTrip: 0 allocs/op for the FFT,
-// DCT, Top-k and FP32 round trips) and reported by cmd/compressbench's
-// allocs/op column.
+// DCT, Top-k and FP32 round trips) and reported by the repository
+// benchmark (bench/) as allocs_per_iter and compress.allocs_per_roundtrip.
 //
 // See README.md for a tour, DESIGN.md for the system inventory, and
 // EXPERIMENTS.md for paper-vs-measured results.

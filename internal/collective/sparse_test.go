@@ -1,13 +1,31 @@
-package comm
+package collective
 
 import (
 	"math"
+	"math/bits"
 	"math/rand"
 	"sync"
 	"testing"
 
+	"fftgrad/internal/comm"
 	"fftgrad/internal/pack"
 )
+
+// ringCluster makes the suite read like the flat collectives' tests:
+// c.Rank(r) is rank r's exchanger under the default (ring) strategy.
+type ringCluster struct{ *comm.Cluster }
+
+func NewCluster(p int) ringCluster { return ringCluster{comm.NewCluster(p)} }
+
+func (c ringCluster) Rank(r int) *Exchanger { return New(nil, c.Cluster.Rank(r)) }
+
+func popcountBitmap(bm []uint64) int {
+	total := 0
+	for _, w := range bm {
+		total += bits.OnesCount64(w)
+	}
+	return total
+}
 
 // randSparse builds a sparse vector of length n with the given density.
 func randSparse(n int, density float64, seed int64) *pack.Sparse {
@@ -161,24 +179,6 @@ func TestSparseAllreduceEmptyInputs(t *testing.T) {
 	}
 }
 
-func TestUnionDensity(t *testing.T) {
-	if got := UnionDensity(0.5, 1); got != 0.5 {
-		t.Fatalf("p=1 union %g", got)
-	}
-	if got := UnionDensity(0.15, 8); math.Abs(got-(1-math.Pow(0.85, 8))) > 1e-12 {
-		t.Fatalf("union density %g", got)
-	}
-	// Monotone in p.
-	prev := 0.0
-	for p := 1; p <= 32; p *= 2 {
-		u := UnionDensity(0.1, p)
-		if u <= prev {
-			t.Fatalf("union density not monotone at p=%d", p)
-		}
-		prev = u
-	}
-}
-
 func BenchmarkSparseAllreduce8(b *testing.B) {
 	p, n := 8, 1<<20
 	c := NewCluster(p)
@@ -198,5 +198,66 @@ func BenchmarkSparseAllreduce8(b *testing.B) {
 			}(rank)
 		}
 		wg.Wait()
+	}
+}
+
+// TestRingSparseAdditionOrder pins the ring's per-position addition
+// order: chunk c starts at rank c and is folded by ranks c+1 … c+p−1 in
+// turn, each adding what arrives to its own value — so with values whose
+// sums round, every rank's result still equals this sequential fold bit
+// for bit.
+func TestRingSparseAdditionOrder(t *testing.T) {
+	for _, p := range []int{2, 3, 5, 8} {
+		const n = 1000
+		c := NewCluster(p)
+		dense := make([][]float32, p)
+		inputs := make([]*pack.Sparse, p)
+		for rank := range dense {
+			r := rand.New(rand.NewSource(int64(31*p + rank)))
+			dense[rank] = make([]float32, n)
+			for i := range dense[rank] {
+				if r.Float64() < 0.4 {
+					dense[rank][i] = float32(r.NormFloat64())
+				}
+			}
+			inputs[rank] = pack.PackNonzero(dense[rank])
+		}
+		words := pack.BitmapWords(n)
+		want := make([]float32, n)
+		for i := range want {
+			chunk := 0
+			for (chunk+1)*words/p*64 <= i && chunk < p-1 {
+				chunk++
+			}
+			var sum float32
+			seen := false
+			for k := 0; k < p; k++ {
+				v := dense[(chunk+k)%p][i]
+				if seen {
+					v += sum
+				}
+				sum, seen = v, seen || v != 0
+			}
+			want[i] = sum
+		}
+		results := make([]*pack.Sparse, p)
+		var wg sync.WaitGroup
+		for rank := 0; rank < p; rank++ {
+			wg.Add(1)
+			go func(rank int) {
+				defer wg.Done()
+				results[rank], _ = c.Rank(rank).SparseAllreduce(inputs[rank])
+			}(rank)
+		}
+		wg.Wait()
+		for rank, res := range results {
+			got := make([]float32, n)
+			res.Unpack(got)
+			for i := range got {
+				if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+					t.Fatalf("p=%d rank %d idx %d: %g, sequential fold gives %g", p, rank, i, got[i], want[i])
+				}
+			}
+		}
 	}
 }

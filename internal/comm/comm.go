@@ -1,14 +1,15 @@
 // Package comm implements the collective-communication substrate for the
-// in-process worker cluster: allgather, sparse ring allreduce, broadcast
-// and barrier across goroutine "ranks".
+// in-process worker cluster: allgather, broadcast and barrier across
+// goroutine "ranks", plus the Post/Peek staging every composite schedule
+// in internal/collective is built on.
 //
 // The paper exchanges compressed gradients with NCCL2's allgather because
 // no MPI implementation offers sparse allreduce (Sec. 4, Implementation,
 // and the conclusion's call for sparse collectives). This package mirrors
 // that API surface: byte-message Allgather for every payload (the lossless
 // baseline included, as in the paper) and a Broadcast used for the periodic
-// parameter re-synchronization; SparseAllreduce is the collective the
-// conclusion asks for.
+// parameter re-synchronization. The sparse allreduce the conclusion asks
+// for is a schedule, and lives in internal/collective with the others.
 package comm
 
 import (
@@ -22,11 +23,10 @@ import (
 
 // Cluster coordinates p ranks running in one process.
 type Cluster struct {
-	p          int
-	barrier    *barrier
-	slots      [][]byte // allgather / broadcast staging, one slot per rank
-	sparseRing []chan sparseSeg
-	tx, rx     *telemetry.Counter // logical bytes-on-wire (nil = off)
+	p       int
+	barrier *barrier
+	slots   [][]byte           // allgather / broadcast staging, one slot per rank
+	tx, rx  *telemetry.Counter // logical bytes-on-wire (nil = off)
 }
 
 // Instrument registers bytes-on-wire counters on reg and starts
@@ -48,16 +48,7 @@ func NewCluster(p int) *Cluster {
 	if p < 1 {
 		panic("comm: cluster needs at least one rank")
 	}
-	c := &Cluster{
-		p:          p,
-		barrier:    newBarrier(p),
-		slots:      make([][]byte, p),
-		sparseRing: make([]chan sparseSeg, p),
-	}
-	for i := range c.sparseRing {
-		c.sparseRing[i] = make(chan sparseSeg, 1)
-	}
-	return c
+	return &Cluster{p: p, barrier: newBarrier(p), slots: make([][]byte, p)}
 }
 
 // P returns the number of ranks.

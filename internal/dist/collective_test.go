@@ -187,7 +187,7 @@ func TestPartitionedSparseConverges(t *testing.T) {
 	}
 }
 
-// TestHierBucketedChaosGate is the collective-smoke chaos gate: a
+// TestHierBucketedChaosGate is the collective layer's chaos gate: a
 // 2-group hierarchical (pricing) + bucketed run under chaos, with one
 // rank crashing mid-iteration — between bucket rounds — must complete,
 // rejoin the crashed rank, and stay within 2 points of the fault-free

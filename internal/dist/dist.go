@@ -73,9 +73,9 @@ type Config struct {
 	// NewCompressor builds one compressor instance per worker.
 	NewCompressor func() compress.Compressor
 
-	// UseSparseAllreduce exchanges gradients through the sparse ring
-	// allreduce (comm.SparseAllreduce) instead of allgathering compressed
-	// messages — the collective the paper's conclusion calls for. In this
+	// UseSparseAllreduce exchanges gradients through the sparse allreduce
+	// (collective.Exchanger.SparseAllreduce) instead of allgathering
+	// compressed messages — the collective the paper's conclusion calls for. In this
 	// mode gradients are sparsified spatially at SparseTheta (driven by
 	// ThetaSchedule when set) and NewCompressor is ignored: the collective
 	// itself is the compression. Numerically this matches Top-k +

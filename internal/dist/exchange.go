@@ -417,10 +417,7 @@ func newSparseEx(w *worker, cm *comm.Comm) *sparseEx {
 func (e *sparseEx) round(iter int, _ bool) (roundStats, error) {
 	w, tc := e.w, e.w.tc
 	st := roundStats{blamePeer: -1}
-	theta := w.cfg.SparseTheta
-	if w.cfg.ThetaSchedule != nil {
-		theta = w.theta
-	}
+	theta := w.thetaInEffect()
 	t0 := time.Now()
 	var sp *pack.Sparse
 	if e.pt != nil {

@@ -54,7 +54,7 @@ func TestProfilerBitIdentical(t *testing.T) {
 }
 
 // TestProfilerBlamesChaosStraggler is the in-process half of the
-// obs-smoke gate: under a chaos schedule that permanently slows one
+// TestSmokeObs gate (cmd/trainer): under a chaos schedule that permanently slows one
 // rank's message delivery, the blame ledger must attribute at least half
 // of all blocked time to that rank. The straggler's own records look
 // healthy (it computes and exchanges fast — its *sends* arrive late), so
@@ -71,7 +71,7 @@ func TestProfilerBlamesChaosStraggler(t *testing.T) {
 		Cluster: cc,
 		Chaos: &chaos.Config{
 			Seed: 17,
-			// 15ms, as in `make obs-smoke`: the injected delay must dwarf
+			// 15ms, as in cmd/trainer's TestSmokeObs: the injected delay must dwarf
 			// scheduler noise, which under -race on two cores reaches the
 			// low milliseconds and used to outweigh a 2ms straggle.
 			Stragglers: []chaos.StragglerEvent{{Rank: straggler, SlowBy: 15 * time.Millisecond}},

@@ -221,6 +221,23 @@ func (w *worker) setTheta(theta float64) bool {
 	return took
 }
 
+// thetaInEffect is the drop ratio this iteration runs at: what the
+// schedule (or the adapt controller) last set, else the sparse path's
+// SparseTheta, else bucket 0's codec's own; NaN for a codec without one
+// (fp32, qsgd, terngrad).
+func (w *worker) thetaInEffect() float64 {
+	if !math.IsNaN(w.theta) {
+		return w.theta
+	}
+	if w.cfg.UseSparseAllreduce {
+		return w.cfg.SparseTheta
+	}
+	if c, ok := compress.As[interface{ Theta() float64 }](w.comps[0]); ok {
+		return c.Theta()
+	}
+	return math.NaN()
+}
+
 // observeRound is called by the exchanger after every collective of a
 // round (one per bucket): it feeds the live Tcomm of Eq. 2 and returns the
 // collective's modeled price. With a Fabric the modeled time prices the
@@ -510,7 +527,7 @@ func (w *worker) train(startIter int) (*Result, error) {
 					CommS:         commS,
 					CommMeasuredS: st.exchangeS,
 					MsgBytes:      st.msgBytes,
-					Theta:         w.theta,
+					Theta:         w.thetaInEffect(),
 					Compressed:    compressed,
 				})
 			}
@@ -523,7 +540,7 @@ func (w *worker) train(startIter int) (*Result, error) {
 					Epoch:     epoch,
 					TrainLoss: lossSum / float64(lossCount),
 					LR:        w.sgd.LR,
-					Theta:     w.theta,
+					Theta:     w.thetaInEffect(),
 				}
 				lossSum, lossCount = 0, 0
 				if cfg.Test != nil {
@@ -543,7 +560,7 @@ func (w *worker) train(startIter int) (*Result, error) {
 	}
 
 	if isRoot {
-		if res.Iterations > 0 {
+		if totalMsgBytes > 0 { // a lone sparse-allreduce rank sends nothing
 			res.AvgMsgBytes = totalMsgBytes / float64(res.Iterations)
 			res.CompressionRatio = float64(w.n*4) / res.AvgMsgBytes
 		}

@@ -400,7 +400,7 @@ func AblCollective(o Options) error {
 	done := make(chan struct{})
 	for r := 0; r < p; r++ {
 		go func(rank int) {
-			_, moved[rank] = cl.Rank(rank).SparseAllreduce(inputs[rank])
+			_, moved[rank] = collective.New(nil, cl.Rank(rank)).SparseAllreduce(inputs[rank])
 			done <- struct{}{}
 		}(r)
 	}
@@ -431,12 +431,24 @@ func AblCollective(o Options) error {
 		t.AddRow(r.name, float64(r.bytes)/(1<<20), float64(r.bytes)/fabric.Bandwidth*1e3)
 	}
 	o.printf("collective ablation (p=%d, n=%d, density %.0f%%, union density %.0f%%):\n%s",
-		p, n, density*100, comm.UnionDensity(density, p)*100, t.String())
+		p, n, density*100, unionDensity(density, p)*100, t.String())
 	o.printf("CHECK sparse allreduce moves less than sparse allgather: %v (%.2f vs %.2f MB)\n",
 		maxMoved < allgatherBytes, float64(maxMoved)/(1<<20), float64(allgatherBytes)/(1<<20))
 	o.printf("CHECK sparse allreduce moves less than dense allreduce at 15%% density: %v\n",
 		maxMoved < denseBytes)
 	return nil
+}
+
+// unionDensity returns the expected fraction of positions present in the
+// union of p independent random masks of density d — the saturation that
+// limits how much a sparse allreduce can save once many workers'
+// top-k sets overlap little: 1 − (1−d)^p.
+func unionDensity(d float64, p int) float64 {
+	u := 1.0
+	for i := 0; i < p; i++ {
+		u *= 1 - d
+	}
+	return 1 - u
 }
 
 // AblFeedback measures what the DGC-style heuristics buy on top of

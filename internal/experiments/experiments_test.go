@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 )
@@ -114,3 +115,21 @@ func TestCorrelatedGradientDeterministic(t *testing.T) {
 func TestAblChunk(t *testing.T) { checksPass(t, "abl-chunk", runQuick(t, "abl-chunk")) }
 
 func TestFig13CNN(t *testing.T) { checksPass(t, "fig13cnn", runQuick(t, "fig13cnn")) }
+
+func TestUnionDensity(t *testing.T) {
+	if got := unionDensity(0.5, 1); got != 0.5 {
+		t.Fatalf("p=1 union %g", got)
+	}
+	if got := unionDensity(0.15, 8); math.Abs(got-(1-math.Pow(0.85, 8))) > 1e-12 {
+		t.Fatalf("union density %g", got)
+	}
+	// Monotone in p.
+	prev := 0.0
+	for p := 1; p <= 32; p *= 2 {
+		u := unionDensity(0.1, p)
+		if u <= prev {
+			t.Fatalf("union density not monotone at p=%d", p)
+		}
+		prev = u
+	}
+}

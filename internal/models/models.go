@@ -1,17 +1,18 @@
-// Package models builds the network architectures the paper evaluates, at
-// a scale a CPU can train, plus byte-accurate communication profiles of
-// the full-size originals for the network experiments.
+// Package models builds the networks the experiments train, at a scale a
+// CPU can train, plus byte-accurate communication profiles of the paper's
+// full-size originals for the network experiments.
 //
 // Two architecture classes matter to the paper's argument:
 //
-//   - linear CNNs with big early kernels (AlexNet, VGG): per-layer compute
+//   - linear CNNs with big early kernels (AlexNet): per-layer compute
 //     dwarfs per-layer communication, so overlapping communication with
 //     computation works;
-//   - non-linear CNNs built from many small kernels (ResNet, Inception):
-//     per-layer compute ≈ communication, so overlap fails and compression
-//     is the remaining lever (Sec. 2.1).
+//   - non-linear CNNs built from many small kernels (ResNet): per-layer
+//     compute ≈ communication, so overlap fails and compression is the
+//     remaining lever (Sec. 2.1).
 //
-// The trainable constructors reproduce those structures on 3×32×32 inputs.
+// The profiles carry both classes; the trainable constructors are the
+// linear one (AlexNetStyle, TinyCNN) and a plain MLP.
 package models
 
 import (
@@ -44,124 +45,6 @@ func AlexNetStyle(classes, scale int, seed int64) *nn.Network {
 		nn.NewDense(c3*4*4, fc, r), // FC layers dominate params, like AlexNet
 		nn.NewReLU(),
 		nn.NewDense(fc, classes, r),
-	)
-}
-
-// ResNetStyle is the CIFAR ResNet family of He et al.: a 3×3 stem, three
-// stages of width {16,32,64}·scale with blocksPerStage residual blocks
-// each (depth = 6·blocksPerStage+2; blocksPerStage=5 gives ResNet-32),
-// global average pooling and a linear classifier. Input 3×32×32.
-func ResNetStyle(classes, blocksPerStage, scale int, seed int64) *nn.Network {
-	if scale < 1 {
-		scale = 1
-	}
-	if blocksPerStage < 1 {
-		blocksPerStage = 1
-	}
-	r := rand.New(rand.NewSource(seed))
-	w := []int{16 * scale, 32 * scale, 64 * scale}
-
-	layers := []nn.Layer{
-		nn.NewConv2D(3, w[0], 3, 1, 1, r),
-		nn.NewBatchNorm(w[0]),
-		nn.NewReLU(),
-	}
-	inC := w[0]
-	for stage := 0; stage < 3; stage++ {
-		outC := w[stage]
-		for b := 0; b < blocksPerStage; b++ {
-			stride := 1
-			if stage > 0 && b == 0 {
-				stride = 2 // downsample entering stages 2 and 3
-			}
-			main := []nn.Layer{
-				nn.NewConv2D(inC, outC, 3, stride, 1, r),
-				nn.NewBatchNorm(outC),
-				nn.NewReLU(),
-				nn.NewConv2D(outC, outC, 3, 1, 1, r),
-				nn.NewBatchNorm(outC),
-			}
-			var shortcut []nn.Layer
-			if stride != 1 || inC != outC {
-				shortcut = []nn.Layer{
-					nn.NewConv2D(inC, outC, 1, stride, 0, r),
-					nn.NewBatchNorm(outC),
-				}
-			}
-			layers = append(layers, nn.NewResidual(main, shortcut))
-			inC = outC
-		}
-	}
-	layers = append(layers,
-		nn.NewGlobalAvgPool(),
-		nn.NewDense(w[2], classes, r),
-	)
-	return nn.Sequential(layers...)
-}
-
-// VGGMini is a small VGG-style linear CNN: stacked 3×3 convolutions with
-// pooling between width doublings and a two-layer FC head.
-func VGGMini(classes, scale int, seed int64) *nn.Network {
-	if scale < 1 {
-		scale = 1
-	}
-	r := rand.New(rand.NewSource(seed))
-	c1, c2, c3 := 8*scale, 16*scale, 32*scale
-	return nn.Sequential(
-		nn.NewConv2D(3, c1, 3, 1, 1, r),
-		nn.NewReLU(),
-		nn.NewConv2D(c1, c1, 3, 1, 1, r),
-		nn.NewReLU(),
-		nn.NewMaxPool2D(2, 0), // 16
-		nn.NewConv2D(c1, c2, 3, 1, 1, r),
-		nn.NewReLU(),
-		nn.NewConv2D(c2, c2, 3, 1, 1, r),
-		nn.NewReLU(),
-		nn.NewMaxPool2D(2, 0), // 8
-		nn.NewConv2D(c2, c3, 3, 1, 1, r),
-		nn.NewReLU(),
-		nn.NewMaxPool2D(2, 0), // 4
-		nn.NewFlatten(),
-		nn.NewDense(c3*4*4, 32*scale, r),
-		nn.NewReLU(),
-		nn.NewDense(32*scale, classes, r),
-	)
-}
-
-// InceptionMini stacks two Inception-style fan-out blocks (1×1 / 3×3 /
-// 5×5 / pool-projection branches) — the small-kernel, wide-fan-out
-// structure that limits communication/computation overlap.
-func InceptionMini(classes, scale int, seed int64) *nn.Network {
-	if scale < 1 {
-		scale = 1
-	}
-	r := rand.New(rand.NewSource(seed))
-	stem := 8 * scale
-	b := 4 * scale // per-branch width
-
-	inception := func(inC int) nn.Layer {
-		return nn.NewBranches(
-			[]nn.Layer{nn.NewConv2D(inC, b, 1, 1, 0, r), nn.NewReLU()},
-			[]nn.Layer{
-				nn.NewConv2D(inC, b, 1, 1, 0, r), nn.NewReLU(),
-				nn.NewConv2D(b, b, 3, 1, 1, r), nn.NewReLU(),
-			},
-			[]nn.Layer{
-				nn.NewConv2D(inC, b, 1, 1, 0, r), nn.NewReLU(),
-				nn.NewConv2D(b, b, 5, 1, 2, r), nn.NewReLU(),
-			},
-			[]nn.Layer{nn.NewConv2D(inC, b, 1, 1, 0, r), nn.NewReLU()},
-		)
-	}
-	return nn.Sequential(
-		nn.NewConv2D(3, stem, 3, 1, 1, r),
-		nn.NewReLU(),
-		nn.NewMaxPool2D(2, 0), // 16
-		inception(stem),
-		nn.NewMaxPool2D(2, 0), // 8
-		inception(4*b),
-		nn.NewGlobalAvgPool(),
-		nn.NewDense(4*b, classes, r),
 	)
 }
 

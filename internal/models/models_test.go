@@ -74,34 +74,6 @@ func TestAlexNetStyle(t *testing.T) {
 	}
 }
 
-func TestResNetStyle(t *testing.T) {
-	net := ResNetStyle(10, 2, 1, 42) // depth 14
-	forwardBackward(t, net, 4)
-}
-
-func TestResNet32Depth(t *testing.T) {
-	// blocksPerStage=5 must produce the ResNet-32 layer structure:
-	// 1 stem + 15 blocks (2 convs each) + 2 projections + fc.
-	net := ResNetStyle(10, 5, 1, 42)
-	convs := 0
-	for _, p := range net.Params() {
-		if p.Name[0] == 'c' && p.Name[len(p.Name)-1] == 'W' {
-			convs++
-		}
-	}
-	if convs != 1+15*2+2 {
-		t.Fatalf("conv layer count %d want 33", convs)
-	}
-}
-
-func TestVGGMini(t *testing.T) {
-	forwardBackward(t, VGGMini(10, 1, 42), 4)
-}
-
-func TestInceptionMini(t *testing.T) {
-	forwardBackward(t, InceptionMini(10, 1, 42), 4)
-}
-
 func TestMLP(t *testing.T) {
 	net := MLP(32, 64, 10, 42)
 	x := tensor.New(8, 32)
@@ -175,27 +147,5 @@ func TestResNet32ProfileShape(t *testing.T) {
 		if l.ParamCount > 40_000 {
 			t.Fatalf("layer %s unexpectedly large: %d", l.Name, l.ParamCount)
 		}
-	}
-}
-
-func TestVGG16ProfileMatchesPaper(t *testing.T) {
-	p := VGG16ImageNetProfile()
-	mb := float64(p.TotalGradBytes()) / (1 << 20)
-	// The paper quotes 553 MB ≈ 138M params.
-	if mb < 520 || mb > 560 {
-		t.Fatalf("VGG16 gradient %f MB, expected ≈528-553", mb)
-	}
-}
-
-func BenchmarkResNetStyleIteration(b *testing.B) {
-	net := ResNetStyle(10, 2, 1, 1)
-	x := imageBatch(8, 1)
-	labels := make([]int, 8)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		net.ZeroGrads()
-		logits := net.Forward(x, true)
-		_, dl := nn.SoftmaxCE{}.Loss(logits, labels)
-		net.Backward(dl)
 	}
 }

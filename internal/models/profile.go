@@ -111,29 +111,3 @@ func ResNet32CIFARProfile() *CommProfile {
 	add(denseProfile("fc", 64, 10, b))
 	return p
 }
-
-// VGG16ImageNetProfile reproduces VGG-16 on ImageNet at batch 16 (the
-// paper's per-GPU batch for the larger nets); its 553 MB gradient is the
-// largest of the four networks in Sec. 2.1.
-func VGG16ImageNetProfile() *CommProfile {
-	b := 16
-	cfg := []struct {
-		inC, outC, hw int
-	}{
-		{3, 64, 224}, {64, 64, 224},
-		{64, 128, 112}, {128, 128, 112},
-		{128, 256, 56}, {256, 256, 56}, {256, 256, 56},
-		{256, 512, 28}, {512, 512, 28}, {512, 512, 28},
-		{512, 512, 14}, {512, 512, 14}, {512, 512, 14},
-	}
-	p := &CommProfile{Name: "VGG16", BatchSize: b}
-	for i, c := range cfg {
-		p.Layers = append(p.Layers, convProfile(fmt.Sprintf("conv%d 3x3", i+1), c.inC, c.outC, 3, c.hw, c.hw, b))
-	}
-	p.Layers = append(p.Layers,
-		denseProfile("fc6", 512*7*7, 4096, b),
-		denseProfile("fc7", 4096, 4096, b),
-		denseProfile("fc8", 4096, 1000, b),
-	)
-	return p
-}

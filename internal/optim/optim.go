@@ -92,13 +92,3 @@ func (p PiecewiseLR) LR(epoch int) float64 {
 	}
 	return p.Values[len(p.Values)-1]
 }
-
-// AlexNetPaperLR is the paper's AlexNet learning-rate schedule.
-func AlexNetPaperLR() PiecewiseLR {
-	return PiecewiseLR{Boundaries: []int{30, 60}, Values: []float64{0.01, 0.001, 0.0001}}
-}
-
-// ResNet32PaperLR is the paper's ResNet32 learning-rate schedule.
-func ResNet32PaperLR() PiecewiseLR {
-	return PiecewiseLR{Boundaries: []int{130}, Values: []float64{0.01, 0.001}}
-}

@@ -3,8 +3,6 @@ package quant
 import (
 	"fmt"
 	"math"
-
-	"fftgrad/internal/parallel"
 )
 
 // Quantizer is the common interface of all N-bit scalar quantizers in this
@@ -143,17 +141,4 @@ func (q *TruncIEEEQuantizer) Representable() []float32 {
 		}
 	}
 	return vals
-}
-
-// QuantizeSlice applies q element-wise (encode then decode) writing the
-// reconstruction into dst, in parallel. dst and src may alias.
-func QuantizeSlice(q Quantizer, dst, src []float32) {
-	if len(dst) != len(src) {
-		panic("quant: length mismatch")
-	}
-	parallel.For(len(src), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			dst[i] = q.Decode(q.Encode(src[i]))
-		}
-	})
 }

@@ -293,26 +293,6 @@ func TestUniformQuantizer(t *testing.T) {
 	}
 }
 
-func TestQuantizeSlice(t *testing.T) {
-	q := mustRange(t, 8, 3, 0.002, -1, 1)
-	src := []float32{0.5, -0.25, 0.0001, 2, -2}
-	dst := make([]float32, len(src))
-	QuantizeSlice(q, dst, src)
-	for i, v := range src {
-		want := q.Decode(q.Encode(v))
-		if dst[i] != want {
-			t.Errorf("index %d: %g want %g", i, dst[i], want)
-		}
-	}
-	// aliasing must work
-	QuantizeSlice(q, src, src)
-	for i := range src {
-		if src[i] != dst[i] {
-			t.Errorf("aliased mismatch at %d", i)
-		}
-	}
-}
-
 func TestCodesRoundTrip(t *testing.T) {
 	r := rand.New(rand.NewSource(13))
 	for _, n := range []int{1, 3, 7, 8, 10, 13, 16, 24, 32} {

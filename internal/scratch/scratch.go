@@ -96,7 +96,6 @@ var (
 	u32Pool  pool[uint32]
 	u64Pool  pool[uint64]
 	intPool  pool[int]
-	bytePool pool[byte]
 )
 
 // Float64s borrows a []float64 of length n. Contents are unspecified.
@@ -134,21 +133,3 @@ func Ints(n int) *[]int { return intPool.get(n) }
 
 // PutInts returns a box borrowed from Ints.
 func PutInts(b *[]int) { intPool.put(b) }
-
-// Bytes borrows a []byte of length n. Contents are unspecified.
-func Bytes(n int) *[]byte { return bytePool.get(n) }
-
-// PutBytes returns a box borrowed from Bytes.
-func PutBytes(b *[]byte) { bytePool.put(b) }
-
-// GrowFloat32s resizes *b to length n, reallocating through the pool only
-// when capacity is insufficient (the old buffer is returned to its class).
-// Contents are unspecified. b must hold a pool-borrowed box.
-func GrowFloat32s(b **[]float32, n int) {
-	if cap(**b) >= n {
-		**b = (**b)[:n]
-		return
-	}
-	f32Pool.put(*b)
-	*b = f32Pool.get(n)
-}

@@ -44,22 +44,9 @@ func TestOversizedBypassesPool(t *testing.T) {
 }
 
 func TestPutNilAndEmpty(t *testing.T) {
-	PutBytes(nil)
-	var empty []byte
-	PutBytes(&empty)
-}
-
-func TestGrowFloat32s(t *testing.T) {
-	b := Float32s(10)
-	GrowFloat32s(&b, 5)
-	if len(*b) != 5 || cap(*b) < 10 {
-		t.Fatalf("shrink: len %d cap %d", len(*b), cap(*b))
-	}
-	GrowFloat32s(&b, 1000)
-	if len(*b) != 1000 {
-		t.Fatalf("grow: len %d", len(*b))
-	}
-	PutFloat32s(b)
+	PutInts(nil)
+	var empty []int
+	PutInts(&empty)
 }
 
 // TestSteadyStateZeroAlloc asserts that a warm Get/Put cycle does not

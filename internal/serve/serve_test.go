@@ -347,3 +347,35 @@ func TestCollectiveJobOverHTTP(t *testing.T) {
 		t.Fatalf("collective accuracy %.3f", final.TestAcc)
 	}
 }
+
+// TestDefaultJobReportsTheta: the epoch events of the default `{}` job
+// carry the drop ratio its codec runs at (the FFT default, 0.85), not the
+// 0 a missing ThetaSchedule used to be scrubbed to.
+func TestDefaultJobReportsTheta(t *testing.T) {
+	srv := New(Config{WorkerSlots: 2})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	info, resp := postJob(t, ts.URL, Spec{}) // marshals to {}
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit status %d, want 202", resp.StatusCode)
+	}
+	waitTerminal(t, ts.URL, info.ID)
+
+	sresp, err := http.Get(ts.URL + "/jobs/" + info.ID + "/events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sresp.Body.Close()
+	for sc := bufio.NewScanner(sresp.Body); sc.Scan(); {
+		var ev Event
+		if data, ok := strings.CutPrefix(sc.Text(), "data: "); !ok || json.Unmarshal([]byte(data), &ev) != nil || ev.Epoch == nil {
+			continue
+		}
+		if ev.Epoch.Theta != 0.85 {
+			t.Fatalf("first epoch event reports theta %v, want 0.85", ev.Epoch.Theta)
+		}
+		return
+	}
+	t.Fatal("no epoch event")
+}
