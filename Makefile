@@ -18,11 +18,18 @@ check: fmt-check
 # The packages with a vector kernel or a path built on one, vetted and
 # tested with the assembly compiled out (-tags purego is what every
 # non-amd64 platform runs), so the Go reference cannot rot behind it.
+# The GOAMD64=v3 legs build the same packages and the two bit-exact
+# selectors beside them where the compiler may fuse multiply-add: every
+# pin must hold there too, with the assembly and without (-short: the
+# pins up to 2^16, not the 2^32-pattern f16 sweep three times over).
 KERNEL_PKGS = ./internal/cfft ./internal/f16 ./internal/sparsify ./internal/compress
+V3_PKGS = $(KERNEL_PKGS) ./internal/topk ./internal/quant
 
 purego:
 	$(GO) vet -tags purego $(KERNEL_PKGS)
 	$(GO) test -tags purego $(KERNEL_PKGS)
+	GOAMD64=v3 $(GO) test -short $(V3_PKGS)
+	GOAMD64=v3 $(GO) test -short -tags purego $(V3_PKGS)
 
 # gofmt -l prints the files it would rewrite; any is a failure.
 fmt-check:
@@ -76,14 +83,15 @@ guard:
 
 # Fuzz smoke: a short wall-clock-bounded pass over the compressed
 # message decoders, every codec's encode→decode round trip, the fused
-# transform decode against its unfused reference, the guard frame decoder
-# and the framed codec decoder.
+# transform decode against its unfused reference, the guard frame decoder,
+# the framed codec decoder, and the radix select against the sorted order.
 fuzz:
 	$(GO) test -fuzz=FuzzDecompressRobustness -fuzztime=15s -run '^$$' ./internal/compress/
 	$(GO) test -fuzz=FuzzCompressRoundTrip -fuzztime=15s -run '^$$' ./internal/compress/
 	$(GO) test -fuzz=FuzzDecodeMatchesReference -fuzztime=15s -run '^$$' ./internal/compress/
 	$(GO) test -fuzz=FuzzUnframe -fuzztime=15s -run '^$$' ./internal/guard/
 	$(GO) test -fuzz=FuzzFramedDecompress -fuzztime=15s -run '^$$' ./internal/guard/
+	$(GO) test -fuzz=FuzzKthLargestMatchesSort -fuzztime=15s -run '^$$' ./internal/topk/
 
 # Non-blank, non-comment, non-test Go lines per package directory, then
 # the total outside the nested bench/ module: the count the before/after
@@ -96,10 +104,12 @@ loc:
 	@printf '%6d  total outside bench/\n' $$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' | $(LOC))
 
 # One pass over every go-test benchmark (each experiment bench in
-# bench_test.go runs its full quick workload once). Measured numbers come
-# from the repository benchmark: bash bench/run.sh (BENCHMARK.json).
+# bench_test.go runs its full quick workload once), then the FFT codec's
+# stage split at the wide_fft shape on one core and two. Measured numbers
+# come from the repository benchmark: bash bench/run.sh (BENCHMARK.json).
 bench:
 	$(GO) test -bench=. -benchmem -benchtime=1x ./...
+	$(GO) test -run '^$$' -bench BenchmarkCodecStages -cpu 1,2 ./internal/compress
 
 # Regenerate every paper figure/table and ablation.
 experiments:

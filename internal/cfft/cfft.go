@@ -30,10 +30,10 @@ import (
 	"fftgrad/internal/scratch"
 )
 
-// Plan holds the precomputed state (per-stage twiddle tables and the
-// bit-reversal permutation) for transforms of one fixed power-of-two
-// length. Plans are safe for concurrent use by multiple goroutines once
-// created.
+// Plan holds the precomputed state (the per-stage twiddle tables) for
+// transforms of one fixed power-of-two length; the bit-reversal
+// permutation is computed, not stored (reorder). Plans are safe for
+// concurrent use by multiple goroutines once created.
 //
 // The butterfly network is fused radix-4: each pass combines two radix-2
 // stages, so a length-n transform makes ~log4(n) passes over the data
@@ -47,8 +47,7 @@ import (
 type Plan struct {
 	n    int
 	logN int
-	leaf int     // largest block transformed iteratively (cache-resident)
-	rev  []int32 // bit-reversal permutation
+	leaf int // largest block transformed iteratively (cache-resident)
 	// tw[s] is the twiddle table for the fused stage of block size 1<<s:
 	// the triples (W^k, W^2k, W^3k) with W = exp(-2πi/m), k in [0, m/4),
 	// forward sign (the inverse loop conjugates in registers), laid out
@@ -95,8 +94,10 @@ func PaddedLen(n int) int {
 
 // planCaches hold one process-wide plan per power-of-two length, indexed
 // by log2(n). Plans are immutable once built, so a lock-free
-// publish-once-per-slot cache lets every sparsifier share twiddle tables and bit-reversal permutations instead of
-// rebuilding them per call.
+// publish-once-per-slot cache lets every sparsifier share twiddle tables
+// instead of rebuilding them per call — and a real or DCT plan takes the
+// plan underneath it from here too, so a process that runs both
+// transforms holds each table once.
 var (
 	planCache     [bits.UintSize]atomic.Pointer[Plan]
 	realPlanCache [bits.UintSize]atomic.Pointer[RealPlan]
@@ -173,7 +174,6 @@ func NewPlan(n int) *Plan {
 	p := &Plan{
 		n:    n,
 		logN: bits.TrailingZeros(uint(n)),
-		rev:  make([]int32, n),
 		tw:   make([][]float64, bits.TrailingZeros(uint(n))+1),
 	}
 	leafLog := leafLogEven
@@ -184,9 +184,6 @@ func NewPlan(n int) *Plan {
 		leafLog = p.logN
 	}
 	p.leaf = 1 << leafLog
-	for i := 0; i < n; i++ {
-		p.rev[i] = int32(bits.Reverse(uint(i)) >> (bits.UintSize - p.logN))
-	}
 	// Fused-stage twiddle tables. The first fused stage is size 4 when
 	// log2(n) is even (twiddle-free) and size 8 after the size-2 opener
 	// when odd; every subsequent stage quadruples.
@@ -253,42 +250,129 @@ func (p *Plan) transform(dst, src []complex128, inverse bool) {
 	}
 }
 
-// reorder applies the bit-reversal permutation from src to dst, swapping
-// in place when they alias, and multiplies by 1/n on the way when inverse
+// A tile is the 16×16 block of elements whose index a|b|c (4-bit a on
+// top, 4-bit c at the bottom) shares the middle bits b: sixteen rows of
+// sixteen consecutive elements, n/16 apart. The bit reversal sends index
+// a|b|c to rev(c)|rev(b)|rev(a), i.e. tile b onto tile rev(b),
+// transposed, with row and column numbers reversed too — so the
+// permutation moves whole 256-byte rows between memory and a 4 KiB
+// buffer and does its scattered accesses inside that buffer, where the
+// walk down a table of reversed indices it replaces missed the cache on
+// every element.
+type tile [256]complex128
+
+// rev4 is the 4-bit reversal.
+var rev4 = [16]uint8{0, 8, 4, 12, 2, 10, 6, 14, 1, 9, 5, 13, 3, 11, 7, 15}
+
+// reorderCtx carries one permutation pass through ForGrain1 by value.
+type reorderCtx struct {
+	p        *Plan
+	dst, src []complex128
+	inverse  bool
+}
+
+// reorderGrain is the fewest units of reorderTiles one worker takes:
+// 2^15 elements out of place, 2^16 in place, so the pass splits where the
+// stage network does (fftParMin).
+const reorderGrain = fftParMin >> 9
+
+// reorder applies the bit-reversal permutation from src to dst, in place
+// when they alias, and multiplies by 1/n on the way when inverse
 // (linearity lets the normalization ride the permutation pass for free).
+// Tiles are independent, so a large pass is split over the pool.
 func (p *Plan) reorder(dst, src []complex128, inverse bool) {
-	n := p.n
-	rev := p.rev
-	if &dst[0] == &src[0] {
+	inPlace := &dst[0] == &src[0]
+	if p.logN < 8 { // no whole tile
+		sh := bits.UintSize - p.logN
+		for i := range src {
+			j := int(bits.Reverse(uint(i)) >> sh)
+			if !inPlace {
+				dst[i] = src[j]
+			} else if i < j {
+				dst[i], dst[j] = dst[j], dst[i]
+			}
+		}
 		if inverse {
-			s := complex(1/float64(n), 0)
-			for i := 0; i < n; i++ {
-				j := int(rev[i])
-				if i < j {
-					dst[i], dst[j] = dst[j]*s, dst[i]*s
-				} else if i == j {
-					dst[i] *= s
-				}
-			}
-		} else {
-			for i := 0; i < n; i++ {
-				j := int(rev[i])
-				if i < j {
-					dst[i], dst[j] = dst[j], dst[i]
-				}
+			s := complex(1/float64(p.n), 0)
+			for i := range dst {
+				dst[i] *= s
 			}
 		}
 		return
 	}
-	if inverse {
-		s := complex(1/float64(n), 0)
-		for i := 0; i < n; i++ {
-			dst[i] = src[rev[i]] * s
-		}
-		return
+	units := 1 << (p.logN - 8)
+	if inPlace {
+		units = max(units/2, 1)
 	}
-	for i := 0; i < n; i++ {
-		dst[i] = src[rev[i]]
+	parallel.ForGrain1(units, reorderGrain, reorderCtx{p, dst, src, inverse}, reorderTiles)
+}
+
+// reorderTiles permutes units [lo, hi). Out of place unit b is tile b of
+// src, written to tile rev(b) of dst. In place the tiles b < rev(b) trade
+// places and b == rev(b) turns over where it is; of b and its complement
+// ^b exactly one is below its reversal (rev(^b) = ^rev(b)), or both are
+// palindromes, so unit b — b below half the tiles — does whichever of the
+// two pairs is in order, or both palindromes, and every unit is the same
+// work.
+func reorderTiles(c reorderCtx, lo, hi int) {
+	var t, u tile
+	inPlace := &c.dst[0] == &c.src[0]
+	tiles := 1 << (c.p.logN - 8)
+	sh := uint(64 - (c.p.logN - 8)) // a shift by 64 is 0: the one tile of n = 256
+	for b := lo; b < hi; b++ {
+		rb := int(bits.Reverse64(uint64(b)) >> sh)
+		switch {
+		case !inPlace:
+			c.move(&t, nil, b, rb)
+		case b < rb:
+			c.move(&t, &u, b, rb)
+		case b > rb:
+			c.move(&t, &u, tiles-1-b, tiles-1-rb)
+		default:
+			c.move(&t, nil, b, b)
+			if tiles > 1 {
+				c.move(&t, nil, tiles-1-b, tiles-1-b)
+			}
+		}
+	}
+}
+
+// move carries tile b of src to tile rb of dst through t and, when u is
+// given, tile rb to tile b through u — loading both before storing either.
+func (c reorderCtx) move(t, u *tile, b, rb int) {
+	stride := c.p.n >> 4
+	t.load(c.src[b<<4:], stride, c.p.n, c.inverse)
+	if u != nil {
+		u.load(c.src[rb<<4:], stride, c.p.n, c.inverse)
+		u.store(c.dst[b<<4:], stride)
+	}
+	t.store(c.dst[rb<<4:], stride)
+}
+
+// load reads the tile whose first row starts x into t as tile rev(b)
+// will hold it: element (a, c) at (rev4(c), rev4(a)), times 1/n when
+// inverse.
+func (t *tile) load(x []complex128, stride, n int, inverse bool) {
+	s := complex(1/float64(n), 0)
+	for a := 0; a < 16; a++ {
+		row := x[a*stride:][:16]
+		ra := int(rev4[a])
+		if inverse {
+			for c, v := range row {
+				t[(int(rev4[c])<<4|ra)&255] = v * s
+			}
+			continue
+		}
+		for c, v := range row {
+			t[(int(rev4[c])<<4|ra)&255] = v
+		}
+	}
+}
+
+// store writes t's rows to the tile whose first row starts x.
+func (t *tile) store(x []complex128, stride int) {
+	for a := 0; a < 16; a++ {
+		copy(x[a*stride:][:16], t[a<<4:])
 	}
 }
 
@@ -405,7 +489,7 @@ func NewRealPlan(n int) *RealPlan {
 	if !IsPow2(n) || n < 2 {
 		panic("cfft: real plan length must be a power of two >= 2")
 	}
-	rp := &RealPlan{n: n, half: NewPlan(n / 2), untw: make([]float64, 8*(n/8+1))}
+	rp := &RealPlan{n: n, half: PlanFor(n / 2), untw: make([]float64, 8*(n/8+1))}
 	for k := 0; k <= n/2; k++ {
 		ang := -2 * math.Pi * float64(k) / float64(n)
 		at := 8*(k>>2) + laneOf[k&3]

@@ -25,7 +25,7 @@ func NewDCTPlan(n int) *DCTPlan {
 	if !IsPow2(n) || n < 2 {
 		panic("cfft: DCT length must be a power of two >= 2")
 	}
-	p := &DCTPlan{n: n, rp: NewRealPlan(2 * n), tw: make([]complex128, n)}
+	p := &DCTPlan{n: n, rp: RealPlanFor(2 * n), tw: make([]complex128, n)}
 	for k := 0; k < n; k++ {
 		ang := -math.Pi * float64(k) / float64(2*n)
 		p.tw[k] = complex(math.Cos(ang), math.Sin(ang))

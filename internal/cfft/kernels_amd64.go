@@ -2,12 +2,14 @@
 
 package cfft
 
+import "fftgrad/internal/cpu"
+
 // The AVX2 kernel set (kernels_amd64.s), selected once if the CPU has AVX2
-// and the OS saves the YMM state. Each wrapper hands the assembly the
-// whole groups of four it works in and runs whatever is left — a row range
-// cut at an odd boundary by the parallel split, the first bins of the
-// untangle pass, blocks too small to pair — through the Go reference,
-// which computes the same bits.
+// and the OS saves the YMM state (cpu.AVX2). Each wrapper hands the
+// assembly the whole groups of four it works in and runs whatever is left
+// — a row range cut at an odd boundary by the parallel split, the first
+// bins of the untangle pass, blocks too small to pair — through the Go
+// reference, which computes the same bits.
 
 //go:noescape
 func radix4AVX2(x *complex128, nblk int, tw *float64, m, lo, hi int, inverse bool)
@@ -27,31 +29,12 @@ func untangleAVX2(spec, z *complex128, untw *float64, h int)
 //go:noescape
 func retangleAVX2(z, spec *complex128, untw *float64, h int)
 
-func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
-func xgetbv0() uint32
-
 var avx2 = kernels{radix4Vec, stage2Vec, stage4Vec, untangleVec, retangleVec}
 
 func init() {
-	if hasAVX2() {
+	if cpu.AVX2 {
 		active = avx2
 	}
-}
-
-// hasAVX2 reports AVX2 with OS-enabled XMM and YMM state.
-func hasAVX2() bool {
-	if maxLeaf, _, _, _ := cpuid(0, 0); maxLeaf < 7 {
-		return false
-	}
-	const osxsave, avx = 1 << 27, 1 << 28
-	if _, _, c, _ := cpuid(1, 0); c&(osxsave|avx) != osxsave|avx {
-		return false
-	}
-	if xgetbv0()&6 != 6 {
-		return false
-	}
-	_, b, _, _ := cpuid(7, 0)
-	return b&(1<<5) != 0
 }
 
 func radix4Vec(x []complex128, tw []float64, m, lo, hi int, inverse bool) {

@@ -2,6 +2,7 @@ package cfft
 
 import (
 	"math"
+	"math/bits"
 	"testing"
 
 	"fftgrad/internal/parallel"
@@ -14,7 +15,7 @@ func radix2DFT(p *Plan, x []complex128, inverse bool) []complex128 {
 	n := len(x)
 	out := make([]complex128, n)
 	for i := 0; i < n; i++ {
-		out[i] = x[p.rev[i]]
+		out[i] = x[bits.Reverse(uint(i))>>(bits.UintSize-p.logN)]
 	}
 	for size := 2; size <= n; size <<= 1 {
 		half := size >> 1

@@ -110,8 +110,8 @@ func (c *Transform) AppendCompress(dst []byte, grad []float32) ([]byte, error) {
 	n := len(grad)
 	// One pass rounds (UseHalf) and widens the gradient into the
 	// transform's work array; after the transform one cache-blocked sweep
-	// builds the keep mask, zeroes dropped bins and gathers the surviving
-	// coefficients as float32 in bin order.
+	// builds the keep mask and gathers the surviving coefficients as
+	// float32 in bin order.
 	spec := c.spectrum()
 	defer c.specs.Put(spec)
 	if c.UseHalf {

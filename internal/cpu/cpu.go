@@ -1,0 +1,4 @@
+// Package cpu is the one CPUID probe the vector kernels share: cfft's FFT
+// butterflies and f16's rounding front end both switch on cpu.AVX2, from
+// their amd64, !purego files. On any other build nothing imports it.
+package cpu

@@ -74,7 +74,7 @@ type gathered struct {
 // weighted mean, Σ wt·decode(msg) / Σ wt, in avg[lo:hi]; recon[lo:hi] is
 // the decode scratch. It reports how many messages it folded and the
 // largest of them. This is the only place compressed gradients are
-// decoded and summed (ROADMAP item 3 replaces exactly this routine).
+// decoded and summed (ROADMAP item 2 replaces exactly this routine).
 func (w *worker) average(codec compress.Compressor, b int, g *gathered) (n, max int, err error) {
 	lo, hi := w.bk.Range(b)
 	avg, recon := w.avg[lo:hi], w.recon[lo:hi]

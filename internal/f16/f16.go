@@ -260,12 +260,23 @@ func roundBits(b uint32) uint32 {
 	return r | b&0x80000000
 }
 
+// roundWidenVec, where a platform file sets it (round_amd64.go: AVX2),
+// is RoundWiden over the leading whole groups of eight elements, in vector
+// instructions that produce roundBits' bits; it returns how many elements
+// it converted. The Go loop is the reference and the only path elsewhere
+// and under -tags purego.
+var roundWidenVec func(dst []float64, src []float32) int
+
 // RoundWiden writes every element of src, rounded to the nearest binary16
 // value, to dst as a float64: the half-precision conversion and the
 // widening the float64 transform needs, in one pass. dst must be at least
 // len(src) long.
 func RoundWiden(dst []float64, src []float32) {
 	dst = dst[:len(src)]
+	if roundWidenVec != nil {
+		n := roundWidenVec(dst, src)
+		dst, src = dst[n:], src[n:]
+	}
 	for i, v := range src {
 		dst[i] = float64(math.Float32frombits(roundBits(math.Float32bits(v))))
 	}

@@ -11,18 +11,44 @@ import (
 // TestRoundBitsMatchesEncodeDecode pins the one-step rounding kernel to
 // the two-step conversion it replaced, decodeBits(encodeBits(·)), on every
 // float32 bit pattern (every 251st under -short, plus each class boundary
-// and its neighbours either way).
+// and its neighbours either way). The sweep goes through RoundWiden eight
+// patterns a call — the width of the vector kernel, where the platform
+// has one — and through roundBits itself whenever that is not what
+// RoundWiden ran.
 func TestRoundBitsMatchesEncodeDecode(t *testing.T) {
-	// decodeBits depends on the 16-bit code alone: tabulate it once.
+	// decodeBits depends on the 16-bit code alone: tabulate it once, and
+	// its widening with it.
 	decoded := make([]uint32, 1<<16)
+	widened := make([]uint64, 1<<16)
 	for h := range decoded {
-		decoded[h] = math.Float32bits(decodeBits(Bits(h)))
+		f := decodeBits(Bits(h))
+		decoded[h], widened[h] = math.Float32bits(f), math.Float64bits(float64(f))
 	}
-	check := func(b uint32) bool {
-		want := decoded[encodeBits(b)]
-		if got := roundBits(b); got != want {
-			t.Errorf("bits=%#08x: roundBits %#08x, decodeBits(encodeBits) %#08x", b, got, want)
-			return false
+	// check runs the eight patterns b, b+step, ... through buf and reports
+	// the first that differs.
+	type buf struct {
+		src [8]float32
+		dst [8]float64
+	}
+	check := func(w *buf, b, step uint32) bool {
+		for i := range w.src {
+			w.src[i] = math.Float32frombits(b + uint32(i)*step)
+		}
+		RoundWiden(w.dst[:], w.src[:])
+		for i := range w.src {
+			p := b + uint32(i)*step
+			h := encodeBits(p)
+			if got := math.Float64bits(w.dst[i]); got != widened[h] {
+				t.Errorf("bits=%#08x: RoundWiden %#016x, decodeBits(encodeBits) widened %#016x", p, got, widened[h])
+				return false
+			}
+			if roundWidenVec == nil {
+				continue // RoundWiden was roundBits
+			}
+			if got := roundBits(p); got != decoded[h] {
+				t.Errorf("bits=%#08x: roundBits %#08x, decodeBits(encodeBits) %#08x", p, got, decoded[h])
+				return false
+			}
 		}
 		return true
 	}
@@ -30,10 +56,9 @@ func TestRoundBitsMatchesEncodeDecode(t *testing.T) {
 	// first/last NaN, the float32 subnormal/normal edge.
 	for _, edge := range []uint32{0, 0x00800000, 0x33000000, 0x33800000, 0x38800000,
 		0x477FE000, 0x477FF000, 0x47800000, 0x7F800000, 0x7FC00000, 0x7FFFFFFF} {
-		for d := -4; d <= 4; d++ {
-			for _, sign := range []uint32{0, 0x80000000} {
-				check((edge + uint32(d)) ^ sign)
-			}
+		for _, sign := range []uint32{0, 0x80000000} {
+			check(new(buf), (edge-4)^sign, 1)
+			check(new(buf), (edge+1)^sign, 1)
 		}
 	}
 	stride := uint64(1)
@@ -50,15 +75,36 @@ func TestRoundBitsMatchesEncodeDecode(t *testing.T) {
 			defer wg.Done()
 			lo := uint64(w) << 32 / uint64(workers)
 			hi := uint64(w+1) << 32 / uint64(workers)
-			for b := lo; b < hi; b += stride {
-				if roundBits(uint32(b)) != decoded[encodeBits(uint32(b))] {
-					check(uint32(b)) // reports it
+			w8 := new(buf)
+			for b := lo; b < hi; b += 8 * stride { // the last group may run past hi: harmless
+				if !check(w8, uint32(b), uint32(stride)) {
 					return
 				}
 			}
 		}(w)
 	}
 	wg.Wait()
+}
+
+// TestRoundWidenTails runs every length from 0 to 17 — no whole group of
+// eight, one and two with every tail length — against roundBits, and
+// checks that nothing past len(src) is written.
+func TestRoundWidenTails(t *testing.T) {
+	src := append(gradLike(12), 0, float32(math.Inf(-1)), float32(math.NaN()), MinSubnormal*0.75, 65520)
+	for n := 0; n <= len(src); n++ {
+		dst := make([]float64, n+1)
+		dst[n] = -1
+		RoundWiden(dst, src[:n])
+		for i, v := range src[:n] {
+			want := float64(math.Float32frombits(roundBits(math.Float32bits(v))))
+			if math.Float64bits(dst[i]) != math.Float64bits(want) {
+				t.Fatalf("n=%d: RoundWiden[%d] of %g: %g, want %g", n, i, v, dst[i], want)
+			}
+		}
+		if dst[n] != -1 {
+			t.Fatalf("n=%d: wrote past the source length", n)
+		}
+	}
 }
 
 // gradLike is a gradient-shaped input: zero-mean, magnitudes spread over

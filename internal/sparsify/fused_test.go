@@ -106,7 +106,8 @@ func sameSpectrum(got, want *Spectrum) error {
 
 // TestAnalyzePackedMatchesReference pins the fused select+gather sweep
 // against the unfused reference, bit for bit: same mask words, same
-// zeroed spectrum, same packed values in the same order, same absMax —
+// packed values in the same order, same absMax, and — once zeroDropped
+// has run, as it does in Roundtrip — the same zeroed spectrum —
 // for both transforms, across signal shapes (random, constant, tie-heavy,
 // sparse impulse), lengths from the padded-up 0 and 1 through several
 // chunk counts, and the full theta range including the keep-everything
@@ -148,6 +149,7 @@ func TestAnalyzePackedMatchesReference(t *testing.T) {
 					var ref Spectrum
 					analyzeReference(tr.t, &ref, x, theta)
 					tr.t.Analyze(&fus, x, theta, nil)
+					tr.t.zeroDropped(&fus) // the dense comparison's step, as in Roundtrip
 					if err := sameSpectrum(&fus, &ref); err != nil {
 						t.Fatalf("%s %s n=%d θ=%g: %v", tr.name, name, n, theta, err)
 					}
@@ -167,6 +169,7 @@ func TestAnalyzePackedBufferTooSmall(t *testing.T) {
 	for _, tr := range transforms {
 		spec := Spectrum{Vals: make([]float32, 2), Mask: make([]uint64, 1)}
 		tr.t.Analyze(&spec, x, 0.5, nil)
+		tr.t.zeroDropped(&spec)
 		var ref Spectrum
 		analyzeReference(tr.t, &ref, x, 0.5)
 		if err := sameSpectrum(&spec, &ref); err != nil {

@@ -16,7 +16,7 @@ import (
 
 // Transform describes one real-signal transform the sparsifier can work
 // in. Everything but four leaves — the plan call, the magnitude fill, the
-// per-chunk zero+gather and the decode-side scatter — is shared; the
+// per-chunk gather and the decode-side scatter — is shared; the
 // leaves are picked once per call or once per 64-word chunk, never per
 // element. Plans come from the process-wide cfft cache and temporaries
 // are pooled, so a Transform is safe for concurrent use and, with a
@@ -47,9 +47,10 @@ func (t *Transform) Bins(n int) int {
 
 // Spectrum is the sparsified transform-domain representation of a
 // gradient. L, N, Kept, Mask and Vals are exactly what a codec puts on
-// the wire; the dense coefficient array behind them (dropped bins zero)
-// is what the inverse transform reads. A Spectrum is reused across calls
-// and transforms: every slice keeps its capacity.
+// the wire; the dense coefficient array behind them is what the inverse
+// transform reads (Synthesize fills it with zeros at every dropped bin;
+// Analyze leaves it as the forward transform wrote it). A Spectrum is
+// reused across calls and transforms: every slice keeps its capacity.
 type Spectrum struct {
 	L      int       // original gradient length
 	N      int       // padded power-of-two transform length
@@ -65,7 +66,7 @@ type Spectrum struct {
 // packChunkWords is the cache-block width of the fused select+gather
 // sweep, in 64-bin bitmap words: 64 words = 4096 bins = 64 KiB of
 // complex128 bins plus 32 KiB of magnitudes per chunk, sized to stay
-// L2-resident while a chunk is masked, zeroed, and gathered in one pass.
+// L2-resident while a chunk is masked and gathered in one pass.
 const packChunkWords = 64
 
 // passACtx/passBCtx thread the fused-sweep state through ForGrain1 by
@@ -84,31 +85,31 @@ type passBCtx struct {
 	eq        []uint64
 	off, take []int
 	maxes     []float64
-	nb        int
 }
 
 // Analyze transforms x (zero-padded to cfft.PaddedLen, so any length
 // including 0 and 1 is accepted) and keeps only the top-(1-θ) fraction of
 // bins by magnitude: it fills spec's shape, keep bitmap, packed surviving
-// values and their AbsMax, and leaves the dense coefficients with every
-// dropped bin zeroed. x is not modified. Ties at the threshold go to the
+// values and their AbsMax. The dense coefficients are left as transformed,
+// dropped bins included: nothing on the codec path reads them again. x is
+// not modified. Ties at the threshold go to the
 // lowest index, exactly topk.MaskTopKInto's rule (the property test pins
 // the sweep against that unfused reference, bit for bit).
 //
 // st (nil disables timing) sees the f32→f64 widening as StageConvert
 // (Tm), the forward transform as StageTransform (Tf), the magnitude +
-// threshold + mask sweep as StageSelect (Ts) and the zero+gather sweep as
+// threshold + mask sweep as StageSelect (Ts) and the gather sweep as
 // StagePack, all normalized to the gradient's byte size — the terms the
 // Sec. 3.3 model prices.
 //
 // Select and gather run cache-blocked: instead of one full pass to build
-// the mask, one to zero dropped bins and one to gather survivors — each
-// streaming all bins from memory — the bins are cut into packChunkWords-
-// word chunks. Pass A builds each chunk's above-threshold and
-// at-threshold masks; a serial prefix over the per-chunk counts resolves
-// the exact-k tie fill and assigns every chunk its output offset; pass B
-// revisits each chunk — still warm in cache — and zeroes dropped bins and
-// gathers survivors in the same sweep.
+// the mask and one to gather survivors — each streaming all bins from
+// memory — the bins are cut into packChunkWords-word chunks. Pass A
+// builds each chunk's above-threshold and at-threshold masks; a serial
+// prefix over the per-chunk counts resolves the exact-k tie fill and
+// assigns every chunk its output offset; pass B revisits each chunk —
+// still warm in cache — and gathers its survivors by a walk over the set
+// mask bits.
 func (t *Transform) Analyze(spec *Spectrum, x []float32, theta float64, st *telemetry.StageTimer) {
 	t.analyze(spec, x, theta, false, st)
 }
@@ -169,7 +170,7 @@ func (t *Transform) analyze(spec *Spectrum, x []float32, theta float64, half boo
 	defer scratch.PutFloat64s(maxb)
 	gtCnt, eqCnt := (*cntb)[:chunks], (*cntb)[chunks:]
 	switch {
-	case k <= 0: // nothing survives: empty mask, pass B zeroes every bin
+	case k <= 0: // nothing survives: empty mask, pass B gathers nothing
 		clear(spec.Mask)
 		clear(*cntb)
 	case k >= nb: // everything survives: full mask, no threshold search
@@ -217,10 +218,10 @@ func (t *Transform) analyze(spec *Spectrum, x []float32, theta float64, half boo
 	}
 	st.ObserveSince(telemetry.StageSelect, gradBytes, t0)
 
-	// Pass B: finish each chunk's mask, zero dropped bins, gather survivors.
+	// Pass B: finish each chunk's mask, gather survivors.
 	t0 = time.Now()
 	parallel.ForGrain1(chunks, 1,
-		passBCtx{t: t, spec: spec, eq: *eqb, off: gtCnt, take: eqCnt, maxes: *maxb, nb: nb},
+		passBCtx{t: t, spec: spec, eq: *eqb, off: gtCnt, take: eqCnt, maxes: *maxb},
 		passB)
 	spec.AbsMax = 0
 	for _, m := range *maxb {
@@ -243,13 +244,18 @@ func passA(c passACtx, clo, chi int) {
 			base := w << 6
 			end := min(base+64, c.nb)
 			var gtW, eqW uint64
-			for i := base; i < end; i++ {
-				m := c.mags[i]
+			for i, m := range c.mags[base:end] {
+				// Both bits as values, not branches: a bin clears the
+				// threshold about one time in 1/(1-θ), unpredictably.
+				var g, e uint64
 				if m > c.thr {
-					gtW |= 1 << (uint(i) & 63)
-				} else if m == c.thr {
-					eqW |= 1 << (uint(i) & 63)
+					g = 1
 				}
+				if m == c.thr {
+					e = 1
+				}
+				gtW |= g << (uint(i) & 63)
+				eqW |= e << (uint(i) & 63)
 			}
 			c.mask[w], c.eq[w] = gtW, eqW
 			gt += mbits.OnesCount64(gtW)
@@ -260,8 +266,8 @@ func passA(c passACtx, clo, chi int) {
 }
 
 // passB completes chunks [clo, chi): the chunk's tie-fill allowance goes
-// to its earliest at-threshold bins, then the transform's leaf zeroes the
-// dropped bins and gathers the survivors at the chunk's output offset.
+// to its earliest at-threshold bins, then the transform's leaf gathers the
+// survivors at the chunk's output offset.
 func passB(c passBCtx, clo, chi int) {
 	mask := c.spec.Mask
 	for ch := clo; ch < chi; ch++ {
@@ -282,29 +288,22 @@ func passB(c passBCtx, clo, chi int) {
 		}
 		vals := c.spec.Vals[c.t.Width*c.off[ch]:]
 		if c.t.real {
-			c.maxes[ch] = keepReal(c.spec.rbins, mask, wlo, whi, c.nb, vals)
+			c.maxes[ch] = keepReal(c.spec.rbins, mask, wlo, whi, vals)
 		} else {
-			c.maxes[ch] = keepComplex(c.spec.cbins, mask, wlo, whi, c.nb, vals)
+			c.maxes[ch] = keepComplex(c.spec.cbins, mask, wlo, whi, vals)
 		}
 	}
 }
 
-// keepComplex zeroes the dropped bins of mask words [wlo, whi) and packs
-// the survivors into vals as (re, im) float32 pairs, returning their max
-// absolute value.
-func keepComplex(bins []complex128, mask []uint64, wlo, whi, nb int, vals []float32) float64 {
+// keepComplex packs the surviving bins of mask words [wlo, whi) into vals
+// as (re, im) float32 pairs, returning their max absolute value. It walks
+// the set bits, so it touches only the bins it keeps.
+func keepComplex(bins []complex128, mask []uint64, wlo, whi int, vals []float32) float64 {
 	var absMax float64
 	vi := 0
 	for w := wlo; w < whi; w++ {
-		sel := mask[w]
-		base := w << 6
-		end := min(base+64, nb)
-		for i := base; i < end; i++ {
-			if sel&(1<<(uint(i)&63)) == 0 {
-				bins[i] = 0
-				continue
-			}
-			b := bins[i]
+		for m := mask[w]; m != 0; m &= m - 1 {
+			b := bins[w<<6+mbits.TrailingZeros64(m)]
 			re, im := float32(real(b)), float32(imag(b))
 			vals[vi], vals[vi+1] = re, im
 			vi += 2
@@ -320,19 +319,12 @@ func keepComplex(bins []complex128, mask []uint64, wlo, whi, nb int, vals []floa
 }
 
 // keepReal is keepComplex for real coefficients, one float32 per bin.
-func keepReal(bins []float64, mask []uint64, wlo, whi, nb int, vals []float32) float64 {
+func keepReal(bins []float64, mask []uint64, wlo, whi int, vals []float32) float64 {
 	var absMax float64
 	vi := 0
 	for w := wlo; w < whi; w++ {
-		sel := mask[w]
-		base := w << 6
-		end := min(base+64, nb)
-		for i := base; i < end; i++ {
-			if sel&(1<<(uint(i)&63)) == 0 {
-				bins[i] = 0
-				continue
-			}
-			v := float32(bins[i])
+		for m := mask[w]; m != 0; m &= m - 1 {
+			v := float32(bins[w<<6+mbits.TrailingZeros64(m)])
 			vals[vi] = v
 			vi++
 			if a := math.Abs(float64(v)); a > absMax {
@@ -341,6 +333,28 @@ func keepReal(bins []float64, mask []uint64, wlo, whi, nb int, vals []float32) f
 		}
 	}
 	return absMax
+}
+
+// zeroDropped clears the dense coefficients of every bin the mask drops,
+// by a walk over the mask's complement. Analyze leaves them as the
+// transform produced them — the codec reads only Mask and Vals — so the
+// one caller that inverts the dense array itself does this first.
+func (t *Transform) zeroDropped(spec *Spectrum) {
+	nb := t.Bins(spec.N)
+	for w, m := range spec.Mask {
+		d := ^m
+		if w == len(spec.Mask)-1 && nb&63 != 0 {
+			d &= 1<<uint(nb&63) - 1
+		}
+		for ; d != 0; d &= d - 1 {
+			i := w<<6 + mbits.TrailingZeros64(d)
+			if t.real {
+				spec.rbins[i] = 0
+			} else {
+				spec.cbins[i] = 0
+			}
+		}
+	}
 }
 
 // Synthesize is the receiver's half: it rebuilds the dense coefficients
@@ -437,6 +451,7 @@ func (t *Transform) inverse(dst []float32, spec *Spectrum, st *telemetry.StageTi
 func (t *Transform) Roundtrip(x []float32, theta float64) []float32 {
 	var spec Spectrum
 	t.Analyze(&spec, x, theta, nil)
+	t.zeroDropped(&spec)
 	out := make([]float32, len(x))
 	t.inverse(out, &spec, nil)
 	return out

@@ -8,9 +8,9 @@
 //
 //   - KthLargest: iterative quickselect with median-of-three pivots, O(n)
 //     expected time on any mix of ties, operating on a scratch copy.
-//   - KthLargestBucket: the bucketSelect analogue — a parallel histogram
-//     over the value range, recursing into the bucket containing the k-th
-//     element. Data-parallel and cache-friendly for large n.
+//   - KthLargestBucket: radix select on the IEEE bit pattern — a histogram
+//     of twelve key bits a round, recursing into the bucket containing the
+//     k-th element. Cost independent of the value range.
 //   - KthLargestSort: full sort, O(n log n); the reference used in tests.
 //
 // NaN ranks below every number in all three, so the k-th largest of an
@@ -117,194 +117,108 @@ func median3(a, b, c float64) float64 {
 	return b
 }
 
-// bucketCount is the histogram width per refinement round of the
-// bucket-select strategy.
-const bucketCount = 1024
+// The radix select reads a float64's bit pattern twelve bits a round:
+// 4096 buckets, the first round exactly the sign and exponent.
+const (
+	radixBits  = 12
+	radixMask  = 1<<radixBits - 1
+	radixSmall = 4096 // candidates at or below this go to quickselect
+)
 
-// KthLargestBucket returns the k-th largest element (1-based) of x using
-// iterative range-refinement with parallel histograms (the CPU analogue of
-// GPU bucketSelect). Exact: it terminates by scanning the final bucket.
-// x is not modified; all temporaries come from the scratch pools, so the
-// steady state allocates nothing beyond goroutine startup.
+// KthLargestBucket returns the k-th largest element (1-based) of x by
+// radix select on the IEEE bit pattern (Alabi et al.'s radixSelect, the
+// sibling of the bucketSelect the paper cites): a histogram of sign and
+// exponent finds the bucket holding the k-th element, its members are
+// gathered, and the next twelve mantissa bits split them again until few
+// enough remain for quickselect. Digits are read off the raw pattern and
+// the buckets walked in value order — exponents down for positive
+// numbers, then up for negative ones — so there is no range scan, no
+// float binning and no per-element key: the cost does not depend on the
+// data's dynamic range, and the result is exact. x is not modified; the
+// candidates live in one pooled buffer, so the steady state allocates
+// nothing.
 func KthLargestBucket(x []float64, k int) float64 {
 	checkK(len(x), k)
-
-	lo, hi := parMinMax(x)
-	if !(lo <= hi) {
-		return x[0] // nothing but NaNs
-	}
-	// remaining = how many of the largest elements we still need to skip
-	// inside the current [lo, hi] range.
-	remaining := k
-	cur := x
-	// Two pooled buffers alternate as gather target: cur aliases one while
-	// the refinement pass fills the other.
-	var hold, spare *[]float64
-	defer func() {
-		if hold != nil {
-			scratch.PutFloat64s(hold)
+	var candb *[]float64
+	// A gathered candidate is stored shifted left past the digits already
+	// resolved (prefix holds those), so every round's digit is the top
+	// twelve bits. flip turns a bucket's rank from the bottom into its raw
+	// digit: the sign bit at first, then all of it for negative numbers.
+	cur, prefix, used, flip := x, uint64(0), 0, 1<<(radixBits-1)
+	for ; used+radixBits <= 64 && len(cur) > radixSmall; used += radixBits {
+		var hist [4][1 << radixBits]uint32
+		radixCount(&hist, cur)
+		if used == 0 {
+			// Inf and NaN share an exponent and NaN ranks below every
+			// number, not beside Inf: such an input goes to quickselect.
+			const top = radixMask >> 1
+			for t := range hist {
+				if hist[t][top] != 0 || hist[t][top|1<<(radixBits-1)] != 0 {
+					return kthLargestScratch(x, k)
+				}
+			}
 		}
-		if spare != nil {
-			scratch.PutFloat64s(spare)
-		}
-	}()
-
-	for round := 0; ; round++ {
-		width := (hi - lo) / bucketCount
-		if width <= 0 || len(cur) <= 4096 || round > 64 {
-			// Degenerate range or small candidate set: finish exactly.
-			return kthLargestScratch(cur, remaining)
-		}
-		// One division per round instead of one per element: binning
-		// multiplies by the reciprocal. Any consistent partition is
-		// correct (the k-th element is found by exact scan of the final
-		// bucket), so the reciprocal's rounding is harmless as long as
-		// the histogram and the gather below share it.
-		invWidth := 1 / width
-		var hist [bucketCount]int64
-		histogram(&hist, cur, lo, invWidth)
-		// Walk buckets from the top (largest values) down.
-		b := bucketCount - 1
-		for ; b >= 0; b-- {
-			if int(hist[b]) >= remaining {
+		// Walk buckets from the top (largest values) down to the k-th's.
+		raw, cnt := 0, 0
+		for d := radixMask; ; d-- {
+			raw = d ^ flip
+			if used == 0 && d < 1<<(radixBits-1) {
+				raw = d ^ radixMask // the negative half of the first round
+			}
+			cnt = int(hist[0][raw] + hist[1][raw] + hist[2][raw] + hist[3][raw])
+			if cnt >= k {
 				break
 			}
-			remaining -= int(hist[b])
+			k -= cnt
 		}
-		if b < 0 {
-			// Numerical edge (all counted); fall back.
-			return kthLargestScratch(cur, k)
+		if used == 0 {
+			flip = -(raw >> (radixBits - 1)) & radixMask
+			candb = scratch.Float64s(cnt + 1)
 		}
-		bLo := lo + float64(b)*width
-		bHi := bLo + width
-		if b == bucketCount-1 {
-			bHi = hi
-		}
-		// Gather the candidates of bucket b — with the same bucketOf the
-		// histogram used, so the gathered count always equals hist[b].
-		// Re-testing with range comparisons would disagree with bucketOf
-		// at bucket edges (the binning arithmetic rounds differently than
-		// the bLo/bHi comparisons), and with heavy ties sitting exactly
-		// on an edge the whole counted population could fall outside the
-		// range, leaving an empty candidate set while remaining > 0.
-		if spare == nil || cap(*spare) < len(cur) {
-			if spare != nil {
-				scratch.PutFloat64s(spare)
-			}
-			spare = scratch.Float64s(len(cur))
-		}
-		gathered := (*spare)[:0]
-		for _, v := range cur {
-			if bucketOf(v, lo, invWidth) == b {
-				gathered = append(gathered, v)
-			}
-		}
-		if len(gathered) == len(cur) || len(gathered) == 0 {
-			// No progress (heavy ties) or a numerical edge; finish exactly.
-			return kthLargestScratch(cur, remaining)
-		}
-		*spare = gathered
-		cur = gathered
-		hold, spare = spare, hold
-		lo, hi = bLo, bHi
+		// From the second round on the gather compacts cur onto itself.
+		radixGather((*candb)[:cnt+1], cur, uint64(raw))
+		cur, prefix = (*candb)[:cnt], prefix<<radixBits|uint64(raw)
+	}
+	if used == 0 {
+		return kthLargestScratch(x, k)
+	}
+	for i, v := range cur {
+		cur[i] = math.Float64frombits(prefix<<(64-used) | math.Float64bits(v)>>used)
+	}
+	kth := kthLargestInPlace(cur, k)
+	scratch.PutFloat64s(candb)
+	return kth
+}
+
+// radixCount adds the top digit of every element of cur to hist. Four
+// tables, elements dealt round-robin: a spectrum's magnitudes share some
+// forty exponents, and consecutive increments of one counter would each
+// wait for the last one's store.
+func radixCount(hist *[4][1 << radixBits]uint32, cur []float64) {
+	i := 0
+	for ; i+4 <= len(cur); i += 4 {
+		hist[0][math.Float64bits(cur[i])>>(64-radixBits)]++
+		hist[1][math.Float64bits(cur[i+1])>>(64-radixBits)]++
+		hist[2][math.Float64bits(cur[i+2])>>(64-radixBits)]++
+		hist[3][math.Float64bits(cur[i+3])>>(64-radixBits)]++
+	}
+	for ; i < len(cur); i++ {
+		hist[0][math.Float64bits(cur[i])>>(64-radixBits)]++
 	}
 }
 
-// histogram bins cur into bucketCount buckets starting at lo with bucket
-// width 1/invWidth, in parallel. Values above the last bucket edge (the
-// maximum) are clamped into the top bucket.
-func histogram(hist *[bucketCount]int64, cur []float64, lo, invWidth float64) {
-	chunks, size := parallel.Plan(len(cur), 16384)
-	if chunks <= 1 {
-		for _, v := range cur {
-			hist[bucketOf(v, lo, invWidth)]++
-		}
-		return
+// radixGather copies the elements of cur whose top digit is raw to the
+// front of out, shifted left past that digit. Every element is stored and
+// the cursor advances only past members, so the loop has no branch to
+// mispredict; out has one slot more than members to take the overshoot,
+// and may be cur's own memory.
+func radixGather(out, cur []float64, raw uint64) {
+	j := 0
+	for _, v := range cur {
+		b := math.Float64bits(v)
+		out[j] = math.Float64frombits(b << radixBits)
+		j += int(((b>>(64-radixBits) ^ raw) - 1) >> 63)
 	}
-	partialb := scratch.Ints(chunks * bucketCount)
-	defer scratch.PutInts(partialb)
-	partial := *partialb
-	for i := range partial {
-		partial[i] = 0
-	}
-	parallel.ForGrain(chunks, 1, func(clo, chi int) {
-		for c := clo; c < chi; c++ {
-			h := partial[c*bucketCount : (c+1)*bucketCount]
-			ilo, ihi := parallel.ChunkBounds(c, size, len(cur))
-			for i := ilo; i < ihi; i++ {
-				h[bucketOf(cur[i], lo, invWidth)]++
-			}
-		}
-	})
-	for c := 0; c < chunks; c++ {
-		for b := 0; b < bucketCount; b++ {
-			hist[b] += int64(partial[c*bucketCount+b])
-		}
-	}
-}
-
-// bucketOf maps v into [0, bucketCount) for a histogram starting at lo
-// with bucket width 1/invWidth, clamping outliers into the end buckets and
-// NaN (which ranks lowest) into the bottom one. The clamps run on the
-// float: converting NaN or an out-of-range value to int is
-// implementation-defined.
-func bucketOf(v, lo, invWidth float64) int {
-	f := (v - lo) * invWidth
-	if !(f >= 0) {
-		return 0
-	}
-	if f >= bucketCount {
-		return bucketCount - 1
-	}
-	return int(f)
-}
-
-// parMinMax returns the range of the numbers in x, ignoring NaNs; an
-// all-NaN x yields the empty range (+Inf, -Inf).
-func parMinMax(x []float64) (lo, hi float64) {
-	chunks, size := parallel.Plan(len(x), 16384)
-	if chunks <= 1 {
-		lo, hi = math.Inf(1), math.Inf(-1)
-		for _, v := range x {
-			if v < lo {
-				lo = v
-			}
-			if v > hi {
-				hi = v
-			}
-		}
-		return lo, hi
-	}
-	// One pooled buffer holds the per-chunk minima then maxima.
-	extb := scratch.Float64s(2 * chunks)
-	defer scratch.PutFloat64s(extb)
-	los, his := (*extb)[:chunks], (*extb)[chunks:]
-	parallel.ForGrain(chunks, 1, func(clo, chi int) {
-		for c := clo; c < chi; c++ {
-			ilo, ihi := parallel.ChunkBounds(c, size, len(x))
-			l, h := math.Inf(1), math.Inf(-1)
-			for i := ilo; i < ihi; i++ {
-				v := x[i]
-				if v < l {
-					l = v
-				}
-				if v > h {
-					h = v
-				}
-			}
-			los[c], his[c] = l, h
-		}
-	})
-	lo, hi = los[0], his[0]
-	for c := 1; c < chunks; c++ {
-		if los[c] < lo {
-			lo = los[c]
-		}
-		if his[c] > hi {
-			hi = his[c]
-		}
-	}
-	return lo, hi
 }
 
 func checkK(n, k int) {
