@@ -1,6 +1,7 @@
 package topk
 
 import (
+	"bytes"
 	"math"
 	"sort"
 	"testing"
@@ -59,9 +60,13 @@ func fuzzFloats(data []byte) []float64 {
 // zero.
 func FuzzKthLargestMatchesSort(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0})
-	f.Add([]byte{0xFF, 0x13, 1, 0, 0, 5, 8, 250, 1, 3, 0, 7})                        // 5120 small fractions, an ulp apart
-	f.Add([]byte{0xFF, 0x17, 0, 0, 13, 127})                                         // 6144 copies of one negative number: every round
-	f.Add([]byte{0xFF, 0x17, 1, 8, 5, 127})                                          // one exponent, distinct from bit 8 up: four rounds
+	f.Add([]byte{0xFF, 0x13, 1, 0, 0, 5, 8, 250, 1, 3, 0, 7}) // 5120 small fractions, an ulp apart
+	f.Add([]byte{0xFF, 0x17, 0, 0, 13, 127})                  // 6144 copies of one negative number: no round gains, quickselect
+	f.Add([]byte{0xFF, 0x17, 1, 8, 5, 127})                   // one exponent, distinct from bit 8 up: the same
+	// 4224 ties under 384 that leave in round two, 1536 of another
+	// exponent: round three gains nothing and quickselect takes the ties.
+	tied := append([]byte{0xFF, 0x17, 0, 0}, bytes.Repeat([]byte{0x17, 0x20}, 11)...)
+	f.Add(append(tied, 0x1F, 0x20, 5, 3, 5, 3, 5, 3, 5, 3))
 	f.Add([]byte{0xFF, 0x17, 1, 30, 13, 127, 13, 127, 13, 127, 5, 3})                // three in four negative, two rounds, the walk reversed
 	f.Add([]byte{0xFF, 0x13, 3, 2, 2, 0, 10, 0, 3, 0, 11, 0, 4, 9, 12, 200, 0, 100}) // ±0, ±Inf, ±NaN among numbers
 	f.Add([]byte{0x10, 0x17, 7, 40, 7, 1, 15, 2, 23, 3, 6, 4, 14, 5, 5, 0, 13, 255}) // raw patterns, subnormals, extremes

@@ -171,6 +171,11 @@ func KthLargestBucket(x []float64, k int) float64 {
 			}
 			k -= cnt
 		}
+		if cnt == len(cur) {
+			// No progress: every candidate shares this digit (a run of ties,
+			// mostly). Quickselect halves those; more rounds would not.
+			break
+		}
 		if used == 0 {
 			flip = -(raw >> (radixBits - 1)) & radixMask
 			candb = scratch.Float64s(cnt + 1)
