@@ -81,14 +81,16 @@ chaos:
 # single-bit wire corruption — every corrupt frame must be caught by
 # the CRC and repaired, and the run must converge.
 guard:
-	$(GO) test -run 'Guard|Frame|Scrub|Detector|Fingerprint|Corrupt|Ring|WriteFileAtomic' -v \
+	$(GO) test -run 'Guard|Frame|Scrub|Detector|Fingerprint|Corrupt|WriteFileAtomic' -v \
 		./internal/guard/ ./internal/checkpoint/ ./internal/chaos/ ./internal/dist/
 	$(GO) test -run TestSmokeGuard -v ./cmd/trainer/
 
-# Fuzz smoke: a short wall-clock-bounded pass over the compressed
-# message decoders, every codec's encode→decode round trip, the fused
-# transform decode against its unfused reference, the guard frame decoder,
-# the framed codec decoder, and the radix select against the sorted order.
+# Fuzz smoke: a short wall-clock-bounded pass over every fuzz target in
+# the tree — the compressed message decoders, every codec's encode→decode
+# round trip, the fused transform decode against its unfused reference,
+# the guard frame decoder, the framed codec decoder, the radix select
+# against the sorted order, the checkpoint reader, the run-length bitmap
+# decoder and the job description's JSON decoder.
 fuzz:
 	$(GO) test -fuzz=FuzzDecompressRobustness -fuzztime=15s -run '^$$' ./internal/compress/
 	$(GO) test -fuzz=FuzzCompressRoundTrip -fuzztime=15s -run '^$$' ./internal/compress/
@@ -96,6 +98,9 @@ fuzz:
 	$(GO) test -fuzz=FuzzUnframe -fuzztime=15s -run '^$$' ./internal/guard/
 	$(GO) test -fuzz=FuzzFramedDecompress -fuzztime=15s -run '^$$' ./internal/guard/
 	$(GO) test -fuzz=FuzzKthLargestMatchesSort -fuzztime=15s -run '^$$' ./internal/topk/
+	$(GO) test -fuzz=FuzzRead -fuzztime=15s -run '^$$' ./internal/checkpoint/
+	$(GO) test -fuzz=FuzzDecodeBitmapRLE -fuzztime=15s -run '^$$' ./internal/pack/
+	$(GO) test -fuzz=FuzzSpecJSON -fuzztime=15s -run '^$$' ./internal/serve/
 
 # Non-blank, non-comment, non-test Go lines per package directory, then
 # the total outside the nested bench/ module: the count the before/after

@@ -10,6 +10,7 @@ import (
 	"log"
 	"math/rand"
 	"sync"
+	"time"
 
 	"fftgrad/internal/comm"
 	"fftgrad/internal/compress"
@@ -25,11 +26,12 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer func() {
-		for _, c := range comms {
-			c.Close()
-		}
-	}()
+	for _, c := range comms {
+		defer c.Close()
+		// A stalled peer fails the allgather with a typed timeout instead
+		// of hanging the example.
+		c.SetTimeout(30 * time.Second)
+	}
 	fmt.Printf("%d TCP ranks connected on loopback\n", p)
 
 	// Each rank's local sub-gradient (deterministic per rank).

@@ -199,10 +199,6 @@ func (t *Transport) P() int { return t.inner.P() }
 // Close implements comm.Transport.
 func (t *Transport) Close() error { return t.inner.Close() }
 
-// Down reports whether the rank is currently inside a crash window (at
-// its present op counter, without advancing it).
-func (t *Transport) Down() bool { return t.crashedAt(t.ops.Load()) }
-
 func (t *Transport) crashedAt(op uint64) bool {
 	for _, c := range t.h.cfg.Crashes {
 		if c.Rank != t.rank {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 )
 
 // WriteFileAtomic serializes s to path so a crash mid-write can never
@@ -12,8 +11,8 @@ import (
 // a temp file in the same directory, are fsynced, and only then renamed
 // into place (rename within a directory is atomic on POSIX). The
 // directory is fsynced afterwards so the rename itself survives a
-// crash. Combined with the format's CRC trailer this gives the rollback
-// ring its invariant: any file that exists under its final name either
+// crash. Combined with the format's CRC trailer this gives every
+// reader one invariant: any file that exists under its final name either
 // reads back bit-exact or is detected as corrupt.
 func WriteFileAtomic(path string, s *State) error {
 	return writeAtomic(path, func(f *os.File) error { return Write(f, s) })
@@ -67,63 +66,6 @@ func syncDir(dir string) error {
 	return nil
 }
 
-// Ring is a keep-last-K on-disk retention ring of checkpoints: Save
-// writes atomically and prunes beyond Keep, Latest loads the newest
-// checkpoint that still passes its CRC — a corrupt or truncated latest
-// falls back to the previous one instead of failing the restore.
-type Ring struct {
-	Dir  string
-	Keep int
-}
-
-// NewRing creates (if needed) dir and returns a ring keeping the last
-// keep checkpoints (minimum 1).
-func NewRing(dir string, keep int) (*Ring, error) {
-	if keep < 1 {
-		keep = 1
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, err
-	}
-	return &Ring{Dir: dir, Keep: keep}, nil
-}
-
-// path names a slot by iteration; the zero-padded decimal makes
-// lexicographic order equal numeric order.
-func (r *Ring) path(iter int64) string {
-	return filepath.Join(r.Dir, fmt.Sprintf("ckpt-%012d.fgck", iter))
-}
-
-// Save writes s atomically and prunes the oldest slots beyond Keep.
-// Re-saving the same iteration overwrites its slot.
-func (r *Ring) Save(s *State) (string, error) {
-	path := r.path(s.Iter)
-	if err := WriteFileAtomic(path, s); err != nil {
-		return "", err
-	}
-	paths, err := r.Paths()
-	if err != nil {
-		return path, err
-	}
-	for len(paths) > r.Keep {
-		if err := os.Remove(paths[0]); err != nil && !os.IsNotExist(err) {
-			return path, err
-		}
-		paths = paths[1:]
-	}
-	return path, nil
-}
-
-// Paths lists the ring's checkpoint files, oldest first.
-func (r *Ring) Paths() ([]string, error) {
-	paths, err := filepath.Glob(filepath.Join(r.Dir, "ckpt-*.fgck"))
-	if err != nil {
-		return nil, err
-	}
-	sort.Strings(paths)
-	return paths, nil
-}
-
 // ReadFile loads one checkpoint file, verifying the FGCK envelope and
 // CRC — the counterpart of WriteFileAtomic, used by the job service to
 // restore a drained job from its spool file.
@@ -138,34 +80,4 @@ func ReadFile(path string) (*State, error) {
 		return nil, fmt.Errorf("%s: %w", filepath.Base(path), err)
 	}
 	return s, nil
-}
-
-// Latest loads the newest checkpoint that passes integrity checking,
-// walking backwards past corrupt or truncated files. It returns the
-// state, the path it came from, and an error only when no slot in the
-// ring is readable.
-func (r *Ring) Latest() (*State, string, error) {
-	paths, err := r.Paths()
-	if err != nil {
-		return nil, "", err
-	}
-	var lastErr error
-	for i := len(paths) - 1; i >= 0; i-- {
-		f, err := os.Open(paths[i])
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		s, err := Read(f)
-		f.Close()
-		if err != nil {
-			lastErr = fmt.Errorf("%s: %w", filepath.Base(paths[i]), err)
-			continue
-		}
-		return s, paths[i], nil
-	}
-	if lastErr != nil {
-		return nil, "", fmt.Errorf("checkpoint: no readable checkpoint in ring: %w", lastErr)
-	}
-	return nil, "", fmt.Errorf("checkpoint: ring %s is empty", r.Dir)
 }

@@ -51,101 +51,3 @@ func TestWriteFileAtomic(t *testing.T) {
 		}
 	}
 }
-
-func TestRingRetention(t *testing.T) {
-	r, err := NewRing(filepath.Join(t.TempDir(), "ring"), 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := int64(1); i <= 5; i++ {
-		s := randState(50, i)
-		s.Iter = i * 10
-		if _, err := r.Save(s); err != nil {
-			t.Fatal(err)
-		}
-	}
-	paths, err := r.Paths()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(paths) != 3 {
-		t.Fatalf("ring kept %d files, want 3: %v", len(paths), paths)
-	}
-	// Oldest-first ordering, oldest slots pruned.
-	if !strings.Contains(paths[0], "000000000030") || !strings.Contains(paths[2], "000000000050") {
-		t.Fatalf("unexpected retained slots: %v", paths)
-	}
-	st, from, err := r.Latest()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Iter != 50 || from != paths[2] {
-		t.Fatalf("Latest = iter %d from %s", st.Iter, from)
-	}
-}
-
-// TestRingCorruptLatestFallsBack is the recovery property the rollback
-// path relies on: when the newest checkpoint is corrupt or truncated,
-// Latest restores the previous one instead of failing.
-func TestRingCorruptLatestFallsBack(t *testing.T) {
-	r, err := NewRing(filepath.Join(t.TempDir(), "ring"), 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := int64(1); i <= 3; i++ {
-		s := randState(50, i)
-		s.Iter = i
-		if _, err := r.Save(s); err != nil {
-			t.Fatal(err)
-		}
-	}
-	paths, _ := r.Paths()
-	newest := paths[len(paths)-1]
-
-	// Flip a byte in the newest file's payload.
-	data, err := os.ReadFile(newest)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data[len(data)/2] ^= 0xFF
-	if err := os.WriteFile(newest, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	st, from, err := r.Latest()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Iter != 2 || from == newest {
-		t.Fatalf("fallback restored iter %d from %s, want iter 2 from the previous slot", st.Iter, from)
-	}
-
-	// Truncate the fallback too: the ring walks further back.
-	if err := os.Truncate(from, 4); err != nil {
-		t.Fatal(err)
-	}
-	st, _, err = r.Latest()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Iter != 1 {
-		t.Fatalf("double fallback restored iter %d, want 1", st.Iter)
-	}
-
-	// Nothing readable left: typed failure, not a zero state.
-	if err := os.Truncate(r.path(1), 0); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := r.Latest(); err == nil {
-		t.Fatal("fully corrupt ring must error")
-	}
-}
-
-func TestRingEmpty(t *testing.T) {
-	r, err := NewRing(filepath.Join(t.TempDir(), "ring"), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := r.Latest(); err == nil {
-		t.Fatal("empty ring must error")
-	}
-}

@@ -371,12 +371,6 @@ func NewElastic(p, pmax int, cfg Config) *Runtime {
 	return rt
 }
 
-// P returns the cluster size.
-func (rt *Runtime) P() int { return rt.p }
-
-// Config returns the effective (defaulted) configuration.
-func (rt *Runtime) Config() Config { return rt.cfg }
-
 // Instrument registers the cluster metrics on reg: retry / suspicion /
 // degraded-iteration counters, per-rank heartbeat RTT gauges, and
 // exposition-time gauges for the remaining accounting. Hot-path updates
@@ -460,14 +454,6 @@ func (rt *Runtime) PublishCheckpoint(st *checkpoint.State, seq uint64) {
 		rt.ckpt = st
 		rt.ckptSeq = seq
 	}
-}
-
-// LatestCheckpoint returns the most recent published snapshot (nil when
-// none has been published yet).
-func (rt *Runtime) LatestCheckpoint() (*checkpoint.State, uint64) {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	return rt.ckpt, rt.ckptSeq
 }
 
 // noteExchangeStart advances rank's exchange frontier and the global one

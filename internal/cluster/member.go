@@ -167,9 +167,6 @@ func (rt *Runtime) Join(tr comm.Transport) *Member {
 	return m
 }
 
-// Rank returns this member's rank.
-func (m *Member) Rank() int { return m.rank }
-
 // Close stops the member's goroutines and closes its transport.
 func (m *Member) Close() {
 	m.closeOnce.Do(func() {

@@ -132,12 +132,6 @@ func New(cfg *Config, cm *comm.Comm) *Exchanger {
 	return &Exchanger{cm: cm, cfg: c, out: make([][]byte, 0, cm.P())}
 }
 
-// Comm returns the underlying endpoint.
-func (e *Exchanger) Comm() *comm.Comm { return e.cm }
-
-// Configured returns the (defaulted) configuration.
-func (e *Exchanger) Configured() Config { return e.cfg }
-
 // Allgather contributes data and returns every rank's contribution in
 // rank order — identical content for every strategy; only the schedule
 // (and therefore the accounted wire volume and the trace spans) differ.
@@ -184,13 +178,4 @@ func parseFrames(out [][]byte, src []byte, p int) [][]byte {
 		off += n
 	}
 	return out
-}
-
-// log2ceil returns ⌈log2 n⌉ for n ≥ 1.
-func log2ceil(n int) int {
-	r := 0
-	for v := 1; v < n; v <<= 1 {
-		r++
-	}
-	return r
 }

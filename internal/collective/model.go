@@ -2,14 +2,18 @@ package collective
 
 import (
 	"math"
+	"math/bits"
 
 	"fftgrad/internal/netsim"
 )
 
-// Fabric prices the base collectives — the same shape dist.Config.Fabric
-// uses, satisfied by netsim.Profile and netsim.Hierarchical.
+// Fabric prices the base collectives (dist.Fabric is this type);
+// netsim.Profile and netsim.Hierarchical satisfy it.
 type Fabric interface {
+	// Allgather returns the seconds to allgather m bytes per rank across
+	// n ranks.
 	Allgather(n, m int) float64
+	// Broadcast returns the seconds to broadcast m bytes to n ranks.
 	Broadcast(n, m int) float64
 }
 
@@ -52,7 +56,7 @@ func (c Config) ModelAllgather(f Fabric, n, m int) float64 {
 		for k := 0; 1<<k < n; k++ {
 			t += lf.PointToPoint((1 << k) * m)
 		}
-		t += float64(log2ceil(n)) * lf.PointToPoint(n*m)
+		t += float64(bits.Len(uint(n-1))) * lf.PointToPoint(n*m)
 		return t
 	case Gossip:
 		// One decentralized round: two neighbor exchanges of m bytes,
@@ -76,37 +80,10 @@ func (c Config) ModelAllgather(f Fabric, n, m int) float64 {
 func (c Config) ModelBroadcast(f Fabric, n, m int) float64 {
 	if c.Strategy == Tree {
 		if lf, ok := f.(LinkFabric); ok {
-			return float64(log2ceil(n)) * lf.PointToPoint(m)
+			return float64(bits.Len(uint(n-1))) * lf.PointToPoint(m)
 		}
 	}
 	return f.Broadcast(n, m)
-}
-
-// ModelBucketedExchange prices the bucketed pipeline: the payload is
-// split into `buckets` pieces, each compressed in compSecPerBucket and
-// exchanged under the strategy while the next bucket compresses. It
-// returns the pipeline's wall time and the *exposed* communication (wall
-// minus total codec time) — the quantity that competes with the FP32
-// baseline in the Sec. 3.3 crossover once overlap hides codec cost.
-func (c Config) ModelBucketedExchange(f Fabric, n, mTotal, buckets int, compSecPerBucket float64) (wall, exposed float64) {
-	if buckets < 1 {
-		buckets = 1
-	}
-	mb := (mTotal + buckets - 1) / buckets
-	t := c.ModelAllgather(f, n, mb)
-	wall = compSecPerBucket // bucket 0's codec is never hidden
-	for b := 0; b < buckets; b++ {
-		if b < buckets-1 {
-			wall += math.Max(t, compSecPerBucket) // exchange b ∥ compress b+1
-		} else {
-			wall += t // last exchange has nothing left to hide behind
-		}
-	}
-	exposed = wall - float64(buckets)*compSecPerBucket
-	if exposed < 0 {
-		exposed = 0
-	}
-	return wall, exposed
 }
 
 // KMin returns the minimum compression ratio k at which the strategy's
@@ -119,20 +96,6 @@ func (c Config) KMin(pr netsim.Profile, n, mBytes int) float64 {
 	base := pr.RingAllreduce(n, mBytes)
 	at := func(k float64) float64 {
 		return c.ModelAllgather(pr, n, int(float64(mBytes)/k))
-	}
-	return bisectRatio(at, base)
-}
-
-// KMinBucketed is KMin for the bucketed pipeline including codec time:
-// the minimum ratio at which the pipeline's wall time (compression
-// overlapped with exchange) beats the FP32 ring allreduce. codecBytesPerSec
-// is the compressor's raw-input throughput.
-func (c Config) KMinBucketed(pr netsim.Profile, n, mBytes, buckets int, codecBytesPerSec float64) float64 {
-	base := pr.RingAllreduce(n, mBytes)
-	compSec := float64(mBytes) / float64(buckets) / codecBytesPerSec
-	at := func(k float64) float64 {
-		wall, _ := c.ModelBucketedExchange(pr, n, int(float64(mBytes)/k), buckets, compSec)
-		return wall
 	}
 	return bisectRatio(at, base)
 }

@@ -78,56 +78,6 @@ func TestCrossoverShift(t *testing.T) {
 		t.Errorf("hier crossover growth %.2fx should undercut flat %.2fx", rH, rF)
 	}
 
-	// Bucketed ring: overlap can only help, so the pipeline's k_min is at
-	// most the sequential (no-overlap) pipeline's, and it still shifts up
-	// with rank count. Bucketing multiplies the ring's latency floor by
-	// the bucket count, so it only makes sense in the bandwidth-bound
-	// regime — priced here at the paper's VGG scale (250 MiB gradient),
-	// where 16 buckets' extra latency is noise against the volume terms.
-	const buckets = 16
-	const codec = 2e9 // compressor raw-input throughput, bytes/s
-	const Mb = 250 << 20
-	prevB := 0.0
-	for _, n := range ranks {
-		kb := flat.KMinBucketed(pr, n, Mb, buckets, codec)
-		compSec := float64(Mb) / buckets / codec
-		seq := bisectRatio(func(k float64) float64 {
-			per := flat.ModelAllgather(pr, n, int(float64(Mb)/k)/buckets)
-			return float64(buckets) * (compSec + per)
-		}, pr.RingAllreduce(n, Mb))
-		t.Logf("n=%4d  k_min bucketed=%.1f sequential=%.1f", n, kb, seq)
-		if kb > seq {
-			t.Errorf("n=%d: overlapped pipeline k_min %.2f exceeds sequential %.2f", n, kb, seq)
-		}
-		if kb <= prevB {
-			t.Errorf("n=%d: bucketed k_min %.2f did not grow past %.2f", n, kb, prevB)
-		}
-		prevB = kb
-	}
-}
-
-// TestModelBucketedExchange: full overlap hides codec time entirely when
-// exchange dominates; exposed comm is wall minus codec.
-func TestModelBucketedExchange(t *testing.T) {
-	pr := netsim.Ethernet10G
-	cfg := Config{Strategy: Ring}.WithDefaults()
-	wall, exposed := cfg.ModelBucketedExchange(pr, 64, 1<<20, 8, 1e-9)
-	if exposed <= 0 || wall < exposed {
-		t.Fatalf("wall=%g exposed=%g", wall, exposed)
-	}
-	// Tiny codec cost: wall ≈ exposed ≈ sum of per-bucket exchanges.
-	per := cfg.ModelAllgather(pr, 64, (1<<20)/8)
-	if math.Abs(wall-8*per)/wall > 0.01 {
-		t.Fatalf("wall %g should be ~8 bucket exchanges (%g)", wall, 8*per)
-	}
-	// Huge codec cost: wall is codec-bound, exposed only the last bucket.
-	wall2, exposed2 := cfg.ModelBucketedExchange(pr, 64, 1<<20, 8, 1.0)
-	if wall2 < 8 {
-		t.Fatalf("codec-bound wall %g < 8", wall2)
-	}
-	if exposed2 > per+1e-9 {
-		t.Fatalf("codec-bound exposed %g should collapse to one bucket exchange %g", exposed2, per)
-	}
 }
 
 // TestModelTreeSmallMessage: for small messages the tree model must

@@ -1,6 +1,7 @@
 package collective
 
 import (
+	"math/bits"
 	"time"
 
 	"fftgrad/internal/trace"
@@ -15,7 +16,7 @@ func (e *Exchanger) treeAllgather(data []byte) [][]byte {
 	cm := e.cm
 	p := cm.P()
 	rank := cm.RankID()
-	r := log2ceil(p)
+	r := bits.Len(uint(p - 1))
 	tc := cm.Trace()
 
 	// Gather. A receiver at round k covers ranks [v, v+2^k) and absorbs
@@ -79,7 +80,7 @@ func (e *Exchanger) treeCast(data []byte, root int, op trace.Op) []byte {
 	p := cm.P()
 	rank := cm.RankID()
 	rel := (rank - root + p) % p
-	r := log2ceil(p)
+	r := bits.Len(uint(p - 1))
 	tc := cm.Trace()
 
 	var tb time.Time

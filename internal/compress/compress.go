@@ -21,7 +21,6 @@ package compress
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 
 	"fftgrad/internal/telemetry"
 )
@@ -118,30 +117,6 @@ func Ratio(n int, msg []byte) float64 {
 		return 0
 	}
 	return float64(n*4) / float64(len(msg))
-}
-
-// ReconstructionError compresses and decompresses grad, returning the
-// relative L2 error ‖g−ĝ‖/‖g‖ — the α of Assumption 3.2 for a single
-// worker. Useful for calibration and the Fig. 12 experiment.
-func ReconstructionError(c Compressor, grad []float32) (float64, error) {
-	msg, err := c.AppendCompress(nil, grad)
-	if err != nil {
-		return 0, err
-	}
-	rec := make([]float32, len(grad))
-	if err := c.DecompressInto(rec, msg); err != nil {
-		return 0, err
-	}
-	var num, den float64
-	for i := range grad {
-		d := float64(grad[i] - rec[i])
-		num += d * d
-		den += float64(grad[i]) * float64(grad[i])
-	}
-	if den == 0 {
-		return 0, nil
-	}
-	return math.Sqrt(num / den), nil
 }
 
 // le is the byte order used by every wire format in this package.

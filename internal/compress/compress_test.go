@@ -362,37 +362,14 @@ func TestFFTPreservesDistributionTopKDoesNot(t *testing.T) {
 	}
 }
 
-// ReconstructionError helper must agree with a manual computation.
-func TestReconstructionErrorHelper(t *testing.T) {
-	g := smoothGrad(4096, 17)
-	c := NewFFT(0.85)
-	got, err := ReconstructionError(c, g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec := roundtrip(t, c, g)
-	want := relErr(g, rec)
-	// Stochastic-free path: values should agree to a few ULPs... but the
-	// FFT compressor is deterministic, so they must be very close.
-	if math.Abs(got-want) > 1e-6 {
-		t.Fatalf("helper %g vs manual %g", got, want)
-	}
-}
-
 // fp16 pre-conversion must cost almost nothing in accuracy (Sec. 3.1.1).
 func TestFFTHalfConversionNegligible(t *testing.T) {
 	g := smoothGrad(1<<14, 18)
 	withHalf := NewFFT(0.85)
 	noHalf := NewFFT(0.85)
 	noHalf.UseHalf = false
-	e1, err := ReconstructionError(withHalf, g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e2, err := ReconstructionError(noHalf, g)
-	if err != nil {
-		t.Fatal(err)
-	}
+	e1 := relErr(g, roundtrip(t, withHalf, g))
+	e2 := relErr(g, roundtrip(t, noHalf, g))
 	if e1 > e2*1.05+1e-4 {
 		t.Fatalf("fp16 conversion should be negligible: %g vs %g", e1, e2)
 	}

@@ -54,7 +54,7 @@ func (q *QSGD) codeBits() int {
 }
 
 // qsgdEnc carries the per-message encoding parameters through For3 by
-// value, keeping the loop body capture-free (see parallel.For1).
+// value, keeping the loop body capture-free (see parallel.For2).
 type qsgdEnc struct {
 	seed   uint64
 	norm   float64

@@ -39,7 +39,7 @@ func NewTernGrad() *TernGrad {
 func (*TernGrad) Name() string { return "terngrad" }
 
 // ternEnc carries the per-message encoding parameters through For3 by
-// value, keeping the loop body capture-free (see parallel.For1).
+// value, keeping the loop body capture-free (see parallel.For2).
 type ternEnc struct {
 	seed  uint64
 	scale float64

@@ -39,13 +39,7 @@ import (
 
 // Fabric prices collectives; netsim.Profile and netsim.Hierarchical both
 // satisfy it.
-type Fabric interface {
-	// Allgather returns the seconds to allgather m bytes per rank across
-	// n ranks.
-	Allgather(n, m int) float64
-	// Broadcast returns the seconds to broadcast m bytes to n ranks.
-	Broadcast(n, m int) float64
-}
+type Fabric = collective.Fabric
 
 // Config describes one distributed training run.
 type Config struct {
@@ -279,22 +273,6 @@ type Result struct {
 	// run halted, and on normal completion when Config.CaptureFinal or
 	// Config.Stop was set.
 	Final *checkpoint.State
-}
-
-// ModeledWallSeconds returns the end-to-end modeled wall time: measured
-// compute and compression plus modeled communication.
-func (r *Result) ModeledWallSeconds() float64 {
-	return r.ComputeSeconds + r.CompressSeconds + r.CommSeconds
-}
-
-// Throughput returns modeled training throughput in samples/second for
-// the given per-worker batch size and worker count.
-func (r *Result) Throughput(workers, batch int) float64 {
-	w := r.ModeledWallSeconds()
-	if w <= 0 {
-		return 0
-	}
-	return float64(r.Iterations*workers*batch) / w
 }
 
 func (c *Config) withDefaults() Config {

@@ -35,7 +35,6 @@ type guardState struct {
 
 	// ring is the in-memory retained rollback ring: states captured at
 	// deterministic iterations, so every rank restores the same point.
-	// The durable on-disk variant is checkpoint.Ring (trainer wiring).
 	ring []*checkpoint.State
 }
 

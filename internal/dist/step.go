@@ -544,7 +544,7 @@ func (w *worker) train(startIter int) (*Result, error) {
 				}
 				lossSum, lossCount = 0, 0
 				if cfg.Test != nil {
-					stats.TestAcc = evaluate(w.net, cfg.Test, cfg.Batch)
+					stats.TestAcc = Evaluate(w.net, cfg.Test, cfg.Batch)
 				}
 				res.Epochs = append(res.Epochs, stats)
 				if cfg.OnEpoch != nil {
@@ -569,8 +569,9 @@ func (w *worker) train(startIter int) (*Result, error) {
 	return res, nil
 }
 
-// evaluate computes top-1 accuracy over the full test set in eval mode.
-func evaluate(net *nn.Network, test *data.Dataset, batch int) float64 {
+// Evaluate computes top-1 accuracy over the full test set in eval mode;
+// the parameter-server loop (internal/ps) scores its global model with it.
+func Evaluate(net *nn.Network, test *data.Dataset, batch int) float64 {
 	correct := 0.0
 	total := 0
 	idx := make([]int, 0, batch)

@@ -24,17 +24,6 @@ const (
 	signMask16 = 0x8000
 	expMask16  = 0x7C00
 	manMask16  = 0x03FF
-
-	// PositiveInfinity and NegativeInfinity are the binary16 infinities.
-	PositiveInfinity Bits = 0x7C00
-	NegativeInfinity Bits = 0xFC00
-
-	// MaxValue is the largest finite binary16 value, 65504.
-	MaxValue = 65504.0
-	// MinNormal is the smallest positive normal binary16 value, 2^-14.
-	MinNormal = 6.103515625e-05
-	// MinSubnormal is the smallest positive subnormal value, 2^-24.
-	MinSubnormal = 5.9604644775390625e-08
 )
 
 // FromFloat32 converts a float32 to binary16 with round-to-nearest-even,
@@ -280,15 +269,4 @@ func RoundWiden(dst []float64, src []float32) {
 	for i, v := range src {
 		dst[i] = float64(math.Float32frombits(roundBits(math.Float32bits(v))))
 	}
-}
-
-// RoundTripSlice applies f32→f16→f32 in place, i.e. quantizes every element
-// of x to the nearest binary16 value.
-func RoundTripSlice(x []float32) {
-	parallel.For1(len(x), x, func(x []float32, lo, hi int) {
-		x = x[lo:hi]
-		for i, v := range x {
-			x[i] = math.Float32frombits(roundBits(math.Float32bits(v)))
-		}
-	})
 }

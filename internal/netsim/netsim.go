@@ -10,7 +10,10 @@
 // observation that allgather cost grows linearly with the number of GPUs.
 package netsim
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Profile describes one interconnect: per-link bandwidth in bytes/second
 // and per-message latency in seconds.
@@ -76,7 +79,7 @@ func (p Profile) Broadcast(n, m int) float64 {
 	if n <= 1 {
 		return 0
 	}
-	return float64(log2ceil(n)) * (p.Latency + float64(m)/p.Bandwidth)
+	return float64(bits.Len(uint(n-1))) * (p.Latency + float64(m)/p.Bandwidth)
 }
 
 // TreeReduce returns the time for a binomial-tree reduction of an m-byte
@@ -88,25 +91,7 @@ func (p Profile) TreeReduce(n, m int) float64 {
 	if n <= 1 {
 		return 0
 	}
-	return float64(log2ceil(n)) * (p.Latency + float64(m)/p.Bandwidth)
-}
-
-// Gossip returns the time for one decentralized ring-gossip round of m
-// bytes: each node exchanges with its two ring neighbors, so the cost is
-// two point-to-point transfers *independent of n* — the property that
-// makes gossip the degraded-mode survivor (a partition slows convergence
-// but never stalls a round, and adding ranks does not add round cost).
-func (p Profile) Gossip(m int) float64 {
-	return 2 * p.PointToPoint(m)
-}
-
-// log2ceil returns ⌈log2 n⌉ for n ≥ 1.
-func log2ceil(n int) int {
-	rounds := 0
-	for v := 1; v < n; v <<= 1 {
-		rounds++
-	}
-	return rounds
+	return float64(bits.Len(uint(n-1))) * (p.Latency + float64(m)/p.Bandwidth)
 }
 
 // Hierarchical models the paper's cluster shape: nodesPerHost ranks talk

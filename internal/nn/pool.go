@@ -89,54 +89,3 @@ func (p *MaxPool2D) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	})
 	return dx
 }
-
-// GlobalAvgPool averages each channel plane to a single value:
-// [N,C,H,W] → [N,C].
-type GlobalAvgPool struct {
-	inShape []int
-}
-
-// NewGlobalAvgPool creates a global average pooling layer.
-func NewGlobalAvgPool() *GlobalAvgPool { return &GlobalAvgPool{} }
-
-// Name implements Layer.
-func (*GlobalAvgPool) Name() string { return "gap" }
-
-// Params implements Layer.
-func (*GlobalAvgPool) Params() []*Param { return nil }
-
-// Forward implements Layer.
-func (p *GlobalAvgPool) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	n, c, h, w := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
-	p.inShape = append(p.inShape[:0], x.Shape...)
-	y := tensor.New(n, c)
-	area := float32(h * w)
-	parallel.ForGrain(n*c, 16, func(lo, hi int) {
-		for pl := lo; pl < hi; pl++ {
-			var acc float32
-			plane := x.Data[pl*h*w : (pl+1)*h*w]
-			for _, v := range plane {
-				acc += v
-			}
-			y.Data[pl] = acc / area
-		}
-	})
-	return y
-}
-
-// Backward implements Layer.
-func (p *GlobalAvgPool) Backward(dy *tensor.Tensor) *tensor.Tensor {
-	h, w := p.inShape[2], p.inShape[3]
-	dx := tensor.New(p.inShape...)
-	inv := 1 / float32(h*w)
-	parallel.ForGrain(dy.Len(), 16, func(lo, hi int) {
-		for pl := lo; pl < hi; pl++ {
-			g := dy.Data[pl] * inv
-			plane := dx.Data[pl*h*w : (pl+1)*h*w]
-			for i := range plane {
-				plane[i] = g
-			}
-		}
-	})
-	return dx
-}

@@ -29,11 +29,15 @@
 package obs
 
 import (
+	"cmp"
+	"slices"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"fftgrad/internal/telemetry"
+	"fftgrad/internal/trace"
 )
 
 // IterRecord is one rank's accounting of one training iteration. All
@@ -65,58 +69,26 @@ type IterRecord struct {
 	BlameWaitNs int64 `json:"blame_wait_ns"`
 }
 
-// Field indices of the seqlock slot, mirroring IterRecord.
-const (
-	fIter = iota
-	fStart
-	fExchEnd
-	fEnd
-	fCompute
-	fCompress
-	fExchange
-	fDecompress
-	fUpdate
-	fSync
-	fMsgBytes
-	fBlamePeer
-	fBlameWait
-	nFields
-)
+// recordWords is an IterRecord's width in its rank's trace.SeqRing: the
+// thirteen fields in declaration order.
+const recordWords = 13
 
-// pslot is one seqlock-protected record slot (same protocol as the trace
-// ring: invalidate stamp, store fields, republish; readers retry on a
-// moved stamp and never see a torn record).
-type pslot struct {
-	stamp atomic.Uint64 // 0 = empty/in-flight; else claim index + 1
-	f     [nFields]atomic.Int64
+func (r *IterRecord) words() [recordWords]uint64 {
+	return [recordWords]uint64{
+		uint64(r.Iter), uint64(r.StartNs), uint64(r.ExchEndNs), uint64(r.EndNs),
+		uint64(r.ComputeNs), uint64(r.CompressNs), uint64(r.ExchangeNs),
+		uint64(r.DecompressNs), uint64(r.UpdateNs), uint64(r.SyncNs),
+		uint64(r.MsgBytes), uint64(r.BlamePeer), uint64(r.BlameWaitNs),
+	}
 }
 
-// pring is one rank's record buffer. Only that rank's worker goroutine
-// writes it; analysis goroutines read it through the seqlock.
-type pring struct {
-	pos   atomic.Uint64
-	mask  uint64
-	slots []pslot
-}
-
-func (r *pring) store(rec *IterRecord) {
-	idx := r.pos.Add(1) - 1
-	s := &r.slots[idx&r.mask]
-	s.stamp.Store(0)
-	s.f[fIter].Store(rec.Iter)
-	s.f[fStart].Store(rec.StartNs)
-	s.f[fExchEnd].Store(rec.ExchEndNs)
-	s.f[fEnd].Store(rec.EndNs)
-	s.f[fCompute].Store(rec.ComputeNs)
-	s.f[fCompress].Store(rec.CompressNs)
-	s.f[fExchange].Store(rec.ExchangeNs)
-	s.f[fDecompress].Store(rec.DecompressNs)
-	s.f[fUpdate].Store(rec.UpdateNs)
-	s.f[fSync].Store(rec.SyncNs)
-	s.f[fMsgBytes].Store(rec.MsgBytes)
-	s.f[fBlamePeer].Store(rec.BlamePeer)
-	s.f[fBlameWait].Store(rec.BlameWaitNs)
-	s.stamp.Store(idx + 1)
+func recordOf(w []uint64) IterRecord {
+	return IterRecord{
+		Iter: int64(w[0]), StartNs: int64(w[1]), ExchEndNs: int64(w[2]), EndNs: int64(w[3]),
+		ComputeNs: int64(w[4]), CompressNs: int64(w[5]), ExchangeNs: int64(w[6]),
+		DecompressNs: int64(w[7]), UpdateNs: int64(w[8]), SyncNs: int64(w[9]),
+		MsgBytes: int64(w[10]), BlamePeer: int64(w[11]), BlameWaitNs: int64(w[12]),
+	}
 }
 
 // DefaultIterWindow is the per-rank record capacity New selects when
@@ -127,8 +99,8 @@ const DefaultIterWindow = 4096
 // Profiler owns one record ring per rank plus the analysis state. The
 // zero value is not usable; a nil *Profiler is valid and records nothing.
 type Profiler struct {
-	rings []pring
-	now   []func() int64 // per-rank clock; test/netsim-skew overridable
+	rings []*trace.SeqRing // one per rank; only that rank's worker writes it
+	base  time.Time        // the one monotonic epoch every rank's clock shares
 
 	// Anomaly engine state, one cell per rank, each touched only by its
 	// own rank's Commit goroutine.
@@ -151,8 +123,8 @@ type Profiler struct {
 
 // New creates a profiler for `ranks` tracks retaining the last perIter
 // iteration records per rank (rounded up to a power of two; <= 0 selects
-// DefaultIterWindow). All ranks share one monotonic epoch by default —
-// the in-process case; SetClock skews individual ranks for netsim tests.
+// DefaultIterWindow). All ranks share one monotonic epoch — the
+// in-process case.
 func New(ranks, perIter int) *Profiler {
 	if ranks < 1 {
 		ranks = 1
@@ -160,40 +132,15 @@ func New(ranks, perIter int) *Profiler {
 	if perIter <= 0 {
 		perIter = DefaultIterWindow
 	}
-	capPow2 := 1
-	for capPow2 < perIter {
-		capPow2 <<= 1
-	}
 	p := &Profiler{
-		rings: make([]pring, ranks),
-		now:   make([]func() int64, ranks),
+		rings: make([]*trace.SeqRing, ranks),
+		base:  time.Now(),
 		anom:  make([]anomalyState, ranks),
 	}
-	base := time.Now()
-	shared := func() int64 { return int64(time.Since(base)) }
 	for i := range p.rings {
-		p.rings[i].mask = uint64(capPow2 - 1)
-		p.rings[i].slots = make([]pslot, capPow2)
-		p.now[i] = shared
+		p.rings[i] = trace.NewSeqRing(perIter, recordWords)
 	}
 	return p
-}
-
-// Ranks returns the number of tracks, 0 on a nil profiler.
-func (p *Profiler) Ranks() int {
-	if p == nil {
-		return 0
-	}
-	return len(p.rings)
-}
-
-// SetClock overrides one rank's clock source — how netsim tests model
-// ranks that do not share an epoch. Call before recording.
-func (p *Profiler) SetClock(rank int, fn func() int64) {
-	if p == nil || rank < 0 || rank >= len(p.now) || fn == nil {
-		return
-	}
-	p.now[rank] = fn
 }
 
 // Rank returns the recording handle for one rank's track, nil when the
@@ -213,12 +160,12 @@ type RankCtx struct {
 	rank int32
 }
 
-// NowNs returns the current time on this rank's profiler clock.
+// NowNs returns the current time on the profiler clock.
 func (c *RankCtx) NowNs() int64 {
 	if c == nil {
 		return 0
 	}
-	return c.p.now[c.rank]()
+	return int64(time.Since(c.p.base))
 }
 
 // Commit records one completed iteration. This is the steady-state
@@ -230,7 +177,8 @@ func (c *RankCtx) Commit(rec IterRecord) {
 		return
 	}
 	p := c.p
-	p.rings[c.rank].store(&rec)
+	w := rec.words()
+	p.rings[c.rank].Put(w[:])
 	latency := float64(rec.EndNs-rec.StartNs) / 1e9
 	if p.iterHist != nil {
 		p.iterHist.Observe(latency)
@@ -244,48 +192,11 @@ func (p *Profiler) Records(rank int) []IterRecord {
 	if p == nil || rank < 0 || rank >= len(p.rings) {
 		return nil
 	}
-	r := &p.rings[rank]
-	out := make([]IterRecord, 0, len(r.slots))
-	for i := range r.slots {
-		s := &r.slots[i]
-		for attempt := 0; attempt < 4; attempt++ {
-			st1 := s.stamp.Load()
-			if st1 == 0 {
-				break
-			}
-			rec := IterRecord{
-				Iter:         s.f[fIter].Load(),
-				StartNs:      s.f[fStart].Load(),
-				ExchEndNs:    s.f[fExchEnd].Load(),
-				EndNs:        s.f[fEnd].Load(),
-				ComputeNs:    s.f[fCompute].Load(),
-				CompressNs:   s.f[fCompress].Load(),
-				ExchangeNs:   s.f[fExchange].Load(),
-				DecompressNs: s.f[fDecompress].Load(),
-				UpdateNs:     s.f[fUpdate].Load(),
-				SyncNs:       s.f[fSync].Load(),
-				MsgBytes:     s.f[fMsgBytes].Load(),
-				BlamePeer:    s.f[fBlamePeer].Load(),
-				BlameWaitNs:  s.f[fBlameWait].Load(),
-			}
-			if s.stamp.Load() == st1 {
-				out = append(out, rec)
-				break
-			}
-		}
-	}
-	sortRecords(out)
+	r := p.rings[rank]
+	out := make([]IterRecord, 0, r.Cap())
+	r.Each(func(w []uint64) { out = append(out, recordOf(w)) })
+	slices.SortStableFunc(out, func(a, b IterRecord) int { return cmp.Compare(a.Iter, b.Iter) })
 	return out
-}
-
-func sortRecords(recs []IterRecord) {
-	// Insertion-friendly: rings fill in iteration order, so the snapshot
-	// is at most rotated; a simple sort keeps the code obvious.
-	for i := 1; i < len(recs); i++ {
-		for j := i; j > 0 && recs[j].Iter < recs[j-1].Iter; j-- {
-			recs[j], recs[j-1] = recs[j-1], recs[j]
-		}
-	}
 }
 
 // blameBounds are the bucket bounds (seconds) for the per-rank blame
@@ -327,29 +238,5 @@ func (p *Profiler) Instrument(reg *telemetry.Registry) {
 }
 
 func histName(rank int) string {
-	return `fftgrad_obs_blame_seconds{rank="` + itoa(rank) + `"}`
-}
-
-// itoa is a tiny allocation-conscious int formatter for metric names
-// (registration-time only, but keeps the import set lean).
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var buf [20]byte
-	i := len(buf)
-	neg := n < 0
-	if neg {
-		n = -n
-	}
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	if neg {
-		i--
-		buf[i] = '-'
-	}
-	return string(buf[i:])
+	return `fftgrad_obs_blame_seconds{rank="` + strconv.Itoa(rank) + `"}`
 }

@@ -70,25 +70,3 @@ type ConstLR float64
 
 // LR implements LRSchedule.
 func (c ConstLR) LR(epoch int) float64 { return float64(c) }
-
-// PiecewiseLR drops the learning rate at fixed epoch boundaries, e.g. the
-// paper's AlexNet schedule {0.01 for [0,30), 0.001 for [30,60), 0.0001
-// after} is PiecewiseLR{Boundaries: []int{30, 60}, Values: []float64{0.01,
-// 0.001, 0.0001}}.
-type PiecewiseLR struct {
-	Boundaries []int     // ascending epoch boundaries, len = len(Values)-1
-	Values     []float64 // len(Boundaries)+1 rates
-}
-
-// LR implements LRSchedule.
-func (p PiecewiseLR) LR(epoch int) float64 {
-	if len(p.Values) != len(p.Boundaries)+1 {
-		panic("optim: PiecewiseLR needs len(Values) == len(Boundaries)+1")
-	}
-	for i, b := range p.Boundaries {
-		if epoch < b {
-			return p.Values[i]
-		}
-	}
-	return p.Values[len(p.Values)-1]
-}

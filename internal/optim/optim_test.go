@@ -41,33 +41,6 @@ func TestSGDLengthPanics(t *testing.T) {
 	s.Delta(make([]float32, 4), make([]float32, 3))
 }
 
-func TestPiecewiseLR(t *testing.T) {
-	p := PiecewiseLR{Boundaries: []int{30, 60}, Values: []float64{0.01, 0.001, 0.0001}}
-	cases := map[int]float64{0: 0.01, 29: 0.01, 30: 0.001, 59: 0.001, 60: 0.0001, 100: 0.0001}
-	for e, want := range cases {
-		if got := p.LR(e); got != want {
-			t.Errorf("epoch %d: %g want %g", e, got, want)
-		}
-	}
-	r := PiecewiseLR{Boundaries: []int{130}, Values: []float64{0.01, 0.001}}
-	if r.LR(0) != 0.01 || r.LR(129) != 0.01 || r.LR(130) != 0.001 {
-		t.Error("one-boundary schedule wrong")
-	}
-	if ConstLR(0.05).LR(99) != 0.05 {
-		t.Error("ConstLR wrong")
-	}
-}
-
-func TestPiecewiseLRValidation(t *testing.T) {
-	bad := PiecewiseLR{Boundaries: []int{10}, Values: []float64{0.1}}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	bad.LR(0)
-}
-
 // SGD with momentum must descend a quadratic faster than plain SGD, the
 // textbook sanity check.
 func TestMomentumAcceleratesQuadratic(t *testing.T) {

@@ -137,9 +137,9 @@ func PackMask(x []float32, bitmap []uint64) *Sparse {
 	return &Sparse{N: n, Bitmap: bitmap, Values: values}
 }
 
-// scatterCtx threads the pack/unpack pass-2 state through For1 by value so
-// the loop bodies capture nothing (see parallel.For1 on why that matters
-// for steady-state allocation).
+// scatterCtx threads the pack/unpack pass-2 state through ForGrain1 by
+// value so the loop bodies capture nothing (see parallel.For2 on why that
+// matters for steady-state allocation).
 type scatterCtx struct {
 	offsets []int
 	bitmap  []uint64

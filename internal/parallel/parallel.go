@@ -231,29 +231,24 @@ func ForGrain(n, grain int, body func(lo, hi int)) {
 	ForGrain1(n, grain, body, func(f func(int, int), lo, hi int) { f(lo, hi) })
 }
 
-// For1 is For threading an explicit context value to the body instead of
-// relying on closure capture. A func literal that captures nothing
+// For2 is For threading two explicit context values to the body instead
+// of relying on closure capture. A func literal that captures nothing
 // compiles to a static funcval, so — unlike For, whose escaping body
-// closure costs one heap allocation per call — For1 with a capture-free
+// closure costs one heap allocation per call — For2 with a capture-free
 // literal allocates nothing on either the serial or the pooled path. Hot
 // loops that must stay allocation-free in steady state (the compression
 // pipeline) use these variants; cold callers can keep the more readable
 // For.
-func For1[A any](n int, a A, body func(a A, lo, hi int)) {
-	ForGrain1(n, minParallelWork, a, body)
-}
-
-// For2 is For1 with two context values.
 func For2[A, B any](n int, a A, b B, body func(a A, b B, lo, hi int)) {
 	ForGrain2(n, minParallelWork, a, b, body)
 }
 
-// For3 is For1 with three context values.
+// For3 is For2 with three context values.
 func For3[A, B, C any](n int, a A, b B, c C, body func(a A, b B, c C, lo, hi int)) {
 	ForGrain3(n, minParallelWork, a, b, c, body)
 }
 
-// ForGrain1 is ForGrain threading one context value; see For1.
+// ForGrain1 is ForGrain threading one context value; see For2.
 func ForGrain1[A any](n, grain int, a A, body func(a A, lo, hi int)) {
 	chunks, size := Plan(n, grain)
 	if chunks == 0 {
@@ -272,7 +267,7 @@ func ForGrain1[A any](n, grain int, a A, body func(a A, lo, hi int)) {
 	pool.Put(b)
 }
 
-// ForGrain2 is ForGrain threading two context values; see For1.
+// ForGrain2 is ForGrain threading two context values; see For2.
 func ForGrain2[A, B any](n, grain int, a A, bv B, body func(a A, b B, lo, hi int)) {
 	chunks, size := Plan(n, grain)
 	if chunks == 0 {
@@ -292,7 +287,7 @@ func ForGrain2[A, B any](n, grain int, a A, bv B, body func(a A, b B, lo, hi int
 	pool.Put(b)
 }
 
-// ForGrain3 is ForGrain threading three context values; see For1.
+// ForGrain3 is ForGrain threading three context values; see For2.
 func ForGrain3[A, B, C any](n, grain int, a A, bv B, cv C, body func(a A, b B, c C, lo, hi int)) {
 	chunks, size := Plan(n, grain)
 	if chunks == 0 {

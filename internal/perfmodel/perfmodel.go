@@ -84,12 +84,6 @@ func MinBeneficialRatio(tcomm float64, t Throughputs) (float64, error) {
 	return 1 / den, nil
 }
 
-// Beneficial reports whether running the compression pipeline at ratio k
-// is a net win on the given configuration: 2·cost_comp < saved_cost_comm.
-func Beneficial(m int, tcomm, k float64, t Throughputs) bool {
-	return 2*CompressionCost(m, t) < SavedCost(m, tcomm, k)
-}
-
 // EndToEnd returns the total per-message time with compression enabled
 // (both endpoints pay the pipeline) and without.
 func EndToEnd(m int, tcomm, k float64, t Throughputs) (with, without float64) {

@@ -39,10 +39,11 @@ func TestMinRatioAtBreakEven(t *testing.T) {
 	// At exactly k the benefit must be ~zero; slightly above it must win;
 	// slightly below must lose.
 	m := 100 << 20
-	if Beneficial(m, tcomm, k*0.99, tp) {
+	beneficial := func(k float64) bool { return 2*CompressionCost(m, tp) < SavedCost(m, tcomm, k) }
+	if beneficial(k * 0.99) {
 		t.Fatalf("k slightly below minimum (%.2f) should not be beneficial", k)
 	}
-	if !Beneficial(m, tcomm, k*1.01, tp) {
+	if !beneficial(k * 1.01) {
 		t.Fatalf("k slightly above minimum (%.2f) should be beneficial", k)
 	}
 }

@@ -28,6 +28,7 @@ import (
 	"fftgrad/internal/checkpoint"
 	"fftgrad/internal/compress"
 	"fftgrad/internal/data"
+	"fftgrad/internal/dist"
 	"fftgrad/internal/netsim"
 	"fftgrad/internal/nn"
 	"fftgrad/internal/optim"
@@ -348,7 +349,7 @@ func Train(cfg Config) (*Result, error) {
 				}
 				lossSum, lossCount = 0, 0
 				if cfg.Test != nil {
-					stats.TestAcc = evaluate(global, cfg.Test, cfg.Batch)
+					stats.TestAcc = dist.Evaluate(global, cfg.Test, cfg.Batch)
 				}
 				res.Epochs = append(res.Epochs, stats)
 				if cfg.OnEpoch != nil {
@@ -459,25 +460,4 @@ func Train(cfg Config) (*Result, error) {
 		res.Telemetry = cfg.Telemetry.Snapshot()
 	}
 	return res, nil
-}
-
-// evaluate computes top-1 accuracy of the global model.
-func evaluate(net *nn.Network, test *data.Dataset, batch int) float64 {
-	correct := 0.0
-	total := 0
-	idx := make([]int, 0, batch)
-	for s := 0; s < test.Len(); s += batch {
-		idx = idx[:0]
-		for j := s; j < s+batch && j < test.Len(); j++ {
-			idx = append(idx, j)
-		}
-		x, labels := test.Batch(idx)
-		logits := net.Forward(x, false)
-		correct += nn.Accuracy(logits, labels) * float64(len(idx))
-		total += len(idx)
-	}
-	if total == 0 {
-		return 0
-	}
-	return correct / float64(total)
 }

@@ -172,7 +172,13 @@ func (m *Millis) UnmarshalJSON(b []byte) error {
 	if err := json.Unmarshal(b, &ms); err != nil {
 		return err
 	}
-	*m = Millis(math.Round(ms * float64(time.Millisecond)))
+	// Converting a float64 outside int64's range is implementation-defined
+	// (MinInt64 on amd64, saturation on arm64): refuse it, NaN included.
+	ns := math.Round(ms * float64(time.Millisecond))
+	if !(ns >= -1<<63 && ns < 1<<63) {
+		return fmt.Errorf("%s ms does not fit a duration (int64 nanoseconds)", b)
+	}
+	*m = Millis(ns)
 	return nil
 }
 

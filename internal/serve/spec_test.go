@@ -8,42 +8,52 @@ import (
 	"testing"
 )
 
+// specRejects is TestSpecRejects's table (and FuzzSpecJSON's rejected
+// seeds): a body that breaks one rule, and what the 400 must name.
+var specRejects = []struct{ body, want string }{
+	{`{"classes":-1}`, "classes -1 out of range [1,1024]"},
+	{`{"classes":100000000}`, "classes 1e+08 out of range"},
+	{`{"samples":2097152}`, "samples 2.097152e+06 out of range"},
+	{`{"samples":8}`, "samples 8 out of range [32,"},
+	{`{"theta":1.5}`, "theta 1.5 outside [0,1)"},
+	{`{"theta":-0.1}`, "theta -0.1 outside [0,1)"},
+	{`{"lr":-1}`, "lr -1 must be positive"},
+	{`{"momentum":1}`, "momentum 1 outside [0,1)"},
+	{`{"drop_epoch":-2}`, "drop_epoch -2 out of range"},
+	{`{"sync_every":-1}`, "sync_every -1 out of range"},
+	{`{"group_size":-1}`, "group_size -1 out of range"},
+	{`{"bucket_bytes":-1}`, "bucket_bytes -1 out of range"},
+	{`{"heartbeat_ms":-1}`, "heartbeat_ms -1 out of range"},
+	{`{"chaos":{"delay_ms":-1}}`, "chaos.delay_ms -1 out of range"},
+	{`{"chaos":{"drop":2}}`, "chaos.drop 2 out of range [0,1]"},
+	{`{"chaos":{"delay_prob":-0.5}}`, "chaos.delay_prob -0.5 out of range [0,1]"},
+	{`{"chaos":{"dup":1.5}}`, "chaos.dup 1.5 out of range [0,1]"},
+	{`{"chaos":{"corrupt":7}}`, "chaos.corrupt 7 out of range [0,1]"},
+	{`{"chaos":{"crash_rank":99}}`, "chaos.crash_rank 99 out of range [0,1]"},
+	{`{"chaos":{"crash_rank":-1}}`, "chaos.crash_rank -1 out of range [0,1]"},
+	{`{"elastic_joins":[5],"chaos":{"straggle_rank":3}}`, "chaos.straggle_rank 3 out of range [0,2]"},
+	{`{"fault":true,"on_failure":"retry"}`, `unknown policy "retry"`},
+	{`{"fault":true,"on_straggler":"skip"}`, `unknown straggler policy "skip"`},
+	{`{"guard":true,"guard_scrub":"zero"}`, `unknown scrub policy "zero"`},
+	{`{"backend":"ps","sparse_allreduce":true}`, "require the bsp backend"},
+	// Mode combinations are dist.Config.Validate's, reached through
+	// Spec.Config: a 400 at submission, no longer a failed job.
+	{`{"sparse_allreduce":true,"guard":true}`, "Guard requires the compressed-message exchange"},
+	{`{"sparse_allreduce":true,"fault":true}`, "Fault and UseSparseAllreduce are mutually exclusive"},
+	// A Millis whose nanosecond count overflows int64 dies in the
+	// decoder, on every platform, with the value as written.
+	{`{"heartbeat_ms":1e300}`, "1e300 ms does not fit a duration"},
+	{`{"suspect_after_ms":1e300}`, "1e300 ms does not fit a duration"},
+	{`{"chaos":{"delay_ms":1e300}}`, "1e300 ms does not fit a duration"},
+	{`{"chaos":{"straggle_by_ms":1e300}}`, "1e300 ms does not fit a duration"},
+}
+
 // TestSpecRejects is Spec.Validate's table seen from the wire: each row
 // breaks one rule, and POST /jobs must answer 400 naming it — not run
 // the job, and not panic in the handler ({"classes":-1} used to).
 func TestSpecRejects(t *testing.T) {
 	srv := New(Config{})
-	for _, tc := range []struct{ body, want string }{
-		{`{"classes":-1}`, "classes -1 out of range [1,1024]"},
-		{`{"classes":100000000}`, "classes 1e+08 out of range"},
-		{`{"samples":2097152}`, "samples 2.097152e+06 out of range"},
-		{`{"samples":8}`, "samples 8 out of range [32,"},
-		{`{"theta":1.5}`, "theta 1.5 outside [0,1)"},
-		{`{"theta":-0.1}`, "theta -0.1 outside [0,1)"},
-		{`{"lr":-1}`, "lr -1 must be positive"},
-		{`{"momentum":1}`, "momentum 1 outside [0,1)"},
-		{`{"drop_epoch":-2}`, "drop_epoch -2 out of range"},
-		{`{"sync_every":-1}`, "sync_every -1 out of range"},
-		{`{"group_size":-1}`, "group_size -1 out of range"},
-		{`{"bucket_bytes":-1}`, "bucket_bytes -1 out of range"},
-		{`{"heartbeat_ms":-1}`, "heartbeat_ms -1 out of range"},
-		{`{"chaos":{"delay_ms":-1}}`, "chaos.delay_ms -1 out of range"},
-		{`{"chaos":{"drop":2}}`, "chaos.drop 2 out of range [0,1]"},
-		{`{"chaos":{"delay_prob":-0.5}}`, "chaos.delay_prob -0.5 out of range [0,1]"},
-		{`{"chaos":{"dup":1.5}}`, "chaos.dup 1.5 out of range [0,1]"},
-		{`{"chaos":{"corrupt":7}}`, "chaos.corrupt 7 out of range [0,1]"},
-		{`{"chaos":{"crash_rank":99}}`, "chaos.crash_rank 99 out of range [0,1]"},
-		{`{"chaos":{"crash_rank":-1}}`, "chaos.crash_rank -1 out of range [0,1]"},
-		{`{"elastic_joins":[5],"chaos":{"straggle_rank":3}}`, "chaos.straggle_rank 3 out of range [0,2]"},
-		{`{"fault":true,"on_failure":"retry"}`, `unknown policy "retry"`},
-		{`{"fault":true,"on_straggler":"skip"}`, `unknown straggler policy "skip"`},
-		{`{"guard":true,"guard_scrub":"zero"}`, `unknown scrub policy "zero"`},
-		{`{"backend":"ps","sparse_allreduce":true}`, "require the bsp backend"},
-		// Mode combinations are dist.Config.Validate's, reached through
-		// Spec.Config: a 400 at submission, no longer a failed job.
-		{`{"sparse_allreduce":true,"guard":true}`, "Guard requires the compressed-message exchange"},
-		{`{"sparse_allreduce":true,"fault":true}`, "Fault and UseSparseAllreduce are mutually exclusive"},
-	} {
+	for _, tc := range specRejects {
 		rec := httptest.NewRecorder()
 		srv.handleSubmit(rec, httptest.NewRequest(http.MethodPost, "/jobs", strings.NewReader(tc.body)))
 		var apiErr apiError

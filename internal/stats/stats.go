@@ -105,15 +105,6 @@ func NewECDF(values []float64) *ECDF {
 	return &ECDF{sorted: s}
 }
 
-// At returns P(X <= x).
-func (e *ECDF) At(x float64) float64 {
-	if len(e.sorted) == 0 {
-		return 0
-	}
-	i := sort.SearchFloat64s(e.sorted, math.Nextafter(x, math.Inf(1)))
-	return float64(i) / float64(len(e.sorted))
-}
-
 // Quantile returns the q-th quantile (q in [0,1]).
 func (e *ECDF) Quantile(q float64) float64 {
 	if len(e.sorted) == 0 {

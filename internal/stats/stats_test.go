@@ -69,12 +69,6 @@ func TestHistogramRender(t *testing.T) {
 
 func TestECDF(t *testing.T) {
 	e := NewECDF([]float64{1, 2, 3, 4})
-	cases := map[float64]float64{0.5: 0, 1: 0.25, 2.5: 0.5, 4: 1, 10: 1}
-	for x, want := range cases {
-		if got := e.At(x); math.Abs(got-want) > 1e-12 {
-			t.Errorf("At(%g)=%g want %g", x, got, want)
-		}
-	}
 	if e.Quantile(0) != 1 || e.Quantile(1) != 4 {
 		t.Errorf("extreme quantiles wrong")
 	}
@@ -83,18 +77,6 @@ func TestECDF(t *testing.T) {
 	}
 	if e.Len() != 4 {
 		t.Errorf("len %d", e.Len())
-	}
-}
-
-func TestECDFMonotone(t *testing.T) {
-	e := NewECDF([]float64{5, 1, 3, 3, 2, 8})
-	prev := -1.0
-	for x := 0.0; x <= 10; x += 0.25 {
-		v := e.At(x)
-		if v < prev {
-			t.Fatalf("ECDF not monotone at %g", x)
-		}
-		prev = v
 	}
 }
 

@@ -157,15 +157,10 @@ func (r *Registry) Handler() http.Handler {
 	return mux
 }
 
-// Serve starts an HTTP metrics endpoint on addr (e.g. ":9090"). It
-// returns the bound address (useful with ":0") and a shutdown function.
-func Serve(addr string, r *Registry) (bound string, shutdown func() error, err error) {
-	return ServeHandler(addr, r.Handler())
-}
-
-// ServeHandler is Serve with a caller-composed handler — the trainer
-// uses it to mount /trace and the optional pprof handlers on the same
-// mux as the registry endpoints.
+// ServeHandler starts an HTTP endpoint on addr (e.g. ":9090") serving a
+// caller-composed handler — the trainer mounts /trace and the optional
+// pprof handlers on the same mux as the registry endpoints. It returns
+// the bound address (useful with ":0") and a shutdown function.
 //
 // The returned shutdown drains gracefully: it stops accepting new
 // connections and gives in-flight requests (a scrape mid-render, a

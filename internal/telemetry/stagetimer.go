@@ -199,20 +199,6 @@ func (t *StageTimer) Rate(s Stage) float64 {
 	return t.core.rate[s].value()
 }
 
-// MeanRate returns the lifetime mean throughput (total bytes over total
-// seconds), or 0 when unobserved. Less reactive than Rate but immune to
-// EWMA startup transients; the perfguide calibration uses it.
-func (t *StageTimer) MeanRate(s Stage) float64 {
-	if t == nil || s >= NumStages {
-		return 0
-	}
-	ns := t.core.nanos[s].Load()
-	if ns <= 0 {
-		return 0
-	}
-	return float64(t.core.bytes[s].Load()) / (float64(ns) / 1e9)
-}
-
 // Samples returns how many observations stage s has received.
 func (t *StageTimer) Samples(s Stage) int64 {
 	if t == nil || s >= NumStages {

@@ -55,33 +55,6 @@ func (t *Tensor) Reshape(shape ...int) *Tensor {
 	return FromSlice(t.Data, shape...)
 }
 
-// Clone returns a deep copy.
-func (t *Tensor) Clone() *Tensor {
-	c := New(t.Shape...)
-	copy(c.Data, t.Data)
-	return c
-}
-
-// Zero sets all elements to 0.
-func (t *Tensor) Zero() {
-	for i := range t.Data {
-		t.Data[i] = 0
-	}
-}
-
-// SameShape reports whether two tensors have identical shapes.
-func SameShape(a, b *Tensor) bool {
-	if len(a.Shape) != len(b.Shape) {
-		return false
-	}
-	for i := range a.Shape {
-		if a.Shape[i] != b.Shape[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // blockK is the k-dimension blocking factor of the matmul kernels, sized
 // so a block of B rows stays in L1.
 const blockK = 256

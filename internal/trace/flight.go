@@ -76,14 +76,6 @@ func NewFlightRecorder(tr *Tracer, path string) *FlightRecorder {
 	return &FlightRecorder{tr: tr, path: path}
 }
 
-// Path returns the dump destination, "" on a nil recorder.
-func (f *FlightRecorder) Path() string {
-	if f == nil {
-		return ""
-	}
-	return f.path
-}
-
 // Dumps returns how many dump attempts have fired.
 func (f *FlightRecorder) Dumps() int {
 	if f == nil {

@@ -19,10 +19,10 @@
 //     into a pointer check, so disabled runs pay no allocation and no
 //     atomics on the data path.
 //   - Lock-free append. Recording claims a slot with one atomic add and
-//     publishes with per-field atomic stores plus a seqlock stamp;
-//     concurrent writers (the worker loop, the cluster receiver, the
-//     heartbeater) never block each other and never tear an exported
-//     event.
+//     publishes with per-word atomic stores plus a seqlock stamp
+//     (SeqRing); concurrent writers (the worker loop, the cluster
+//     receiver, the heartbeater) never block each other and never tear
+//     an exported event.
 //   - Bounded memory. The per-rank ring is sized once at New; steady
 //     state recording allocates nothing (asserted by TestAppendZeroAlloc
 //     and the compress/cluster gates), and old events are overwritten,
@@ -221,37 +221,15 @@ type Event struct {
 	Op    Op
 }
 
-// slot is one seqlock-protected ring entry. Writers claim an index with
-// one atomic add, invalidate the stamp, store each field atomically and
-// re-publish; readers accept a slot only when the stamp is unchanged
-// across the field loads, so a half-written (or wrapped-over) event can
-// never leak into an export. 6 words = 48 bytes per slot.
-type slot struct {
-	stamp atomic.Uint64 // 0 = empty/in-flight; else claim index + 1
-	start atomic.Int64
-	dur   atomic.Int64
-	seq   atomic.Uint64
-	arg   atomic.Int64
-	op    atomic.Uint32
-}
+// ring is one rank's event buffer: a SeqRing of eventWords-word records.
+type ring struct{ *SeqRing }
 
-// ring is one rank's event buffer.
-type ring struct {
-	pos   atomic.Uint64
-	mask  uint64
-	slots []slot
-}
+// eventWords is an Event's record width: start, dur, seq, arg, op (the
+// rank is the ring's index).
+const eventWords = 5
 
 func (r *ring) append(op Op, seq uint64, arg, start, dur int64) {
-	idx := r.pos.Add(1) - 1
-	s := &r.slots[idx&r.mask]
-	s.stamp.Store(0) // invalidate while the fields are in flux
-	s.start.Store(start)
-	s.dur.Store(dur)
-	s.seq.Store(seq)
-	s.arg.Store(arg)
-	s.op.Store(uint32(op))
-	s.stamp.Store(idx + 1)
+	r.Put([]uint64{uint64(start), uint64(dur), seq, uint64(arg), uint64(op)})
 }
 
 // DefaultEventsPerIteration is a sizing hint: one iteration records on
@@ -265,7 +243,6 @@ const DefaultEventsPerIteration = 64
 // *Tracer is valid and records nothing.
 type Tracer struct {
 	rings    []ring
-	perRank  int
 	nowNanos func() int64 // ns since epoch; swapped out by tests
 	name     string       // Perfetto process_name; "" = default
 }
@@ -297,14 +274,9 @@ func New(ranks, perRank int) *Tracer {
 	if perRank <= 0 {
 		perRank = 8192
 	}
-	capPow2 := 1
-	for capPow2 < perRank {
-		capPow2 <<= 1
-	}
-	t := &Tracer{rings: make([]ring, ranks), perRank: capPow2}
+	t := &Tracer{rings: make([]ring, ranks)}
 	for i := range t.rings {
-		t.rings[i].mask = uint64(capPow2 - 1)
-		t.rings[i].slots = make([]slot, capPow2)
+		t.rings[i].SeqRing = NewSeqRing(perRank, eventWords)
 	}
 	base := time.Now()
 	t.nowNanos = func() int64 { return int64(time.Since(base)) }
@@ -317,14 +289,6 @@ func (t *Tracer) Ranks() int {
 		return 0
 	}
 	return len(t.rings)
-}
-
-// PerRankCapacity returns the ring capacity per rank, 0 on a nil tracer.
-func (t *Tracer) PerRankCapacity() int {
-	if t == nil {
-		return 0
-	}
-	return t.perRank
 }
 
 // Rank returns the recording handle for one rank's track, nil when the
@@ -345,30 +309,18 @@ func (t *Tracer) Events() []Event {
 	if t == nil {
 		return nil
 	}
-	out := make([]Event, 0, len(t.rings)*t.perRank)
+	out := make([]Event, 0, len(t.rings)*t.rings[0].Cap())
 	for rank := range t.rings {
-		r := &t.rings[rank]
-		for i := range r.slots {
-			s := &r.slots[i]
-			for attempt := 0; attempt < 4; attempt++ {
-				st1 := s.stamp.Load()
-				if st1 == 0 {
-					break
-				}
-				e := Event{
-					Start: s.start.Load(),
-					Dur:   s.dur.Load(),
-					Seq:   s.seq.Load(),
-					Arg:   s.arg.Load(),
-					Rank:  int32(rank),
-					Op:    Op(s.op.Load()),
-				}
-				if s.stamp.Load() == st1 {
-					out = append(out, e)
-					break
-				}
-			}
-		}
+		t.rings[rank].Each(func(w []uint64) {
+			out = append(out, Event{
+				Start: int64(w[0]),
+				Dur:   int64(w[1]),
+				Seq:   w[2],
+				Arg:   int64(w[3]),
+				Rank:  int32(rank),
+				Op:    Op(w[4]),
+			})
+		})
 	}
 	sortEvents(out)
 	return out
@@ -385,11 +337,11 @@ func (t *Tracer) Dropped(rank int) uint64 {
 	if t == nil || rank < 0 || rank >= len(t.rings) {
 		return 0
 	}
-	pos := t.rings[rank].pos.Load()
-	if pos <= uint64(t.perRank) {
-		return 0
+	r := t.rings[rank]
+	if pos, kept := r.pos.Load(), uint64(r.Cap()); pos > kept {
+		return pos - kept
 	}
-	return pos - uint64(t.perRank)
+	return 0
 }
 
 // DroppedTotal sums wraparound loss across every rank's ring.

@@ -20,7 +20,7 @@ func TestNewRounding(t *testing.T) {
 		{0, 8192}, {-5, 8192}, {1, 1}, {2, 2}, {3, 4}, {100, 128}, {8192, 8192},
 	} {
 		tr := New(2, c.ask)
-		if got := tr.PerRankCapacity(); got != c.want {
+		if got := tr.rings[0].Cap(); got != c.want {
 			t.Errorf("New(2, %d): capacity %d, want %d", c.ask, got, c.want)
 		}
 	}
@@ -31,7 +31,7 @@ func TestNewRounding(t *testing.T) {
 
 func TestNilSafety(t *testing.T) {
 	var tr *Tracer
-	if tr.Ranks() != 0 || tr.PerRankCapacity() != 0 || tr.Rank(0) != nil || tr.Events() != nil {
+	if tr.Ranks() != 0 || tr.Rank(0) != nil || tr.Events() != nil {
 		t.Fatal("nil tracer methods must be no-ops")
 	}
 	var c *Ctx
