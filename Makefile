@@ -46,7 +46,7 @@ fmt-check:
 RACE_PKGS = ./internal/cfft/ ./internal/sparsify/ ./internal/compress/ ./internal/comm/ \
 	./internal/collective/ ./internal/telemetry/ ./internal/adapt/ ./internal/cluster/ \
 	./internal/chaos/ ./internal/guard/ ./internal/checkpoint/ ./internal/trace/ ./internal/obs/ \
-	./internal/ps/ ./internal/serve/ ./internal/dist/ ./internal/feedback/ ./internal/parallel/ \
+	./internal/serve/ ./internal/dist/ ./internal/feedback/ ./internal/parallel/ \
 	./internal/scratch/
 
 race:

@@ -1,19 +1,24 @@
 package fftgrad
 
 // The caller gate: every exported function, method, type, const and var
-// declared under internal/ must be named by at least one non-test file
-// of the module (cmd/, internal/, examples/ and bench/*.go), or sit on
-// the allowlist below with the reason it stays. The match is by name
-// alone — any non-declaring identifier or selector spelled like the
-// symbol counts as a caller — so the gate can miss a dead symbol that
-// shares its name with a live one, and can never fail a symbol that is
-// really called.
+// declared under internal/ must be used by at least one non-test file of
+// the module (cmd/, internal/, examples/ and bench/*.go), or sit on the
+// allowlist below with the reason it stays. Uses are resolved by go/types
+// over the module's packages type-checked from source, so a method counts
+// as called only through its own receiver type — directly, promoted
+// through an embedding, or dispatched by a call through an interface the
+// type implements — and never because a live method elsewhere shares its
+// name.
 
 import (
 	"go/ast"
+	"go/build"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
+	"os"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -28,7 +33,10 @@ import (
 // hook (the one test hook).
 var callerAllow = map[string]string{
 	"serve.Millis.UnmarshalJSON": "interface: encoding/json calls it for every *_ms Spec key",
+	"serve.Millis.MarshalJSON":   "interface: encoding/json calls it when a Spec is encoded",
 	"comm.OpError.Unwrap":        "interface: errors.Is/As reach ErrPeerDown and ErrTimeout through it",
+	"chaos.Config.String":        "interface: fmt prints cmd/trainer's chaos schedule line through it",
+	"trace.Reason.String":        "interface: fmt prints the flight recorder's dump line through it",
 
 	"f16.FromFloat32":          "reference: the scalar encoder TestRoundWiden* compare the rounding kernels against",
 	"f16.Bits.Float32":         "reference: the scalar decoder half of the same comparison",
@@ -36,7 +44,9 @@ var callerAllow = map[string]string{
 	"pack.DecodeBitmapRLE":     "reference: decoder half of EncodeBitmapRLE, held to it by FuzzDecodeBitmapRLE",
 	"quant.NewRangeQuantizer":  "reference: the untuned quantizer the tuned constructors are compared against",
 	"perfmodel.SavedCost":      "reference: Eq. 3, the identity TestEquationConsistency holds CommunicationCost (Eq. 2) to",
+	"perfmodel.EndToEnd":       "reference: the direct with/without sum TestEndToEnd and TestMonotonicityInK hold Eq. 4's closed form to",
 
+	"f16.Bits.IsNaN":                   "probe: TestNaNPreserved and TestExhaustiveRoundTrip classify encoded halves with it",
 	"feedback.Compressor.ResidualNorm": "probe: the dist and guard mass-conservation tests read the banked residual through it",
 	"guard.AppendFrame":                "probe: fixture builder for FuzzUnframe and the frame table tests",
 	"guard.AppendFrameFP":              "probe: fixture builder for the fingerprinted-frame fuzz seeds",
@@ -48,18 +58,88 @@ var callerAllow = map[string]string{
 	"parallel.SetWorkers": "hook: the one test hook — tests pin the pool width to compare 1- and N-worker results",
 }
 
-type exportedDecl struct {
-	key, name string
-	pos       token.Position
+// loader type-checks the module's packages from their non-test files,
+// each once, recording every identifier use into one types.Info; the
+// standard library comes from the source importer.
+type loader struct {
+	fset  *token.FileSet
+	std   types.ImporterFrom
+	info  *types.Info
+	pkgs  map[string]*types.Package
+	recvs map[*ast.Ident]bool // receiver type names: a method does not use its type
+}
+
+func (l *loader) Import(path string) (*types.Package, error) { return l.ImportFrom(path, "", 0) }
+
+func (l *loader) ImportFrom(path, dir string, mode types.ImportMode) (*types.Package, error) {
+	if pkg := l.pkgs[path]; pkg != nil {
+		return pkg, nil
+	}
+	rel, ok := strings.CutPrefix(path, "fftgrad/")
+	if !ok {
+		return l.std.ImportFrom(path, dir, mode)
+	}
+	entries, err := os.ReadDir(rel)
+	if err != nil {
+		return nil, err
+	}
+	var files []*ast.File
+	for _, e := range entries {
+		name := e.Name()
+		if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		if ok, err := build.Default.MatchFile(rel, name); err != nil || !ok {
+			continue
+		}
+		f, err := parser.ParseFile(l.fset, filepath.Join(rel, name), nil, parser.SkipObjectResolution)
+		if err != nil {
+			return nil, err
+		}
+		for _, d := range f.Decls {
+			if fd, ok := d.(*ast.FuncDecl); ok && fd.Recv != nil {
+				ast.Inspect(fd.Recv, func(n ast.Node) bool {
+					if id, ok := n.(*ast.Ident); ok {
+						l.recvs[id] = true
+					}
+					return true
+				})
+			}
+		}
+		files = append(files, f)
+	}
+	pkg, err := (&types.Config{Importer: l}).Check(path, l.fset, files, l.info)
+	if err != nil {
+		return nil, err
+	}
+	l.pkgs[path] = pkg
+	return pkg, nil
+}
+
+func origin(obj types.Object) types.Object {
+	switch o := obj.(type) {
+	case *types.Func:
+		return o.Origin()
+	case *types.Var:
+		return o.Origin()
+	}
+	return obj
 }
 
 func TestEveryExportedSymbolHasACaller(t *testing.T) {
 	fset := token.NewFileSet()
-	var files []string
+	l := &loader{
+		fset:  fset,
+		std:   importer.ForCompiler(fset, "source", nil).(types.ImporterFrom),
+		info:  &types.Info{Uses: map[*ast.Ident]types.Object{}},
+		pkgs:  map[string]*types.Package{},
+		recvs: map[*ast.Ident]bool{},
+	}
+	dirs := map[string]bool{"bench": true}
 	for _, root := range []string{"cmd", "internal", "examples"} {
 		err := filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
-			if err == nil && !d.IsDir() {
-				files = append(files, p)
+			if err == nil && !d.IsDir() && strings.HasSuffix(p, ".go") && !strings.HasSuffix(p, "_test.go") {
+				dirs[filepath.Dir(p)] = true
 			}
 			return err
 		})
@@ -67,68 +147,81 @@ func TestEveryExportedSymbolHasACaller(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	benchFiles, err := filepath.Glob("bench/*.go")
-	if err != nil {
-		t.Fatal(err)
-	}
-	files = append(files, benchFiles...)
-
-	var decls []exportedDecl
-	named := map[string]bool{}
-	for _, path := range files {
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			continue
-		}
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-		if err != nil {
+	for dir := range dirs {
+		if _, err := l.Import("fftgrad/" + filepath.ToSlash(dir)); err != nil {
 			t.Fatal(err)
 		}
-		declaring := map[*ast.Ident]bool{}
-		record := func(id *ast.Ident, recv string) {
-			declaring[id] = true
-			if !id.IsExported() || !strings.HasPrefix(filepath.ToSlash(path), "internal/") {
-				return
-			}
-			decls = append(decls, exportedDecl{
-				key:  f.Name.Name + "." + recv + id.Name,
-				name: id.Name,
-				pos:  fset.Position(id.Pos()),
-			})
+	}
+
+	// Direct uses, and the interface methods called: each reaches the
+	// method of every module type that implements the interface.
+	used := map[types.Object]bool{}
+	called := map[*types.Interface][]*types.Func{}
+	for id, obj := range l.info.Uses {
+		if l.recvs[id] {
+			continue
 		}
-		for _, d := range f.Decls {
-			switch d := d.(type) {
-			case *ast.FuncDecl:
-				recv := ""
-				if d.Recv != nil {
-					// A method's receiver does not call its type.
-					ast.Inspect(d.Recv, func(n ast.Node) bool {
-						if id, ok := n.(*ast.Ident); ok {
-							declaring[id] = true
-						}
-						return true
-					})
-					recv = receiverName(d.Recv.List[0].Type) + "."
+		obj = origin(obj)
+		used[obj] = true
+		if f, ok := obj.(*types.Func); ok {
+			if recv := f.Type().(*types.Signature).Recv(); recv != nil {
+				if iface, ok := recv.Type().Underlying().(*types.Interface); ok {
+					called[iface] = append(called[iface], f)
 				}
-				record(d.Name, recv)
-			case *ast.GenDecl:
-				for _, s := range d.Specs {
-					switch s := s.(type) {
-					case *ast.TypeSpec:
-						record(s.Name, "")
-					case *ast.ValueSpec:
-						for _, id := range s.Names {
-							record(id, "")
+			}
+		}
+	}
+	var named []*types.Named
+	for _, pkg := range l.pkgs {
+		for _, name := range pkg.Scope().Names() {
+			if tn, ok := pkg.Scope().Lookup(name).(*types.TypeName); ok {
+				if n, ok := tn.Type().(*types.Named); ok && !types.IsInterface(n) && n.TypeParams().Len() == 0 {
+					named = append(named, n)
+				}
+			}
+		}
+	}
+	for iface, methods := range called {
+		for _, n := range named {
+			for _, v := range []types.Type{n, types.NewPointer(n)} {
+				if !types.Implements(v, iface) {
+					continue
+				}
+				for _, im := range methods {
+					if m, _, _ := types.LookupFieldOrMethod(v, false, im.Pkg(), im.Name()); m != nil {
+						used[origin(m)] = true
+					}
+				}
+				break
+			}
+		}
+	}
+
+	type decl struct {
+		key string
+		obj types.Object
+	}
+	var decls []decl
+	for path, pkg := range l.pkgs {
+		if !strings.HasPrefix(path, "fftgrad/internal/") {
+			continue
+		}
+		scope := pkg.Scope()
+		for _, name := range scope.Names() {
+			obj := scope.Lookup(name)
+			if obj.Exported() {
+				decls = append(decls, decl{pkg.Name() + "." + name, obj})
+			}
+			if tn, ok := obj.(*types.TypeName); ok && !tn.IsAlias() {
+				if n, ok := tn.Type().(*types.Named); ok {
+					for i := 0; i < n.NumMethods(); i++ {
+						if m := n.Method(i); m.Exported() {
+							decls = append(decls, decl{pkg.Name() + "." + name + "." + m.Name(), m})
 						}
 					}
 				}
 			}
 		}
-		ast.Inspect(f, func(n ast.Node) bool {
-			if id, ok := n.(*ast.Ident); ok && !declaring[id] {
-				named[id.Name] = true
-			}
-			return true
-		})
 	}
 	if len(decls) == 0 {
 		t.Fatal("no exported declarations found under internal/: run from the module root")
@@ -137,36 +230,17 @@ func TestEveryExportedSymbolHasACaller(t *testing.T) {
 	sort.Slice(decls, func(i, j int) bool { return decls[i].key < decls[j].key })
 	needed := map[string]bool{}
 	for _, d := range decls {
-		if named[d.name] {
+		if used[d.obj] {
 			continue
 		}
 		needed[d.key] = true
 		if callerAllow[d.key] == "" {
-			t.Errorf("%s: %s has no caller outside tests: delete it with its tests, or allowlist it with a reason", d.pos, d.key)
+			t.Errorf("%s: %s has no caller outside tests: delete it with its tests, or allowlist it with a reason", fset.Position(d.obj.Pos()), d.key)
 		}
 	}
 	for key := range callerAllow {
 		if !needed[key] {
 			t.Errorf("callerAllow[%q] is stale: the symbol is gone or has a caller now", key)
-		}
-	}
-}
-
-// receiverName strips the pointer and any type parameters off a method
-// receiver's type expression.
-func receiverName(e ast.Expr) string {
-	for {
-		switch x := e.(type) {
-		case *ast.StarExpr:
-			e = x.X
-		case *ast.IndexExpr:
-			e = x.X
-		case *ast.IndexListExpr:
-			e = x.X
-		case *ast.Ident:
-			return x.Name
-		default:
-			return ""
 		}
 	}
 }

@@ -190,7 +190,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if cfg.Fault != nil && cfg.Fault.Chaos != nil {
 		fmt.Fprintf(stdout, "chaos schedule: %s\n", cfg.Fault.Chaos)
 	}
-	ranks := spec.Workers + len(spec.ElasticJoins)
+	ranks := cfg.Tracks()
 	var tracer *itrace.Tracer
 	if opt.traceOut != "" {
 		tracer = itrace.New(ranks, opt.traceIters*itrace.DefaultEventsPerIteration)

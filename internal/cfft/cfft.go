@@ -211,9 +211,6 @@ func NewPlan(n int) *Plan {
 	return p
 }
 
-// N returns the transform length of the plan.
-func (p *Plan) N() int { return p.n }
-
 // Forward computes the unnormalized forward DFT of src into dst:
 //
 //	dst[k] = Σ_j src[j] · exp(-2πi jk / n)
@@ -497,9 +494,6 @@ func NewRealPlan(n int) *RealPlan {
 	}
 	return rp
 }
-
-// N returns the real signal length.
-func (rp *RealPlan) N() int { return rp.n }
 
 // SpectrumLen returns the number of non-redundant complex bins, n/2+1.
 func (rp *RealPlan) SpectrumLen() int { return rp.n/2 + 1 }

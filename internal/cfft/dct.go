@@ -33,26 +33,13 @@ func NewDCTPlan(n int) *DCTPlan {
 	return p
 }
 
-// N returns the transform length.
-func (p *DCTPlan) N() int { return p.n }
-
-// Forward computes the unnormalized DCT-II:
+// ForwardInPlace computes the unnormalized DCT-II of the signal in
+// work[:n]:
 //
 //	dst[k] = Σ_j src[j] · cos(π(2j+1)k / 2n)
 //
-// dst and src must both have length n. src is not modified.
-func (p *DCTPlan) Forward(dst, src []float64) {
-	if len(src) != p.n {
-		panic("cfft: bad DCT forward lengths")
-	}
-	yb := scratch.Float64s(2 * p.n)
-	defer scratch.PutFloat64s(yb)
-	copy(*yb, src)
-	p.ForwardInPlace(dst, *yb)
-}
-
-// ForwardInPlace is Forward with the signal in work[:n] and work, of
-// length 2n, as the work array: all of it is overwritten.
+// dst has length n; work, of length 2n, is the work array and all of it
+// is overwritten.
 func (p *DCTPlan) ForwardInPlace(dst, work []float64) {
 	n := p.n
 	if len(dst) != n || len(work) != 2*n {

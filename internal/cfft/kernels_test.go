@@ -207,7 +207,7 @@ func TestTransformsMatchReference(t *testing.T) {
 				diffReal(t, what+" RealPlan.Inverse", gr, wr)
 				_, _, gr, wr = both(func() ([]complex128, []float64) {
 					out := make([]float64, 2*n)
-					dp.Forward(out[:n], sig[:n])
+					dctForward(dp, out[:n], sig[:n])
 					dp.Inverse(out[n:], sig[n:])
 					return nil, out
 				})

@@ -92,18 +92,6 @@ const (
 	StaleReuse
 )
 
-func (p Policy) String() string {
-	switch p {
-	case FailFast:
-		return "failfast"
-	case DropRescale:
-		return "rescale"
-	case StaleReuse:
-		return "stale"
-	}
-	return "unknown"
-}
-
 // ParsePolicy parses "failfast" | "rescale" | "stale".
 func ParsePolicy(s string) (Policy, error) {
 	switch s {
@@ -130,16 +118,6 @@ const (
 	// change, it is expected back next iteration.
 	StragglerDrop
 )
-
-func (p StragglerPolicy) String() string {
-	switch p {
-	case StragglerWait:
-		return "wait"
-	case StragglerDrop:
-		return "drop"
-	}
-	return "unknown"
-}
 
 // ParseStragglerPolicy parses "wait" | "drop". Folding a straggler's
 // older gradient into the round is bounded staleness (-staleness K,

@@ -480,7 +480,6 @@ func TestClusterMetricsZeroAlloc(t *testing.T) {
 	rt.Instrument(reg)
 	st := telemetry.NewStageTimer()
 	rt.AttachStageTimer(st)
-	e := telemetry.NewEWMA()
 	allocs := testing.AllocsPerRun(200, func() {
 		rt.noteRetry(1, 2)
 		rt.noteDegraded(1)
@@ -488,8 +487,6 @@ func TestClusterMetricsZeroAlloc(t *testing.T) {
 		rt.noteStaleness(3)
 		rt.noteGossipRound()
 		rt.observeRTT(2, 0.001)
-		e.Update(0.5)
-		_ = e.Value()
 	})
 	if allocs != 0 {
 		t.Fatalf("hot-path accounting allocates %.1f/op, want 0", allocs)

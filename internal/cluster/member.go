@@ -100,9 +100,6 @@ type Member struct {
 	lastGood    [][]byte
 	lastGoodSeq []uint64
 
-	// lag[j] tracks rank j's heartbeat RTT EWMA (seconds).
-	lag []*telemetry.EWMA
-
 	sentMu sync.Mutex
 	sent   []sentSlot
 
@@ -148,14 +145,10 @@ func (rt *Runtime) Join(tr comm.Transport) *Member {
 		sent:        make([]sentSlot, rt.cfg.SendDepth),
 		lastGood:    make([][]byte, rt.p),
 		lastGoodSeq: make([]uint64, rt.p),
-		lag:         make([]*telemetry.EWMA, rt.p),
 		lastSeen:    make([]atomic.Int64, rt.p),
 		arrivalNs:   make([]int64, rt.p),
 		tc:          rt.tracer.Rank(rank),
 		closed:      make(chan struct{}),
-	}
-	for j := range m.lag {
-		m.lag[j] = telemetry.NewEWMA()
 	}
 	now := time.Now().UnixNano()
 	for j := range m.lastSeen {
@@ -230,7 +223,6 @@ func (m *Member) receiver() {
 				sent := int64(binary.LittleEndian.Uint64(msg.Payload))
 				rtt := time.Since(time.Unix(0, sent)).Seconds()
 				if rtt >= 0 {
-					m.lag[msg.From].Update(rtt)
 					m.rt.observeRTT(msg.From, rtt)
 				}
 			}
@@ -270,7 +262,7 @@ func (m *Member) receiver() {
 }
 
 // heartbeater pings every peer each Heartbeat period with the send-time
-// nanos as payload; the echo drives the RTT EWMAs and liveness clocks.
+// nanos as payload; the echo drives the RTT gauges and liveness clocks.
 func (m *Member) heartbeater() {
 	defer m.wg.Done()
 	tick := time.NewTicker(m.rt.cfg.Heartbeat)

@@ -12,10 +12,10 @@ import (
 	"fftgrad/internal/trace"
 )
 
-// runRanks executes body on every rank concurrently and waits.
-func runRanks(c *comm.Cluster, body func(cm *comm.Comm)) {
+// runRanks executes body on each of c's p ranks concurrently and waits.
+func runRanks(c *comm.Cluster, p int, body func(cm *comm.Comm)) {
 	var wg sync.WaitGroup
-	for r := 0; r < c.P(); r++ {
+	for r := 0; r < p; r++ {
 		wg.Add(1)
 		go func(rank int) {
 			defer wg.Done()
@@ -52,7 +52,7 @@ func TestStrategiesMatchFlatAllgather(t *testing.T) {
 				cl := comm.NewCluster(p)
 				tr := trace.New(p, 4096)
 				got := make([][][]byte, p)
-				runRanks(cl, func(cm *comm.Comm) {
+				runRanks(cl, p, func(cm *comm.Comm) {
 					cm.AttachTrace(tr.Rank(cm.RankID()))
 					ex := New(&cfg, cm)
 					for round := 0; round < 4; round++ {
@@ -90,7 +90,7 @@ func TestStrategiesBroadcast(t *testing.T) {
 			for _, root := range []int{0, p - 1, p / 2} {
 				cl := comm.NewCluster(p)
 				payload := rankMsg(root, 99)
-				runRanks(cl, func(cm *comm.Comm) {
+				runRanks(cl, p, func(cm *comm.Comm) {
 					ex := New(&cfg, cm)
 					var data []byte
 					if cm.RankID() == root {
@@ -121,7 +121,7 @@ func TestStrategyWireAccounting(t *testing.T) {
 		reg := telemetry.NewRegistry()
 		cl.Instrument(reg)
 		msg := make([]byte, m)
-		runRanks(cl, func(cm *comm.Comm) {
+		runRanks(cl, p, func(cm *comm.Comm) {
 			ex := New(&cfg, cm)
 			ex.Allgather(msg)
 		})
@@ -153,7 +153,7 @@ func TestHierSparseMatchesRing(t *testing.T) {
 	run := func(cfg Config) []res {
 		cl := comm.NewCluster(p)
 		out := make([]res, p)
-		runRanks(cl, func(cm *comm.Comm) {
+		runRanks(cl, p, func(cm *comm.Comm) {
 			rank := cm.RankID()
 			ex := New(&cfg, cm)
 			pt := NewPartitioner(p, rank, n)

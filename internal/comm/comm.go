@@ -51,9 +51,6 @@ func NewCluster(p int) *Cluster {
 	return &Cluster{p: p, barrier: newBarrier(p), slots: make([][]byte, p)}
 }
 
-// P returns the number of ranks.
-func (c *Cluster) P() int { return c.p }
-
 // Rank returns the communicator handle for one rank (0 ≤ rank < p).
 // Each handle must be used by exactly one goroutine.
 func (c *Cluster) Rank(rank int) *Comm {

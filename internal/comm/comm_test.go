@@ -9,7 +9,7 @@ import (
 // runRanks executes body on every rank concurrently and waits.
 func runRanks(c *Cluster, body func(cm *Comm)) {
 	var wg sync.WaitGroup
-	for r := 0; r < c.P(); r++ {
+	for r := 0; r < c.p; r++ {
 		wg.Add(1)
 		go func(rank int) {
 			defer wg.Done()

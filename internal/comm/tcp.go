@@ -265,12 +265,6 @@ func (c *TCPComm) Close() {
 	}
 }
 
-// RankID returns this endpoint's rank.
-func (c *TCPComm) RankID() int { return c.rank }
-
-// P returns the cluster size.
-func (c *TCPComm) P() int { return c.p }
-
 // Allgather contributes data and returns every rank's contribution in
 // rank order. Sends run on per-peer goroutines so large messages cannot
 // deadlock against full TCP buffers.
@@ -310,43 +304,4 @@ func (c *TCPComm) Allgather(data []byte) ([][]byte, error) {
 		}
 	}
 	return out, firstErr
-}
-
-// Broadcast returns root's buffer on every rank.
-func (c *TCPComm) Broadcast(data []byte, root int) ([]byte, error) {
-	if c.rank == root {
-		var wg sync.WaitGroup
-		errs := make([]error, c.p)
-		for j := 0; j < c.p; j++ {
-			if j == root {
-				continue
-			}
-			wg.Add(1)
-			go func(j int) {
-				defer wg.Done()
-				if errs[j] = c.writeFrameTo(j, data); errs[j] == nil {
-					c.tx.Add(c.rank, 4+len(data))
-				}
-			}(j)
-		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				return nil, err
-			}
-		}
-		return data, nil
-	}
-	payload, err := c.readFrameFrom(root)
-	if err == nil {
-		c.rx.Add(c.rank, 4+len(payload))
-	}
-	return payload, err
-}
-
-// Barrier blocks until every rank has entered it (implemented as an
-// empty-message allgather).
-func (c *TCPComm) Barrier() error {
-	_, err := c.Allgather(nil)
-	return err
 }

@@ -84,53 +84,6 @@ func TestTCPAllgatherLargeMessages(t *testing.T) {
 	}
 }
 
-func TestTCPBroadcast(t *testing.T) {
-	p := 4
-	comms := startOrSkip(t, p)
-	var wg sync.WaitGroup
-	results := make([][]byte, p)
-	errs := make([]error, p)
-	for r := 0; r < p; r++ {
-		wg.Add(1)
-		go func(rank int) {
-			defer wg.Done()
-			var payload []byte
-			if rank == 1 {
-				payload = []byte("hello-from-1")
-			}
-			results[rank], errs[rank] = comms[rank].Broadcast(payload, 1)
-		}(r)
-	}
-	wg.Wait()
-	for r := 0; r < p; r++ {
-		if errs[r] != nil {
-			t.Fatal(errs[r])
-		}
-		if string(results[r]) != "hello-from-1" {
-			t.Fatalf("rank %d got %q", r, results[r])
-		}
-	}
-}
-
-func TestTCPBarrier(t *testing.T) {
-	p := 5
-	comms := startOrSkip(t, p)
-	var wg sync.WaitGroup
-	for r := 0; r < p; r++ {
-		wg.Add(1)
-		go func(rank int) {
-			defer wg.Done()
-			for round := 0; round < 10; round++ {
-				if err := comms[rank].Barrier(); err != nil {
-					t.Errorf("rank %d round %d: %v", rank, round, err)
-					return
-				}
-			}
-		}(r)
-	}
-	wg.Wait()
-}
-
 func TestTCPRepeatedCollectives(t *testing.T) {
 	p := 3
 	comms := startOrSkip(t, p)

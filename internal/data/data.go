@@ -201,6 +201,3 @@ func (it *Iterator) Next() []int {
 	it.pos += it.batch
 	return idx
 }
-
-// Epoch returns the number of completed epochs.
-func (it *Iterator) Epoch() int { return it.epoch }

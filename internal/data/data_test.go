@@ -147,12 +147,12 @@ func TestIteratorCoversEpoch(t *testing.T) {
 			t.Fatalf("sample %d seen %d times in one epoch", i, c)
 		}
 	}
-	if it.Epoch() != 0 {
-		t.Fatalf("epoch counter %d", it.Epoch())
+	if it.epoch != 0 {
+		t.Fatalf("epoch counter %d", it.epoch)
 	}
 	it.Next()
-	if it.Epoch() != 1 {
-		t.Fatalf("epoch should roll to 1, got %d", it.Epoch())
+	if it.epoch != 1 {
+		t.Fatalf("epoch should roll to 1, got %d", it.epoch)
 	}
 }
 
@@ -165,8 +165,8 @@ func TestIteratorDropsShortTail(t *testing.T) {
 	if len(b) != 10 {
 		t.Fatalf("batch size %d", len(b))
 	}
-	if it.Epoch() != 1 {
-		t.Fatalf("epoch %d", it.Epoch())
+	if it.epoch != 1 {
+		t.Fatalf("epoch %d", it.epoch)
 	}
 }
 

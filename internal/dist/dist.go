@@ -14,6 +14,10 @@
 // priced through a netsim fabric model at the real message sizes — the
 // substitution that stands in for the paper's 8-GPU InfiniBand testbed
 // (see DESIGN.md).
+//
+// Train has three runtimes under one Config and one Result: the barrier
+// path above, the failure-aware mesh (Config.Fault, fault.go) and the
+// parameter server of the paper's Fig. 1 (Config.PS, ps.go).
 package dist
 
 import (
@@ -192,6 +196,14 @@ type Config struct {
 	// exclusive with UseSparseAllreduce and MeasureAlpha.
 	Fault *FaultConfig
 
+	// PS, when non-nil, trains on the parameter-server runtime instead
+	// (ps.go): workers push compressed gradients to a central server that
+	// owns the global model, the other scheme of the paper's Fig. 1. It
+	// excludes every BSP exchange option (Fault, Collective, Guard,
+	// UseSparseAllreduce, Adapt, ThetaSchedule, MeasureAlpha); a Fabric
+	// that prices single links (collective.LinkFabric) prices the star.
+	PS *PSConfig
+
 	// Guard, when non-nil and enabled, activates the data-plane
 	// integrity layer (internal/guard): CRC32C wire framing (rejected
 	// before decompression, repaired via nack/resend under Fault),
@@ -367,14 +379,20 @@ func (c *Config) haltCheck(iter int) bool {
 	return false
 }
 
-// finalState captures rank-0's end-of-run checkpoint when the config
-// asked for one (explicitly, or implicitly by being stoppable).
-func (c *Config) finalState(res *Result, net *nn.Network, sgd *optim.SGD) {
-	if !c.CaptureFinal && c.Stop == nil {
-		return
+// Tracks is how many timeline tracks (and profiler ranks) the run
+// records: one per worker and per elastic joiner — a joiner's rank exists
+// from the start — plus the server's under PS. A tracer or profiler for
+// the run is sized with it, and so is a service job's slot quota, less
+// the server.
+func (c *Config) Tracks() int {
+	n := max(c.Workers, 1)
+	if c.Fault != nil {
+		n += len(c.Fault.ElasticJoins)
 	}
-	done := int64(res.Iterations)
-	res.Final = checkpoint.Capture(net, sgd, done/int64(c.ItersPerEpoch), done-1)
+	if c.PS != nil {
+		n++
+	}
+	return n
 }
 
 // instrumented is any layer that exports metrics on the run's registry.
@@ -457,7 +475,11 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("dist: Model and Train dataset are required")
 	}
 	sparse := c.UseSparseAllreduce
-	if sparse && c.Guard != nil && c.Guard.Enabled() {
+	guarded := c.Guard != nil && c.Guard.Enabled()
+	if c.PS != nil && (c.Fault != nil || c.Collective != nil || guarded || sparse || c.Adapt != nil || c.ThetaSchedule != nil || c.MeasureAlpha) {
+		return fmt.Errorf("dist: Fault, Collective, Guard, UseSparseAllreduce, Adapt, ThetaSchedule and MeasureAlpha require the bsp backend; unset PS")
+	}
+	if sparse && guarded {
 		return fmt.Errorf("dist: Guard requires the compressed-message exchange; disable UseSparseAllreduce")
 	}
 	if col := c.Collective; col != nil {
@@ -493,7 +515,8 @@ func (c *Config) Validate() error {
 	return nil
 }
 
-// Train runs BSP data-parallel training and returns rank-0's statistics.
+// Train runs data-parallel training — BSP, or the parameter server under
+// Config.PS — and returns rank-0's (the server's) statistics.
 func Train(c Config) (*Result, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
@@ -501,6 +524,9 @@ func Train(c Config) (*Result, error) {
 	cfg := c.withDefaults()
 	if cfg.Fault != nil {
 		return trainFault(cfg)
+	}
+	if cfg.PS != nil {
+		return trainPS(cfg)
 	}
 	p := cfg.Workers
 	cluster := comm.NewCluster(p)

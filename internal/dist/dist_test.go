@@ -254,6 +254,15 @@ func TestValidateRejects(t *testing.T) {
 		{"negative join iteration", func(c *Config) {
 			c.Fault = fault(FaultConfig{ElasticJoins: []int{4, -3}})
 		}, "negative ElasticJoins iteration -3"},
+		{"PS + sparse allreduce", func(c *Config) {
+			c.PS, c.UseSparseAllreduce = &PSConfig{}, true
+		}, "require the bsp backend"},
+		{"PS + Fault", func(c *Config) {
+			c.PS, c.Fault = &PSConfig{}, fault(FaultConfig{})
+		}, "require the bsp backend"},
+		{"PS + theta schedule", func(c *Config) {
+			c.PS, c.ThetaSchedule = &PSConfig{}, sparsify.StepDrop{Initial: 0.9, DropEpoch: 1}
+		}, "require the bsp backend"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := blobCfg(1)

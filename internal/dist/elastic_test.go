@@ -241,11 +241,7 @@ func TestElasticJoinGate(t *testing.T) {
 func TestElasticJoinWorkerAccounting(t *testing.T) {
 	cfg := blobCfg(1)
 	cfg.Fault = &FaultConfig{Cluster: faultClusterCfg(), ElasticJoins: []int{5, 9}}
-	job := cfg.NewJob()
-	if got := job.Workers(); got != cfg.Workers+2 {
-		t.Fatalf("Workers() = %d, want %d", got, cfg.Workers+2)
-	}
-	if got := job.Tracks(); got != cfg.Workers+2 {
+	if got := cfg.Tracks(); got != cfg.Workers+2 {
 		t.Fatalf("Tracks() = %d, want %d", got, cfg.Workers+2)
 	}
 }

@@ -237,7 +237,6 @@ func TestGuardEscalationLadder(t *testing.T) {
 // blow-up in the backward pass. Forward is the identity.
 type nanBackward struct{ every, calls int }
 
-func (l *nanBackward) Name() string                                    { return "nan-backward" }
 func (l *nanBackward) Params() []*nn.Param                             { return nil }
 func (l *nanBackward) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor { return x }
 func (l *nanBackward) Backward(dy *tensor.Tensor) *tensor.Tensor {

@@ -31,11 +31,26 @@ func (c failAt) AppendCompress(dst []byte, g []float32) ([]byte, error) {
 	return c.Compressor.AppendCompress(dst, g)
 }
 
+// failDecode is a codec that fails its at-th decode.
+type failDecode struct {
+	compress.Compressor
+	at    int
+	calls *int
+}
+
+func (c failDecode) DecompressInto(dst []float32, msg []byte) error {
+	if *c.calls++; *c.calls == c.at {
+		return errors.New("decoder gave up")
+	}
+	return c.Compressor.DecompressInto(dst, msg)
+}
+
 // TestTrainLeavesNoGoroutines: whatever a run starts — rank goroutines,
 // a compress goroutine per bucketed pipeline, the cluster's heartbeat
 // and receive loops, chaos's delayed deliveries, elastic joiners — has
 // exited by the time Train returns, whether the run completed, was
-// halted through Stop, or failed.
+// halted through Stop, or failed — on the parameter server too, where a
+// failed codec on either side must not leave the other side parked.
 func TestTrainLeavesNoGoroutines(t *testing.T) {
 	fault := func(c *Config, ch *chaos.Config, joins ...int) {
 		cc := faultClusterCfg()
@@ -77,6 +92,26 @@ func TestTrainLeavesNoGoroutines(t *testing.T) {
 				return failAt{compress.NewFFT(0.85), n - n/2, 4, new(int)}
 			}
 		}, "bucket 1 compress: codec gave up"},
+		{"ps", func(c *Config) { c.PS = &PSConfig{} }, ""},
+		{"ps async", func(c *Config) { c.PS = &PSConfig{Async: true} }, ""},
+		{"ps halted through Stop", func(c *Config) {
+			stop := make(chan struct{})
+			c.PS, c.Stop = &PSConfig{}, stop
+			c.OnEpoch = func(EpochStats) { close(stop) }
+		}, ""},
+		{"ps failing codec", func(c *Config) {
+			c.PS = &PSConfig{}
+			n := c.Model(c.Seed).NumParams()
+			c.NewCompressor = func() compress.Compressor {
+				return failAt{compress.NewFFT(0.85), n, 4, new(int)}
+			}
+		}, "codec gave up"},
+		{"ps server decode failure", func(c *Config) {
+			c.PS = &PSConfig{}
+			c.NewCompressor = func() compress.Compressor {
+				return failDecode{compress.NewFFT(0.85), 6, new(int)}
+			}
+		}, "decoder gave up"},
 	} {
 		cfg := blobCfg(91)
 		cfg.Epochs = 2

@@ -7,7 +7,9 @@ package dist
 // the loop, and the two stages that differ between runtimes — the gradient
 // round and the parameter sync — go through the exchanger interface
 // (exchange.go: the bucket pipeline every runtime shares and the sparse
-// allreduce; fault.go: the pipeline's links onto the cluster mesh).
+// allreduce; fault.go: the pipeline's links onto the cluster mesh). The
+// parameter server (ps.go) has no round to exchange; it shares the step's
+// local gradient, its epoch boundary and its final checkpoint.
 
 import (
 	"errors"
@@ -146,17 +148,20 @@ type worker struct {
 }
 
 // newWorker builds rank's state. restore is the elastic-join entry point:
-// a mid-run joiner applies the published checkpoint on top of Resume.
+// a mid-run joiner applies the published checkpoint on top of Resume. Rank
+// p is the parameter server (ps.go), which trains on no shard.
 func newWorker(cfg Config, rank, p int, restore *checkpoint.State) (*worker, error) {
-	w := &worker{cfg: cfg, rank: rank, p: p, col: cfg.strategy()}
+	w := &worker{cfg: cfg, rank: rank, p: p, col: cfg.strategy(), theta: math.NaN()}
 	w.priceSync = w.col.ModelBroadcast
 	w.tc = cfg.Tracer.Rank(rank)
 	w.oc = cfg.Profiler.Rank(rank)
 
 	w.net = cfg.Model(cfg.Seed) // identical init on every rank
 	w.n = w.net.NumParams()
-	w.shard = cfg.Train.Shard(rank, p)
-	w.it = data.NewIterator(w.shard.Len(), cfg.Batch, cfg.Seed+int64(rank)*7919)
+	if rank < p {
+		w.shard = cfg.Train.Shard(rank, p)
+		w.it = data.NewIterator(w.shard.Len(), cfg.Batch, cfg.Seed+int64(rank)*7919)
+	}
 	w.sgd = optim.NewSGD(cfg.LR.LR(0), cfg.Momentum, w.n)
 	for _, st := range []*checkpoint.State{cfg.Resume, restore} {
 		if st == nil {
@@ -361,7 +366,6 @@ func (w *worker) train(startIter int) (*Result, error) {
 	cfg, res, tc, oc, gs := &w.cfg, w.res, w.tc, w.oc, w.gs
 	isRoot := w.rank == 0
 	fail := func(err error) (*Result, error) { return nil, fmt.Errorf("dist: rank %d: %w", w.rank, err) }
-	loss := nn.SoftmaxCE{}
 	totalIters := cfg.Epochs * cfg.ItersPerEpoch
 	w.forceSync = w.forceSync || startIter > 0 // a mid-run entrant aligns first
 	var totalMsgBytes, lossSum float64
@@ -387,17 +391,7 @@ func (w *worker) train(startIter int) (*Result, error) {
 		}
 
 		// --- local gradient ---------------------------------------------
-		t0 := time.Now()
-		x, labels := w.shard.Batch(w.it.Next())
-		w.net.ZeroGrads()
-		l, dl := loss.Loss(w.net.Forward(x, true), labels)
-		w.net.Backward(dl)
-		w.net.FlattenGrads(w.grad)
-		tScrub := time.Now()
-		gs.scrubGrad(w.grad)
-		tc.SpanSince(trace.OpScrub, int64(w.n), tScrub)
-		computeT := time.Since(t0)
-		tc.SpanTimed(trace.OpCompute, int64(cfg.Batch), t0, computeT)
+		l, computeT := w.gradient()
 		if isRoot {
 			lossSum += l
 			lossCount++
@@ -440,7 +434,7 @@ func (w *worker) train(startIter int) (*Result, error) {
 
 			// The detector sees the post-average norm (identical on every
 			// rank), so all ranks take the same escalation rung in lockstep.
-			t0 = time.Now()
+			t0 := time.Now()
 			switch gs.observe(w.avg) {
 			case guard.ActionRollback:
 				gs.rollback(w.net, w.sgd)
@@ -536,23 +530,8 @@ func (w *worker) train(startIter int) (*Result, error) {
 		// --- epoch boundary ---------------------------------------------
 		if (iter+1)%cfg.ItersPerEpoch == 0 {
 			if isRoot {
-				stats := EpochStats{
-					Epoch:     epoch,
-					TrainLoss: lossSum / float64(lossCount),
-					LR:        w.sgd.LR,
-					Theta:     w.thetaInEffect(),
-				}
+				w.closeEpoch(epoch, iter, lossSum/float64(lossCount))
 				lossSum, lossCount = 0, 0
-				if cfg.Test != nil {
-					stats.TestAcc = Evaluate(w.net, cfg.Test, cfg.Batch)
-				}
-				res.Epochs = append(res.Epochs, stats)
-				if cfg.OnEpoch != nil {
-					cfg.OnEpoch(stats)
-				}
-				if cfg.CheckpointEvery > 0 && cfg.OnCheckpoint != nil && (epoch+1)%cfg.CheckpointEvery == 0 {
-					cfg.OnCheckpoint(checkpoint.Capture(w.net, w.sgd, int64(epoch), int64(iter)))
-				}
 			}
 			w.ex.epochEnd(iter)
 		}
@@ -564,14 +543,59 @@ func (w *worker) train(startIter int) (*Result, error) {
 			res.AvgMsgBytes = totalMsgBytes / float64(res.Iterations)
 			res.CompressionRatio = float64(w.n*4) / res.AvgMsgBytes
 		}
-		cfg.finalState(res, w.net, w.sgd)
+		w.finalState(res.Iterations)
 	}
 	return res, nil
 }
 
-// Evaluate computes top-1 accuracy over the full test set in eval mode;
-// the parameter-server loop (internal/ps) scores its global model with it.
-func Evaluate(net *nn.Network, test *data.Dataset, batch int) float64 {
+// gradient is the step's local half, the same on every runtime: one batch
+// forward and backward on this rank's replica, flattened into w.grad and
+// scrubbed. It returns the batch loss and the compute time.
+func (w *worker) gradient() (float64, time.Duration) {
+	t0 := time.Now()
+	x, labels := w.shard.Batch(w.it.Next())
+	w.net.ZeroGrads()
+	l, dl := nn.SoftmaxCE{}.Loss(w.net.Forward(x, true), labels)
+	w.net.Backward(dl)
+	w.net.FlattenGrads(w.grad)
+	tScrub := time.Now()
+	w.gs.scrubGrad(w.grad)
+	w.tc.SpanSince(trace.OpScrub, int64(w.n), tScrub)
+	computeT := time.Since(t0)
+	w.tc.SpanTimed(trace.OpCompute, int64(w.cfg.Batch), t0, computeT)
+	return l, computeT
+}
+
+// closeEpoch is the epoch boundary of the rank that reports (rank 0, or
+// the parameter server), after iteration iter: score the model, record and
+// stream the epoch's statistics with the θ in effect, and checkpoint on
+// the configured cadence.
+func (w *worker) closeEpoch(epoch, iter int, trainLoss float64) {
+	cfg := &w.cfg
+	stats := EpochStats{Epoch: epoch, TrainLoss: trainLoss, LR: w.sgd.LR, Theta: w.thetaInEffect()}
+	if cfg.Test != nil {
+		stats.TestAcc = evaluate(w.net, cfg.Test, cfg.Batch)
+	}
+	w.res.Epochs = append(w.res.Epochs, stats)
+	if cfg.OnEpoch != nil {
+		cfg.OnEpoch(stats)
+	}
+	if cfg.CheckpointEvery > 0 && cfg.OnCheckpoint != nil && (epoch+1)%cfg.CheckpointEvery == 0 {
+		cfg.OnCheckpoint(checkpoint.Capture(w.net, w.sgd, int64(epoch), int64(iter)))
+	}
+}
+
+// finalState captures the reporting rank's end-of-run checkpoint after
+// done iterations when the config asked for one (explicitly, or
+// implicitly by being stoppable).
+func (w *worker) finalState(done int) {
+	if w.cfg.CaptureFinal || w.cfg.Stop != nil {
+		w.res.Final = checkpoint.Capture(w.net, w.sgd, int64(done/w.cfg.ItersPerEpoch), int64(done-1))
+	}
+}
+
+// evaluate computes top-1 accuracy over the full test set in eval mode.
+func evaluate(net *nn.Network, test *data.Dataset, batch int) float64 {
 	correct := 0.0
 	total := 0
 	idx := make([]int, 0, batch)

@@ -116,11 +116,6 @@ func (h Bits) IsNaN() bool {
 	return h&expMask16 == expMask16 && h&manMask16 != 0
 }
 
-// IsInf reports whether h encodes +Inf or -Inf.
-func (h Bits) IsInf() bool {
-	return h&expMask16 == expMask16 && h&manMask16 == 0
-}
-
 // encodeBits is the branch-free equivalent of FromFloat32, operating on
 // the raw float32 bit pattern. Every format class (normal, subnormal,
 // underflow, overflow, Inf, NaN payload) is computed unconditionally and

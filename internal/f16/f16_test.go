@@ -79,15 +79,6 @@ func TestNaNPreserved(t *testing.T) {
 	}
 }
 
-func TestIsInf(t *testing.T) {
-	if !PositiveInfinity.IsInf() || !NegativeInfinity.IsInf() {
-		t.Fatal("infinities not detected")
-	}
-	if Bits(0x3C00).IsInf() || Bits(0x3C00).IsNaN() {
-		t.Fatal("1.0 misclassified")
-	}
-}
-
 // Every binary16 value must round-trip exactly through float32.
 func TestExhaustiveRoundTrip(t *testing.T) {
 	for i := 0; i < 1<<16; i++ {

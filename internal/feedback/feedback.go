@@ -125,11 +125,3 @@ func (c *Compressor) ResidualNorm() float64 {
 	}
 	return math.Sqrt(s)
 }
-
-// Reset clears the residual (e.g. after a parameter re-broadcast if the
-// caller wants strict BSP determinism across restarts).
-func (c *Compressor) Reset() {
-	for i := range c.residual {
-		c.residual[i] = 0
-	}
-}

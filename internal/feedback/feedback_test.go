@@ -145,20 +145,6 @@ func TestLongRunMeanMatchesGradient(t *testing.T) {
 	}
 }
 
-func TestResetClearsResidual(t *testing.T) {
-	c := New(compress.NewTopK(0.9))
-	if _, err := c.AppendCompress(nil, constGrad(10, 0.1)); err != nil {
-		t.Fatal(err)
-	}
-	if c.ResidualNorm() == 0 {
-		t.Fatal("expected non-zero residual after lossy compress")
-	}
-	c.Reset()
-	if c.ResidualNorm() != 0 {
-		t.Fatal("reset did not clear residual")
-	}
-}
-
 func TestLengthChangeErrors(t *testing.T) {
 	c := New(compress.NewTopK(0.5))
 	if _, err := c.AppendCompress(nil, constGrad(10, 1)); err != nil {

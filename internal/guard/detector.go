@@ -19,18 +19,6 @@ const (
 	ActionRollback
 )
 
-func (a Action) String() string {
-	switch a {
-	case ActionClip:
-		return "clip"
-	case ActionSkip:
-		return "skip"
-	case ActionRollback:
-		return "rollback"
-	}
-	return "none"
-}
-
 // detAlpha is the EWMA smoothing factor for the norm baseline. Slower
 // than the telemetry throughput EWMAs (0.2): the baseline must not
 // chase a burst, or the burst stops looking anomalous.

@@ -137,7 +137,6 @@ func (s *Stats) AddSkippedUpdate() { s.skippedUpdates.Add(1) }
 func (s *Stats) AddRollback()      { s.rollbacks.Add(1) }
 func (s *Stats) AddDriftCheck()    { s.driftChecks.Add(1) }
 func (s *Stats) AddDriftResync()   { s.driftResyncs.Add(1) }
-func (s *Stats) Rollbacks() uint64 { return s.rollbacks.Load() }
 func (s *Stats) SetZ(z float64) {
 	if s.zGauge != nil {
 		s.zGauge.Set(z)

@@ -37,16 +37,6 @@ func ParseScrubPolicy(s string) (ScrubPolicy, error) {
 	return ScrubOff, fmt.Errorf("guard: unknown scrub policy %q (want off|clamp|skip)", s)
 }
 
-func (p ScrubPolicy) String() string {
-	switch p {
-	case ScrubClamp:
-		return "clamp"
-	case ScrubSkip:
-		return "skip"
-	}
-	return "off"
-}
-
 // Scrub applies policy to g in place. It returns how many values were
 // non-finite (or clamped) and, under ScrubSkip, whether the whole
 // gradient must be withheld. Under ScrubSkip g is not modified — the

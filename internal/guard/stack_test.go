@@ -102,7 +102,10 @@ func TestCapabilitiesReachTheirLayer(t *testing.T) {
 				if !okPlain || !okScaled {
 					t.Fatalf("residual sinks not found: plain %v, scaled %v", okPlain, okScaled)
 				}
-				ef.Reset()
+				// A fresh stack of the same shape, so the residual starts empty.
+				c, ef = s.build(newBase())
+				plain, _ = compress.As[sink](c)
+				scaled, _ = compress.As[scaledSink](c)
 				one := make([]float32, len(grad))
 				for i := range one {
 					one[i] = 1

@@ -10,10 +10,7 @@
 // observation that allgather cost grows linearly with the number of GPUs.
 package netsim
 
-import (
-	"fmt"
-	"math/bits"
-)
+import "math/bits"
 
 // Profile describes one interconnect: per-link bandwidth in bytes/second
 // and per-message latency in seconds.
@@ -36,14 +33,6 @@ var (
 	// used for runs with ≤4 GPUs on one node (Fig. 16's flat region).
 	PCIe3 = Profile{Name: "PCIe3", Bandwidth: 12e9, Latency: 1e-6}
 )
-
-// Validate reports whether the profile is usable.
-func (p Profile) Validate() error {
-	if p.Bandwidth <= 0 || p.Latency < 0 {
-		return fmt.Errorf("netsim: invalid profile %+v", p)
-	}
-	return nil
-}
 
 // PointToPoint returns the time to move m bytes across one link.
 func (p Profile) PointToPoint(m int) float64 {

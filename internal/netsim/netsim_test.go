@@ -5,18 +5,6 @@ import (
 	"testing"
 )
 
-func TestProfileValidate(t *testing.T) {
-	for _, p := range []Profile{Ethernet1G, Ethernet10G, InfiniBandFDR, PCIe3} {
-		if err := p.Validate(); err != nil {
-			t.Errorf("%s: %v", p.Name, err)
-		}
-	}
-	bad := Profile{Bandwidth: -1}
-	if err := bad.Validate(); err == nil {
-		t.Error("negative bandwidth should fail validation")
-	}
-}
-
 func TestPointToPoint(t *testing.T) {
 	p := Profile{Bandwidth: 1e9, Latency: 1e-6}
 	got := p.PointToPoint(1e6)

@@ -2,10 +2,9 @@ package netsim
 
 // Reconciliation accumulates modeled-vs-measured collective times so a
 // run can quantify how well the α/β cost model matches the fabric it is
-// actually on. dist feeds it one (modeled, measured) pair per exchange;
-// the ratio then either validates the profile or, via Apply, rescales it
-// — closing the loop between the paper's analytic Fig. 11 curves and
-// live telemetry.
+// actually on: the trainer feeds it the run's (modeled, measured) totals
+// and reports the ratio — the loop between the paper's analytic Fig. 11
+// curves and a live run.
 type Reconciliation struct {
 	modeledSum  float64
 	measuredSum float64
@@ -39,19 +38,4 @@ func (r *Reconciliation) Ratio() float64 {
 		return 1
 	}
 	return r.measuredSum / r.modeledSum
-}
-
-// Apply returns p rescaled so its predictions match the measurements:
-// bandwidth divided by the ratio and latency multiplied by it (a uniform
-// slowdown factor).
-func (r *Reconciliation) Apply(p Profile) Profile {
-	k := r.Ratio()
-	if k <= 0 {
-		return p
-	}
-	out := p
-	out.Name = p.Name + "-reconciled"
-	out.Bandwidth = p.Bandwidth / k
-	out.Latency = p.Latency * k
-	return out
 }

@@ -24,19 +24,3 @@ func TestReconciliationRatio(t *testing.T) {
 		t.Fatalf("invalid pairs were counted")
 	}
 }
-
-func TestReconciliationApply(t *testing.T) {
-	var r Reconciliation
-	r.Add(0.010, 0.020) // fabric is 2x slower than modeled
-	p := r.Apply(Ethernet10G)
-	if math.Abs(p.Bandwidth-Ethernet10G.Bandwidth/2) > 1 {
-		t.Errorf("bandwidth = %v, want halved %v", p.Bandwidth, Ethernet10G.Bandwidth/2)
-	}
-	if math.Abs(p.Latency-Ethernet10G.Latency*2) > 1e-12 {
-		t.Errorf("latency = %v, want doubled %v", p.Latency, Ethernet10G.Latency*2)
-	}
-	// The rescaled profile now predicts the measured time.
-	if got, want := p.Allgather(4, 1<<20), 2*Ethernet10G.Allgather(4, 1<<20); math.Abs(got-want)/want > 1e-9 {
-		t.Errorf("reconciled allgather = %v, want %v", got, want)
-	}
-}

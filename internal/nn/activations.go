@@ -13,9 +13,6 @@ type ReLU struct {
 // NewReLU creates a ReLU layer.
 func NewReLU() *ReLU { return &ReLU{} }
 
-// Name implements Layer.
-func (*ReLU) Name() string { return "relu" }
-
 // Params implements Layer.
 func (*ReLU) Params() []*Param { return nil }
 
@@ -59,9 +56,6 @@ type Flatten struct {
 
 // NewFlatten creates a Flatten layer.
 func NewFlatten() *Flatten { return &Flatten{} }
-
-// Name implements Layer.
-func (*Flatten) Name() string { return "flatten" }
 
 // Params implements Layer.
 func (*Flatten) Params() []*Param { return nil }

@@ -36,11 +36,6 @@ func NewConv2D(inC, outC, kernel, stride, pad int, r *rand.Rand) *Conv2D {
 	return c
 }
 
-// Name implements Layer.
-func (c *Conv2D) Name() string {
-	return fmt.Sprintf("conv(%d→%d,k%d,s%d,p%d)", c.InC, c.OutC, c.Kernel, c.Stride, c.Pad)
-}
-
 // Params implements Layer.
 func (c *Conv2D) Params() []*Param { return []*Param{c.W, c.B} }
 
@@ -48,7 +43,7 @@ func (c *Conv2D) Params() []*Param { return []*Param{c.W, c.B} }
 func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	n, ch, h, w := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
 	if ch != c.InC {
-		panic(fmt.Sprintf("nn: %s got %d input channels", c.Name(), ch))
+		panic(fmt.Sprintf("nn: conv(%d→%d,k%d,s%d,p%d) got %d input channels", c.InC, c.OutC, c.Kernel, c.Stride, c.Pad, ch))
 	}
 	g := tensor.ConvGeom{InC: ch, InH: h, InW: w, Kernel: c.Kernel, Stride: c.Stride, Pad: c.Pad}
 	oh, ow := g.OutH(), g.OutW()

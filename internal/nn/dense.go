@@ -31,9 +31,6 @@ func NewDense(in, out int, r *rand.Rand) *Dense {
 	return d
 }
 
-// Name implements Layer.
-func (d *Dense) Name() string { return fmt.Sprintf("dense(%d→%d)", d.In, d.Out) }
-
 // Params implements Layer.
 func (d *Dense) Params() []*Param { return []*Param{d.W, d.B} }
 
@@ -42,7 +39,7 @@ func (d *Dense) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	n := x.Dim(0)
 	x2 := x.Reshape(n, x.Len()/n)
 	if x2.Dim(1) != d.In {
-		panic(fmt.Sprintf("nn: %s got input width %d", d.Name(), x2.Dim(1)))
+		panic(fmt.Sprintf("nn: dense(%d→%d) got input width %d", d.In, d.Out, x2.Dim(1)))
 	}
 	d.x = x2
 	y := tensor.New(n, d.Out)

@@ -29,7 +29,6 @@ func newParam(name string, n int) *Param {
 // needs for the next Backward call; Backward returns dL/dx given dL/dy and
 // accumulates (+=) parameter gradients.
 type Layer interface {
-	Name() string
 	Forward(x *tensor.Tensor, train bool) *tensor.Tensor
 	Backward(dy *tensor.Tensor) *tensor.Tensor
 	Params() []*Param

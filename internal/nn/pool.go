@@ -1,7 +1,6 @@
 package nn
 
 import (
-	"fmt"
 	"math"
 
 	"fftgrad/internal/parallel"
@@ -23,9 +22,6 @@ func NewMaxPool2D(size, stride int) *MaxPool2D {
 	}
 	return &MaxPool2D{Size: size, Stride: stride}
 }
-
-// Name implements Layer.
-func (p *MaxPool2D) Name() string { return fmt.Sprintf("maxpool(%d,s%d)", p.Size, p.Stride) }
 
 // Params implements Layer.
 func (*MaxPool2D) Params() []*Param { return nil }

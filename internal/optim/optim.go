@@ -39,14 +39,6 @@ func (s *SGD) Delta(dst, grad []float32) []float32 {
 	return dst
 }
 
-// Reset zeroes the momentum buffer (used when parameters are re-broadcast
-// from rank 0 and local state must not leak stale momentum).
-func (s *SGD) Reset() {
-	for i := range s.velocity {
-		s.velocity[i] = 0
-	}
-}
-
 // State returns a copy of the momentum buffer for checkpointing.
 func (s *SGD) State() []float32 {
 	return append([]float32(nil), s.velocity...)

@@ -24,11 +24,6 @@ func TestSGDMomentumAccumulates(t *testing.T) {
 	if d1 != -1 || d2 != -1.5 || d3 != -0.75 {
 		t.Fatalf("momentum sequence %g %g %g", d1, d2, d3)
 	}
-	s.Reset()
-	d4 := s.Delta(make([]float32, 1), []float32{1})[0]
-	if d4 != -1 {
-		t.Fatalf("after reset: %g", d4)
-	}
 }
 
 func TestSGDLengthPanics(t *testing.T) {

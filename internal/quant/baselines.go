@@ -8,8 +8,6 @@ import (
 // Quantizer is the common interface of all N-bit scalar quantizers in this
 // package: encode a float32 into an N-bit code and back.
 type Quantizer interface {
-	// Bits returns the code width N.
-	Bits() int
 	// Encode maps a value to its code in [0, 2^N).
 	Encode(f float32) uint32
 	// Decode maps a code back to its representative value.
@@ -23,9 +21,6 @@ var (
 	_ Quantizer = (*UniformQuantizer)(nil)
 	_ Quantizer = (*TruncIEEEQuantizer)(nil)
 )
-
-// Bits returns the code width of the range quantizer.
-func (q *RangeQuantizer) Bits() int { return q.N }
 
 // UniformQuantizer divides [Min, Max] into 2^N - 1 equal steps — the
 // "conventional way" of Fig. 7. Its representable values are evenly
@@ -48,9 +43,6 @@ func NewUniformQuantizer(n int, min, max float32) (*UniformQuantizer, error) {
 	levels := float64(uint32(1)<<uint(n)) - 1
 	return &UniformQuantizer{N: n, Min: min, Max: max, step: (float64(max) - float64(min)) / levels}, nil
 }
-
-// Bits returns the code width.
-func (q *UniformQuantizer) Bits() int { return q.N }
 
 // Encode rounds f to the nearest level.
 func (q *UniformQuantizer) Encode(f float32) uint32 {
@@ -105,9 +97,6 @@ func NewTruncIEEEQuantizer(n int) (*TruncIEEEQuantizer, error) {
 	}
 	return &TruncIEEEQuantizer{N: n, shift: uint(32 - n)}, nil
 }
-
-// Bits returns the code width.
-func (q *TruncIEEEQuantizer) Bits() int { return q.N }
 
 // Encode truncates the float32 bit pattern to its top N bits.
 func (q *TruncIEEEQuantizer) Encode(f float32) uint32 {

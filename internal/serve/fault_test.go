@@ -67,11 +67,11 @@ func soloRun(t *testing.T, spec Spec) float64 {
 	if err := s.normalize(); err != nil {
 		t.Fatal(err)
 	}
-	job, err := s.buildJob()
+	cfg, err := s.Config()
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := job.Run(dist.JobHarness{})
+	res, err := dist.Train(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -46,9 +46,10 @@ type Event struct {
 
 // job is the server-side record of one submission.
 type job struct {
-	id   string
-	spec Spec
-	run  dist.Job
+	id    string
+	spec  Spec
+	cfg   dist.Config // compiled from spec; the run's harness is set at start
+	slots int         // worker-slot quota while running
 
 	// Per-job observability, created at submission so endpoints work
 	// while the job is still queued.
@@ -65,7 +66,7 @@ type job struct {
 	canceling bool // distinguishes cancel-halt from drain-halt
 	events    []Event
 	updated   chan struct{} // closed and replaced on every append
-	result    *dist.JobResult
+	result    *dist.Result
 	err       error
 	submitted time.Time
 	started   time.Time
@@ -204,7 +205,7 @@ func (j *job) info() Info {
 		Name:         j.spec.Name,
 		Backend:      j.spec.Backend,
 		State:        j.state,
-		Workers:      j.run.Workers(),
+		Workers:      j.slots,
 		Priority:     j.spec.Priority,
 		Method:       j.spec.Method,
 		Theta:        j.spec.Theta,

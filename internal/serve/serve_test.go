@@ -213,11 +213,11 @@ func TestConcurrentJobsMatchSoloQuality(t *testing.T) {
 		if err := s.normalize(); err != nil {
 			t.Fatal(err)
 		}
-		job, err := s.buildJob()
+		cfg, err := s.Config()
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := job.Run(dist.JobHarness{})
+		res, err := dist.Train(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -308,6 +308,12 @@ func TestPSJobOverHTTP(t *testing.T) {
 	if final.TestAcc <= 0.5 {
 		t.Fatalf("ps accuracy %.3f", final.TestAcc)
 	}
+	// Worker slots for the workers, a trace track for the server too, and
+	// pushes applied as the iteration count: 2 epochs of 1024/2/16 rounds.
+	j, _ := srv.lookup(info.ID)
+	if final.Workers != 2 || j.tracer.Ranks() != 3 || final.Iterations != 2*32*2 {
+		t.Fatalf("ps job: %d slots, %d tracks, %d iterations; want 2, 3, 128", final.Workers, j.tracer.Ranks(), final.Iterations)
+	}
 }
 
 // TestCollectiveJobOverHTTP submits a bucketed hierarchical-exchange job
@@ -348,34 +354,39 @@ func TestCollectiveJobOverHTTP(t *testing.T) {
 	}
 }
 
-// TestDefaultJobReportsTheta: the epoch events of the default `{}` job
-// carry the drop ratio its codec runs at (the FFT default, 0.85), not the
-// 0 a missing ThetaSchedule used to be scrubbed to.
+// TestDefaultJobReportsTheta: the epoch events of the default `{}` job,
+// and of `{"backend":"ps"}`, carry the drop ratio their codec runs at (the
+// FFT default, 0.85), not the 0 a missing ThetaSchedule used to be
+// scrubbed to.
 func TestDefaultJobReportsTheta(t *testing.T) {
 	srv := New(Config{WorkerSlots: 2})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	info, resp := postJob(t, ts.URL, Spec{}) // marshals to {}
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("submit status %d, want 202", resp.StatusCode)
-	}
-	waitTerminal(t, ts.URL, info.ID)
+	firstTheta := func(spec Spec) float64 {
+		info, resp := postJob(t, ts.URL, spec)
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("%+v: submit status %d, want 202", spec, resp.StatusCode)
+		}
+		waitTerminal(t, ts.URL, info.ID)
 
-	sresp, err := http.Get(ts.URL + "/jobs/" + info.ID + "/events")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sresp.Body.Close()
-	for sc := bufio.NewScanner(sresp.Body); sc.Scan(); {
-		var ev Event
-		if data, ok := strings.CutPrefix(sc.Text(), "data: "); !ok || json.Unmarshal([]byte(data), &ev) != nil || ev.Epoch == nil {
-			continue
+		sresp, err := http.Get(ts.URL + "/jobs/" + info.ID + "/events")
+		if err != nil {
+			t.Fatal(err)
 		}
-		if ev.Epoch.Theta != 0.85 {
-			t.Fatalf("first epoch event reports theta %v, want 0.85", ev.Epoch.Theta)
+		defer sresp.Body.Close()
+		for sc := bufio.NewScanner(sresp.Body); sc.Scan(); {
+			var ev Event
+			if data, ok := strings.CutPrefix(sc.Text(), "data: "); ok && json.Unmarshal([]byte(data), &ev) == nil && ev.Epoch != nil {
+				return ev.Epoch.Theta
+			}
 		}
-		return
+		t.Fatalf("%+v: no epoch event", spec)
+		return 0
 	}
-	t.Fatal("no epoch event")
+	for _, spec := range []Spec{{}, {Backend: "ps"}} { // marshal to {} and {"backend":"ps"}
+		if theta := firstTheta(spec); theta != 0.85 {
+			t.Fatalf("%+v: first epoch event reports theta %v, want 0.85", spec, theta)
+		}
+	}
 }

@@ -83,12 +83,16 @@ func (s *Server) Submit(spec Spec) (Info, error) {
 	if err := spec.normalize(); err != nil {
 		return Info{}, fmt.Errorf("serve: bad spec: %w", err)
 	}
-	run, err := spec.buildJob()
+	cfg, err := spec.Config()
 	if err != nil {
 		return Info{}, fmt.Errorf("serve: bad spec: %w", err)
 	}
-	if run.Workers() > s.cfg.WorkerSlots {
-		return Info{}, fmt.Errorf("%w: %d > %d", ErrTooManyWorkers, run.Workers(), s.cfg.WorkerSlots)
+	slots := cfg.Tracks()
+	if cfg.PS != nil {
+		slots-- // the server's track is no worker slot
+	}
+	if slots > s.cfg.WorkerSlots {
+		return Info{}, fmt.Errorf("%w: %d > %d", ErrTooManyWorkers, slots, s.cfg.WorkerSlots)
 	}
 	var resume *checkpoint.State
 	if spec.ResumeFrom != "" {
@@ -110,10 +114,11 @@ func (s *Server) Submit(spec Spec) (Info, error) {
 	j := &job{
 		id:        fmt.Sprintf("j-%d", s.nextID),
 		spec:      spec,
-		run:       run,
+		cfg:       cfg,
+		slots:     slots,
 		reg:       telemetry.NewRegistry(),
-		tracer:    trace.New(run.Tracks(), s.cfg.TraceEvents),
-		prof:      obs.New(run.Tracks(), 0),
+		tracer:    trace.New(cfg.Tracks(), s.cfg.TraceEvents),
+		prof:      obs.New(cfg.Tracks(), 0),
 		stop:      make(chan struct{}),
 		state:     StateQueued,
 		updated:   make(chan struct{}),
@@ -147,7 +152,7 @@ func (s *Server) Submit(spec Spec) (Info, error) {
 func (s *Server) schedule() {
 	for len(s.queue) > 0 {
 		head := s.queue[0]
-		if head.run.Workers() > s.free {
+		if head.slots > s.free {
 			return
 		}
 		s.queue = s.queue[1:]
@@ -158,43 +163,40 @@ func (s *Server) schedule() {
 // start transitions a job to running and launches its goroutine.
 // Callers hold s.mu.
 func (s *Server) start(j *job) {
-	s.free -= j.run.Workers()
+	s.free -= j.slots
 	j.mu.Lock()
 	j.state = StateRunning
 	j.started = time.Now()
 	j.append("started", nil, "")
 	j.mu.Unlock()
 
+	// The job's own harness: its stop channel, observability and resume
+	// point, and the progress stream behind its event feed.
+	cfg := j.cfg
+	cfg.Stop, cfg.Telemetry, cfg.Tracer, cfg.Profiler, cfg.Resume = j.stop, j.reg, j.tracer, j.prof, j.resume
+	cfg.OnEpoch = func(st dist.EpochStats) {
+		// encoding/json refuses NaN/Inf (e.g. Theta on the fp32 path
+		// reports NaN for "no drop ratio in effect"); scrub so one odd
+		// float can't kill the event stream.
+		for _, f := range []*float64{&st.TrainLoss, &st.TestAcc, &st.Theta, &st.LR} {
+			if math.IsNaN(*f) || math.IsInf(*f, 0) {
+				*f = 0
+			}
+		}
+		j.mu.Lock()
+		j.append("epoch", &st, "")
+		j.mu.Unlock()
+	}
 	s.wg.Add(1)
 	go func() {
 		defer s.wg.Done()
-		res, err := j.run.Run(dist.JobHarness{
-			Stop:      j.stop,
-			Telemetry: j.reg,
-			Tracer:    j.tracer,
-			Profiler:  j.prof,
-			OnEpoch: func(st dist.EpochStats) {
-				// encoding/json refuses NaN/Inf (e.g. Theta on the
-				// fp32 path reports NaN for "no drop ratio in effect");
-				// scrub so one odd float can't kill the event stream.
-				stCopy := st
-				for _, f := range []*float64{&stCopy.TrainLoss, &stCopy.TestAcc, &stCopy.Theta, &stCopy.LR} {
-					if math.IsNaN(*f) || math.IsInf(*f, 0) {
-						*f = 0
-					}
-				}
-				j.mu.Lock()
-				j.append("epoch", &stCopy, "")
-				j.mu.Unlock()
-			},
-			Resume: j.resume,
-		})
+		res, err := dist.Train(cfg)
 		s.finish(j, res, err)
 	}()
 }
 
 // finish records the outcome, releases the quota, and reschedules.
-func (s *Server) finish(j *job, res *dist.JobResult, err error) {
+func (s *Server) finish(j *job, res *dist.Result, err error) {
 	j.mu.Lock()
 	j.result = res
 	j.err = err
@@ -216,7 +218,7 @@ func (s *Server) finish(j *job, res *dist.JobResult, err error) {
 	j.mu.Unlock()
 
 	s.mu.Lock()
-	s.free += j.run.Workers()
+	s.free += j.slots
 	s.schedule()
 	s.mu.Unlock()
 }

@@ -1,10 +1,10 @@
 // Package serve is the multi-tenant training job service: an HTTP/JSON
 // control plane over a scheduler that admits jobs against a shared
-// worker pool. Each submitted job is one dist.Job — the BSP-allreduce
-// backend or the parameter-server backend, chosen per submission — wired
-// with its own compression pipeline, integrity guard, chaos schedule,
-// telemetry registry and trace ring, so tenants share the fleet but not
-// their observability.
+// worker pool. Each submitted job is one dist.Train run — BSP allreduce
+// or the parameter server, chosen per submission — wired with its own
+// compression pipeline, integrity guard, chaos schedule, telemetry
+// registry and trace ring, so tenants share the fleet but not their
+// observability.
 //
 // The control plane mounts on the same mux as the trainer's telemetry
 // endpoints (see Server.Routes); the merged /metrics view relabels every
@@ -31,7 +31,6 @@ import (
 	"fftgrad/internal/netsim"
 	"fftgrad/internal/nn"
 	"fftgrad/internal/optim"
-	"fftgrad/internal/ps"
 	"fftgrad/internal/sparsify"
 	"fftgrad/internal/telemetry"
 )
@@ -238,11 +237,6 @@ func (s *Spec) Validate() error {
 	if s.Backend != "bsp" && s.Backend != "ps" {
 		return fmt.Errorf("backend %q: want bsp or ps", s.Backend)
 	}
-	if s.Backend == "ps" && (s.Guard || s.Fault || s.Chaos != nil || s.Staleness != 0 || len(s.ElasticJoins) > 0 ||
-		s.Collective != "" || s.BucketBytes != 0 || s.GroupSize != 0 ||
-		s.SparseAllreduce || s.Partitioned || s.Adapt || s.DropEpoch >= 0) {
-		return fmt.Errorf("guard, fault, chaos, staleness, elastic joins, collective/bucketing, sparse allreduce, adapt and drop_epoch require the bsp backend")
-	}
 	if s.Model != "mlp" && s.Model != "cnn" {
 		return fmt.Errorf("model %q: want mlp or cnn", s.Model)
 	}
@@ -339,13 +333,14 @@ func (s *Spec) newCompressor() func() compress.Compressor {
 	}
 }
 
-// Config compiles a Spec that passed Validate into the BSP run it
-// describes — dataset, model, compressor factory, exchange strategy and
-// the optional adapt, guard and fault/chaos layers — and ends in
-// dist.Config.Validate, so a mode combination the training step cannot
-// run is refused here, before a rank is built. It is the only place a
-// job description becomes a dist.Config; the caller overlays what belongs
-// to the process rather than the job (tracer, profiler, stop channel).
+// Config compiles a Spec that passed Validate into the run it describes,
+// on either backend — dataset, model, compressor factory, exchange
+// strategy and the optional adapt, guard and fault/chaos layers — and ends
+// in dist.Config.Validate, so a mode combination the training step cannot
+// run (a BSP-only option on the parameter server, say) is refused here,
+// before a rank is built. It is the only place a job description becomes
+// a dist.Config; the caller overlays what belongs to the process rather
+// than the job (tracer, profiler, stop channel).
 func (s *Spec) Config() (dist.Config, error) {
 	train, test, model := s.workload()
 	cfg := dist.Config{
@@ -361,6 +356,10 @@ func (s *Spec) Config() (dist.Config, error) {
 		Test:          test,
 		NewCompressor: s.newCompressor(),
 		Fabric:        netsim.CometCluster(),
+	}
+	if s.Backend == "ps" {
+		// The star is priced link by link, on the paper's FDR fabric.
+		cfg.PS, cfg.Fabric = &dist.PSConfig{Async: s.Async}, netsim.InfiniBandFDR
 	}
 	if s.SparseAllreduce {
 		cfg.UseSparseAllreduce, cfg.SparseTheta = true, s.Theta
@@ -434,32 +433,4 @@ func (s *Spec) Config() (dist.Config, error) {
 		}
 	}
 	return cfg, cfg.Validate()
-}
-
-// buildJob binds a normalized Spec to its execution backend: the
-// parameter server, or Config's BSP run.
-func (s *Spec) buildJob() (dist.Job, error) {
-	if s.Backend == "ps" {
-		train, test, model := s.workload()
-		fabric := netsim.InfiniBandFDR
-		return ps.Config{
-			Workers:       s.Workers,
-			Batch:         s.Batch,
-			Epochs:        s.Epochs,
-			Seed:          s.Seed,
-			Momentum:      s.Momentum,
-			LR:            optim.ConstLR(s.LR),
-			Model:         model,
-			Train:         train,
-			Test:          test,
-			NewCompressor: s.newCompressor(),
-			Async:         s.Async,
-			Fabric:        &fabric,
-		}.NewJob(), nil
-	}
-	cfg, err := s.Config()
-	if err != nil {
-		return nil, err
-	}
-	return cfg.NewJob(), nil
 }

@@ -19,16 +19,16 @@ func analyzeReference(t *Transform, spec *Spectrum, x []float32, theta float64) 
 	l := len(x)
 	n := cfft.PaddedLen(l)
 	nb := t.Bins(n)
-	sig := make([]float64, n)
+	sig := make([]float64, 2*n) // the DCT works in place over 2n
 	widenF32(sig, x, 0, l)
 	mags := make([]float64, nb)
 	if t.real {
 		spec.rbins = make([]float64, nb)
-		cfft.DCTPlanFor(n).Forward(spec.rbins, sig)
+		cfft.DCTPlanFor(n).ForwardInPlace(spec.rbins, sig)
 		magsReal(mags, spec.rbins, 0, nb)
 	} else {
 		spec.cbins = make([]complex128, nb)
-		cfft.RealPlanFor(n).Forward(spec.cbins, sig)
+		cfft.RealPlanFor(n).Forward(spec.cbins, sig[:n])
 		magsComplex(mags, spec.cbins, 0, nb)
 	}
 	spec.L, spec.N, spec.Kept = l, n, KeepCount(nb, theta)

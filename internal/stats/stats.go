@@ -123,9 +123,6 @@ func (e *ECDF) Quantile(q float64) float64 {
 	return e.sorted[i]
 }
 
-// Len returns the sample count.
-func (e *ECDF) Len() int { return len(e.sorted) }
-
 // RelL2 returns ‖a−b‖₂ / ‖a‖₂ (0 when a is all-zero and b==a).
 func RelL2(a, b []float32) float64 {
 	if len(a) != len(b) {

@@ -75,9 +75,6 @@ func TestECDF(t *testing.T) {
 	if q := e.Quantile(0.5); q != 3 {
 		t.Errorf("median %g", q)
 	}
-	if e.Len() != 4 {
-		t.Errorf("len %d", e.Len())
-	}
 }
 
 func TestRelL2(t *testing.T) {

@@ -73,32 +73,6 @@ func (e *ewmaFloat) update(v float64) {
 
 func (e *ewmaFloat) value() float64 { return math.Float64frombits(e.bits.Load()) }
 
-// EWMA is the exported form of the lock-free exponentially weighted
-// moving average the StageTimer uses internally — for callers (the
-// cluster runtime's per-peer lag and RTT trackers) that need the same
-// allocation-free, atomic estimator outside a StageTimer. A nil *EWMA is
-// valid; Update is a no-op and Value returns 0.
-type EWMA struct{ e ewmaFloat }
-
-// NewEWMA returns an empty estimator.
-func NewEWMA() *EWMA { return &EWMA{} }
-
-// Update folds sample v into the average (first sample initializes it).
-func (e *EWMA) Update(v float64) {
-	if e == nil {
-		return
-	}
-	e.e.update(v)
-}
-
-// Value returns the current estimate, 0 when no sample has arrived.
-func (e *EWMA) Value() float64 {
-	if e == nil {
-		return 0
-	}
-	return e.e.value()
-}
-
 // StageSink receives a copy of every stage observation made through a
 // StageTimer that carries one — the seam through which per-rank tracing
 // sees compressor-internal stage timings without the compressors knowing

@@ -409,14 +409,6 @@ func (c *Ctx) SetIter(seq uint64) {
 	c.seq.Store(seq)
 }
 
-// Iter returns the current iteration id.
-func (c *Ctx) Iter() uint64 {
-	if c == nil {
-		return 0
-	}
-	return c.seq.Load()
-}
-
 // Instant records a zero-duration marker at the current time.
 func (c *Ctx) Instant(op Op, arg int64) {
 	if c == nil {
