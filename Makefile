@@ -89,7 +89,8 @@ guard:
 # the tree — the compressed message decoders, every codec's encode→decode
 # round trip, the fused transform decode against its unfused reference,
 # the guard frame decoder, the framed codec decoder, the radix select
-# against the sorted order, the checkpoint reader, the run-length bitmap
+# against the sorted order, the fused quantize-and-pack encoder against
+# Encode + AppendCodes, the checkpoint reader, the run-length bitmap
 # decoder and the job description's JSON decoder.
 fuzz:
 	$(GO) test -fuzz=FuzzDecompressRobustness -fuzztime=15s -run '^$$' ./internal/compress/
@@ -98,6 +99,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzUnframe -fuzztime=15s -run '^$$' ./internal/guard/
 	$(GO) test -fuzz=FuzzFramedDecompress -fuzztime=15s -run '^$$' ./internal/guard/
 	$(GO) test -fuzz=FuzzKthLargestMatchesSort -fuzztime=15s -run '^$$' ./internal/topk/
+	$(GO) test -fuzz=FuzzAppendEncodedMatchesReference -fuzztime=15s -run '^$$' ./internal/quant/
 	$(GO) test -fuzz=FuzzRead -fuzztime=15s -run '^$$' ./internal/checkpoint/
 	$(GO) test -fuzz=FuzzDecodeBitmapRLE -fuzztime=15s -run '^$$' ./internal/pack/
 	$(GO) test -fuzz=FuzzSpecJSON -fuzztime=15s -run '^$$' ./internal/serve/
@@ -114,11 +116,13 @@ loc:
 
 # One pass over every go-test benchmark (each experiment bench in
 # bench_test.go runs its full quick workload once), then the FFT codec's
-# stage split at the wide_fft shape on one core and two. Measured numbers
-# come from the repository benchmark: bash bench/run.sh (BENCHMARK.json).
+# stage split at the wide_fft shape on one core and two, and the
+# bit-reversal pass alone at 2^18 on one core. Measured numbers come from
+# the repository benchmark: bash bench/run.sh (BENCHMARK.json).
 bench:
 	$(GO) test -bench=. -benchmem -benchtime=1x ./...
 	$(GO) test -run '^$$' -bench BenchmarkCodecStages -cpu 1,2 ./internal/compress
+	$(GO) test -run '^$$' -bench BenchmarkReorder -cpu 1 ./internal/cfft
 
 # Regenerate every paper figure/table and ablation.
 experiments:

@@ -80,3 +80,33 @@ func TestPaddedLen(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkReorder times the bit-reversal pass alone at 2^18 points, in
+// place, in both directions (the inverse also scales by 1/n): the memory
+// floor it sits against is a tile-sized in-place swap of the same 4 MiB.
+// Each inverse pass scales by 2^-18, so the input is restored, untimed,
+// every 32 passes, long before it could reach the subnormal range.
+func BenchmarkReorder(b *testing.B) {
+	const n = 1 << 18
+	p := PlanFor(n)
+	src := make([]complex128, n)
+	for i := range src {
+		src[i] = complex(math.Sin(float64(i)), math.Cos(float64(i)))
+	}
+	x := append([]complex128(nil), src...)
+	for _, inverse := range []bool{false, true} {
+		b.Run(fmt.Sprintf("n=%d/inverse=%v", n, inverse), func(b *testing.B) {
+			b.SetBytes(n * 16)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if i%32 == 31 {
+					b.StopTimer()
+					copy(x, src)
+					b.StartTimer()
+				}
+				p.reorder(x, x, inverse)
+			}
+		})
+	}
+}

@@ -268,7 +268,7 @@ type reorderCtx struct {
 	inverse  bool
 }
 
-// reorderGrain is the fewest units of reorderTiles one worker takes:
+// reorderGrain is the fewest units of the tiled pass one worker takes:
 // 2^15 elements out of place, 2^16 in place, so the pass splits where the
 // stage network does (fftParMin).
 const reorderGrain = fftParMin >> 9
@@ -301,18 +301,19 @@ func (p *Plan) reorder(dst, src []complex128, inverse bool) {
 	if inPlace {
 		units = max(units/2, 1)
 	}
-	parallel.ForGrain1(units, reorderGrain, reorderCtx{p, dst, src, inverse}, reorderTiles)
+	parallel.ForGrain1(units, reorderGrain, reorderCtx{p, dst, src, inverse}, active.tiles)
 }
 
-// reorderTiles permutes units [lo, hi). Out of place unit b is tile b of
-// src, written to tile rev(b) of dst. In place the tiles b < rev(b) trade
-// places and b == rev(b) turns over where it is; of b and its complement
-// ^b exactly one is below its reversal (rev(^b) = ^rev(b)), or both are
-// palindromes, so unit b — b below half the tiles — does whichever of the
-// two pairs is in order, or both palindromes, and every unit is the same
-// work.
-func reorderTiles(c reorderCtx, lo, hi int) {
-	var t, u tile
+// walk calls move for units [lo, hi) of a tiled pass. Out of place unit b
+// is tile b of src, written to tile rev(b) of dst. In place the tiles
+// b < rev(b) trade places and b == rev(b) turns over where it is; of b
+// and its complement ^b exactly one is below its reversal (rev(^b) =
+// ^rev(b)), or both are palindromes, so unit b — b below half the tiles —
+// does whichever of the two pairs is in order, or both palindromes, and
+// every unit is the same work. move(b, rb, pair) carries tile b of src to
+// tile rb of dst and, when pair, tile rb to tile b, loading both before
+// storing either.
+func (c reorderCtx) walk(lo, hi int, move func(b, rb int, pair bool)) {
 	inPlace := &c.dst[0] == &c.src[0]
 	tiles := 1 << (c.p.logN - 8)
 	sh := uint(64 - (c.p.logN - 8)) // a shift by 64 is 0: the one tile of n = 256
@@ -320,36 +321,40 @@ func reorderTiles(c reorderCtx, lo, hi int) {
 		rb := int(bits.Reverse64(uint64(b)) >> sh)
 		switch {
 		case !inPlace:
-			c.move(&t, nil, b, rb)
+			move(b, rb, false)
 		case b < rb:
-			c.move(&t, &u, b, rb)
+			move(b, rb, true)
 		case b > rb:
-			c.move(&t, &u, tiles-1-b, tiles-1-rb)
+			move(tiles-1-b, tiles-1-rb, true)
 		default:
-			c.move(&t, nil, b, b)
+			move(b, b, false)
 			if tiles > 1 {
-				c.move(&t, nil, tiles-1-b, tiles-1-b)
+				move(tiles-1-b, tiles-1-b, false)
 			}
 		}
 	}
 }
 
-// move carries tile b of src to tile rb of dst through t and, when u is
-// given, tile rb to tile b through u — loading both before storing either.
-func (c reorderCtx) move(t, u *tile, b, rb int) {
+// tilesGo permutes units [lo, hi) through two stack tiles. It is the
+// reference of kernels.tiles; each implementation calls its own load and
+// store directly, so the tiles stay on its stack.
+func tilesGo(c reorderCtx, lo, hi int) {
+	var t, u tile
 	stride := c.p.n >> 4
-	t.load(c.src[b<<4:], stride, c.p.n, c.inverse)
-	if u != nil {
-		u.load(c.src[rb<<4:], stride, c.p.n, c.inverse)
-		u.store(c.dst[b<<4:], stride)
-	}
-	t.store(c.dst[rb<<4:], stride)
+	c.walk(lo, hi, func(b, rb int, pair bool) {
+		loadGo(&t, c.src[b<<4:], stride, c.p.n, c.inverse)
+		if pair {
+			loadGo(&u, c.src[rb<<4:], stride, c.p.n, c.inverse)
+			storeGo(c.dst[b<<4:], &u, stride)
+		}
+		storeGo(c.dst[rb<<4:], &t, stride)
+	})
 }
 
-// load reads the tile whose first row starts x into t as tile rev(b)
+// loadGo reads the tile whose first row starts x into t as tile rev(b)
 // will hold it: element (a, c) at (rev4(c), rev4(a)), times 1/n when
 // inverse.
-func (t *tile) load(x []complex128, stride, n int, inverse bool) {
+func loadGo(t *tile, x []complex128, stride, n int, inverse bool) {
 	s := complex(1/float64(n), 0)
 	for a := 0; a < 16; a++ {
 		row := x[a*stride:][:16]
@@ -366,8 +371,8 @@ func (t *tile) load(x []complex128, stride, n int, inverse bool) {
 	}
 }
 
-// store writes t's rows to the tile whose first row starts x.
-func (t *tile) store(x []complex128, stride int) {
+// storeGo writes t's rows to the tile whose first row starts x.
+func storeGo(x []complex128, t *tile, stride int) {
 	for a := 0; a < 16; a++ {
 		copy(x[a*stride:][:16], t[a<<4:])
 	}

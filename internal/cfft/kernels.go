@@ -19,10 +19,13 @@ type kernels struct {
 	// consumes. untw is RealPlan.untw.
 	untangle func(spec, z []complex128, untw []float64)
 	retangle func(z, spec []complex128, untw []float64)
+	// tiles permutes units [lo, hi) of the bit-reversal pass (walk,
+	// cfft.go), tile by tile, times 1/n when inverse.
+	tiles func(c reorderCtx, lo, hi int)
 }
 
 var (
-	scalar = kernels{radix4Go, stage2Go, stage4Go, untangleGo, retangleGo}
+	scalar = kernels{radix4Go, stage2Go, stage4Go, untangleGo, retangleGo, tilesGo}
 	// active is chosen once, at package init; only the bit-identity tests
 	// assign it afterwards.
 	active = scalar

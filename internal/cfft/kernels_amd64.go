@@ -29,7 +29,13 @@ func untangleAVX2(spec, z *complex128, untw *float64, h int)
 //go:noescape
 func retangleAVX2(z, spec *complex128, untw *float64, h int)
 
-var avx2 = kernels{radix4Vec, stage2Vec, stage4Vec, untangleVec, retangleVec}
+//go:noescape
+func loadAVX2(t *tile, x *complex128, stride int, s float64, inverse bool)
+
+//go:noescape
+func storeAVX2(x *complex128, t *tile, stride int)
+
+var avx2 = kernels{radix4Vec, stage2Vec, stage4Vec, untangleVec, retangleVec, tilesVec}
 
 func init() {
 	if cpu.AVX2 {
@@ -100,4 +106,27 @@ func retangleVec(z, spec []complex128, untw []float64) {
 		retangle1(z, spec, untw, k)
 	}
 	retangleAVX2(&z[0], &spec[0], &untw[0], h)
+}
+
+func tilesVec(c reorderCtx, lo, hi int) {
+	var t, u tile
+	stride, s := c.p.n>>4, 1/float64(c.p.n)
+	c.walk(lo, hi, func(b, rb int, pair bool) {
+		loadVec(&t, c.src[b<<4:], stride, s, c.inverse)
+		if pair {
+			loadVec(&u, c.src[rb<<4:], stride, s, c.inverse)
+			storeVec(c.dst[b<<4:], &u, stride)
+		}
+		storeVec(c.dst[rb<<4:], &t, stride)
+	})
+}
+
+func loadVec(t *tile, x []complex128, stride int, s float64, inverse bool) {
+	_ = x[15*stride+15] // the tile's last element
+	loadAVX2(t, &x[0], stride, s, inverse)
+}
+
+func storeVec(x []complex128, t *tile, stride int) {
+	_ = x[15*stride+15]
+	storeAVX2(&x[0], t, stride)
 }

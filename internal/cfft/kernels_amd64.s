@@ -392,3 +392,111 @@ reloop:
 	JNZ  reloop
 	VZEROUPPER
 	RET
+
+// TILEPAIR carries columns c, c+1 (byte offset off) of tile rows a (SI)
+// and a+8 (SI+DX) to rows rev4(c) and rev4(c+1) = rev4(c)+8 of the
+// reversed tile, at byte offsets d0 and d0+2048 from AX. Rows a and a+8
+// land in adjacent columns rev4(a) and rev4(a)+1, so each destination is
+// one (row a, row a+8) pair of 128-bit halves. SCALE runs on both loads.
+#define TILEPAIR(SCALE, off, d0, d1) \
+	VMOVUPD off(SI), Y0; \
+	VMOVUPD off(SI)(DX*1), Y1; \
+	SCALE(Y0, Y2); \
+	SCALE(Y1, Y3); \
+	VPERM2F128 $0x20, Y1, Y0, Y2; \
+	VPERM2F128 $0x31, Y1, Y0, Y3; \
+	VMOVUPD Y2, d0(AX); \
+	VMOVUPD Y3, d1(AX)
+
+// TILEROW is TILEPAIR over the row pair's sixteen columns: c = 2j goes to
+// row rev4(2j) = 0, 4, 2, 6, 1, 5, 3, 7 (256 bytes a row).
+#define TILEROW(SCALE) \
+	TILEPAIR(SCALE, 0, 0, 2048); \
+	TILEPAIR(SCALE, 32, 1024, 3072); \
+	TILEPAIR(SCALE, 64, 512, 2560); \
+	TILEPAIR(SCALE, 96, 1536, 3584); \
+	TILEPAIR(SCALE, 128, 256, 2304); \
+	TILEPAIR(SCALE, 160, 1280, 3328); \
+	TILEPAIR(SCALE, 192, 768, 2816); \
+	TILEPAIR(SCALE, 224, 1792, 3840)
+
+#define NOSCALE(y, t)
+
+// SCALE1N is y·complex(s, 0) as the reference's full complex multiply,
+// (a·s - b·0, a·0 + b·s), zero products included: they make a zero's
+// sign and Inf·0 = NaN come out as in Go. Y14 holds s, Y15 zeros.
+#define SCALE1N(y, t) \
+	VPERMILPD $5, y, t; \
+	VMULPD Y15, t, t; \
+	VMULPD Y14, y, y; \
+	VADDSUBPD t, y, y
+
+// TILELOOP runs TILEROW over a = 0..7 (CX), AX at column rev4(a) of t.
+#define TILELOOP(loop, SCALE) \
+loop: \
+	MOVBQZX (R8)(CX*1), AX; \
+	SHLQ $4, AX; \
+	ADDQ DI, AX; \
+	TILEROW(SCALE); \
+	ADDQ R9, SI; \
+	INCQ CX; \
+	CMPQ CX, $8; \
+	JNE  loop
+
+// func loadAVX2(t *tile, x *complex128, stride int, s float64, inverse bool)
+//
+// loadGo over one whole tile: rows a and a+8 at a time, times s when
+// inverse.
+TEXT ·loadAVX2(SB), NOSPLIT, $0-33
+	MOVQ t+0(FP), DI
+	MOVQ x+8(FP), SI
+	MOVQ stride+16(FP), R9
+	SHLQ $4, R9                 // one row, in bytes
+	LEAQ (R9*8), DX             // eight rows
+	LEAQ ·rev4(SB), R8
+	XORQ CX, CX
+	CMPB inverse+32(FP), $0
+	JNE  tlinv
+	TILELOOP(tlfwd, NOSCALE)
+	VZEROUPPER
+	RET
+tlinv:
+	VBROADCASTSD s+24(FP), Y14
+	VXORPD Y15, Y15, Y15
+	TILELOOP(tlinvloop, SCALE1N)
+	VZEROUPPER
+	RET
+
+// func storeAVX2(x *complex128, t *tile, stride int)
+//
+// storeGo: t's sixteen 256-byte rows to rows stride elements apart from
+// x, eight 32-byte moves a row with no call per row.
+TEXT ·storeAVX2(SB), NOSPLIT, $0-24
+	MOVQ x+0(FP), DI
+	MOVQ t+8(FP), SI
+	MOVQ stride+16(FP), R9
+	SHLQ $4, R9
+	MOVQ $16, CX
+stloop:
+	VMOVUPD 0(SI), Y0
+	VMOVUPD 32(SI), Y1
+	VMOVUPD 64(SI), Y2
+	VMOVUPD 96(SI), Y3
+	VMOVUPD 128(SI), Y4
+	VMOVUPD 160(SI), Y5
+	VMOVUPD 192(SI), Y6
+	VMOVUPD 224(SI), Y7
+	VMOVUPD Y0, 0(DI)
+	VMOVUPD Y1, 32(DI)
+	VMOVUPD Y2, 64(DI)
+	VMOVUPD Y3, 96(DI)
+	VMOVUPD Y4, 128(DI)
+	VMOVUPD Y5, 160(DI)
+	VMOVUPD Y6, 192(DI)
+	VMOVUPD Y7, 224(DI)
+	ADDQ $256, SI
+	ADDQ R9, DI
+	DECQ CX
+	JNZ  stloop
+	VZEROUPPER
+	RET

@@ -11,8 +11,9 @@ import (
 // the repository benchmark's wide_fft shape (a 476,032-float gradient,
 // θ = 0.85): one op is one encode and one decode, reported as their own
 // ns/op next to the four Sec. 3.3 stage terms the codec's StageTimer saw
-// over both (Tm convert, Tf transform, Ts select, Tp pack). Run it with
-// -cpu 1,2 (make bench does): the kernels split over the pool at 2.
+// over both (Tm convert, Tf transform, Ts select, Tp pack), and its
+// allocations (0 in steady state). Run it with -cpu 1,2 (make bench
+// does): the kernels split over the pool at 2.
 func BenchmarkCodecStages(b *testing.B) {
 	g := smoothGrad(476032, 1)
 	c := NewFFT(0.85)
@@ -31,6 +32,7 @@ func BenchmarkCodecStages(b *testing.B) {
 		base[s] = st.TotalSeconds(telemetry.Stage(s))
 	}
 	var enc, dec time.Duration
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		t0 := time.Now()

@@ -9,8 +9,6 @@ import (
 
 	"fftgrad/internal/cfft"
 	"fftgrad/internal/pack"
-	"fftgrad/internal/quant"
-	"fftgrad/internal/scratch"
 	"fftgrad/internal/sparsify"
 	"fftgrad/internal/telemetry"
 )
@@ -130,11 +128,10 @@ func (c *Transform) AppendCompress(dst []byte, grad []float32) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	codesb := scratch.Uint32s(len(spec.Vals))
-	defer scratch.PutUint32s(codesb)
-	codes := q.EncodeSlice(*codesb, spec.Vals)
 	c.st.ObserveSince(telemetry.StageConvert, 4*n, t0)
 
+	// Header, mask, then the codes, quantized and packed in one pass
+	// straight into the message.
 	t0 = time.Now()
 	dst = putHeader(dst,
 		uint32(n), uint32(spec.N), uint32(spec.Kept),
@@ -143,7 +140,7 @@ func (c *Transform) AppendCompress(dst []byte, grad []float32) ([]byte, error) {
 	for _, w := range spec.Mask {
 		dst = le.AppendUint64(dst, w)
 	}
-	dst = quant.AppendCodes(dst, codes, q.N)
+	dst = q.AppendEncoded(dst, spec.Vals)
 	c.st.ObserveSince(telemetry.StagePack, 4*n, t0)
 	return dst, nil
 }

@@ -3,6 +3,8 @@ package quant
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
+	"slices"
 
 	"fftgrad/internal/parallel"
 )
@@ -37,6 +39,94 @@ func AppendCodes(dst []byte, codes []uint32, n int) []byte {
 		dst = append(dst, byte(acc))
 	}
 	return dst
+}
+
+// AppendEncoded appends the N-bit codes of src to dst: the bytes
+// AppendCodes(dst, q.EncodeSlice(codes, src), q.N) appends, in one
+// parallel pass with no code slice between. Each worker takes whole
+// groups of eight values, N whole bytes, so every output byte has one
+// writer. With sufficient capacity in dst, nothing is allocated.
+func (q *RangeQuantizer) AppendEncoded(dst []byte, src []float32) []byte {
+	start, size := len(dst), CodeBytes(len(src), q.N)
+	dst = slices.Grow(dst, size)[:start+size]
+	parallel.ForGrain3((len(src)+7)/8, encodeGrain, newEncoder(q), dst[start:], src, encodeGroups)
+	return dst
+}
+
+// encodeGrain is the fewest groups of eight one AppendEncoded worker
+// takes: the 4096 values below which the pool is not worth waking.
+const encodeGrain = 512
+
+// encoder is a RangeQuantizer's Encode as bit-pattern arithmetic. A
+// non-NaN float32's bits order its magnitude, so the range clamp is a min
+// on |f|'s bits against the limit for f's sign, and magKey's
+// round-to-nearest (ties down) is a carry: float64(m)-float64(low) >
+// float64(high)-float64(m) says exactly that the dropped bits d exceed
+// 2^(shift-1), both differences being d and 2^shift - d units of m's
+// binade, so key = (m + 2^(shift-1) - 1) >> shift. The one exception is
+// a high of +Inf, which never wins: a finite m's sum stops at the largest
+// finite pattern.
+type encoder struct {
+	side     [2]encodeSide // by sign bit
+	eps      uint32        // |Eps| bits
+	bias     uint32        // the rounding carry-in
+	base     uint32        // Eps's key - 1
+	shift, n uint          // 23 - M; N
+}
+
+// encodeSide is one sign's half of an encoder: the clamp limit's |bits|,
+// the code count and the code before the first.
+type encodeSide struct{ lim, cnt, off uint32 }
+
+func newEncoder(q *RangeQuantizer) encoder {
+	return encoder{
+		side: [2]encodeSide{
+			{math.Float32bits(q.Max), q.pcount, 0},
+			{math.Float32bits(-q.Min), q.ncount, q.pcount},
+		},
+		eps:   math.Float32bits(q.Eps),
+		bias:  max(uint32(1)<<q.shift>>1, 1) - 1,
+		base:  q.pbase - 1,
+		shift: q.shift,
+		n:     uint(q.N),
+	}
+}
+
+// code is Encode(f), without a branch.
+func (e *encoder) code(f float32) uint32 {
+	b := math.Float32bits(f)
+	side := &e.side[b>>31]
+	a := b &^ (1 << 31)
+	m := min(a, side.lim)
+	key := min(m+e.bias, max(m, maxFloat32Bits)) >> e.shift
+	code := min(key-e.base, side.cnt) + side.off
+	// |f| < Eps, or NaN, is code 0: a borrow out of either difference.
+	return code &^ -(((a - e.eps) | (0x7F800000 - a)) >> 31)
+}
+
+// maxFloat32Bits is math.MaxFloat32's bit pattern.
+const maxFloat32Bits = 0x7F7FFFFF
+
+// encodeGroups packs groups [lo, hi) of eight values (the last group may
+// be short) into their N bytes each of out, 32 bits at a time.
+func encodeGroups(e encoder, out []byte, src []float32, lo, hi int) {
+	n := e.n
+	src = src[8*lo : min(8*hi, len(src))]
+	out = out[lo*int(n) : CodeBytes(lo*8+len(src), int(n))]
+	var acc uint64
+	have := uint(0)
+	for _, f := range src {
+		acc |= uint64(e.code(f)) << have
+		if have += n; have >= 32 {
+			le.PutUint32(out, uint32(acc))
+			out = out[4:]
+			acc >>= 32
+			have -= 32
+		}
+	}
+	for i := range out {
+		out[i] = byte(acc >> (8 * uint(i)))
+	}
 }
 
 // PackCodes packs len(codes) N-bit codes into a fresh little-endian bit

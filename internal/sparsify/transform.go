@@ -190,7 +190,7 @@ func (t *Transform) analyze(spec *Spectrum, x []float32, theta float64, half boo
 		if t.real {
 			parallel.For2(nb, *magsb, spec.rbins, magsReal)
 		} else {
-			parallel.For2(nb, *magsb, spec.cbins, magsComplex)
+			parallel.For2(nb, *magsb, spec.cbins, active.mags)
 		}
 		thr := topk.KthLargestBucket(*magsb, k)
 		parallel.ForGrain1(chunks, 1,
@@ -239,27 +239,15 @@ func (t *Transform) analyze(spec *Spectrum, x []float32, theta float64, half boo
 func passA(c passACtx, clo, chi int) {
 	for ch := clo; ch < chi; ch++ {
 		wlo, whi := parallel.ChunkBounds(ch, packChunkWords, len(c.mask))
+		full := min(whi, c.nb>>6) // words with all 64 bins present
+		active.words(c.mask[wlo:full], c.eq[wlo:full], c.mags[wlo<<6:full<<6], c.thr)
+		if full < whi {
+			c.mask[full], c.eq[full] = maskWord(c.mags[full<<6:c.nb], c.thr)
+		}
 		gt, eqn := 0, 0
 		for w := wlo; w < whi; w++ {
-			base := w << 6
-			end := min(base+64, c.nb)
-			var gtW, eqW uint64
-			for i, m := range c.mags[base:end] {
-				// Both bits as values, not branches: a bin clears the
-				// threshold about one time in 1/(1-θ), unpredictably.
-				var g, e uint64
-				if m > c.thr {
-					g = 1
-				}
-				if m == c.thr {
-					e = 1
-				}
-				gtW |= g << (uint(i) & 63)
-				eqW |= e << (uint(i) & 63)
-			}
-			c.mask[w], c.eq[w] = gtW, eqW
-			gt += mbits.OnesCount64(gtW)
-			eqn += mbits.OnesCount64(eqW)
+			gt += mbits.OnesCount64(c.mask[w])
+			eqn += mbits.OnesCount64(c.eq[w])
 		}
 		c.gtCnt[ch], c.eqCnt[ch] = gt, eqn
 	}
@@ -441,7 +429,7 @@ func (t *Transform) inverse(dst []float32, spec *Spectrum, st *telemetry.StageTi
 	}
 	st.ObserveSince(telemetry.StageTransform, 4*spec.L, t0)
 	t0 = time.Now()
-	parallel.For2(spec.L, dst, *sigb, narrowF64)
+	parallel.For2(spec.L, dst, *sigb, active.narrow)
 	st.ObserveSince(telemetry.StageConvert, 4*spec.L, t0)
 }
 
@@ -467,19 +455,6 @@ func widenF32(dst []float64, src []float32, lo, hi int) {
 
 func roundWidenF32(dst []float64, src []float32, lo, hi int) {
 	f16.RoundWiden(dst[lo:hi], src[lo:hi])
-}
-
-func narrowF64(dst []float32, src []float64, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		dst[i] = float32(src[i])
-	}
-}
-
-func magsComplex(mags []float64, bins []complex128, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		re, im := real(bins[i]), imag(bins[i])
-		mags[i] = re*re + im*im // monotone in |z|; avoids sqrt
-	}
 }
 
 func magsReal(mags, bins []float64, lo, hi int) {
