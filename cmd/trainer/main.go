@@ -75,11 +75,9 @@ func parseArgs(args []string, stderr io.Writer) (spec serve.Spec, opt options, e
 	fs.StringVar(&spec.Model, "model", "cnn", "cnn | mlp")
 	fs.Float64Var(&spec.LR, "lr", 0.03, "learning rate")
 	fs.Int64Var(&spec.Seed, "seed", 1, "random seed")
-	fs.BoolVar(&spec.SparseAllreduce, "sparse-allreduce", false, "exchange via the sparse ring allreduce instead of allgather (uses -theta, ignores -method)")
 	fs.StringVar(&spec.Collective, "collective", "ring", "exchange strategy: ring | hier | tree | gossip (gossip implies -fault-aware)")
 	fs.IntVar(&spec.GroupSize, "group-size", 4, "with -collective hier, ranks per group (leader fan-in)")
 	fs.IntVar(&spec.BucketBytes, "bucket-bytes", 0, "split the gradient into fixed-byte buckets exchanged in flight while later buckets compress (0: monolithic)")
-	fs.BoolVar(&spec.Partitioned, "partitioned", false, "with -sparse-allreduce, MiCRO-style disjoint rotating index partitions per rank")
 	fs.BoolVar(&spec.Adapt, "adapt", false, "let the online perf-model controller bypass compression when it cannot win on the fabric")
 	fs.BoolVar(&spec.AdaptTheta, "adapt-theta", false, "with -adapt, also let the controller steer theta toward the beneficial ratio")
 
@@ -306,11 +304,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}()
 
-	method := spec.Method
-	if spec.SparseAllreduce {
-		method = "the sparse allreduce" // -method is ignored on this path
-	}
-	fmt.Fprintf(stdout, "training %s with %s (θ=%.2f) on %d workers\n", spec.Model, method, spec.Theta, spec.Workers)
+	fmt.Fprintf(stdout, "training %s with %s (θ=%.2f) on %d workers\n", spec.Model, spec.Method, spec.Theta, spec.Workers)
 	var stopTop func()
 	if opt.top {
 		topStop := make(chan struct{})

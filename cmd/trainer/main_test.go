@@ -96,7 +96,6 @@ func TestBothSurfacesCompileOneConfig(t *testing.T) {
 		// README.md
 		"-method fft -theta 0.85 -workers 8 -epochs 5 -trace",
 		"-method topk -theta 0.9 -drop-epoch 3",
-		"-sparse-allreduce -theta 0.9",
 		"-collective hier -group-size 4",
 		"-bucket-bytes 65536",
 		"-metrics-addr :9090",
@@ -247,9 +246,7 @@ func TestSmokeTrace(t *testing.T) {
 
 // TestSmokeReportsWhatRan: the banner, the theta column and the ratio
 // line describe the run that happened — the codec's own drop ratio when
-// no schedule sets one, "-" for a codec without one, the sparse
-// allreduce rather than the -method it ignores, and no ratio where a
-// lone rank sent nothing.
+// no schedule sets one, and "-" for a codec without one.
 func TestSmokeReportsWhatRan(t *testing.T) {
 	const tiny = "-model mlp -epochs 1 -samples 256 "
 	for _, tc := range []struct {
@@ -258,8 +255,6 @@ func TestSmokeReportsWhatRan(t *testing.T) {
 	}{
 		{tiny + "-workers 2", []string{"with fft (θ=0.85)", "0.03  0.85 "}},
 		{tiny + "-workers 2 -method fp32", []string{"0.03  -  "}},
-		{tiny + "-workers 2 -sparse-allreduce -theta 0.9", []string{"training mlp with the sparse allreduce (θ=0.90)", "0.03  0.9 "}},
-		{tiny + "-workers 1 -sparse-allreduce", []string{"compression ratio: n/a"}},
 	} {
 		out := smoke(t, tc.args)
 		for _, w := range append(tc.want, "\ncompression ratio: ") {

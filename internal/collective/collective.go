@@ -15,9 +15,7 @@
 //
 // On top of any strategy, gradient bucketing (bucket.go) splits the flat
 // payload into fixed-byte buckets exchanged in flight while later
-// buckets are still being compressed, and the MiCRO-style partitioner
-// (partition.go) gives each rank a disjoint index range so sparse index
-// traffic stops growing with p.
+// buckets are still being compressed.
 //
 // All schedules run over comm's Post/Peek/Barrier staging substrate, so
 // every strategy returns bit-identical message sets in rank order — a
@@ -65,11 +63,6 @@ type Config struct {
 	// (of raw FP32 payload) that are compressed and exchanged in flight
 	// with compute/comm overlap. 0 keeps the monolithic exchange.
 	BucketBytes int
-	// Partitioned enables MiCRO-style disjoint-partition selection on
-	// the sparse-allreduce path: each rank selects only inside its own
-	// rotating index partition, so selection cost and index traffic stay
-	// flat as p grows.
-	Partitioned bool
 }
 
 // WithDefaults fills zero fields.

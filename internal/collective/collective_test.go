@@ -139,126 +139,6 @@ func TestStrategyWireAccounting(t *testing.T) {
 	}
 }
 
-// TestHierSparseMatchesRing: the hierarchical sparse allreduce with
-// leader-side index dedup must produce the same mask and (reassociated)
-// sums as the ring schedule.
-func TestHierSparseMatchesRing(t *testing.T) {
-	const p, n = 9, 500
-	cfgH := Config{Strategy: Hier, GroupSize: 3}
-	cfgR := Config{Strategy: Ring}
-	type res struct {
-		bitmap []uint64
-		values []float32
-	}
-	run := func(cfg Config) []res {
-		cl := comm.NewCluster(p)
-		out := make([]res, p)
-		runRanks(cl, p, func(cm *comm.Comm) {
-			rank := cm.RankID()
-			ex := New(&cfg, cm)
-			pt := NewPartitioner(p, rank, n)
-			grad := make([]float32, n)
-			r := rand.New(rand.NewSource(int64(rank)))
-			for i := range grad {
-				grad[i] = float32(r.Intn(9) - 4)
-			}
-			sp := pt.Select(grad, 0.5, 0)
-			sum, moved := ex.SparseAllreduce(sp)
-			if moved < 0 {
-				t.Errorf("negative moved bytes")
-			}
-			out[rank] = res{
-				bitmap: append([]uint64(nil), sum.Bitmap...),
-				values: append([]float32(nil), sum.Values...),
-			}
-		})
-		return out
-	}
-	rr := run(cfgR)
-	hh := run(cfgH)
-	for rank := 0; rank < p; rank++ {
-		if !equalU64(rr[rank].bitmap, hh[rank].bitmap) {
-			t.Fatalf("rank %d: hier mask differs from ring", rank)
-		}
-		if len(rr[rank].values) != len(hh[rank].values) {
-			t.Fatalf("rank %d: value count differs", rank)
-		}
-		for i := range rr[rank].values {
-			// Disjoint partitions: single contributor per index, so even
-			// the float sums are bit-identical.
-			if rr[rank].values[i] != hh[rank].values[i] {
-				t.Fatalf("rank %d value %d: %g vs %g", rank, i, rr[rank].values[i], hh[rank].values[i])
-			}
-		}
-	}
-}
-
-func equalU64(a, b []uint64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// TestPartitionerDisjointAndDraining: per-iteration selections across
-// ranks must be disjoint; rotation must drain every region's residual
-// (every index owned by someone within p iterations); and the summed
-// contributions must conserve the gradient signal (error feedback: what
-// is not shipped now ships later).
-func TestPartitionerDisjoint(t *testing.T) {
-	const p, n = 4, 300
-	pts := make([]*Partitioner, p)
-	for r := range pts {
-		pts[r] = NewPartitioner(p, r, n)
-	}
-	owned := make([]bool, n)
-	for iter := 0; iter < p; iter++ {
-		seen := make([]int, n)
-		for r := 0; r < p; r++ {
-			grad := make([]float32, n)
-			for i := range grad {
-				grad[i] = 1
-			}
-			sp := pts[r].Select(grad, 0, iter) // θ=0: keep everything in window
-			for i := 0; i < n; i++ {
-				if sp.Bitmap[i>>6]&(1<<(uint(i)&63)) != 0 {
-					seen[i]++
-				}
-			}
-			lo, hi := pts[r].Window(iter)
-			for i := lo; i < hi; i++ {
-				owned[i] = true
-			}
-		}
-		for i, c := range seen {
-			if c > 1 {
-				t.Fatalf("iter %d index %d selected by %d ranks — partitions overlap", iter, i, c)
-			}
-		}
-	}
-	for i, ok := range owned {
-		if !ok {
-			t.Fatalf("index %d never owned across %d iterations", i, p)
-		}
-	}
-	// With θ=0 the window residual is fully shipped each time it is
-	// owned, so after p iterations the banked residual per index equals
-	// the grads accumulated since its last ownership turn — strictly
-	// less than p iterations' worth.
-	for r := 0; r < p; r++ {
-		for i, v := range pts[r].res {
-			if v >= float32(p) {
-				t.Fatalf("rank %d residual[%d]=%g never drained", r, i, v)
-			}
-		}
-	}
-}
-
 // TestBuckets: boundary arithmetic.
 func TestBuckets(t *testing.T) {
 	b := MakeBuckets(1000, 400) // 100 floats per bucket

@@ -8,8 +8,9 @@
 // and the conclusion's call for sparse collectives). This package mirrors
 // that API surface: byte-message Allgather for every payload (the lossless
 // baseline included, as in the paper) and a Broadcast used for the periodic
-// parameter re-synchronization. The sparse allreduce the conclusion asks
-// for is a schedule, and lives in internal/collective with the others.
+// parameter re-synchronization. Composite schedules live in
+// internal/collective; DESIGN.md Sec. 12 records why there is no sparse
+// allreduce among them.
 package comm
 
 import (

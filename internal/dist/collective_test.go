@@ -154,39 +154,6 @@ func TestBucketedFaultFreeMatchesBarrier(t *testing.T) {
 	}
 }
 
-// TestPartitionedSparseConverges: MiCRO-style disjoint-partition
-// selection on the sparse-allreduce path must converge within 2 points
-// of the unpartitioned sparse run — the rotation drains every region's
-// residual, so nothing is permanently dropped.
-func TestPartitionedSparseConverges(t *testing.T) {
-	mk := func(part bool) Config {
-		cfg := blobCfg(87)
-		cfg.UseSparseAllreduce = true
-		cfg.SparseTheta = 0.5
-		if part {
-			cfg.Collective = &collective.Config{Partitioned: true}
-		}
-		return cfg
-	}
-	base, err := Train(mk(false))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := Train(mk(true))
-	if err != nil {
-		t.Fatal(err)
-	}
-	baseAcc := base.Epochs[len(base.Epochs)-1].TestAcc
-	acc := got.Epochs[len(got.Epochs)-1].TestAcc
-	if acc < baseAcc-0.02 {
-		t.Fatalf("partitioned sparse accuracy %.3f more than 2 points below %.3f", acc, baseAcc)
-	}
-	// The partitioned message is ~1/p of the full selection.
-	if got.AvgMsgBytes >= base.AvgMsgBytes {
-		t.Fatalf("partitioned messages not smaller: %.0f vs %.0f bytes", got.AvgMsgBytes, base.AvgMsgBytes)
-	}
-}
-
 // TestHierBucketedChaosGate is the collective layer's chaos gate: a
 // 2-group hierarchical (pricing) + bucketed run under chaos, with one
 // rank crashing mid-iteration — between bucket rounds — must complete,
@@ -260,19 +227,11 @@ func TestHierBucketedChaosGate(t *testing.T) {
 	}
 }
 
-// TestCollectiveConfigRejected: invalid strategy and bucketed sparse
-// combinations fail fast at Train.
+// TestCollectiveConfigRejected: an invalid strategy fails fast at Train.
 func TestCollectiveConfigRejected(t *testing.T) {
 	cfg := blobCfg(91)
 	cfg.Collective = &collective.Config{Strategy: "mesh"}
 	if _, err := Train(cfg); err == nil {
 		t.Fatal("unknown strategy accepted")
-	}
-	cfg = blobCfg(91)
-	cfg.UseSparseAllreduce = true
-	cfg.SparseTheta = 0.5
-	cfg.Collective = &collective.Config{BucketBytes: 4096}
-	if _, err := Train(cfg); err == nil {
-		t.Fatal("bucketed sparse-allreduce accepted")
 	}
 }

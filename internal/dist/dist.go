@@ -71,28 +71,16 @@ type Config struct {
 	// NewCompressor builds one compressor instance per worker.
 	NewCompressor func() compress.Compressor
 
-	// UseSparseAllreduce exchanges gradients through the sparse allreduce
-	// (collective.Exchanger.SparseAllreduce) instead of allgathering
-	// compressed messages — the collective the paper's conclusion calls for. In this
-	// mode gradients are sparsified spatially at SparseTheta (driven by
-	// ThetaSchedule when set) and NewCompressor is ignored: the collective
-	// itself is the compression. Numerically this matches Top-k +
-	// allgather: both average the same sparsified vectors.
-	UseSparseAllreduce bool
-	// SparseTheta is the drop ratio for the sparse-allreduce path.
-	SparseTheta float64
-
 	// Fabric prices communication. Nil disables the timing model.
 	Fabric Fabric
 
 	// Collective selects the exchange strategy (ring, hierarchical or
-	// binomial tree), gradient bucketing with compute/comm overlap, and
-	// MiCRO-style partitioned selection on the sparse path. Nil keeps the
-	// flat ring exchange. On the barrier path the strategy reschedules the
-	// real collectives; on the Fault path the point-to-point mesh keeps
-	// per-peer delivery and the strategy prices the modeled collectives
-	// only, while bucketing still splits the exchange into per-bucket
-	// rounds (see DESIGN.md Sec. 12).
+	// binomial tree) and gradient bucketing with compute/comm overlap.
+	// Nil keeps the flat ring exchange. On the barrier path the strategy
+	// reschedules the real collectives; on the Fault path the
+	// point-to-point mesh keeps per-peer delivery and the strategy prices
+	// the modeled collectives only, while bucketing still splits the
+	// exchange into per-bucket rounds (see DESIGN.md Sec. 12).
 	Collective *collective.Config
 
 	// Telemetry, when non-nil, receives live metrics for the run:
@@ -108,9 +96,7 @@ type Config struct {
 	// exchange rate into the Sec. 3.3 model and may bypass compression
 	// to FP32 when no ratio is beneficial (re-enabling when the model
 	// flips back), and may suggest θ adjustments (composing with
-	// ThetaSchedule, which still runs first). Ignored when
-	// UseSparseAllreduce is set — that exchange has no per-message
-	// compressor to bypass.
+	// ThetaSchedule, which still runs first).
 	Adapt *adapt.Controller
 
 	// stageTimer is the shared per-stage timer threaded into every
@@ -193,15 +179,15 @@ type Config struct {
 	// barrier-based collectives: heartbeats, bounded retry, straggler
 	// and dead-rank degradation policies, and checkpoint-based rejoin.
 	// Optionally injects a deterministic chaos schedule. Mutually
-	// exclusive with UseSparseAllreduce and MeasureAlpha.
+	// exclusive with MeasureAlpha.
 	Fault *FaultConfig
 
 	// PS, when non-nil, trains on the parameter-server runtime instead
 	// (ps.go): workers push compressed gradients to a central server that
 	// owns the global model, the other scheme of the paper's Fig. 1. It
-	// excludes every BSP exchange option (Fault, Collective, Guard,
-	// UseSparseAllreduce, Adapt, ThetaSchedule, MeasureAlpha); a Fabric
-	// that prices single links (collective.LinkFabric) prices the star.
+	// excludes every BSP exchange option (Fault, Collective, Guard, Adapt,
+	// ThetaSchedule, MeasureAlpha); a Fabric that prices single links
+	// (collective.LinkFabric) prices the star.
 	PS *PSConfig
 
 	// Guard, when non-nil and enabled, activates the data-plane
@@ -212,7 +198,7 @@ type Config struct {
 	// cross-rank parameter-fingerprint drift detection with forced
 	// re-sync. The same Config must reach every rank (it defines the
 	// wire format); with healthy gradients the guards are bit-exact
-	// pure overhead. Incompatible with UseSparseAllreduce.
+	// pure overhead.
 	Guard *guard.Config
 
 	// guardStats is the run-wide shared guard accounting; created in
@@ -442,14 +428,14 @@ func (c *Config) spawn(wg *sync.WaitGroup, rank int, fn func()) {
 	}()
 }
 
-// runRank is one rank's run: build its state, attach the exchanger mk
-// makes for it, and train from startIter.
-func runRank(cfg Config, rank, p, startIter int, restore *checkpoint.State, mk func(*worker) exchanger) (*Result, error) {
+// runRank is one rank's run: build its state, run the bucket pipeline
+// over the link mk makes for it, and train from startIter.
+func runRank(cfg Config, rank, p, startIter int, restore *checkpoint.State, mk func(*worker) link) (*Result, error) {
 	w, err := newWorker(cfg, rank, p, restore)
 	if err != nil {
 		return nil, err
 	}
-	w.ex = mk(w)
+	w.ex = newPipeline(w, mk(w))
 	defer w.ex.stop()
 	return w.train(startIter)
 }
@@ -474,29 +460,19 @@ func (c *Config) Validate() error {
 	if c.Model == nil || c.Train == nil {
 		return fmt.Errorf("dist: Model and Train dataset are required")
 	}
-	sparse := c.UseSparseAllreduce
 	guarded := c.Guard != nil && c.Guard.Enabled()
-	if c.PS != nil && (c.Fault != nil || c.Collective != nil || guarded || sparse || c.Adapt != nil || c.ThetaSchedule != nil || c.MeasureAlpha) {
-		return fmt.Errorf("dist: Fault, Collective, Guard, UseSparseAllreduce, Adapt, ThetaSchedule and MeasureAlpha require the bsp backend; unset PS")
-	}
-	if sparse && guarded {
-		return fmt.Errorf("dist: Guard requires the compressed-message exchange; disable UseSparseAllreduce")
+	if c.PS != nil && (c.Fault != nil || c.Collective != nil || guarded || c.Adapt != nil || c.ThetaSchedule != nil || c.MeasureAlpha) {
+		return fmt.Errorf("dist: Fault, Collective, Guard, Adapt, ThetaSchedule and MeasureAlpha require the bsp backend; unset PS")
 	}
 	if col := c.Collective; col != nil {
 		if err := col.Validate(); err != nil {
 			return fmt.Errorf("dist: %w", err)
-		}
-		if col.BucketBytes > 0 && sparse {
-			return fmt.Errorf("dist: BucketBytes applies to the compressed-message exchange; disable UseSparseAllreduce")
 		}
 		if col.Strategy == collective.Gossip && c.Fault == nil {
 			return fmt.Errorf("dist: the gossip strategy is decentralized averaging over the failure-aware mesh; set Fault")
 		}
 	}
 	if f := c.Fault; f != nil {
-		if sparse {
-			return fmt.Errorf("dist: Fault and UseSparseAllreduce are mutually exclusive (the ring collective has no failure-aware variant yet)")
-		}
 		if c.MeasureAlpha {
 			return fmt.Errorf("dist: MeasureAlpha requires the barrier-based exchange; disable Fault")
 		}
@@ -538,11 +514,8 @@ func Train(c Config) (*Result, error) {
 	for rank := 0; rank < p; rank++ {
 		rank := rank
 		cfg.spawn(&wg, rank, func() {
-			results[rank], errs[rank] = runRank(cfg, rank, p, 0, nil, func(w *worker) exchanger {
-				if cfg.UseSparseAllreduce {
-					return newSparseEx(w, cluster.Rank(rank))
-				}
-				return newPipeline(w, newBarrierLink(w, cluster.Rank(rank)))
+			results[rank], errs[rank] = runRank(cfg, rank, p, 0, nil, func(w *worker) link {
+				return newBarrierLink(w, cluster.Rank(rank))
 			})
 		})
 	}

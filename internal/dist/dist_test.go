@@ -220,15 +220,9 @@ func TestValidateRejects(t *testing.T) {
 	}{
 		{"nil Model", func(c *Config) { c.Model = nil }, "Model and Train dataset are required"},
 		{"nil Train", func(c *Config) { c.Train = nil }, "Model and Train dataset are required"},
-		{"guard + sparse allreduce", func(c *Config) {
-			c.Guard, c.UseSparseAllreduce = fullGuard(), true
-		}, "Guard requires the compressed-message exchange"},
 		{"unknown strategy", func(c *Config) {
 			c.Collective = &collective.Config{Strategy: "mesh"}
 		}, `unknown strategy "mesh"`},
-		{"buckets + sparse allreduce", func(c *Config) {
-			c.Collective, c.UseSparseAllreduce = &collective.Config{BucketBytes: 4096}, true
-		}, "BucketBytes applies to the compressed-message exchange"},
 		{"gossip without Fault", func(c *Config) {
 			c.Collective = &collective.Config{Strategy: collective.Gossip}
 		}, "set Fault"},
@@ -236,9 +230,6 @@ func TestValidateRejects(t *testing.T) {
 			c.Collective = &collective.Config{Strategy: collective.Gossip, BucketBytes: 4096}
 			c.Fault = fault(FaultConfig{})
 		}, "gossip exchanges whole gradients"},
-		{"Fault + sparse allreduce", func(c *Config) {
-			c.Fault, c.UseSparseAllreduce = fault(FaultConfig{}), true
-		}, "Fault and UseSparseAllreduce are mutually exclusive"},
 		{"Fault + MeasureAlpha", func(c *Config) {
 			c.Fault, c.MeasureAlpha = fault(FaultConfig{}), true
 		}, "MeasureAlpha requires the barrier-based exchange"},
@@ -254,9 +245,6 @@ func TestValidateRejects(t *testing.T) {
 		{"negative join iteration", func(c *Config) {
 			c.Fault = fault(FaultConfig{ElasticJoins: []int{4, -3}})
 		}, "negative ElasticJoins iteration -3"},
-		{"PS + sparse allreduce", func(c *Config) {
-			c.PS, c.UseSparseAllreduce = &PSConfig{}, true
-		}, "require the bsp backend"},
 		{"PS + Fault", func(c *Config) {
 			c.PS, c.Fault = &PSConfig{}, fault(FaultConfig{})
 		}, "require the bsp backend"},
@@ -297,55 +285,6 @@ func TestCNNSmoke(t *testing.T) {
 	}
 	if res.Epochs[len(res.Epochs)-1].TrainLoss >= res.Epochs[0].TrainLoss+0.1 {
 		t.Fatalf("CNN loss not improving: %v", res.Epochs)
-	}
-}
-
-// Sparse-allreduce exchange mode must converge like Top-k + allgather at
-// the same θ (numerically both average the same sparsified vectors) while
-// pricing strictly less modeled communication.
-func TestSparseAllreduceExchangeMode(t *testing.T) {
-	base := blobCfg(31)
-	base.NewCompressor = func() compress.Compressor { return compress.NewTopK(0.85) }
-	agRes, err := Train(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	sp := blobCfg(31)
-	sp.UseSparseAllreduce = true
-	sp.SparseTheta = 0.85
-	spRes, err := Train(sp)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	agAcc := agRes.Epochs[len(agRes.Epochs)-1].TestAcc
-	spAcc := spRes.Epochs[len(spRes.Epochs)-1].TestAcc
-	if math.Abs(agAcc-spAcc) > 0.05 {
-		t.Fatalf("exchange modes should converge alike: allgather %.3f vs sparse-allreduce %.3f", agAcc, spAcc)
-	}
-	if spRes.CommSeconds >= agRes.CommSeconds {
-		t.Fatalf("sparse allreduce should price less comm: %.6f vs %.6f",
-			spRes.CommSeconds, agRes.CommSeconds)
-	}
-	if spRes.CompressionRatio <= 1 {
-		t.Fatalf("sparse mode ratio %.2f", spRes.CompressionRatio)
-	}
-}
-
-// The θ schedule must drive the sparse-allreduce path too.
-func TestSparseAllreduceThetaSchedule(t *testing.T) {
-	cfg := blobCfg(32)
-	cfg.Epochs = 2
-	cfg.UseSparseAllreduce = true
-	cfg.SparseTheta = 0.99
-	cfg.ThetaSchedule = sparsify.StepDrop{Initial: 0.99, Final: 0.5, DropEpoch: 1}
-	res, err := Train(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Epochs[0].Theta != 0.99 || res.Epochs[1].Theta != 0.5 {
-		t.Fatalf("schedule not applied: %+v", res.Epochs)
 	}
 }
 

@@ -1,23 +1,17 @@
 package dist
 
-// The gradient round. exchanger (step.go) has two implementations:
-//
-//   - pipeline runs the compressed-message round the paper describes —
-//     compress, allgather, decode the messages, average — bucket by bucket
-//     as a two-stage pipeline: while bucket b's message is in flight
-//     (gather + average), bucket b+1 is still being compressed. The two
-//     stages touch disjoint state (bucket b's message/recon/avg slices vs
-//     bucket b+1's grad slice and codec), so the only synchronization is
-//     the hand-off to the pipeline's compress goroutine and its reply
-//     between pipeline steps. The monolithic exchange
-//     is the one-bucket case: one compress, one gather, nothing to overlap.
-//     Every runtime uses this one pipeline; what differs between them sits
-//     behind link: barrierLink (the strategy-scheduled in-process
-//     collectives every rank enters in lockstep, here), clusterLink and
-//     gossipLink (the failure-aware mesh, fault.go).
-//   - sparseEx sums sparsified gradients through the sparse allreduce — the
-//     collective the paper's conclusion calls for — optionally selecting
-//     inside MiCRO-style rotating partitions.
+// The gradient round. pipeline runs the compressed-message round the paper
+// describes — compress, allgather, decode the messages, average — bucket by
+// bucket as a two-stage pipeline: while bucket b's message is in flight
+// (gather + average), bucket b+1 is still being compressed. The two stages
+// touch disjoint state (bucket b's message/recon/avg slices vs bucket b+1's
+// grad slice and codec), so the only synchronization is the hand-off to the
+// pipeline's compress goroutine and its reply between pipeline steps. The
+// monolithic exchange is the one-bucket case: one compress, one gather,
+// nothing to overlap. Every runtime uses this one pipeline; what differs
+// between them sits behind link: barrierLink (the strategy-scheduled
+// in-process collectives every rank enters in lockstep, here), clusterLink
+// and gossipLink (the failure-aware mesh, fault.go).
 //
 // Numerics are independent of the bucket count's scheduling: every rank
 // averages the same reconstructions of the same gradient slices in the
@@ -32,13 +26,11 @@ import (
 	"fftgrad/internal/collective"
 	"fftgrad/internal/comm"
 	"fftgrad/internal/compress"
-	"fftgrad/internal/pack"
-	"fftgrad/internal/sparsify"
 	"fftgrad/internal/trace"
 )
 
-// link is one runtime's wire under the bucket pipeline. gather is the
-// round's only seam; the rest of the exchanger contract passes through.
+// link is one runtime's wire under the bucket pipeline, and the only seam
+// between runtimes.
 type link interface {
 	// admit holds the round back until the runtime lets iteration iter
 	// start; errHalted when the run's stop signal fired meanwhile.
@@ -47,7 +39,11 @@ type link interface {
 	// iter and returns everything to average for that bucket. A recoverable
 	// failure of the local endpoint is returned as *aborted.
 	gather(iter, b int, msg []byte) (gathered, error)
+	// sync re-aligns the replicas' parameters after iteration iter and
+	// returns the payload bytes, 0 when the sync was skipped or abandoned.
+	// It fails like gather does.
 	sync(iter int) (bytes int, err error)
+	// epochEnd runs at every epoch boundary, after the sync.
 	epochEnd(iter int)
 }
 
@@ -236,7 +232,11 @@ func (e *pipeline) exchangeBucket(b int) error {
 	return nil
 }
 
-// round runs compress(0); for b: { gather+average(b) ∥ compress(b+1) }.
+// round runs compress(0); for b: { gather+average(b) ∥ compress(b+1) }
+// through the worker's bucket codecs (the wire-FP32 twins when compressed
+// is false), leaving the cross-rank average in worker.avg. A recoverable
+// failure of the local endpoint is returned as *aborted; any other error
+// ends the run.
 func (e *pipeline) round(iter int, compressed bool) (roundStats, error) {
 	w := e.w
 	if err := e.admit(iter); err != nil {
@@ -289,38 +289,21 @@ func (e *pipeline) round(iter int, compressed bool) (roundStats, error) {
 	return st, w.alpha.measure(w, iter)
 }
 
-// rooted is the barrier runtime under both exchangers: the endpoint and
-// the parameter sync as a broadcast from rank 0.
-type rooted struct {
-	w  *worker
-	ex *collective.Exchanger
-}
-
-func newRooted(w *worker, cm *comm.Comm) rooted {
-	cm.AttachTrace(w.tc)
-	if w.cfg.MeasureAlpha {
-		w.alpha = &alphaProbe{cm: cm}
-	}
-	return rooted{w: w, ex: collective.New(w.cfg.Collective, cm)}
-}
-
-func (r *rooted) sync(iter int) (int, error) {
-	return r.w.syncFrom(iter, 0, func(payload []byte) ([]byte, bool, error) {
-		return r.ex.Broadcast(payload, 0), true, nil
-	})
-}
-
-func (r *rooted) epochEnd(int) {}
-
-// barrierLink gathers through the strategy's allgather: every rank, every
-// round, each weighing one.
+// barrierLink is the barrier runtime: it gathers through the strategy's
+// allgather — every rank, every round, each weighing one — and syncs the
+// parameters as a broadcast from rank 0.
 type barrierLink struct {
-	rooted
+	w    *worker
+	ex   *collective.Exchanger
 	ones []float32
 }
 
 func newBarrierLink(w *worker, cm *comm.Comm) *barrierLink {
-	l := &barrierLink{rooted: newRooted(w, cm), ones: make([]float32, w.p)}
+	cm.AttachTrace(w.tc)
+	if w.cfg.MeasureAlpha {
+		w.alpha = &alphaProbe{cm: cm}
+	}
+	l := &barrierLink{w: w, ex: collective.New(w.cfg.Collective, cm), ones: make([]float32, w.p)}
 	for i := range l.ones {
 		l.ones[i] = 1
 	}
@@ -332,6 +315,14 @@ func (l *barrierLink) admit(int) error { return nil }
 func (l *barrierLink) gather(_, _ int, msg []byte) (gathered, error) {
 	return gathered{msgs: l.ex.Allgather(msg), wt: l.ones, slowest: -1}, nil
 }
+
+func (l *barrierLink) sync(iter int) (int, error) {
+	return l.w.syncFrom(iter, 0, func(payload []byte) ([]byte, bool, error) {
+		return l.ex.Broadcast(payload, 0), true, nil
+	})
+}
+
+func (l *barrierLink) epochEnd(int) {}
 
 // alphaProbe is the Config.MeasureAlpha side channel (nil when off): raw-
 // FP32 messages double-buffered like the gradient messages, and rank 0's
@@ -392,69 +383,4 @@ func (r *alphaProbe) measure(w *worker, iter int) error {
 	// rank 0 has finished reading them.
 	cm.Barrier()
 	return nil
-}
-
-// sparseEx exchanges spatially sparsified gradients through the sparse
-// allreduce.
-type sparseEx struct {
-	rooted
-	pt   *collective.Partitioner // nil: plain top-k over the whole gradient
-	mask []uint64                // the plain selection's keep bitmap, reused
-}
-
-func (e *sparseEx) stop() {}
-
-func newSparseEx(w *worker, cm *comm.Comm) *sparseEx {
-	e := &sparseEx{rooted: newRooted(w, cm)}
-	if w.col.Partitioned {
-		e.pt = collective.NewPartitioner(w.p, w.rank, w.n)
-	} else {
-		e.mask = make([]uint64, pack.BitmapWords(w.n))
-	}
-	return e
-}
-
-func (e *sparseEx) round(iter int, _ bool) (roundStats, error) {
-	w, tc := e.w, e.w.tc
-	st := roundStats{blamePeer: -1}
-	theta := w.thetaInEffect()
-	t0 := time.Now()
-	var sp *pack.Sparse
-	if e.pt != nil {
-		// MiCRO-style: select only inside this rank's rotating disjoint
-		// partition; everything outside banks in the partitioner's
-		// residual until ownership rotates around.
-		sp = e.pt.Select(w.grad, theta, iter)
-	} else {
-		// The collective copies what it ships, so the bitmap is free
-		// again by the next round.
-		sparsify.TopKSpatialMask(e.mask, w.grad, theta)
-		sp = pack.PackMask(w.grad, e.mask)
-	}
-	st.compressT = time.Since(t0)
-	tc.SpanTimed(trace.OpCompress, int64(w.n), t0, st.compressT)
-
-	tEx := time.Now()
-	reduced, moved := e.ex.SparseAllreduce(sp)
-	exD := time.Since(tEx)
-	st.exchangeS = exD.Seconds()
-	tc.SpanTimed(trace.OpExchange, int64(moved), tEx, exD)
-	st.endNs = w.oc.NowNs()
-
-	t0 = time.Now()
-	reduced.Unpack(w.avg)
-	inv := 1 / float32(w.p)
-	for i := range w.avg {
-		w.avg[i] *= inv
-	}
-	st.decompressT = time.Since(t0)
-	tc.SpanTimed(trace.OpDecompress, int64(w.n), t0, st.decompressT)
-	// Per-rank sent volume normalized to an equivalent allgather message
-	// so ratios stay comparable across exchange modes (moved is 0 on a
-	// single worker).
-	if w.p > 1 {
-		st.msgBytes = moved / (w.p - 1)
-	}
-	st.modelS = w.observeRound(st.msgBytes, st.msgBytes, st.exchangeS)
-	return st, w.alpha.measure(w, iter)
 }

@@ -164,11 +164,11 @@ func trainFault(cfg Config) (*Result, error) {
 		}
 		m := rt.Join(tr)
 		members[rank] = m
-		results[rank], errs[rank] = runRank(cfg, rank, pmax, startIter, restore, func(w *worker) exchanger {
+		results[rank], errs[rank] = runRank(cfg, rank, pmax, startIter, restore, func(w *worker) link {
 			if gossip {
-				return newPipeline(w, newGossipLink(newMesh(w, m, rt, spi)))
+				return newGossipLink(newMesh(w, m, rt, spi))
 			}
-			return newPipeline(w, &clusterLink{newMesh(w, m, rt, spi)})
+			return &clusterLink{newMesh(w, m, rt, spi)}
 		})
 		if errs[rank] != nil {
 			m.Close()

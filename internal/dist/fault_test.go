@@ -171,16 +171,10 @@ func TestFaultPartitionFailsFast(t *testing.T) {
 	}
 }
 
-// TestFaultConfigExclusions: the unsupported combinations error out
+// TestFaultConfigExclusions: the unsupported combination errors out
 // immediately instead of half-working.
 func TestFaultConfigExclusions(t *testing.T) {
 	cfg := blobCfg(5)
-	cfg.Fault = &FaultConfig{}
-	cfg.UseSparseAllreduce = true
-	if _, err := Train(cfg); err == nil {
-		t.Fatal("Fault+UseSparseAllreduce accepted")
-	}
-	cfg = blobCfg(5)
 	cfg.Fault = &FaultConfig{}
 	cfg.MeasureAlpha = true
 	if _, err := Train(cfg); err == nil {

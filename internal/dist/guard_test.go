@@ -281,15 +281,3 @@ func TestGuardScrubSkipRunCompletes(t *testing.T) {
 		}
 	}
 }
-
-// TestGuardRejectsSparseAllreduce: the unsupported combination errors
-// immediately.
-func TestGuardRejectsSparseAllreduce(t *testing.T) {
-	cfg := blobCfg(5)
-	cfg.Guard = fullGuard()
-	cfg.UseSparseAllreduce = true
-	cfg.SparseTheta = 0.9
-	if _, err := Train(cfg); err == nil {
-		t.Fatal("Guard+UseSparseAllreduce accepted")
-	}
-}

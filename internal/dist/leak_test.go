@@ -68,7 +68,6 @@ func TestTrainLeavesNoGoroutines(t *testing.T) {
 		{"warm-up", func(*Config) {}, ""}, // the parallel pool's helpers are the baseline
 		{"barrier", func(*Config) {}, ""},
 		{"bucketed", func(c *Config) { c.Collective = &collective.Config{BucketBytes: fourBuckets(*c)} }, ""},
-		{"sparse allreduce", func(c *Config) { c.UseSparseAllreduce, c.SparseTheta = true, 0.9 }, ""},
 		{"fault", func(c *Config) { fault(c, nil) }, ""},
 		{"fault + chaos crash/rejoin", func(c *Config) { fault(c, &crashing) }, ""},
 		{"gossip", func(c *Config) {

@@ -5,9 +5,9 @@ package dist
 // parameters re-aligned every SyncEvery iterations. This file is that
 // iteration, written once: newWorker builds one rank's state, train runs
 // the loop, and the two stages that differ between runtimes — the gradient
-// round and the parameter sync — go through the exchanger interface
-// (exchange.go: the bucket pipeline every runtime shares and the sparse
-// allreduce; fault.go: the pipeline's links onto the cluster mesh). The
+// round and the parameter sync — go through the bucket pipeline every
+// runtime shares and the link under it (exchange.go: the pipeline and the
+// barrier's link; fault.go: the links onto the cluster mesh). The
 // parameter server (ps.go) has no round to exchange; it shares the step's
 // local gradient, its epoch boundary and its final checkpoint.
 
@@ -28,27 +28,6 @@ import (
 	"fftgrad/internal/telemetry"
 	"fftgrad/internal/trace"
 )
-
-// exchanger hides the exchange algorithm from the step. Every
-// implementation reads the local gradient from worker.grad, leaves the
-// cross-rank average in worker.avg, and may use worker.recon as decode
-// scratch.
-type exchanger interface {
-	// round compresses the gradient through the worker's bucket codecs
-	// (the wire-FP32 twins when compressed is false), exchanges it and
-	// decodes the average. A recoverable failure of the local endpoint is
-	// returned as *aborted; any other error ends the run.
-	round(iter int, compressed bool) (roundStats, error)
-	// sync re-aligns the replicas' parameters after iteration iter and
-	// returns the payload bytes, 0 when the sync was skipped or abandoned.
-	// It fails like round does.
-	sync(iter int) (bytes int, err error)
-	// epochEnd runs at every epoch boundary, after the sync.
-	epochEnd(iter int)
-	// stop releases what the exchanger started for itself, after the last
-	// round.
-	stop()
-}
 
 // roundStats is what one gradient round reports back to the step.
 type roundStats struct {
@@ -103,7 +82,7 @@ type (
 
 // worker is one rank's training state: model replica, data shard,
 // optimizer, guard state, the per-bucket gradient codecs and the flat
-// buffers the step shares with its exchanger.
+// buffers the step shares with its pipeline.
 type worker struct {
 	cfg     Config
 	rank, p int
@@ -126,8 +105,7 @@ type worker struct {
 	// error-feedback residual slice — the flat residual partitioned. wire
 	// holds the FP32 twins the adapt bypass ships through, wireSync the
 	// one parameter syncs use: under guard every exchanged message shares
-	// one frame format. comps is nil on the sparse-allreduce exchange,
-	// where the collective itself is the compression.
+	// one frame format.
 	bk          collective.Buckets
 	comps, wire []compress.Compressor
 	wireSync    compress.Compressor
@@ -137,12 +115,12 @@ type worker struct {
 	syncPayload             []byte
 
 	// priceSync models one parameter sync of m bytes across n ranks: the
-	// strategy's broadcast, unless the exchanger syncs some other way.
+	// strategy's broadcast, unless the link syncs some other way.
 	priceSync func(f collective.Fabric, n, m int) float64
 
 	theta     float64 // this iteration's drop ratio (NaN without a schedule)
 	forceSync bool    // sync after this iteration whatever the period says
-	ex        exchanger
+	ex        *pipeline
 	alpha     *alphaProbe // Config.MeasureAlpha's side channel (nil when off)
 	res       *Result
 }
@@ -178,20 +156,18 @@ func newWorker(cfg Config, rank, p int, restore *checkpoint.State) (*worker, err
 	w.gs.retain(checkpoint.Capture(w.net, w.sgd, 0, -1))
 
 	w.bk = collective.MakeBuckets(w.n, w.col.BucketBytes)
-	if !cfg.UseSparseAllreduce {
-		// The compressors' internal stage timings reach the track through
-		// a sink-carrying handle of the shared stage timer, so Tm/Tf/Ts/Tp
-		// spans get rank and iteration attribution without the compressors
-		// knowing about tracing.
-		wst := cfg.stageTimer.WithSink(w.tc.StageSink())
-		nb := w.bk.Count()
-		w.comps = make([]compress.Compressor, nb)
-		w.wire = make([]compress.Compressor, nb)
-		for b := range w.comps {
-			w.comps[b] = w.gs.wrap(cfg.NewCompressor())
-			compress.Instrument(w.comps[b], wst)
-			w.wire[b] = w.gs.wrap(compress.FP32{})
-		}
+	// The compressors' internal stage timings reach the track through a
+	// sink-carrying handle of the shared stage timer, so Tm/Tf/Ts/Tp spans
+	// get rank and iteration attribution without the compressors knowing
+	// about tracing.
+	wst := cfg.stageTimer.WithSink(w.tc.StageSink())
+	nb := w.bk.Count()
+	w.comps = make([]compress.Compressor, nb)
+	w.wire = make([]compress.Compressor, nb)
+	for b := range w.comps {
+		w.comps[b] = w.gs.wrap(cfg.NewCompressor())
+		compress.Instrument(w.comps[b], wst)
+		w.wire[b] = w.gs.wrap(compress.FP32{})
 	}
 	w.wireSync = w.gs.wrap(compress.FP32{})
 
@@ -227,15 +203,11 @@ func (w *worker) setTheta(theta float64) bool {
 }
 
 // thetaInEffect is the drop ratio this iteration runs at: what the
-// schedule (or the adapt controller) last set, else the sparse path's
-// SparseTheta, else bucket 0's codec's own; NaN for a codec without one
-// (fp32, qsgd, terngrad).
+// schedule (or the adapt controller) last set, else bucket 0's codec's
+// own; NaN for a codec without one (fp32, qsgd, terngrad).
 func (w *worker) thetaInEffect() float64 {
 	if !math.IsNaN(w.theta) {
 		return w.theta
-	}
-	if w.cfg.UseSparseAllreduce {
-		return w.cfg.SparseTheta
 	}
 	if c, ok := compress.As[interface{ Theta() float64 }](w.comps[0]); ok {
 		return c.Theta()
@@ -243,7 +215,7 @@ func (w *worker) thetaInEffect() float64 {
 	return math.NaN()
 }
 
-// observeRound is called by the exchanger after every collective of a
+// observeRound is called by the pipeline after every collective of a
 // round (one per bucket): it feeds the live Tcomm of Eq. 2 and returns the
 // collective's modeled price. With a Fabric the modeled time prices the
 // exchange (the in-process wall time is not a fabric) at the largest
@@ -265,7 +237,7 @@ func (w *worker) observeRound(sent, max int, seconds float64) float64 {
 }
 
 // encodeParams frames the current parameters for a sync. Reusing the
-// payload buffer across syncs is safe on every exchanger: the mesh copies
+// payload buffer across syncs is safe on every link: the mesh copies
 // on send, and on the barrier path every receiver finishes decoding before
 // entering the next collective's barrier, at least one of which separates
 // consecutive syncs.
@@ -405,7 +377,7 @@ func (w *worker) train(startIter int) (*Result, error) {
 		// per-iteration decision cache guarantees they agree on the wire
 		// format even though telemetry keeps moving between calls.
 		compressed := true
-		if cfg.Adapt != nil && w.comps != nil {
+		if cfg.Adapt != nil {
 			adTheta := w.theta
 			if math.IsNaN(adTheta) {
 				adTheta = 0 // no schedule: suppress θ suggestions
@@ -539,7 +511,7 @@ func (w *worker) train(startIter int) (*Result, error) {
 	}
 
 	if isRoot {
-		if totalMsgBytes > 0 { // a lone sparse-allreduce rank sends nothing
+		if totalMsgBytes > 0 { // a run halted before its first round sent nothing
 			res.AvgMsgBytes = totalMsgBytes / float64(res.Iterations)
 			res.CompressionRatio = float64(w.n*4) / res.AvgMsgBytes
 		}

@@ -2,11 +2,11 @@ package experiments
 
 import (
 	"fmt"
+	"math/bits"
 	"runtime"
 	"time"
 
 	"fftgrad/internal/collective"
-	"fftgrad/internal/comm"
 	"fftgrad/internal/compress"
 	"fftgrad/internal/data"
 	"fftgrad/internal/dist"
@@ -30,7 +30,7 @@ func ablations() []Experiment {
 		{"abl-select", "Top-k selection strategies: sort vs quickselect vs bucket", AblSelect},
 		{"abl-pack", "Parallel vs serial sparse packing", AblPack},
 		{"abl-schedule", "θ schedules: fixed vs step-drop vs θ²=Lη coupling", AblSchedule},
-		{"abl-collective", "Allgather vs ring allreduce vs sparse allreduce", AblCollective},
+		{"abl-collective", "FFT allgather vs a spectra ring vs dense ring, from measured mask unions", AblCollective},
 		{"abl-feedback", "Error feedback and momentum correction at extreme θ", AblFeedback},
 		{"abl-bitmap", "Raw vs RLE status-vector encoding (lifting the Fig. 6 ceiling)", AblBitmap},
 		{"abl-chunk", "Whole-gradient vs bucketed compression", AblChunk},
@@ -373,76 +373,118 @@ func AblSchedule(o Options) error {
 	return nil
 }
 
-// AblCollective compares the exchange strategies for sparse gradients:
-// allgather of sparse messages (the paper's workaround), dense ring
-// allreduce (what MPI offers), and this repo's sparse ring allreduce (the
-// paper's requested future work) — by measured per-rank wire volume and
-// modeled FDR time.
+// AblCollective measures what ROADMAP item 10 asked before keeping a
+// sparse allreduce: can a ring reduce-scatter + allgather carry this
+// codec's FFT spectra for fewer bytes than allgather of its messages (the
+// paper's workaround, Fig. 11)? Each ring hop ships one 64-bin-aligned
+// chunk's bitmap plus its partial sums over the union of the keep masks
+// summed so far, so the answer is set by how fast that union fills. The
+// union is measured on P ranks' FFT keep masks, for correlatedGradient and
+// for real gradients of wide_fft's model on batches of 4, and priced by
+// the ring's own segment accounting with fp32 or fp16 partial sums, beside
+// FFT allgather and the dense ring. The CHECK lines name the winner.
 func AblCollective(o Options) error {
-	p := 8
-	n := 1 << 20
-	if o.Quick {
-		n = 1 << 17
-	}
-	density := 0.15
-
-	// Build each rank's sparse gradient.
-	inputs := make([]*pack.Sparse, p)
-	for r := 0; r < p; r++ {
-		g := correlatedGradient(n, o.Seed+int64(r))
-		sparsify.TopKSpatial(g, 1-density)
-		inputs[r] = pack.PackNonzero(g)
-	}
-
-	// Sparse allreduce: measure actual moved bytes.
-	cl := comm.NewCluster(p)
-	moved := make([]int, p)
-	done := make(chan struct{})
-	for r := 0; r < p; r++ {
-		go func(rank int) {
-			_, moved[rank] = collective.New(nil, cl.Rank(rank)).SparseAllreduce(inputs[rank])
-			done <- struct{}{}
-		}(r)
-	}
-	for r := 0; r < p; r++ {
-		<-done
-	}
-	maxMoved := 0
-	for _, m := range moved {
-		if m > maxMoved {
-			maxMoved = m
-		}
-	}
-
-	allgatherBytes := (p - 1) * inputs[0].WireBytes()
-	denseBytes := int(float64(2*(p-1)) / float64(p) * float64(n*4))
-
-	fabric := netsim.InfiniBandFDR
-	t := &stats.Table{Headers: []string{"strategy", "per-rank MB", "modeled FDR ms"}}
-	rows := []struct {
-		name  string
-		bytes int
+	const theta = 0.85
+	ps := []int{8, 16, 32}
+	pmax := ps[len(ps)-1]
+	net := models.MLP(256, 560, 32, o.Seed) // n = 476,032
+	n := net.NumParams()
+	ds := data.GaussianBlobs(4*pmax, 32, 256, 3.0, o.Seed)
+	inputs := []struct {
+		name string
+		grad func(r int) []float32
 	}{
-		{"allgather of sparse msgs", allgatherBytes},
-		{"dense ring allreduce", denseBytes},
-		{"sparse ring allreduce", maxMoved},
+		{"correlatedGradient", func(r int) []float32 { return correlatedGradient(n, o.Seed+int64(r)) }},
+		{"MLP gradient", func(r int) []float32 {
+			x, labels := ds.Batch([]int{4 * r, 4*r + 1, 4*r + 2, 4*r + 3})
+			net.ZeroGrads()
+			_, dl := nn.SoftmaxCE{}.Loss(net.Forward(x, true), labels)
+			net.Backward(dl)
+			return net.FlattenGrads(make([]float32, n))
+		}},
 	}
-	for _, r := range rows {
-		t.AddRow(r.name, float64(r.bytes)/(1<<20), float64(r.bytes)/fabric.Bandwidth*1e3)
+	names := []string{"FFT allgather", "spectra ring, fp32 sums", "spectra ring, fp16 sums", "dense ring"}
+	fdr := netsim.InfiniBandFDR
+	checks := ""
+	for _, input := range inputs {
+		masks := make([][]uint64, pmax)
+		var spec sparsify.Spectrum
+		for r := range masks {
+			sparsify.FFT.AnalyzeHalf(&spec, input.grad(r), theta, nil) // the codec's mask
+			masks[r] = append([]uint64(nil), spec.Mask...)
+		}
+		msg, err := compress.NewFFT(theta).AppendCompress(nil, input.grad(0))
+		if err != nil {
+			return err
+		}
+		bins := sparsify.FFT.Bins(spec.N)
+		t := &stats.Table{Headers: []string{"P", "u measured", "u independent", "exchange", "per-rank KB", "x allgather", "FDR ms"}}
+		for _, p := range ps {
+			ring := func(b int) float64 { return float64(2*(p-1))*fdr.Latency + float64(b)/fdr.Bandwidth }
+			b32, b16 := ringBytes(masks[:p], 8), ringBytes(masks[:p], 4) // two values per complex bin
+			sent := []int{(p - 1) * len(msg), b32, b16, 2 * (p - 1) * 4 * n / p}
+			secs := []float64{fdr.Allgather(p, len(msg)), ring(b32), ring(b16), fdr.RingAllreduce(p, 4*n)}
+			best := 0
+			for i, b := range sent {
+				u, ui := "", ""
+				if i == 0 {
+					u = fmt.Sprintf("%.3f", float64(unionBits(masks, 0, p, 0, len(spec.Mask)))/float64(bins))
+					ui = fmt.Sprintf("%.3f", unionDensity(float64(spec.Kept)/float64(bins), p))
+				}
+				t.AddRow(p, u, ui, names[i], float64(b)/1024, float64(b)/float64(sent[0]), secs[i]*1e3)
+				if b < sent[best] {
+					best = i
+				}
+			}
+			checks += fmt.Sprintf("CHECK %s P=%d: fewest bytes: %s (fp32 spectra ring %.2fx, fp16 %.2fx FFT allgather)\n",
+				input.name, p, names[best], float64(b32)/float64(sent[0]), float64(b16)/float64(sent[0]))
+		}
+		o.printf("collective ablation, %s (n=%d, %d bins, θ=%.2f, FFT message %d B):\n%s",
+			input.name, n, bins, theta, len(msg), t.String())
 	}
-	o.printf("collective ablation (p=%d, n=%d, density %.0f%%, union density %.0f%%):\n%s",
-		p, n, density*100, unionDensity(density, p)*100, t.String())
-	o.printf("CHECK sparse allreduce moves less than sparse allgather: %v (%.2f vs %.2f MB)\n",
-		maxMoved < allgatherBytes, float64(maxMoved)/(1<<20), float64(allgatherBytes)/(1<<20))
-	o.printf("CHECK sparse allreduce moves less than dense allreduce at 15%% density: %v\n",
-		maxMoved < denseBytes)
+	o.printf("%s", checks)
 	return nil
 }
 
+// ringBytes is the busiest rank's send volume in a ring reduce-scatter +
+// allgather of sparse spectra, v bytes per kept bin: at step t rank r
+// sends chunk r−t summed over ranks r−t..r, then, in the allgather half,
+// the complete chunk r+1−t; every segment is its chunk's bitmap plus v
+// bytes per bin of its union.
+func ringBytes(masks [][]uint64, v int) int {
+	p, words := len(masks), len(masks[0])
+	seg := func(c, k int) int {
+		lo, hi := c*words/p, (c+1)*words/p
+		return 8*(hi-lo) + v*unionBits(masks, c, k, lo, hi)
+	}
+	most := 0
+	for r := 0; r < p; r++ {
+		b := 0
+		for t := 0; t < p-1; t++ {
+			b += seg((r-t+p)%p, t+1) + seg((r+1-t+p)%p, p)
+		}
+		most = max(most, b)
+	}
+	return most
+}
+
+// unionBits counts the bits set in any of the k masks from masks[c] on
+// (wrapping around) within words [lo, hi).
+func unionBits(masks [][]uint64, c, k, lo, hi int) int {
+	set := 0
+	for w := lo; w < hi; w++ {
+		var u uint64
+		for j := 0; j < k; j++ {
+			u |= masks[(c+j)%len(masks)][w]
+		}
+		set += bits.OnesCount64(u)
+	}
+	return set
+}
+
 // unionDensity returns the expected fraction of positions present in the
-// union of p independent random masks of density d — the saturation that
-// limits how much a sparse allreduce can save once many workers'
-// top-k sets overlap little: 1 − (1−d)^p.
+// union of p independent random masks of density d, 1 − (1−d)^p: the
+// reference AblCollective's measured unions are read against.
 func unionDensity(d float64, p int) float64 {
 	u := 1.0
 	for i := 0; i < p; i++ {

@@ -310,7 +310,10 @@ func (p *Profiler) sweep(final bool) {
 		}
 		p.fold(&prof)
 	}
-	p.ledger.swept = limit
+	// A rank that commits its first record after a sweep lowers the common
+	// frontier below the cursor; the cursor must not follow it back, or the
+	// next sweep folds those iterations a second time.
+	p.ledger.swept = max(p.ledger.swept, limit)
 }
 
 // fold accumulates one iteration profile into the ledger and feeds the

@@ -350,6 +350,24 @@ func TestConcurrentCommitAndAnalyze(t *testing.T) {
 	}
 }
 
+// TestLateRankFoldsEachIterationOnce is TestConcurrentCommitAndAnalyze's
+// interleaving made deterministic: a rank whose first commit comes after
+// a sweep must not move the sweep cursor back over folded iterations.
+func TestLateRankFoldsEachIterationOnce(t *testing.T) {
+	p := New(2, 64)
+	for iter := int64(0); iter < 10; iter++ {
+		p.Rank(0).Commit(rec(iter, iter*1000, iter*1000+500, 300, 100))
+	}
+	_ = p.Summary(false)
+	for iter := int64(0); iter < 10; iter++ {
+		p.Rank(1).Commit(rec(iter, iter*1000, iter*1000+500, 300, 100))
+		_ = p.Summary(false)
+	}
+	if s := p.Summary(true); s.Iterations != 10 {
+		t.Errorf("folded %d iterations, want 10", s.Iterations)
+	}
+}
+
 func mustRead(t *testing.T, path string) []byte {
 	t.Helper()
 	data, err := os.ReadFile(path)

@@ -82,10 +82,20 @@ func writeErr(w http.ResponseWriter, err error) {
 	writeJSON(w, code, apiError{Error: err.Error()})
 }
 
-func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+// decodeSpec reads one job description. A key the Spec does not have is an
+// error naming it: a typo, or a field a later version removed, would
+// otherwise silently run a different job.
+func decodeSpec(r io.Reader) (Spec, error) {
 	var spec Spec
-	body := http.MaxBytesReader(w, r.Body, 1<<20)
-	if err := json.NewDecoder(body).Decode(&spec); err != nil {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	err := dec.Decode(&spec)
+	return spec, err
+}
+
+func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	spec, err := decodeSpec(http.MaxBytesReader(w, r.Body, 1<<20))
+	if err != nil {
 		writeJSON(w, http.StatusBadRequest, apiError{Error: "bad JSON: " + err.Error()})
 		return
 	}

@@ -77,11 +77,6 @@ type Spec struct {
 	Collective  string `json:"collective,omitempty"`
 	GroupSize   int    `json:"group_size,omitempty"`
 	BucketBytes int    `json:"bucket_bytes,omitempty"`
-	// SparseAllreduce exchanges through the sparse ring allreduce at Theta
-	// instead of allgathering Method's messages; Partitioned gives each
-	// rank a disjoint rotating index partition on that path (MiCRO).
-	SparseAllreduce bool `json:"sparse_allreduce,omitempty"`
-	Partitioned     bool `json:"partitioned,omitempty"`
 
 	// Adapt lets the online perf-model controller bypass compression when
 	// it cannot win on the fabric; AdaptTheta also lets it steer theta.
@@ -361,15 +356,11 @@ func (s *Spec) Config() (dist.Config, error) {
 		// The star is priced link by link, on the paper's FDR fabric.
 		cfg.PS, cfg.Fabric = &dist.PSConfig{Async: s.Async}, netsim.InfiniBandFDR
 	}
-	if s.SparseAllreduce {
-		cfg.UseSparseAllreduce, cfg.SparseTheta = true, s.Theta
-	}
-	if (s.Collective != "" && s.Collective != string(collective.Ring)) || s.BucketBytes > 0 || s.Partitioned {
+	if (s.Collective != "" && s.Collective != string(collective.Ring)) || s.BucketBytes > 0 {
 		cfg.Collective = &collective.Config{
 			Strategy:    collective.Strategy(s.Collective),
 			GroupSize:   s.GroupSize,
 			BucketBytes: s.BucketBytes,
-			Partitioned: s.Partitioned,
 		}
 	}
 	if s.DropEpoch >= 0 {

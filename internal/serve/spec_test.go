@@ -4,6 +4,9 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -35,11 +38,15 @@ var specRejects = []struct{ body, want string }{
 	{`{"fault":true,"on_failure":"retry"}`, `unknown policy "retry"`},
 	{`{"fault":true,"on_straggler":"skip"}`, `unknown straggler policy "skip"`},
 	{`{"guard":true,"guard_scrub":"zero"}`, `unknown scrub policy "zero"`},
-	{`{"backend":"ps","sparse_allreduce":true}`, "require the bsp backend"},
 	// Mode combinations are dist.Config.Validate's, reached through
 	// Spec.Config: a 400 at submission, no longer a failed job.
-	{`{"sparse_allreduce":true,"guard":true}`, "Guard requires the compressed-message exchange"},
-	{`{"sparse_allreduce":true,"fault":true}`, "Fault and UseSparseAllreduce are mutually exclusive"},
+	{`{"backend":"ps","guard":true}`, "require the bsp backend"},
+	// A key the Spec does not have is refused by name, not ignored: a
+	// typo, or a field that no longer exists.
+	{`{"thetta":0.5}`, `unknown field "thetta"`},
+	{`{"sparse_allreduce":true}`, `unknown field "sparse_allreduce"`},
+	{`{"partitioned":true}`, `unknown field "partitioned"`},
+	{`{"chaos":{"dropp":0.1}}`, `unknown field "dropp"`},
 	// A Millis whose nanosecond count overflows int64 dies in the
 	// decoder, on every platform, with the value as written.
 	{`{"heartbeat_ms":1e300}`, "1e300 ms does not fit a duration"},
@@ -66,5 +73,71 @@ func TestSpecRejects(t *testing.T) {
 	}
 	if jobs := srv.List(); len(jobs) != 0 {
 		t.Fatalf("%d rejected submissions were admitted", len(jobs))
+	}
+}
+
+// TestDecodeSpecAcceptsKnownKeys: rejecting unknown keys must not reject
+// a known one — the body the benchmark submits included.
+func TestDecodeSpecAcceptsKnownKeys(t *testing.T) {
+	for _, body := range []string{`{}`, `{"epochs":1}`, `{"theta":0.5,"chaos":{"drop":0.1}}`} {
+		if _, err := decodeSpec(strings.NewReader(body)); err != nil {
+			t.Errorf("%s: %v", body, err)
+		}
+	}
+}
+
+// specKeys returns the JSON key of every field of t, the fields of a
+// nested struct (chaos) under "<key>.".
+func specKeys(t reflect.Type, prefix string) []string {
+	var keys []string
+	for i := 0; i < t.NumField(); i++ {
+		f := t.Field(i)
+		key := prefix + strings.Split(f.Tag.Get("json"), ",")[0]
+		keys = append(keys, key)
+		if ft := f.Type; ft.Kind() == reflect.Pointer && ft.Elem().Kind() == reflect.Struct {
+			keys = append(keys, specKeys(ft.Elem(), key+".")...)
+		}
+	}
+	return keys
+}
+
+// TestREADMEJobTable holds README's "Job description" table to the Spec:
+// every JSON key the Spec decodes appears exactly once in the table's
+// "JSON key" column, and every row names a key the Spec has — so a field
+// cannot be added, renamed or deleted without its row.
+func TestREADMEJobTable(t *testing.T) {
+	raw, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	col := -1
+	rows := map[string]int{}
+	for _, line := range strings.Split(string(raw), "\n") {
+		cells := strings.Split(line, "|")
+		if col < 0 {
+			col = slices.Index(cells, " JSON key ")
+			continue
+		}
+		if !strings.HasPrefix(line, "|") {
+			break
+		}
+		if key := strings.Trim(cells[col], " `"); !strings.HasPrefix(key, "---") {
+			rows[key]++
+		}
+	}
+	if len(rows) == 0 {
+		t.Fatal(`README has no table with a "JSON key" column`)
+	}
+	want := map[string]bool{}
+	for _, key := range specKeys(reflect.TypeOf(Spec{}), "") {
+		want[key] = true
+		if rows[key] != 1 {
+			t.Errorf("JSON key %q has %d rows in README's job table, want 1", key, rows[key])
+		}
+	}
+	for key := range rows {
+		if !want[key] {
+			t.Errorf("README's job table has a row for %q, which serve.Spec does not decode", key)
+		}
 	}
 }
