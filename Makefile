@@ -24,7 +24,7 @@ check: fmt-check
 # pins up to 2^16, not the 2^32-pattern f16 sweep three times over). A v3
 # binary aborts at startup on an amd64 host without AVX2/FMA/BMI2, so an
 # empty v3 test run probes for that first and the legs are skipped there.
-KERNEL_PKGS = ./internal/cfft ./internal/f16 ./internal/sparsify ./internal/compress
+KERNEL_PKGS = ./internal/cfft ./internal/f16 ./internal/sparsify ./internal/compress ./internal/tensor
 V3_PKGS = $(KERNEL_PKGS) ./internal/topk ./internal/quant
 
 purego:
@@ -42,12 +42,14 @@ fmt-check:
 
 # The race detector's beat: the packages that share caches/pools across
 # goroutines, mutate shared controller/registry state or run the worker
-# fleet. race-short is the CI pass (dist: about a minute on two cores).
+# fleet (tensor and nn: the products' per-chunk scratch is written from
+# pool goroutines). race-short is the CI pass (dist: about a minute on
+# two cores).
 RACE_PKGS = ./internal/cfft/ ./internal/sparsify/ ./internal/compress/ ./internal/comm/ \
 	./internal/collective/ ./internal/telemetry/ ./internal/adapt/ ./internal/cluster/ \
 	./internal/chaos/ ./internal/guard/ ./internal/checkpoint/ ./internal/trace/ ./internal/obs/ \
 	./internal/serve/ ./internal/dist/ ./internal/feedback/ ./internal/parallel/ \
-	./internal/scratch/
+	./internal/scratch/ ./internal/tensor/ ./internal/nn/
 
 race:
 	$(GO) test -race $(RACE_PKGS)
@@ -91,7 +93,8 @@ guard:
 # the guard frame decoder, the framed codec decoder, the radix select
 # against the sorted order, the fused quantize-and-pack encoder against
 # Encode + AppendCodes, the checkpoint reader, the run-length bitmap
-# decoder and the job description's JSON decoder.
+# decoder, the job description's JSON decoder and the matrix products
+# against their plain loops.
 fuzz:
 	$(GO) test -fuzz=FuzzDecompressRobustness -fuzztime=15s -run '^$$' ./internal/compress/
 	$(GO) test -fuzz=FuzzCompressRoundTrip -fuzztime=15s -run '^$$' ./internal/compress/
@@ -103,6 +106,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzRead -fuzztime=15s -run '^$$' ./internal/checkpoint/
 	$(GO) test -fuzz=FuzzDecodeBitmapRLE -fuzztime=15s -run '^$$' ./internal/pack/
 	$(GO) test -fuzz=FuzzSpecJSON -fuzztime=15s -run '^$$' ./internal/serve/
+	$(GO) test -fuzz=FuzzMatMulMatchesReference -fuzztime=15s -run '^$$' ./internal/tensor/
 
 # Non-blank, non-comment, non-test Go lines per package directory, then
 # the total outside the nested bench/ module: the count the before/after
@@ -116,13 +120,15 @@ loc:
 
 # One pass over every go-test benchmark (each experiment bench in
 # bench_test.go runs its full quick workload once), then the FFT codec's
-# stage split at the wide_fft shape on one core and two, and the
-# bit-reversal pass alone at 2^18 on one core. Measured numbers come from
+# stage split at the wide_fft shape on one core and two, the bit-reversal
+# pass alone at 2^18 on one core, and every matrix product the benchmark's
+# networks run, per kernel set, on one core. Measured numbers come from
 # the repository benchmark: bash bench/run.sh (BENCHMARK.json).
 bench:
 	$(GO) test -bench=. -benchmem -benchtime=1x ./...
 	$(GO) test -run '^$$' -bench BenchmarkCodecStages -cpu 1,2 ./internal/compress
 	$(GO) test -run '^$$' -bench BenchmarkReorder -cpu 1 ./internal/cfft
+	$(GO) test -run '^$$' -bench BenchmarkGEMMShapes -cpu 1 ./internal/tensor
 
 # Regenerate every paper figure/table and ablation.
 experiments:

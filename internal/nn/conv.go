@@ -16,9 +16,17 @@ type Conv2D struct {
 	InC, OutC, Kernel, Stride, Pad int
 	W, B                           *Param
 
-	x    *tensor.Tensor  // cached input
-	geom tensor.ConvGeom // geometry of the cached input
-	cols [][]float32     // cached per-sample im2col buffers
+	x     *tensor.Tensor  // cached input
+	geom  tensor.ConvGeom // geometry of the cached input
+	cols  [][]float32     // cached per-sample im2col buffers
+	parts []convPart      // Backward's per-chunk scratch, reused
+}
+
+// convPart is one Backward chunk's scratch: its partial weight and bias
+// gradients, and the two per-sample products it computes them from.
+type convPart struct {
+	dW, dB     []float32
+	dWs, dcols *tensor.Tensor
 }
 
 // NewConv2D creates a convolution layer with He-normal initialization.
@@ -94,20 +102,28 @@ func (c *Conv2D) Backward(dy *tensor.Tensor) *tensor.Tensor {
 
 	// Per-worker partial dW/dB accumulators avoid write contention.
 	chunks := parallel.Chunks(n, 1)
-	dWparts := make([][]float32, len(chunks))
-	dBparts := make([][]float32, len(chunks))
+	for len(c.parts) < len(chunks) {
+		c.parts = append(c.parts, convPart{
+			dW:  make([]float32, len(c.W.Data)),
+			dB:  make([]float32, c.OutC),
+			dWs: tensor.New(c.OutC, rows),
+		})
+	}
+	parts := c.parts[:len(chunks)]
 	parallel.ForGrain(len(chunks), 1, func(clo, chi int) {
 		for ci := clo; ci < chi; ci++ {
-			dW := make([]float32, len(c.W.Data))
-			dB := make([]float32, c.OutC)
-			dWt := tensor.FromSlice(dW, c.OutC, rows)
+			pt := &parts[ci]
+			if pt.dcols == nil || pt.dcols.Dim(1) != ncols {
+				pt.dcols = tensor.New(rows, ncols)
+			}
+			clear(pt.dW)
+			clear(pt.dB)
 			for s := chunks[ci][0]; s < chunks[ci][1]; s++ {
 				dout := tensor.FromSlice(dy.Data[s*c.OutC*ncols:(s+1)*c.OutC*ncols], c.OutC, ncols)
 				// dW += dout · colsᵀ
-				dWs := tensor.New(c.OutC, rows)
-				tensor.MatMulTransB(dWs, dout, tensor.FromSlice(c.cols[s], rows, ncols))
-				for i, v := range dWs.Data {
-					dWt.Data[i] += v
+				tensor.MatMulTransB(pt.dWs, dout, tensor.FromSlice(c.cols[s], rows, ncols))
+				for i, v := range pt.dWs.Data {
+					pt.dW[i] += v
 				}
 				// dB += row sums of dout
 				for oc := 0; oc < c.OutC; oc++ {
@@ -116,22 +132,19 @@ func (c *Conv2D) Backward(dy *tensor.Tensor) *tensor.Tensor {
 					for _, v := range row {
 						acc += v
 					}
-					dB[oc] += acc
+					pt.dB[oc] += acc
 				}
 				// dcols = Wᵀ · dout, then col2im
-				dcols := tensor.New(rows, ncols)
-				tensor.MatMulTransA(dcols, wT, dout)
-				tensor.Col2im(dx.Data[s*imgLen:(s+1)*imgLen], dcols.Data, g)
+				tensor.MatMulTransA(pt.dcols, wT, dout)
+				tensor.Col2im(dx.Data[s*imgLen:(s+1)*imgLen], pt.dcols.Data, g)
 			}
-			dWparts[ci] = dW
-			dBparts[ci] = dB
 		}
 	})
-	for ci := range dWparts {
-		for i, v := range dWparts[ci] {
+	for _, pt := range parts {
+		for i, v := range pt.dW {
 			c.W.Grad[i] += v
 		}
-		for i, v := range dBparts[ci] {
+		for i, v := range pt.dB {
 			c.B.Grad[i] += v
 		}
 	}

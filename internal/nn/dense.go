@@ -14,7 +14,8 @@ type Dense struct {
 	In, Out int
 	W, B    *Param
 
-	x *tensor.Tensor // cached input
+	x  *tensor.Tensor // cached input
+	dW *tensor.Tensor // Backward's weight-gradient product, reused
 }
 
 // NewDense creates a dense layer with He-normal initialized weights.
@@ -52,9 +53,11 @@ func (d *Dense) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 func (d *Dense) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	n := dy.Dim(0)
 	// dW += dyᵀ·x  — shape [out×in]
-	dW := tensor.New(d.Out, d.In)
-	tensor.MatMulTransA(dW, dy, d.x)
-	for i, v := range dW.Data {
+	if d.dW == nil {
+		d.dW = tensor.New(d.Out, d.In)
+	}
+	tensor.MatMulTransA(d.dW, dy, d.x)
+	for i, v := range d.dW.Data {
 		d.W.Grad[i] += v
 	}
 	// db += column sums of dy

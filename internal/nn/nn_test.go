@@ -376,6 +376,63 @@ func TestMaxPoolOverlappingWindows(t *testing.T) {
 	}
 }
 
+// Backward's reused scratch carries nothing between calls: the same
+// batch gives the same gradients twice, and a batch of one after a batch
+// of three gives the gradients a fresh network gives.
+func TestBackwardScratchReuse(t *testing.T) {
+	build := func() *Network {
+		r := rand.New(rand.NewSource(12))
+		return Sequential(
+			NewConv2D(2, 4, 3, 1, 1, r),
+			NewReLU(),
+			NewMaxPool2D(2, 0),
+			NewFlatten(),
+			NewDense(4*3*3, 3, r),
+		)
+	}
+	grads := func(net *Network, x *tensor.Tensor, labels []int) []float32 {
+		net.ZeroGrads()
+		_, dl := SoftmaxCE{}.Loss(net.Forward(x, true), labels)
+		net.Backward(dl)
+		return net.FlattenGrads(make([]float32, net.NumParams()))
+	}
+	same := func(what string, got, want []float32) {
+		t.Helper()
+		for i := range want {
+			if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+				t.Fatalf("%s: grad %d is %v, want %v", what, i, got[i], want[i])
+			}
+		}
+	}
+	r := rand.New(rand.NewSource(13))
+	x3, x1 := randInput(r, 3, 2, 6, 6), randInput(r, 1, 2, 6, 6)
+	net := build()
+	first := grads(net, x3, []int{0, 1, 2})
+	same("second pass", grads(net, x3, []int{0, 1, 2}), first)
+	same("batch of one after three", grads(net, x1, []int{1}), grads(build(), x1, []int{1}))
+}
+
+// A window that is all NaN or all -Inf has no element above -Inf. Its
+// argmax must still be in the window: Forward passes NaN and -Inf through
+// and Backward routes each window's gradient to its first element.
+func TestMaxPoolNaNAndNegInfPlanes(t *testing.T) {
+	for _, fill := range []float32{float32(math.NaN()), float32(math.Inf(-1))} {
+		x := tensor.New(1, 1, 2, 2)
+		for i := range x.Data {
+			x.Data[i] = fill
+		}
+		p := NewMaxPool2D(2, 0)
+		y := p.Forward(x, true)
+		if got := y.Data[0]; math.Float32bits(got) != math.Float32bits(fill) && !(got != got && fill != fill) {
+			t.Fatalf("plane of %v: pooled %v", fill, got)
+		}
+		dx := p.Backward(tensor.FromSlice([]float32{3}, 1, 1, 1, 1))
+		if want := []float32{3, 0, 0, 0}; !slices.Equal(dx.Data, want) {
+			t.Fatalf("plane of %v: dx %v, want %v", fill, dx.Data, want)
+		}
+	}
+}
+
 // Dense must reject inputs whose flattened width disagrees with In.
 func TestDenseWidthMismatchPanics(t *testing.T) {
 	r := rand.New(rand.NewSource(22))

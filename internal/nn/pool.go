@@ -1,8 +1,6 @@
 package nn
 
 import (
-	"math"
-
 	"fftgrad/internal/parallel"
 	"fftgrad/internal/tensor"
 )
@@ -45,8 +43,11 @@ func (p *MaxPool2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 			outBase := pl * oh * ow
 			for i := 0; i < oh; i++ {
 				for j := 0; j < ow; j++ {
-					best := float32(math.Inf(-1))
-					bestIdx := int32(-1)
+					// Start from the window's first element, not -Inf: a
+					// window of NaN or -Inf then still has an argmax, and
+					// a leading NaN reaches the output.
+					bestIdx := int32(pl*h*w + i*p.Stride*w + j*p.Stride)
+					best := x.Data[bestIdx]
 					for di := 0; di < p.Size; di++ {
 						ih := i*p.Stride + di
 						for dj := 0; dj < p.Size; dj++ {

@@ -55,9 +55,15 @@ func (t *Tensor) Reshape(shape ...int) *Tensor {
 	return FromSlice(t.Data, shape...)
 }
 
-// blockK is the k-dimension blocking factor of the matmul kernels, sized
-// so a block of B rows stays in L1.
-const blockK = 256
+// rowGrain is the fewest output rows a parallel chunk of a product takes.
+const rowGrain = 8
+
+// The three products fix each output element's arithmetic: it starts at
+// +0 and adds its terms one rounding at a time in ascending p, and the
+// axpy forms (MatMul, MatMulTransA) skip a term whose multiplier is ±0.
+// The kernels (kernels.go) reorder only which outputs are computed
+// together, never the terms of one sum, so every product is bit for bit
+// what the plain triple loop gives.
 
 // MatMul computes C = A·B for A [m×k] and B [k×n], writing into the
 // provided C [m×n] (overwritten). Parallel over rows of A.
@@ -67,31 +73,8 @@ func MatMul(c, a, b *Tensor) {
 	if k != k2 || c.Shape[0] != m || c.Shape[1] != n {
 		panic(fmt.Sprintf("tensor: matmul shape mismatch %v·%v→%v", a.Shape, b.Shape, c.Shape))
 	}
-	ad, bd, cd := a.Data, b.Data, c.Data
-	parallel.ForGrain(m, 8, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			crow := cd[i*n : (i+1)*n]
-			for x := range crow {
-				crow[x] = 0
-			}
-			for k0 := 0; k0 < k; k0 += blockK {
-				kEnd := k0 + blockK
-				if kEnd > k {
-					kEnd = k
-				}
-				for p := k0; p < kEnd; p++ {
-					av := ad[i*k+p]
-					if av == 0 {
-						continue
-					}
-					brow := bd[p*n : (p+1)*n]
-					for x, bv := range brow {
-						crow[x] += av * bv
-					}
-				}
-			}
-		}
-	})
+	g := gemm{c: c.Data, a: a.Data, b: b.Data, k: k, n: n, ai: k, ap: 1}
+	parallel.ForGrain1(m, rowGrain, g, axpyRows)
 }
 
 // MatMulTransB computes C = A·Bᵀ for A [m×k] and B [n×k], writing into
@@ -102,20 +85,8 @@ func MatMulTransB(c, a, b *Tensor) {
 	if k != k2 || c.Shape[0] != m || c.Shape[1] != n {
 		panic(fmt.Sprintf("tensor: matmulTransB shape mismatch %v·%vᵀ→%v", a.Shape, b.Shape, c.Shape))
 	}
-	ad, bd, cd := a.Data, b.Data, c.Data
-	parallel.ForGrain(m, 8, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			arow := ad[i*k : (i+1)*k]
-			for j := 0; j < n; j++ {
-				brow := bd[j*k : (j+1)*k]
-				var acc float32
-				for p := range arow {
-					acc += arow[p] * brow[p]
-				}
-				cd[i*n+j] = acc
-			}
-		}
-	})
+	g := gemm{c: c.Data, a: a.Data, b: b.Data, k: k, n: n}
+	parallel.ForGrain1(m, rowGrain, g, active.transB)
 }
 
 // MatMulTransA computes C = Aᵀ·B for A [k×m] and B [k×n], writing into
@@ -126,25 +97,8 @@ func MatMulTransA(c, a, b *Tensor) {
 	if k != k2 || c.Shape[0] != m || c.Shape[1] != n {
 		panic(fmt.Sprintf("tensor: matmulTransA shape mismatch %vᵀ·%v→%v", a.Shape, b.Shape, c.Shape))
 	}
-	ad, bd, cd := a.Data, b.Data, c.Data
-	parallel.ForGrain(m, 8, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			crow := cd[i*n : (i+1)*n]
-			for x := range crow {
-				crow[x] = 0
-			}
-			for p := 0; p < k; p++ {
-				av := ad[p*m+i]
-				if av == 0 {
-					continue
-				}
-				brow := bd[p*n : (p+1)*n]
-				for x, bv := range brow {
-					crow[x] += av * bv
-				}
-			}
-		}
-	})
+	g := gemm{c: c.Data, a: a.Data, b: b.Data, k: k, n: n, ai: 1, ap: m}
+	parallel.ForGrain1(m, rowGrain, g, axpyRows)
 }
 
 // AddBiasRows adds bias (length n) to every row of x [m×n], in place.
@@ -153,9 +107,9 @@ func AddBiasRows(x *Tensor, bias []float32) {
 	if len(bias) != n {
 		panic("tensor: bias length mismatch")
 	}
-	parallel.ForGrain(m, 16, func(lo, hi int) {
+	parallel.ForGrain2(m, 16, x.Data, bias, func(xd, bias []float32, lo, hi int) {
 		for i := lo; i < hi; i++ {
-			row := x.Data[i*n : (i+1)*n]
+			row := xd[i*len(bias) : (i+1)*len(bias)]
 			for j := range row {
 				row[j] += bias[j]
 			}
