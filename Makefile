@@ -43,13 +43,13 @@ fmt-check:
 # The race detector's beat: the packages that share caches/pools across
 # goroutines, mutate shared controller/registry state or run the worker
 # fleet (tensor and nn: the products' per-chunk scratch is written from
-# pool goroutines). race-short is the CI pass (dist: about a minute on
-# two cores).
+# pool goroutines; optim: the fused step's body runs on them too).
+# race-short is the CI pass (dist: about a minute on two cores).
 RACE_PKGS = ./internal/cfft/ ./internal/sparsify/ ./internal/compress/ ./internal/comm/ \
 	./internal/collective/ ./internal/telemetry/ ./internal/adapt/ ./internal/cluster/ \
 	./internal/chaos/ ./internal/guard/ ./internal/checkpoint/ ./internal/trace/ ./internal/obs/ \
 	./internal/serve/ ./internal/dist/ ./internal/feedback/ ./internal/parallel/ \
-	./internal/scratch/ ./internal/tensor/ ./internal/nn/
+	./internal/scratch/ ./internal/tensor/ ./internal/nn/ ./internal/optim/
 
 race:
 	$(GO) test -race $(RACE_PKGS)
@@ -90,6 +90,7 @@ guard:
 # Fuzz smoke: a short wall-clock-bounded pass over every fuzz target in
 # the tree — the compressed message decoders, every codec's encode→decode
 # round trip, the fused transform decode against its unfused reference,
+# every codec's decode-accumulate against its dense decode,
 # the guard frame decoder, the framed codec decoder, the radix select
 # against the sorted order, the fused quantize-and-pack encoder against
 # Encode + AppendCodes, the checkpoint reader, the run-length bitmap
@@ -99,6 +100,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzDecompressRobustness -fuzztime=15s -run '^$$' ./internal/compress/
 	$(GO) test -fuzz=FuzzCompressRoundTrip -fuzztime=15s -run '^$$' ./internal/compress/
 	$(GO) test -fuzz=FuzzDecodeMatchesReference -fuzztime=15s -run '^$$' ./internal/compress/
+	$(GO) test -fuzz=FuzzAccumulateMatchesDecompress -fuzztime=15s -run '^$$' ./internal/compress/
 	$(GO) test -fuzz=FuzzUnframe -fuzztime=15s -run '^$$' ./internal/guard/
 	$(GO) test -fuzz=FuzzFramedDecompress -fuzztime=15s -run '^$$' ./internal/guard/
 	$(GO) test -fuzz=FuzzKthLargestMatchesSort -fuzztime=15s -run '^$$' ./internal/topk/

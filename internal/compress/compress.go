@@ -22,6 +22,8 @@ import (
 	"encoding/binary"
 	"fmt"
 
+	"fftgrad/internal/parallel"
+	"fftgrad/internal/scratch"
 	"fftgrad/internal/telemetry"
 )
 
@@ -74,7 +76,8 @@ type Instrumentable interface {
 // implements T, otherwise the first layer that does along the chain of
 // Inner() methods. Decorators (guard.Framed, the feedback wrappers)
 // therefore expose Inner and implement only the capabilities that are
-// their own.
+// their own. A capability that reads the wire (Accumulator) must not be
+// found this way: see AccumulateInto.
 func As[T any](c Compressor) (T, bool) {
 	for c != nil {
 		if t, ok := c.(T); ok {
@@ -95,6 +98,54 @@ func As[T any](c Compressor) (T, bool) {
 func Instrument(c Compressor, st *telemetry.StageTimer) {
 	if i, ok := As[Instrumentable](c); ok {
 		i.Instrument(st)
+	}
+}
+
+// Accumulator is implemented by codecs that fold a message straight into
+// a running sum instead of writing a dense reconstruction first.
+// AccumulateInto sets dst[i] = (dst[i] + wt·x[i])·scale, where x is what
+// DecompressInto would write, in exactly those float32 operations and that
+// order: the add runs even onto a +0 and for a message that decodes to all
+// zeros, and the multiply by scale runs even when scale is 1. A message
+// that DecompressInto rejects is rejected before dst is written.
+type Accumulator interface {
+	AccumulateInto(dst []float32, msg []byte, wt, scale float32) error
+}
+
+// AccumulateInto folds msg into dst through c: c's own AccumulateInto
+// when the outermost layer has one, otherwise DecompressInto into pooled
+// scratch followed by Accumulate. The capability is asserted on c itself,
+// never found with As: As walks past a decorator that lacks it, and below
+// guard.Framed the inner decoder would read a frame whose CRC nobody
+// checked. Decorators that implement it forward to this function on their
+// inner codec after doing their own part.
+func AccumulateInto(c Compressor, dst []float32, msg []byte, wt, scale float32) error {
+	if a, ok := c.(Accumulator); ok {
+		return a.AccumulateInto(dst, msg, wt, scale)
+	}
+	xb := scratch.Float32s(len(dst))
+	defer scratch.PutFloat32s(xb)
+	if err := c.DecompressInto(*xb, msg); err != nil {
+		return err
+	}
+	Accumulate(dst, *xb, wt, scale)
+	return nil
+}
+
+// fold is the (wt, scale) pair of an accumulation, threaded by value
+// through the parallel bodies.
+type fold struct{ wt, scale float32 }
+
+// Accumulate is the reference accumulation: dst[i] = (dst[i] + wt·x[i])·scale
+// over equal-length slices, in parallel.
+func Accumulate(dst, x []float32, wt, scale float32) {
+	parallel.For3(len(dst), dst, x, fold{wt, scale}, accumulateRange)
+}
+
+func accumulateRange(dst, x []float32, f fold, lo, hi int) {
+	dst, x = dst[lo:hi], x[lo:hi]
+	for i, v := range x {
+		dst[i] = (dst[i] + f.wt*v) * f.scale
 	}
 }
 

@@ -148,6 +148,19 @@ func (c *Transform) AppendCompress(dst []byte, grad []float32) ([]byte, error) {
 // DecompressInto implements Compressor: the inverse pipeline with
 // pooled scratch and a cached decode-side quantizer.
 func (c *Transform) DecompressInto(dst []float32, msg []byte) error {
+	return c.decode(dst, msg, nil)
+}
+
+// AccumulateInto implements Accumulator: the same pipeline, with the
+// inverse's narrowing pass folding the signal into dst
+// (sparsify.Transform.SynthesizeAccumulate).
+func (c *Transform) AccumulateInto(dst []float32, msg []byte, wt, scale float32) error {
+	return c.decode(dst, msg, &fold{wt, scale})
+}
+
+// decode writes the message's reconstruction into dst, or folds it in
+// when f is set. Every check runs before dst is written.
+func (c *Transform) decode(dst []float32, msg []byte, f *fold) error {
 	var hdr [transformHeaderWords]uint32
 	rest, err := readHeaderInto(hdr[:], msg)
 	if err != nil {
@@ -163,7 +176,15 @@ func (c *Transform) DecompressInto(dst []float32, msg []byte) error {
 		return fmt.Errorf("%s: padded length %d, want %d for %d elements", c.name, paddedN, want, n)
 	}
 	if kept == 0 {
-		clear(dst)
+		// A header-only message decodes to +0 everywhere.
+		if f == nil {
+			clear(dst)
+		} else {
+			z := f.wt * 0
+			for i := range dst {
+				dst[i] = (dst[i] + z) * f.scale
+			}
+		}
 		return nil
 	}
 	nbins := c.tr.Bins(paddedN)
@@ -198,5 +219,8 @@ func (c *Transform) DecompressInto(dst []float32, msg []byte) error {
 	}
 	c.st.ObserveSince(telemetry.StageConvert, 4*n, t0)
 	// Scatter by bitmap (popcount must equal kept), inverse, narrow.
+	if f != nil {
+		return c.tr.SynthesizeAccumulate(dst, spec, f.wt, f.scale, c.st)
+	}
 	return c.tr.Synthesize(dst, spec, c.st)
 }

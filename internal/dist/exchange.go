@@ -4,7 +4,7 @@ package dist
 // describes — compress, allgather, decode the messages, average — bucket by
 // bucket as a two-stage pipeline: while bucket b's message is in flight
 // (gather + average), bucket b+1 is still being compressed. The two stages
-// touch disjoint state (bucket b's message/recon/avg slices vs bucket b+1's
+// touch disjoint state (bucket b's message and avg slices vs bucket b+1's
 // grad slice and codec), so the only synchronization is the hand-off to the
 // pipeline's compress goroutine and its reply between pipeline steps. The
 // monolithic exchange is the one-bucket case: one compress, one gather,
@@ -26,6 +26,7 @@ import (
 	"fftgrad/internal/collective"
 	"fftgrad/internal/comm"
 	"fftgrad/internal/compress"
+	"fftgrad/internal/scratch"
 	"fftgrad/internal/trace"
 )
 
@@ -66,47 +67,67 @@ type gathered struct {
 	resync  bool // the membership view changed under the gather
 }
 
-// average decodes g's messages through bucket b's codec and leaves their
-// weighted mean, Σ wt·decode(msg) / Σ wt, in avg[lo:hi]; recon[lo:hi] is
-// the decode scratch. It reports how many messages it folded and the
-// largest of them. This is the only place compressed gradients are
-// decoded and summed (ROADMAP item 2 replaces exactly this routine).
+// average folds g's messages through bucket b's codec and leaves their
+// weighted mean, Σ wt·decode(msg) / Σ wt, in avg[lo:hi]. It reports how
+// many messages it folded and the largest of them. This is the only place
+// compressed gradients are decoded and summed (ROADMAP item 2 changes
+// what the codec does behind it).
+//
+// Each message is decoded straight into the running sum by
+// compress.AccumulateInto, the last one with the 1/Σwt scale folded in,
+// so every element takes the float32 operations of the dense loop —
+// avg = +0; avg += wt·x per message; avg *= 1/Σwt — in the same order. A
+// damped contribution whose withheld mass is banked (wt < 1, bank > 0)
+// still decodes densely, into pooled scratch, for the residual.
 func (w *worker) average(codec compress.Compressor, b int, g *gathered) (n, max int, err error) {
 	lo, hi := w.bk.Range(b)
-	avg, recon := w.avg[lo:hi], w.recon[lo:hi]
-	for i := range avg {
-		avg[i] = 0
-	}
+	avg := w.avg[lo:hi]
+	clear(avg)
 	var wsum float32
+	last := -1
+	for k, m := range g.msgs {
+		if m != nil {
+			wsum += g.wt[k]
+			last = k
+		}
+	}
+	// This rank's own message is always among the contributions, so the
+	// weight sum is positive.
+	inv := 1 / wsum
 	for k, m := range g.msgs {
 		if m == nil {
 			continue
 		}
-		if err := codec.DecompressInto(recon, m); err != nil {
+		wt, scale := g.wt[k], float32(1)
+		if k == last {
+			scale = inv
+		}
+		if err := w.accumulate(codec, b, avg, m, wt, scale, g.bank); err != nil {
 			return 0, 0, fmt.Errorf("bucket %d decompress: %w", b, err)
-		}
-		wt := g.wt[k]
-		for i, v := range recon {
-			avg[i] += wt * v
-		}
-		wsum += wt
-		if wt < 1 && g.bank > 0 {
-			if sink, ok := compress.As[scaledResidualSink](w.comps[b]); ok {
-				sink.AddToResidualScaled(recon, (1-wt)/float32(g.bank))
-			}
 		}
 		n++
 		if len(m) > max {
 			max = len(m)
 		}
 	}
-	// This rank's own message is always among the contributions, so the
-	// weight sum is positive.
-	inv := 1 / wsum
-	for i := range avg {
-		avg[i] *= inv
-	}
 	return n, max, nil
+}
+
+// accumulate folds one message into avg: (avg + wt·decode(m))·scale.
+func (w *worker) accumulate(codec compress.Compressor, b int, avg []float32, m []byte, wt, scale float32, bank int) error {
+	if wt < 1 && bank > 0 {
+		if sink, ok := compress.As[scaledResidualSink](w.comps[b]); ok {
+			xb := scratch.Float32s(len(avg))
+			defer scratch.PutFloat32s(xb)
+			if err := codec.DecompressInto(*xb, m); err != nil {
+				return err
+			}
+			compress.Accumulate(avg, *xb, wt, scale)
+			sink.AddToResidualScaled(*xb, (1-wt)/float32(bank))
+			return nil
+		}
+	}
+	return compress.AccumulateInto(codec, avg, m, wt, scale)
 }
 
 // pipeline is the bucketed compress → gather → average round.

@@ -225,3 +225,71 @@ func TestBucketedRoundZeroAlloc(t *testing.T) {
 		t.Errorf("a bucketed round allocates %.2f allocs/op, want 0", n)
 	}
 }
+
+// TestAverageMatchesDenseLoopBits pins the fused decode-accumulate of
+// worker.average against the dense loop it replaced — avg = +0; per
+// message, decode and avg += wt·x; then avg *= 1/Σwt — on raw bits, with
+// lossless messages full of −0, subnormals and ±Inf (a −0 folded onto the
+// cleared sum must come out +0), for the barrier's weights, a damped and
+// banked cache, and a missing contributor.
+func TestAverageMatchesDenseLoopBits(t *testing.T) {
+	const p = 4
+	cfg := blobCfg(82)
+	cfg.NewCompressor = func() compress.Compressor { return feedback.New(compress.FP32{}) }
+	cfg = cfg.withDefaults()
+	n := cfg.Model(cfg.Seed).NumParams()
+	rng := rand.New(rand.NewSource(82))
+	msgs := make([][]byte, p)
+	for j := range msgs {
+		g := make([]float32, n)
+		for i := range g {
+			switch rng.Intn(6) {
+			case 0:
+				g[i] = float32(math.Copysign(0, -1))
+			case 1:
+				g[i] = math.Float32frombits(uint32(rng.Int31n(1<<23)) | uint32(rng.Intn(2))<<31)
+			case 2:
+				if rng.Intn(50) == 0 {
+					g[i] = float32(math.Inf(rng.Intn(2)*2 - 1))
+				}
+			default:
+				g[i] = float32(rng.NormFloat64())
+			}
+		}
+		msgs[j], _ = compress.FP32{}.AppendCompress(nil, g)
+	}
+	for _, g := range []gathered{
+		{msgs: msgs, wt: []float32{1, 1, 1, 1}},
+		{msgs: [][]byte{msgs[0], msgs[1], nil, msgs[3]}, wt: []float32{1, float32(math.Pow(0.9, 3)), 0, 1}, bank: 3},
+		{msgs: [][]byte{msgs[0], nil, msgs[2], nil}, wt: []float32{0.5, 0, 0.25, 0}},
+	} {
+		w, err := newWorker(cfg, 0, p, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := w.average(w.comps[0], 0, &g); err != nil {
+			t.Fatal(err)
+		}
+		want, x := make([]float32, n), make([]float32, n)
+		var wsum float32
+		for k, m := range g.msgs {
+			if m == nil {
+				continue
+			}
+			if err := (compress.FP32{}).DecompressInto(x, m); err != nil {
+				t.Fatal(err)
+			}
+			for i, v := range x {
+				want[i] += g.wt[k] * v
+			}
+			wsum += g.wt[k]
+		}
+		inv := 1 / wsum
+		for i := range want {
+			want[i] *= inv
+			if got := w.avg[i]; math.Float32bits(got) != math.Float32bits(want[i]) && !(got != got && want[i] != want[i]) {
+				t.Fatalf("weights %v element %d: %#x, the dense loop has %#x", g.wt, i, math.Float32bits(got), math.Float32bits(want[i]))
+			}
+		}
+	}
+}

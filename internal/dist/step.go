@@ -25,6 +25,7 @@ import (
 	"fftgrad/internal/nn"
 	"fftgrad/internal/obs"
 	"fftgrad/internal/optim"
+	"fftgrad/internal/scratch"
 	"fftgrad/internal/telemetry"
 	"fftgrad/internal/trace"
 )
@@ -110,9 +111,10 @@ type worker struct {
 	comps, wire []compress.Compressor
 	wireSync    compress.Compressor
 
-	grad, avg, recon, delta []float32
-	syncFlat                []float32
-	syncPayload             []byte
+	grad, avg   []float32
+	params      [][]float32 // the replica's parameter slices, in flat order
+	syncFlat    []float32
+	syncPayload []byte
 
 	// priceSync models one parameter sync of m bytes across n ranks: the
 	// strategy's broadcast, unless the link syncs some other way.
@@ -173,8 +175,9 @@ func newWorker(cfg Config, rank, p int, restore *checkpoint.State) (*worker, err
 
 	w.grad = make([]float32, w.n)
 	w.avg = make([]float32, w.n)
-	w.recon = make([]float32, w.n)
-	w.delta = make([]float32, w.n)
+	for _, p := range w.net.Params() {
+		w.params = append(w.params, p.Data)
+	}
 	w.syncFlat = make([]float32, w.n)
 	w.res = &Result{GradSize: w.n}
 	return w, nil
@@ -311,8 +314,8 @@ func (w *worker) recover(ab *aborted, iter int, compressed bool) (int, error) {
 // ab.bucket were averaged by the survivors; every bucket from ab.bucket up
 // folds. Compressing a bucket already moved its gradient into the
 // residual, less what the message carries — so for a bucket whose message
-// was built, what the message carries goes back; one never compressed
-// folds whole.
+// was built, what the message carries goes back, decoded into pooled
+// scratch; one never compressed folds whole.
 func (w *worker) fold(ab *aborted, compressed bool) error {
 	for b := ab.bucket; b < len(w.comps); b++ {
 		sink, ok := compress.As[residualSink](w.comps[b])
@@ -320,14 +323,19 @@ func (w *worker) fold(ab *aborted, compressed bool) error {
 			continue
 		}
 		lo, hi := w.bk.Range(b)
-		lost := w.grad[lo:hi]
-		if b < len(ab.msgs) && compressed {
-			lost = w.recon[lo:hi]
-			if err := w.comps[b].DecompressInto(lost, ab.msgs[b]); err != nil {
-				return fmt.Errorf("bucket %d decoding the undelivered message: %w", b, err)
-			}
+		if b >= len(ab.msgs) || !compressed {
+			sink.AddToResidual(w.grad[lo:hi])
+			continue
 		}
-		sink.AddToResidual(lost)
+		lost := scratch.Float32s(hi - lo)
+		err := w.comps[b].DecompressInto(*lost, ab.msgs[b])
+		if err == nil {
+			sink.AddToResidual(*lost)
+		}
+		scratch.PutFloat32s(lost)
+		if err != nil {
+			return fmt.Errorf("bucket %d decoding the undelivered message: %w", b, err)
+		}
 	}
 	return nil
 }
@@ -419,8 +427,7 @@ func (w *worker) train(startIter int) (*Result, error) {
 			case guard.ActionSkip:
 				// Poisoned round: no update.
 			default:
-				w.sgd.Delta(w.delta, w.avg)
-				w.net.AddToParams(w.delta)
+				w.sgd.Step(w.params, w.avg)
 			}
 			updateT = time.Since(t0)
 			tc.SpanTimed(trace.OpUpdate, int64(w.n), t0, updateT)

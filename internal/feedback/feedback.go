@@ -92,6 +92,11 @@ func (c *Compressor) DecompressInto(dst []float32, msg []byte) error {
 	return c.inner.DecompressInto(dst, msg)
 }
 
+// AccumulateInto forwards to the inner compressor, like DecompressInto.
+func (c *Compressor) AccumulateInto(dst []float32, msg []byte, wt, scale float32) error {
+	return compress.AccumulateInto(c.inner, dst, msg, wt, scale)
+}
+
 // AddToResidual folds g into the residual. The failure-aware trainer
 // calls this with a gradient that was computed but never shipped (the
 // rank crashed or was evicted before its exchange completed): instead of

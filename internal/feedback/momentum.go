@@ -66,3 +66,8 @@ func (c *MomentumCorrected) AppendCompress(dst []byte, grad []float32) ([]byte, 
 func (c *MomentumCorrected) DecompressInto(dst []float32, msg []byte) error {
 	return c.inner.DecompressInto(dst, msg)
 }
+
+// AccumulateInto forwards to the inner compressor.
+func (c *MomentumCorrected) AccumulateInto(dst []float32, msg []byte, wt, scale float32) error {
+	return compress.AccumulateInto(c.inner, dst, msg, wt, scale)
+}

@@ -11,7 +11,9 @@ import "fftgrad/internal/compress"
 // Framed is per-rank state (the pending fingerprint is one-shot
 // per-message), like the compressors it wraps. Optional capabilities of
 // the wrapped stack (θ schedules, stage timers, error-feedback residuals)
-// are reached through Inner by compress.As.
+// are reached through Inner by compress.As. Decode-accumulate is the
+// exception: it reads the wire, so Framed implements it itself and checks
+// the frame first.
 type Framed struct {
 	inner compress.Compressor
 	crc   bool
@@ -66,4 +68,14 @@ func (f *Framed) DecompressInto(dst []float32, msg []byte) error {
 		return err
 	}
 	return f.inner.DecompressInto(dst, payload)
+}
+
+// AccumulateInto implements compress.Accumulator: the same integrity
+// check first, then the inner codec folds the payload into dst.
+func (f *Framed) AccumulateInto(dst []float32, msg []byte, wt, scale float32) error {
+	payload, err := Unframe(msg)
+	if err != nil {
+		return err
+	}
+	return compress.AccumulateInto(f.inner, dst, payload, wt, scale)
 }

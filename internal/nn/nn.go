@@ -34,13 +34,21 @@ type Layer interface {
 	Params() []*Param
 }
 
-// Network is an ordered pipeline of layers.
+// Network is an ordered pipeline of layers. Build it with Sequential; its
+// layers are fixed from then on.
 type Network struct {
 	Layers []Layer
+	params []*Param // every layer's parameters in order, gathered once
 }
 
 // Sequential builds a network from layers.
-func Sequential(layers ...Layer) *Network { return &Network{Layers: layers} }
+func Sequential(layers ...Layer) *Network {
+	n := &Network{Layers: layers}
+	for _, l := range layers {
+		n.params = append(n.params, l.Params()...)
+	}
+	return n
+}
 
 // Forward runs the full pipeline.
 func (n *Network) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
@@ -58,14 +66,9 @@ func (n *Network) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	return dy
 }
 
-// Params returns all learnable parameters in layer order.
-func (n *Network) Params() []*Param {
-	var out []*Param
-	for _, l := range n.Layers {
-		out = append(out, l.Params()...)
-	}
-	return out
-}
+// Params returns all learnable parameters in layer order. The slice is
+// the network's own: callers must not modify it.
+func (n *Network) Params() []*Param { return n.params }
 
 // NumParams returns the total learnable scalar count — the length of the
 // flat gradient vector (and, ×4, the per-iteration message size in bytes).

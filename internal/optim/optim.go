@@ -7,7 +7,11 @@
 // compression.
 package optim
 
-import "fmt"
+import (
+	"fmt"
+
+	"fftgrad/internal/parallel"
+)
 
 // SGD is stochastic gradient descent with classical momentum:
 //
@@ -37,6 +41,51 @@ func (s *SGD) Delta(dst, grad []float32) []float32 {
 		dst[i] = -lr * v
 	}
 	return dst
+}
+
+// Step consumes the (averaged) flat gradient and applies the update to
+// the parameters in one parallel pass: v ← μ·v + g, then p ← p + (−η·v).
+// params are the parameter slices in flat-gradient order (the network's,
+// taken once); each element takes exactly the float32 operations of Delta
+// followed by nn.Network.AddToParams.
+func (s *SGD) Step(params [][]float32, grad []float32) {
+	n := 0
+	for _, p := range params {
+		n += len(p)
+	}
+	if len(grad) != len(s.velocity) || n != len(s.velocity) {
+		panic(fmt.Sprintf("optim: gradient length %d, %d parameters, optimizer size %d", len(grad), n, len(s.velocity)))
+	}
+	parallel.ForGrain1(n, stepGrain, step{params, grad, s.velocity, float32(s.Momentum), float32(s.LR)}, stepRange)
+}
+
+// stepGrain keeps small models on the calling goroutine.
+const stepGrain = 1 << 14
+
+// step is Step's state, threaded by value to stepRange.
+type step struct {
+	params         [][]float32
+	grad, velocity []float32
+	mu, lr         float32
+}
+
+// stepRange updates flat elements [lo, hi), walking the parameter slices
+// that overlap it.
+func stepRange(c step, lo, hi int) {
+	off := 0
+	for _, p := range c.params {
+		if plo, phi := max(lo, off), min(hi, off+len(p)); plo < phi {
+			g, vel, w := c.grad[plo:phi], c.velocity[plo:phi], p[plo-off:phi-off]
+			for i := range w {
+				v := c.mu*vel[i] + g[i]
+				vel[i] = v
+				w[i] += -c.lr * v
+			}
+		}
+		if off += len(p); off >= hi {
+			return
+		}
+	}
 }
 
 // State returns a copy of the momentum buffer for checkpointing.

@@ -13,10 +13,16 @@ type kernels struct {
 	words func(gt, eq []uint64, mags []float64, thr float64)
 	// narrow rounds src[lo:hi] to float32 into dst (a parallel.For2 body).
 	narrow func(dst []float32, src []float64, lo, hi int)
+	// narrowAcc folds the rounded src[lo:hi] into a running sum:
+	// dst[i] = (dst[i] + wt·float32(src[i]))·scale (a parallel.For3 body).
+	narrowAcc func(dst []float32, src []float64, a accum, lo, hi int)
 }
 
+// accum is the (wt, scale) pair of SynthesizeAccumulate.
+type accum struct{ wt, scale float32 }
+
 var (
-	scalar = kernels{magsComplex, maskWords, narrowF64}
+	scalar = kernels{magsComplex, maskWords, narrowF64, narrowAccF64}
 	// active is chosen once, at package init; only the bit-identity tests
 	// assign it afterwards.
 	active = scalar
@@ -57,5 +63,11 @@ func maskWord(mags []float64, thr float64) (gtW, eqW uint64) {
 func narrowF64(dst []float32, src []float64, lo, hi int) {
 	for i := lo; i < hi; i++ {
 		dst[i] = float32(src[i])
+	}
+}
+
+func narrowAccF64(dst []float32, src []float64, a accum, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		dst[i] = (dst[i] + a.wt*float32(src[i])) * a.scale
 	}
 }

@@ -17,9 +17,12 @@ func maskWordsAVX2(gt, eq *uint64, mags *float64, nwords int, thr float64)
 //go:noescape
 func narrowAVX2(dst *float32, src *float64, n8 int)
 
+//go:noescape
+func narrowAccAVX2(dst *float32, src *float64, n8 int, wt, scale float32)
+
 func init() {
 	if cpu.AVX2 {
-		active = kernels{magsVec, maskWordsVec, narrowVec}
+		active = kernels{magsVec, maskWordsVec, narrowVec, narrowAccVec}
 	}
 }
 
@@ -49,4 +52,14 @@ func narrowVec(dst []float32, src []float64, lo, hi int) {
 		lo += 8 * n8
 	}
 	narrowF64(dst, src, lo, hi)
+}
+
+func narrowAccVec(dst []float32, src []float64, a accum, lo, hi int) {
+	if n8 := (hi - lo) / 8; n8 > 0 {
+		_ = dst[lo+8*n8-1]
+		_ = src[lo+8*n8-1]
+		narrowAccAVX2(&dst[lo], &src[lo], n8, a.wt, a.scale)
+		lo += 8 * n8
+	}
+	narrowAccF64(dst, src, a, lo, hi)
 }

@@ -100,3 +100,28 @@ naloop:
 	JNZ  naloop
 	VZEROUPPER
 	RET
+
+// func narrowAccAVX2(dst *float32, src *float64, n8 int, wt, scale float32)
+//
+// dst = (dst + wt·float32(src))·scale for n8 groups of eight, in the
+// reference's order: narrow, multiply, add, multiply, each rounded.
+TEXT ·narrowAccAVX2(SB), NOSPLIT, $0-32
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ n8+16(FP), CX
+	VBROADCASTSS wt+24(FP), Y14
+	VBROADCASTSS scale+28(FP), Y15
+acloop:
+	VCVTPD2PSY (SI), X0
+	VCVTPD2PSY 32(SI), X1
+	VINSERTF128 $1, X1, Y0, Y0
+	VMULPS Y14, Y0, Y0
+	VADDPS (DI), Y0, Y0
+	VMULPS Y15, Y0, Y0
+	VMOVUPS Y0, (DI)
+	ADDQ $64, SI
+	ADDQ $32, DI
+	DECQ CX
+	JNZ  acloop
+	VZEROUPPER
+	RET

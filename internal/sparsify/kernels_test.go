@@ -163,3 +163,58 @@ func TestNarrowMatchesReference(t *testing.T) {
 		}
 	}
 }
+
+// TestNarrowAccMatchesReference: the narrow-accumulate kernel against
+// its Go reference, dst = (dst + wt·float32(src))·scale, on the narrowing
+// test's hard doubles and on running sums of ±0, subnormals, ±Inf and NaN,
+// for weights and scales that round (λ³, 1/3) and that do not (1, 0.5),
+// over ranges off the kernel's groups of eight.
+func TestNarrowAccMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	src := []float64{math.MaxFloat32, 2 * math.MaxFloat32, 1e-40, -1e-45, math.Copysign(0, -1), 0, math.NaN(), math.Inf(1)}
+	for len(src) < 1000 {
+		src = append(src, specialF64(rng), rng.NormFloat64())
+	}
+	dst0 := make([]float32, len(src))
+	for i := range dst0 {
+		dst0[i] = float32(specialF64(rng))
+		if i%5 == 0 {
+			dst0[i] = 0 // a cleared sum: +0 + −0 must stay +0
+		}
+	}
+	for _, a := range []accum{{1, 1}, {0.5, 1}, {float32(math.Pow(0.9, 3)), 1.0 / 3}, {1, 1.0 / 3}} {
+		for _, r := range [][2]int{{0, len(src)}, {1, 20}, {3, 7}, {9, 999}} {
+			got, want := append([]float32(nil), dst0...), append([]float32(nil), dst0...)
+			active.narrowAcc(got, src, a, r[0], r[1])
+			scalar.narrowAcc(want, src, a, r[0], r[1])
+			for i := range want {
+				if g, w := got[i], want[i]; math.Float32bits(g) != math.Float32bits(w) && !(g != g && w != w) {
+					t.Fatalf("%+v range %v element %d (dst %v, src %v): %v (%#x), reference %v (%#x)", a, r, i,
+						dst0[i], src[i], g, math.Float32bits(g), w, math.Float32bits(w))
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkNarrowAcc times the narrow-accumulate pass alone at the
+// wide_fft gradient's length, Go reference against the active set (run
+// with -cpu 1: the assembly is kept only at ≥ 1.5× the reference).
+func BenchmarkNarrowAcc(b *testing.B) {
+	const n = 476032
+	src, dst := make([]float64, n), make([]float32, n)
+	for i := range src {
+		src[i] = math.Sin(float64(i))
+	}
+	for _, k := range []struct {
+		name string
+		set  kernels
+	}{{"go", scalar}, {"active", active}} {
+		b.Run(k.name, func(b *testing.B) {
+			b.SetBytes(12 * n)
+			for i := 0; i < b.N; i++ {
+				k.set.narrowAcc(dst, src, accum{0.5, 1}, 0, n)
+			}
+		})
+	}
+}

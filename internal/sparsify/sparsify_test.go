@@ -165,7 +165,7 @@ func TestFFTKeepsHighestEnergyBins(t *testing.T) {
 	}
 	y := make([]float32, n)
 	FFT.zeroDropped(spec) // Analyze leaves dropped bins as transformed
-	FFT.inverse(y, spec, nil)
+	FFT.inverse(y, spec, nil, nil)
 	// Reconstruction must capture the strong tone: >90% energy retained.
 	if rel := l2(x, y) / norm(x); rel > 0.3 {
 		t.Fatalf("reconstruction error too high: %g", rel)

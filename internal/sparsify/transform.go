@@ -350,10 +350,23 @@ func (t *Transform) zeroDropped(spec *Spectrum) {
 // wire — and inverse-transforms them into dst, which must have length
 // spec.L. A shape that no Analyze could have produced (N not the padded
 // length's power of two, Mask or Vals of the wrong size, bitmap popcount
-// other than Kept) is an error, never a panic. st sees the scatter as
-// StagePack, the inverse transform as StageTransform and the f64→f32
-// narrowing as StageConvert (nil disables timing).
+// other than Kept) is an error, never a panic, and dst is not written.
+// st sees the scatter as StagePack, the inverse transform as
+// StageTransform and the f64→f32 narrowing as StageConvert (nil disables
+// timing).
 func (t *Transform) Synthesize(dst []float32, spec *Spectrum, st *telemetry.StageTimer) error {
+	return t.synthesize(dst, spec, nil, st)
+}
+
+// SynthesizeAccumulate is Synthesize folded into a running sum: with x
+// the signal Synthesize would write, it sets
+// dst[i] = (dst[i] + wt·x[i])·scale in the narrowing pass itself, with
+// those float32 operations in that order.
+func (t *Transform) SynthesizeAccumulate(dst []float32, spec *Spectrum, wt, scale float32, st *telemetry.StageTimer) error {
+	return t.synthesize(dst, spec, &accum{wt, scale}, st)
+}
+
+func (t *Transform) synthesize(dst []float32, spec *Spectrum, acc *accum, st *telemetry.StageTimer) error {
 	if len(dst) != spec.L {
 		return fmt.Errorf("sparsify: dst length %d != gradient length %d", len(dst), spec.L)
 	}
@@ -386,19 +399,25 @@ func (t *Transform) Synthesize(dst []float32, spec *Spectrum, st *telemetry.Stag
 		scatterComplex(spec.cbins, spec.Mask, spec.Vals)
 	}
 	st.ObserveSince(telemetry.StagePack, 4*spec.L, t0)
-	t.inverse(dst, spec, st)
+	t.inverse(dst, spec, acc, st)
 	return nil
 }
 
-// scatterComplex fills every bin from the packed (re, im) pairs: masked
-// bins take the next pair, the rest are zero. The caller has checked that
-// mask's popcount matches len(vals)/2 and that no bit lies past the bins.
+// scatterComplex rebuilds every bin, one 64-bin mask word at a time:
+// the word's bins are zeroed and its masked bins then take the next packed
+// (re, im) pairs while the word's 1 KiB is still in L1, so each bin
+// leaves the core once. (Zeroing the whole spectrum first streamed 4 MB
+// through the cache twice; deciding value-or-zero per bin mispredicts a
+// branch on every kept bin and is slower than both.) The caller has
+// checked that mask's popcount matches len(vals)/2, that no bit lies past
+// the bins and that len(mask) = ⌈len(bins)/64⌉.
 func scatterComplex(bins []complex128, mask []uint64, vals []float32) {
-	clear(bins)
 	vi := 0
 	for w, m := range mask {
+		word := bins[w<<6 : min(w<<6+64, len(bins))]
+		clear(word)
 		for ; m != 0; m &= m - 1 {
-			bins[w<<6+mbits.TrailingZeros64(m)] = complex(float64(vals[vi]), float64(vals[vi+1]))
+			word[mbits.TrailingZeros64(m)] = complex(float64(vals[vi]), float64(vals[vi+1]))
 			vi += 2
 		}
 	}
@@ -406,19 +425,20 @@ func scatterComplex(bins []complex128, mask []uint64, vals []float32) {
 
 // scatterReal is scatterComplex for one real value per bin.
 func scatterReal(bins []float64, mask []uint64, vals []float32) {
-	clear(bins)
 	vi := 0
 	for w, m := range mask {
+		word := bins[w<<6 : min(w<<6+64, len(bins))]
+		clear(word)
 		for ; m != 0; m &= m - 1 {
-			bins[w<<6+mbits.TrailingZeros64(m)] = float64(vals[vi])
+			word[mbits.TrailingZeros64(m)] = float64(vals[vi])
 			vi++
 		}
 	}
 }
 
 // inverse transforms spec's dense coefficients back into dst (length
-// spec.L).
-func (t *Transform) inverse(dst []float32, spec *Spectrum, st *telemetry.StageTimer) {
+// spec.L): narrowed into it, or folded into it when acc is set.
+func (t *Transform) inverse(dst []float32, spec *Spectrum, acc *accum, st *telemetry.StageTimer) {
 	sigb := scratch.Float64s(spec.N)
 	defer scratch.PutFloat64s(sigb)
 	t0 := time.Now()
@@ -429,7 +449,11 @@ func (t *Transform) inverse(dst []float32, spec *Spectrum, st *telemetry.StageTi
 	}
 	st.ObserveSince(telemetry.StageTransform, 4*spec.L, t0)
 	t0 = time.Now()
-	parallel.For2(spec.L, dst, *sigb, active.narrow)
+	if acc != nil {
+		parallel.For3(spec.L, dst, *sigb, *acc, active.narrowAcc)
+	} else {
+		parallel.For2(spec.L, dst, *sigb, active.narrow)
+	}
 	st.ObserveSince(telemetry.StageConvert, 4*spec.L, t0)
 }
 
@@ -441,7 +465,7 @@ func (t *Transform) Roundtrip(x []float32, theta float64) []float32 {
 	t.Analyze(&spec, x, theta, nil)
 	t.zeroDropped(&spec)
 	out := make([]float32, len(x))
-	t.inverse(out, &spec, nil)
+	t.inverse(out, &spec, nil, nil)
 	return out
 }
 
