@@ -94,8 +94,9 @@ guard:
 # the guard frame decoder, the framed codec decoder, the radix select
 # against the sorted order, the fused quantize-and-pack encoder against
 # Encode + AppendCodes, the checkpoint reader, the run-length bitmap
-# decoder, the job description's JSON decoder and the matrix products
-# against their plain loops.
+# decoder, the job description's JSON decoder, the matrix products,
+# im2col and col2im against their plain loops and the ReLU and max
+# pooling layers against theirs.
 fuzz:
 	$(GO) test -fuzz=FuzzDecompressRobustness -fuzztime=15s -run '^$$' ./internal/compress/
 	$(GO) test -fuzz=FuzzCompressRoundTrip -fuzztime=15s -run '^$$' ./internal/compress/
@@ -109,6 +110,8 @@ fuzz:
 	$(GO) test -fuzz=FuzzDecodeBitmapRLE -fuzztime=15s -run '^$$' ./internal/pack/
 	$(GO) test -fuzz=FuzzSpecJSON -fuzztime=15s -run '^$$' ./internal/serve/
 	$(GO) test -fuzz=FuzzMatMulMatchesReference -fuzztime=15s -run '^$$' ./internal/tensor/
+	$(GO) test -fuzz=FuzzIm2colCol2imMatchesReference -fuzztime=15s -run '^$$' ./internal/tensor/
+	$(GO) test -fuzz=FuzzConvHalfMatchesReference -fuzztime=15s -run '^$$' ./internal/nn/
 
 # Non-blank, non-comment, non-test Go lines per package directory, then
 # the total outside the nested bench/ module: the count the before/after
@@ -123,14 +126,17 @@ loc:
 # One pass over every go-test benchmark (each experiment bench in
 # bench_test.go runs its full quick workload once), then the FFT codec's
 # stage split at the wide_fft shape on one core and two, the bit-reversal
-# pass alone at 2^18 on one core, and every matrix product the benchmark's
-# networks run, per kernel set, on one core. Measured numbers come from
+# pass alone at 2^18 on one core, every matrix product the benchmark's
+# networks run and conv_fft's three col2im geometries, per kernel set, on
+# one core, and conv_fft's conv, ReLU and pooling layers forward and
+# backward on one core. Measured numbers come from
 # the repository benchmark: bash bench/run.sh (BENCHMARK.json).
 bench:
 	$(GO) test -bench=. -benchmem -benchtime=1x ./...
 	$(GO) test -run '^$$' -bench BenchmarkCodecStages -cpu 1,2 ./internal/compress
 	$(GO) test -run '^$$' -bench BenchmarkReorder -cpu 1 ./internal/cfft
-	$(GO) test -run '^$$' -bench BenchmarkGEMMShapes -cpu 1 ./internal/tensor
+	$(GO) test -run '^$$' -bench 'BenchmarkGEMMShapes|BenchmarkCol2imShapes' -cpu 1 ./internal/tensor
+	$(GO) test -run '^$$' -bench BenchmarkConvLayers -benchmem -cpu 1 ./internal/nn
 
 # Regenerate every paper figure/table and ablation.
 experiments:

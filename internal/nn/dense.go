@@ -14,8 +14,9 @@ type Dense struct {
 	In, Out int
 	W, B    *Param
 
-	x  *tensor.Tensor // cached input
-	dW *tensor.Tensor // Backward's weight-gradient product, reused
+	x     *tensor.Tensor // cached input
+	dW    *tensor.Tensor // Backward's weight-gradient product, reused
+	y, dx *tensor.Tensor // the layer's output and input gradient
 }
 
 // NewDense creates a dense layer with He-normal initialized weights.
@@ -32,6 +33,8 @@ func NewDense(in, out int, r *rand.Rand) *Dense {
 	return d
 }
 
+func (d *Dense) name() string { return fmt.Sprintf("dense(%d→%d)", d.In, d.Out) }
+
 // Params implements Layer.
 func (d *Dense) Params() []*Param { return []*Param{d.W, d.B} }
 
@@ -40,17 +43,18 @@ func (d *Dense) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	n := x.Dim(0)
 	x2 := x.Reshape(n, x.Len()/n)
 	if x2.Dim(1) != d.In {
-		panic(fmt.Sprintf("nn: dense(%d→%d) got input width %d", d.In, d.Out, x2.Dim(1)))
+		panic(fmt.Sprintf("nn: %s got input width %d", d.name(), x2.Dim(1)))
 	}
 	d.x = x2
-	y := tensor.New(n, d.Out)
-	tensor.MatMulTransB(y, x2, tensor.FromSlice(d.W.Data, d.Out, d.In))
-	tensor.AddBiasRows(y, d.B.Data)
-	return y
+	d.y = reuse(d.y, n, d.Out)
+	tensor.MatMulTransB(d.y, x2, tensor.FromSlice(d.W.Data, d.Out, d.In))
+	tensor.AddBiasRows(d.y, d.B.Data)
+	return d.y
 }
 
 // Backward implements Layer.
 func (d *Dense) Backward(dy *tensor.Tensor) *tensor.Tensor {
+	checkGrad(d, d.y, dy)
 	n := dy.Dim(0)
 	// dW += dyᵀ·x  — shape [out×in]
 	if d.dW == nil {
@@ -68,7 +72,7 @@ func (d *Dense) Backward(dy *tensor.Tensor) *tensor.Tensor {
 		}
 	}
 	// dx = dy·W — [N×in]
-	dx := tensor.New(n, d.In)
-	tensor.MatMul(dx, dy, tensor.FromSlice(d.W.Data, d.Out, d.In))
-	return dx
+	d.dx = reuse(d.dx, n, d.In)
+	tensor.MatMul(d.dx, dy, tensor.FromSlice(d.W.Data, d.Out, d.In))
+	return d.dx
 }

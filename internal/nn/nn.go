@@ -6,10 +6,16 @@
 //
 // Each worker in data-parallel training owns a model replica, so layers
 // cache forward activations for the backward pass without any locking.
+//
+// Layers own their activations: the tensor a layer's Forward or Backward
+// returns is that layer's buffer, reused from call to call, and is valid
+// until the layer's next Forward or Backward. A caller that keeps logits
+// or an input gradient past that copies them out.
 package nn
 
 import (
 	"fmt"
+	"slices"
 
 	"fftgrad/internal/tensor"
 )
@@ -26,12 +32,45 @@ func newParam(name string, n int) *Param {
 }
 
 // Layer is a differentiable network stage. Forward must cache whatever it
-// needs for the next Backward call; Backward returns dL/dx given dL/dy and
-// accumulates (+=) parameter gradients.
+// needs for the next Backward call; Backward returns dL/dx given dL/dy,
+// which has the shape of the last Forward's output, and accumulates (+=)
+// parameter gradients. Both return tensors the layer owns (see the
+// package documentation).
 type Layer interface {
 	Forward(x *tensor.Tensor, train bool) *tensor.Tensor
 	Backward(dy *tensor.Tensor) *tensor.Tensor
 	Params() []*Param
+}
+
+// reuse returns t reshaped to shape when its buffer is large enough, else
+// a new zero tensor of that shape. The contents of a reused buffer are
+// whatever the last call left there.
+func reuse(t *tensor.Tensor, shape ...int) *tensor.Tensor {
+	n := 1
+	for _, d := range shape {
+		n *= d
+	}
+	if t == nil || cap(t.Data) < n {
+		return tensor.New(shape...)
+	}
+	t.Data = t.Data[:n]
+	t.Shape = append(t.Shape[:0], shape...)
+	return t
+}
+
+// named is a layer that can describe itself in a panic message.
+type named interface{ name() string }
+
+// checkGrad panics unless dy has the shape of y, the output of the
+// layer's last Forward (nil before the first).
+func checkGrad(l named, y, dy *tensor.Tensor) {
+	if y == nil || !slices.Equal(dy.Shape, y.Shape) {
+		var want []int
+		if y != nil {
+			want = y.Shape
+		}
+		panic(fmt.Sprintf("nn: %s backward got dy of shape %v, its last forward returned %v", l.name(), dy.Shape, want))
+	}
 }
 
 // Network is an ordered pipeline of layers. Build it with Sequential; its

@@ -31,7 +31,7 @@ import (
 )
 
 // minParallelWork is the smallest per-invocation element count for which
-// parallel dispatch pays for itself. Below it, For runs serially.
+// parallel dispatch pays for itself. Below it, For2 and For3 run serially.
 const minParallelWork = 4096
 
 // workers caches the degree of parallelism at package init instead of
@@ -217,28 +217,23 @@ func grab[T any]() (*sync.Pool, *T) {
 	return sp, new(T)
 }
 
-// For splits [0,n) into contiguous chunks and invokes body(lo, hi) for each
-// chunk, possibly concurrently. body must be safe to run concurrently on
-// disjoint ranges. It blocks until all chunks complete.
-func For(n int, body func(lo, hi int)) {
-	ForGrain(n, minParallelWork, body)
-}
-
-// ForGrain is For with an explicit minimum grain size: no chunk will be
-// smaller than grain except possibly the last, and work below grain runs
-// serially on the calling goroutine.
+// ForGrain splits [0,n) into contiguous chunks and invokes body(lo, hi)
+// for each chunk, possibly concurrently. body must be safe to run
+// concurrently on disjoint ranges. No chunk is smaller than grain except
+// possibly the last, and work below grain runs serially on the calling
+// goroutine. It blocks until all chunks complete.
 func ForGrain(n, grain int, body func(lo, hi int)) {
 	ForGrain1(n, grain, body, func(f func(int, int), lo, hi int) { f(lo, hi) })
 }
 
-// For2 is For threading two explicit context values to the body instead
-// of relying on closure capture. A func literal that captures nothing
-// compiles to a static funcval, so — unlike For, whose escaping body
-// closure costs one heap allocation per call — For2 with a capture-free
-// literal allocates nothing on either the serial or the pooled path. Hot
-// loops that must stay allocation-free in steady state (the compression
-// pipeline) use these variants; cold callers can keep the more readable
-// For.
+// For2 is ForGrain at grain minParallelWork, threading two explicit
+// context values to the body instead of relying on closure capture. A
+// func literal that captures nothing compiles to a static funcval, so —
+// unlike ForGrain, whose escaping body closure costs one heap allocation
+// per call — For2 with a capture-free literal allocates nothing on either
+// the serial or the pooled path. Hot loops that must stay allocation-free
+// in steady state (the compression pipeline) use these variants; cold
+// callers can keep the more readable ForGrain.
 func For2[A, B any](n int, a A, b B, body func(a A, b B, lo, hi int)) {
 	ForGrain2(n, minParallelWork, a, b, body)
 }
@@ -343,23 +338,6 @@ func ChunkBounds(c, size, n int) (lo, hi int) {
 		hi = n
 	}
 	return lo, hi
-}
-
-// Chunks returns the boundaries that ForGrain would use for n elements,
-// as a slice of [lo,hi) pairs. Useful for two-pass algorithms (e.g. a
-// blocked parallel prefix sum) that need the same partition in both
-// passes. Allocation-sensitive callers should use Plan instead.
-func Chunks(n, grain int) [][2]int {
-	chunks, size := Plan(n, grain)
-	if chunks == 0 {
-		return nil
-	}
-	out := make([][2]int, 0, chunks)
-	for c := 0; c < chunks; c++ {
-		lo, hi := ChunkBounds(c, size, n)
-		out = append(out, [2]int{lo, hi})
-	}
-	return out
 }
 
 // Run executes the given thunks concurrently and waits for all of them.

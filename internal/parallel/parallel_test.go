@@ -10,7 +10,7 @@ import (
 func TestForCoversRangeExactlyOnce(t *testing.T) {
 	for _, n := range []int{0, 1, 7, 100, 4096, 4097, 100000} {
 		seen := make([]int32, n)
-		For(n, func(lo, hi int) {
+		ForGrain(n, minParallelWork, func(lo, hi int) {
 			for i := lo; i < hi; i++ {
 				atomic.AddInt32(&seen[i], 1)
 			}
@@ -39,11 +39,22 @@ func TestForGrainRespectsGrain(t *testing.T) {
 
 func TestForNegativeAndZero(t *testing.T) {
 	called := false
-	For(0, func(lo, hi int) { called = true })
-	For(-5, func(lo, hi int) { called = true })
+	ForGrain(0, minParallelWork, func(lo, hi int) { called = true })
+	ForGrain(-5, minParallelWork, func(lo, hi int) { called = true })
 	if called {
 		t.Fatal("body must not be called for n <= 0")
 	}
+}
+
+// chunkList is the partition Plan describes, as [lo, hi) pairs.
+func chunkList(n, grain int) [][2]int {
+	chunks, size := Plan(n, grain)
+	var out [][2]int
+	for c := 0; c < chunks; c++ {
+		lo, hi := ChunkBounds(c, size, n)
+		out = append(out, [2]int{lo, hi})
+	}
+	return out
 }
 
 func TestChunksPartition(t *testing.T) {
@@ -52,11 +63,11 @@ func TestChunksPartition(t *testing.T) {
 			n = -n
 		}
 		n = n % 100000
-		cs := Chunks(n, 64)
+		cs := chunkList(n, 64)
 		if n == 0 {
 			return len(cs) == 0
 		}
-		// Chunks must tile [0,n) contiguously.
+		// The chunks must tile [0,n) contiguously.
 		next := 0
 		for _, c := range cs {
 			if c[0] != next || c[1] <= c[0] {
@@ -72,7 +83,7 @@ func TestChunksPartition(t *testing.T) {
 }
 
 func TestChunksBoundedByWorkers(t *testing.T) {
-	cs := Chunks(1<<20, 1)
+	cs := chunkList(1<<20, 1)
 	if len(cs) > Workers() {
 		t.Fatalf("got %d chunks for %d workers", len(cs), Workers())
 	}
@@ -93,7 +104,7 @@ func TestRunAll(t *testing.T) {
 func TestForSumMatchesSerial(t *testing.T) {
 	const n = 1 << 17
 	var parSum int64
-	For(n, func(lo, hi int) {
+	ForGrain(n, minParallelWork, func(lo, hi int) {
 		var local int64
 		for i := lo; i < hi; i++ {
 			local += int64(i)
@@ -111,7 +122,7 @@ func BenchmarkForOverhead(b *testing.B) {
 	b.SetBytes(int64(len(buf) * 4))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		For(len(buf), func(lo, hi int) {
+		ForGrain(len(buf), minParallelWork, func(lo, hi int) {
 			for j := lo; j < hi; j++ {
 				buf[j] = buf[j]*0.5 + 1
 			}

@@ -10,8 +10,8 @@ type gemm struct {
 	ai, ap  int
 }
 
-// kernels is the set of inner loops the three products spend their time
-// in. Lanes and registers hold different output elements, never different
+// kernels is the set of inner loops the three products and Col2im spend
+// their time in. Lanes and registers hold different output elements, never different
 // terms of one sum. The Go functions are the reference and the only set
 // off amd64; a platform file may replace the active set at init with one
 // producing the same bits (kernels_amd64.go), as in package cfft.
@@ -25,10 +25,12 @@ type kernels struct {
 	axpy1 func(c, b []float32, a float32)
 	// transB fills rows [lo, hi) of C = A·Bᵀ.
 	transB func(g gemm, lo, hi int)
+	// add sets c[x] = c[x] + b[x] for every x of c (Col2im's span add).
+	add func(c, b []float32)
 }
 
 var (
-	scalar = kernels{axpy4Go, axpy1Go, transBRows}
+	scalar = kernels{axpy4Go, axpy1Go, transBRows, addGo}
 	// active is chosen once, at package init; only the bit-identity tests
 	// assign it afterwards.
 	active = scalar
@@ -73,6 +75,13 @@ func axpy1Go(c, b []float32, a float32) {
 	b = b[:len(c)]
 	for x, v := range c {
 		c[x] = v + a*b[x]
+	}
+}
+
+func addGo(c, b []float32) {
+	b = b[:len(c)]
+	for x, v := range c {
+		c[x] = v + b[x]
 	}
 }
 

@@ -8,14 +8,17 @@ import (
 )
 
 // The AVX2 kernel set (kernels_amd64.s), selected once if cpu.AVX2. The
-// axpy wrappers hand the assembly the whole groups of eight outputs and
-// run the rest of the row through the Go reference.
+// axpy and add wrappers hand the assembly the whole groups of eight
+// outputs and run the rest of the row through the Go reference.
 
 //go:noescape
 func axpy4AVX2(c, b0, b1, b2, b3 *float32, a0, a1, a2, a3 float32, n8 int)
 
 //go:noescape
 func axpy1AVX2(c, b *float32, a float32, n8 int)
+
+//go:noescape
+func addAVX2(c, b *float32, n8 int)
 
 //go:noescape
 func transBAVX2(out, a, panels *float32, k int)
@@ -25,7 +28,7 @@ func packAVX2(dst, b *float32, k, np int)
 
 func init() {
 	if cpu.AVX2 {
-		active = kernels{axpy4Vec, axpy1Vec, transBVec}
+		active = kernels{axpy4Vec, axpy1Vec, transBVec, addVec}
 	}
 }
 
@@ -47,6 +50,16 @@ func axpy1Vec(c, b []float32, a float32) {
 		c, b = c[w:], b[w:]
 	}
 	axpy1Go(c, b, a)
+}
+
+func addVec(c, b []float32) {
+	if n8 := len(c) / 8; n8 > 0 {
+		w := 8 * n8
+		_ = b[w-1]
+		addAVX2(&c[0], &b[0], n8)
+		c, b = c[w:], b[w:]
+	}
+	addGo(c, b)
 }
 
 // transBVec fills rows [lo, hi) of C = A·Bᵀ 32 columns at a time, one

@@ -61,6 +61,25 @@ a1loop:
 	VZEROUPPER
 	RET
 
+// func addAVX2(c, b *float32, n8 int)
+//
+// c[x] = c[x] + b[x], eight x at a time, n8 times: c is the first
+// operand, as in the reference, so a NaN in c is the NaN that survives.
+TEXT ·addAVX2(SB), NOSPLIT, $0-24
+	MOVQ c+0(FP), DI
+	MOVQ b+8(FP), SI
+	MOVQ n8+16(FP), CX
+	XORQ AX, AX
+addloop:
+	VMOVUPS (DI)(AX*1), Y0
+	VADDPS  (SI)(AX*1), Y0, Y0
+	VMOVUPS Y0, (DI)(AX*1)
+	ADDQ    $32, AX
+	DECQ    CX
+	JNZ     addloop
+	VZEROUPPER
+	RET
+
 // func transBAVX2(out, a, panels *float32, k int)
 //
 // out[8q+l] = Σ_p a[p]·panels[q][p][l] for the four panels of k×8 floats

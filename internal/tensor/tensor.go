@@ -131,37 +131,93 @@ func (g ConvGeom) OutH() int { return (g.InH+2*g.Pad-g.Kernel)/g.Stride + 1 }
 // OutW returns the output width.
 func (g ConvGeom) OutW() int { return (g.InW+2*g.Pad-g.Kernel)/g.Stride + 1 }
 
+// taps returns the outputs [lo, hi) of an axis of n whose input index
+// o·s + off lies inside [0, in): the in-image span of one kernel tap.
+func taps(n, in, s, off int) (lo, hi int) {
+	if off < 0 {
+		lo = (s - 1 - off) / s
+	}
+	if last := in - 1 - off; last >= 0 {
+		hi = min(n, last/s+1)
+	}
+	return min(lo, hi), hi
+}
+
+// flatShift reports whether every kernel row of g is its input plane
+// shifted by one offset (stride 1, outW == InW, so outH == InH too), and
+// if so returns the span [a, b) of a row whose shifted index j+d stays
+// in the plane, within the tap's in-image output rows [oh0, oh1). Every
+// entry of those rows outside the span, and every one inside it that
+// lands on a wrong element of the plane, is in an out-of-image edge
+// column.
+func (g ConvGeom) flatShift(kh, kw, oh0, oh1 int) (flat bool, d, a, b int) {
+	if g.Stride != 1 || g.OutW() != g.InW {
+		return false, 0, 0, 0
+	}
+	d = (kh-g.Pad)*g.InW + kw - g.Pad
+	a = min(max(oh0*g.InW, -d), oh1*g.InW)
+	b = max(a, min(oh1*g.InW, g.InH*g.InW-d))
+	return true, d, a, b
+}
+
+// clearEdges zeroes the out-of-image columns [0, ow0) and [ow1, outW) of
+// rows [oh0, oh1) of one kernel row.
+func clearEdges(row []float32, outW, oh0, oh1, ow0, ow1 int) {
+	if ow0 == 0 && ow1 == outW {
+		return
+	}
+	for oh := oh0; oh < oh1; oh++ {
+		r := row[oh*outW : (oh+1)*outW]
+		for i := 0; i < ow0; i++ {
+			r[i] = 0
+		}
+		for i := ow1; i < outW; i++ {
+			r[i] = 0
+		}
+	}
+}
+
 // Im2col expands one image x [C×H×W] into columns dst
 // [(C·K·K) × (outH·outW)] so convolution becomes a matrix product
 // W[outC × C·K·K] · cols. Out-of-bounds taps read zero (padding).
+//
+// Each kernel row is written span by span: the in-image output rows and
+// columns are worked out once per tap (kh, kw), for every channel. At
+// stride 1 with outW == InW the row is one copy of the shifted plane
+// with its edge columns zeroed; at every other geometry one element at a
+// time, with no bounds test per element.
 func Im2col(dst []float32, x []float32, g ConvGeom) {
 	outH, outW := g.OutH(), g.OutW()
 	cols := outH * outW
-	rows := g.InC * g.Kernel * g.Kernel
-	if len(dst) != rows*cols {
-		panic("tensor: im2col dst size mismatch")
+	k, plane := g.Kernel, g.InH*g.InW
+	if len(dst) != g.InC*k*k*cols || len(x) != g.InC*plane {
+		panic(fmt.Sprintf("tensor: im2col of %d input values into %d columns, geometry %+v", len(x), len(dst), g))
 	}
-	for c := 0; c < g.InC; c++ {
-		for kh := 0; kh < g.Kernel; kh++ {
-			for kw := 0; kw < g.Kernel; kw++ {
-				row := (c*g.Kernel+kh)*g.Kernel + kw
+	for kh := 0; kh < k; kh++ {
+		oh0, oh1 := taps(outH, g.InH, g.Stride, kh-g.Pad)
+		for kw := 0; kw < k; kw++ {
+			ow0, ow1 := taps(outW, g.InW, g.Stride, kw-g.Pad)
+			flat, d, a, b := g.flatShift(kh, kw, oh0, oh1)
+			for c := 0; c < g.InC; c++ {
+				xp := x[c*plane : (c+1)*plane]
+				row := (c*k+kh)*k + kw
 				drow := dst[row*cols : (row+1)*cols]
-				for oh := 0; oh < outH; oh++ {
-					ih := oh*g.Stride + kh - g.Pad
-					if ih < 0 || ih >= g.InH {
-						for ow := 0; ow < outW; ow++ {
-							drow[oh*outW+ow] = 0
-						}
-						continue
+				clear(drow[:oh0*outW])
+				clear(drow[oh1*outW:])
+				if flat {
+					if a < b {
+						copy(drow[a:b], xp[a+d:b+d])
 					}
-					xrow := x[(c*g.InH+ih)*g.InW:]
-					for ow := 0; ow < outW; ow++ {
-						iw := ow*g.Stride + kw - g.Pad
-						if iw < 0 || iw >= g.InW {
-							drow[oh*outW+ow] = 0
-						} else {
-							drow[oh*outW+ow] = xrow[iw]
-						}
+					clearEdges(drow, outW, oh0, oh1, ow0, ow1)
+					continue
+				}
+				for oh := oh0; oh < oh1; oh++ {
+					orow := drow[oh*outW : (oh+1)*outW]
+					xrow := xp[(oh*g.Stride+kh-g.Pad)*g.InW:][:g.InW]
+					clear(orow[:ow0])
+					clear(orow[ow1:])
+					for ow := ow0; ow < ow1; ow++ {
+						orow[ow] = xrow[ow*g.Stride+kw-g.Pad]
 					}
 				}
 			}
@@ -170,26 +226,46 @@ func Im2col(dst []float32, x []float32, g ConvGeom) {
 }
 
 // Col2im scatter-adds columns (the gradient of Im2col) back into an image
-// dx [C×H×W]. dx must be pre-zeroed by the caller.
+// dx [C×H×W]. Every element of dx receives its terms in (kh, kw) order,
+// one rounding each, as the plain loop over the columns gives (an
+// element's terms all come from its own channel's rows). dx must be
+// cleared (+0) by the caller.
+//
+// Col2im clobbers cols: at stride 1 with outW == InW it zeroes the
+// out-of-image entries of each kernel row, then adds the row's shifted
+// span to the plane in one pass through the kernel table. The zeroed
+// entries add +0 to elements they do not belong to, which leaves them
+// unchanged: dx starts at +0, a round-to-nearest sum is −0 only when both
+// addends are, so dx never holds −0, and x + (+0) = x for every other x,
+// NaN included.
 func Col2im(dx []float32, cols []float32, g ConvGeom) {
 	outH, outW := g.OutH(), g.OutW()
 	nCols := outH * outW
-	for c := 0; c < g.InC; c++ {
-		for kh := 0; kh < g.Kernel; kh++ {
-			for kw := 0; kw < g.Kernel; kw++ {
-				row := (c*g.Kernel+kh)*g.Kernel + kw
+	k, plane := g.Kernel, g.InH*g.InW
+	if len(cols) != g.InC*k*k*nCols || len(dx) != g.InC*plane {
+		panic(fmt.Sprintf("tensor: col2im of %d columns into %d image values, geometry %+v", len(cols), len(dx), g))
+	}
+	for kh := 0; kh < k; kh++ {
+		oh0, oh1 := taps(outH, g.InH, g.Stride, kh-g.Pad)
+		for kw := 0; kw < k; kw++ {
+			ow0, ow1 := taps(outW, g.InW, g.Stride, kw-g.Pad)
+			flat, d, a, b := g.flatShift(kh, kw, oh0, oh1)
+			for c := 0; c < g.InC; c++ {
+				xp := dx[c*plane : (c+1)*plane]
+				row := (c*k+kh)*k + kw
 				crow := cols[row*nCols : (row+1)*nCols]
-				for oh := 0; oh < outH; oh++ {
-					ih := oh*g.Stride + kh - g.Pad
-					if ih < 0 || ih >= g.InH {
-						continue
+				if flat {
+					if a < b {
+						clearEdges(crow, outW, oh0, oh1, ow0, ow1)
+						active.add(xp[a+d:b+d], crow[a:b])
 					}
-					xrow := dx[(c*g.InH+ih)*g.InW:]
-					for ow := 0; ow < outW; ow++ {
-						iw := ow*g.Stride + kw - g.Pad
-						if iw >= 0 && iw < g.InW {
-							xrow[iw] += crow[oh*outW+ow]
-						}
+					continue
+				}
+				for oh := oh0; oh < oh1; oh++ {
+					xrow := xp[(oh*g.Stride+kh-g.Pad)*g.InW:][:g.InW]
+					orow := crow[oh*outW : (oh+1)*outW]
+					for ow := ow0; ow < ow1; ow++ {
+						xrow[ow*g.Stride+kw-g.Pad] += orow[ow]
 					}
 				}
 			}
