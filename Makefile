@@ -95,8 +95,8 @@ guard:
 # against the sorted order, the fused quantize-and-pack encoder against
 # Encode + AppendCodes, the checkpoint reader, the run-length bitmap
 # decoder, the job description's JSON decoder, the matrix products,
-# im2col and col2im against their plain loops and the ReLU and max
-# pooling layers against theirs.
+# im2col and col2im against their plain loops, the ReLU and max
+# pooling layers against theirs and the TCP transport's frame reader.
 fuzz:
 	$(GO) test -fuzz=FuzzDecompressRobustness -fuzztime=15s -run '^$$' ./internal/compress/
 	$(GO) test -fuzz=FuzzCompressRoundTrip -fuzztime=15s -run '^$$' ./internal/compress/
@@ -112,6 +112,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzMatMulMatchesReference -fuzztime=15s -run '^$$' ./internal/tensor/
 	$(GO) test -fuzz=FuzzIm2colCol2imMatchesReference -fuzztime=15s -run '^$$' ./internal/tensor/
 	$(GO) test -fuzz=FuzzConvHalfMatchesReference -fuzztime=15s -run '^$$' ./internal/nn/
+	$(GO) test -fuzz=FuzzReadFrame -fuzztime=15s -run '^$$' ./internal/comm/
 
 # Non-blank, non-comment, non-test Go lines per package directory, then
 # the total outside the nested bench/ module: the count the before/after

@@ -12,51 +12,6 @@ import (
 	"fftgrad/internal/trace"
 )
 
-// epochsEqual asserts bitwise-equal per-epoch statistics.
-func epochsEqual(t *testing.T, label string, base, got *Result) {
-	t.Helper()
-	if len(got.Epochs) != len(base.Epochs) {
-		t.Fatalf("%s: epoch count %d vs %d", label, len(got.Epochs), len(base.Epochs))
-	}
-	for i := range base.Epochs {
-		if got.Epochs[i].TrainLoss != base.Epochs[i].TrainLoss ||
-			got.Epochs[i].TestAcc != base.Epochs[i].TestAcc {
-			t.Fatalf("%s: epoch %d diverged: %+v vs %+v", label, i, got.Epochs[i], base.Epochs[i])
-		}
-	}
-}
-
-// TestCollectiveStrategiesBitIdentical: the hier and tree schedules move
-// the same messages as the flat ring, so a BSP run under either strategy
-// must be bit-identical to the ring run — the strategy changes wall time
-// and wire schedule, never arithmetic.
-func TestCollectiveStrategiesBitIdentical(t *testing.T) {
-	mk := func(col *collective.Config) Config {
-		cfg := blobCfg(81)
-		cfg.NewCompressor = func() compress.Compressor {
-			return feedback.New(compress.NewFFT(0.5))
-		}
-		cfg.Collective = col
-		return cfg
-	}
-	base, err := Train(mk(nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, col := range []collective.Config{
-		{Strategy: collective.Hier, GroupSize: 2},
-		{Strategy: collective.Hier, GroupSize: 3}, // ragged last group
-		{Strategy: collective.Tree},
-	} {
-		col := col
-		got, err := Train(mk(&col))
-		if err != nil {
-			t.Fatalf("%s: %v", col.Strategy, err)
-		}
-		epochsEqual(t, string(col.Strategy), base, got)
-	}
-}
-
 // bucketedCfg is the 8-rank bucketed pipeline configuration of the
 // acceptance gate: error-feedback FFT codecs per bucket, full guard
 // (CRC frames + fingerprint drift checks), several buckets per
@@ -77,10 +32,14 @@ func bucketedCfg(seed int64) Config {
 // error-feedback residual slice) exchanged in flight while later
 // buckets compress. The residual-accounting invariants are checked
 // through the guard: every drift round's fingerprints must match (all
-// ranks hold bit-identical parameters ⇒ zero forced re-syncs), and the
-// traced run must be bit-identical to the untraced run.
+// ranks hold bit-identical parameters ⇒ zero forced re-syncs).
+// (That tracing does not perturb the pipeline is TestExchangerTable's
+// barrier/four-buckets/tracer cell.)
 func TestBucketedExchangeGate(t *testing.T) {
-	base, err := Train(bucketedCfg(83))
+	cfg := bucketedCfg(83)
+	tr := trace.New(cfg.Workers, 512*trace.DefaultEventsPerIteration)
+	cfg.Tracer = tr
+	base, err := Train(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,17 +59,6 @@ func TestBucketedExchangeGate(t *testing.T) {
 		t.Fatalf("bucketed ranks drifted apart: %d re-syncs", g.DriftResyncs)
 	}
 
-	// Tracing must not perturb the pipeline (the overlap goroutines
-	// record onto the same lock-free rank tracks).
-	cfg := bucketedCfg(83)
-	tr := trace.New(cfg.Workers, 512*trace.DefaultEventsPerIteration)
-	cfg.Tracer = tr
-	traced, err := Train(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	epochsEqual(t, "traced-bucketed", base, traced)
-
 	// Per-bucket spans: every rank records OpBucket markers.
 	perRank := map[int32]int{}
 	for _, e := range tr.Events() {
@@ -122,35 +70,6 @@ func TestBucketedExchangeGate(t *testing.T) {
 		if perRank[int32(rank)] == 0 {
 			t.Errorf("rank %d recorded no bucket spans", rank)
 		}
-	}
-}
-
-// TestBucketedFaultFreeMatchesBarrier: the fault path's sequential
-// bucket rounds (seq = iter·B+b) perform the same per-bucket arithmetic
-// as the barrier path's overlapped pipeline, so with no chaos the two
-// runs are bit-identical — overlap is scheduling, not numerics.
-func TestBucketedFaultFreeMatchesBarrier(t *testing.T) {
-	mk := func() Config {
-		cfg := blobCfg(85)
-		cfg.NewCompressor = func() compress.Compressor {
-			return feedback.New(compress.NewFFT(0.5))
-		}
-		cfg.Collective = &collective.Config{BucketBytes: 1024}
-		return cfg
-	}
-	base, err := Train(mk())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := mk()
-	cfg.Fault = &FaultConfig{Cluster: faultClusterCfg()}
-	got, err := Train(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	epochsEqual(t, "fault-free-bucketed", base, got)
-	if s := got.Fault.Cluster; s.Suspicions != 0 || s.Rejoins != 0 {
-		t.Fatalf("clean bucketed run recorded faults: %+v", s)
 	}
 }
 

@@ -60,22 +60,6 @@ func TestTrainFP32Converges(t *testing.T) {
 	}
 }
 
-func TestTrainDeterministic(t *testing.T) {
-	a, err := Train(blobCfg(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Train(blobCfg(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range a.Epochs {
-		if a.Epochs[i].TrainLoss != b.Epochs[i].TrainLoss || a.Epochs[i].TestAcc != b.Epochs[i].TestAcc {
-			t.Fatalf("epoch %d diverged: %+v vs %+v", i, a.Epochs[i], b.Epochs[i])
-		}
-	}
-}
-
 func TestTrainWithFFTCompression(t *testing.T) {
 	cfg := blobCfg(3)
 	cfg.NewCompressor = func() compress.Compressor { return compress.NewFFT(0.5) }

@@ -27,37 +27,6 @@ func faultClusterCfg() cluster.Config {
 	}
 }
 
-// TestFaultFreeMatchesBarrierExactly: with no chaos and no failures the
-// failure-aware exchange is just a different transport for the same
-// arithmetic — the run must be bit-identical to the barrier-based path.
-func TestFaultFreeMatchesBarrierExactly(t *testing.T) {
-	base, err := Train(blobCfg(21))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := blobCfg(21)
-	cfg.Fault = &FaultConfig{Cluster: faultClusterCfg()}
-	got, err := Train(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.Epochs) != len(base.Epochs) {
-		t.Fatalf("epoch count %d vs %d", len(got.Epochs), len(base.Epochs))
-	}
-	for i := range base.Epochs {
-		if got.Epochs[i].TrainLoss != base.Epochs[i].TrainLoss ||
-			got.Epochs[i].TestAcc != base.Epochs[i].TestAcc {
-			t.Fatalf("epoch %d diverged: fault %+v vs barrier %+v", i, got.Epochs[i], base.Epochs[i])
-		}
-	}
-	if got.Fault == nil {
-		t.Fatal("fault report missing")
-	}
-	if s := got.Fault.Cluster; s.Suspicions != 0 || s.DegradedIterations != 0 || s.Rejoins != 0 {
-		t.Fatalf("clean run recorded faults: %+v", s)
-	}
-}
-
 // TestChaosGate is the PR's acceptance gate: a 4-worker run under 5%
 // drop, delays, and one crash+recovery must complete without deadlock,
 // the crashed rank must rejoin, and final accuracy must stay within 2

@@ -1,7 +1,6 @@
 package dist
 
 import (
-	"math"
 	"testing"
 
 	"fftgrad/internal/compress"
@@ -48,79 +47,6 @@ func TestIterationAccounting(t *testing.T) {
 	want := cfg.Epochs * cfg.ItersPerEpoch * cfg.Workers
 	if res.Iterations != want {
 		t.Fatalf("pushes %d want %d", res.Iterations, want)
-	}
-}
-
-// finalBits trains cfg and returns the bit patterns of its end-of-run
-// parameters.
-func finalBits(t *testing.T, cfg Config) []uint32 {
-	t.Helper()
-	cfg.CaptureFinal = true
-	res, err := Train(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bits := make([]uint32, len(res.Final.Params))
-	for i, v := range res.Final.Params {
-		bits[i] = math.Float32bits(v)
-	}
-	return bits
-}
-
-// psCodecs are the codecs the sync PS ≡ BSP identity is pinned over.
-var psCodecs = map[string]func() compress.Compressor{
-	"fp32":      func() compress.Compressor { return compress.FP32{} },
-	"fft 0.85":  func() compress.Compressor { return compress.NewFFT(0.85) },
-	"topk 0.90": func() compress.Compressor { return compress.NewTopK(0.9) },
-}
-
-// sameBits reports the first of a's parameters whose bits b does not
-// reproduce.
-func sameBits(t *testing.T, what string, a, b []uint32) {
-	t.Helper()
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("%s: parameter %d of %d differs: %#x vs %#x", what, i, len(a), a[i], b[i])
-		}
-	}
-}
-
-// TestSyncPSDeterministic: a server that folds each round in rank order
-// ends two same-seed runs on the same parameters, bit for bit.
-func TestSyncPSDeterministic(t *testing.T) {
-	for name, codec := range psCodecs {
-		cfg := psCfg(3)
-		cfg.NewCompressor = codec
-		sameBits(t, name, finalBits(t, cfg), finalBits(t, cfg))
-	}
-}
-
-// TestSyncPSMatchesBSPBitIdentical: synchronous PS and BSP allgather
-// compute the same SGD step — the same samples, the same decodes summed in
-// rank order, the same update — so they end on the same parameters, bit
-// for bit, whatever the codec.
-func TestSyncPSMatchesBSPBitIdentical(t *testing.T) {
-	for name, codec := range psCodecs {
-		ps := psCfg(6)
-		ps.NewCompressor = codec
-		bsp := blobCfg(6)
-		bsp.NewCompressor = codec
-		sameBits(t, name, finalBits(t, bsp), finalBits(t, ps))
-	}
-}
-
-func TestAsyncPSConverges(t *testing.T) {
-	cfg := psCfg(4)
-	cfg.PS.Async = true
-	res, err := Train(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	last := res.Epochs[len(res.Epochs)-1]
-	// Async with stale gradients still converges on this task, though not
-	// necessarily to the synchronous accuracy.
-	if last.TestAcc < 0.8 {
-		t.Fatalf("async PS accuracy %.3f", last.TestAcc)
 	}
 }
 

@@ -13,49 +13,6 @@ import (
 	"fftgrad/internal/trace"
 )
 
-// TestTraceBitIdentical is the tracing acceptance gate for the barrier
-// path: recording a full per-iteration timeline must not perturb
-// training arithmetic in any way — the traced run's losses and
-// accuracies are bitwise equal to the untraced run's.
-func TestTraceBitIdentical(t *testing.T) {
-	base, err := Train(blobCfg(7))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := blobCfg(7)
-	tr := trace.New(cfg.Workers, 512*trace.DefaultEventsPerIteration)
-	cfg.Tracer = tr
-	got, err := Train(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.Epochs) != len(base.Epochs) {
-		t.Fatalf("epoch count %d vs %d", len(got.Epochs), len(base.Epochs))
-	}
-	for i := range base.Epochs {
-		if got.Epochs[i].TrainLoss != base.Epochs[i].TrainLoss ||
-			got.Epochs[i].TestAcc != base.Epochs[i].TestAcc {
-			t.Fatalf("epoch %d diverged under tracing: %+v vs %+v", i, got.Epochs[i], base.Epochs[i])
-		}
-	}
-	// Every rank must have produced iteration spans with stage children.
-	perRank := make(map[int32]map[trace.Op]int)
-	for _, e := range tr.Events() {
-		if perRank[e.Rank] == nil {
-			perRank[e.Rank] = map[trace.Op]int{}
-		}
-		perRank[e.Rank][e.Op]++
-	}
-	for rank := 0; rank < cfg.Workers; rank++ {
-		ops := perRank[int32(rank)]
-		for _, op := range []trace.Op{trace.OpIteration, trace.OpCompute, trace.OpCompress, trace.OpExchange, trace.OpUpdate} {
-			if ops[op] == 0 {
-				t.Errorf("rank %d recorded no %s spans", rank, op)
-			}
-		}
-	}
-}
-
 // TestFlightRecorderChaosDump is the flight-recorder acceptance gate: a
 // seeded chaos run (crash + corruption, guard on) must auto-dump a
 // trace_event timeline that parses, carries spans from every rank, and

@@ -12,6 +12,7 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"sort"
 
@@ -84,59 +85,34 @@ func ByID(id string) (Experiment, bool) {
 // roughly one-third efficiency).
 const gpuEffFLOPS = 3e12
 
-// rngQuantThroughput prices the stochastic quantizers (QSGD, TernGrad):
+// rngQuantThroughput is the stochastic quantizers' (QSGD, TernGrad) Tm:
 // per-element RNG plus branchy encoding runs well below the bandwidth-
-// bound conversion rate Tm.
+// bound conversion rate of GPUReference.
 const rngQuantThroughput = 30e9
 
-// method bundles one compression algorithm with its modeled pipeline cost
-// (seconds per input byte, one direction) and a constructor.
+// method bundles one compression algorithm with its constructor and the
+// primitive rates its pipeline runs at, priced by perfmodel's Eq. 1. A
+// stage the method does not run is +Inf: it costs nothing.
 type method struct {
 	name string
 	new  func() compress.Compressor
-	// perByte returns the compression pipeline cost per input byte given
-	// the primitive throughputs. Zero for the lossless baseline.
-	perByte func(t perfmodel.Throughputs) float64
+	tp   perfmodel.Throughputs
 }
 
 // paperMethods returns the five evaluated algorithms at the paper's
 // settings: θ=0.85 for both sparsifiers, 10-bit range quantization for
-// FFT, s=3 (3-bit) QSGD, 2-bit TernGrad.
+// FFT, s=3 (3-bit) QSGD, 2-bit TernGrad, with the reference GPU rates.
 func paperMethods() []method {
+	gpu, free := perfmodel.GPUReference(), math.Inf(1)
+	quant := perfmodel.Throughputs{Tm: rngQuantThroughput, Tf: free, Tp: gpu.Tp, Ts: free}
 	return []method{
-		{
-			name:    "fp32",
-			new:     func() compress.Compressor { return compress.FP32{} },
-			perByte: func(t perfmodel.Throughputs) float64 { return 0 },
-		},
-		{
-			name: "fft",
-			new:  func() compress.Compressor { return compress.NewFFT(0.85) },
-			perByte: func(t perfmodel.Throughputs) float64 {
-				return 2/t.Tm + 1/t.Tf + 1/t.Ts + 1/t.Tp
-			},
-		},
-		{
-			name: "topk",
-			new:  func() compress.Compressor { return compress.NewTopK(0.85) },
-			perByte: func(t perfmodel.Throughputs) float64 {
-				return 1/t.Ts + 1/t.Tp
-			},
-		},
-		{
-			name: "qsgd",
-			new:  func() compress.Compressor { return compress.NewQSGD(3) },
-			perByte: func(t perfmodel.Throughputs) float64 {
-				return 2/rngQuantThroughput + 1/t.Tp
-			},
-		},
-		{
-			name: "terngrad",
-			new:  func() compress.Compressor { return compress.NewTernGrad() },
-			perByte: func(t perfmodel.Throughputs) float64 {
-				return 2/rngQuantThroughput + 1/t.Tp
-			},
-		},
+		{"fp32", func() compress.Compressor { return compress.FP32{} },
+			perfmodel.Throughputs{Tm: free, Tf: free, Tp: free, Ts: free}},
+		{"fft", func() compress.Compressor { return compress.NewFFT(0.85) }, gpu},
+		{"topk", func() compress.Compressor { return compress.NewTopK(0.85) },
+			perfmodel.Throughputs{Tm: free, Tf: free, Tp: gpu.Tp, Ts: gpu.Ts}},
+		{"qsgd", func() compress.Compressor { return compress.NewQSGD(3) }, quant},
+		{"terngrad", func() compress.Compressor { return compress.NewTernGrad() }, quant},
 	}
 }
 
@@ -169,12 +145,11 @@ func correlatedGradient(n int, seed int64) []float32 {
 
 // iterTime models one BSP iteration of a full-size network: measured-free,
 // fully priced. computeS is the per-iteration compute, m the FP32 gradient
-// bytes, ratio the method's compression ratio, pb its pipeline cost per
-// byte, ag the allgather pricer.
-func iterTime(computeS float64, m int, ratio float64, pb float64, ag func(n, m int) float64, workers int) float64 {
+// bytes, ratio the method's compression ratio, t its pipeline's rates
+// (paid by sender and receiver), ag the allgather pricer.
+func iterTime(computeS float64, m int, ratio float64, t perfmodel.Throughputs, ag func(n, m int) float64, workers int) float64 {
 	comm := ag(workers, int(float64(m)/ratio))
-	pipeline := 2 * float64(m) * pb
-	return computeS + comm + pipeline
+	return computeS + comm + 2*perfmodel.CompressionCost(m, t)
 }
 
 // sortedCopy returns a sorted copy of xs.

@@ -7,7 +7,6 @@ import (
 	"fftgrad/internal/netsim"
 	"fftgrad/internal/nn"
 	"fftgrad/internal/optim"
-	"fftgrad/internal/perfmodel"
 	"fftgrad/internal/stats"
 )
 
@@ -15,9 +14,8 @@ import (
 // 8 workers on the Comet-shaped cluster for the given method: GPU-modeled
 // compute, pipeline cost per Eq. 1, allgather of the compressed message.
 func fullScaleIterSeconds(p *models.CommProfile, m method, ratio float64, workers int) float64 {
-	tp := perfGPU()
 	compute := p.TotalFLOPs() / gpuEffFLOPS
-	return iterTime(compute, p.TotalGradBytes(), ratio, m.perByte(tp),
+	return iterTime(compute, p.TotalGradBytes(), ratio, m.tp,
 		netsim.CometCluster().Allgather, workers)
 }
 
@@ -123,7 +121,3 @@ func Table2(o Options) error {
 			qsgd.alexIter < base.alexIter && tern.alexIter < base.alexIter)
 	return nil
 }
-
-// perfGPU returns the reference GPU primitive throughputs (indirection so
-// experiments can ablate them later).
-func perfGPU() perfmodel.Throughputs { return perfmodel.GPUReference() }

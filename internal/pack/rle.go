@@ -72,7 +72,7 @@ func DecodeBitmapRLE(data []byte, words int) ([]uint64, error) {
 			return nil, fmt.Errorf("pack: bad RLE varint")
 		}
 		data = data[n:]
-		if int(count) > words-len(out) {
+		if count > uint64(words-len(out)) { // compared unsigned: int(count) can wrap negative
 			return nil, fmt.Errorf("pack: RLE run of %d overflows %d-word bitmap", count, words)
 		}
 		switch kind {
