@@ -17,14 +17,15 @@ check: fmt-check
 
 # The packages with a vector kernel or a path built on one, vetted and
 # tested with the assembly compiled out (-tags purego is what every
-# non-amd64 platform runs), so the Go reference cannot rot behind it.
+# non-amd64 platform runs), so the Go reference cannot rot behind it
+# (nn: its layers' bit-identity pins then run on tensor's Go kernels).
 # The GOAMD64=v3 legs build the same packages and the two bit-exact
 # selectors beside them where the compiler may fuse multiply-add: every
 # pin must hold there too, with the assembly and without (-short: the
 # pins up to 2^16, not the 2^32-pattern f16 sweep three times over). A v3
 # binary aborts at startup on an amd64 host without AVX2/FMA/BMI2, so an
 # empty v3 test run probes for that first and the legs are skipped there.
-KERNEL_PKGS = ./internal/cfft ./internal/f16 ./internal/sparsify ./internal/compress ./internal/tensor
+KERNEL_PKGS = ./internal/cfft ./internal/f16 ./internal/sparsify ./internal/compress ./internal/tensor ./internal/nn
 V3_PKGS = $(KERNEL_PKGS) ./internal/topk ./internal/quant
 
 purego:
@@ -91,7 +92,8 @@ guard:
 # the tree — the compressed message decoders, every codec's encode→decode
 # round trip, the fused transform decode against its unfused reference,
 # every codec's decode-accumulate against its dense decode,
-# the guard frame decoder, the framed codec decoder, the radix select
+# the guard frame decoder, the framed codec decoder, the gradient scrub
+# against its float64 loop, the radix select
 # against the sorted order, the fused quantize-and-pack encoder against
 # Encode + AppendCodes, the checkpoint reader, the run-length bitmap
 # decoder, the job description's JSON decoder, the matrix products,
@@ -104,6 +106,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzAccumulateMatchesDecompress -fuzztime=15s -run '^$$' ./internal/compress/
 	$(GO) test -fuzz=FuzzUnframe -fuzztime=15s -run '^$$' ./internal/guard/
 	$(GO) test -fuzz=FuzzFramedDecompress -fuzztime=15s -run '^$$' ./internal/guard/
+	$(GO) test -fuzz=FuzzScrubMatchesReference -fuzztime=15s -run '^$$' ./internal/guard/
 	$(GO) test -fuzz=FuzzKthLargestMatchesSort -fuzztime=15s -run '^$$' ./internal/topk/
 	$(GO) test -fuzz=FuzzAppendEncodedMatchesReference -fuzztime=15s -run '^$$' ./internal/quant/
 	$(GO) test -fuzz=FuzzRead -fuzztime=15s -run '^$$' ./internal/checkpoint/
@@ -129,15 +132,16 @@ loc:
 # stage split at the wide_fft shape on one core and two, the bit-reversal
 # pass alone at 2^18 on one core, every matrix product the benchmark's
 # networks run and conv_fft's three col2im geometries, per kernel set, on
-# one core, and conv_fft's conv, ReLU and pooling layers forward and
-# backward on one core. Measured numbers come from
+# one core, conv_fft's conv, ReLU and pooling layers forward and
+# backward on one core, and the wide_* model's local step (zero, forward,
+# loss, backward) on one core. Measured numbers come from
 # the repository benchmark: bash bench/run.sh (BENCHMARK.json).
 bench:
 	$(GO) test -bench=. -benchmem -benchtime=1x ./...
 	$(GO) test -run '^$$' -bench BenchmarkCodecStages -cpu 1,2 ./internal/compress
 	$(GO) test -run '^$$' -bench BenchmarkReorder -cpu 1 ./internal/cfft
 	$(GO) test -run '^$$' -bench 'BenchmarkGEMMShapes|BenchmarkCol2imShapes' -cpu 1 ./internal/tensor
-	$(GO) test -run '^$$' -bench BenchmarkConvLayers -benchmem -cpu 1 ./internal/nn
+	$(GO) test -run '^$$' -bench 'BenchmarkConvLayers|BenchmarkMLPStep' -benchmem -cpu 1 ./internal/nn
 
 # Regenerate every paper figure/table and ablation.
 experiments:

@@ -35,6 +35,10 @@
 //     iteration, subject to whoever else is still reading them (see
 //     internal/dist for the double-buffering this implies under
 //     Allgather's aliasing).
+//   - The gradient a network hands the compressors, nn.Network.Grad, is
+//     the network's own flat buffer that Backward accumulates into, not a
+//     copy: it is valid until the next ZeroGrads or Backward, and a caller
+//     that keeps it longer copies it out (FlattenGrads).
 //   - Temporaries inside the pipeline come from internal/scratch, a set
 //     of typed, size-classed pools; FFT/DCT plans and tuned quantizers
 //     are cached per size, so repeated same-shape gradients hit every

@@ -375,9 +375,7 @@ func (r *alphaProbe) measure(w *worker, iter int) error {
 			r.rawAvg = make([]float32, w.n)
 			r.alphaTmp = make([]float32, w.n)
 		}
-		for i := range r.rawAvg {
-			r.rawAvg[i] = 0
-		}
+		clear(r.rawAvg)
 		for _, m := range raws {
 			if err := fp32.DecompressInto(r.alphaTmp, m); err != nil {
 				return err

@@ -76,9 +76,7 @@ func (gs *guardState) scrubGrad(grad []float32) {
 		gs.tc.Instant(trace.OpScrubbed, int64(scrubbed))
 	}
 	if skip {
-		for i := range grad {
-			grad[i] = 0
-		}
+		clear(grad)
 		gs.stats.AddSkippedGrad()
 	}
 }

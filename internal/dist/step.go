@@ -111,6 +111,11 @@ type worker struct {
 	comps, wire []compress.Compressor
 	wireSync    compress.Compressor
 
+	// grad is the network's own flat gradient (nn.Network.Grad), which
+	// Backward accumulates into: the next gradient() clears and rewrites
+	// it, so every reader — the pipeline's compress stage, fold, the α
+	// probe, the PS push — finishes inside the round or push that follows
+	// the gradient(), and a GradSamples entry is a copy.
 	grad, avg   []float32
 	params      [][]float32 // the replica's parameter slices, in flat order
 	syncFlat    []float32
@@ -173,7 +178,7 @@ func newWorker(cfg Config, rank, p int, restore *checkpoint.State) (*worker, err
 	}
 	w.wireSync = w.gs.wrap(compress.FP32{})
 
-	w.grad = make([]float32, w.n)
+	w.grad = w.net.Grad()
 	w.avg = make([]float32, w.n)
 	for _, p := range w.net.Params() {
 		w.params = append(w.params, p.Data)
@@ -528,15 +533,15 @@ func (w *worker) train(startIter int) (*Result, error) {
 }
 
 // gradient is the step's local half, the same on every runtime: one batch
-// forward and backward on this rank's replica, flattened into w.grad and
-// scrubbed. It returns the batch loss and the compute time.
+// forward and backward on this rank's replica, accumulated in place into
+// w.grad (the network's flat gradient) and scrubbed. It returns the batch
+// loss and the compute time.
 func (w *worker) gradient() (float64, time.Duration) {
 	t0 := time.Now()
 	x, labels := w.shard.Batch(w.it.Next())
 	w.net.ZeroGrads()
 	l, dl := nn.SoftmaxCE{}.Loss(w.net.Forward(x, true), labels)
 	w.net.Backward(dl)
-	w.net.FlattenGrads(w.grad)
 	tScrub := time.Now()
 	w.gs.scrubGrad(w.grad)
 	w.tc.SpanSince(trace.OpScrub, int64(w.n), tScrub)

@@ -41,41 +41,42 @@ func ParseScrubPolicy(s string) (ScrubPolicy, error) {
 // non-finite (or clamped) and, under ScrubSkip, whether the whole
 // gradient must be withheld. Under ScrubSkip g is not modified — the
 // caller zeroes its shipped copy and keeps the residual intact.
+//
+// The pass decides on each value's bits: with the sign bit masked off, a
+// finite float32's magnitude orders as its bits do, an all-ones exponent
+// (at or above 0x7f800000) is ±Inf or NaN, and a clamped value takes the
+// limit's bits with its own sign.
 func Scrub(g []float32, policy ScrubPolicy, clampLimit float64) (scrubbed int, skip bool) {
 	if policy == ScrubOff {
 		return 0, false
 	}
+	const sign, inf = 1 << 31, 0x7f800000
 	limit := float32(math.MaxFloat32)
-	clampFinite := policy == ScrubClamp && clampLimit > 0
-	if clampFinite {
-		limit = float32(clampLimit)
+	if policy == ScrubClamp && clampLimit > 0 {
+		limit = float32(clampLimit) // +Inf above MaxFloat32
 	}
+	lim := math.Float32bits(limit)
+	// Values whose magnitude bits exceed healthy are scrubbed: every
+	// non-finite one, and a finite one past a finite limit.
+	healthy := min(lim, math.Float32bits(math.MaxFloat32))
 	for i, v := range g {
-		v64 := float64(v)
-		if !math.IsNaN(v64) && !math.IsInf(v64, 0) {
-			if clampFinite && (v > limit || v < -limit) {
-				scrubbed++
-				if v > 0 {
-					g[i] = limit
-				} else {
-					g[i] = -limit
-				}
-			}
+		b := math.Float32bits(v)
+		a := b &^ sign
+		if a <= healthy {
 			continue
 		}
 		scrubbed++
-		if policy == ScrubSkip {
-			skip = true
-			continue
+		if a >= inf {
+			if policy == ScrubSkip {
+				skip = true
+				continue
+			}
+			if a > inf { // NaN
+				g[i] = 0
+				continue
+			}
 		}
-		switch {
-		case math.IsNaN(v64):
-			g[i] = 0
-		case v > 0:
-			g[i] = limit
-		default:
-			g[i] = -limit
-		}
+		g[i] = math.Float32frombits(lim | b&sign)
 	}
 	return scrubbed, skip
 }

@@ -107,12 +107,13 @@ func (c *Conv2D) Backward(dy *tensor.Tensor) *tensor.Tensor {
 		})
 	}
 	parallel.ForGrain3(chunks, 1, c, dy.Data, size, convBackward)
+	dW, dB := c.W.grad(), c.B.grad()
 	for _, pt := range c.parts[:chunks] {
 		for i, v := range pt.dW {
-			c.W.Grad[i] += v
+			dW[i] += v
 		}
 		for i, v := range pt.dB {
-			c.B.Grad[i] += v
+			dB[i] += v
 		}
 	}
 	return c.dx

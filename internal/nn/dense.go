@@ -15,8 +15,18 @@ type Dense struct {
 	W, B    *Param
 
 	x     *tensor.Tensor // cached input
-	dW    *tensor.Tensor // Backward's weight-gradient product, reused
 	y, dx *tensor.Tensor // the layer's output and input gradient
+	// W.Data and W.Grad as [Out×In] matrices, rebuilt only when the
+	// slices they view move.
+	wData, wGrad *tensor.Tensor
+}
+
+// matrix returns t if it views data, else a new [rows×cols] view of it.
+func matrix(t *tensor.Tensor, data []float32, rows, cols int) *tensor.Tensor {
+	if t != nil && len(data) > 0 && &t.Data[0] == &data[0] {
+		return t
+	}
+	return tensor.FromSlice(data, rows, cols)
 }
 
 // NewDense creates a dense layer with He-normal initialized weights.
@@ -47,7 +57,8 @@ func (d *Dense) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	}
 	d.x = x2
 	d.y = reuse(d.y, n, d.Out)
-	tensor.MatMulTransB(d.y, x2, tensor.FromSlice(d.W.Data, d.Out, d.In))
+	d.wData = matrix(d.wData, d.W.Data, d.Out, d.In)
+	tensor.MatMulTransB(d.y, x2, d.wData)
 	tensor.AddBiasRows(d.y, d.B.Data)
 	return d.y
 }
@@ -56,23 +67,19 @@ func (d *Dense) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 func (d *Dense) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	checkGrad(d, d.y, dy)
 	n := dy.Dim(0)
-	// dW += dyᵀ·x  — shape [out×in]
-	if d.dW == nil {
-		d.dW = tensor.New(d.Out, d.In)
-	}
-	tensor.MatMulTransA(d.dW, dy, d.x)
-	for i, v := range d.dW.Data {
-		d.W.Grad[i] += v
-	}
+	// dW += dyᵀ·x  — shape [out×in], accumulated in place
+	d.wGrad = matrix(d.wGrad, d.W.grad(), d.Out, d.In)
+	tensor.AddMatMulTransA(d.wGrad, dy, d.x)
 	// db += column sums of dy
+	db := d.B.grad()
 	for i := 0; i < n; i++ {
 		row := dy.Data[i*d.Out : (i+1)*d.Out]
 		for j, v := range row {
-			d.B.Grad[j] += v
+			db[j] += v
 		}
 	}
-	// dx = dy·W — [N×in]
+	// dx = dy·W — [N×in], through the view Forward refreshed
 	d.dx = reuse(d.dx, n, d.In)
-	tensor.MatMul(d.dx, dy, tensor.FromSlice(d.W.Data, d.Out, d.In))
+	tensor.MatMul(d.dx, dy, d.wData)
 	return d.dx
 }

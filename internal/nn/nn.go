@@ -1,8 +1,9 @@
 // Package nn is a from-scratch neural-network substrate: layers with
 // explicit forward/backward passes, a sequential network container, and —
 // central to this reproduction — *gradient linearization*: every model
-// exposes its gradient as one flat float32 vector, which is exactly the
-// 1-D signal the paper's compression pipeline consumes (step ① of Fig. 3).
+// keeps its gradient as one flat float32 vector (Network.Grad), which
+// Backward accumulates into in place and which is exactly the 1-D signal
+// the paper's compression pipeline consumes (step ① of Fig. 3).
 //
 // Each worker in data-parallel training owns a model replica, so layers
 // cache forward activations for the backward pass without any locking.
@@ -21,6 +22,10 @@ import (
 )
 
 // Param is one learnable parameter tensor with its gradient accumulator.
+// In a network built by Sequential, Grad is a window of the network's
+// flat gradient (Network.Grad); a layer used on its own allocates Grad on
+// its first Backward, and a network that adopts it later starts it from
+// zero.
 type Param struct {
 	Name string
 	Data []float32
@@ -28,14 +33,24 @@ type Param struct {
 }
 
 func newParam(name string, n int) *Param {
-	return &Param{Name: name, Data: make([]float32, n), Grad: make([]float32, n)}
+	return &Param{Name: name, Data: make([]float32, n)}
+}
+
+// grad returns p.Grad, allocating it zeroed for a layer outside any
+// network.
+func (p *Param) grad() []float32 {
+	if p.Grad == nil {
+		p.Grad = make([]float32, len(p.Data))
+	}
+	return p.Grad
 }
 
 // Layer is a differentiable network stage. Forward must cache whatever it
 // needs for the next Backward call; Backward returns dL/dx given dL/dy,
 // which has the shape of the last Forward's output, and accumulates (+=)
-// parameter gradients. Both return tensors the layer owns (see the
-// package documentation).
+// parameter gradients into each Param.Grad — in a network, straight into
+// the network's flat gradient. Both return tensors the layer owns (see
+// the package documentation).
 type Layer interface {
 	Forward(x *tensor.Tensor, train bool) *tensor.Tensor
 	Backward(dy *tensor.Tensor) *tensor.Tensor
@@ -77,14 +92,25 @@ func checkGrad(l named, y, dy *tensor.Tensor) {
 // layers are fixed from then on.
 type Network struct {
 	Layers []Layer
-	params []*Param // every layer's parameters in order, gathered once
+	params []*Param  // every layer's parameters in order, gathered once
+	grad   []float32 // every Param.Grad, back to back in params order
 }
 
-// Sequential builds a network from layers.
+// Sequential builds a network from layers. It allocates the flat gradient
+// once and makes each parameter's Grad its window of it.
 func Sequential(layers ...Layer) *Network {
 	n := &Network{Layers: layers}
+	size := 0
 	for _, l := range layers {
-		n.params = append(n.params, l.Params()...)
+		for _, p := range l.Params() {
+			n.params = append(n.params, p)
+			size += len(p.Data)
+		}
+	}
+	n.grad = make([]float32, size)
+	rest := n.grad
+	for _, p := range n.params {
+		p.Grad, rest = rest[:len(p.Data):len(p.Data)], rest[len(p.Data):]
 	}
 	return n
 }
@@ -111,57 +137,52 @@ func (n *Network) Params() []*Param { return n.params }
 
 // NumParams returns the total learnable scalar count — the length of the
 // flat gradient vector (and, ×4, the per-iteration message size in bytes).
-func (n *Network) NumParams() int {
-	total := 0
-	for _, p := range n.Params() {
-		total += len(p.Data)
-	}
-	return total
-}
+func (n *Network) NumParams() int { return len(n.grad) }
+
+// Grad returns the flat gradient: every parameter's gradient back to back
+// in Params order — the 1-D signal of step ① of the compression pipeline,
+// with no copy. It is the network's own memory, not a snapshot: Backward
+// accumulates into it and ZeroGrads clears it, so it holds this batch's
+// gradient until the next ZeroGrads or Backward. Writes to it are writes
+// to the parameters' Grad.
+func (n *Network) Grad() []float32 { return n.grad }
 
 // ZeroGrads clears every gradient accumulator.
-func (n *Network) ZeroGrads() {
-	for _, p := range n.Params() {
-		for i := range p.Grad {
-			p.Grad[i] = 0
-		}
+func (n *Network) ZeroGrads() { clear(n.grad) }
+
+// checkFlat panics unless a flat vector of length got fits the network.
+func (n *Network) checkFlat(what string, got int) {
+	if got != len(n.grad) {
+		panic(fmt.Sprintf("nn: flat %s length %d != NumParams %d", what, got, len(n.grad)))
 	}
 }
 
-// FlattenGrads linearizes all parameter gradients into dst (which must
-// have length NumParams) in deterministic layer order — step ① of the
-// compression pipeline. Returns dst.
+// FlattenGrads copies the flat gradient into dst, which must have length
+// NumParams. Returns dst.
 func (n *Network) FlattenGrads(dst []float32) []float32 {
-	off := 0
-	for _, p := range n.Params() {
-		copy(dst[off:], p.Grad)
-		off += len(p.Grad)
-	}
-	if off != len(dst) {
-		panic(fmt.Sprintf("nn: flat gradient length %d != NumParams %d", len(dst), off))
-	}
+	n.checkFlat("gradient", len(dst))
+	copy(dst, n.grad)
 	return dst
 }
 
 // AddToParams applies a flat additive update (e.g. -η·v from the
-// optimizer) across all parameters in the same order as FlattenGrads.
+// optimizer) across all parameters in the same order as Grad. A delta of
+// the wrong length panics before any parameter changes.
 func (n *Network) AddToParams(delta []float32) {
+	n.checkFlat("update", len(delta))
 	off := 0
-	for _, p := range n.Params() {
-		for i := range p.Data {
-			p.Data[i] += delta[off+i]
+	for _, p := range n.params {
+		for i, d := range delta[off : off+len(p.Data)] {
+			p.Data[i] += d
 		}
 		off += len(p.Data)
-	}
-	if off != len(delta) {
-		panic(fmt.Sprintf("nn: flat update length %d != NumParams %d", len(delta), off))
 	}
 }
 
 // GetParams copies all parameter values into dst in flat order.
 func (n *Network) GetParams(dst []float32) []float32 {
 	off := 0
-	for _, p := range n.Params() {
+	for _, p := range n.params {
 		copy(dst[off:], p.Data)
 		off += len(p.Data)
 	}
@@ -169,14 +190,12 @@ func (n *Network) GetParams(dst []float32) []float32 {
 }
 
 // SetParams overwrites all parameter values from a flat vector (the
-// periodic parameter re-broadcast of the BSP trainer).
+// periodic parameter re-broadcast of the BSP trainer). A vector of the
+// wrong length panics before any parameter changes.
 func (n *Network) SetParams(src []float32) {
+	n.checkFlat("param", len(src))
 	off := 0
-	for _, p := range n.Params() {
-		copy(p.Data, src[off:off+len(p.Data)])
-		off += len(p.Data)
-	}
-	if off != len(src) {
-		panic(fmt.Sprintf("nn: flat param length %d != NumParams %d", len(src), off))
+	for _, p := range n.params {
+		off += copy(p.Data, src[off:])
 	}
 }

@@ -8,7 +8,9 @@ import (
 // The ReLU and MaxPool2D layers as they were before the branch-free and
 // unrolled paths, with fresh outputs, kept verbatim as the reference
 // TestConvHalfMatchesReference and FuzzConvHalfMatchesReference hold them
-// to bit for bit (Im2col and Col2im have theirs in package tensor).
+// to bit for bit (Im2col and Col2im have theirs in package tensor), and
+// the Dense layer's backward pass as it was before it accumulated in
+// place, the reference of TestDenseBackwardMatchesReference.
 
 // seedFor runs the seed ReLU's loops at the grain its parallel.For had.
 func seedFor(n int, body func(lo, hi int)) { parallel.ForGrain(n, 4096, body) }
@@ -116,4 +118,48 @@ func (p *seedMaxPool2D) Backward(dy *tensor.Tensor) *tensor.Tensor {
 		}
 	})
 	return dx
+}
+
+// seedDense is the fully-connected layer with the weight gradient
+// computed into scratch and then folded into W.Grad.
+type seedDense struct {
+	In, Out int
+	W, B    *Param
+
+	x     *tensor.Tensor // cached input
+	dW    *tensor.Tensor // Backward's weight-gradient product, reused
+	y, dx *tensor.Tensor // the layer's output and input gradient
+}
+
+func (d *seedDense) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
+	n := x.Dim(0)
+	x2 := x.Reshape(n, x.Len()/n)
+	d.x = x2
+	d.y = reuse(d.y, n, d.Out)
+	tensor.MatMulTransB(d.y, x2, tensor.FromSlice(d.W.Data, d.Out, d.In))
+	tensor.AddBiasRows(d.y, d.B.Data)
+	return d.y
+}
+
+func (d *seedDense) Backward(dy *tensor.Tensor) *tensor.Tensor {
+	n := dy.Dim(0)
+	// dW += dyᵀ·x  — shape [out×in]
+	if d.dW == nil {
+		d.dW = tensor.New(d.Out, d.In)
+	}
+	tensor.MatMulTransA(d.dW, dy, d.x)
+	for i, v := range d.dW.Data {
+		d.W.Grad[i] += v
+	}
+	// db += column sums of dy
+	for i := 0; i < n; i++ {
+		row := dy.Data[i*d.Out : (i+1)*d.Out]
+		for j, v := range row {
+			d.B.Grad[j] += v
+		}
+	}
+	// dx = dy·W — [N×in]
+	d.dx = reuse(d.dx, n, d.In)
+	tensor.MatMul(d.dx, dy, tensor.FromSlice(d.W.Data, d.Out, d.In))
+	return d.dx
 }

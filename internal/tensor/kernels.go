@@ -3,11 +3,12 @@ package tensor
 // gemm is one product's operands, handed to the row workers by value so
 // the parallel bodies capture nothing. In the axpy form (MatMul,
 // MatMulTransA) output row i is Σ_p A(i,p)·B[p], with A(i,p) at
-// a[i·ai + p·ap].
+// a[i·ai + p·ap]; acc adds it to C's row instead (AddMatMulTransA).
 type gemm struct {
 	c, a, b []float32
 	k, n    int
 	ai, ap  int
+	acc     bool
 }
 
 // kernels is the set of inner loops the three products and Col2im spend
@@ -37,13 +38,16 @@ var (
 )
 
 // axpyRows fills rows [lo, hi) of an axpy-form product: each row starts
-// at +0 and takes its non-zero terms in ascending p, folded four to a
-// pass over the row. The ±0 skip is decided here, before any kernel.
+// at +0 (at its own values when g.acc) and takes its non-zero terms in
+// ascending p, folded four to a pass over the row. The ±0 skip is decided
+// here, before any kernel.
 func axpyRows(g gemm, lo, hi int) {
 	n := g.n
 	for i := lo; i < hi; i++ {
 		crow := g.c[i*n : (i+1)*n]
-		clear(crow)
+		if !g.acc {
+			clear(crow)
+		}
 		var av [4]float32
 		var off [4]int
 		q := 0

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"fftgrad/internal/parallel"
@@ -86,6 +87,37 @@ func refMatMulTransA(c, a, b *Tensor) {
 			}
 		}
 	})
+}
+
+// refAddMatMulTransA is the weight-gradient fold as the dense layer did
+// it before AddMatMulTransA: the product into scratch, then added to C
+// element by element.
+func refAddMatMulTransA(c, a, b *Tensor) {
+	s := New(c.Shape...)
+	refMatMulTransA(s, a, b)
+	for i, v := range s.Data {
+		c.Data[i] += v
+	}
+}
+
+// refAccMatMulTransA is C += Aᵀ·B as the plain loop without the clear:
+// every element starts from its own value and takes the terms in
+// ascending p, skipping ±0 multipliers.
+func refAccMatMulTransA(c, a, b *Tensor) {
+	k, m := a.Shape[0], a.Shape[1]
+	n := b.Shape[1]
+	for i := 0; i < m; i++ {
+		crow := c.Data[i*n : (i+1)*n]
+		for p := 0; p < k; p++ {
+			av := a.Data[p*m+i]
+			if av == 0 {
+				continue
+			}
+			for x, bv := range b.Data[p*n : (p+1)*n] {
+				crow[x] += av * bv
+			}
+		}
+	}
 }
 
 // product is one of the three operations with its reference. For each,
@@ -293,9 +325,57 @@ func TestMatMulKernelsMatchReference(t *testing.T) {
 	}
 }
 
-// FuzzMatMulMatchesReference: the three products on arbitrary float32
-// bit patterns (NaNs, infinities and subnormals included) at shapes up to
-// 24×12×40, under every kernel set, against the reference.
+// checkAccumulate holds AddMatMulTransA, under every kernel set, to the
+// scratch-then-fold reference from a +0 C, and to the plain accumulate
+// loop from c0.
+func checkAccumulate(t *testing.T, what string, a, b, c0 *Tensor) {
+	t.Helper()
+	m, n := c0.Shape[0], c0.Shape[1]
+	fold, acc := New(m, n), FromSlice(slices.Clone(c0.Data), m, n)
+	refAddMatMulTransA(fold, a, b)
+	refAccMatMulTransA(acc, a, b)
+	for _, set := range kernelSets() {
+		for _, tc := range []struct {
+			from, want *Tensor
+		}{{New(m, n), fold}, {c0, acc}} {
+			got := FromSlice(slices.Clone(tc.from.Data), m, n)
+			withKernels(set.ks, func() { AddMatMulTransA(got, a, b) })
+			for i := range got.Data {
+				if !sameF32(got.Data[i], tc.want.Data[i]) {
+					t.Fatalf("%s %s kernels: C[%d][%d] = %v (%#x), reference %v (%#x)", what, set.name,
+						i/n, i%n, got.Data[i], math.Float32bits(got.Data[i]), tc.want.Data[i], math.Float32bits(tc.want.Data[i]))
+				}
+			}
+		}
+	}
+}
+
+// TestAddMatMulTransAMatchesFold: the accumulate form at every
+// MatMulTransA shape the benchmark's networks run and the odd tails, with
+// special operands, from a +0 C and from one of special values.
+func TestAddMatMulTransAMatchesFold(t *testing.T) {
+	r := rand.New(rand.NewSource(12))
+	pr := productByName("MatMulTransA")
+	shapes := [][3]int{{1, 1, 1}, {2, 3, 7}, {5, 7, 13}, {9, 5, 31}, {4, 6, 41}, {17, 33, 65}, {1, 257, 9}}
+	for _, s := range trainedShapes {
+		if s.op == "MatMulTransA" {
+			shapes = append(shapes, [3]int{s.m, s.k, s.n})
+		}
+	}
+	for _, d := range shapes {
+		a, b := operands(r, pr, d[0], d[1], d[2])
+		c0 := New(d[0], d[2])
+		for i := range c0.Data {
+			c0.Data[i] = specialF32(r)
+		}
+		checkAccumulate(t, fmt.Sprintf("AddMatMulTransA%v", d), a, b, c0)
+	}
+}
+
+// FuzzMatMulMatchesReference: the three products and the accumulate form
+// on arbitrary float32 bit patterns (NaNs, infinities and subnormals
+// included) at shapes up to 24×12×40, under every kernel set, against the
+// reference.
 func FuzzMatMulMatchesReference(f *testing.F) {
 	f.Add(uint8(3), uint8(5), uint8(17), []byte{0, 0, 0x80, 0x3f, 0, 0, 0, 0x80})
 	f.Add(uint8(1), uint8(4), uint8(9), []byte{0, 0, 0x80, 0x7f, 0, 0, 0xc0, 0x7f, 1, 0, 0, 0})
@@ -318,6 +398,13 @@ func FuzzMatMulMatchesReference(f *testing.F) {
 				b.Data[i] = word(len(a.Data) + i)
 			}
 			checkProduct(t, pr.name, pr, a, b, m, n)
+			if pr.name == "MatMulTransA" {
+				c0 := New(m, n)
+				for i := range c0.Data {
+					c0.Data[i] = word(3*i + 1)
+				}
+				checkAccumulate(t, "AddMatMulTransA", a, b, c0)
+			}
 		}
 	})
 }

@@ -91,13 +91,22 @@ func MatMulTransB(c, a, b *Tensor) {
 
 // MatMulTransA computes C = Aᵀ·B for A [k×m] and B [k×n], writing into
 // C [m×n]. This is the weight-gradient shape dW = xᵀ·dy.
-func MatMulTransA(c, a, b *Tensor) {
+func MatMulTransA(c, a, b *Tensor) { transA(c, a, b, false) }
+
+// AddMatMulTransA computes C += Aᵀ·B, each element of C taking the terms
+// of MatMulTransA's in the same order, starting from its own value instead
+// of +0. From a +0 C it is MatMulTransA bit for bit: a sum started at +0
+// never ends at −0, so adding it to +0 is exact. This is the weight
+// gradient accumulated in place, dW += xᵀ·dy.
+func AddMatMulTransA(c, a, b *Tensor) { transA(c, a, b, true) }
+
+func transA(c, a, b *Tensor, acc bool) {
 	k, m := a.Shape[0], a.Shape[1]
 	k2, n := b.Shape[0], b.Shape[1]
 	if k != k2 || c.Shape[0] != m || c.Shape[1] != n {
 		panic(fmt.Sprintf("tensor: matmulTransA shape mismatch %vᵀ·%v→%v", a.Shape, b.Shape, c.Shape))
 	}
-	g := gemm{c: c.Data, a: a.Data, b: b.Data, k: k, n: n, ai: 1, ap: m}
+	g := gemm{c: c.Data, a: a.Data, b: b.Data, k: k, n: n, ai: 1, ap: m, acc: acc}
 	parallel.ForGrain1(m, rowGrain, g, axpyRows)
 }
 
