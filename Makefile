@@ -18,14 +18,15 @@ check: fmt-check
 # The packages with a vector kernel or a path built on one, vetted and
 # tested with the assembly compiled out (-tags purego is what every
 # non-amd64 platform runs), so the Go reference cannot rot behind it
-# (nn: its layers' bit-identity pins then run on tensor's Go kernels).
+# (nn: its layers' bit-identity pins then run on tensor's Go kernels;
+# compress and optim: the fold and the momentum step after the exchange).
 # The GOAMD64=v3 legs build the same packages and the two bit-exact
 # selectors beside them where the compiler may fuse multiply-add: every
 # pin must hold there too, with the assembly and without (-short: the
 # pins up to 2^16, not the 2^32-pattern f16 sweep three times over). A v3
 # binary aborts at startup on an amd64 host without AVX2/FMA/BMI2, so an
 # empty v3 test run probes for that first and the legs are skipped there.
-KERNEL_PKGS = ./internal/cfft ./internal/f16 ./internal/sparsify ./internal/compress ./internal/tensor ./internal/nn
+KERNEL_PKGS = ./internal/cfft ./internal/f16 ./internal/sparsify ./internal/compress ./internal/tensor ./internal/nn ./internal/optim
 V3_PKGS = $(KERNEL_PKGS) ./internal/topk ./internal/quant
 
 purego:
@@ -91,19 +92,21 @@ guard:
 # Fuzz smoke: a short wall-clock-bounded pass over every fuzz target in
 # the tree — the compressed message decoders, every codec's encode→decode
 # round trip, the fused transform decode against its unfused reference,
-# every codec's decode-accumulate against its dense decode,
-# the guard frame decoder, the framed codec decoder, the gradient scrub
-# against its float64 loop, the radix select
-# against the sorted order, the fused quantize-and-pack encoder against
+# every codec's decode-accumulate against its dense decode, the fold
+# kernels against their Go loop, the guard frame decoder, the framed
+# codec decoder, the gradient scrub against its float64 loop, the radix
+# select against the sorted order, the fused quantize-and-pack encoder against
 # Encode + AppendCodes, the checkpoint reader, the run-length bitmap
 # decoder, the job description's JSON decoder, the matrix products,
 # im2col and col2im against their plain loops, the ReLU and max
-# pooling layers against theirs and the TCP transport's frame reader.
+# pooling layers against theirs, the momentum step kernel against its Go
+# loop and the TCP transport's frame reader.
 fuzz:
 	$(GO) test -fuzz=FuzzDecompressRobustness -fuzztime=15s -run '^$$' ./internal/compress/
 	$(GO) test -fuzz=FuzzCompressRoundTrip -fuzztime=15s -run '^$$' ./internal/compress/
 	$(GO) test -fuzz=FuzzDecodeMatchesReference -fuzztime=15s -run '^$$' ./internal/compress/
 	$(GO) test -fuzz=FuzzAccumulateMatchesDecompress -fuzztime=15s -run '^$$' ./internal/compress/
+	$(GO) test -fuzz=FuzzFoldMatchesReference -fuzztime=15s -run '^$$' ./internal/compress/
 	$(GO) test -fuzz=FuzzUnframe -fuzztime=15s -run '^$$' ./internal/guard/
 	$(GO) test -fuzz=FuzzFramedDecompress -fuzztime=15s -run '^$$' ./internal/guard/
 	$(GO) test -fuzz=FuzzScrubMatchesReference -fuzztime=15s -run '^$$' ./internal/guard/
@@ -115,6 +118,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzMatMulMatchesReference -fuzztime=15s -run '^$$' ./internal/tensor/
 	$(GO) test -fuzz=FuzzIm2colCol2imMatchesReference -fuzztime=15s -run '^$$' ./internal/tensor/
 	$(GO) test -fuzz=FuzzConvHalfMatchesReference -fuzztime=15s -run '^$$' ./internal/nn/
+	$(GO) test -fuzz=FuzzSGDStepMatchesReference -fuzztime=15s -run '^$$' ./internal/optim/
 	$(GO) test -fuzz=FuzzReadFrame -fuzztime=15s -run '^$$' ./internal/comm/
 
 # Non-blank, non-comment, non-test Go lines per package directory, then
@@ -133,8 +137,9 @@ loc:
 # pass alone at 2^18 on one core, every matrix product the benchmark's
 # networks run and conv_fft's three col2im geometries, per kernel set, on
 # one core, conv_fft's conv, ReLU and pooling layers forward and
-# backward on one core, and the wide_* model's local step (zero, forward,
-# loss, backward) on one core. Measured numbers come from
+# backward on one core, the wide_* model's local step (zero, forward,
+# loss, backward) on one core, and the fold and the momentum step after
+# the exchange, per kernel set, on one core. Measured numbers come from
 # the repository benchmark: bash bench/run.sh (BENCHMARK.json).
 bench:
 	$(GO) test -bench=. -benchmem -benchtime=1x ./...
@@ -142,6 +147,8 @@ bench:
 	$(GO) test -run '^$$' -bench BenchmarkReorder -cpu 1 ./internal/cfft
 	$(GO) test -run '^$$' -bench 'BenchmarkGEMMShapes|BenchmarkCol2imShapes' -cpu 1 ./internal/tensor
 	$(GO) test -run '^$$' -bench 'BenchmarkConvLayers|BenchmarkMLPStep' -benchmem -cpu 1 ./internal/nn
+	$(GO) test -run '^$$' -bench BenchmarkFold -cpu 1 ./internal/compress
+	$(GO) test -run '^$$' -bench BenchmarkSGDStep -cpu 1 ./internal/optim
 
 # Regenerate every paper figure/table and ablation.
 experiments:

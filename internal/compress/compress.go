@@ -132,21 +132,10 @@ func AccumulateInto(c Compressor, dst []float32, msg []byte, wt, scale float32) 
 	return nil
 }
 
-// fold is the (wt, scale) pair of an accumulation, threaded by value
-// through the parallel bodies.
-type fold struct{ wt, scale float32 }
-
-// Accumulate is the reference accumulation: dst[i] = (dst[i] + wt·x[i])·scale
-// over equal-length slices, in parallel.
+// Accumulate is the dense accumulation: dst[i] = (dst[i] + wt·x[i])·scale
+// over equal-length slices, in parallel, through the fold kernel.
 func Accumulate(dst, x []float32, wt, scale float32) {
-	parallel.For3(len(dst), dst, x, fold{wt, scale}, accumulateRange)
-}
-
-func accumulateRange(dst, x []float32, f fold, lo, hi int) {
-	dst, x = dst[lo:hi], x[lo:hi]
-	for i, v := range x {
-		dst[i] = (dst[i] + f.wt*v) * f.scale
-	}
+	parallel.For3(len(dst), dst, x, fold{wt, scale}, active.fold)
 }
 
 // AppendCompress is c.AppendCompress(dst, grad), kept as a function for

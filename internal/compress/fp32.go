@@ -16,16 +16,19 @@ import (
 // memory of a []float32: both directions are a copy through a byte view
 // of the float slice. The message itself is never viewed as []float32 —
 // behind a guard frame header it need not be 4-byte aligned — so
-// AccumulateInto copies it into an aligned block on the stack first. The
-// per-element byte loops are the reference and the big-endian path.
+// AccumulateInto hands its bytes to the fold kernel, which loads them
+// unaligned, or (the reference) copies them into an aligned block on the
+// stack first. The per-element byte loops are the reference and the
+// big-endian path.
 type FP32 struct{}
 
-// littleEndian selects the byte-view copies; only the tests that pin them
-// against the byte loops assign it.
+// littleEndian selects the byte-view copies and the in-place fold; only
+// the tests that pin them against the byte loops assign it.
 var littleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
 
-// fp32Block is the float count AccumulateInto converts at a time: 4 KiB
-// of stack, L1-resident between the copy and the sum that reads it.
+// fp32Block is the float count the reference fold (accumulateWire)
+// converts at a time: 4 KiB of stack, L1-resident between the copy and
+// the sum that reads it.
 const fp32Block = 1024
 
 // Name implements Compressor.
@@ -57,14 +60,11 @@ func (FP32) AccumulateInto(dst []float32, msg []byte, wt, scale float32) error {
 	if len(msg) != 4*len(dst) {
 		return fmt.Errorf("fp32: message %d bytes, want %d", len(msg), 4*len(dst))
 	}
-	parallel.For3(len(dst), dst, msg, fold{wt, scale}, func(dst []float32, msg []byte, f fold, lo, hi int) {
-		var blk [fp32Block]float32
-		for ; lo < hi; lo += fp32Block {
-			x := blk[:min(fp32Block, hi-lo)]
-			getFP32(x, msg[4*lo:])
-			accumulateRange(dst[lo:], x, f, 0, len(x))
-		}
-	})
+	body := active.foldWire
+	if !littleEndian {
+		body = scalar.foldWire
+	}
+	parallel.For3(len(dst), dst, msg, fold{wt, scale}, body)
 	return nil
 }
 

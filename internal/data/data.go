@@ -41,15 +41,24 @@ func (d *Dataset) Len() int { return len(d.Labels) }
 // Batch gathers the samples at the given indices into a batch tensor of
 // shape [len(idx), Shape...] plus the matching label slice.
 func (d *Dataset) Batch(idx []int) (*tensor.Tensor, []int) {
-	sl := d.SampleLen()
-	shape := append([]int{len(idx)}, d.Shape...)
-	x := tensor.New(shape...)
+	x := tensor.New(append([]int{len(idx)}, d.Shape...)...)
 	labels := make([]int, len(idx))
+	d.BatchInto(x, labels, idx)
+	return x, labels
+}
+
+// BatchInto is Batch into caller-owned storage, reused from batch to
+// batch: x must hold len(idx) samples and labels len(idx) labels; both
+// are overwritten with the same samples in the same order.
+func (d *Dataset) BatchInto(x *tensor.Tensor, labels []int, idx []int) {
+	sl := d.SampleLen()
+	if len(x.Data) != len(idx)*sl || len(labels) != len(idx) {
+		panic(fmt.Sprintf("data: batch of %d samples into a %d-float tensor and %d labels", len(idx), len(x.Data), len(labels)))
+	}
 	for i, s := range idx {
 		copy(x.Data[i*sl:(i+1)*sl], d.X[s*sl:(s+1)*sl])
 		labels[i] = d.Labels[s]
 	}
-	return x, labels
 }
 
 // Shard returns the contiguous 1/p slice of the dataset owned by worker
@@ -178,6 +187,9 @@ type Iterator struct {
 func NewIterator(n, batch int, seed int64) *Iterator {
 	if batch < 1 || n < 1 {
 		panic("data: iterator needs n >= 1 and batch >= 1")
+	}
+	if batch > n {
+		panic(fmt.Sprintf("data: batch %d exceeds the %d samples it draws from", batch, n))
 	}
 	it := &Iterator{n: n, batch: batch, seed: seed}
 	it.reshuffle()

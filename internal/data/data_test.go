@@ -1,7 +1,12 @@
 package data
 
 import (
+	"fmt"
+	"math"
+	"strings"
 	"testing"
+
+	"fftgrad/internal/tensor"
 )
 
 func TestSynthImagesShape(t *testing.T) {
@@ -181,4 +186,60 @@ func TestIteratorDeterministic(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestBatchIntoMatchesBatch: one reused tensor and label slice, refilled
+// batch after batch across an epoch boundary, hold exactly what a fresh
+// Batch returns (raw bits), and refilling them allocates nothing.
+func TestBatchIntoMatchesBatch(t *testing.T) {
+	d := SynthImages(40, 4, 6, 0.3, 3)
+	it := NewIterator(d.Len(), 7, 11)
+	x, labels := tensor.New(7, 3, 6, 6), make([]int, 7)
+	for b := 0; b < 12; b++ {
+		idx := it.Next()
+		d.BatchInto(x, labels, idx)
+		want, wantLabels := d.Batch(idx)
+		if fmt.Sprint(x.Shape) != fmt.Sprint(want.Shape) || fmt.Sprint(labels) != fmt.Sprint(wantLabels) {
+			t.Fatalf("batch %d: shape %v labels %v, Batch gives %v %v", b, x.Shape, labels, want.Shape, wantLabels)
+		}
+		for i := range want.Data {
+			if math.Float32bits(x.Data[i]) != math.Float32bits(want.Data[i]) {
+				t.Fatalf("batch %d element %d: %v, Batch gives %v", b, i, x.Data[i], want.Data[i])
+			}
+		}
+	}
+	if a := testing.AllocsPerRun(100, func() { d.BatchInto(x, labels, it.Next()) }); a != 0 {
+		t.Fatalf("BatchInto allocates %v per batch", a)
+	}
+}
+
+// TestBatchIntoRejectsWrongSize: storage for another batch size panics
+// before anything is written.
+func TestBatchIntoRejectsWrongSize(t *testing.T) {
+	d := GaussianBlobs(10, 2, 4, 0.1, 1)
+	for _, c := range []struct {
+		x      *tensor.Tensor
+		labels int
+	}{{tensor.New(2, 4), 3}, {tensor.New(3, 4), 2}, {tensor.New(3, 5), 3}} {
+		func() {
+			defer func() {
+				if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "data: batch of 3 samples") {
+					t.Fatalf("tensor %v, %d labels: recovered %v", c.x.Shape, c.labels, r)
+				}
+			}()
+			d.BatchInto(c.x, make([]int, c.labels), []int{0, 1, 2})
+		}()
+	}
+}
+
+// TestIteratorRejectsBatchAboveSamples: a batch larger than the samples
+// it draws from is refused with a message, not a slice-bounds panic on
+// the first Next.
+func TestIteratorRejectsBatchAboveSamples(t *testing.T) {
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "batch 8 exceeds the 4 samples") {
+			t.Fatalf("recovered %v", r)
+		}
+	}()
+	NewIterator(4, 8, 1)
 }

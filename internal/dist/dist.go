@@ -488,6 +488,17 @@ func (c *Config) Validate() error {
 			}
 		}
 	}
+	// Every training rank draws whole batches from its own shard
+	// (newWorker): Workers of them, plus one per elastic joiner under
+	// Fault. The remainder goes to the last, so the floor is the smallest.
+	d := c.withDefaults()
+	shards := d.Workers
+	if c.Fault != nil {
+		shards += len(c.Fault.ElasticJoins)
+	}
+	if per := c.Train.Len() / shards; d.Batch > per {
+		return fmt.Errorf("dist: Batch %d exceeds the smallest shard: %d samples over %d ranks leave %d", d.Batch, c.Train.Len(), shards, per)
+	}
 	return nil
 }
 

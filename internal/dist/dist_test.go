@@ -229,6 +229,15 @@ func TestValidateRejects(t *testing.T) {
 		{"negative join iteration", func(c *Config) {
 			c.Fault = fault(FaultConfig{ElasticJoins: []int{4, -3}})
 		}, "negative ElasticJoins iteration -3"},
+		{"batch above the smallest shard", func(c *Config) {
+			c.Train, c.Test, c.Workers, c.Batch = data.GaussianBlobs(8, 4, 16, 0.25, 1), nil, 2, 8
+		}, "Batch 8 exceeds the smallest shard: 8 samples over 2 ranks leave 4"},
+		{"default batch above the smallest shard", func(c *Config) {
+			c.Train, c.Test, c.Workers, c.Batch = data.GaussianBlobs(40, 4, 16, 0.25, 1), nil, 2, 0
+		}, "Batch 32 exceeds the smallest shard: 40 samples over 2 ranks leave 20"},
+		{"batch above an elastic joiner's shard", func(c *Config) {
+			c.Batch, c.Fault = 400, fault(FaultConfig{ElasticJoins: []int{2, 4}})
+		}, "Batch 400 exceeds the smallest shard: 2048 samples over 6 ranks leave 341"},
 		{"PS + Fault", func(c *Config) {
 			c.PS, c.Fault = &PSConfig{}, fault(FaultConfig{})
 		}, "require the bsp backend"},

@@ -27,6 +27,7 @@ import (
 	"fftgrad/internal/optim"
 	"fftgrad/internal/scratch"
 	"fftgrad/internal/telemetry"
+	"fftgrad/internal/tensor"
 	"fftgrad/internal/trace"
 )
 
@@ -101,6 +102,11 @@ type worker struct {
 	sgd   *optim.SGD
 	gs    *guardState
 
+	// x and labels are this rank's batch, refilled by every gradient():
+	// the layers' input caches are read only inside that call's Backward.
+	x      *tensor.Tensor
+	labels []int
+
 	// One codec per bucket (the monolithic exchange is the one-bucket
 	// case), so each bucket keeps its own CRC frame and its own
 	// error-feedback residual slice — the flat residual partitioned. wire
@@ -146,6 +152,8 @@ func newWorker(cfg Config, rank, p int, restore *checkpoint.State) (*worker, err
 	if rank < p {
 		w.shard = cfg.Train.Shard(rank, p)
 		w.it = data.NewIterator(w.shard.Len(), cfg.Batch, cfg.Seed+int64(rank)*7919)
+		w.x = tensor.New(append([]int{cfg.Batch}, w.shard.Shape...)...)
+		w.labels = make([]int, cfg.Batch)
 	}
 	w.sgd = optim.NewSGD(cfg.LR.LR(0), cfg.Momentum, w.n)
 	for _, st := range []*checkpoint.State{cfg.Resume, restore} {
@@ -538,9 +546,9 @@ func (w *worker) train(startIter int) (*Result, error) {
 // loss and the compute time.
 func (w *worker) gradient() (float64, time.Duration) {
 	t0 := time.Now()
-	x, labels := w.shard.Batch(w.it.Next())
+	w.shard.BatchInto(w.x, w.labels, w.it.Next())
 	w.net.ZeroGrads()
-	l, dl := nn.SoftmaxCE{}.Loss(w.net.Forward(x, true), labels)
+	l, dl := nn.SoftmaxCE{}.Loss(w.net.Forward(w.x, true), w.labels)
 	w.net.Backward(dl)
 	tScrub := time.Now()
 	w.gs.scrubGrad(w.grad)
@@ -583,12 +591,17 @@ func evaluate(net *nn.Network, test *data.Dataset, batch int) float64 {
 	correct := 0.0
 	total := 0
 	idx := make([]int, 0, batch)
+	var x *tensor.Tensor // one batch buffer, and one more for a short last batch
+	var labels []int
 	for s := 0; s < test.Len(); s += batch {
 		idx = idx[:0]
 		for j := s; j < s+batch && j < test.Len(); j++ {
 			idx = append(idx, j)
 		}
-		x, labels := test.Batch(idx)
+		if len(labels) != len(idx) {
+			x, labels = tensor.New(append([]int{len(idx)}, test.Shape...)...), make([]int, len(idx))
+		}
+		test.BatchInto(x, labels, idx)
 		logits := net.Forward(x, false)
 		correct += nn.Accuracy(logits, labels) * float64(len(idx))
 		total += len(idx)

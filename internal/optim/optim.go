@@ -75,12 +75,7 @@ func stepRange(c step, lo, hi int) {
 	off := 0
 	for _, p := range c.params {
 		if plo, phi := max(lo, off), min(hi, off+len(p)); plo < phi {
-			g, vel, w := c.grad[plo:phi], c.velocity[plo:phi], p[plo-off:phi-off]
-			for i := range w {
-				v := c.mu*vel[i] + g[i]
-				vel[i] = v
-				w[i] += -c.lr * v
-			}
+			active.step(p[plo-off:phi-off], c.velocity[plo:phi], c.grad[plo:phi], c.mu, c.lr)
 		}
 		if off += len(p); off >= hi {
 			return
