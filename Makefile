@@ -96,7 +96,8 @@ guard:
 # kernels against their Go loop, the guard frame decoder, the framed
 # codec decoder, the gradient scrub against its float64 loop, the radix
 # select against the sorted order, the fused quantize-and-pack encoder against
-# Encode + AppendCodes, the checkpoint reader, the run-length bitmap
+# Encode + AppendCodes, the checkpoint reader (and State.Apply of every
+# state it parses: an error or a restore, never a panic), the run-length bitmap
 # decoder, the job description's JSON decoder, the matrix products,
 # im2col and col2im against their plain loops, the ReLU and max
 # pooling layers against theirs, the momentum step kernel against its Go

@@ -39,6 +39,11 @@
 //     the network's own flat buffer that Backward accumulates into, not a
 //     copy: it is valid until the next ZeroGrads or Backward, and a caller
 //     that keeps it longer copies it out (FlattenGrads).
+//   - The parameters are the same: nn.Network.Data is the network's own
+//     flat parameter vector, with every Param.Data a window of it, not a
+//     copy. The optimizer step and a parameter sync write it in place, so
+//     a caller that needs the values past the next step or sync copies
+//     them out (GetParams).
 //   - Temporaries inside the pipeline come from internal/scratch, a set
 //     of typed, size-classed pools; FFT/DCT plans and tuned quantizers
 //     are cached per size, so repeated same-shape gradients hit every

@@ -49,15 +49,20 @@ func Capture(net *nn.Network, sgd *optim.SGD, epoch, iter int64) *State {
 	return s
 }
 
-// Apply restores the snapshot into a network and optimizer (either may be
-// nil to restore only the other).
+// Apply restores the snapshot into a network and, when sgd is non-nil,
+// the optimizer built for it. It checks both lengths before it writes
+// anything: Params must be NumParams long and Velocity empty or as long,
+// so a mismatched snapshot returns an error with the network and the
+// optimizer as they were.
 func (s *State) Apply(net *nn.Network, sgd *optim.SGD) error {
-	if net != nil {
-		if net.NumParams() != len(s.Params) {
-			return fmt.Errorf("checkpoint: %d params for a %d-param model", len(s.Params), net.NumParams())
-		}
-		net.SetParams(s.Params)
+	n := net.NumParams()
+	if len(s.Params) != n {
+		return fmt.Errorf("checkpoint: %d params for a %d-param model", len(s.Params), n)
 	}
+	if len(s.Velocity) != 0 && len(s.Velocity) != n {
+		return fmt.Errorf("checkpoint: %d velocity values for a %d-param model", len(s.Velocity), n)
+	}
+	net.SetParams(s.Params)
 	if sgd != nil && len(s.Velocity) > 0 {
 		sgd.Restore(s.Velocity)
 	}

@@ -2,7 +2,10 @@ package checkpoint
 
 import (
 	"bytes"
+	"fmt"
+	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"fftgrad/internal/models"
@@ -152,4 +155,32 @@ func TestApplyValidation(t *testing.T) {
 	if err := st.Apply(net, nil); err == nil {
 		t.Fatal("length mismatch should error")
 	}
+}
+
+// TestApplyChecksBeforeWrite: a snapshot whose velocity does not fit the
+// model returns an error naming both lengths and leaves the parameters
+// and the velocity bit for bit as they were.
+func TestApplyChecksBeforeWrite(t *testing.T) {
+	net := models.MLP(4, 8, 2, 1)
+	n := net.NumParams()
+	sgd := optim.NewSGD(0.1, 0.9, n)
+	st := randState(n, 3)
+	st.Velocity = st.Velocity[:3]
+	sgd.Restore(randState(n, 4).Velocity)
+	params, vel := Capture(net, sgd, 0, 0).Params, sgd.State()
+
+	err := st.Apply(net, sgd)
+	if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("3 velocity values for a %d-param model", n)) {
+		t.Fatalf("Apply with a 3-float velocity: %v", err)
+	}
+	unchanged := func(what string, got, want []float32) {
+		t.Helper()
+		for i, v := range want {
+			if math.Float32bits(got[i]) != math.Float32bits(v) {
+				t.Fatalf("%s %d written before the rejection", what, i)
+			}
+		}
+	}
+	unchanged("parameter", net.GetParams(make([]float32, n)), params)
+	unchanged("velocity", sgd.State(), vel)
 }

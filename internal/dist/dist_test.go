@@ -311,7 +311,8 @@ func TestTraceRecording(t *testing.T) {
 }
 
 // Checkpoint + Resume: training that checkpoints at epoch 1 and resumes
-// must continue improving from the restored state.
+// must continue improving from the restored state, and a resume state
+// whose velocity does not fit the model is an error, not a panic.
 func TestCheckpointResume(t *testing.T) {
 	var captured *checkpoint.State
 	cfg := blobCfg(34)
@@ -340,5 +341,12 @@ func TestCheckpointResume(t *testing.T) {
 		t.Fatalf("resumed run should keep improving: %.4f vs %.4f",
 			second.Epochs[len(second.Epochs)-1].TrainLoss,
 			first.Epochs[len(first.Epochs)-1].TrainLoss)
+	}
+
+	short := *captured
+	short.Velocity = short.Velocity[:len(short.Velocity)-1]
+	resumed.Resume = &short
+	if _, err := Train(resumed); err == nil || !strings.Contains(err.Error(), "velocity") {
+		t.Fatalf("resuming with a short velocity: %v, want a velocity length error", err)
 	}
 }

@@ -30,24 +30,20 @@ type guardState struct {
 	isRoot bool
 	tc     *trace.Ctx // this rank's timeline track (nil = tracing off)
 
-	fpFlat []float32 // fingerprint staging (reused every drift round)
-	ownFP  uint64
+	ownFP uint64 // this rank's fingerprint on the last drift round
 
 	// ring is the in-memory retained rollback ring: states captured at
 	// deterministic iterations, so every rank restores the same point.
 	ring []*checkpoint.State
 }
 
-func newGuardState(cfg Config, rank, n int, tc *trace.Ctx) *guardState {
+func newGuardState(cfg Config, rank int, tc *trace.Ctx) *guardState {
 	if cfg.Guard == nil {
 		return nil
 	}
 	gs := &guardState{cfg: *cfg.Guard, stats: cfg.guardStats, isRoot: rank == 0, tc: tc}
 	if gs.cfg.Detect {
 		gs.det = guard.NewDetector(gs.cfg)
-	}
-	if gs.cfg.DriftEvery > 0 {
-		gs.fpFlat = make([]float32, n)
 	}
 	return gs
 }
@@ -100,7 +96,7 @@ func (gs *guardState) attachFingerprint(net *nn.Network, iterComp compress.Compr
 	if !ok {
 		return
 	}
-	gs.ownFP = guard.Fingerprint(net.GetParams(gs.fpFlat))
+	gs.ownFP = guard.Fingerprint(net.Data())
 	f.SetNextFingerprint(gs.ownFP)
 }
 

@@ -193,7 +193,7 @@ func (s *worker) serve(ctr *psCounters, pulls []chan []float32, pushes <-chan gr
 				s.avg[i] *= inv
 			}
 		}
-		s.sgd.Step(s.params, s.avg)
+		s.sgd.Step(s.net.Data(), s.avg)
 		s.tc.SpanSince(trace.OpUpdate, int64(s.n), t0)
 		n := 0
 		for _, m := range g.msgs {

@@ -123,8 +123,6 @@ type worker struct {
 	// probe, the PS push — finishes inside the round or push that follows
 	// the gradient(), and a GradSamples entry is a copy.
 	grad, avg   []float32
-	params      [][]float32 // the replica's parameter slices, in flat order
-	syncFlat    []float32
 	syncPayload []byte
 
 	// priceSync models one parameter sync of m bytes across n ranks: the
@@ -165,7 +163,7 @@ func newWorker(cfg Config, rank, p int, restore *checkpoint.State) (*worker, err
 		}
 	}
 	w.forceSync = restore != nil
-	w.gs = newGuardState(cfg, rank, w.n, w.tc)
+	w.gs = newGuardState(cfg, rank, w.tc)
 	// The retained ring seeds with the initial state so a rollback always
 	// has a target.
 	w.gs.retain(checkpoint.Capture(w.net, w.sgd, 0, -1))
@@ -188,10 +186,6 @@ func newWorker(cfg Config, rank, p int, restore *checkpoint.State) (*worker, err
 
 	w.grad = w.net.Grad()
 	w.avg = make([]float32, w.n)
-	for _, p := range w.net.Params() {
-		w.params = append(w.params, p.Data)
-	}
-	w.syncFlat = make([]float32, w.n)
 	w.res = &Result{GradSize: w.n}
 	return w, nil
 }
@@ -258,7 +252,7 @@ func (w *worker) observeRound(sent, max int, seconds float64) float64 {
 // entering the next collective's barrier, at least one of which separates
 // consecutive syncs.
 func (w *worker) encodeParams(iter int) ([]byte, error) {
-	payload, err := w.wireSync.AppendCompress(w.syncPayload[:0], w.net.GetParams(w.syncFlat))
+	payload, err := w.wireSync.AppendCompress(w.syncPayload[:0], w.net.Data())
 	if err != nil {
 		return nil, fmt.Errorf("encoding the sync payload of iteration %d: %w", iter, err)
 	}
@@ -266,12 +260,14 @@ func (w *worker) encodeParams(iter int) ([]byte, error) {
 	return payload, nil
 }
 
-// decodeParams adopts a received sync payload as this replica's parameters.
+// decodeParams adopts a received sync payload as this replica's
+// parameters, decoding it straight into them: wireSync (FP32, framed under
+// guard) rejects a corrupt, truncated or wrong-length payload before it
+// writes a value, so a failed sync leaves the parameters as they were.
 func (w *worker) decodeParams(iter int, payload []byte) error {
-	if err := w.wireSync.DecompressInto(w.syncFlat, payload); err != nil {
+	if err := w.wireSync.DecompressInto(w.net.Data(), payload); err != nil {
 		return fmt.Errorf("decoding the sync payload of iteration %d: %w", iter, err)
 	}
-	w.net.SetParams(w.syncFlat)
 	return nil
 }
 
@@ -440,7 +436,7 @@ func (w *worker) train(startIter int) (*Result, error) {
 			case guard.ActionSkip:
 				// Poisoned round: no update.
 			default:
-				w.sgd.Step(w.params, w.avg)
+				w.sgd.Step(w.net.Data(), w.avg)
 			}
 			updateT = time.Since(t0)
 			tc.SpanTimed(trace.OpUpdate, int64(w.n), t0, updateT)

@@ -12,7 +12,10 @@ import (
 // TestAccumulateRejectsBeforeWrite: a message the decoder rejects leaves
 // the running sum untouched — a frame whose CRC fails (the inner decoder
 // never sees it), a message cut short and a message for another length —
-// for every codec, bare, framed and under error feedback.
+// for every codec, bare, framed and under error feedback. The parameter
+// sync's codecs (FP32, bare or framed) decode a payload straight into the
+// live parameters, so their DecompressInto must reject the same messages
+// before it writes too.
 func TestAccumulateRejectsBeforeWrite(t *testing.T) {
 	const n = 3000
 	grad := stackGrad(n)
@@ -49,19 +52,31 @@ func TestAccumulateRejectsBeforeWrite(t *testing.T) {
 					n    int
 				}{"corrupt CRC", corrupt, n})
 			}
-			for _, row := range rows {
-				dst := make([]float32, row.n)
-				for i := range dst {
-					dst[i] = float32(i) - 0.5
-				}
-				if err := compress.AccumulateInto(c, dst, row.msg, 0.5, 1.0/3); err == nil {
-					t.Errorf("%s %s: accepted", c.Name(), row.name)
-					continue
-				}
-				for i, v := range dst {
-					if math.Float32bits(v) != math.Float32bits(float32(i)-0.5) {
-						t.Errorf("%s %s: element %d written (%v) before the rejection", c.Name(), row.name, i, v)
-						break
+			type decoder struct {
+				name   string
+				decode func(dst []float32, msg []byte) error
+			}
+			decoders := []decoder{{"accumulate", func(dst []float32, msg []byte) error {
+				return compress.AccumulateInto(c, dst, msg, 0.5, 1.0/3)
+			}}}
+			if n := c.Name(); n == "fp32" || n == "fp32+crc" || n == "fp32+frame" {
+				decoders = append(decoders, decoder{"decompress", c.DecompressInto})
+			}
+			for _, d := range decoders {
+				for _, row := range rows {
+					dst := make([]float32, row.n)
+					for i := range dst {
+						dst[i] = float32(i) - 0.5
+					}
+					if err := d.decode(dst, row.msg); err == nil {
+						t.Errorf("%s %s %s: accepted", c.Name(), d.name, row.name)
+						continue
+					}
+					for i, v := range dst {
+						if math.Float32bits(v) != math.Float32bits(float32(i)-0.5) {
+							t.Errorf("%s %s %s: element %d written (%v) before the rejection", c.Name(), d.name, row.name, i, v)
+							break
+						}
 					}
 				}
 			}

@@ -88,6 +88,46 @@ func TestMLP(t *testing.T) {
 	net.Backward(dl)
 }
 
+// TestSequentialKeepsInitialBits: a network's flat parameter vector holds,
+// bit for bit, the values its layers drew from the seed on their own,
+// outside any network.
+func TestSequentialKeepsInitialBits(t *testing.T) {
+	for _, seed := range []int64{1, 7} {
+		for _, c := range []struct {
+			name   string
+			net    *nn.Network
+			layers func(r *rand.Rand) []nn.Layer
+		}{
+			{"MLP", MLP(256, 560, 32, seed), func(r *rand.Rand) []nn.Layer {
+				return []nn.Layer{nn.NewDense(256, 560, r), nn.NewDense(560, 560, r), nn.NewDense(560, 32, r)}
+			}},
+			{"TinyCNN", TinyCNN(10, 16, seed), func(r *rand.Rand) []nn.Layer {
+				return []nn.Layer{nn.NewConv2D(3, 8, 3, 1, 1, r), nn.NewConv2D(8, 16, 3, 1, 1, r), nn.NewDense(16*4*4, 10, r)}
+			}},
+			{"AlexNetStyle", AlexNetStyle(10, 1, seed), func(r *rand.Rand) []nn.Layer {
+				return []nn.Layer{nn.NewConv2D(3, 8, 5, 1, 2, r), nn.NewConv2D(8, 16, 5, 1, 2, r),
+					nn.NewConv2D(16, 24, 3, 1, 1, r), nn.NewDense(24*4*4, 64, r), nn.NewDense(64, 10, r)}
+			}},
+		} {
+			var want []float32
+			for _, l := range c.layers(rand.New(rand.NewSource(seed))) {
+				for _, p := range l.Params() {
+					want = append(want, p.Data...)
+				}
+			}
+			got := c.net.Data()
+			if len(got) != len(want) {
+				t.Fatalf("%s seed %d: %d parameters, the layers alone %d", c.name, seed, len(got), len(want))
+			}
+			for i := range want {
+				if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+					t.Fatalf("%s seed %d: parameter %d is %v, the layers alone drew %v", c.name, seed, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}
+
 func TestDeterministicInit(t *testing.T) {
 	a := AlexNetStyle(10, 1, 7)
 	b := AlexNetStyle(10, 1, 7)

@@ -68,9 +68,60 @@ func TestFlatGradientView(t *testing.T) {
 	}
 }
 
+// TestFlatParameterView: every parameter's Data is its window of the
+// network's flat parameter vector, in Params order and capped so an
+// append cannot spill into the next parameter; the initial values are
+// the layers' own, and SetParams, GetParams and AddToParams go through
+// the vector.
+func TestFlatParameterView(t *testing.T) {
+	r := rand.New(rand.NewSource(32))
+	layers := []Layer{NewConv2D(2, 3, 3, 1, 1, r), NewReLU(), NewFlatten(), NewDense(3*4*4, 5, r)}
+	var init []float32
+	for _, l := range layers {
+		for _, p := range l.Params() {
+			init = append(init, p.Data...)
+		}
+	}
+	net := Sequential(layers...)
+	flat := net.Data()
+	if len(flat) != net.NumParams() {
+		t.Fatalf("Data has %d values, NumParams %d", len(flat), net.NumParams())
+	}
+	sameBits(t, "initial parameters", flat, init, false)
+	off := 0
+	for _, p := range net.Params() {
+		if cap(p.Data) != len(p.Data) || &p.Data[0] != &flat[off] {
+			t.Fatalf("%s: Data (len %d, cap %d) is not the window [%d, %d) of the flat vector",
+				p.Name, len(p.Data), cap(p.Data), off, off+len(p.Data))
+		}
+		off += len(p.Data)
+	}
+	if off != len(flat) {
+		t.Fatalf("the windows cover %d of %d values", off, len(flat))
+	}
+
+	n := len(flat)
+	src, delta := make([]float32, n), make([]float32, n)
+	for i := range src {
+		src[i], delta[i] = float32(r.NormFloat64()), float32(r.NormFloat64())
+	}
+	net.SetParams(src)
+	sameBits(t, "SetParams", flat, src, false)
+	sameBits(t, "GetParams", net.GetParams(make([]float32, n)), src, false)
+	net.AddToParams(delta)
+	for i := range src {
+		src[i] += delta[i]
+	}
+	sameBits(t, "AddToParams", flat, src, false)
+	flat[n-1] = 42
+	if last := net.Params()[len(net.Params())-1]; last.Data[len(last.Data)-1] != 42 {
+		t.Fatal("a write to Data did not reach the parameter")
+	}
+}
+
 // The flat helpers check a vector's length before they write: a long or
-// short one panics with every parameter (and FlattenGrads' destination)
-// bit for bit as it was.
+// short one panics with every parameter (and the destination of
+// FlattenGrads and GetParams) bit for bit as it was.
 func TestFlatHelpersCheckFirst(t *testing.T) {
 	r := rand.New(rand.NewSource(33))
 	net := Sequential(NewDense(4, 3, r), NewReLU(), NewDense(3, 2, r))
@@ -96,9 +147,10 @@ func TestFlatHelpersCheckFirst(t *testing.T) {
 		mustPanic(fmt.Sprintf("AddToParams(len %d)", m), func() { net.AddToParams(v) })
 		mustPanic(fmt.Sprintf("SetParams(len %d)", m), func() { net.SetParams(v) })
 		mustPanic(fmt.Sprintf("FlattenGrads(len %d)", m), func() { net.FlattenGrads(v) })
+		mustPanic(fmt.Sprintf("GetParams(len %d)", m), func() { net.GetParams(v) })
 		for i, x := range v {
 			if x != 7 {
-				t.Fatalf("FlattenGrads(len %d) wrote %v at %d before panicking", m, x, i)
+				t.Fatalf("FlattenGrads or GetParams (len %d) wrote %v at %d before panicking", m, x, i)
 			}
 		}
 	}

@@ -22,10 +22,10 @@ import (
 )
 
 // Param is one learnable parameter tensor with its gradient accumulator.
-// In a network built by Sequential, Grad is a window of the network's
-// flat gradient (Network.Grad); a layer used on its own allocates Grad on
-// its first Backward, and a network that adopts it later starts it from
-// zero.
+// In a network built by Sequential, Data is a window of the network's
+// flat parameter vector (Network.Data) and Grad one of its flat gradient
+// (Network.Grad); a layer used on its own allocates Grad on its first
+// Backward, and a network that adopts it later starts it from zero.
 type Param struct {
 	Name string
 	Data []float32
@@ -93,11 +93,14 @@ func checkGrad(l named, y, dy *tensor.Tensor) {
 type Network struct {
 	Layers []Layer
 	params []*Param  // every layer's parameters in order, gathered once
+	data   []float32 // every Param.Data, back to back in params order
 	grad   []float32 // every Param.Grad, back to back in params order
 }
 
-// Sequential builds a network from layers. It allocates the flat gradient
-// once and makes each parameter's Grad its window of it.
+// Sequential builds a network from layers. It allocates the flat
+// parameter vector and the flat gradient once, copies each parameter's
+// initial values into its window of the first and makes Data and Grad
+// those windows.
 func Sequential(layers ...Layer) *Network {
 	n := &Network{Layers: layers}
 	size := 0
@@ -107,10 +110,13 @@ func Sequential(layers ...Layer) *Network {
 			size += len(p.Data)
 		}
 	}
-	n.grad = make([]float32, size)
-	rest := n.grad
+	n.data, n.grad = make([]float32, size), make([]float32, size)
+	off := 0
 	for _, p := range n.params {
-		p.Grad, rest = rest[:len(p.Data):len(p.Data)], rest[len(p.Data):]
+		k := len(p.Data)
+		copy(n.data[off:], p.Data)
+		p.Data, p.Grad = n.data[off:off+k:off+k], n.grad[off:off+k:off+k]
+		off += k
 	}
 	return n
 }
@@ -138,6 +144,12 @@ func (n *Network) Params() []*Param { return n.params }
 // NumParams returns the total learnable scalar count — the length of the
 // flat gradient vector (and, ×4, the per-iteration message size in bytes).
 func (n *Network) NumParams() int { return len(n.grad) }
+
+// Data returns the flat parameter vector: every parameter's values back
+// to back in Params order, with no copy. It is the network's own memory,
+// not a snapshot: writes to it are writes to the parameters' Data, and
+// the optimizer step, a parameter sync and SetParams change it in place.
+func (n *Network) Data() []float32 { return n.data }
 
 // Grad returns the flat gradient: every parameter's gradient back to back
 // in Params order — the 1-D signal of step ① of the compression pipeline,
@@ -170,23 +182,17 @@ func (n *Network) FlattenGrads(dst []float32) []float32 {
 // the wrong length panics before any parameter changes.
 func (n *Network) AddToParams(delta []float32) {
 	n.checkFlat("update", len(delta))
-	off := 0
-	for _, p := range n.params {
-		for i, d := range delta[off : off+len(p.Data)] {
-			p.Data[i] += d
-		}
-		off += len(p.Data)
+	for i, d := range delta {
+		n.data[i] += d
 	}
 }
 
-// GetParams copies all parameter values into dst in flat order.
+// GetParams copies all parameter values into dst, which must have length
+// NumParams, in flat order. Returns dst.
 func (n *Network) GetParams(dst []float32) []float32 {
-	off := 0
-	for _, p := range n.params {
-		copy(dst[off:], p.Data)
-		off += len(p.Data)
-	}
-	return dst[:off]
+	n.checkFlat("param", len(dst))
+	copy(dst, n.data)
+	return dst
 }
 
 // SetParams overwrites all parameter values from a flat vector (the
@@ -194,8 +200,5 @@ func (n *Network) GetParams(dst []float32) []float32 {
 // wrong length panics before any parameter changes.
 func (n *Network) SetParams(src []float32) {
 	n.checkFlat("param", len(src))
-	off := 0
-	for _, p := range n.params {
-		off += copy(p.Data, src[off:])
-	}
+	copy(n.data, src)
 }

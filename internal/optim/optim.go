@@ -44,43 +44,27 @@ func (s *SGD) Delta(dst, grad []float32) []float32 {
 }
 
 // Step consumes the (averaged) flat gradient and applies the update to
-// the parameters in one parallel pass: v ← μ·v + g, then p ← p + (−η·v).
-// params are the parameter slices in flat-gradient order (the network's,
-// taken once); each element takes exactly the float32 operations of Delta
-// followed by nn.Network.AddToParams.
-func (s *SGD) Step(params [][]float32, grad []float32) {
-	n := 0
-	for _, p := range params {
-		n += len(p)
+// the flat parameter vector (the network's own, nn.Network.Data) in one
+// parallel pass: v ← μ·v + g, then p ← p + (−η·v). Each element takes
+// exactly the float32 operations of Delta followed by
+// nn.Network.AddToParams.
+func (s *SGD) Step(params, grad []float32) {
+	if len(grad) != len(s.velocity) || len(params) != len(s.velocity) {
+		panic(fmt.Sprintf("optim: gradient length %d, %d parameters, optimizer size %d", len(grad), len(params), len(s.velocity)))
 	}
-	if len(grad) != len(s.velocity) || n != len(s.velocity) {
-		panic(fmt.Sprintf("optim: gradient length %d, %d parameters, optimizer size %d", len(grad), n, len(s.velocity)))
-	}
-	parallel.ForGrain1(n, stepGrain, step{params, grad, s.velocity, float32(s.Momentum), float32(s.LR)}, stepRange)
+	parallel.ForGrain1(len(params), stepGrain, step{params, grad, s.velocity, float32(s.Momentum), float32(s.LR)},
+		func(c step, lo, hi int) {
+			active.step(c.params[lo:hi], c.velocity[lo:hi], c.grad[lo:hi], c.mu, c.lr)
+		})
 }
 
 // stepGrain keeps small models on the calling goroutine.
 const stepGrain = 1 << 14
 
-// step is Step's state, threaded by value to stepRange.
+// step is Step's state, threaded by value to each range.
 type step struct {
-	params         [][]float32
-	grad, velocity []float32
-	mu, lr         float32
-}
-
-// stepRange updates flat elements [lo, hi), walking the parameter slices
-// that overlap it.
-func stepRange(c step, lo, hi int) {
-	off := 0
-	for _, p := range c.params {
-		if plo, phi := max(lo, off), min(hi, off+len(p)); plo < phi {
-			active.step(p[plo-off:phi-off], c.velocity[plo:phi], c.grad[plo:phi], c.mu, c.lr)
-		}
-		if off += len(p); off >= hi {
-			return
-		}
-	}
+	params, grad, velocity []float32
+	mu, lr                 float32
 }
 
 // State returns a copy of the momentum buffer for checkpointing.

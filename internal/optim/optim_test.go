@@ -61,11 +61,11 @@ func TestMomentumAcceleratesQuadratic(t *testing.T) {
 }
 
 // TestSGDStepMatchesDeltaAdd pins the fused step against Delta followed
-// by the network's AddToParams loop on raw bits: parameter slices of odd
-// sizes around the parallel grain, cut by a three-worker split at
-// arbitrary points; parameters, velocities and gradients holding ±0,
-// subnormals, ±Inf and NaN; three steps with the rate and momentum
-// changed between them.
+// by a per-parameter AddToParams loop on raw bits: a flat vector of
+// parameter windows of odd sizes around the parallel grain, cut by a
+// three-worker split at arbitrary points; parameters, velocities and
+// gradients holding ±0, subnormals, ±Inf and NaN; three steps with the
+// rate and momentum changed between them.
 func TestSGDStepMatchesDeltaAdd(t *testing.T) {
 	defer parallel.SetWorkers(parallel.SetWorkers(3))
 	rng := rand.New(rand.NewSource(30))
@@ -88,13 +88,16 @@ func TestSGDStepMatchesDeltaAdd(t *testing.T) {
 		n += s
 	}
 	fused, ref := NewSGD(0, 0, n), NewSGD(0, 0, n)
+	flat := make([]float32, n)
 	var got, want [][]float32
+	off := 0
 	for _, s := range sizes {
-		p := make([]float32, s)
+		p := flat[off : off+s : off+s]
 		for i := range p {
 			p[i] = special()
 		}
 		got, want = append(got, p), append(want, append([]float32(nil), p...))
+		off += s
 	}
 	for i := range fused.velocity {
 		fused.velocity[i] = special()
@@ -108,7 +111,7 @@ func TestSGDStepMatchesDeltaAdd(t *testing.T) {
 		}
 		fused.LR, fused.Momentum = hp[0], hp[1]
 		ref.LR, ref.Momentum = hp[0], hp[1]
-		fused.Step(got, grad)
+		fused.Step(flat, grad)
 		ref.Delta(delta, grad)
 		off := 0
 		for _, p := range want { // nn.Network.AddToParams
