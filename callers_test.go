@@ -22,6 +22,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -66,6 +67,7 @@ type loader struct {
 	std   types.ImporterFrom
 	info  *types.Info
 	pkgs  map[string]*types.Package
+	files map[string][]*ast.File
 	recvs map[*ast.Ident]bool // receiver type names: a method does not use its type
 }
 
@@ -113,6 +115,7 @@ func (l *loader) ImportFrom(path, dir string, mode types.ImportMode) (*types.Pac
 		return nil, err
 	}
 	l.pkgs[path] = pkg
+	l.files[path] = files
 	return pkg, nil
 }
 
@@ -126,13 +129,16 @@ func origin(obj types.Object) types.Object {
 	return obj
 }
 
-func TestEveryExportedSymbolHasACaller(t *testing.T) {
+// loadModule type-checks every package with a non-test Go file under
+// cmd/, internal/ and examples/, plus bench/ — once for both gates.
+var loadModule = sync.OnceValues(func() (*loader, error) {
 	fset := token.NewFileSet()
 	l := &loader{
 		fset:  fset,
 		std:   importer.ForCompiler(fset, "source", nil).(types.ImporterFrom),
 		info:  &types.Info{Uses: map[*ast.Ident]types.Object{}},
 		pkgs:  map[string]*types.Package{},
+		files: map[string][]*ast.File{},
 		recvs: map[*ast.Ident]bool{},
 	}
 	dirs := map[string]bool{"bench": true}
@@ -144,14 +150,23 @@ func TestEveryExportedSymbolHasACaller(t *testing.T) {
 			return err
 		})
 		if err != nil {
-			t.Fatal(err)
+			return nil, err
 		}
 	}
 	for dir := range dirs {
 		if _, err := l.Import("fftgrad/" + filepath.ToSlash(dir)); err != nil {
-			t.Fatal(err)
+			return nil, err
 		}
 	}
+	return l, nil
+})
+
+func TestEveryExportedSymbolHasACaller(t *testing.T) {
+	l, err := loadModule()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := l.fset
 
 	// Direct uses, and the interface methods called: each reaches the
 	// method of every module type that implements the interface.
@@ -241,6 +256,106 @@ func TestEveryExportedSymbolHasACaller(t *testing.T) {
 	for key := range callerAllow {
 		if !needed[key] {
 			t.Errorf("callerAllow[%q] is stale: the symbol is gone or has a caller now", key)
+		}
+	}
+}
+
+// knobAllow is keyed "pkg.Type.Field": an exported field of a *Config
+// type that no non-test file outside its own package sets, with the
+// reason it stays a field.
+var knobAllow = map[string]string{
+	"guard.Config.ClampLimit":  "bench: the replay reads it to rebuild the guard its workload runs",
+	"guard.Config.RetainEvery": "bench: the replay reads it to rebuild the guard its workload runs",
+	"guard.Config.RetainK":     "bench: the replay reads it to rebuild the guard its workload runs",
+	"chaos.Config.Partition":   "schedule: the partition gates' fault schedule, built in cluster and dist tests",
+}
+
+// The knob gate: every exported field of an exported *Config type under
+// internal/ must be set by a non-test file of another package — through
+// a keyed composite literal, an assignment (or ++/--) or by taking its
+// address — or sit on knobAllow. A field only its own package or a test
+// sets always runs at one value, and that value belongs in a constant.
+func TestEveryConfigFieldHasASetter(t *testing.T) {
+	l, err := loadModule()
+	if err != nil {
+		t.Fatal(err)
+	}
+	set := map[*types.Var]bool{}
+	mark := func(pkg *types.Package, id *ast.Ident) {
+		if v, ok := l.info.Uses[id].(*types.Var); ok && v.IsField() && v.Pkg() != pkg {
+			set[v.Origin()] = true
+		}
+	}
+	target := func(pkg *types.Package, e ast.Expr) {
+		if sel, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
+			mark(pkg, sel.Sel)
+		}
+	}
+	for path, files := range l.files {
+		pkg := l.pkgs[path]
+		for _, f := range files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.CompositeLit:
+					for _, el := range n.Elts {
+						if kv, ok := el.(*ast.KeyValueExpr); ok {
+							if id, ok := kv.Key.(*ast.Ident); ok {
+								mark(pkg, id)
+							}
+						}
+					}
+				case *ast.AssignStmt:
+					for _, lhs := range n.Lhs {
+						target(pkg, lhs)
+					}
+				case *ast.IncDecStmt:
+					target(pkg, n.X)
+				case *ast.UnaryExpr:
+					if n.Op == token.AND {
+						target(pkg, n.X)
+					}
+				}
+				return true
+			})
+		}
+	}
+
+	type knob struct {
+		key string
+		pos token.Pos
+	}
+	var knobs []knob
+	for path, pkg := range l.pkgs {
+		if !strings.HasPrefix(path, "fftgrad/internal/") {
+			continue
+		}
+		for _, name := range pkg.Scope().Names() {
+			tn, ok := pkg.Scope().Lookup(name).(*types.TypeName)
+			if !ok || !tn.Exported() || tn.IsAlias() || !strings.HasSuffix(name, "Config") {
+				continue
+			}
+			st, ok := tn.Type().Underlying().(*types.Struct)
+			if !ok {
+				continue
+			}
+			for i := 0; i < st.NumFields(); i++ {
+				if fv := st.Field(i); fv.Exported() && !set[fv] {
+					knobs = append(knobs, knob{pkg.Name() + "." + name + "." + fv.Name(), fv.Pos()})
+				}
+			}
+		}
+	}
+	sort.Slice(knobs, func(i, j int) bool { return knobs[i].key < knobs[j].key })
+	needed := map[string]bool{}
+	for _, k := range knobs {
+		needed[k.key] = true
+		if knobAllow[k.key] == "" {
+			t.Errorf("%s: %s is set by no non-test file outside its package: make it a constant, or allowlist it with a reason", l.fset.Position(k.pos), k.key)
+		}
+	}
+	for key := range knobAllow {
+		if !needed[key] {
+			t.Errorf("knobAllow[%q] is stale: the field is gone or has a setter now", key)
 		}
 	}
 }

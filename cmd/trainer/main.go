@@ -310,7 +310,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		topStop := make(chan struct{})
 		topDone := make(chan struct{})
 		go func() {
-			prof.Top(stderr, 0, topStop)
+			prof.Top(stderr, topStop)
 			close(topDone)
 		}()
 		stopTop = func() {

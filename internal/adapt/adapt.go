@@ -21,48 +21,32 @@ import (
 	"fftgrad/internal/telemetry"
 )
 
-// Config tunes the controller. The zero value gets usable defaults.
-type Config struct {
-	// Margin is the headroom multiplier applied to the minimal beneficial
+// The controller's fixed tuning.
+const (
+	// margin is the headroom multiplier applied to the minimal beneficial
 	// ratio when targeting θ: the controller steers the achieved ratio
-	// toward Margin·k_min so the win survives model error. Default 1.5.
-	Margin float64
-	// Patience is how many consecutive contrary evaluations are needed
+	// toward margin·k_min so the win survives model error.
+	margin = 1.5
+	// patience is how many consecutive contrary evaluations are needed
 	// before flipping the compress/bypass state, damping oscillation when
-	// the fabric sits near the break-even point. Default 2.
-	Patience int
-	// MinSamples is the minimum number of StageComm observations (and of
+	// the fabric sits near the break-even point.
+	patience = 2
+	// minSamples is the minimum number of StageComm observations (and of
 	// pipeline-stage observations) before the controller trusts the
 	// telemetry enough to act. Until then it keeps compressing, which is
-	// also how it learns the pipeline rates in the first place. Default 3.
-	MinSamples int64
+	// also how it learns the pipeline rates in the first place.
+	minSamples = 3
+	// thetaMin and thetaMax clamp suggested θ.
+	thetaMin, thetaMax = 0.5, 0.99
+)
+
+// Config selects the controller's behaviour.
+type Config struct {
 	// AdjustTheta enables θ suggestions: tighten θ (drop more) when the
-	// achieved ratio is below Margin·k_min, relax it when comfortably
+	// achieved ratio is below margin·k_min, relax it when comfortably
 	// above. Decisions carry the suggestion; dist applies it through the
 	// compressor's ThetaSetter, composing with any schedule as a floor.
 	AdjustTheta bool
-	// ThetaMin and ThetaMax clamp suggested θ. Defaults 0.5 and 0.99.
-	ThetaMin, ThetaMax float64
-}
-
-// withDefaults fills zero fields.
-func (c Config) withDefaults() Config {
-	if c.Margin <= 0 {
-		c.Margin = 1.5
-	}
-	if c.Patience <= 0 {
-		c.Patience = 2
-	}
-	if c.MinSamples <= 0 {
-		c.MinSamples = 3
-	}
-	if c.ThetaMin <= 0 {
-		c.ThetaMin = 0.5
-	}
-	if c.ThetaMax <= 0 || c.ThetaMax >= 1 {
-		c.ThetaMax = 0.99
-	}
-	return c
 }
 
 // Decision is the controller's verdict for one iteration. Every rank
@@ -104,6 +88,11 @@ type Controller struct {
 	cfg Config
 	st  *telemetry.StageTimer
 
+	// patience and minSamples start at the constants; in-package tests
+	// lower them to reach a decision in fewer iterations.
+	patience   int
+	minSamples int64
+
 	mu          sync.Mutex
 	lastIter    int
 	last        Decision
@@ -114,15 +103,13 @@ type Controller struct {
 	bypassed    int64   // iterations decided as FP32 bypass
 }
 
-// New creates a controller reading live rates from st (a fresh timer is
-// created when st is nil — instrument the compressors and the exchange
-// with Controller.StageTimer in that case). The controller starts in the
-// compressing state: compressing is how the pipeline rates get measured.
-func New(cfg Config, st *telemetry.StageTimer) *Controller {
-	if st == nil {
-		st = telemetry.NewStageTimer()
-	}
-	return &Controller{cfg: cfg.withDefaults(), st: st, lastIter: -1, compressing: true}
+// New creates a controller reading live rates from its own stage timer:
+// instrument the compressors and the exchange with Controller.StageTimer.
+// The controller starts in the compressing state: compressing is how the
+// pipeline rates get measured.
+func New(cfg Config) *Controller {
+	return &Controller{cfg: cfg, st: telemetry.NewStageTimer(),
+		patience: patience, minSamples: minSamples, lastIter: -1, compressing: true}
 }
 
 // StageTimer returns the timer the controller reads. Attach it to the
@@ -179,8 +166,8 @@ func (c *Controller) DecideIter(iter int, ratio, theta float64) Decision {
 	d := Decision{Iter: iter, Compress: c.compressing, Ratio: evalRatio, Theta: theta}
 	tcomm := c.st.Rate(telemetry.StageComm)
 	ready := tcomm > 0 && evalRatio > 1 &&
-		c.st.Samples(telemetry.StageComm) >= c.cfg.MinSamples &&
-		c.pipelineSamples() >= c.cfg.MinSamples
+		c.st.Samples(telemetry.StageComm) >= c.minSamples &&
+		c.pipelineSamples() >= c.minSamples
 	if !ready {
 		c.commit(iter, d)
 		return d
@@ -203,12 +190,12 @@ func (c *Controller) DecideIter(iter int, ratio, theta float64) Decision {
 		want = evalRatio > kmin
 	}
 
-	// Patience: require cfg.Patience consecutive contrary evaluations
+	// Patience: require c.patience consecutive contrary evaluations
 	// before flipping, so a single noisy EWMA sample near break-even
 	// cannot thrash the wire format.
 	if want != c.compressing {
 		c.contrary++
-		if c.contrary >= c.cfg.Patience {
+		if c.contrary >= c.patience {
 			c.compressing = want
 			c.contrary = 0
 			c.flips++
@@ -225,13 +212,13 @@ func (c *Controller) DecideIter(iter int, ratio, theta float64) Decision {
 	return d
 }
 
-// suggestTheta steers θ so the achieved ratio approaches Margin·k_min.
+// suggestTheta steers θ so the achieved ratio approaches margin·k_min.
 // The wire ratio of a sparsifying compressor is roughly proportional to
 // 1/(1−θ), so scaling the kept fraction by ratio/target moves the ratio
 // onto the target: (1−θ′) = (1−θ)·ratio/target. A ±10% deadband keeps
 // the controller from dithering θ every iteration.
 func (c *Controller) suggestTheta(theta, ratio, kmin float64) (float64, bool) {
-	target := c.cfg.Margin * kmin
+	target := margin * kmin
 	if target <= 1 || theta <= 0 || theta >= 1 {
 		return theta, false
 	}
@@ -240,12 +227,7 @@ func (c *Controller) suggestTheta(theta, ratio, kmin float64) (float64, bool) {
 		return theta, false
 	}
 	nt := 1 - (1-theta)*rel
-	if nt < c.cfg.ThetaMin {
-		nt = c.cfg.ThetaMin
-	}
-	if nt > c.cfg.ThetaMax {
-		nt = c.cfg.ThetaMax
-	}
+	nt = min(max(nt, thetaMin), thetaMax)
 	if nt == theta {
 		return theta, false
 	}

@@ -52,6 +52,14 @@ func observeFabric(st *telemetry.StageTimer, prof netsim.Profile, p, msgBytes, t
 	}
 }
 
+// eagerCtrl returns a controller that trusts its first sample and flips
+// after p contrary evaluations.
+func eagerCtrl(p int) *Controller {
+	ctrl := New(Config{})
+	ctrl.patience, ctrl.minSamples = p, 1
+	return ctrl
+}
+
 // TestEnableDisableReenable is the PR's acceptance scenario: with the
 // pipeline rates measured live from real compressions, the controller
 // keeps compression on over 1 GbE (any CPU pipeline beats a ~16 MB/s
@@ -60,8 +68,8 @@ func observeFabric(st *telemetry.StageTimer, prof netsim.Profile, p, msgBytes, t
 // degrades back to 1 GbE.
 func TestEnableDisableReenable(t *testing.T) {
 	const p = 8
-	st := telemetry.NewStageTimer()
-	ctrl := New(Config{Patience: 1, MinSamples: 1}, st)
+	ctrl := eagerCtrl(1)
+	st := ctrl.StageTimer()
 	msgBytes, gradBytes := measurePipeline(t, st)
 	ratio := float64(gradBytes) / float64(msgBytes)
 
@@ -110,8 +118,8 @@ func TestEnableDisableReenable(t *testing.T) {
 // must get the identical decision even if telemetry moves between calls
 // — otherwise ranks could disagree about the wire format mid-exchange.
 func TestDecisionCachedPerIteration(t *testing.T) {
-	st := telemetry.NewStageTimer()
-	ctrl := New(Config{Patience: 1, MinSamples: 1}, st)
+	ctrl := eagerCtrl(1)
+	st := ctrl.StageTimer()
 	msgBytes, gradBytes := measurePipeline(t, st)
 	ratio := float64(gradBytes) / float64(msgBytes)
 
@@ -132,11 +140,11 @@ func TestDecisionCachedPerIteration(t *testing.T) {
 	}
 }
 
-// TestPatienceDampsFlapping: with Patience 2, a single contrary
+// TestPatienceDampsFlapping: at the default patience of 2, a single contrary
 // evaluation must not flip the state.
 func TestPatienceDampsFlapping(t *testing.T) {
-	st := telemetry.NewStageTimer()
-	ctrl := New(Config{Patience: 2, MinSamples: 1}, st)
+	ctrl := eagerCtrl(patience)
+	st := ctrl.StageTimer()
 	msgBytes, gradBytes := measurePipeline(t, st)
 	ratio := float64(gradBytes) / float64(msgBytes)
 
@@ -146,17 +154,17 @@ func TestPatienceDampsFlapping(t *testing.T) {
 	}
 	observeFabric(st, netsim.PCIe3, 8, msgBytes, 60)
 	if d := ctrl.DecideIter(2, ratio, 0.85); !d.Compress {
-		t.Fatalf("one contrary evaluation flipped the state despite Patience=2: %+v", d)
+		t.Fatalf("one contrary evaluation flipped the state despite patience 2: %+v", d)
 	}
 	if d := ctrl.DecideIter(3, ratio, 0.85); d.Compress {
 		t.Fatalf("two contrary evaluations should flip: %+v", d)
 	}
 }
 
-// TestNotReadyKeepsCompressing: before MinSamples of telemetry exist the
+// TestNotReadyKeepsCompressing: before minSamples of telemetry exist the
 // controller must keep the (learning) compressing state and say so.
 func TestNotReadyKeepsCompressing(t *testing.T) {
-	ctrl := New(Config{}, nil)
+	ctrl := New(Config{})
 	d := ctrl.DecideIter(0, 0, 0.85)
 	if !d.Compress || d.Ready {
 		t.Fatalf("cold controller should compress and report not-ready: %+v", d)
@@ -167,7 +175,7 @@ func TestNotReadyKeepsCompressing(t *testing.T) {
 // target relaxes θ, far below tightens it, near the target (±10%) holds,
 // and clamps apply.
 func TestSuggestTheta(t *testing.T) {
-	ctrl := New(Config{Margin: 1.5, ThetaMin: 0.5, ThetaMax: 0.99}, nil)
+	ctrl := New(Config{})
 	kmin := 8.0 // target ratio 12
 
 	// Achieved 24x vs target 12x: keep fraction should double, θ drops.
@@ -184,24 +192,23 @@ func TestSuggestTheta(t *testing.T) {
 	if _, adj = ctrl.suggestTheta(0.9, 12.5, kmin); adj {
 		t.Errorf("ratio inside deadband should not adjust θ")
 	}
-	// Clamped at ThetaMax.
+	// Clamped at thetaMax.
 	nt, _ = ctrl.suggestTheta(0.98, 1.2, 100)
 	if nt > 0.99 {
-		t.Errorf("suggestion exceeded ThetaMax: %.3f", nt)
+		t.Errorf("suggestion exceeded thetaMax: %.3f", nt)
 	}
-	// Clamped at ThetaMin.
+	// Clamped at thetaMin.
 	nt, _ = ctrl.suggestTheta(0.55, 1000, 2)
 	if nt < 0.5 {
-		t.Errorf("suggestion fell below ThetaMin: %.3f", nt)
+		t.Errorf("suggestion fell below thetaMin: %.3f", nt)
 	}
 }
 
 // TestMeasuredThroughputsInf: stages never exercised must report +Inf so
 // perfmodel.Validate passes and the stage prices at zero cost.
 func TestMeasuredThroughputsInf(t *testing.T) {
-	st := telemetry.NewStageTimer()
-	st.ObserveStage(telemetry.StageSelect, 1<<20, 0.001)
-	ctrl := New(Config{}, st)
+	ctrl := New(Config{})
+	ctrl.StageTimer().ObserveStage(telemetry.StageSelect, 1<<20, 0.001)
 	tp := ctrl.MeasuredThroughputs()
 	if !math.IsInf(tp.Tf, 1) || !math.IsInf(tp.Tm, 1) || !math.IsInf(tp.Tp, 1) {
 		t.Errorf("unmeasured stages should be +Inf: %+v", tp)
@@ -216,8 +223,8 @@ func TestMeasuredThroughputsInf(t *testing.T) {
 
 // TestRegisterExposesState: the controller's gauges land in a snapshot.
 func TestRegisterExposesState(t *testing.T) {
-	st := telemetry.NewStageTimer()
-	ctrl := New(Config{Patience: 1, MinSamples: 1}, st)
+	ctrl := eagerCtrl(1)
+	st := ctrl.StageTimer()
 	msgBytes, gradBytes := measurePipeline(t, st)
 	observeFabric(st, netsim.Ethernet1G, 8, msgBytes, 4)
 	ctrl.DecideIter(1, float64(gradBytes)/float64(msgBytes), 0.85)

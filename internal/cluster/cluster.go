@@ -48,8 +48,8 @@ var (
 	// worker should park in AwaitRejoin. Recoverable.
 	ErrSelfDown = errors.New("cluster: local transport down")
 	// ErrEvicted: this rank is not in the current view (it was suspected
-	// while absent, or exhausted MaxRejoins). Recoverable via AwaitRejoin
-	// until MaxRejoins, terminal afterwards.
+	// while absent, or exhausted maxRejoins). Recoverable via AwaitRejoin
+	// until maxRejoins, terminal afterwards.
 	ErrEvicted = errors.New("cluster: rank evicted from view")
 	// ErrNoQuorum: completing the requested view change would leave ≤ p/2
 	// survivors. Terminal — the symptom of an unrecoverable partition.
@@ -146,17 +146,10 @@ type Config struct {
 	// each retry (defaults 3ms / 100ms).
 	BackoffBase time.Duration
 	BackoffMax  time.Duration
-	// Jitter is the multiplicative jitter fraction on each backoff step,
-	// drawn deterministically from Seed (default 0.5).
-	Jitter float64
 	// Policy handles suspected (dead) peers; OnStraggler handles alive-
 	// but-late peers (defaults FailFast / StragglerWait).
 	Policy      Policy
 	OnStraggler StragglerPolicy
-	// StragglerFactor scales the expected exchange time (from the live
-	// StageComm EWMA, when a StageTimer is attached) into the first wait
-	// budget (default 4).
-	StragglerFactor float64
 	// MaxStall is the hard wall-clock bound on one exchange — the
 	// deadlock guard (default 10s).
 	MaxStall time.Duration
@@ -168,14 +161,10 @@ type Config struct {
 	// rank parked at the iteration-end sync must still be able to serve
 	// a resend of its oldest bucket of the previous iteration.
 	SendDepth int
-	// MaxRejoins bounds how many times one rank may re-enter the view
-	// (default 3); afterwards eviction is permanent, which makes
-	// partition flip-flop livelocks terminate in bounded time.
-	MaxRejoins int
 	// RejoinWait bounds how long AwaitRejoin waits for the local
 	// transport to heal (default 2s).
 	RejoinWait time.Duration
-	// Seed feeds the deterministic backoff jitter.
+	// Seed feeds the deterministic backoff jitter (backoffJitter).
 	Seed int64
 	// Halt, when non-nil, is the run's cooperative-stop signal: a rank
 	// parked in AwaitRejoin abandons the park with ErrHalted the moment
@@ -191,6 +180,21 @@ type Config struct {
 	// decompressor.
 	Verify func(payload []byte) error
 }
+
+// The runtime's fixed tuning.
+const (
+	// backoffJitter is the multiplicative jitter fraction on each backoff
+	// step, drawn deterministically from Config.Seed.
+	backoffJitter = 0.5
+	// stragglerFactor scales the expected exchange time (from the live
+	// StageComm EWMA, when a StageTimer is attached) into the first wait
+	// budget.
+	stragglerFactor = 4
+	// maxRejoins bounds how many times one rank may re-enter the view;
+	// afterwards eviction is permanent, which makes partition flip-flop
+	// livelocks terminate in bounded time.
+	maxRejoins = 3
+)
 
 func (c Config) withDefaults() Config {
 	if c.Heartbeat <= 0 {
@@ -208,20 +212,11 @@ func (c Config) withDefaults() Config {
 	if c.BackoffMax <= 0 {
 		c.BackoffMax = 100 * time.Millisecond
 	}
-	if c.Jitter <= 0 {
-		c.Jitter = 0.5
-	}
-	if c.StragglerFactor <= 0 {
-		c.StragglerFactor = 4
-	}
 	if c.MaxStall <= 0 {
 		c.MaxStall = 10 * time.Second
 	}
 	if c.SendDepth <= 0 {
 		c.SendDepth = 4
-	}
-	if c.MaxRejoins <= 0 {
-		c.MaxRejoins = 3
 	}
 	if c.RejoinWait <= 0 {
 		c.RejoinWait = 2 * time.Second
@@ -569,9 +564,9 @@ func (rt *Runtime) suspect(rank, by int) (View, error) {
 func (rt *Runtime) rejoin(rank int) (View, uint64, *checkpoint.State, error) {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	if rt.rejoinCount[rank] >= rt.cfg.MaxRejoins {
+	if rt.rejoinCount[rank] >= maxRejoins {
 		return View{}, 0, nil, fmt.Errorf("cluster: rank %d exceeded %d rejoins: %w",
-			rank, rt.cfg.MaxRejoins, ErrEvicted)
+			rank, maxRejoins, ErrEvicted)
 	}
 	rt.rejoinCount[rank]++
 	st := rt.ckpt

@@ -365,21 +365,20 @@ func TestRejoinRestoresCheckpoint(t *testing.T) {
 // TestMaxRejoinsEvicts: the rejoin budget is finite — afterwards the
 // rank gets a terminal ErrEvicted (partition flip-flop terminates).
 func TestMaxRejoinsEvicts(t *testing.T) {
-	rt := New(3, Config{MaxRejoins: 2})
-	if _, _, _, err := rt.rejoin(1); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, _, err := rt.rejoin(1); err != nil {
-		t.Fatal(err)
+	rt := New(3, Config{})
+	for i := 0; i < maxRejoins; i++ {
+		if _, _, _, err := rt.rejoin(1); err != nil {
+			t.Fatalf("rejoin %d of %d: %v", i+1, maxRejoins, err)
+		}
 	}
 	if _, _, _, err := rt.rejoin(1); !errors.Is(err, ErrEvicted) {
-		t.Fatalf("third rejoin must evict, got %v", err)
+		t.Fatalf("rejoin %d must evict, got %v", maxRejoins+1, err)
 	}
 	if IsRecoverable(fmt.Errorf("wrap: %w", ErrNoQuorum)) {
 		t.Fatal("ErrNoQuorum must not be recoverable")
 	}
 	if !IsRecoverable(fmt.Errorf("wrap: %w", ErrEvicted)) {
-		t.Fatal("ErrEvicted must be recoverable (until MaxRejoins)")
+		t.Fatal("ErrEvicted must be recoverable (until maxRejoins)")
 	}
 }
 

@@ -330,7 +330,7 @@ func (m *Member) jitter01(seq uint64, attempt int) float64 {
 }
 
 // attemptTimeout is the wait budget for one collection attempt. The
-// first attempt gets the straggler allowance — StragglerFactor times the
+// first attempt gets the straggler allowance — stragglerFactor times the
 // expected exchange time from the live StageComm EWMA (floored at
 // BackoffBase) — and each retry doubles it, capped at BackoffMax, plus
 // deterministic jitter so lockstep ranks don't nack in phase.
@@ -339,7 +339,7 @@ func (m *Member) attemptTimeout(seq uint64, attempt int, msgBytes int) time.Dura
 	base := cfg.BackoffBase
 	if rate := m.rt.st.Rate(telemetry.StageComm); rate > 0 && msgBytes > 0 {
 		expected := time.Duration(float64(msgBytes) * float64(m.p) / rate * float64(time.Second))
-		if d := time.Duration(cfg.StragglerFactor * float64(expected)); d > base {
+		if d := time.Duration(stragglerFactor * float64(expected)); d > base {
 			base = d
 		}
 	}
@@ -347,7 +347,7 @@ func (m *Member) attemptTimeout(seq uint64, attempt int, msgBytes int) time.Dura
 	if d > cfg.BackoffMax || d <= 0 {
 		d = cfg.BackoffMax
 	}
-	jitter := time.Duration(cfg.Jitter * m.jitter01(seq, attempt) * float64(d))
+	jitter := time.Duration(backoffJitter * m.jitter01(seq, attempt) * float64(d))
 	return d + jitter
 }
 

@@ -141,12 +141,6 @@ type Config struct {
 	// (ExchangeResult.SlowestPeer/WaitNs).
 	Profiler *obs.Profiler
 
-	// CheckpointEvery, when > 0, invokes OnCheckpoint with rank-0's
-	// captured state every CheckpointEvery epochs. The callback runs on
-	// the worker goroutine; keep it fast or hand off.
-	CheckpointEvery int
-	OnCheckpoint    func(*checkpoint.State)
-
 	// Resume, when non-nil, restores parameters and optimizer momentum on
 	// every worker before training starts (kill-and-resume).
 	Resume *checkpoint.State
@@ -164,11 +158,6 @@ type Config struct {
 	// boundary with that epoch's statistics — the live progress stream
 	// of a service job. Runs on the worker goroutine; keep it fast.
 	OnEpoch func(EpochStats)
-
-	// CaptureFinal asks rank 0 to capture the end-of-run parameter and
-	// optimizer state into Result.Final even when the run completes
-	// normally (a halted run always captures one).
-	CaptureFinal bool
 
 	// haltAt is the agreed halt boundary (MaxUint64 = none); allocated
 	// in withDefaults when Stop is set, shared by every worker.
@@ -267,9 +256,8 @@ type Result struct {
 	// Halted reports that Config.Stop ended the run early at an agreed
 	// iteration boundary.
 	Halted bool
-	// Final is rank-0's end-of-run checkpoint: always captured when the
-	// run halted, and on normal completion when Config.CaptureFinal or
-	// Config.Stop was set.
+	// Final is rank-0's end-of-run checkpoint, captured whether the run
+	// completed or halted: resume a run from it.
 	Final *checkpoint.State
 }
 
@@ -463,6 +451,9 @@ func (c *Config) Validate() error {
 	guarded := c.Guard != nil && c.Guard.Enabled()
 	if c.PS != nil && (c.Fault != nil || c.Collective != nil || guarded || c.Adapt != nil || c.ThetaSchedule != nil || c.MeasureAlpha) {
 		return fmt.Errorf("dist: Fault, Collective, Guard, Adapt, ThetaSchedule and MeasureAlpha require the bsp backend; unset PS")
+	}
+	if g := c.Guard; g != nil && g.RollbackAfter != 0 && g.RollbackAfter <= guard.SkipAfter {
+		return fmt.Errorf("dist: Guard.RollbackAfter %d must exceed guard.SkipAfter %d", g.RollbackAfter, guard.SkipAfter)
 	}
 	if col := c.Collective; col != nil {
 		if err := col.Validate(); err != nil {

@@ -5,10 +5,10 @@ import (
 	"strings"
 	"testing"
 
-	"fftgrad/internal/checkpoint"
 	"fftgrad/internal/collective"
 	"fftgrad/internal/compress"
 	"fftgrad/internal/data"
+	"fftgrad/internal/guard"
 	"fftgrad/internal/models"
 	"fftgrad/internal/netsim"
 	"fftgrad/internal/nn"
@@ -238,6 +238,9 @@ func TestValidateRejects(t *testing.T) {
 		{"batch above an elastic joiner's shard", func(c *Config) {
 			c.Batch, c.Fault = 400, fault(FaultConfig{ElasticJoins: []int{2, 4}})
 		}, "Batch 400 exceeds the smallest shard: 2048 samples over 6 ranks leave 341"},
+		{"rollback at the skip rung", func(c *Config) {
+			c.Guard = &guard.Config{Detect: true, RollbackAfter: guard.SkipAfter}
+		}, "Guard.RollbackAfter 3 must exceed guard.SkipAfter 3"},
 		{"PS + Fault", func(c *Config) {
 			c.PS, c.Fault = &PSConfig{}, fault(FaultConfig{})
 		}, "require the bsp backend"},
@@ -310,22 +313,18 @@ func TestTraceRecording(t *testing.T) {
 	}
 }
 
-// Checkpoint + Resume: training that checkpoints at epoch 1 and resumes
-// must continue improving from the restored state, and a resume state
-// whose velocity does not fit the model is an error, not a panic.
+// Checkpoint + Resume: training resumed from a completed run's final
+// checkpoint must continue improving from the restored state, and a
+// resume state whose velocity does not fit the model is an error, not a
+// panic.
 func TestCheckpointResume(t *testing.T) {
-	var captured *checkpoint.State
 	cfg := blobCfg(34)
 	cfg.Epochs = 2
-	cfg.CheckpointEvery = 2
-	cfg.OnCheckpoint = func(st *checkpoint.State) { captured = st }
 	first, err := Train(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if captured == nil {
-		t.Fatal("checkpoint callback never fired")
-	}
+	captured := first.Final
 	if len(captured.Params) != first.GradSize {
 		t.Fatalf("captured %d params for grad size %d", len(captured.Params), first.GradSize)
 	}

@@ -113,7 +113,6 @@ func TestFaultPartitionFailsFast(t *testing.T) {
 	cc.MaxRetries = 3
 	cc.MaxStall = 5 * time.Second
 	cc.RejoinWait = time.Second
-	cc.MaxRejoins = 2
 	cfg.Fault = &FaultConfig{
 		Cluster: cc,
 		Chaos: &chaos.Config{

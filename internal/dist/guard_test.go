@@ -137,10 +137,10 @@ func TestGuardEscalationLadder(t *testing.T) {
 		return &burstInjector{inner: compress.FP32{}, p: cfg.Workers, from: 40, to: 52, scale: 1e8}
 	}
 	cfg.Guard = &guard.Config{
-		CRC:       true,
-		Scrub:     guard.ScrubClamp,
-		Detect:    true,
-		SkipAfter: 2, RollbackAfter: 4,
+		CRC:           true,
+		Scrub:         guard.ScrubClamp,
+		Detect:        true,
+		RollbackAfter: 5,
 	}
 	res, err := Train(cfg)
 	if err != nil {

@@ -39,17 +39,40 @@ func TestBSPHaltCapturesAndResumes(t *testing.T) {
 	}
 }
 
-func TestBSPCaptureFinalOnCompletion(t *testing.T) {
-	cfg := blobCfg(33)
-	cfg.CaptureFinal = true
-	res, err := Train(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Halted {
-		t.Fatal("unexpected halt")
-	}
-	if res.Final == nil {
-		t.Fatal("CaptureFinal run returned no final checkpoint")
+// Every runtime captures rank 0's (or the server's) end-of-run state on a
+// completed run, with no Stop channel: a run is resumable from
+// Result.Final whichever way it ended.
+func TestFinalCapturedOnCompletion(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		set  func(*Config)
+	}{
+		{"bsp", func(*Config) {}},
+		{"cluster", func(c *Config) { c.Fault = &FaultConfig{Cluster: faultClusterCfg()} }},
+		{"syncps", func(c *Config) { c.PS = &PSConfig{} }},
+		{"asyncps", func(c *Config) { c.PS = &PSConfig{Async: true} }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := blobCfg(33)
+			cfg.Epochs = 1
+			tc.set(&cfg)
+			res, err := Train(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Halted {
+				t.Fatal("unexpected halt")
+			}
+			if res.Final == nil {
+				t.Fatal("completed run returned no final checkpoint")
+			}
+			if len(res.Final.Params) != res.GradSize || len(res.Final.Velocity) != res.GradSize {
+				t.Fatalf("final checkpoint holds %d params and %d velocities for grad size %d",
+					len(res.Final.Params), len(res.Final.Velocity), res.GradSize)
+			}
+			if res.Final.Epoch != int64(cfg.Epochs) {
+				t.Fatalf("final checkpoint at epoch %d, want %d", res.Final.Epoch, cfg.Epochs)
+			}
+		})
 	}
 }

@@ -211,7 +211,7 @@ func (s *worker) serve(ctr *psCounters, pulls []chan []float32, pushes <-chan gr
 			}
 		}
 		if res.Iterations%perEpoch == 0 {
-			s.closeEpoch(epoch, res.Iterations/p-1, lossSum/float64(perEpoch))
+			s.closeEpoch(epoch, lossSum/float64(perEpoch))
 			lossSum = 0
 		}
 	}

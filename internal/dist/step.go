@@ -518,7 +518,7 @@ func (w *worker) train(startIter int) (*Result, error) {
 		// --- epoch boundary ---------------------------------------------
 		if (iter+1)%cfg.ItersPerEpoch == 0 {
 			if isRoot {
-				w.closeEpoch(epoch, iter, lossSum/float64(lossCount))
+				w.closeEpoch(epoch, lossSum/float64(lossCount))
 				lossSum, lossCount = 0, 0
 			}
 			w.ex.epochEnd(iter)
@@ -555,10 +555,9 @@ func (w *worker) gradient() (float64, time.Duration) {
 }
 
 // closeEpoch is the epoch boundary of the rank that reports (rank 0, or
-// the parameter server), after iteration iter: score the model, record and
-// stream the epoch's statistics with the θ in effect, and checkpoint on
-// the configured cadence.
-func (w *worker) closeEpoch(epoch, iter int, trainLoss float64) {
+// the parameter server): score the model, then record and stream the
+// epoch's statistics with the θ in effect.
+func (w *worker) closeEpoch(epoch int, trainLoss float64) {
 	cfg := &w.cfg
 	stats := EpochStats{Epoch: epoch, TrainLoss: trainLoss, LR: w.sgd.LR, Theta: w.thetaInEffect()}
 	if cfg.Test != nil {
@@ -568,18 +567,12 @@ func (w *worker) closeEpoch(epoch, iter int, trainLoss float64) {
 	if cfg.OnEpoch != nil {
 		cfg.OnEpoch(stats)
 	}
-	if cfg.CheckpointEvery > 0 && cfg.OnCheckpoint != nil && (epoch+1)%cfg.CheckpointEvery == 0 {
-		cfg.OnCheckpoint(checkpoint.Capture(w.net, w.sgd, int64(epoch), int64(iter)))
-	}
 }
 
 // finalState captures the reporting rank's end-of-run checkpoint after
-// done iterations when the config asked for one (explicitly, or
-// implicitly by being stoppable).
+// done iterations.
 func (w *worker) finalState(done int) {
-	if w.cfg.CaptureFinal || w.cfg.Stop != nil {
-		w.res.Final = checkpoint.Capture(w.net, w.sgd, int64(done/w.cfg.ItersPerEpoch), int64(done-1))
-	}
+	w.res.Final = checkpoint.Capture(w.net, w.sgd, int64(done/w.cfg.ItersPerEpoch), int64(done-1))
 }
 
 // evaluate computes top-1 accuracy over the full test set in eval mode.

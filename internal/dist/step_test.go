@@ -62,7 +62,6 @@ func TestExchangerTable(t *testing.T) {
 		cfg := blobCfg(61)
 		cfg.Epochs = 2
 		cfg.NewCompressor = codec
-		cfg.CaptureFinal = true
 		return cfg
 	}
 	type variant struct {

@@ -59,7 +59,7 @@ func TestAdaptBypassesOnFastFabric(t *testing.T) {
 	cfg.Fabric = netsim.PCIe3
 	cfg.Trace = true
 	cfg.Telemetry = telemetry.NewRegistry()
-	cfg.Adapt = adapt.New(adapt.Config{Patience: 1, MinSamples: 2}, nil)
+	cfg.Adapt = adapt.New(adapt.Config{})
 	res, err := Train(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -98,7 +98,7 @@ func TestAdaptKeepsCompressingOnSlowFabric(t *testing.T) {
 	cfg.NewCompressor = func() compress.Compressor { return compress.NewFFT(0.5) }
 	cfg.Fabric = netsim.Profile{Name: "wan", Bandwidth: 125e3, Latency: 5e-3}
 	cfg.Telemetry = telemetry.NewRegistry()
-	cfg.Adapt = adapt.New(adapt.Config{Patience: 1, MinSamples: 2}, nil)
+	cfg.Adapt = adapt.New(adapt.Config{})
 	res, err := Train(cfg)
 	if err != nil {
 		t.Fatal(err)

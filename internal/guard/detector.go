@@ -14,19 +14,31 @@ const (
 	// ActionSkip: repeated (or non-finite) anomaly, discard this
 	// iteration's update entirely.
 	ActionSkip
-	// ActionRollback: the anomaly persisted past RollbackAfter
+	// ActionRollback: the anomaly persisted past Config.RollbackAfter
 	// consecutive iterations — restore the last retained checkpoint.
 	ActionRollback
 )
 
-// detAlpha is the EWMA smoothing factor for the norm baseline. Slower
-// than the telemetry throughput EWMAs (0.2): the baseline must not
-// chase a burst, or the burst stops looking anomalous.
-const detAlpha = 0.1
+const (
+	// detAlpha is the EWMA smoothing factor for the norm baseline.
+	// Slower than the telemetry throughput EWMAs (0.2): the baseline must
+	// not chase a burst, or the burst stops looking anomalous.
+	detAlpha = 0.1
+	// zThreshold is the norm z-score above which an iteration is
+	// anomalous.
+	zThreshold = 6
+	// SkipAfter is the ladder's first rung: up to SkipAfter consecutive
+	// anomalies are clipped, beyond that the update is skipped (until
+	// Config.RollbackAfter).
+	SkipAfter = 3
+	// warmup is how many healthy samples the detector absorbs before it
+	// may flag anomalies.
+	warmup = 20
+)
 
 // Detector is the EWMA gradient-norm anomaly detector. It tracks an
 // exponential moving mean and variance of the *post-average* gradient
-// norm and flags iterations whose z-score exceeds ZThreshold,
+// norm and flags iterations whose z-score exceeds zThreshold,
 // escalating clip → skip-update → rollback as anomalies persist.
 //
 // Observing the post-average norm (identical on every rank in the
@@ -40,10 +52,7 @@ const detAlpha = 0.1
 // so a genuine regime shift slowly re-trains the baseline instead of
 // triggering rollbacks forever.
 type Detector struct {
-	zThresh       float64
-	skipAfter     int
 	rollbackAfter int
-	warmup        int
 
 	mean, variance float64
 	samples        int
@@ -51,15 +60,10 @@ type Detector struct {
 	z              float64
 }
 
-// NewDetector builds a detector from the (defaulted) config thresholds.
+// NewDetector builds a detector with the (defaulted) config's rollback
+// rung.
 func NewDetector(cfg Config) *Detector {
-	cfg = cfg.WithDefaults()
-	return &Detector{
-		zThresh:       cfg.ZThreshold,
-		skipAfter:     cfg.SkipAfter,
-		rollbackAfter: cfg.RollbackAfter,
-		warmup:        cfg.Warmup,
-	}
+	return &Detector{rollbackAfter: cfg.WithDefaults().RollbackAfter}
 }
 
 // Z returns the last observed z-score (exported to the telemetry
@@ -93,12 +97,12 @@ func (d *Detector) Observe(norm float64) (Action, float64) {
 		sigma = floor
 	}
 	d.z = (norm - d.mean) / sigma
-	if d.samples < d.warmup || d.z <= d.zThresh {
+	if d.samples < warmup || d.z <= zThreshold {
 		d.absorb(norm)
 		d.consecutive = 0
 		return ActionNone, 1
 	}
-	allowed := d.mean + d.zThresh*sigma
+	allowed := d.mean + zThreshold*sigma
 	scale := 1.0
 	if norm > 0 {
 		scale = allowed / norm
@@ -117,7 +121,7 @@ func (d *Detector) escalate() Action {
 	case d.consecutive > d.rollbackAfter:
 		d.consecutive = 0
 		return ActionRollback
-	case d.consecutive > d.skipAfter || math.IsInf(d.z, 1):
+	case d.consecutive > SkipAfter || math.IsInf(d.z, 1):
 		return ActionSkip
 	default:
 		return ActionClip

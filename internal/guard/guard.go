@@ -24,7 +24,7 @@
 //     canonical rank.
 //
 // All guard state that must agree across ranks (frame format, drift
-// cadence, detector thresholds) comes from one Config shared by every
+// cadence, rollback rung) comes from one Config shared by every
 // worker, and every detector observes the *post-average* gradient — so
 // in the barrier path all ranks take identical actions in lockstep.
 package guard
@@ -49,18 +49,12 @@ type Config struct {
 	// (so scrubbing healthy gradients is bit-exact pure overhead).
 	ClampLimit float64
 
-	// ZThreshold is the norm z-score above which an iteration is
-	// anomalous (0: default 6).
-	ZThreshold float64
-	// SkipAfter and RollbackAfter are the escalation-ladder rungs: up to
-	// SkipAfter consecutive anomalies are clipped, beyond that the
-	// update is skipped, and beyond RollbackAfter the model rolls back
-	// to the last retained checkpoint.
-	SkipAfter     int
+	// RollbackAfter is the escalation ladder's last rung: up to SkipAfter
+	// consecutive anomalies are clipped, beyond that the update is
+	// skipped, and beyond RollbackAfter the model rolls back to the last
+	// retained checkpoint. It must exceed SkipAfter (0: default
+	// SkipAfter+3).
 	RollbackAfter int
-	// Warmup is how many healthy samples the detector absorbs before it
-	// may flag anomalies (0: default 20).
-	Warmup int
 	// Detect enables the norm anomaly detector.
 	Detect bool
 
@@ -87,17 +81,8 @@ func (c Config) Framing() bool { return c.CRC || c.DriftEvery > 0 }
 // WithDefaults fills canonical values for unset knobs of enabled
 // mechanisms.
 func (c Config) WithDefaults() Config {
-	if c.ZThreshold <= 0 {
-		c.ZThreshold = 6
-	}
-	if c.SkipAfter <= 0 {
-		c.SkipAfter = 3
-	}
-	if c.RollbackAfter <= c.SkipAfter {
-		c.RollbackAfter = c.SkipAfter + 3
-	}
-	if c.Warmup <= 0 {
-		c.Warmup = 20
+	if c.RollbackAfter == 0 {
+		c.RollbackAfter = SkipAfter + 3
 	}
 	if c.RetainEvery <= 0 {
 		if c.DriftEvery > 0 {

@@ -290,20 +290,19 @@ func feed(d *Detector, base float64, n int) {
 }
 
 func TestDetectorEscalationLadder(t *testing.T) {
-	cfg := Config{Detect: true, SkipAfter: 2, RollbackAfter: 4}.WithDefaults()
-	d := NewDetector(cfg)
+	d := NewDetector(Config{Detect: true, RollbackAfter: 5})
 	feed(d, 10, 40)
 
 	burst := 1e6
 	var got []Action
-	for i := 0; i < 6; i++ {
+	for i := 0; i < 7; i++ {
 		a, scale := d.Observe(burst)
 		got = append(got, a)
 		if a == ActionClip && (scale <= 0 || scale >= 1) {
 			t.Fatalf("clip scale = %v, want in (0,1)", scale)
 		}
 	}
-	want := []Action{ActionClip, ActionClip, ActionSkip, ActionSkip, ActionRollback, ActionClip}
+	want := []Action{ActionClip, ActionClip, ActionClip, ActionSkip, ActionSkip, ActionRollback, ActionClip}
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("ladder step %d = %v, want %v (full: %v)", i, got[i], want[i], got)
@@ -342,7 +341,7 @@ func TestDetectorNonFinite(t *testing.T) {
 }
 
 func TestDetectorWarmupAbsorbs(t *testing.T) {
-	d := NewDetector(Config{Detect: true, Warmup: 20}.WithDefaults())
+	d := NewDetector(Config{Detect: true})
 	// Wild swings inside the warmup window must not trigger anything.
 	for i, norm := range []float64{1, 100, 3, 50, 0.1, 80} {
 		if a, _ := d.Observe(norm); a != ActionNone {
@@ -380,7 +379,7 @@ func TestConfigPredicates(t *testing.T) {
 		}
 	}
 	d := Config{Detect: true}.WithDefaults()
-	if d.ZThreshold <= 0 || d.SkipAfter <= 0 || d.RollbackAfter <= d.SkipAfter || d.Warmup <= 0 || d.RetainEvery <= 0 || d.RetainK <= 0 {
+	if d.RollbackAfter <= SkipAfter || d.RetainEvery <= 0 || d.RetainK <= 0 {
 		t.Fatalf("WithDefaults left gaps: %+v", d)
 	}
 }

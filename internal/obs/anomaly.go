@@ -117,19 +117,23 @@ type CaptureConfig struct {
 	// "anomaly") so the timeline and the CPU profile cover the same
 	// moment.
 	Flight *trace.FlightRecorder
-	// MaxCaptures caps captures per run (<= 0 selects 4): anomalies
-	// cluster, and each capture costs a CPUProfileDur pause of *sampling*
-	// (not stopping) plus two file writes.
-	MaxCaptures int
-	// CPUProfileDur is how long the CPU profile samples (<= 0 selects
-	// 250ms) — long enough to catch the culprit of a latency cliff that
-	// is still happening, short enough to stay out of the way.
-	CPUProfileDur time.Duration
 }
+
+const (
+	// maxCaptures caps captures per run: anomalies cluster, and each
+	// capture costs a cpuProfileDur pause of *sampling* (not stopping)
+	// plus two file writes.
+	maxCaptures = 4
+	// cpuProfileDur is how long the CPU profile samples — long enough to
+	// catch the culprit of a latency cliff that is still happening, short
+	// enough to stay out of the way.
+	cpuProfileDur = 250 * time.Millisecond
+)
 
 // capturer is the background capture worker's state.
 type capturer struct {
 	cfg      CaptureConfig
+	window   time.Duration // CPU profile length: cpuProfileDur, shorter in tests
 	done     chan struct{}
 	wg       sync.WaitGroup
 	mu       sync.Mutex
@@ -147,7 +151,7 @@ type CaptureRecord struct {
 }
 
 // EnableCapture starts the anomaly-capture worker: every breach (up to
-// MaxCaptures) captures a pprof CPU profile window, triggers the flight
+// maxCaptures) captures a pprof CPU profile window, triggers the flight
 // recorder, and writes a cross-link JSON keyed by iteration tying the
 // two artifacts together. Returns a stop function that drains the worker
 // (idempotent). Call once per run, before training starts (like
@@ -157,13 +161,7 @@ func (p *Profiler) EnableCapture(cfg CaptureConfig) func() {
 	if p == nil || p.capt != nil {
 		return func() {}
 	}
-	if cfg.MaxCaptures <= 0 {
-		cfg.MaxCaptures = 4
-	}
-	if cfg.CPUProfileDur <= 0 {
-		cfg.CPUProfileDur = 250 * time.Millisecond
-	}
-	c := &capturer{cfg: cfg, done: make(chan struct{})}
+	c := &capturer{cfg: cfg, window: cpuProfileDur, done: make(chan struct{})}
 	p.capt = c
 	p.captureCh = make(chan anomalyEvent, 8)
 	c.wg.Add(1)
@@ -197,7 +195,7 @@ func (c *capturer) run(p *Profiler) {
 		case <-c.done:
 			return
 		case ev := <-p.captureCh:
-			if taken >= c.cfg.MaxCaptures {
+			if taken >= maxCaptures {
 				continue
 			}
 			taken++
@@ -220,7 +218,7 @@ func (c *capturer) capture(ev anomalyEvent) {
 			cpuPath := filepath.Join(c.cfg.Dir, fmt.Sprintf("obs-cpu-iter%d.pprof", ev.Iter))
 			if f, err := os.Create(cpuPath); err == nil {
 				if err := pprof.StartCPUProfile(f); err == nil {
-					timer := time.NewTimer(c.cfg.CPUProfileDur)
+					timer := time.NewTimer(c.window)
 					select {
 					case <-timer.C:
 					case <-c.done:

@@ -65,7 +65,7 @@ func TestCommitNilSafe(t *testing.T) {
 	if p.Offsets() != nil || p.Records(0) != nil || p.Profiles(true) != nil {
 		t.Error("nil profiler analysis must return nil")
 	}
-	p.Top(nil, time.Millisecond, nil) // must return immediately
+	p.Top(nil, nil) // must return immediately
 	if q := New(1, 4).Rank(5); q != nil {
 		t.Error("out-of-range rank must be nil")
 	}
@@ -225,8 +225,9 @@ func TestSweepCursorMonotonic(t *testing.T) {
 func TestAnomalyCaptureFires(t *testing.T) {
 	p := New(1, 256)
 	dir := t.TempDir()
-	stop := p.EnableCapture(CaptureConfig{Dir: dir, MaxCaptures: 2, CPUProfileDur: 10 * time.Millisecond})
+	stop := p.EnableCapture(CaptureConfig{Dir: dir})
 	defer stop()
+	p.capt.window = 10 * time.Millisecond // read only after the breach below is sent
 	c := p.Rank(0)
 	var iter int64
 	for ; iter < 50; iter++ {

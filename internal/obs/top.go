@@ -59,17 +59,14 @@ func blameBar(pct float64) string {
 	return strings.Repeat("█", cells) + strings.Repeat("·", 10-cells)
 }
 
-// Top redraws the table every interval until stop closes, then renders a
+// Top redraws the table every 500 ms until stop closes, then renders a
 // final frame. The table is repainted in place: after each frame the
 // cursor moves back up over the lines just written.
-func (p *Profiler) Top(w io.Writer, interval time.Duration, stop <-chan struct{}) {
+func (p *Profiler) Top(w io.Writer, stop <-chan struct{}) {
 	if p == nil {
 		return
 	}
-	if interval <= 0 {
-		interval = 500 * time.Millisecond
-	}
-	tick := time.NewTicker(interval)
+	tick := time.NewTicker(500 * time.Millisecond)
 	defer tick.Stop()
 	prev := 0
 	for {

@@ -37,13 +37,14 @@ type Config struct {
 	// MaxQueue bounds the admission queue; a full queue rejects with
 	// ErrQueueFull (default 16).
 	MaxQueue int
-	// TraceEvents sizes each job's per-track trace ring (default
-	// trace.DefaultEventsPerIteration * 256).
-	TraceEvents int
 	// SpoolDir receives <id>.ckpt files when a drain halts running jobs;
 	// "" disables spooling (drained jobs still halt cleanly).
 	SpoolDir string
 }
+
+// traceEvents sizes each job's per-track trace ring: the last 256
+// iterations.
+const traceEvents = trace.DefaultEventsPerIteration * 256
 
 // Server owns the job table, the queue, and the worker-slot ledger.
 type Server struct {
@@ -66,9 +67,6 @@ func New(cfg Config) *Server {
 	}
 	if cfg.MaxQueue <= 0 {
 		cfg.MaxQueue = 16
-	}
-	if cfg.TraceEvents <= 0 {
-		cfg.TraceEvents = trace.DefaultEventsPerIteration * 256
 	}
 	return &Server{
 		cfg:  cfg,
@@ -117,7 +115,7 @@ func (s *Server) Submit(spec Spec) (Info, error) {
 		cfg:       cfg,
 		slots:     slots,
 		reg:       telemetry.NewRegistry(),
-		tracer:    trace.New(cfg.Tracks(), s.cfg.TraceEvents),
+		tracer:    trace.New(cfg.Tracks(), traceEvents),
 		prof:      obs.New(cfg.Tracks(), 0),
 		stop:      make(chan struct{}),
 		state:     StateQueued,

@@ -262,6 +262,9 @@ func (s *Spec) Validate() error {
 		{"staleness_discount", s.StalenessDiscount, 0, 1},
 		{"heartbeat_ms", s.HeartbeatMS.ms(), 0, inf},
 		{"suspect_after_ms", s.SuspectAfterMS.ms(), 0, inf},
+		{"max_retries", float64(s.MaxRetries), 1, inf},
+		{"guard_drift_every", float64(s.GuardDriftEvery), 0, inf},
+		{"guard_rollback_after", float64(s.GuardRollbackAfter), guard.SkipAfter + 1, inf},
 	}
 	if c := s.Chaos; c != nil {
 		rows = append(rows,
@@ -370,7 +373,7 @@ func (s *Spec) Config() (dist.Config, error) {
 		// The controller publishes its decisions on a registry; a harness
 		// that brings its own (the service's per-job one) replaces this.
 		cfg.Telemetry = telemetry.NewRegistry()
-		cfg.Adapt = adapt.New(adapt.Config{AdjustTheta: s.AdaptTheta}, nil)
+		cfg.Adapt = adapt.New(adapt.Config{AdjustTheta: s.AdaptTheta})
 	}
 	if s.Guard {
 		scrub, _ := guard.ParseScrubPolicy(s.GuardScrub) // Validate parsed it

@@ -38,6 +38,9 @@ var specRejects = []struct{ body, want string }{
 	{`{"fault":true,"on_failure":"retry"}`, `unknown policy "retry"`},
 	{`{"fault":true,"on_straggler":"skip"}`, `unknown straggler policy "skip"`},
 	{`{"guard":true,"guard_scrub":"zero"}`, `unknown scrub policy "zero"`},
+	{`{"fault":true,"max_retries":-1}`, "max_retries -1 out of range [1,+Inf]"},
+	{`{"guard":true,"guard_drift_every":-5}`, "guard_drift_every -5 out of range [0,+Inf]"},
+	{`{"guard":true,"guard_rollback_after":2}`, "guard_rollback_after 2 out of range [4,+Inf]"},
 	// Mode combinations are dist.Config.Validate's, reached through
 	// Spec.Config: a 400 at submission, no longer a failed job.
 	{`{"backend":"ps","guard":true}`, "require the bsp backend"},

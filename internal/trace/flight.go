@@ -49,14 +49,9 @@ func (r Reason) String() string {
 //
 // A nil *FlightRecorder is valid; Trigger is a no-op. All methods are
 // safe for concurrent use — incidents on several ranks at once serialize
-// on an internal mutex, and MaxDumps bounds disk usage when an incident
+// on an internal mutex, and maxDumps bounds disk usage when an incident
 // storm (e.g. a flapping partition) keeps firing.
 type FlightRecorder struct {
-	// MaxDumps caps how many dumps one run may write (<=0 means the
-	// DefaultMaxDumps). The cap counts attempts, so a persistent write
-	// error cannot turn an incident storm into a disk-filling loop.
-	MaxDumps int
-
 	tr   *Tracer
 	path string
 
@@ -64,8 +59,10 @@ type FlightRecorder struct {
 	dumps int
 }
 
-// DefaultMaxDumps bounds dumps per run when MaxDumps is unset.
-const DefaultMaxDumps = 16
+// maxDumps caps how many dumps one run may write. The cap counts
+// attempts, so a persistent write error cannot turn an incident storm
+// into a disk-filling loop.
+const maxDumps = 16
 
 // NewFlightRecorder dumps tr to path on Trigger. Returns nil when either
 // the tracer or the path is absent, so wiring can stay unconditional.
@@ -96,11 +93,7 @@ func (f *FlightRecorder) Trigger(rank int, reason Reason) string {
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	max := f.MaxDumps
-	if max <= 0 {
-		max = DefaultMaxDumps
-	}
-	if f.dumps >= max {
+	if f.dumps >= maxDumps {
 		return ""
 	}
 	f.dumps++

@@ -68,18 +68,17 @@ func TestFlightRecorderDumpCap(t *testing.T) {
 	tr := buildDeterministic()
 	path := filepath.Join(t.TempDir(), "flight.json")
 	f := NewFlightRecorder(tr, path)
-	f.MaxDumps = 3
 	fired := 0
-	for i := 0; i < 10; i++ {
+	for i := 0; i < maxDumps+4; i++ {
 		if f.Trigger(0, ReasonRollback) != "" {
 			fired++
 		}
 	}
-	if fired != 3 {
-		t.Errorf("%d dumps fired, want 3 (MaxDumps)", fired)
+	if fired != maxDumps {
+		t.Errorf("%d dumps fired, want %d (maxDumps)", fired, maxDumps)
 	}
-	if f.Dumps() != 3 {
-		t.Errorf("Dumps() = %d, want 3", f.Dumps())
+	if f.Dumps() != maxDumps {
+		t.Errorf("Dumps() = %d, want %d", f.Dumps(), maxDumps)
 	}
 }
 
