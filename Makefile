@@ -138,16 +138,16 @@ loc:
 # pass alone at 2^18 on one core, every matrix product the benchmark's
 # networks run and conv_fft's three col2im geometries, per kernel set, on
 # one core, conv_fft's conv, ReLU and pooling layers forward and
-# backward on one core, the wide_* model's local step (zero, forward,
-# loss, backward) on one core, and the fold and the momentum step after
-# the exchange, per kernel set, on one core. Measured numbers come from
+# backward on one core, the local step (zero, forward, loss, backward) of
+# the wide_* model and of conv_fft's on one core, and the fold and the
+# momentum step after the exchange, per kernel set, on one core. Measured numbers come from
 # the repository benchmark: bash bench/run.sh (BENCHMARK.json).
 bench:
 	$(GO) test -bench=. -benchmem -benchtime=1x ./...
 	$(GO) test -run '^$$' -bench BenchmarkCodecStages -cpu 1,2 ./internal/compress
 	$(GO) test -run '^$$' -bench BenchmarkReorder -cpu 1 ./internal/cfft
 	$(GO) test -run '^$$' -bench 'BenchmarkGEMMShapes|BenchmarkCol2imShapes' -cpu 1 ./internal/tensor
-	$(GO) test -run '^$$' -bench 'BenchmarkConvLayers|BenchmarkMLPStep' -benchmem -cpu 1 ./internal/nn
+	$(GO) test -run '^$$' -bench 'BenchmarkConvLayers|BenchmarkMLPStep|BenchmarkConvStep' -benchmem -cpu 1 ./internal/nn
 	$(GO) test -run '^$$' -bench BenchmarkFold -cpu 1 ./internal/compress
 	$(GO) test -run '^$$' -bench BenchmarkSGDStep -cpu 1 ./internal/optim
 

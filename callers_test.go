@@ -46,6 +46,7 @@ var callerAllow = map[string]string{
 	"quant.NewRangeQuantizer":  "reference: the untuned quantizer the tuned constructors are compared against",
 	"perfmodel.SavedCost":      "reference: Eq. 3, the identity TestEquationConsistency holds CommunicationCost (Eq. 2) to",
 	"perfmodel.EndToEnd":       "reference: the direct with/without sum TestEndToEnd and TestMonotonicityInK hold Eq. 4's closed form to",
+	"parallel.ForGrain":        "reference: the closure-taking parallel-for that the seed layers (nn/reference_test.go) and seed products (tensor/kernels_test.go), kept verbatim, run on",
 
 	"f16.Bits.IsNaN":                   "probe: TestNaNPreserved and TestExhaustiveRoundTrip classify encoded halves with it",
 	"feedback.Compressor.ResidualNorm": "probe: the dist and guard mass-conservation tests read the banked residual through it",

@@ -126,6 +126,10 @@ type Member struct {
 	arrivalNs []int64
 	exStart   time.Time
 
+	// wait times out the exchange goroutine's receive loops, collect and
+	// the sync wait, one turn at a time.
+	wait comm.Timer
+
 	closed    chan struct{}
 	closeOnce sync.Once
 	wg        sync.WaitGroup
@@ -681,15 +685,13 @@ func (m *Member) collect(r *round, budget time.Duration) {
 		if len(r.missing()) == 0 || remain <= 0 {
 			return
 		}
-		timer := time.NewTimer(remain)
+		expired := m.wait.Arm(remain)
 		select {
 		case msg := <-m.dataCh:
-			timer.Stop()
 			m.absorb(r, msg)
 		case <-m.closed:
-			timer.Stop()
 			return
-		case <-timer.C:
+		case <-expired:
 			return
 		}
 	}
@@ -797,18 +799,16 @@ func (m *Member) SyncBroadcast(seq uint64, payload []byte, root int) ([]byte, bo
 			if remain <= 0 {
 				break
 			}
-			timer := time.NewTimer(remain)
+			expired := m.wait.Arm(remain)
 			select {
 			case msg := <-m.dataCh:
-				timer.Stop()
 				m.stash(msg)
 				if got, ok := m.takeSync(seq); ok {
 					return got, true, nil
 				}
 			case <-m.closed:
-				timer.Stop()
 				return nil, false, fmt.Errorf("cluster: rank %d: %w", m.rank, comm.ErrClosed)
-			case <-timer.C:
+			case <-expired:
 			}
 			if time.Now().After(end) {
 				break

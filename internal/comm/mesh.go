@@ -70,8 +70,9 @@ func NewMesh(p int) *Mesh {
 }
 
 // Endpoint returns rank's endpoint. Each endpoint must be used by one
-// logical owner (the cluster member); Send and Recv are individually
-// goroutine-safe.
+// logical owner (the cluster member): Send is goroutine-safe, Recv is for
+// one goroutine at a time, the owner's receive loop, whose wait timer the
+// endpoint keeps.
 func (m *Mesh) Endpoint(rank int) *MeshEndpoint {
 	if rank < 0 || rank >= m.p {
 		panic("comm: mesh rank out of range")
@@ -84,6 +85,7 @@ type MeshEndpoint struct {
 	mesh   *Mesh
 	rank   int
 	closed atomic.Bool
+	timer  Timer // Recv's
 }
 
 // RankID returns this endpoint's rank.
@@ -122,14 +124,13 @@ func (e *MeshEndpoint) Recv(timeout time.Duration) (Message, error) {
 	if e.closed.Load() {
 		return Message{}, &OpError{Op: "recv", Rank: e.rank, Peer: -1, Err: ErrClosed}
 	}
-	timer := time.NewTimer(timeout)
-	defer timer.Stop()
+	expired := e.timer.Arm(timeout)
 	select {
 	case msg := <-e.mesh.boxes[e.rank]:
 		return msg, nil
 	case <-e.mesh.done[e.rank]:
 		return Message{}, &OpError{Op: "recv", Rank: e.rank, Peer: -1, Err: ErrClosed}
-	case <-timer.C:
+	case <-expired:
 		return Message{}, &OpError{Op: "recv", Rank: e.rank, Peer: -1, Err: ErrTimeout}
 	}
 }
@@ -140,4 +141,28 @@ func (e *MeshEndpoint) Close() error {
 		close(e.mesh.done[e.rank])
 	}
 	return nil
+}
+
+// Timer is a receive loop's timeout: one timer for the loop's whole life,
+// re-armed before each wait, instead of a new one per wait. The zero value
+// is ready to use; a Timer is for one goroutine at a time.
+type Timer struct{ t *time.Timer }
+
+// Arm sets the timer to fire once, d from now, and returns its channel.
+// Under the timer rules before Go 1.23 (go.mod says go 1.22) a timer's
+// channel keeps a fire nobody received, which would end the next wait at
+// once, so Arm stops the timer and drains that fire before the Reset.
+func (t *Timer) Arm(d time.Duration) <-chan time.Time {
+	if t.t == nil {
+		t.t = time.NewTimer(d)
+		return t.t.C
+	}
+	if !t.t.Stop() {
+		select {
+		case <-t.t.C:
+		default:
+		}
+	}
+	t.t.Reset(d)
+	return t.t.C
 }

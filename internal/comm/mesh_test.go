@@ -50,6 +50,40 @@ func TestMeshRecvTimeoutTyped(t *testing.T) {
 	}
 }
 
+// TestMeshRecvRearmsItsTimer: Recv keeps one timer across calls. A fire
+// that nobody received, because a message won the wait, must not end the
+// next wait early, and a steady-state Recv allocates nothing.
+func TestMeshRecvRearmsItsTimer(t *testing.T) {
+	mesh := NewMesh(2)
+	a, b := mesh.Endpoint(0), mesh.Endpoint(1)
+	if err := a.Send(1, Message{Seq: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.Recv(time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(10 * time.Millisecond) // the 1 ms timer fires unreceived
+	start := time.Now()
+	if _, err := b.Recv(100 * time.Millisecond); !errors.Is(err, ErrTimeout) {
+		t.Fatalf("want ErrTimeout, got %v", err)
+	}
+	if d := time.Since(start); d < 90*time.Millisecond {
+		t.Fatalf("the wait ended after %v: a stale fire cut it short", d)
+	}
+	if raceEnabled {
+		return // allocation counts are inflated under -race
+	}
+	recv := func() {
+		_ = a.Send(1, Message{Seq: 2})
+		if _, err := b.Recv(time.Second); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := testing.AllocsPerRun(20, recv); n != 0 {
+		t.Errorf("a send and a receive allocate %.2f allocs/op, want 0", n)
+	}
+}
+
 func TestMeshCloseUnblocksRecv(t *testing.T) {
 	mesh := NewMesh(2)
 	e := mesh.Endpoint(1)

@@ -226,6 +226,41 @@ func TestBucketedRoundZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestWorkerIterationZeroAlloc is the allocation gate over one whole
+// barrier-path iteration of a worker: the local gradient (batch, forward,
+// loss, backward), the FFT-compressed round and the momentum step. With
+// its buffers built and its caches warm it allocates nothing.
+func TestWorkerIterationZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are inflated under -race")
+	}
+	cfg := blobCfg(84)
+	cfg.Workers = 1
+	cfg.NewCompressor = func() compress.Compressor { return compress.NewFFT(0.85) }
+	w, err := newWorker(cfg.withDefaults(), 0, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ex := newPipeline(w, newBarrierLink(w, comm.NewCluster(1).Rank(0)))
+	defer ex.stop()
+	iter := 0
+	step := func() {
+		w.gradient()
+		if _, err := ex.round(iter, true); err != nil {
+			t.Fatal(err)
+		}
+		w.sgd.Step(w.net.Data(), w.avg)
+		iter++
+	}
+	for i := 0; i < 4; i++ { // build the layers' buffers, warm pools, plans and quantizers
+		step()
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	if n := testing.AllocsPerRun(20, step); n != 0 {
+		t.Errorf("a worker iteration allocates %.2f allocs/op, want 0", n)
+	}
+}
+
 // TestAverageMatchesDenseLoopBits pins the fused decode-accumulate of
 // worker.average against the dense loop it replaced — avg = +0; per
 // message, decode and avg += wt·x; then avg *= 1/Σwt — on raw bits, with

@@ -104,7 +104,8 @@ type worker struct {
 
 	// x and labels are this rank's batch, refilled by every gradient():
 	// the layers' input caches are read only inside that call's Backward.
-	x      *tensor.Tensor
+	// dl is the loss gradient, rewritten by every gradient() too.
+	x, dl  *tensor.Tensor
 	labels []int
 
 	// One codec per bucket (the monolithic exchange is the one-bucket
@@ -544,8 +545,9 @@ func (w *worker) gradient() (float64, time.Duration) {
 	t0 := time.Now()
 	w.shard.BatchInto(w.x, w.labels, w.it.Next())
 	w.net.ZeroGrads()
-	l, dl := nn.SoftmaxCE{}.Loss(w.net.Forward(w.x, true), w.labels)
-	w.net.Backward(dl)
+	var l float64
+	l, w.dl = nn.SoftmaxCE{}.LossInto(w.dl, w.net.Forward(w.x, true), w.labels)
+	w.net.Backward(w.dl)
 	tScrub := time.Now()
 	w.gs.scrubGrad(w.grad)
 	w.tc.SpanSince(trace.OpScrub, int64(w.n), tScrub)

@@ -3,6 +3,7 @@ package models
 import (
 	"math"
 	"math/rand"
+	"runtime/debug"
 	"testing"
 
 	"fftgrad/internal/nn"
@@ -86,6 +87,45 @@ func TestMLP(t *testing.T) {
 	logits := net.Forward(x, true)
 	_, dl := nn.SoftmaxCE{}.Loss(logits, labels)
 	net.Backward(dl)
+}
+
+// TestLocalStepAllocatesNothing is the allocation gate over the local step
+// of the benchmark's two networks, the wide_* MLP and conv_fft's CNN, at
+// batch 4: once the layers' buffers are built, ZeroGrads, Forward, the
+// loss into its reused gradient and Backward allocate nothing.
+func TestLocalStepAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are inflated under -race")
+	}
+	r := rand.New(rand.NewSource(3))
+	for _, c := range []struct {
+		name string
+		net  *nn.Network
+		x    *tensor.Tensor
+	}{
+		{"MLP", MLP(256, 560, 32, 1), tensor.New(4, 256)},
+		{"AlexNetStyle", AlexNetStyle(10, 2, 1), tensor.New(4, 3, 32, 32)},
+	} {
+		for i := range c.x.Data {
+			c.x.Data[i] = float32(r.NormFloat64())
+		}
+		labels := []int{0, 3, 6, 9}
+		var dl *tensor.Tensor
+		step := func() {
+			c.net.ZeroGrads()
+			_, dl = nn.SoftmaxCE{}.LossInto(dl, c.net.Forward(c.x, true), labels)
+			c.net.Backward(dl)
+		}
+		for i := 0; i < 2; i++ { // build the buffers, warm the pools
+			step()
+		}
+		gc := debug.SetGCPercent(-1) // a collection empties the scratch pools
+		n := testing.AllocsPerRun(10, step)
+		debug.SetGCPercent(gc)
+		if n != 0 {
+			t.Errorf("%s: a local step allocates %.2f allocs/op, want 0", c.name, n)
+		}
+	}
 }
 
 // TestSequentialKeepsInitialBits: a network's flat parameter vector holds,

@@ -17,16 +17,22 @@ type Conv2D struct {
 	W, B                           *Param
 
 	geom  tensor.ConvGeom // geometry of the cached input
-	cols  [][]float32     // cached per-sample im2col buffers
+	wT    *tensor.Tensor  // W.Data as an [OutC × InC·K·K] matrix
+	smp   []convSample    // per-sample state, kept for Backward
 	y, dx *tensor.Tensor  // the layer's output and input gradient
 	parts []convPart      // Backward's per-chunk scratch, reused
 }
 
+// convSample is one sample's Forward state: its im2col columns, which
+// Backward reads again, and its window of the output as a matrix.
+type convSample struct{ cols, out *tensor.Tensor }
+
 // convPart is one Backward chunk's scratch: its partial weight and bias
-// gradients, and the two per-sample products it computes them from.
+// gradients, the two per-sample products it computes them from, and the
+// view of the sample's output gradient it is working on.
 type convPart struct {
-	dW, dB     []float32
-	dWs, dcols *tensor.Tensor
+	dW, dB           []float32
+	dWs, dcols, dout *tensor.Tensor
 }
 
 // NewConv2D creates a convolution layer with He-normal initialization.
@@ -59,30 +65,32 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	}
 	c.geom = tensor.ConvGeom{InC: ch, InH: h, InW: w, Kernel: c.Kernel, Stride: c.Stride, Pad: c.Pad}
 	c.y = reuse(c.y, n, c.OutC, c.geom.OutH(), c.geom.OutW())
-	for len(c.cols) < n {
-		c.cols = append(c.cols, nil)
+	c.wT = view(c.wT, c.W.Data, c.OutC, ch*c.Kernel*c.Kernel)
+	for len(c.smp) < n {
+		c.smp = append(c.smp, convSample{})
 	}
 	parallel.ForGrain2(n, 1, c, x.Data, convForward)
 	return c.y
 }
 
 // convForward runs samples [lo, hi) of Forward: im2col into the sample's
-// cached columns, the product with the weights, then the bias.
+// cached columns, the product with the weights, then the bias. Each
+// sample's headers are its own, so pool goroutines never share one.
 func convForward(c *Conv2D, x []float32, lo, hi int) {
 	g := c.geom
 	rows, ncols := g.InC*c.Kernel*c.Kernel, g.OutH()*g.OutW()
 	imgLen, outLen := g.InC*g.InH*g.InW, c.OutC*ncols
-	wT := tensor.FromSlice(c.W.Data, c.OutC, rows)
 	for s := lo; s < hi; s++ {
-		if len(c.cols[s]) != rows*ncols {
-			c.cols[s] = make([]float32, rows*ncols)
+		sm := &c.smp[s]
+		if sm.cols == nil || sm.cols.Dim(1) != ncols {
+			sm.cols = tensor.New(rows, ncols)
 		}
-		tensor.Im2col(c.cols[s], x[s*imgLen:(s+1)*imgLen], g)
-		out := tensor.FromSlice(c.y.Data[s*outLen:(s+1)*outLen], c.OutC, ncols)
-		tensor.MatMul(out, wT, tensor.FromSlice(c.cols[s], rows, ncols))
+		tensor.Im2col(sm.cols.Data, x[s*imgLen:(s+1)*imgLen], g)
+		sm.out = view(sm.out, c.y.Data[s*outLen:(s+1)*outLen], c.OutC, ncols)
+		tensor.MatMul(sm.out, c.wT, sm.cols)
 		// add bias per output channel
 		for oc, b := range c.B.Data {
-			row := out.Data[oc*ncols : (oc+1)*ncols]
+			row := sm.out.Data[oc*ncols : (oc+1)*ncols]
 			for i := range row {
 				row[i] += b
 			}
@@ -127,7 +135,6 @@ func convBackward(c *Conv2D, dy []float32, size, clo, chi int) {
 	n := c.y.Dim(0)
 	rows, ncols := g.InC*c.Kernel*c.Kernel, g.OutH()*g.OutW()
 	imgLen, outLen := g.InC*g.InH*g.InW, c.OutC*ncols
-	wT := tensor.FromSlice(c.W.Data, c.OutC, rows)
 	for ci := clo; ci < chi; ci++ {
 		pt := &c.parts[ci]
 		if pt.dcols == nil || pt.dcols.Dim(1) != ncols {
@@ -137,9 +144,10 @@ func convBackward(c *Conv2D, dy []float32, size, clo, chi int) {
 		clear(pt.dB)
 		lo, hi := parallel.ChunkBounds(ci, size, n)
 		for s := lo; s < hi; s++ {
-			dout := tensor.FromSlice(dy[s*outLen:(s+1)*outLen], c.OutC, ncols)
+			dout := view(pt.dout, dy[s*outLen:(s+1)*outLen], c.OutC, ncols)
+			pt.dout = dout
 			// dW += dout · colsᵀ
-			tensor.MatMulTransB(pt.dWs, dout, tensor.FromSlice(c.cols[s], rows, ncols))
+			tensor.MatMulTransB(pt.dWs, dout, c.smp[s].cols)
 			for i, v := range pt.dWs.Data {
 				pt.dW[i] += v
 			}
@@ -153,7 +161,7 @@ func convBackward(c *Conv2D, dy []float32, size, clo, chi int) {
 				pt.dB[oc] += acc
 			}
 			// dcols = Wᵀ · dout, then col2im into the cleared sample
-			tensor.MatMulTransA(pt.dcols, wT, dout)
+			tensor.MatMulTransA(pt.dcols, c.wT, dout)
 			dx := c.dx.Data[s*imgLen : (s+1)*imgLen]
 			clear(dx)
 			tensor.Col2im(dx, pt.dcols.Data, g)

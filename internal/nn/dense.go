@@ -14,19 +14,10 @@ type Dense struct {
 	In, Out int
 	W, B    *Param
 
-	x     *tensor.Tensor // cached input
+	x     *tensor.Tensor // cached input, as an [N×In] matrix
 	y, dx *tensor.Tensor // the layer's output and input gradient
-	// W.Data and W.Grad as [Out×In] matrices, rebuilt only when the
-	// slices they view move.
+	// W.Data and W.Grad as [Out×In] matrices, re-pointed on every call.
 	wData, wGrad *tensor.Tensor
-}
-
-// matrix returns t if it views data, else a new [rows×cols] view of it.
-func matrix(t *tensor.Tensor, data []float32, rows, cols int) *tensor.Tensor {
-	if t != nil && len(data) > 0 && &t.Data[0] == &data[0] {
-		return t
-	}
-	return tensor.FromSlice(data, rows, cols)
 }
 
 // NewDense creates a dense layer with He-normal initialized weights.
@@ -51,14 +42,18 @@ func (d *Dense) Params() []*Param { return []*Param{d.W, d.B} }
 // Forward implements Layer.
 func (d *Dense) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	n := x.Dim(0)
-	x2 := x.Reshape(n, x.Len()/n)
-	if x2.Dim(1) != d.In {
-		panic(fmt.Sprintf("nn: %s got input width %d", d.name(), x2.Dim(1)))
+	if w := x.Len() / n; w != d.In {
+		panic(fmt.Sprintf("nn: %s got input width %d", d.name(), w))
 	}
-	d.x = x2
+	// The input's header is built again only for a new batch size and
+	// re-pointed at x on every call.
+	if d.x == nil || d.x.Len() != x.Len() {
+		d.x = x.Reshape(n, d.In)
+	}
+	d.x.Data = x.Data
 	d.y = reuse(d.y, n, d.Out)
-	d.wData = matrix(d.wData, d.W.Data, d.Out, d.In)
-	tensor.MatMulTransB(d.y, x2, d.wData)
+	d.wData = view(d.wData, d.W.Data, d.Out, d.In)
+	tensor.MatMulTransB(d.y, d.x, d.wData)
 	tensor.AddBiasRows(d.y, d.B.Data)
 	return d.y
 }
@@ -68,7 +63,7 @@ func (d *Dense) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	checkGrad(d, d.y, dy)
 	n := dy.Dim(0)
 	// dW += dyᵀ·x  — shape [out×in], accumulated in place
-	d.wGrad = matrix(d.wGrad, d.W.grad(), d.Out, d.In)
+	d.wGrad = view(d.wGrad, d.W.grad(), d.Out, d.In)
 	tensor.AddMatMulTransA(d.wGrad, dy, d.x)
 	// db += column sums of dy
 	db := d.B.grad()

@@ -204,18 +204,50 @@ func TestDenseBackwardMatchesReference(t *testing.T) {
 // Backward. Run it at -cpu 1: the products split rows across workers.
 func BenchmarkMLPStep(b *testing.B) {
 	r := rand.New(rand.NewSource(1))
-	net := Sequential(
+	benchStep(b, Sequential(
 		NewDense(256, 560, r),
 		NewReLU(),
 		NewDense(560, 560, r),
 		NewReLU(),
 		NewDense(560, 32, r),
-	)
-	x, labels := randInput(r, 4, 256), []int{0, 7, 19, 31}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
+	), randInput(r, 4, 256), []int{0, 7, 19, 31})
+}
+
+// BenchmarkConvStep is BenchmarkMLPStep for conv_fft's model, the
+// AlexNet-style CNN at scale 2 (models.AlexNetStyle(10, 2)), at batch 4.
+func BenchmarkConvStep(b *testing.B) {
+	r := rand.New(rand.NewSource(1))
+	benchStep(b, Sequential(
+		NewConv2D(3, 16, 5, 1, 2, r),
+		NewReLU(),
+		NewMaxPool2D(2, 0),
+		NewConv2D(16, 32, 5, 1, 2, r),
+		NewReLU(),
+		NewMaxPool2D(2, 0),
+		NewConv2D(32, 48, 3, 1, 1, r),
+		NewReLU(),
+		NewMaxPool2D(2, 0),
+		NewFlatten(),
+		NewDense(48*4*4, 128, r),
+		NewReLU(),
+		NewDense(128, 10, r),
+	), randInput(r, 4, 3, 32, 32), []int{0, 3, 6, 9})
+}
+
+// benchStep times the local step of net on one batch, the loss gradient
+// reused as the training loop reuses it, from the second step on: the
+// first builds the layers' buffers.
+func benchStep(b *testing.B, net *Network, x *tensor.Tensor, labels []int) {
+	var dl *tensor.Tensor
+	step := func() {
 		net.ZeroGrads()
-		_, dl := SoftmaxCE{}.Loss(net.Forward(x, true), labels)
+		_, dl = SoftmaxCE{}.LossInto(dl, net.Forward(x, true), labels)
 		net.Backward(dl)
+	}
+	step()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		step()
 	}
 }

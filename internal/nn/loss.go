@@ -12,13 +12,19 @@ import (
 type SoftmaxCE struct{}
 
 // Loss returns the mean cross-entropy of logits [N×classes] against the
-// integer labels, plus dL/dlogits with the same shape.
-func (SoftmaxCE) Loss(logits *tensor.Tensor, labels []int) (float64, *tensor.Tensor) {
+// integer labels, plus dL/dlogits with the same shape, in a new tensor.
+func (l SoftmaxCE) Loss(logits *tensor.Tensor, labels []int) (float64, *tensor.Tensor) {
+	return l.LossInto(nil, logits, labels)
+}
+
+// LossInto is Loss writing dL/dlogits into dl, the tensor a previous call
+// returned (nil on the first), which it reshapes, or replaces with a new
+// one when its buffer is too small. A training loop that passes back what
+// it got allocates nothing.
+func (SoftmaxCE) LossInto(dl, logits *tensor.Tensor, labels []int) (float64, *tensor.Tensor) {
 	n, c := logits.Dim(0), logits.Dim(1)
-	if len(labels) != n {
-		panic(fmt.Sprintf("nn: %d labels for batch of %d", len(labels), n))
-	}
-	dl := tensor.New(n, c)
+	checkLabels(labels, n)
+	dl = reuse(dl, n, c)
 	var total float64
 	invN := 1 / float32(n)
 	for i := 0; i < n; i++ {
@@ -53,6 +59,7 @@ func (SoftmaxCE) Loss(logits *tensor.Tensor, labels []int) (float64, *tensor.Ten
 // Accuracy returns the top-1 accuracy of logits against labels.
 func Accuracy(logits *tensor.Tensor, labels []int) float64 {
 	n, c := logits.Dim(0), logits.Dim(1)
+	checkLabels(labels, n)
 	correct := 0
 	for i := 0; i < n; i++ {
 		row := logits.Data[i*c : (i+1)*c]
@@ -67,4 +74,11 @@ func Accuracy(logits *tensor.Tensor, labels []int) float64 {
 		}
 	}
 	return float64(correct) / float64(n)
+}
+
+// checkLabels panics unless there is one label per sample of a batch of n.
+func checkLabels(labels []int, n int) {
+	if len(labels) != n {
+		panic(fmt.Sprintf("nn: %d labels for batch of %d", len(labels), n))
+	}
 }

@@ -12,6 +12,13 @@
 // returns is that layer's buffer, reused from call to call, and is valid
 // until the layer's next Forward or Backward. A caller that keeps logits
 // or an input gradient past that copies them out.
+//
+// Layers own their tensor headers too: every view a layer hands the
+// matrix products is kept and re-pointed, one per sample or per Backward
+// chunk where pool goroutines work side by side. So once the first batch
+// of a size has built the buffers, a training step — ZeroGrads, Forward,
+// SoftmaxCE.LossInto with the gradient it returned last time, Backward —
+// allocates nothing.
 package nn
 
 import (
@@ -70,6 +77,18 @@ func reuse(t *tensor.Tensor, shape ...int) *tensor.Tensor {
 	}
 	t.Data = t.Data[:n]
 	t.Shape = append(t.Shape[:0], shape...)
+	return t
+}
+
+// view returns t pointed at data as a [rows×cols] matrix: t itself when
+// it already has that shape, else a new header. A layer keeps every header
+// it hands the products and re-points it on each call, so a steady-state
+// call builds none.
+func view(t *tensor.Tensor, data []float32, rows, cols int) *tensor.Tensor {
+	if t == nil || len(data) != rows*cols || t.Dim(0) != rows || t.Dim(1) != cols {
+		return tensor.FromSlice(data, rows, cols)
+	}
+	t.Data = data
 	return t
 }
 

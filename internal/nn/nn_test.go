@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
 	"fftgrad/internal/tensor"
@@ -132,6 +133,66 @@ func TestAccuracy(t *testing.T) {
 	}
 	if got := Accuracy(logits, []int{0, 0, 2}); math.Abs(got-2.0/3) > 1e-9 {
 		t.Fatalf("accuracy %g want 2/3", got)
+	}
+}
+
+// TestLabelCountChecked: the loss and the accuracy both refuse a label
+// slice that does not match the batch, naming the mismatch, instead of
+// dying on a bare index.
+func TestLabelCountChecked(t *testing.T) {
+	logits := tensor.New(3, 4)
+	for name, f := range map[string]func(){
+		"Loss":     func() { SoftmaxCE{}.Loss(logits, []int{0, 1}) },
+		"LossInto": func() { SoftmaxCE{}.LossInto(nil, logits, []int{0, 1, 2, 3}) },
+		"Accuracy": func() { Accuracy(logits, []int{0, 1}) },
+	} {
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, "labels for batch of 3") {
+					t.Errorf("%s: panic %q, want the label count named", name, msg)
+				}
+			}()
+			f()
+		}()
+	}
+}
+
+// TestLossIntoMatchesLoss: LossInto writes the gradient Loss returns, bit
+// for bit, whatever its reused buffer held, through a batch that shrinks
+// and grows again, and it keeps a buffer that is large enough.
+func TestLossIntoMatchesLoss(t *testing.T) {
+	r := rand.New(rand.NewSource(4))
+	var dl *tensor.Tensor
+	for _, n := range []int{3, 1, 3} {
+		logits := randInput(r, n, 5)
+		labels := make([]int, n)
+		for i := range labels {
+			labels[i] = r.Intn(5)
+		}
+		prev := dl
+		if dl != nil {
+			for i := range dl.Data {
+				dl.Data[i] = float32(math.NaN())
+			}
+		}
+		var got float64
+		got, dl = SoftmaxCE{}.LossInto(dl, logits, labels)
+		want, wantDL := SoftmaxCE{}.Loss(logits, labels)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("batch %d: loss %v, Loss gives %v", n, got, want)
+		}
+		if !slices.Equal(dl.Shape, wantDL.Shape) {
+			t.Fatalf("batch %d: gradient shape %v, Loss gives %v", n, dl.Shape, wantDL.Shape)
+		}
+		for i, v := range wantDL.Data {
+			if math.Float32bits(dl.Data[i]) != math.Float32bits(v) {
+				t.Fatalf("batch %d: gradient %d is %v, Loss gives %v", n, i, dl.Data[i], v)
+			}
+		}
+		if prev != nil && dl != prev {
+			t.Fatalf("batch %d: a large enough buffer was replaced", n)
+		}
 	}
 }
 

@@ -46,7 +46,7 @@ func (p *MaxPool2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	if p.Size == 2 && p.Stride == 2 {
 		body = pool2x2Planes
 	}
-	parallel.ForGrain(n*c, 4, func(lo, hi int) { body(p, x.Data, lo, hi) })
+	parallel.ForGrain2(n*c, 4, p, x.Data, body)
 	return p.y
 }
 
@@ -123,16 +123,19 @@ func maxStep(best uint32, idx int, v float32, i int) (uint32, int) {
 func (p *MaxPool2D) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	checkGrad(p, p.y, dy)
 	p.dx = reuse(p.dx, p.inShape...)
-	// Different output cells can share an argmax only within a plane when
-	// pooling windows overlap; planes are disjoint, so parallelize over
-	// planes and accumulate serially within one.
+	parallel.ForGrain2(p.inShape[0]*p.inShape[1], 4, p, dy.Data, unpoolPlanes)
+	return p.dx
+}
+
+// unpoolPlanes routes planes [lo, hi) of dy to their argmax inputs in
+// p.dx. Different output cells can share an argmax only within a plane
+// when pooling windows overlap; planes are disjoint, so the planes run in
+// parallel and each accumulates serially.
+func unpoolPlanes(p *MaxPool2D, dy []float32, lo, hi int) {
 	inPlane, outPlane := p.inShape[2]*p.inShape[3], p.y.Dim(2)*p.y.Dim(3)
 	dx := p.dx.Data
-	parallel.ForGrain(p.inShape[0]*p.inShape[1], 4, func(lo, hi int) {
-		clear(dx[lo*inPlane : hi*inPlane])
-		for i := lo * outPlane; i < hi*outPlane; i++ {
-			dx[p.argmax[i]] += dy.Data[i]
-		}
-	})
-	return p.dx
+	clear(dx[lo*inPlane : hi*inPlane])
+	for i := lo * outPlane; i < hi*outPlane; i++ {
+		dx[p.argmax[i]] += dy[i]
+	}
 }

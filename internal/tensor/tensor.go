@@ -22,26 +22,30 @@ type Tensor struct {
 
 // New allocates a zero tensor of the given shape.
 func New(shape ...int) *Tensor {
+	return &Tensor{Data: make([]float32, size(shape)), Shape: append([]int(nil), shape...)}
+}
+
+// FromSlice wraps data (not copied) with the given shape, whose
+// dimensions must be positive and multiply to len(data).
+func FromSlice(data []float32, shape ...int) *Tensor {
+	if n := size(shape); n != len(data) {
+		panic(fmt.Sprintf("tensor: shape %v needs %d elements, have %d", append([]int(nil), shape...), n, len(data)))
+	}
+	return &Tensor{Data: data, Shape: append([]int(nil), shape...)}
+}
+
+// size returns the element count of shape and panics on a non-positive
+// dimension. Its panics, like FromSlice's, format a copy of shape, so the
+// shape never leaks: a caller's variadic shape stays on its stack.
+func size(shape []int) int {
 	n := 1
 	for _, d := range shape {
 		if d <= 0 {
-			panic(fmt.Sprintf("tensor: non-positive dimension %d in %v", d, shape))
+			panic(fmt.Sprintf("tensor: non-positive dimension %d in %v", d, append([]int(nil), shape...)))
 		}
 		n *= d
 	}
-	return &Tensor{Data: make([]float32, n), Shape: append([]int(nil), shape...)}
-}
-
-// FromSlice wraps data (not copied) with the given shape.
-func FromSlice(data []float32, shape ...int) *Tensor {
-	n := 1
-	for _, d := range shape {
-		n *= d
-	}
-	if n != len(data) {
-		panic(fmt.Sprintf("tensor: shape %v needs %d elements, have %d", shape, n, len(data)))
-	}
-	return &Tensor{Data: data, Shape: append([]int(nil), shape...)}
+	return n
 }
 
 // Len returns the total element count.

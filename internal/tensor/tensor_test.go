@@ -3,6 +3,7 @@ package tensor
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -72,6 +73,29 @@ func TestFromSlicePanicsOnMismatch(t *testing.T) {
 		}
 	}()
 	FromSlice(make([]float32, 5), 2, 3)
+}
+
+// TestNonPositiveDimensionsRejected: FromSlice and Reshape refuse a zero
+// or negative dimension with New's panic, even where the dimensions'
+// product matches the data.
+func TestNonPositiveDimensionsRejected(t *testing.T) {
+	for name, f := range map[string]func(){
+		"New(2, -3)":                  func() { New(2, -3) },
+		"FromSlice(4 values, -1, -4)": func() { FromSlice(make([]float32, 4), -1, -4) },
+		"FromSlice(nil, 0, 3)":        func() { FromSlice(nil, 0, 3) },
+		"FromSlice(nil, 0)":           func() { FromSlice(nil, 0) },
+		"Reshape(-2, -12)":            func() { New(2, 3, 4).Reshape(-2, -12) },
+	} {
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.HasPrefix(msg, "tensor: non-positive dimension") {
+					t.Errorf("%s: panic %q, want New's", name, msg)
+				}
+			}()
+			f()
+		}()
+	}
 }
 
 func TestMatMulMatchesNaive(t *testing.T) {
