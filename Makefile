@@ -45,13 +45,14 @@ fmt-check:
 # The race detector's beat: the packages that share caches/pools across
 # goroutines, mutate shared controller/registry state or run the worker
 # fleet (tensor and nn: the products' per-chunk scratch is written from
-# pool goroutines; optim: the fused step's body runs on them too).
+# pool goroutines; optim: the fused step's body runs on them too; quant:
+# AppendEncoded and DecodePacked run there, on a Decoder reset in place).
 # race-short is the CI pass (dist: about a minute on two cores).
 RACE_PKGS = ./internal/cfft/ ./internal/sparsify/ ./internal/compress/ ./internal/comm/ \
 	./internal/collective/ ./internal/telemetry/ ./internal/adapt/ ./internal/cluster/ \
 	./internal/chaos/ ./internal/guard/ ./internal/checkpoint/ ./internal/trace/ ./internal/obs/ \
 	./internal/serve/ ./internal/dist/ ./internal/feedback/ ./internal/parallel/ \
-	./internal/scratch/ ./internal/tensor/ ./internal/nn/ ./internal/optim/
+	./internal/scratch/ ./internal/tensor/ ./internal/nn/ ./internal/optim/ ./internal/quant/
 
 race:
 	$(GO) test -race $(RACE_PKGS)
@@ -96,7 +97,8 @@ guard:
 # kernels against their Go loop, the guard frame decoder, the framed
 # codec decoder, the gradient scrub against its float64 loop, the radix
 # select against the sorted order, the fused quantize-and-pack encoder against
-# Encode + AppendCodes, the checkpoint reader (and State.Apply of every
+# Encode + AppendCodes, the quantizer tuner's scoring against
+# Decode(Encode(v)), the checkpoint reader (and State.Apply of every
 # state it parses: an error or a restore, never a panic), the run-length bitmap
 # decoder, the job description's JSON decoder, the matrix products,
 # im2col and col2im against their plain loops, the ReLU and max
@@ -113,6 +115,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzScrubMatchesReference -fuzztime=15s -run '^$$' ./internal/guard/
 	$(GO) test -fuzz=FuzzKthLargestMatchesSort -fuzztime=15s -run '^$$' ./internal/topk/
 	$(GO) test -fuzz=FuzzAppendEncodedMatchesReference -fuzztime=15s -run '^$$' ./internal/quant/
+	$(GO) test -fuzz=FuzzTuneMatchesReference -fuzztime=15s -run '^$$' ./internal/quant/
 	$(GO) test -fuzz=FuzzRead -fuzztime=15s -run '^$$' ./internal/checkpoint/
 	$(GO) test -fuzz=FuzzDecodeBitmapRLE -fuzztime=15s -run '^$$' ./internal/pack/
 	$(GO) test -fuzz=FuzzSpecJSON -fuzztime=15s -run '^$$' ./internal/serve/

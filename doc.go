@@ -44,10 +44,17 @@
 //     copy. The optimizer step and a parameter sync write it in place, so
 //     a caller that needs the values past the next step or sync copies
 //     them out (GetParams).
+//   - The failure-aware exchange (internal/cluster) hands back what its
+//     member owns: an ExchangeResult or GossipResult, its slices, and the
+//     payload SyncBroadcast returns are valid until that member's next
+//     exchange or sync call. A View's Alive slice is shared and
+//     read-only; the runtime copies it before every membership change.
 //   - Temporaries inside the pipeline come from internal/scratch, a set
-//     of typed, size-classed pools; FFT/DCT plans and tuned quantizers
-//     are cached per size, so repeated same-shape gradients hit every
-//     cache.
+//     of typed, size-classed pools; FFT/DCT plans are cached per size and
+//     a sender's tuned quantizer per codec, and a receiver rebuilds its
+//     quantizer from each message's header into pooled per-call state,
+//     so repeated same-shape gradients allocate nothing, a re-tune
+//     included.
 //
 // The contract is enforced by testing.AllocsPerRun regression gates in
 // internal/compress (TestZeroAllocRoundTrip: 0 allocs/op for the FFT,

@@ -33,6 +33,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -224,7 +225,10 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// View is one epoch-numbered membership snapshot.
+// View is one epoch-numbered membership snapshot. Alive is shared with
+// the runtime and every other holder of the same view, so it is read-only:
+// the runtime copies it before each change, and a View once handed out
+// never changes.
 type View struct {
 	Epoch uint64
 	Alive []bool
@@ -276,7 +280,7 @@ type Runtime struct {
 
 	mu          sync.Mutex
 	epoch       uint64
-	alive       []bool
+	alive       []bool // copy-on-write: View hands it out (setAlive)
 	joined      []bool // ever admitted; elastic slots start false
 	rejoinCount []int
 	frontier    uint64   // highest exchange seq any member has started
@@ -393,11 +397,24 @@ func (rt *Runtime) AttachStageTimer(st *telemetry.StageTimer) { rt.st = st }
 // tracer keeps tracing off with zero hot-path cost.
 func (rt *Runtime) AttachTracer(tr *trace.Tracer) { rt.tracer = tr }
 
-// View returns a copy of the current membership view.
+// View returns the current membership view.
 func (rt *Runtime) View() View {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	return View{Epoch: rt.epoch, Alive: append([]bool(nil), rt.alive...)}
+	return rt.view()
+}
+
+// view is View with rt.mu held.
+func (rt *Runtime) view() View { return View{Epoch: rt.epoch, Alive: rt.alive} }
+
+// setAlive changes rank's liveness in a fresh copy of the alive slice,
+// since the current one may be in a View already handed out, and bumps
+// the epoch. rt.mu must be held.
+func (rt *Runtime) setAlive(rank int, a bool) {
+	rt.alive = slices.Clone(rt.alive)
+	rt.alive[rank] = a
+	rt.epoch++
+	rt.viewChanges.Add(1)
 }
 
 // Stats snapshots the fault accounting.
@@ -513,12 +530,10 @@ func (rt *Runtime) AdmitJoin(rank int) (View, uint64, *checkpoint.State, error) 
 	}
 	rt.joined[rank] = true
 	rt.joinedBits[rank].Store(true)
-	rt.alive[rank] = true
+	rt.setAlive(rank, true)
 	rt.perRank[rank] = rt.frontier
-	rt.epoch++
 	rt.elasticJoins.Add(1)
-	rt.viewChanges.Add(1)
-	return View{Epoch: rt.epoch, Alive: append([]bool(nil), rt.alive...)}, rt.frontier, rt.ckpt, nil
+	return rt.view(), rt.frontier, rt.ckpt, nil
 }
 
 // suspect declares rank dead on behalf of `by`. It refuses when `by` is
@@ -531,7 +546,7 @@ func (rt *Runtime) suspect(rank, by int) (View, error) {
 		return View{}, fmt.Errorf("cluster: rank %d suspecting %d: %w", by, rank, ErrEvicted)
 	}
 	if !rt.alive[rank] { // already dead: no-op
-		return View{Epoch: rt.epoch, Alive: append([]bool(nil), rt.alive...)}, nil
+		return rt.view(), nil
 	}
 	n, adm := 0, 0
 	for r, a := range rt.alive {
@@ -549,12 +564,10 @@ func (rt *Runtime) suspect(rank, by int) (View, error) {
 		return View{}, fmt.Errorf("cluster: rank %d suspecting %d would leave %d/%d alive: %w",
 			by, rank, n-1, adm, ErrNoQuorum)
 	}
-	rt.alive[rank] = false
-	rt.epoch++
+	rt.setAlive(rank, false)
 	rt.suspicions.Add(1)
-	rt.viewChanges.Add(1)
 	rt.cSuspicions.Inc(by)
-	return View{Epoch: rt.epoch, Alive: append([]bool(nil), rt.alive...)}, nil
+	return rt.view(), nil
 }
 
 // rejoin re-admits rank to the view, returning the new view, the
@@ -575,15 +588,13 @@ func (rt *Runtime) rejoin(rank int) (View, uint64, *checkpoint.State, error) {
 		// strictly fresher than any checkpoint.
 		st = nil
 	}
-	rt.alive[rank] = true
+	rt.setAlive(rank, true)
 	// The rejoiner resumes at the frontier; seeding its per-rank frontier
 	// there keeps a bounded-staleness fleet from throttling on the stale
 	// pre-crash value until its first exchange lands.
 	rt.perRank[rank] = rt.frontier
-	rt.epoch++
 	rt.rejoins.Add(1)
-	rt.viewChanges.Add(1)
-	return View{Epoch: rt.epoch, Alive: append([]bool(nil), rt.alive...)}, rt.frontier, st, nil
+	return rt.view(), rt.frontier, st, nil
 }
 
 // observeRTT records a heartbeat round trip to peer.

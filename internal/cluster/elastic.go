@@ -39,7 +39,9 @@ func (m *Member) ExchangeBounded(seq uint64, payload []byte, window uint64) (*Ex
 	return m.allgather(seq, payload, bounded, window)
 }
 
-// GossipResult is one completed ring-neighbor gossip round.
+// GossipResult is one completed ring-neighbor gossip round. The member
+// owns it and its slices: they are valid until the member's next exchange
+// call.
 type GossipResult struct {
 	// Peers lists the neighbor ranks that contributed, parallel to Msgs.
 	Peers []int
@@ -74,7 +76,9 @@ func (m *Member) GossipExchange(seq uint64, payload []byte, window uint64) (*Gos
 	if err != nil {
 		return nil, err
 	}
-	res := &GossipResult{View: r.view}
+	res := &m.gsp
+	*res = GossipResult{View: r.view,
+		Peers: res.Peers[:0], Msgs: res.Msgs[:0], Stale: res.Stale[:0], StaleBy: res.StaleBy[:0]}
 	for _, j := range r.peers {
 		if r.msgs[j] != nil {
 			res.Peers = append(res.Peers, j)
@@ -95,11 +99,12 @@ func (m *Member) GossipExchange(seq uint64, payload []byte, window uint64) (*Gos
 	return res, nil
 }
 
-// RingNeighbors returns rank's nearest live neighbor in each ring
-// direction (deduplicated — at p=2 both directions reach the same peer).
-func RingNeighbors(rank int, alive []bool) []int {
+// ringNeighbors appends rank's nearest live neighbor in each ring
+// direction to out (deduplicated — at p=2 both directions reach the same
+// peer).
+func ringNeighbors(out []int, rank int, alive []bool) []int {
 	p := len(alive)
-	var out []int
+	n := len(out)
 	for s := 1; s < p; s++ {
 		if j := (rank + s) % p; alive[j] {
 			out = append(out, j)
@@ -109,7 +114,7 @@ func RingNeighbors(rank int, alive []bool) []int {
 	for s := 1; s < p; s++ {
 		j := ((rank-s)%p + p) % p
 		if alive[j] {
-			if len(out) == 0 || out[0] != j {
+			if len(out) == n || out[n] != j {
 				out = append(out, j)
 			}
 			break

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync"
@@ -18,8 +17,8 @@ import (
 const (
 	kindData     = 1 // one rank's compressed gradient for exchange Seq
 	kindNack     = 2 // "resend your data for Seq" (repair request)
-	kindPing     = 3 // heartbeat, payload = sender's send-time nanos
-	kindPong     = 4 // heartbeat echo, payload mirrored back
+	kindPing     = 3 // heartbeat, Seq = sender's send-time nanos, no payload
+	kindPong     = 4 // heartbeat echo, Seq mirrored back
 	kindSync     = 5 // parameter re-broadcast from the root, tagged Seq
 	kindSyncNack = 6 // "resend the sync for Seq"
 )
@@ -37,7 +36,9 @@ type sentSlot struct {
 	payload []byte
 }
 
-// ExchangeResult is one completed failure-aware allgather.
+// ExchangeResult is one completed failure-aware allgather. The member
+// owns it and its slices: they are valid until the member's next exchange
+// call (Exchange, ExchangeBounded or GossipExchange).
 type ExchangeResult struct {
 	// Msgs[j] is rank j's payload, nil when rank j did not contribute
 	// (dropped under DropRescale / StragglerDrop and nothing cached).
@@ -45,8 +46,8 @@ type ExchangeResult struct {
 	// Stale[j] marks contributions served from the previous round's cache.
 	Stale []bool
 	// StaleBy[j] is how many seqs behind the exchange a stale contribution
-	// was (0 for fresh entries). Only the bounded-staleness path fills it;
-	// the strict path leaves it nil.
+	// was: 0 for fresh entries, and for every entry of the strict path,
+	// which never measures a cache's age.
 	StaleBy []uint64
 	// View is the membership view the exchange completed under.
 	View View
@@ -90,8 +91,10 @@ type Member struct {
 	dataCh chan comm.Message
 
 	// pending stashes data messages for future seqs (a fast peer may send
-	// iteration i+1 while we are still collecting i).
+	// iteration i+1 while we are still collecting i); spare holds the
+	// per-seq slices of adopted entries for the next stash to reuse.
 	pending map[uint64][][]byte
+	spare   [][][]byte
 
 	// lastGood[j] is the most recent payload received from rank j, for
 	// StaleReuse and the bounded-staleness stale folds;
@@ -111,7 +114,12 @@ type Member struct {
 	selfDown atomic.Bool    // local transport is failing (crash window)
 
 	viewEpoch uint64 // last view epoch this member acted on
-	peerBuf   []int  // the all-live-ranks peer set, reused across rounds
+
+	// The round in progress and the results handed out, reused by every
+	// exchange: what one call returns is valid until the next.
+	rd  round
+	res ExchangeResult
+	gsp GossipResult
 
 	// tc is this rank's trace track (nil when tracing is off). The
 	// exchange goroutine and the receiver both record on it; the ring's
@@ -151,8 +159,13 @@ func (rt *Runtime) Join(tr comm.Transport) *Member {
 		lastGoodSeq: make([]uint64, rt.p),
 		lastSeen:    make([]atomic.Int64, rt.p),
 		arrivalNs:   make([]int64, rt.p),
-		tc:          rt.tracer.Rank(rank),
-		closed:      make(chan struct{}),
+		rd: round{
+			msgs:    make([][]byte, rt.p),
+			stale:   make([]bool, rt.p),
+			staleBy: make([]uint64, rt.p),
+		},
+		tc:     rt.tracer.Rank(rank),
+		closed: make(chan struct{}),
 	}
 	now := time.Now().UnixNano()
 	for j := range m.lastSeen {
@@ -221,27 +234,28 @@ func (m *Member) receiver() {
 		switch msg.Kind {
 		case kindPing:
 			// Echo the sender's timestamp back so it can compute the RTT.
-			_ = m.tr.Send(msg.From, comm.Message{Seq: msg.Seq, Kind: kindPong, Payload: msg.Payload})
+			_ = m.tr.Send(msg.From, comm.Message{Seq: msg.Seq, Kind: kindPong})
 		case kindPong:
-			if len(msg.Payload) == 8 {
-				sent := int64(binary.LittleEndian.Uint64(msg.Payload))
-				rtt := time.Since(time.Unix(0, sent)).Seconds()
-				if rtt >= 0 {
-					m.rt.observeRTT(msg.From, rtt)
-				}
+			if rtt := time.Since(time.Unix(0, int64(msg.Seq))).Seconds(); rtt >= 0 {
+				m.rt.observeRTT(msg.From, rtt)
 			}
 		case kindNack:
-			if payload, ok := m.lookupSent(msg.Seq); ok {
+			// Sent under the lock, which the transport's copy of the
+			// payload makes safe: the slot may be overwritten right after.
+			m.sentMu.Lock()
+			if slot := &m.sent[msg.Seq%uint64(len(m.sent))]; slot.seq == msg.Seq && slot.payload != nil {
 				m.tc.Instant(trace.OpResend, int64(msg.From))
-				_ = m.tr.Send(msg.From, comm.Message{Seq: msg.Seq, Kind: kindData, Payload: payload})
+				_ = m.tr.Send(msg.From, comm.Message{Seq: msg.Seq, Kind: kindData, Payload: slot.payload})
 			}
+			m.sentMu.Unlock()
 		case kindSyncNack:
+			// Sent under the lock, as above: the root's next broadcast
+			// rewrites the buffer in place.
 			m.syncMu.Lock()
-			seq, buf := m.syncSeq, m.syncBuf
-			m.syncMu.Unlock()
-			if buf != nil && seq >= msg.Seq {
-				_ = m.tr.Send(msg.From, comm.Message{Seq: seq, Kind: kindSync, Payload: buf})
+			if m.syncBuf != nil && m.syncSeq >= msg.Seq {
+				_ = m.tr.Send(msg.From, comm.Message{Seq: m.syncSeq, Kind: kindSync, Payload: m.syncBuf})
 			}
+			m.syncMu.Unlock()
 		case kindData, kindSync:
 			if v := m.rt.cfg.Verify; v != nil {
 				if err := v(msg.Payload); err != nil {
@@ -266,12 +280,12 @@ func (m *Member) receiver() {
 }
 
 // heartbeater pings every peer each Heartbeat period with the send-time
-// nanos as payload; the echo drives the RTT gauges and liveness clocks.
+// nanos as Seq; the echo drives the RTT gauges and liveness clocks. A
+// heartbeat carries no payload, so the transport has nothing to copy.
 func (m *Member) heartbeater() {
 	defer m.wg.Done()
 	tick := time.NewTicker(m.rt.cfg.Heartbeat)
 	defer tick.Stop()
-	var buf [8]byte
 	for {
 		select {
 		case <-m.closed:
@@ -281,7 +295,7 @@ func (m *Member) heartbeater() {
 		if m.selfDown.Load() {
 			continue
 		}
-		binary.LittleEndian.PutUint64(buf[:], uint64(time.Now().UnixNano()))
+		now := uint64(time.Now().UnixNano())
 		for j := 0; j < m.p; j++ {
 			// Skip self and elastic slots that have not joined yet — an
 			// unjoined rank has no receiver, so pings would only pile up in
@@ -289,7 +303,7 @@ func (m *Member) heartbeater() {
 			if j == m.rank || !m.rt.joinedBits[j].Load() {
 				continue
 			}
-			_ = m.tr.Send(j, comm.Message{Kind: kindPing, Payload: buf[:]})
+			_ = m.tr.Send(j, comm.Message{Seq: now, Kind: kindPing})
 		}
 	}
 }
@@ -302,17 +316,6 @@ func (m *Member) storeSent(seq uint64, payload []byte) {
 	slot.seq = seq
 	slot.payload = append(slot.payload[:0], payload...)
 	m.sentMu.Unlock()
-}
-
-func (m *Member) lookupSent(seq uint64) ([]byte, bool) {
-	m.sentMu.Lock()
-	defer m.sentMu.Unlock()
-	slot := &m.sent[seq%uint64(len(m.sent))]
-	if slot.seq != seq || slot.payload == nil {
-		return nil, false
-	}
-	// Copy out: the slot may be overwritten while the send is in flight.
-	return append([]byte(nil), slot.payload...), true
 }
 
 // jitter01 derives the backoff jitter fraction for one (seq, attempt)
@@ -374,7 +377,8 @@ const (
 	gossip
 )
 
-// round is one exchange in progress.
+// round is one exchange in progress. A member keeps one and reuses it,
+// slices included, for every exchange.
 type round struct {
 	seq    uint64
 	pol    waiting
@@ -385,7 +389,7 @@ type round struct {
 
 	msgs    [][]byte
 	stale   []bool
-	staleBy []uint64 // nil under strict, which never measures a cache's age
+	staleBy []uint64 // all 0 under strict, which never measures a cache's age
 
 	startEpoch uint64 // the view epoch this member last acted on
 	degraded   bool
@@ -397,7 +401,8 @@ type round struct {
 // Missing peers are repaired by nack/resend up to MaxRetries rounds;
 // peers still absent afterwards are classified as stragglers (fresh
 // heartbeat → OnStraggler policy) or dead (suspicion + Policy). The
-// returned error is always typed (see the Err* sentinels).
+// returned error is always typed (see the Err* sentinels). The result is
+// the member's, valid until its next exchange call.
 func (m *Member) Exchange(seq uint64, payload []byte) (*ExchangeResult, error) {
 	return m.allgather(seq, payload, strict, 0)
 }
@@ -408,7 +413,8 @@ func (m *Member) allgather(seq uint64, payload []byte, pol waiting, window uint6
 	if err != nil {
 		return nil, err
 	}
-	res := &ExchangeResult{Msgs: r.msgs, Stale: r.stale, StaleBy: r.staleBy}
+	res := &m.res
+	*res = ExchangeResult{Msgs: r.msgs, Stale: r.stale, StaleBy: r.staleBy}
 	for _, b := range r.msgs {
 		if b != nil {
 			res.Contributors++
@@ -430,26 +436,26 @@ func (m *Member) allgather(seq uint64, payload []byte, pol waiting, window uint6
 // policy's peer set, collect, repair by nack, resolve whoever stays
 // absent, then refresh the stale cache and account the retries. The
 // exported exchanges choose pol and shape the result.
-func (m *Member) exchange(seq uint64, payload []byte, pol waiting, window uint64) (round, error) {
-	r := round{seq: seq, pol: pol, window: window, startEpoch: m.viewEpoch}
+func (m *Member) exchange(seq uint64, payload []byte, pol waiting, window uint64) (*round, error) {
 	if m.selfDown.Load() {
-		return r, fmt.Errorf("cluster: rank %d: %w", m.rank, ErrSelfDown)
+		return nil, fmt.Errorf("cluster: rank %d: %w", m.rank, ErrSelfDown)
 	}
-	r.view = m.rt.View()
-	if !r.view.Alive[m.rank] {
-		return r, fmt.Errorf("cluster: rank %d: %w", m.rank, ErrEvicted)
+	view := m.rt.View()
+	if !view.Alive[m.rank] {
+		return nil, fmt.Errorf("cluster: rank %d: %w", m.rank, ErrEvicted)
 	}
+	r := &m.rd
+	r.seq, r.pol, r.window, r.view, r.startEpoch = seq, pol, window, view, m.viewEpoch
+	r.degraded, r.retries = false, 0
 	m.viewEpoch = r.view.Epoch
 	m.rt.noteExchangeStart(m.rank, seq)
 	m.tc.SetIter(seq)
 	m.resetArrivals()
 	m.storeSent(seq, payload)
 
-	r.msgs = make([][]byte, m.p)
-	r.stale = make([]bool, m.p)
-	if pol != strict {
-		r.staleBy = make([]uint64, m.p)
-	}
+	clear(r.msgs)
+	clear(r.stale)
+	clear(r.staleBy)
 	r.msgs[m.rank] = payload
 	// Adopt anything a fast peer already sent for this seq.
 	if got := m.pending[seq]; got != nil {
@@ -458,21 +464,20 @@ func (m *Member) exchange(seq uint64, payload []byte, pol waiting, window uint64
 				r.msgs[j] = b
 			}
 		}
-		delete(m.pending, seq)
+		m.unpend(seq, got)
 	}
 	if pol == gossip {
-		r.peers = RingNeighbors(m.rank, r.view.Alive)
+		r.peers = ringNeighbors(r.peers[:0], m.rank, r.view.Alive)
 	} else {
-		r.peers = m.peerBuf[:0]
+		r.peers = r.peers[:0]
 		for j, a := range r.view.Alive {
 			if a && j != m.rank {
 				r.peers = append(r.peers, j)
 			}
 		}
-		m.peerBuf = r.peers
 	}
 
-	err := m.gather(&r, payload)
+	err := m.gather(r, payload)
 	if r.retries > 0 {
 		m.rt.noteRetry(m.rank, r.retries)
 	}
@@ -758,8 +763,9 @@ func (m *Member) suspectDead(r *round, j int) error {
 // SyncBroadcast distributes the root's parameter snapshot under sync
 // sequence seq. The root stores the payload (for syncNack repair) and
 // sends to every live peer; non-roots wait for it, nacking on timeout.
-// It returns the received payload and ok=false when the sync had to be
-// abandoned (counted; the next SyncEvery boundary repairs the drift).
+// It returns the received payload — the member's buffer, valid until its
+// next SyncBroadcast — and ok=false when the sync had to be abandoned
+// (counted; the next SyncEvery boundary repairs the drift).
 func (m *Member) SyncBroadcast(seq uint64, payload []byte, root int) ([]byte, bool, error) {
 	if m.selfDown.Load() {
 		return nil, false, fmt.Errorf("cluster: rank %d: %w", m.rank, ErrSelfDown)
@@ -826,12 +832,14 @@ func (m *Member) SyncBroadcast(seq uint64, payload []byte, root int) ([]byte, bo
 	return nil, false, nil
 }
 
-// takeSync returns the stored sync payload when it covers seq.
+// takeSync returns the stored sync payload when it covers seq. It is the
+// member's buffer, not a copy: only this goroutine replaces or rewrites
+// it, in a later SyncBroadcast.
 func (m *Member) takeSync(seq uint64) ([]byte, bool) {
 	m.syncMu.Lock()
 	defer m.syncMu.Unlock()
 	if m.syncBuf != nil && m.syncSeq >= seq {
-		return append([]byte(nil), m.syncBuf...), true
+		return m.syncBuf, true
 	}
 	return nil, false
 }
@@ -849,12 +857,23 @@ func (m *Member) stash(msg comm.Message) {
 	}
 	got := m.pending[msg.Seq]
 	if got == nil {
-		got = make([][]byte, m.p)
+		if k := len(m.spare); k > 0 {
+			got, m.spare = m.spare[k-1], m.spare[:k-1]
+		} else {
+			got = make([][]byte, m.p)
+		}
 		m.pending[msg.Seq] = got
 	}
 	if msg.From >= 0 && msg.From < m.p && got[msg.From] == nil {
 		got[msg.From] = msg.Payload
 	}
+}
+
+// unpend removes seq's pending entry got and keeps its slice for reuse.
+func (m *Member) unpend(seq uint64, got [][]byte) {
+	delete(m.pending, seq)
+	clear(got)
+	m.spare = append(m.spare, got)
 }
 
 // AwaitRejoin parks until the local transport heals (selfDown clears),
@@ -886,9 +905,9 @@ func (m *Member) AwaitRejoin() (View, uint64, *checkpoint.State, error) {
 	m.tc.Instant(trace.OpRejoin, int64(view.Epoch))
 	m.viewEpoch = view.Epoch
 	// Drop stale per-exchange state from before the crash.
-	for k := range m.pending {
+	for k, got := range m.pending {
 		if k < frontier {
-			delete(m.pending, k)
+			m.unpend(k, got)
 		}
 	}
 	return view, frontier, st, nil

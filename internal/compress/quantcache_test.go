@@ -1,15 +1,18 @@
 package compress
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"runtime/debug"
+	"sync"
 	"testing"
 )
 
 // TestZeroAllocTwoSenders decodes two senders' messages alternately through
 // one codec, as every receiver with P >= 2 does: each sender tunes its own
-// quantizer, and the decode side must keep both (a one-slot cache rebuilt
-// a quantizer on every message).
+// quantizer, and the decode side rebuilds each from its header into the
+// call's pooled state.
 func TestZeroAllocTwoSenders(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are inflated under -race")
@@ -49,48 +52,9 @@ func TestZeroAllocTwoSenders(t *testing.T) {
 	}
 }
 
-// TestDecoderCacheEvicts fills the decode cache past its capacity: every
-// parameter set still decodes, the oldest are rebuilt on return.
-func TestDecoderCacheEvicts(t *testing.T) {
-	var qc quantCache
-	hdr := func(i int) []uint32 {
-		h := make([]uint32, transformHeaderWords)
-		q, err := qc.encoder(10, float64(i+1), []float32{float32(i + 1), -float32(i+1) / 3})
-		if err != nil {
-			t.Fatal(err)
-		}
-		qc.enc = nil // force a fresh tuning per range
-		h[3], h[4] = uint32(q.N), uint32(q.M)
-		h[5], h[6], h[7] = math.Float32bits(q.Eps), math.Float32bits(q.Min), math.Float32bits(q.Max)
-		return h
-	}
-	first, err := qc.decoder(hdr(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if again, _ := qc.decoder(hdr(0)); again != first {
-		t.Fatal("a repeated parameter set rebuilt its decoder")
-	}
-	for i := 1; i <= decSlots; i++ {
-		if _, err := qc.decoder(hdr(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	again, err := qc.decoder(hdr(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if again == first {
-		t.Fatalf("%d newer parameter sets did not evict the oldest", decSlots)
-	}
-	if again.Eps != first.Eps || again.Max != first.Max {
-		t.Fatal("the rebuilt decoder differs from the evicted one")
-	}
-}
-
-// TestRetuneAllocs bounds what a quantizer re-tune costs when the
-// coefficient range drifts past the hysteresis: the tuner searches over
-// values and only the winner reaches the heap.
+// TestRetuneAllocs: a quantizer re-tune, forced by a coefficient range
+// that drifts past the hysteresis every call, allocates nothing — the
+// tuner searches over values and writes the winner in place.
 func TestRetuneAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are inflated under -race")
@@ -106,7 +70,69 @@ func TestRetuneAllocs(t *testing.T) {
 	}
 	retune()
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	if n := testing.AllocsPerRun(20, retune); n > 2 {
-		t.Errorf("a re-tune allocates %.2f allocs/op, want <= 2", n)
+	if n := testing.AllocsPerRun(20, retune); n != 0 {
+		t.Errorf("a re-tune allocates %.2f allocs/op, want 0", n)
+	}
+}
+
+// TestConcurrentAccumulateRetuning runs four goroutines of AccumulateInto
+// on one receiving Transform, fed by one sending Transform whose range
+// moves 4x between messages, so nearly every message carries a new
+// quantizer: each fold must equal a private codec's, bit for bit. Run
+// under -race it checks that a decode owns its rebuilt quantizer and an
+// encode its copy of the tuning.
+func TestConcurrentAccumulateRetuning(t *testing.T) {
+	for _, mk := range []func(float64) *Transform{NewFFT, NewDCT} {
+		send, recv := mk(0.85), mk(0.85)
+		t.Run(recv.Name(), func(t *testing.T) {
+			base := allocGrad(5000)
+			iters := 40
+			if testing.Short() {
+				iters = 10
+			}
+			var wg sync.WaitGroup
+			errs := make([]error, 4)
+			for g := range errs {
+				wg.Add(1)
+				go func(g int) {
+					defer wg.Done()
+					ref := mk(0.85)
+					grad := make([]float32, len(base))
+					got, want := make([]float32, len(base)), make([]float32, len(base))
+					var msg []byte
+					for i := 0; i < iters; i++ {
+						scale := float32(math.Pow(4, float64((g+i)%2)))
+						for k, v := range base {
+							grad[k] = v * scale
+						}
+						var err error
+						if msg, err = send.AppendCompress(msg[:0], grad); err != nil {
+							errs[g] = err
+							return
+						}
+						clear(got)
+						clear(want)
+						if err := recv.AccumulateInto(got, msg, 0.5, 2); err != nil {
+							errs[g] = err
+							return
+						}
+						if err := ref.AccumulateInto(want, msg, 0.5, 2); err != nil {
+							errs[g] = err
+							return
+						}
+						for k := range want {
+							if math.Float32bits(got[k]) != math.Float32bits(want[k]) {
+								errs[g] = fmt.Errorf("goroutine %d message %d: value %d is %g, want %g", g, i, k, got[k], want[k])
+								return
+							}
+						}
+					}
+				}(g)
+			}
+			wg.Wait()
+			if err := errors.Join(errs...); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }

@@ -9,6 +9,7 @@ import (
 
 	"fftgrad/internal/cfft"
 	"fftgrad/internal/pack"
+	"fftgrad/internal/quant"
 	"fftgrad/internal/sparsify"
 	"fftgrad/internal/telemetry"
 )
@@ -28,8 +29,9 @@ import (
 //	   codes.
 //
 // The receiver runs the inverse pipeline. Both directions reuse pooled
-// scratch and per-compressor cached state (spectra, quantizers), so the
-// steady state of AppendCompress + DecompressInto allocates nothing.
+// per-call state (spectra, the decode-side quantizer) and the sender its
+// cached tuning, so the steady state of AppendCompress + DecompressInto
+// allocates nothing, a re-tune included.
 //
 // NewFFT builds the paper's codec, NewDCT its real-transform ablation.
 // Ablation finding (tested in transform_test.go): at equal θ the value
@@ -52,7 +54,7 @@ type Transform struct {
 	tr    *sparsify.Transform
 	theta atomicTheta
 	qc    quantCache
-	specs sync.Pool // *sparsify.Spectrum reused across calls, both directions
+	works sync.Pool // *codecWork reused across calls, both directions
 	st    *telemetry.StageTimer
 }
 
@@ -86,11 +88,19 @@ func (c *Transform) Theta() float64 { return c.theta.Load() }
 // report per-stage wall time to st. Call before first use.
 func (c *Transform) Instrument(st *telemetry.StageTimer) { c.st = st }
 
-func (c *Transform) spectrum() *sparsify.Spectrum {
-	if spec, _ := c.specs.Get().(*sparsify.Spectrum); spec != nil {
-		return spec
+// codecWork is one call's state: the spectrum either direction works in
+// and, decoding, the quantizer rebuilt from the message's header. Each
+// call owns its own, so concurrent decodes need no lock.
+type codecWork struct {
+	spec sparsify.Spectrum
+	dec  quant.Decoder
+}
+
+func (c *Transform) work() *codecWork {
+	if w, _ := c.works.Get().(*codecWork); w != nil {
+		return w
 	}
-	return new(sparsify.Spectrum)
+	return new(codecWork)
 }
 
 // transformHeaderWords is the number of u32 header words in the wire format.
@@ -110,8 +120,9 @@ func (c *Transform) AppendCompress(dst []byte, grad []float32) ([]byte, error) {
 	// transform's work array; after the transform one cache-blocked sweep
 	// builds the keep mask and gathers the surviving coefficients as
 	// float32 in bin order.
-	spec := c.spectrum()
-	defer c.specs.Put(spec)
+	w := c.work()
+	defer c.works.Put(w)
+	spec := &w.spec
 	if c.UseHalf {
 		c.tr.AnalyzeHalf(spec, grad, c.theta.Load(), c.st)
 	} else {
@@ -146,7 +157,7 @@ func (c *Transform) AppendCompress(dst []byte, grad []float32) ([]byte, error) {
 }
 
 // DecompressInto implements Compressor: the inverse pipeline with
-// pooled scratch and a cached decode-side quantizer.
+// pooled scratch and the quantizer the header describes.
 func (c *Transform) DecompressInto(dst []float32, msg []byte) error {
 	return c.decode(dst, msg, nil)
 }
@@ -191,14 +202,16 @@ func (c *Transform) decode(dst []float32, msg []byte, f *fold) error {
 	if kept > nbins {
 		return fmt.Errorf("%s: kept %d exceeds %d bins", c.name, kept, nbins)
 	}
-	q, err := c.qc.decoder(hdr[:])
-	if err != nil {
+	w := c.work()
+	defer c.works.Put(w)
+	q := &w.dec
+	if err := q.Reset(int(hdr[3]), int(hdr[4]),
+		math.Float32frombits(hdr[5]), math.Float32frombits(hdr[6]), math.Float32frombits(hdr[7])); err != nil {
 		return fmt.Errorf("%s: rebuilding quantizer: %w", c.name, err)
 	}
 
 	t0 := time.Now()
-	spec := c.spectrum()
-	defer c.specs.Put(spec)
+	spec := &w.spec
 	spec.L, spec.N, spec.Kept = n, paddedN, kept
 	words := pack.BitmapWords(nbins)
 	if len(rest) < words*8 {

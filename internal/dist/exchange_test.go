@@ -71,7 +71,7 @@ func TestAverage(t *testing.T) {
 			name: "mesh: fresh contributors only reproduce the barrier",
 			g: func() gathered {
 				return flat.weigh(&cluster.ExchangeResult{
-					Msgs: [][]byte{msgs[0], msgs[1], msgs[2], msgs[3]}, Stale: make([]bool, p), Contributors: 4})
+					Msgs: [][]byte{msgs[0], msgs[1], msgs[2], msgs[3]}, Stale: make([]bool, p), StaleBy: make([]uint64, p), Contributors: 4})
 			},
 			want: []float64{1, 1, 1, 1}, bits: true, bank: -1,
 		},
@@ -88,7 +88,8 @@ func TestAverage(t *testing.T) {
 			name: "mesh: a cache of unmeasured age is no part of a bucketed stream",
 			g: func() gathered {
 				return bucketed.weigh(&cluster.ExchangeResult{
-					Msgs: [][]byte{msgs[0], msgs[1], msgs[2], msgs[3]}, Stale: []bool{false, false, true, false}, Contributors: 4})
+					Msgs: [][]byte{msgs[0], msgs[1], msgs[2], msgs[3]}, Stale: []bool{false, false, true, false},
+					StaleBy: make([]uint64, p), Contributors: 4})
 			},
 			want: []float64{1, 1, 0, 1}, bank: -1,
 		},
@@ -229,35 +230,67 @@ func TestBucketedRoundZeroAlloc(t *testing.T) {
 // TestWorkerIterationZeroAlloc is the allocation gate over one whole
 // barrier-path iteration of a worker: the local gradient (batch, forward,
 // loss, backward), the FFT-compressed round and the momentum step. With
-// its buffers built and its caches warm it allocates nothing.
+// its buffers built and its caches warm it allocates nothing — also when
+// the gradient is rescaled to a largest magnitude of 1 and 4 on
+// alternate steps, so that every step re-tunes the quantizer and decodes
+// under a new one.
 func TestWorkerIterationZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are inflated under -race")
 	}
-	cfg := blobCfg(84)
-	cfg.Workers = 1
-	cfg.NewCompressor = func() compress.Compressor { return compress.NewFFT(0.85) }
-	w, err := newWorker(cfg.withDefaults(), 0, 1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ex := newPipeline(w, newBarrierLink(w, comm.NewCluster(1).Rank(0)))
-	defer ex.stop()
-	iter := 0
-	step := func() {
-		w.gradient()
-		if _, err := ex.round(iter, true); err != nil {
-			t.Fatal(err)
-		}
-		w.sgd.Step(w.net.Data(), w.avg)
-		iter++
-	}
-	for i := 0; i < 4; i++ { // build the layers' buffers, warm pools, plans and quantizers
-		step()
-	}
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	if n := testing.AllocsPerRun(20, step); n != 0 {
-		t.Errorf("a worker iteration allocates %.2f allocs/op, want 0", n)
+	for _, row := range []struct {
+		name string
+		peak float32 // the gradient's largest magnitude on odd steps (1 on even ones), 0 for as computed
+	}{{"steady", 0}, {"retune", 4}} {
+		t.Run(row.name, func(t *testing.T) {
+			cfg := blobCfg(84)
+			cfg.Workers = 1
+			cfg.NewCompressor = func() compress.Compressor { return compress.NewFFT(0.85) }
+			w, err := newWorker(cfg.withDefaults(), 0, 1, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ex := newPipeline(w, newBarrierLink(w, comm.NewCluster(1).Rank(0)))
+			defer ex.stop()
+			iter, tunings := 0, 0
+			var quant [12]byte // the header's eps, min and max words
+			step := func() {
+				w.gradient()
+				if row.peak != 0 {
+					var top float32
+					for _, g := range w.grad {
+						top = max(top, g, -g)
+					}
+					f := 1 / top
+					if iter%2 == 1 {
+						f *= row.peak
+					}
+					for i := range w.grad {
+						w.grad[i] *= f
+					}
+				}
+				if _, err := ex.round(iter, true); err != nil {
+					t.Fatal(err)
+				}
+				if q := [12]byte(ex.msgs[iter&1][0][20:32]); q != quant {
+					quant = q
+					tunings++
+				}
+				w.sgd.Step(w.net.Data(), w.avg)
+				iter++
+			}
+			for i := 0; i < 4; i++ { // build the layers' buffers, warm pools, plans and quantizers
+				step()
+			}
+			defer debug.SetGCPercent(debug.SetGCPercent(-1))
+			before := tunings
+			if n := testing.AllocsPerRun(20, step); n != 0 {
+				t.Errorf("a worker iteration allocates %.2f allocs/op, want 0", n)
+			}
+			if row.peak != 0 && tunings-before != 21 {
+				t.Errorf("%d of 21 steps re-tuned, want all", tunings-before)
+			}
+		})
 	}
 }
 

@@ -385,12 +385,8 @@ func (x *clusterLink) weigh(ex *cluster.ExchangeResult) gathered {
 	for j := range g.msgs {
 		g.wt[j] = 1
 		if ex.Stale[j] {
-			var d uint64
-			if ex.StaleBy != nil {
-				d = ex.StaleBy[j]
-			}
 			var ok bool
-			if g.wt[j], ok = x.staleWeight(d); !ok {
+			if g.wt[j], ok = x.staleWeight(ex.StaleBy[j]); !ok {
 				g.msgs[j] = nil
 			}
 		}

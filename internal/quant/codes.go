@@ -189,26 +189,29 @@ const tableBits = 12
 
 // Decoder is a RangeQuantizer prepared for the receiver: it decodes a
 // packed code stream straight to values, with no []uint32 in between, and
-// for N <= 12 through a 2^N-entry table of Decode's results. Immutable
-// after construction, so one Decoder serves concurrent calls.
+// for N <= 12 through a 2^N-entry table of Decode's results. The zero
+// value is ready for Reset; between Resets a Decoder serves concurrent
+// DecodePacked calls.
 type Decoder struct {
 	RangeQuantizer
 	table []float32
 }
 
-// NewDecoder is NewRangeQuantizer for the decode side.
-func NewDecoder(n, m int, eps, min, max float32) (*Decoder, error) {
-	d := new(Decoder)
+// Reset rebuilds d as the decoder of NewRangeQuantizer(n, m, eps, min,
+// max), reusing its table's memory. After an error d must not decode
+// until a Reset succeeds.
+func (d *Decoder) Reset(n, m int, eps, min, max float32) error {
 	if why, p := d.set(n, m, eps, min, max); why != 0 {
-		return nil, paramError(why, n, m, eps, min, max, p)
+		return paramError(why, n, m, eps, min, max, p)
 	}
+	d.table = d.table[:0]
 	if n <= tableBits {
-		d.table = make([]float32, 1<<uint(n))
+		d.table = slices.Grow(d.table, 1<<uint(n))[:1<<uint(n)]
 		for code := range d.table {
 			d.table[code] = d.Decode(uint32(code))
 		}
 	}
-	return d, nil
+	return nil
 }
 
 // DecodePacked decodes len(dst) N-bit codes from the little-endian bit
@@ -227,7 +230,7 @@ func (d *Decoder) DecodePacked(dst []float32, data []byte) error {
 		// the last few go byte by byte.
 		fast := min(hi, (len(data)-7)*8/int(n))
 		i := lo
-		if d.table != nil {
+		if len(d.table) != 0 {
 			for ; i < fast; i++ {
 				pos := uint(i) * n
 				dst[i] = d.table[le.Uint64(data[pos>>3:])>>(pos&7)&mask]

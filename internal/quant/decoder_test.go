@@ -9,20 +9,21 @@ import (
 // TestDecodePackedMatchesUnpackDecode pins the one-pass receiver decode to
 // the two passes it fuses, through the value table (N <= 12) and through
 // the arithmetic branch, for counts that end inside, at and past the last
-// whole 8-byte window.
+// whole 8-byte window. One Decoder is Reset from width to width, the
+// arithmetic branch between table widths included.
 func TestDecodePackedMatchesUnpackDecode(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	for _, n := range []int{2, 5, 10, 12, 13, 24} {
+	var d Decoder
+	for _, n := range []int{2, 5, 10, 12, 13, 24, 10, 4} {
 		q, err := Tune(n, -3.3, 3.3, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		d, err := NewDecoder(q.N, q.M, q.Eps, q.Min, q.Max)
-		if err != nil {
+		if err := d.Reset(q.N, q.M, q.Eps, q.Min, q.Max); err != nil {
 			t.Fatal(err)
 		}
-		if (d.table != nil) != (n <= tableBits) {
-			t.Fatalf("N=%d: table presence %v", n, d.table != nil)
+		if (len(d.table) != 0) != (n <= tableBits) {
+			t.Fatalf("N=%d: table length %d", n, len(d.table))
 		}
 		for _, count := range []int{0, 1, 2, 3, 7, 8, 9, 63, 64, 65, 1000, 5000} {
 			codes := make([]uint32, count)
@@ -56,7 +57,7 @@ func TestDecodePackedMatchesUnpackDecode(t *testing.T) {
 			}
 		}
 	}
-	if _, err := NewDecoder(10, 4, 0, -1, 1); err == nil {
-		t.Fatal("NewDecoder accepted eps = 0")
+	if err := d.Reset(10, 4, 0, -1, 1); err == nil {
+		t.Fatal("Reset accepted eps = 0")
 	}
 }

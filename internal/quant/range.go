@@ -296,43 +296,66 @@ func tuneEps(n, m int, min, max float32) (best RangeQuantizer, ok bool) {
 // the mean squared quantization error over sample. If sample is empty, a
 // synthetic zero-mean Gaussian with σ = max/4 is used, matching the
 // empirical gradient distribution of Fig. 4. This implements the paper's
-// "we iterate every m to tune for eps" procedure. The winner is the only
-// quantizer that reaches the heap.
+// "we iterate every m to tune for eps" procedure.
 func Tune(n int, min, max float32, sample []float32) (*RangeQuantizer, error) {
+	q := new(RangeQuantizer)
+	if err := TuneInto(q, n, min, max, sample); err != nil {
+		return nil, err
+	}
+	return q, nil
+}
+
+// TuneInto is Tune into q, which an error leaves as it was. Candidates
+// are values and the decode table lives on the stack, so with a
+// non-empty sample a re-tune allocates nothing.
+func TuneInto(q *RangeQuantizer, n int, min, max float32, sample []float32) error {
 	if !(min < 0 && max > 0) {
-		return nil, fmt.Errorf("quant: range [%g,%g] must straddle zero", min, max)
+		return fmt.Errorf("quant: range [%g,%g] must straddle zero", min, max)
 	}
 	if len(sample) == 0 {
 		sample = gaussianSample(4096, float64(max)/4)
 	}
 	var best RangeQuantizer
+	var table [1 << tableBits]float32
 	found := false
 	bestMSE := math.Inf(1)
-	maxM := n - 1
-	if maxM > 23 {
-		maxM = 23
-	}
-	for m := 1; m <= maxM; m++ {
-		q, ok := tuneEps(n, m, min, max)
+	for m := 1; m <= n-1 && m <= 23; m++ {
+		c, ok := tuneEps(n, m, min, max)
 		if !ok {
 			continue
 		}
-		mse := quantMSE(&q, sample)
+		mse := sampleMSE(&c, sample, &table)
 		if mse < bestMSE {
 			bestMSE = mse
-			best, found = q, true
+			best, found = c, true
 		}
 	}
 	if !found {
-		return nil, fmt.Errorf("quant: tuning failed for n=%d range [%g,%g]", n, min, max)
+		return fmt.Errorf("quant: tuning failed for n=%d range [%g,%g]", n, min, max)
 	}
-	return &best, nil
+	*q = best
+	return nil
 }
 
-func quantMSE(q *RangeQuantizer, sample []float32) float64 {
+// sampleMSE is the mean of (Decode(Encode(v)) - v)² over sample, summed
+// in sample order: Encode through the branch-free encoder, and Decode
+// through table, filled with Decode's values of the codes below 2^N and
+// 2^tableBits, for each code it covers.
+func sampleMSE(q *RangeQuantizer, sample []float32, table *[1 << tableBits]float32) float64 {
+	t := table[:min(len(table), 1<<uint(q.N))]
+	for code := range t {
+		t[code] = q.Decode(uint32(code))
+	}
+	e := newEncoder(q)
 	var sum float64
 	for _, v := range sample {
-		d := float64(q.Decode(q.Encode(v)) - v)
+		code, x := e.code(v), float32(0)
+		if int(code) < len(t) {
+			x = t[code]
+		} else {
+			x = q.Decode(code)
+		}
+		d := float64(x - v)
 		sum += d * d
 	}
 	return sum / float64(len(sample))
