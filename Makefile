@@ -46,13 +46,16 @@ fmt-check:
 # goroutines, mutate shared controller/registry state or run the worker
 # fleet (tensor and nn: the products' per-chunk scratch is written from
 # pool goroutines; optim: the fused step's body runs on them too; quant:
-# AppendEncoded and DecodePacked run there, on a Decoder reset in place).
+# AppendEncoded and DecodePacked run there, on a Decoder reset in place;
+# cmd/trainer: its signal watcher, -top renderer, capture worker and HTTP
+# server run beside dist.Train).
 # race-short is the CI pass (dist: about a minute on two cores).
 RACE_PKGS = ./internal/cfft/ ./internal/sparsify/ ./internal/compress/ ./internal/comm/ \
 	./internal/collective/ ./internal/telemetry/ ./internal/adapt/ ./internal/cluster/ \
 	./internal/chaos/ ./internal/guard/ ./internal/checkpoint/ ./internal/trace/ ./internal/obs/ \
 	./internal/serve/ ./internal/dist/ ./internal/feedback/ ./internal/parallel/ \
-	./internal/scratch/ ./internal/tensor/ ./internal/nn/ ./internal/optim/ ./internal/quant/
+	./internal/scratch/ ./internal/tensor/ ./internal/nn/ ./internal/optim/ ./internal/quant/ \
+	./cmd/trainer/
 
 race:
 	$(GO) test -race $(RACE_PKGS)

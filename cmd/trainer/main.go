@@ -181,7 +181,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, err)
 		return 2
 	}
-	cfg.MeasureAlpha, cfg.Trace = opt.alpha, opt.trace
+	cfg.MeasureAlpha = opt.alpha
 	if opt.metricsAddr != "" && cfg.Telemetry == nil {
 		cfg.Telemetry = telemetry.NewRegistry()
 	}
@@ -201,11 +201,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 			}
 		}()
 	}
+	// -trace prints its table from the profiler's records; prof is set
+	// only when the profiler's own outputs (ledger, captures, endpoints)
+	// are asked for.
+	if opt.trace || opt.profile || opt.profileOut != "" || opt.top {
+		cfg.Profiler = obs.New(ranks, 0)
+	}
 	var prof *obs.Profiler
 	var stopCapture func()
 	if opt.profile || opt.profileOut != "" || opt.top {
-		prof = obs.New(ranks, 0)
-		cfg.Profiler = prof
+		prof = cfg.Profiler
 		if cfg.Telemetry == nil {
 			// The profiler's rolling blame percentiles live in telemetry
 			// histograms; give it a registry even without -metrics-addr.
@@ -247,17 +252,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			}
 		}
 		mux.Handle("/debug/status", prof.StatusHandler(tracer.DroppedTotal))
-		mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
-			_, _ = io.WriteString(w, "ok\n")
-		})
-		mux.HandleFunc("/readyz", func(w http.ResponseWriter, _ *http.Request) {
-			if draining.Load() {
-				w.WriteHeader(http.StatusServiceUnavailable)
-				_, _ = io.WriteString(w, "draining\n")
-				return
-			}
-			_, _ = io.WriteString(w, "ok\n")
-		})
+		telemetry.Probes(mux, func() bool { return !draining.Load() })
 		bound, shutdown, err := telemetry.ServeHandler(opt.metricsAddr, mux)
 		if err != nil {
 			fmt.Fprintln(stderr, err)
@@ -450,14 +445,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "alpha (Assumption 3.2): median %.3f, p95 %.3f, max %.3f\n",
 			e.Quantile(0.5), e.Quantile(0.95), e.Quantile(1))
 	}
-	if opt.trace && len(res.Trace) > 0 {
+	if recs := cfg.Profiler.Records(0); opt.trace && len(recs) > 0 {
 		fmt.Fprintln(stdout, "\nper-iteration breakdown (first 10):")
-		tt := &stats.Table{Headers: []string{"iter", "compute ms", "codec ms", "comm ms", "msg KB"}}
-		for i, tr := range res.Trace {
-			if i >= 10 {
-				break
-			}
-			tt.AddRow(tr.Iter, tr.ComputeS*1e3, tr.CompressS*1e3, tr.CommS*1e3, float64(tr.MsgBytes)/1024)
+		tt := &stats.Table{Headers: []string{"iter", "compute ms", "codec ms", "exchange ms", "msg KB"}}
+		for _, r := range recs[:min(len(recs), 10)] {
+			tt.AddRow(r.Iter, float64(r.ComputeNs+r.UpdateNs)/1e6, float64(r.CompressNs+r.DecompressNs)/1e6,
+				float64(r.ExchangeNs)/1e6, float64(r.MsgBytes)/1024)
 		}
 		fmt.Fprint(stdout, tt.String())
 	}

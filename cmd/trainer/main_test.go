@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"regexp"
+	"strconv"
 	"strings"
 	"sync"
 	"syscall"
@@ -240,6 +241,53 @@ func TestSmokeTrace(t *testing.T) {
 	for rank := 0; rank < 4; rank++ {
 		if spans[rank] == 0 {
 			t.Errorf("no complete span on rank %d (of %d events)", rank, len(events))
+		}
+	}
+}
+
+// TestSmokeTraceTable: -trace alone prints the per-iteration table from
+// the profiler's rank-0 records (at most ten rows with positive compute
+// and codec times) and none of the profiler's own outputs: no profile:
+// line, and no anomaly capture written into the working directory.
+func TestSmokeTraceTable(t *testing.T) {
+	wd, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := os.Chdir(dir); err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = os.Chdir(wd) }()
+	out := smoke(t, "-model mlp -workers 2 -epochs 1 -trace")
+
+	if strings.Contains(out, "\nprofile: ") {
+		t.Errorf("-trace alone printed a profile: line:\n%s", out)
+	}
+	if files, _ := filepath.Glob(filepath.Join(dir, "obs-*")); len(files) > 0 {
+		t.Errorf("-trace alone wrote anomaly captures: %v", files)
+	}
+	_, table, ok := strings.Cut(out, "\nper-iteration breakdown (first 10):\n")
+	if !ok {
+		t.Fatalf("no per-iteration table in:\n%s", out)
+	}
+	lines := strings.Split(strings.TrimSuffix(table, "\n"), "\n")
+	if got := strings.Join(strings.Fields(lines[0]), " "); got != "iter compute ms codec ms exchange ms msg KB" {
+		t.Fatalf("table header %q", lines[0])
+	}
+	rows := lines[2:]
+	if len(rows) == 0 || len(rows) > 10 {
+		t.Fatalf("%d table rows:\n%s", len(rows), table)
+	}
+	for _, row := range rows {
+		f := strings.Fields(row)
+		if len(f) != 5 {
+			t.Fatalf("row %q has %d columns", row, len(f))
+		}
+		for _, col := range f[1:3] {
+			if v, err := strconv.ParseFloat(col, 64); err != nil || v <= 0 {
+				t.Errorf("row %q: compute/codec column %q not positive", row, col)
+			}
 		}
 	}
 }

@@ -113,10 +113,6 @@ type Config struct {
 	// SampleGradients iterations (for the histogram experiments).
 	SampleGradients int
 
-	// Trace records a per-iteration timing breakdown (rank 0) into
-	// Result.Trace — the profile view of where an iteration goes.
-	Trace bool
-
 	// Tracer, when non-nil, records the full iteration lifecycle on
 	// per-rank timeline tracks (internal/trace): compute, scrub, the
 	// compressor's internal stage spans, exchange with per-peer sub-spans
@@ -195,23 +191,6 @@ type Config struct {
 	guardStats *guard.Stats
 }
 
-// IterTrace is one iteration's timing breakdown on rank 0.
-type IterTrace struct {
-	Iter      int
-	ComputeS  float64 // forward+backward+update (measured)
-	CompressS float64 // compress+decompress (measured)
-	CommS     float64 // modeled collective cost (0 without a Fabric)
-	// CommMeasuredS is the measured wall time of the gradient exchange
-	// itself. On the in-process transport this is barrier/copy time —
-	// useful for modeled-vs-measured reconciliation, not a fabric stand-in.
-	CommMeasuredS float64
-	MsgBytes      int
-	Theta         float64
-	// Compressed is false when the adapt controller bypassed the
-	// compressor and the iteration shipped raw FP32.
-	Compressed bool
-}
-
 // EpochStats records per-epoch training progress.
 type EpochStats struct {
 	Epoch     int
@@ -226,7 +205,6 @@ type Result struct {
 	Epochs      []EpochStats
 	Alpha       []float64   // per-iteration α when MeasureAlpha
 	GradSamples [][]float32 // raw gradient snapshots when SampleGradients > 0
-	Trace       []IterTrace // per-iteration breakdown when Config.Trace
 
 	GradSize         int     // flat gradient length
 	Iterations       int     // total iterations executed
@@ -237,7 +215,10 @@ type Result struct {
 	CompressSeconds float64 // measured compress+decompress (rank 0)
 	CommSeconds     float64 // modeled via Fabric (0 if Fabric nil)
 	// CommMeasuredSeconds is the summed measured wall time of the
-	// gradient exchanges on rank 0 (see IterTrace.CommMeasuredS).
+	// gradient exchanges on rank 0. On the in-process transport this is
+	// barrier/copy time — useful for modeled-vs-measured reconciliation,
+	// not a fabric stand-in. Per iteration it is IterRecord.ExchangeNs of
+	// Config.Profiler's rank-0 records.
 	CommMeasuredSeconds float64
 	// BypassedIterations counts iterations the adapt controller decided
 	// to ship uncompressed.

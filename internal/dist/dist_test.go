@@ -12,6 +12,7 @@ import (
 	"fftgrad/internal/models"
 	"fftgrad/internal/netsim"
 	"fftgrad/internal/nn"
+	"fftgrad/internal/obs"
 	"fftgrad/internal/optim"
 	"fftgrad/internal/sparsify"
 )
@@ -284,32 +285,47 @@ func TestCNNSmoke(t *testing.T) {
 	}
 }
 
+// TestTraceRecording: the profiler's rank-0 records are the run's
+// per-iteration breakdown: one per iteration, in order, each with its
+// stage times and message, and together the result's measured totals
+// (to the nanosecond rounding of each record).
 func TestTraceRecording(t *testing.T) {
 	cfg := blobCfg(33)
 	cfg.Epochs = 1
-	cfg.Trace = true
+	cfg.Profiler = obs.New(cfg.Tracks(), 0)
 	cfg.NewCompressor = func() compress.Compressor { return compress.NewFFT(0.85) }
 	res, err := Train(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Trace) != res.Iterations {
-		t.Fatalf("trace entries %d != iterations %d", len(res.Trace), res.Iterations)
+	recs := cfg.Profiler.Records(0)
+	if len(recs) != res.Iterations {
+		t.Fatalf("records %d != iterations %d", len(recs), res.Iterations)
 	}
-	var compute, compress, comm float64
-	for i, tr := range res.Trace {
-		if tr.Iter != i {
-			t.Fatalf("trace %d has iter %d", i, tr.Iter)
+	var compute, codec, exchange int64
+	for i, r := range recs {
+		if r.Iter != int64(i) {
+			t.Fatalf("record %d has iter %d", i, r.Iter)
 		}
-		if tr.ComputeS <= 0 || tr.CompressS <= 0 || tr.MsgBytes <= 0 {
-			t.Fatalf("trace %d incomplete: %+v", i, tr)
+		if r.ComputeNs <= 0 || r.CompressNs <= 0 || r.MsgBytes <= 0 {
+			t.Fatalf("record %d incomplete: %+v", i, r)
 		}
-		compute += tr.ComputeS
-		compress += tr.CompressS
-		comm += tr.CommS
+		compute += r.ComputeNs + r.UpdateNs
+		codec += r.CompressNs + r.DecompressNs
+		exchange += r.ExchangeNs
 	}
-	if compute != res.ComputeSeconds || compress != res.CompressSeconds || comm != res.CommSeconds {
-		t.Fatalf("trace totals must match result totals")
+	for _, c := range []struct {
+		name      string
+		ns        int64
+		resultSec float64
+	}{
+		{"compute+update", compute, res.ComputeSeconds},
+		{"compress+decompress", codec, res.CompressSeconds},
+		{"exchange", exchange, res.CommMeasuredSeconds},
+	} {
+		if d := math.Abs(float64(c.ns)/1e9 - c.resultSec); d > 1e-6 {
+			t.Errorf("%s: records sum to %vs, result %vs", c.name, float64(c.ns)/1e9, c.resultSec)
+		}
 	}
 }
 

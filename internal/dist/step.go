@@ -502,18 +502,6 @@ func (w *worker) train(startIter int) (*Result, error) {
 			if !compressed {
 				res.BypassedIterations++
 			}
-			if cfg.Trace {
-				res.Trace = append(res.Trace, IterTrace{
-					Iter:          iter,
-					ComputeS:      computeT.Seconds() + updateT.Seconds(),
-					CompressS:     st.compressT.Seconds() + st.decompressT.Seconds(),
-					CommS:         commS,
-					CommMeasuredS: st.exchangeS,
-					MsgBytes:      st.msgBytes,
-					Theta:         w.thetaInEffect(),
-					Compressed:    compressed,
-				})
-			}
 		}
 
 		// --- epoch boundary ---------------------------------------------

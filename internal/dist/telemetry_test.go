@@ -11,11 +11,11 @@ import (
 
 // TestTelemetryWiring: a run with a Registry attached must produce a
 // final snapshot holding wire-byte counters and per-stage throughput
-// gauges, plus the measured exchange wall time in the trace and result.
+// gauges, plus the measured exchange wall time in the result, and with
+// no controller every iteration compressed.
 func TestTelemetryWiring(t *testing.T) {
 	cfg := blobCfg(41)
 	cfg.NewCompressor = func() compress.Compressor { return compress.NewFFT(0.5) }
-	cfg.Trace = true
 	cfg.Telemetry = telemetry.NewRegistry()
 	res, err := Train(cfg)
 	if err != nil {
@@ -37,15 +37,8 @@ func TestTelemetryWiring(t *testing.T) {
 	if res.CommMeasuredSeconds <= 0 {
 		t.Errorf("CommMeasuredSeconds = %v, want > 0", res.CommMeasuredSeconds)
 	}
-	var measured float64
-	for _, tr := range res.Trace {
-		if !tr.Compressed {
-			t.Fatalf("iteration %d marked uncompressed without a controller", tr.Iter)
-		}
-		measured += tr.CommMeasuredS
-	}
-	if measured != res.CommMeasuredSeconds {
-		t.Errorf("trace CommMeasuredS sum %v != result %v", measured, res.CommMeasuredSeconds)
+	if res.BypassedIterations != 0 {
+		t.Errorf("%d iterations bypassed without a controller", res.BypassedIterations)
 	}
 }
 
@@ -57,7 +50,6 @@ func TestAdaptBypassesOnFastFabric(t *testing.T) {
 	cfg := blobCfg(42)
 	cfg.NewCompressor = func() compress.Compressor { return compress.NewFFT(0.5) }
 	cfg.Fabric = netsim.PCIe3
-	cfg.Trace = true
 	cfg.Telemetry = telemetry.NewRegistry()
 	cfg.Adapt = adapt.New(adapt.Config{})
 	res, err := Train(cfg)
@@ -66,16 +58,6 @@ func TestAdaptBypassesOnFastFabric(t *testing.T) {
 	}
 	if res.BypassedIterations == 0 {
 		t.Fatalf("controller never bypassed on PCIe: %+v", cfg.Adapt.Last())
-	}
-	var sawBypass bool
-	for _, tr := range res.Trace {
-		if !tr.Compressed {
-			sawBypass = true
-			break
-		}
-	}
-	if !sawBypass {
-		t.Error("no trace entry records a bypassed iteration")
 	}
 	if v := res.Telemetry["fftgrad_adapt_bypassed_iterations_total"]; v <= 0 {
 		t.Errorf("bypass gauge = %v, want > 0", v)

@@ -1,6 +1,10 @@
 package guard
 
-import "math"
+import (
+	"math"
+
+	"fftgrad/internal/stats"
+)
 
 // Action is the escalation rung the detector picked for one iteration.
 type Action uint8
@@ -37,9 +41,10 @@ const (
 )
 
 // Detector is the EWMA gradient-norm anomaly detector. It tracks an
-// exponential moving mean and variance of the *post-average* gradient
-// norm and flags iterations whose z-score exceeds zThreshold,
-// escalating clip → skip-update → rollback as anomalies persist.
+// exponential moving mean and variance (stats.EWMA) of the
+// *post-average* gradient norm and flags iterations whose z-score
+// exceeds zThreshold, escalating clip → skip-update → rollback as
+// anomalies persist.
 //
 // Observing the post-average norm (identical on every rank in the
 // barrier path, near-identical under degraded fault-path rounds) means
@@ -54,10 +59,9 @@ const (
 type Detector struct {
 	rollbackAfter int
 
-	mean, variance float64
-	samples        int
-	consecutive    int
-	z              float64
+	norm        stats.EWMA
+	consecutive int
+	z           float64
 }
 
 // NewDetector builds a detector with the (defaulted) config's rollback
@@ -74,7 +78,7 @@ func (d *Detector) Z() float64 { return d.z }
 // rollback: the restored parameters produce pre-burst norms, so the
 // burst-era statistics no longer apply.
 func (d *Detector) Reset() {
-	d.mean, d.variance, d.samples, d.consecutive, d.z = 0, 0, 0, 0, 0
+	d.norm, d.consecutive, d.z = stats.EWMA{}, 0, 0
 }
 
 // Observe feeds one post-average gradient norm and returns the action
@@ -86,28 +90,29 @@ func (d *Detector) Observe(norm float64) (Action, float64) {
 		d.z = math.Inf(1)
 		return d.escalate(), 1
 	}
-	if d.samples == 0 {
-		d.mean, d.variance, d.samples, d.z = norm, 0, 1, 0
+	if d.norm.N == 0 {
+		d.norm.Add(norm, detAlpha)
+		d.z = 0
 		return ActionNone, 1
 	}
-	sigma := math.Sqrt(d.variance)
+	sigma := math.Sqrt(d.norm.Var)
 	// Floor sigma so ultra-stable baselines (or the first few samples)
 	// don't turn ordinary jitter into huge z-scores.
-	if floor := 0.05*d.mean + 1e-12; sigma < floor {
+	if floor := 0.05*d.norm.Mean + 1e-12; sigma < floor {
 		sigma = floor
 	}
-	d.z = (norm - d.mean) / sigma
-	if d.samples < warmup || d.z <= zThreshold {
-		d.absorb(norm)
+	d.z = (norm - d.norm.Mean) / sigma
+	if d.norm.N < warmup || d.z <= zThreshold {
+		d.norm.Add(norm, detAlpha)
 		d.consecutive = 0
 		return ActionNone, 1
 	}
-	allowed := d.mean + zThreshold*sigma
+	allowed := d.norm.Mean + zThreshold*sigma
 	scale := 1.0
 	if norm > 0 {
 		scale = allowed / norm
 	}
-	d.absorb(allowed)
+	d.norm.Add(allowed, detAlpha)
 	if a := d.escalate(); a != ActionClip {
 		return a, 1
 	}
@@ -126,11 +131,4 @@ func (d *Detector) escalate() Action {
 	default:
 		return ActionClip
 	}
-}
-
-func (d *Detector) absorb(norm float64) {
-	dev := norm - d.mean
-	d.mean += detAlpha * dev
-	d.variance += detAlpha * (dev*dev - d.variance)
-	d.samples++
 }

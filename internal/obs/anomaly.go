@@ -9,9 +9,11 @@ import (
 	"runtime/pprof"
 	"sync"
 	"time"
+	"unsafe"
 
 	"fftgrad/internal/buildinfo"
 	"fftgrad/internal/checkpoint"
+	"fftgrad/internal/stats"
 	"fftgrad/internal/trace"
 )
 
@@ -34,37 +36,30 @@ const (
 	ewmaAlpha = 0.05
 )
 
-// ewmaZ tracks an EWMA mean/variance and scores new samples against it.
-type ewmaZ struct {
-	mean, varr float64
-	n          int64
-}
-
-// observe returns the sample's z-score against the state *before* the
-// update (0 until warm-up completes), then folds the sample in.
-func (e *ewmaZ) observe(x float64) float64 {
+// zscore returns x's z-score against e *before* x is folded in (0 until
+// warm-up completes, or while the variance is 0), then folds x in.
+func zscore(e *stats.EWMA, x float64) float64 {
 	var z float64
-	d := x - e.mean
-	if e.n >= anomalyWarmup && e.varr > 0 {
-		z = d / math.Sqrt(e.varr)
+	if e.N >= anomalyWarmup && e.Var > 0 {
+		z = (x - e.Mean) / math.Sqrt(e.Var)
 	}
-	if e.n == 0 {
-		e.mean = x
-	} else {
-		e.mean += ewmaAlpha * d
-		e.varr = (1 - ewmaAlpha) * (e.varr + ewmaAlpha*d*d)
-	}
-	e.n++
+	e.Add(x, ewmaAlpha)
 	return z
 }
 
+// anomalyCells are one rank's three statistics.
+type anomalyCells struct {
+	latency   stats.EWMA // iteration latency (seconds)
+	commShare stats.EWMA // exchange share of the iteration
+	compShare stats.EWMA // compute share of the iteration
+}
+
 // anomalyState is one rank's engine cell, touched only by that rank's
-// Commit goroutine.
+// Commit goroutine, padded to whole 64-byte cache lines so neighbouring
+// ranks never share one.
 type anomalyState struct {
-	latency   ewmaZ    // iteration latency (seconds)
-	commShare ewmaZ    // exchange share of the iteration
-	compShare ewmaZ    // compute share of the iteration
-	_         [40]byte // pad: keep neighbouring ranks off one cache line
+	anomalyCells
+	_ [(64 - unsafe.Sizeof(anomalyCells{})%64) % 64]byte
 }
 
 // anomalyEvent is one breach handed to the capture worker.
@@ -87,13 +82,13 @@ func (p *Profiler) anomalyCheck(rank int, rec *IterRecord, latency float64) {
 		commShare = float64(rec.ExchangeNs) / wall
 		compShare = float64(rec.ComputeNs) / wall
 	}
-	if z := st.latency.observe(latency); z > anomalyZ || z < -anomalyZ {
+	if z := zscore(&st.latency, latency); z > anomalyZ || z < -anomalyZ {
 		p.breach(rank, rec.Iter, "latency", latency, z)
 	}
-	if z := st.commShare.observe(commShare); z > anomalyZ || z < -anomalyZ {
+	if z := zscore(&st.commShare, commShare); z > anomalyZ || z < -anomalyZ {
 		p.breach(rank, rec.Iter, "comm_share", commShare, z)
 	}
-	if z := st.compShare.observe(compShare); z > anomalyZ || z < -anomalyZ {
+	if z := zscore(&st.compShare, compShare); z > anomalyZ || z < -anomalyZ {
 		p.breach(rank, rec.Iter, "compute_share", compShare, z)
 	}
 }

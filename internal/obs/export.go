@@ -64,25 +64,16 @@ func (p *Profiler) BuildProfile(final bool) Profile {
 			BlamedS:     float64(e.BlamedNs) / 1e9,
 			BlamedIters: e.BlamedIters,
 			BlockedS:    float64(e.BlockedNs) / 1e9,
+			P50S:        p.blameQuantile(e.Rank, 0.50),
+			P90S:        p.blameQuantile(e.Rank, 0.90),
+			P99S:        p.blameQuantile(e.Rank, 0.99),
 		}
 		if total > 0 {
 			st.BlamedFrac = float64(e.BlamedNs) / total
 		}
-		if p.blameHist != nil && e.Rank < len(p.blameHist) {
-			st.P50S = finite(p.blameHist[e.Rank].Quantile(0.50))
-			st.P90S = finite(p.blameHist[e.Rank].Quantile(0.90))
-			st.P99S = finite(p.blameHist[e.Rank].Quantile(0.99))
-		}
 		out.Blame[i] = st
 	}
 	return out
-}
-
-func finite(v float64) float64 {
-	if v != v { // NaN: empty histogram
-		return 0
-	}
-	return v
 }
 
 // WriteProfileJSON writes the profile document as indented JSON.
@@ -148,14 +139,11 @@ func (p *Profiler) BuildStatus(traceDropped uint64) Status {
 	return st
 }
 
-// StatusHandler serves the live Status document.
+// StatusHandler serves the live Status document; traceDropped reports the
+// tracer's lost events (Tracer.DroppedTotal, which a nil tracer answers).
 func (p *Profiler) StatusHandler(traceDropped func() uint64) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		var dropped uint64
-		if traceDropped != nil {
-			dropped = traceDropped()
-		}
-		st := p.BuildStatus(dropped)
+		st := p.BuildStatus(traceDropped())
 		w.Header().Set("Content-Type", "application/json; charset=utf-8")
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
@@ -164,10 +152,13 @@ func (p *Profiler) StatusHandler(traceDropped func() uint64) http.Handler {
 }
 
 // blameQuantile reads the rolling blame percentile for one rank (0 when
-// uninstrumented) — used by the -top table.
+// uninstrumented or empty) — the profile's and the -top table's.
 func (p *Profiler) blameQuantile(rank int, q float64) float64 {
 	if p == nil || p.blameHist == nil || rank < 0 || rank >= len(p.blameHist) {
 		return 0
 	}
-	return finite(p.blameHist[rank].Quantile(q))
+	if v := p.blameHist[rank].Quantile(q); v == v { // NaN: empty histogram
+		return v
+	}
+	return 0
 }

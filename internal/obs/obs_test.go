@@ -9,6 +9,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"fftgrad/internal/telemetry"
 )
@@ -47,6 +48,15 @@ func TestCommitZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("Commit allocates %v/op, want 0", allocs)
+	}
+}
+
+// TestAnomalyCellsFillWholeCacheLines: the per-rank anomaly cells sit
+// side by side in one slice, each written by its own rank's goroutine,
+// so a cell must span whole 64-byte lines or neighbours share one.
+func TestAnomalyCellsFillWholeCacheLines(t *testing.T) {
+	if n := unsafe.Sizeof(anomalyState{}); n%64 != 0 {
+		t.Fatalf("anomalyState is %d bytes, not a multiple of 64", n)
 	}
 }
 

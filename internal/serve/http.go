@@ -9,6 +9,7 @@ import (
 	"strconv"
 
 	"fftgrad/internal/buildinfo"
+	"fftgrad/internal/telemetry"
 )
 
 // Routes mounts the job API onto mux. The caller owns the mux, so the
@@ -37,13 +38,20 @@ func (s *Server) Routes(mux *http.ServeMux) {
 	mux.HandleFunc("POST /jobs/{id}/cancel", s.handleCancel)
 	mux.HandleFunc("DELETE /jobs/{id}", s.handleCancel)
 	mux.HandleFunc("GET /jobs/{id}/events", s.handleEvents)
-	mux.HandleFunc("GET /jobs/{id}/metrics", s.handleJobMetrics)
-	mux.HandleFunc("GET /jobs/{id}/metrics.json", s.handleJobMetricsJSON)
-	mux.HandleFunc("GET /jobs/{id}/trace", s.handleJobTrace)
-	mux.HandleFunc("GET /jobs/{id}/profile", s.handleJobProfile)
-	mux.HandleFunc("GET /jobs/{id}/profile/trace", s.handleJobMergedTrace)
-	mux.HandleFunc("GET /healthz", s.handleHealthz)
-	mux.HandleFunc("GET /readyz", s.handleReadyz)
+	mux.HandleFunc("GET /jobs/{id}/metrics", s.jobView(promText, func(j *job, w io.Writer) error {
+		return j.reg.WritePrometheus(w)
+	}))
+	mux.HandleFunc("GET /jobs/{id}/metrics.json", s.jobView(jsonType, func(j *job, w io.Writer) error {
+		return j.reg.WriteJSON(w)
+	}))
+	mux.HandleFunc("GET /jobs/{id}/trace", s.jobView(jsonType, func(j *job, w io.Writer) error {
+		return j.tracer.WriteJSON(w)
+	}))
+	mux.HandleFunc("GET /jobs/{id}/profile", s.jobView(jsonType, (*job).writeProfile))
+	mux.HandleFunc("GET /jobs/{id}/profile/trace", s.jobView(jsonType, func(j *job, w io.Writer) error {
+		return j.tracer.WriteMergedJSON(w, j.prof.Offsets())
+	}))
+	telemetry.Probes(mux, s.Ready)
 	mux.HandleFunc("GET /debug/status", s.handleDebugStatus)
 }
 
@@ -59,7 +67,7 @@ type apiError struct {
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Type", jsonType)
 	w.WriteHeader(code)
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
@@ -180,83 +188,35 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-func (s *Server) handleJobMetrics(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.lookup(r.PathValue("id"))
-	if !ok {
-		writeErr(w, ErrNotFound)
-		return
+// Content types of the documents the API serves.
+const (
+	promText = "text/plain; version=0.0.4; charset=utf-8"
+	jsonType = "application/json"
+)
+
+// jobView serves one per-job document: the {id} lookup and its 404,
+// then the content type and write's output for the job found.
+func (s *Server) jobView(contentType string, write func(*job, io.Writer) error) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		j, ok := s.lookup(r.PathValue("id"))
+		if !ok {
+			writeErr(w, ErrNotFound)
+			return
+		}
+		w.Header().Set("Content-Type", contentType)
+		_ = write(j, w)
 	}
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	_ = j.reg.WritePrometheus(w)
 }
 
-func (s *Server) handleJobMetricsJSON(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.lookup(r.PathValue("id"))
-	if !ok {
-		writeErr(w, ErrNotFound)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	_ = j.reg.WriteJSON(w)
-}
-
-func (s *Server) handleJobTrace(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.lookup(r.PathValue("id"))
-	if !ok {
-		writeErr(w, ErrNotFound)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	_ = j.tracer.WriteJSON(w)
-}
-
-// handleJobProfile serves the job's iteration-profile document: build
+// writeProfile writes the job's iteration-profile document: build
 // identity, clock offsets, the critical-path decomposition, the blame
 // ledger with rolling percentiles, and any anomaly captures. A terminal
 // job gets a final profile (the ledger folds its ragged tail).
-func (s *Server) handleJobProfile(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.lookup(r.PathValue("id"))
-	if !ok {
-		writeErr(w, ErrNotFound)
-		return
-	}
+func (j *job) writeProfile(w io.Writer) error {
 	j.mu.Lock()
 	final := j.state.terminal()
 	j.mu.Unlock()
-	w.Header().Set("Content-Type", "application/json")
-	_ = j.prof.WriteProfileJSON(w, final)
-}
-
-// handleJobMergedTrace serves the clock-aligned multi-process timeline:
-// every rank's trace ring merged into one Perfetto view, re-based by the
-// profiler's barrier-anchored clock-offset estimates.
-func (s *Server) handleJobMergedTrace(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.lookup(r.PathValue("id"))
-	if !ok {
-		writeErr(w, ErrNotFound)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	_ = j.tracer.WriteMergedJSON(w, j.prof.Offsets())
-}
-
-// handleHealthz is liveness: if this handler runs, the process serves.
-func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	_, _ = io.WriteString(w, "ok\n")
-}
-
-// handleReadyz is readiness: 200 while accepting submissions, 503 once a
-// drain has begun — so orchestrators stop routing work to a terminating
-// replica while its running jobs halt and spool.
-func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	if !s.Ready() {
-		w.WriteHeader(http.StatusServiceUnavailable)
-		_, _ = io.WriteString(w, "draining\n")
-		return
-	}
-	_, _ = io.WriteString(w, "ok\n")
+	return j.prof.WriteProfileJSON(w, final)
 }
 
 // debugStatus is the compact operator view served at /debug/status.
@@ -300,7 +260,7 @@ func (s *Server) handleMergedMetrics(w http.ResponseWriter, _ *http.Request) {
 	s.mu.Lock()
 	order := append([]*job(nil), s.order...)
 	s.mu.Unlock()
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+	w.Header().Set("Content-Type", promText)
 	for _, j := range order {
 		if err := j.reg.WritePrometheusLabeled(w, fmt.Sprintf("job=%q", j.id)); err != nil {
 			return

@@ -1,7 +1,8 @@
 // Package stats provides the measurement and presentation utilities the
 // experiment harness uses: fixed-bin histograms (the gradient-distribution
 // figures), empirical CDFs (the reconstruction-error figure), scalar
-// summaries, and plain-text table/bar-chart rendering so every experiment
+// summaries, the EWMA mean and variance the anomaly detectors score
+// against, and plain-text table/bar-chart rendering so every experiment
 // can print the series its paper figure plots.
 package stats
 
@@ -171,6 +172,28 @@ func MeanStd(x []float32) (mean, std float64) {
 	}
 	std = math.Sqrt(std / float64(len(x)))
 	return mean, std
+}
+
+// EWMA is an exponentially weighted moving mean and variance with the
+// count of samples folded in; the zero value is empty. The first Add
+// sets the mean, each later one folds its sample in with weight alpha.
+// It holds the statistic only: a caller scores a sample against Mean
+// and Var by its own rule before adding it.
+type EWMA struct {
+	Mean, Var float64
+	N         int
+}
+
+// Add folds x into the statistic.
+func (e *EWMA) Add(x, alpha float64) {
+	if e.N == 0 {
+		e.Mean = x
+	} else {
+		dev := x - e.Mean
+		e.Mean += alpha * dev
+		e.Var += alpha * (dev*dev - e.Var)
+	}
+	e.N++
 }
 
 // Table renders aligned plain-text tables for experiment reports.

@@ -141,3 +141,24 @@ func TestRenderSeries(t *testing.T) {
 		}
 	}
 }
+
+// TestEWMA: the first sample sets the mean, each later one moves mean
+// and variance by alpha of its deviation — the recurrence written out.
+func TestEWMA(t *testing.T) {
+	const alpha = 0.1
+	var e EWMA
+	e.Add(4, alpha)
+	if e.Mean != 4 || e.Var != 0 || e.N != 1 {
+		t.Fatalf("after one sample: %+v", e)
+	}
+	mean, v := 4.0, 0.0
+	for i, x := range []float64{6, 3, 10, 4.5, -2} {
+		dev := x - mean
+		mean += alpha * dev
+		v += alpha * (dev*dev - v)
+		e.Add(x, alpha)
+		if e.Mean != mean || e.Var != v || e.N != i+2 {
+			t.Fatalf("sample %d: got %+v, want mean %v var %v", i+2, e, mean, v)
+		}
+	}
+}

@@ -140,7 +140,6 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 //
 //	GET /metrics       Prometheus text format
 //	GET /metrics.json  flat JSON snapshot
-//	GET /healthz       "ok"
 func (r *Registry) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
@@ -151,10 +150,30 @@ func (r *Registry) Handler() http.Handler {
 		w.Header().Set("Content-Type", "application/json")
 		_ = r.WriteJSON(w)
 	})
-	mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
+	return mux
+}
+
+// Probes mounts the process's two health probes on mux, the one copy
+// the trainer and the job service share:
+//
+//	GET /healthz  liveness: 200 "ok" while the process serves
+//	GET /readyz   readiness: 200 "ok" while ready reports true, else 503
+//	              "draining", so orchestrators stop routing work to a
+//	              process that is shutting down
+func Probes(mux *http.ServeMux, ready func() bool) {
+	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		_, _ = io.WriteString(w, "ok\n")
 	})
-	return mux
+	mux.HandleFunc("GET /readyz", func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+		if !ready() {
+			w.WriteHeader(http.StatusServiceUnavailable)
+			_, _ = io.WriteString(w, "draining\n")
+			return
+		}
+		_, _ = io.WriteString(w, "ok\n")
+	})
 }
 
 // ServeHandler starts an HTTP endpoint on addr (e.g. ":9090") serving a

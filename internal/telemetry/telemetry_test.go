@@ -5,8 +5,10 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -231,7 +233,36 @@ func TestHTTPEndpoint(t *testing.T) {
 	if body := get("/metrics.json"); !strings.Contains(body, `"hits_total": 7`) {
 		t.Errorf("/metrics.json missing counter:\n%s", body)
 	}
-	if body := get("/healthz"); !strings.Contains(body, "ok") {
-		t.Errorf("/healthz = %q", body)
+}
+
+// TestProbes pins the probe semantics: /healthz answers 200 "ok" for the
+// process's lifetime, /readyz answers 200 "ok" until ready turns false
+// and 503 "draining" after.
+func TestProbes(t *testing.T) {
+	var draining atomic.Bool
+	mux := http.NewServeMux()
+	Probes(mux, func() bool { return !draining.Load() })
+	ts := httptest.NewServer(mux)
+	defer ts.Close()
+
+	check := func(path string, code int, body string) {
+		t.Helper()
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		got, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != code || string(got) != body {
+			t.Errorf("GET %s = %d %q, want %d %q", path, resp.StatusCode, got, code, body)
+		}
 	}
+	check("/healthz", http.StatusOK, "ok\n")
+	check("/readyz", http.StatusOK, "ok\n")
+	draining.Store(true)
+	check("/healthz", http.StatusOK, "ok\n")
+	check("/readyz", http.StatusServiceUnavailable, "draining\n")
 }
