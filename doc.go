@@ -49,12 +49,15 @@
 //     payload SyncBroadcast returns are valid until that member's next
 //     exchange or sync call. A View's Alive slice is shared and
 //     read-only; the runtime copies it before every membership change.
-//   - Temporaries inside the pipeline come from internal/scratch, a set
-//     of typed, size-classed pools; FFT/DCT plans are cached per size and
-//     a sender's tuned quantizer per codec, and a receiver rebuilds its
-//     quantizer from each message's header into pooled per-call state,
-//     so repeated same-shape gradients allocate nothing, a re-tune
-//     included.
+//   - A transform codec (NewFFT, NewDCT) owns its model-size buffers —
+//     one spectrum, one real work array and one decode-side quantizer,
+//     sized at its first call — and calls on one codec serialize on its
+//     lock; give each goroutine that must not wait its own codec. Other
+//     temporaries come from internal/scratch, a set of typed, size-classed
+//     pools; FFT/DCT plans are cached per size and a sender's tuned
+//     quantizer per codec, and a receiver rebuilds its quantizer from each
+//     message's header into the codec's state, so repeated same-shape
+//     gradients allocate nothing, a re-tune included.
 //
 // The contract is enforced by testing.AllocsPerRun regression gates in
 // internal/compress (TestZeroAllocRoundTrip: 0 allocs/op for the FFT,

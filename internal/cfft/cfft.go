@@ -23,6 +23,7 @@ package cfft
 import (
 	"math"
 	"math/bits"
+	"sync"
 	"sync/atomic"
 	"unsafe"
 
@@ -92,60 +93,56 @@ func PaddedLen(n int) int {
 	return NextPow2(n)
 }
 
-// planCaches hold one process-wide plan per power-of-two length, indexed
-// by log2(n). Plans are immutable once built, so a lock-free
+// The plan caches hold one process-wide plan per power-of-two length,
+// indexed by log2(n). Plans are immutable once built, so a
 // publish-once-per-slot cache lets every sparsifier share twiddle tables
 // instead of rebuilding them per call — and a real or DCT plan takes the
 // plan underneath it from here too, so a process that runs both
 // transforms holds each table once.
 var (
-	planCache     [bits.UintSize]atomic.Pointer[Plan]
-	realPlanCache [bits.UintSize]atomic.Pointer[RealPlan]
-	dctPlanCache  [bits.UintSize]atomic.Pointer[DCTPlan]
+	plans     planCache[Plan]
+	realPlans planCache[RealPlan]
+	dctPlans  planCache[DCTPlan]
 )
+
+// planCache is one kind's cache. A hit is one atomic load. A miss builds
+// under the kind's lock, so goroutines that meet a new length together
+// (every rank at its first encode) wait for one plan instead of each
+// building one and dropping all but the first. A DCT plan builds its real
+// plan, and a real plan its complex one, through the next kind's cache:
+// the locks nest in that order only.
+type planCache[P any] struct {
+	mu    sync.Mutex
+	slots [bits.UintSize]atomic.Pointer[P]
+}
+
+func (c *planCache[P]) get(n int, build func(int) *P) *P {
+	slot := &c.slots[cacheSlot(n)]
+	if p := slot.Load(); p != nil {
+		return p
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	p := slot.Load()
+	if p == nil {
+		p = build(n)
+		slot.Store(p)
+	}
+	return p
+}
 
 // PlanFor returns the shared plan for power-of-two length n, building and
 // caching it on first use. Safe for concurrent use; the steady state is
 // one atomic load.
-func PlanFor(n int) *Plan {
-	i := cacheSlot(n)
-	if p := planCache[i].Load(); p != nil {
-		return p
-	}
-	p := NewPlan(n)
-	if planCache[i].CompareAndSwap(nil, p) {
-		return p
-	}
-	return planCache[i].Load()
-}
+func PlanFor(n int) *Plan { return plans.get(n, NewPlan) }
 
 // RealPlanFor returns the shared real-transform plan for power-of-two
 // length n >= 2, building and caching it on first use.
-func RealPlanFor(n int) *RealPlan {
-	i := cacheSlot(n)
-	if p := realPlanCache[i].Load(); p != nil {
-		return p
-	}
-	p := NewRealPlan(n)
-	if realPlanCache[i].CompareAndSwap(nil, p) {
-		return p
-	}
-	return realPlanCache[i].Load()
-}
+func RealPlanFor(n int) *RealPlan { return realPlans.get(n, NewRealPlan) }
 
 // DCTPlanFor returns the shared DCT plan for power-of-two length n >= 2,
 // building and caching it on first use.
-func DCTPlanFor(n int) *DCTPlan {
-	i := cacheSlot(n)
-	if p := dctPlanCache[i].Load(); p != nil {
-		return p
-	}
-	p := NewDCTPlan(n)
-	if dctPlanCache[i].CompareAndSwap(nil, p) {
-		return p
-	}
-	return dctPlanCache[i].Load()
-}
+func DCTPlanFor(n int) *DCTPlan { return dctPlans.get(n, NewDCTPlan) }
 
 // cacheSlot maps a power-of-two length to its cache index.
 func cacheSlot(n int) int {

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/cmplx"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 )
@@ -96,5 +97,55 @@ func TestShiftTheorem(t *testing.T) {
 		if cmplx.Abs(S[k]-X[k]*rot) > 1e-9*(1+cmplx.Abs(X[k])) {
 			t.Fatalf("bin %d phase rotation wrong", k)
 		}
+	}
+}
+
+// TestPlanBuiltOnceOnRace: goroutines that meet a new length together —
+// every rank at its first encode — get one plan between them, and build
+// it once: the race allocates less than 1.5 plans' worth.
+func TestPlanBuiltOnceOnRace(t *testing.T) {
+	n := 0
+	for log := 16; log < 24; log++ {
+		if realPlans.slots[log].Load() == nil && plans.slots[log-1].Load() == nil {
+			n = 1 << log
+			break
+		}
+	}
+	if n == 0 {
+		t.Skip("every candidate length already has a plan")
+	}
+	alloc := func(f func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	const racers = 8
+	got := make([]*RealPlan, racers)
+	raced := alloc(func() {
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for g := range got {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				got[g] = RealPlanFor(n)
+			}()
+		}
+		close(start)
+		wg.Wait()
+	})
+	for g, p := range got {
+		if p != got[0] {
+			t.Fatalf("racer %d got a different plan", g)
+		}
+	}
+	// One plan's worth: the complex half plan and the real plan over it
+	// (NewRealPlan takes the now cached half plan).
+	one := alloc(func() { NewPlan(n / 2) }) + alloc(func() { NewRealPlan(n) })
+	if raced >= one*3/2 {
+		t.Errorf("%d racers allocated %d B building a %d-point real plan, want < 1.5 × %d", racers, raced, n, one)
 	}
 }

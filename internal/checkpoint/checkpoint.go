@@ -18,6 +18,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"slices"
 
 	"fftgrad/internal/nn"
 	"fftgrad/internal/optim"
@@ -38,15 +39,36 @@ type State struct {
 
 // Capture snapshots a network and its optimizer.
 func Capture(net *nn.Network, sgd *optim.SGD, epoch, iter int64) *State {
-	s := &State{
-		Epoch:  epoch,
-		Iter:   iter,
-		Params: net.GetParams(make([]float32, net.NumParams())),
+	return CaptureInto(nil, net, sgd, epoch, iter)
+}
+
+// CaptureInto is Capture into dst's vectors, which grow only when too
+// short, so a caller that recycles its states captures without
+// allocating. A nil dst captures into a new State. It returns the state
+// written.
+func CaptureInto(dst *State, net *nn.Network, sgd *optim.SGD, epoch, iter int64) *State {
+	if dst == nil {
+		dst = new(State)
 	}
+	n := net.NumParams()
+	dst.Epoch, dst.Iter = epoch, iter
+	dst.Params = net.GetParams(slices.Grow(dst.Params[:0], n)[:n])
+	dst.Velocity = dst.Velocity[:0]
 	if sgd != nil {
-		s.Velocity = sgd.State()
+		dst.Velocity = sgd.AppendState(dst.Velocity)
 	}
-	return s
+	return dst
+}
+
+// Clone returns a deep copy of s (nil for a nil s).
+func (s *State) Clone() *State {
+	if s == nil {
+		return nil
+	}
+	c := *s
+	c.Params = slices.Clone(s.Params)
+	c.Velocity = slices.Clone(s.Velocity)
+	return &c
 }
 
 // Apply restores the snapshot into a network and, when sgd is non-nil,

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -167,7 +168,7 @@ func TestApplyChecksBeforeWrite(t *testing.T) {
 	st := randState(n, 3)
 	st.Velocity = st.Velocity[:3]
 	sgd.Restore(randState(n, 4).Velocity)
-	params, vel := Capture(net, sgd, 0, 0).Params, sgd.State()
+	params, vel := Capture(net, sgd, 0, 0).Params, sgd.AppendState(nil)
 
 	err := st.Apply(net, sgd)
 	if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("3 velocity values for a %d-param model", n)) {
@@ -182,5 +183,33 @@ func TestApplyChecksBeforeWrite(t *testing.T) {
 		}
 	}
 	unchanged("parameter", net.GetParams(make([]float32, n)), params)
-	unchanged("velocity", sgd.State(), vel)
+	unchanged("velocity", sgd.AppendState(nil), vel)
+}
+
+// TestCaptureIntoReusesState: capturing into a recycled state writes
+// what Capture would, in the state's own vectors, and allocates nothing;
+// a Clone shares no vector with its source.
+func TestCaptureIntoReusesState(t *testing.T) {
+	net := models.MLP(4, 8, 2, 1)
+	n := net.NumParams()
+	sgd := optim.NewSGD(0.1, 0.9, n)
+	sgd.Restore(randState(n, 5).Velocity)
+	dst := randState(n, 6)
+	params, vel := &dst.Params[0], &dst.Velocity[0]
+	if got := CaptureInto(dst, net, sgd, 3, 7); got != dst || &got.Params[0] != params || &got.Velocity[0] != vel {
+		t.Fatal("CaptureInto did not write into the state it was given")
+	}
+	want := Capture(net, sgd, 3, 7)
+	if dst.Epoch != 3 || dst.Iter != 7 || !slices.Equal(dst.Params, want.Params) || !slices.Equal(dst.Velocity, want.Velocity) {
+		t.Fatal("CaptureInto differs from Capture")
+	}
+	if a := testing.AllocsPerRun(20, func() { CaptureInto(dst, net, sgd, 3, 7) }); a != 0 {
+		t.Errorf("CaptureInto a recycled state allocates %.2f allocs/op, want 0", a)
+	}
+	c := dst.Clone()
+	c.Params[0]++
+	c.Velocity[0]++
+	if dst.Params[0] != want.Params[0] || dst.Velocity[0] != want.Velocity[0] {
+		t.Error("a Clone shares its vectors with the source")
+	}
 }

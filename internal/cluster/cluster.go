@@ -436,14 +436,21 @@ func (rt *Runtime) Stats() Stats {
 }
 
 // PublishCheckpoint stores the latest training snapshot for rejoiners.
-// The lowest alive rank publishes at every epoch boundary.
-func (rt *Runtime) PublishCheckpoint(st *checkpoint.State, seq uint64) {
+// The lowest alive rank publishes at every epoch boundary. The runtime
+// keeps st and returns the state it replaces (nil at the first publish),
+// or st itself when seq is older than the stored snapshot's: the caller
+// owns what comes back and may capture its next checkpoint into it.
+// Rejoiners and joiners get copies, so a publish never changes a state
+// one of them is applying.
+func (rt *Runtime) PublishCheckpoint(st *checkpoint.State, seq uint64) *checkpoint.State {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	if st != nil && seq >= rt.ckptSeq {
-		rt.ckpt = st
-		rt.ckptSeq = seq
+	if st == nil || seq < rt.ckptSeq {
+		return st
 	}
+	old := rt.ckpt
+	rt.ckpt, rt.ckptSeq = st, seq
+	return old
 }
 
 // noteExchangeStart advances rank's exchange frontier and the global one
@@ -516,9 +523,9 @@ func (rt *Runtime) WaitWithinWindow(rank int, seq, window uint64) (bool, error) 
 // AdmitJoin is the elastic scale-up handshake: it admits a brand-new
 // rank into the view (growing it), bumps the epoch so survivors force a
 // parameter re-sync, seeds the rank's staleness frontier at the global
-// one, and hands back the newest published checkpoint to restore plus
-// the frontier seq to resume at. The caller then attaches a transport
-// via Join and runs the normal worker loop from that frontier.
+// one, and hands back a copy of the newest published checkpoint to
+// restore plus the frontier seq to resume at. The caller then attaches a
+// transport via Join and runs the normal worker loop from that frontier.
 func (rt *Runtime) AdmitJoin(rank int) (View, uint64, *checkpoint.State, error) {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
@@ -533,7 +540,7 @@ func (rt *Runtime) AdmitJoin(rank int) (View, uint64, *checkpoint.State, error) 
 	rt.setAlive(rank, true)
 	rt.perRank[rank] = rt.frontier
 	rt.elasticJoins.Add(1)
-	return rt.view(), rt.frontier, rt.ckpt, nil
+	return rt.view(), rt.frontier, rt.ckpt.Clone(), nil
 }
 
 // suspect declares rank dead on behalf of `by`. It refuses when `by` is
@@ -571,9 +578,9 @@ func (rt *Runtime) suspect(rank, by int) (View, error) {
 }
 
 // rejoin re-admits rank to the view, returning the new view, the
-// exchange frontier (the seq to resume at) and the latest checkpoint to
-// restore (nil when the rank was never evicted — its live state is still
-// valid — or when none was published).
+// exchange frontier (the seq to resume at) and a copy of the latest
+// checkpoint to restore (nil when the rank was never evicted — its live
+// state is still valid — or when none was published).
 func (rt *Runtime) rejoin(rank int) (View, uint64, *checkpoint.State, error) {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
@@ -582,11 +589,11 @@ func (rt *Runtime) rejoin(rank int) (View, uint64, *checkpoint.State, error) {
 			rank, maxRejoins, ErrEvicted)
 	}
 	rt.rejoinCount[rank]++
-	st := rt.ckpt
-	if rt.alive[rank] {
-		// Transient self-down without eviction: live state is intact and
-		// strictly fresher than any checkpoint.
-		st = nil
+	var st *checkpoint.State
+	if !rt.alive[rank] {
+		// Evicted: restore the checkpoint. A transient self-down without
+		// eviction keeps its live state, intact and strictly fresher.
+		st = rt.ckpt.Clone()
 	}
 	rt.setAlive(rank, true)
 	// The rejoiner resumes at the frontier; seeding its per-rank frontier

@@ -361,3 +361,58 @@ func TestAdmitJoinGrowsView(t *testing.T) {
 		t.Fatalf("elastic joins %d, want 1", s.ElasticJoins)
 	}
 }
+
+// TestJoinerAppliesWhilePublishesContinue: joiners apply the checkpoint
+// AdmitJoin handed them while the publisher keeps capturing into the
+// states its publishes hand back. A joiner's state is its own copy, so it
+// stays whole however many publishes follow (and -race sees no shared
+// write).
+func TestJoinerAppliesWhilePublishesContinue(t *testing.T) {
+	const joiners, n = 8, 1 << 12
+	rt := NewElastic(1, 1+joiners, Config{})
+	capture := func(st *checkpoint.State, seq uint64) *checkpoint.State {
+		if st == nil {
+			st = &checkpoint.State{Params: make([]float32, n)}
+		}
+		st.Iter = int64(seq)
+		for i := range st.Params {
+			st.Params[i] = float32(seq)
+		}
+		return st
+	}
+	rt.PublishCheckpoint(capture(nil, 0), 0)
+	stop, published := make(chan struct{}), make(chan uint64)
+	go func() {
+		var spare *checkpoint.State
+		seq := uint64(1)
+		for ; ; seq++ {
+			select {
+			case <-stop:
+				published <- seq
+				return
+			default:
+			}
+			spare = rt.PublishCheckpoint(capture(spare, seq), seq)
+		}
+	}()
+	for r := 1; r <= joiners; r++ {
+		_, _, st, err := rt.AdmitJoin(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		applied := make([]float32, n)
+		for rep := 0; rep < 20; rep++ {
+			copy(applied, st.Params)
+			for i, v := range applied {
+				if v != float32(st.Iter) {
+					t.Fatalf("joiner %d: param %d = %v in the state of publish %d: a later publish wrote into it", r, i, v, st.Iter)
+				}
+			}
+			time.Sleep(50 * time.Microsecond)
+		}
+	}
+	close(stop)
+	if seq := <-published; seq < 2 {
+		t.Errorf("only %d publishes overlapped the joins", seq)
+	}
+}

@@ -3,7 +3,9 @@ package compress
 import (
 	"bytes"
 	"math"
+	"runtime"
 	"runtime/debug"
+	"strings"
 	"testing"
 
 	"fftgrad/internal/telemetry"
@@ -162,4 +164,111 @@ func TestAppendCompressMatchesCompress(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestTransformOwnsItsState: a warm transform codec's encode +
+// AccumulateInto round trip allocates nothing even when the goroutine
+// calling it changes every round — as a rank's compress stage and its
+// exchange stage take turns on one bucket's codec. The codec's model-size
+// buffers are its own, not pooled per P, so a caller on another P finds
+// them where the last one left them, and the collections the count makes
+// take nothing away. Every round sends the same message.
+// The bytes are counted from the memory profile, leaving out what the
+// runtime allocates for itself (a sudog to park a goroutine, a new M, a
+// cleanup after a collection): a hand-off between goroutines may cost
+// that at any commit.
+func TestTransformOwnsItsState(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are inflated under -race")
+	}
+	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
+	runtime.MemProfileRate = 1
+	grad := allocGrad(1<<16 + 123)
+	sum := make([]float32, len(grad))
+	type codec struct {
+		c          *Transform
+		msg, first []byte
+	}
+	round := func(k *codec) {
+		var err error
+		if k.msg, err = k.c.AppendCompress(k.msg[:0], grad); err != nil {
+			t.Error(err)
+			return
+		}
+		if k.first == nil {
+			k.first = bytes.Clone(k.msg)
+		} else if !bytes.Equal(k.msg, k.first) {
+			t.Error("a round sent a different message")
+		}
+		if err := k.c.AccumulateInto(sum, k.msg, 1, 0.5); err != nil {
+			t.Error(err)
+		}
+	}
+	var turns [2]chan *codec
+	done := make(chan struct{})
+	for g := range turns {
+		turns[g] = make(chan *codec)
+		go func() {
+			for k := range turns[g] {
+				round(k)
+				done <- struct{}{}
+			}
+		}()
+	}
+	defer func() {
+		for g := range turns {
+			close(turns[g])
+		}
+	}()
+	alternate := func(k *codec, rounds int) {
+		for r := 0; r < rounds; r++ {
+			turns[r%2] <- k
+			<-done
+		}
+	}
+	// Warm the codec under test on this goroutine (its state sized, the
+	// plans built, the quantizer tuned), and let the runtime settle what
+	// parking and waking the two goroutines takes on a second codec.
+	warm, spare := &codec{c: NewFFT(0.85)}, &codec{c: NewFFT(0.85)}
+	round(warm)
+	round(warm)
+	alternate(spare, 32)
+	const rounds = 40
+	before := moduleAllocBytes()
+	alternate(warm, rounds)
+	if d := moduleAllocBytes() - before; d != 0 {
+		t.Errorf("%d round trips from alternating goroutines allocated %d B, want 0", rounds, d)
+	}
+}
+
+// moduleAllocBytes returns the bytes the memory profile has seen this
+// module's code allocate so far: a record counts when a frame under
+// fftgrad/ is on its stack and the allocating function is not in package
+// runtime (which parks goroutines and starts Ms on the module's behalf).
+// Its own record buffer is left out. Two collections publish the profile
+// up to the call.
+func moduleAllocBytes() int64 {
+	runtime.GC()
+	runtime.GC()
+	n, _ := runtime.MemProfile(nil, true)
+	recs := make([]runtime.MemProfileRecord, n+64)
+	n, ok := runtime.MemProfile(recs, true)
+	if !ok {
+		panic("memory profile grew by more than 64 records")
+	}
+	var total int64
+	for _, r := range recs[:n] {
+		frames := runtime.CallersFrames(r.Stack())
+		f, more := frames.Next()
+		if strings.HasPrefix(f.Function, "runtime.") || strings.HasSuffix(f.Function, ".moduleAllocBytes") {
+			continue
+		}
+		for more && !strings.HasPrefix(f.Function, "fftgrad/") {
+			f, more = frames.Next()
+		}
+		if strings.HasPrefix(f.Function, "fftgrad/") {
+			total += r.AllocBytes
+		}
+	}
+	return total
 }

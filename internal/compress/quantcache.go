@@ -1,11 +1,6 @@
 package compress
 
-import (
-	"sync"
-
-	"fftgrad/internal/quant"
-	"fftgrad/internal/scratch"
-)
+import "fftgrad/internal/quant"
 
 // tuneSample is the number of coefficients the quantizer tuner looks at.
 // Tuning cost is O(m · len(sample)), so the sample is capped; it is drawn
@@ -14,32 +9,28 @@ import (
 // (largest-magnitude) bins and bias m toward too coarse a mantissa split.
 const tuneSample = 4096
 
-// quantCache is the encode-side range quantizer shared by the FFT and DCT
-// compressors. It re-tunes only when the coefficient range drifts 2x from
-// the cached tuning (the paper estimates the range once from early
-// iterations), in place, so a re-tune allocates nothing. The decode side
-// keeps nothing: a decoder is a pure function of the header's five words,
-// rebuilt per call into the call's pooled state (codecWork).
+// quantCache is the encode-side range quantizer of the transform codec.
+// It re-tunes only when the coefficient range drifts 2x from the cached
+// tuning (the paper estimates the range once from early iterations), in
+// place and on its own sample array, so a re-tune allocates nothing. The
+// decode side keeps nothing: a decoder is a pure function of the header's
+// five words, rebuilt per call into the codec's codecWork. The codec's
+// lock serializes every call.
 type quantCache struct {
-	mu      sync.Mutex
 	enc     quant.RangeQuantizer
 	tunedAt float64 // absmax enc was tuned for, 0 before the first tuning
+	sample  [tuneSample]float32
 }
 
 // encoder returns a range quantizer covering [-absMax, absMax], re-tuning
 // on vals only when the range drifts by more than 2x from the cached one.
-// The quantizer is a copy: a concurrent re-tune cannot change it.
 func (qc *quantCache) encoder(bits int, absMax float64, vals []float32) (quant.RangeQuantizer, error) {
-	qc.mu.Lock()
-	defer qc.mu.Unlock()
 	if qc.tunedAt > 0 && absMax <= qc.tunedAt*2 && absMax >= qc.tunedAt/2 {
 		return qc.enc, nil
 	}
 	sample := vals
-	var sb *[]float32
 	if len(vals) > tuneSample {
-		sb = scratch.Float32s(tuneSample)
-		sample = *sb
+		sample = qc.sample[:]
 		// Even stride over the whole set; i*len/count never repeats an
 		// index because count <= len.
 		for i := range sample {
@@ -47,11 +38,7 @@ func (qc *quantCache) encoder(bits int, absMax float64, vals []float32) (quant.R
 		}
 	}
 	lim := float32(absMax * 1.001)
-	err := quant.TuneInto(&qc.enc, bits, -lim, lim, sample)
-	if sb != nil {
-		scratch.PutFloat32s(sb)
-	}
-	if err != nil {
+	if err := quant.TuneInto(&qc.enc, bits, -lim, lim, sample); err != nil {
 		return quant.RangeQuantizer{}, err
 	}
 	qc.tunedAt = absMax

@@ -79,8 +79,8 @@ func TestRetuneAllocs(t *testing.T) {
 // on one receiving Transform, fed by one sending Transform whose range
 // moves 4x between messages, so nearly every message carries a new
 // quantizer: each fold must equal a private codec's, bit for bit. Run
-// under -race it checks that a decode owns its rebuilt quantizer and an
-// encode its copy of the tuning.
+// under -race it checks that calls on one codec serialize on its lock:
+// no decode sees another's rebuilt quantizer or spectrum.
 func TestConcurrentAccumulateRetuning(t *testing.T) {
 	for _, mk := range []func(float64) *Transform{NewFFT, NewDCT} {
 		send, recv := mk(0.85), mk(0.85)

@@ -28,10 +28,13 @@ import (
 //	⑤ pack the sparse bins into a dense message: bin bitmap + bit-packed
 //	   codes.
 //
-// The receiver runs the inverse pipeline. Both directions reuse pooled
-// per-call state (spectra, the decode-side quantizer) and the sender its
-// cached tuning, so the steady state of AppendCompress + DecompressInto
-// allocates nothing, a re-tune included.
+// The receiver runs the inverse pipeline. Both directions work in the
+// codec's one codecWork (the spectrum and its work array, the decode-side
+// quantizer), sized at the first call and owned for the codec's life, and
+// the sender reuses its cached tuning, so the steady state of
+// AppendCompress + DecompressInto allocates nothing, a re-tune included.
+// Calls on one codec serialize on its lock; the training paths give every
+// rank and bucket a codec of its own, so it is never contended there.
 //
 // NewFFT builds the paper's codec, NewDCT its real-transform ablation.
 // Ablation finding (tested in transform_test.go): at equal θ the value
@@ -54,7 +57,8 @@ type Transform struct {
 	tr    *sparsify.Transform
 	theta atomicTheta
 	qc    quantCache
-	works sync.Pool // *codecWork reused across calls, both directions
+	mu    sync.Mutex // held by every call: one call at a time works in w
+	w     codecWork
 	st    *telemetry.StageTimer
 }
 
@@ -88,19 +92,13 @@ func (c *Transform) Theta() float64 { return c.theta.Load() }
 // report per-stage wall time to st. Call before first use.
 func (c *Transform) Instrument(st *telemetry.StageTimer) { c.st = st }
 
-// codecWork is one call's state: the spectrum either direction works in
-// and, decoding, the quantizer rebuilt from the message's header. Each
-// call owns its own, so concurrent decodes need no lock.
+// codecWork is the state a call works in: the spectrum either direction
+// uses (its bins and real work array are the codec's model-size buffers)
+// and, decoding, the quantizer rebuilt from the message's header. The
+// codec owns one; calls serialize on the codec's lock to use it.
 type codecWork struct {
 	spec sparsify.Spectrum
 	dec  quant.Decoder
-}
-
-func (c *Transform) work() *codecWork {
-	if w, _ := c.works.Get().(*codecWork); w != nil {
-		return w
-	}
-	return new(codecWork)
 }
 
 // transformHeaderWords is the number of u32 header words in the wire format.
@@ -120,9 +118,9 @@ func (c *Transform) AppendCompress(dst []byte, grad []float32) ([]byte, error) {
 	// transform's work array; after the transform one cache-blocked sweep
 	// builds the keep mask and gathers the surviving coefficients as
 	// float32 in bin order.
-	w := c.work()
-	defer c.works.Put(w)
-	spec := &w.spec
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	spec := &c.w.spec
 	if c.UseHalf {
 		c.tr.AnalyzeHalf(spec, grad, c.theta.Load(), c.st)
 	} else {
@@ -156,8 +154,8 @@ func (c *Transform) AppendCompress(dst []byte, grad []float32) ([]byte, error) {
 	return dst, nil
 }
 
-// DecompressInto implements Compressor: the inverse pipeline with
-// pooled scratch and the quantizer the header describes.
+// DecompressInto implements Compressor: the inverse pipeline in the
+// codec's own state, with the quantizer the header describes.
 func (c *Transform) DecompressInto(dst []float32, msg []byte) error {
 	return c.decode(dst, msg, nil)
 }
@@ -202,16 +200,16 @@ func (c *Transform) decode(dst []float32, msg []byte, f *fold) error {
 	if kept > nbins {
 		return fmt.Errorf("%s: kept %d exceeds %d bins", c.name, kept, nbins)
 	}
-	w := c.work()
-	defer c.works.Put(w)
-	q := &w.dec
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	q := &c.w.dec
 	if err := q.Reset(int(hdr[3]), int(hdr[4]),
 		math.Float32frombits(hdr[5]), math.Float32frombits(hdr[6]), math.Float32frombits(hdr[7])); err != nil {
 		return fmt.Errorf("%s: rebuilding quantizer: %w", c.name, err)
 	}
 
 	t0 := time.Now()
-	spec := &w.spec
+	spec := &c.w.spec
 	spec.L, spec.N, spec.Kept = n, paddedN, kept
 	words := pack.BitmapWords(nbins)
 	if len(rest) < words*8 {

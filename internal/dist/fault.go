@@ -272,6 +272,9 @@ type mesh struct {
 	window uint64
 	view   cluster.View // the view the last gather completed under
 	wt     []float32    // gathered.wt, reused across gathers
+	// spare is the checkpoint this rank captures into when it publishes;
+	// a publish hands back the state it replaced as the next spare.
+	spare *checkpoint.State
 }
 
 // newMesh also seeds the rejoin store, so a rank crashing before the
@@ -283,7 +286,7 @@ func newMesh(w *worker, m *cluster.Member, rt *cluster.Runtime, spi int) mesh {
 		x.lambda = 0.9
 	}
 	if w.rank == 0 {
-		rt.PublishCheckpoint(checkpoint.Capture(w.net, w.sgd, 0, 0), 0)
+		x.spare = rt.PublishCheckpoint(checkpoint.Capture(w.net, w.sgd, 0, 0), 0)
 	}
 	return x
 }
@@ -318,11 +321,14 @@ func (x *mesh) rejoin(iter int) (int, *checkpoint.State, error) {
 }
 
 // epochEnd publishes the rejoin/join checkpoint from the current sync
-// root (not necessarily rank 0 — it may be dead).
+// root (not necessarily rank 0 — it may be dead), captured into the spare
+// the last publish handed back, so a publish allocates no model-size
+// vector.
 func (x *mesh) epochEnd(iter int) {
 	w := x.w
 	if w.rank == x.view.LowestAlive() {
-		x.rt.PublishCheckpoint(checkpoint.Capture(w.net, w.sgd, int64(iter/w.cfg.ItersPerEpoch), int64(iter)), uint64((iter+1)*x.spi))
+		st := checkpoint.CaptureInto(x.spare, w.net, w.sgd, int64(iter/w.cfg.ItersPerEpoch), int64(iter))
+		x.spare = x.rt.PublishCheckpoint(st, uint64((iter+1)*x.spi))
 	}
 }
 

@@ -168,15 +168,20 @@ func (gs *guardState) observe(avg []float32) guard.Action {
 	return action
 }
 
-// retain pushes a rollback state, keeping the last RetainK.
-func (gs *guardState) retain(st *checkpoint.State) {
+// retain captures a rollback state, keeping the last RetainK: once the
+// ring is full, the oldest state's vectors take the capture. Without a
+// rollback detector it captures nothing.
+func (gs *guardState) retain(net *nn.Network, sgd *optim.SGD, epoch, iter int) {
 	if gs == nil || gs.det == nil {
 		return
 	}
-	gs.ring = append(gs.ring, st)
-	if len(gs.ring) > gs.cfg.RetainK {
-		gs.ring = gs.ring[1:]
+	var st *checkpoint.State
+	if n := len(gs.ring); n > 0 && n >= gs.cfg.RetainK {
+		st = gs.ring[0]
+		copy(gs.ring, gs.ring[1:])
+		gs.ring = gs.ring[:n-1]
 	}
+	gs.ring = append(gs.ring, checkpoint.CaptureInto(st, net, sgd, int64(epoch), int64(iter)))
 }
 
 // maybeRetain captures a rollback state at the deterministic retention
@@ -185,7 +190,7 @@ func (gs *guardState) maybeRetain(iter, epoch int, net *nn.Network, sgd *optim.S
 	if gs == nil || gs.det == nil || (iter+1)%gs.cfg.RetainEvery != 0 {
 		return
 	}
-	gs.retain(checkpoint.Capture(net, sgd, int64(epoch), int64(iter)))
+	gs.retain(net, sgd, epoch, iter)
 }
 
 // rollback restores the newest retained state and resets the detector

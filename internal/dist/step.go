@@ -167,7 +167,7 @@ func newWorker(cfg Config, rank, p int, restore *checkpoint.State) (*worker, err
 	w.gs = newGuardState(cfg, rank, w.tc)
 	// The retained ring seeds with the initial state so a rollback always
 	// has a target.
-	w.gs.retain(checkpoint.Capture(w.net, w.sgd, 0, -1))
+	w.gs.retain(w.net, w.sgd, 0, -1)
 
 	w.bk = collective.MakeBuckets(w.n, w.col.BucketBytes)
 	// The compressors' internal stage timings reach the track through a

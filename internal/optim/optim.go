@@ -67,9 +67,10 @@ type step struct {
 	mu, lr                 float32
 }
 
-// State returns a copy of the momentum buffer for checkpointing.
-func (s *SGD) State() []float32 {
-	return append([]float32(nil), s.velocity...)
+// AppendState appends a copy of the momentum buffer to dst, for
+// checkpointing.
+func (s *SGD) AppendState(dst []float32) []float32 {
+	return append(dst, s.velocity...)
 }
 
 // Restore overwrites the momentum buffer from a checkpointed state.

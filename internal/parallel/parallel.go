@@ -19,8 +19,8 @@
 //
 // The typed ForGrain1/2/3 variants stay allocation-free on BOTH the serial
 // and the pooled path: per-context-type job boxes are recycled through
-// sync.Pools, so the steady state of a hot loop performs no heap
-// allocation no matter how the work is partitioned.
+// free lists, so the steady state of a hot loop performs no heap
+// allocation no matter how the work is partitioned or which P it runs on.
 package parallel
 
 import (
@@ -28,6 +28,8 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+
+	"fftgrad/internal/scratch"
 )
 
 // minParallelWork is the smallest per-invocation element count for which
@@ -196,25 +198,26 @@ type box3[A, B, C any] struct {
 
 func (b *box3[A, B, C]) runChunk(lo, hi int) { b.body(b.a, b.b, b.c, lo, hi) }
 
-// boxPools maps a box type to its *sync.Pool. The map is touched only on
-// the pooled path, and its steady state is one lock-free load per
-// dispatch.
-var boxPools sync.Map // reflect.Type -> *sync.Pool
+// boxLists maps a box type to its *scratch.FreeList. A free list, not a
+// sync.Pool: a pool's Get misses when the goroutine has moved to another P
+// since its Put, and a collection empties it, so a dispatch would
+// allocate now and then. The map is touched only on the pooled path, and
+// its steady state is one lock-free load per dispatch.
+var boxLists sync.Map // reflect.Type -> *scratch.FreeList[*T]
 
-// grab returns T's recycle pool and a box from it (freshly allocated on
-// the cold path — the pools deliberately have no New closure, which would
-// itself be a dictionary-capturing generic literal).
-func grab[T any]() (*sync.Pool, *T) {
+// grab returns T's free list and a box from it (freshly allocated on the
+// cold path).
+func grab[T any]() (*scratch.FreeList[*T], *T) {
 	key := reflect.TypeFor[T]()
-	p, ok := boxPools.Load(key)
+	p, ok := boxLists.Load(key)
 	if !ok {
-		p, _ = boxPools.LoadOrStore(key, new(sync.Pool))
+		p, _ = boxLists.LoadOrStore(key, new(scratch.FreeList[*T]))
 	}
-	sp := p.(*sync.Pool)
-	if v := sp.Get(); v != nil {
-		return sp, v.(*T)
+	l := p.(*scratch.FreeList[*T])
+	if b, ok := l.Get(); ok {
+		return l, b
 	}
-	return sp, new(T)
+	return l, new(T)
 }
 
 // ForGrain splits [0,n) into contiguous chunks and invokes body(lo, hi)
@@ -254,12 +257,12 @@ func ForGrain1[A any](n, grain int, a A, body func(a A, lo, hi int)) {
 		return
 	}
 	ensurePool()
-	pool, b := grab[box1[A]]()
+	free, b := grab[box1[A]]()
 	b.a, b.body = a, body
 	b.dispatch(b, n, size, chunks)
 	var zero A
-	b.a, b.body, b.runner = zero, nil, nil // don't retain caller data in the pool
-	pool.Put(b)
+	b.a, b.body, b.runner = zero, nil, nil // don't retain caller data in the list
+	free.Put(b)
 }
 
 // ForGrain2 is ForGrain threading two context values; see For2.
@@ -273,13 +276,13 @@ func ForGrain2[A, B any](n, grain int, a A, bv B, body func(a A, b B, lo, hi int
 		return
 	}
 	ensurePool()
-	pool, b := grab[box2[A, B]]()
+	free, b := grab[box2[A, B]]()
 	b.a, b.b, b.body = a, bv, body
 	b.dispatch(b, n, size, chunks)
 	var za A
 	var zb B
 	b.a, b.b, b.body, b.runner = za, zb, nil, nil
-	pool.Put(b)
+	free.Put(b)
 }
 
 // ForGrain3 is ForGrain threading three context values; see For2.
@@ -293,14 +296,14 @@ func ForGrain3[A, B, C any](n, grain int, a A, bv B, cv C, body func(a A, b B, c
 		return
 	}
 	ensurePool()
-	pool, b := grab[box3[A, B, C]]()
+	free, b := grab[box3[A, B, C]]()
 	b.a, b.b, b.c, b.body = a, bv, cv, body
 	b.dispatch(b, n, size, chunks)
 	var za A
 	var zb B
 	var zc C
 	b.a, b.b, b.c, b.body, b.runner = za, zb, zc, nil, nil
-	pool.Put(b)
+	free.Put(b)
 }
 
 // Plan returns the partition ForGrain would use for n elements as a

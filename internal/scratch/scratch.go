@@ -1,11 +1,18 @@
 // Package scratch provides typed, size-classed buffer pools for the hot
-// compression path. The paper's premise (Sec. 3.3, Eq. 1-4) is that
+// compression path, and FreeList for reusable values that must never be
+// missed. The paper's premise (Sec. 3.3, Eq. 1-4) is that
 // compression only wins when its primitives are cheap relative to the
 // network; on repeated training steps the arithmetic is cheap but a naive
 // implementation pays for 10+ fresh slices per gradient per iteration, so
-// GC pressure dominates Tf/Tp/Ts. Every transform, selection, packing and
-// quantization kernel borrows its temporaries from these pools instead,
-// making a steady-state compress/decompress round trip allocation-free.
+// GC pressure dominates Tf/Tp/Ts. A buffer with an owner is the owner's:
+// the transform codec keeps its model-size spectrum, work array and
+// select state in its own codecWork, sized once. The temporaries no one
+// owns — the Top-k, QSGD and TernGrad codecs' codes and masks, the dense
+// decode behind a codec that cannot accumulate, the DCT plan's mirrored
+// spectrum — are borrowed from these pools, so a steady-state round trip
+// of every codec is allocation-free. A pool keeps its buffers per P: a
+// Get on another P than the last Put can miss and allocate, and a
+// collection empties the pools; a FreeList has neither behaviour.
 //
 // # Usage and ownership
 //
@@ -133,3 +140,33 @@ func Ints(n int) *[]int { return intPool.get(n) }
 
 // PutInts returns a box borrowed from Ints.
 func PutInts(b *[]int) { intPool.put(b) }
+
+// FreeList is a stack of reusable values for callers that must not miss:
+// unlike the pools, a value put back on one P is there for the next Get on
+// any other, and a collection does not empty it. It keeps every value it
+// is given, so it suits values whose number is bounded by how many of
+// their uses overlap. The zero FreeList is empty and ready to use.
+type FreeList[T any] struct {
+	mu   sync.Mutex
+	free []T
+}
+
+// Get pops the value put last, reporting false when the list is empty.
+func (l *FreeList[T]) Get() (v T, ok bool) {
+	l.mu.Lock()
+	if i := len(l.free) - 1; i >= 0 {
+		var zero T
+		v, ok = l.free[i], true
+		l.free[i] = zero
+		l.free = l.free[:i]
+	}
+	l.mu.Unlock()
+	return v, ok
+}
+
+// Put pushes v.
+func (l *FreeList[T]) Put(v T) {
+	l.mu.Lock()
+	l.free = append(l.free, v)
+	l.mu.Unlock()
+}

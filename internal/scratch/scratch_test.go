@@ -1,6 +1,7 @@
 package scratch
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 )
@@ -96,4 +97,29 @@ func TestConcurrentGetPut(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+// TestFreeListKeepsWhatItIsGiven: a value put back on one goroutine is
+// what the next Get returns on another, after collections too (a pool
+// may drop it at either), and an empty list says so.
+func TestFreeListKeepsWhatItIsGiven(t *testing.T) {
+	var l FreeList[*[]float32]
+	if _, ok := l.Get(); ok {
+		t.Fatal("an empty list returned a value")
+	}
+	b := &[]float32{1}
+	done := make(chan struct{})
+	go func() {
+		l.Put(b)
+		close(done)
+	}()
+	<-done
+	runtime.GC()
+	runtime.GC()
+	if got, ok := l.Get(); !ok || got != b {
+		t.Fatalf("Get = %p, %v; want the value put, %p", got, ok, b)
+	}
+	if _, ok := l.Get(); ok {
+		t.Fatal("a value came back twice")
+	}
 }

@@ -9,7 +9,6 @@ import (
 	"fftgrad/internal/cfft"
 	"fftgrad/internal/f16"
 	"fftgrad/internal/parallel"
-	"fftgrad/internal/scratch"
 	"fftgrad/internal/telemetry"
 	"fftgrad/internal/topk"
 )
@@ -18,9 +17,10 @@ import (
 // in. Everything but four leaves — the plan call, the magnitude fill, the
 // per-chunk gather and the decode-side scatter — is shared; the
 // leaves are picked once per call or once per 64-word chunk, never per
-// element. Plans come from the process-wide cfft cache and temporaries
-// are pooled, so a Transform is safe for concurrent use and, with a
-// reused Spectrum, allocation-free in steady state.
+// element. Plans come from the process-wide cfft cache and every
+// temporary lives in the caller's Spectrum, so a Transform is safe for
+// concurrent use on distinct spectra and, with a reused Spectrum,
+// allocation-free in steady state.
 type Transform struct {
 	// Width is the number of float values one coefficient bin carries:
 	// 2 (re, im) for the FFT, 1 for the DCT.
@@ -51,6 +51,8 @@ func (t *Transform) Bins(n int) int {
 // transform reads (Synthesize fills it with zeros at every dropped bin;
 // Analyze leaves it as the forward transform wrote it). A Spectrum is
 // reused across calls and transforms: every slice keeps its capacity.
+// It owns every buffer a call works in, so one Spectrum serves one call
+// at a time.
 type Spectrum struct {
 	L      int       // original gradient length
 	N      int       // padded power-of-two transform length
@@ -61,6 +63,18 @@ type Spectrum struct {
 
 	cbins []complex128 // FFT: half spectrum, N/2+1 bins
 	rbins []float64    // DCT: N coefficients
+	// work is the transform's real array, 2·nb long for nb bins: N+2 for
+	// the FFT, 2N for the DCT (which mirrors the signal behind itself).
+	// It holds the widened signal, then the bins' magnitudes beside the
+	// threshold search's candidates, and on the way back the inverse's
+	// output.
+	work []float64
+	// The select sweep's per-call state: the at-threshold mask (one word
+	// per Mask word), the per-chunk counts that become output offsets, and
+	// the per-chunk max |v|.
+	eq    []uint64
+	cnt   []int
+	maxes []float64
 }
 
 // packChunkWords is the cache-block width of the fused select+gather
@@ -133,15 +147,9 @@ func (t *Transform) analyze(spec *Spectrum, x []float32, theta float64, half boo
 	spec.Vals = grow(spec.Vals, t.Width*k)
 
 	// The front end: one pass takes the gradient — through half precision
-	// or not — to float64, straight into the array the transform works
-	// in (the DCT's is twice as long: it mirrors the signal behind itself).
-	wlen := n
-	if t.real {
-		wlen = 2 * n
-	}
-	workb := scratch.Float64s(wlen)
-	defer scratch.PutFloat64s(workb)
-	work := *workb
+	// or not — to float64, straight into the array the transform works in.
+	spec.work = grow(spec.work, 2*nb)
+	work := spec.work
 	t0 := time.Now()
 	if half {
 		parallel.For2(l, work, x, roundWidenF32)
@@ -156,23 +164,20 @@ func (t *Transform) analyze(spec *Spectrum, x []float32, theta float64, half boo
 		cfft.DCTPlanFor(n).ForwardInPlace(spec.rbins, work)
 	} else {
 		spec.cbins = grow(spec.cbins, nb)
-		cfft.RealPlanFor(n).ForwardInPlace(spec.cbins, work)
+		cfft.RealPlanFor(n).ForwardInPlace(spec.cbins, work[:n])
 	}
 	st.ObserveSince(telemetry.StageTransform, gradBytes, t0)
 
 	t0 = time.Now()
 	chunks := (words + packChunkWords - 1) / packChunkWords
-	eqb := scratch.Uint64s(words)
-	defer scratch.PutUint64s(eqb)
-	cntb := scratch.Ints(2 * chunks)
-	defer scratch.PutInts(cntb)
-	maxb := scratch.Float64s(chunks)
-	defer scratch.PutFloat64s(maxb)
-	gtCnt, eqCnt := (*cntb)[:chunks], (*cntb)[chunks:]
+	spec.eq = grow(spec.eq, words)
+	spec.cnt = grow(spec.cnt, 2*chunks)
+	spec.maxes = grow(spec.maxes, chunks)
+	gtCnt, eqCnt := spec.cnt[:chunks], spec.cnt[chunks:]
 	switch {
 	case k <= 0: // nothing survives: empty mask, pass B gathers nothing
 		clear(spec.Mask)
-		clear(*cntb)
+		clear(spec.cnt)
 	case k >= nb: // everything survives: full mask, no threshold search
 		for w := range spec.Mask {
 			spec.Mask[w] = ^uint64(0)
@@ -185,16 +190,17 @@ func (t *Transform) analyze(spec *Spectrum, x []float32, theta float64, half boo
 			gtCnt[ch], eqCnt[ch] = min(whi<<6, nb)-(wlo<<6), 0
 		}
 	default:
-		magsb := scratch.Float64s(nb)
-		defer scratch.PutFloat64s(magsb)
+		// The signal is dead once transformed: the magnitudes overwrite
+		// it, and the threshold search gathers into the rest.
+		mags := work[:nb]
 		if t.real {
-			parallel.For2(nb, *magsb, spec.rbins, magsReal)
+			parallel.For2(nb, mags, spec.rbins, magsReal)
 		} else {
-			parallel.For2(nb, *magsb, spec.cbins, active.mags)
+			parallel.For2(nb, mags, spec.cbins, active.mags)
 		}
-		thr := topk.KthLargestBucket(*magsb, k)
+		thr := topk.KthLargestBucketInto(mags, work[nb:], k)
 		parallel.ForGrain1(chunks, 1,
-			passACtx{mags: *magsb, mask: spec.Mask, eq: *eqb, gtCnt: gtCnt, eqCnt: eqCnt, thr: thr, nb: nb},
+			passACtx{mags: mags, mask: spec.Mask, eq: spec.eq, gtCnt: gtCnt, eqCnt: eqCnt, thr: thr, nb: nb},
 			passA)
 	}
 
@@ -221,10 +227,10 @@ func (t *Transform) analyze(spec *Spectrum, x []float32, theta float64, half boo
 	// Pass B: finish each chunk's mask, gather survivors.
 	t0 = time.Now()
 	parallel.ForGrain1(chunks, 1,
-		passBCtx{t: t, spec: spec, eq: *eqb, off: gtCnt, take: eqCnt, maxes: *maxb},
+		passBCtx{t: t, spec: spec, eq: spec.eq, off: gtCnt, take: eqCnt, maxes: spec.maxes},
 		passB)
 	spec.AbsMax = 0
-	for _, m := range *maxb {
+	for _, m := range spec.maxes {
 		spec.AbsMax = max(spec.AbsMax, m)
 	}
 	// off is the number of bins actually kept — equal to k whenever the
@@ -437,22 +443,23 @@ func scatterReal(bins []float64, mask []uint64, vals []float32) {
 }
 
 // inverse transforms spec's dense coefficients back into dst (length
-// spec.L): narrowed into it, or folded into it when acc is set.
+// spec.L), through the spectrum's work array: narrowed into it, or folded
+// into it when acc is set.
 func (t *Transform) inverse(dst []float32, spec *Spectrum, acc *accum, st *telemetry.StageTimer) {
-	sigb := scratch.Float64s(spec.N)
-	defer scratch.PutFloat64s(sigb)
+	spec.work = grow(spec.work, 2*t.Bins(spec.N))
+	sig := spec.work[:spec.N]
 	t0 := time.Now()
 	if t.real {
-		cfft.DCTPlanFor(spec.N).Inverse(*sigb, spec.rbins)
+		cfft.DCTPlanFor(spec.N).Inverse(sig, spec.rbins)
 	} else {
-		cfft.RealPlanFor(spec.N).Inverse(*sigb, spec.cbins)
+		cfft.RealPlanFor(spec.N).Inverse(sig, spec.cbins)
 	}
 	st.ObserveSince(telemetry.StageTransform, 4*spec.L, t0)
 	t0 = time.Now()
 	if acc != nil {
-		parallel.For3(spec.L, dst, *sigb, *acc, active.narrowAcc)
+		parallel.For3(spec.L, dst, sig, *acc, active.narrowAcc)
 	} else {
-		parallel.For2(spec.L, dst, *sigb, active.narrow)
+		parallel.For2(spec.L, dst, sig, active.narrow)
 	}
 	st.ObserveSince(telemetry.StageConvert, 4*spec.L, t0)
 }

@@ -73,8 +73,11 @@ func transBVec(g gemm, lo, hi int) {
 		transBRows(g, lo, hi)
 		return
 	}
-	buf := scratch.Float32s(32 * k)
-	panels := *buf
+	panels, _ := panelList.Get()
+	if cap(panels) < 32*k {
+		panels = make([]float32, 32*k)
+	}
+	panels = panels[:32*k]
 	for j := 0; j < n; j += 32 {
 		c0 := max(min(j, n-32), 0)
 		packPanels(panels, g.b[c0*k:], k, min(32, n-c0))
@@ -85,14 +88,21 @@ func transBVec(g gemm, lo, hi int) {
 			copy(g.c[i*n+j:(i+1)*n], out[j-c0:])
 		}
 	}
-	scratch.PutFloat32s(buf)
+	panelList.Put(panels)
 }
+
+// panelList keeps the packing panels of the transBVec calls in flight, on
+// a free list rather than in a pool: a pooled panel is missed when the
+// goroutine has moved to another P since its Put, so a product allocated
+// now and then. Once the list holds as many panels as products ever
+// overlap, each grown to the largest 32·k, a product never allocates.
+var panelList scratch.FreeList[[]float32]
 
 // packPanels lays B's first rows rows (at most 32, each k long) out as
 // four k×8 panels: panel q holds rows 8q … 8q+7 as its eight columns, so
 // its eight floats at p are those rows' p-th elements. Lanes past rows
 // compute outputs nobody reads; they are zeroed so that they never
-// compute on what the pooled buffer held (a subnormal there would stall
+// compute on what the reused panel held (a subnormal there would stall
 // every product). The assembly transposes
 // the 8×8 blocks of the whole panels; the last k mod 8 elements of their
 // rows and a partial panel are copied here.

@@ -39,14 +39,18 @@ func KthLargestSort(x []float64, k int) float64 {
 // modified, and the steady state allocates nothing.
 func KthLargest(x []float64, k int) float64 {
 	checkK(len(x), k)
-	return kthLargestScratch(x, k)
+	return kthLargestCopy(x, nil, k)
 }
 
-// kthLargestScratch runs quickselect on a pooled copy of x.
-func kthLargestScratch(x []float64, k int) float64 {
-	sb := scratch.Float64s(len(x))
-	defer scratch.PutFloat64s(sb)
-	s := *sb
+// kthLargestCopy runs quickselect on a copy of x in cand, or in a pooled
+// copy when cand is nil.
+func kthLargestCopy(x, cand []float64, k int) float64 {
+	if cand == nil {
+		sb := scratch.Float64s(len(x))
+		defer scratch.PutFloat64s(sb)
+		cand = *sb
+	}
+	s := cand[:len(x)]
 	copy(s, x)
 	return kthLargestInPlace(s, k)
 }
@@ -139,6 +143,23 @@ const (
 // nothing.
 func KthLargestBucket(x []float64, k int) float64 {
 	checkK(len(x), k)
+	return kthLargestBucket(x, nil, k)
+}
+
+// KthLargestBucketInto is KthLargestBucket with the candidates in cand,
+// which must hold len(x) values and is overwritten: a caller that owns a
+// spare array of that size borrows nothing from the pools.
+func KthLargestBucketInto(x, cand []float64, k int) float64 {
+	checkK(len(x), k)
+	if len(cand) < len(x) {
+		panic("topk: candidate buffer shorter than input")
+	}
+	return kthLargestBucket(x, cand[:len(x)], k)
+}
+
+// kthLargestBucket is the radix select, gathering into cand, or into a
+// pooled buffer when cand is nil.
+func kthLargestBucket(x, cand []float64, k int) float64 {
 	var candb *[]float64
 	// A gathered candidate is stored shifted left past the digits already
 	// resolved (prefix holds those), so every round's digit is the top
@@ -154,7 +175,7 @@ func KthLargestBucket(x []float64, k int) float64 {
 			const top = radixMask >> 1
 			for t := range hist {
 				if hist[t][top] != 0 || hist[t][top|1<<(radixBits-1)] != 0 {
-					return kthLargestScratch(x, k)
+					return kthLargestCopy(x, cand, k)
 				}
 			}
 		}
@@ -178,14 +199,17 @@ func KthLargestBucket(x []float64, k int) float64 {
 		}
 		if used == 0 {
 			flip = -(raw >> (radixBits - 1)) & radixMask
-			candb = scratch.Float64s(cnt + 1)
+			if cand == nil {
+				candb = scratch.Float64s(cnt + 1)
+				cand = *candb
+			}
 		}
 		// From the second round on the gather compacts cur onto itself.
-		radixGather((*candb)[:cnt+1], cur, uint64(raw))
-		cur, prefix = (*candb)[:cnt], prefix<<radixBits|uint64(raw)
+		radixGather(cand[:cnt+1], cur, uint64(raw))
+		cur, prefix = cand[:cnt], prefix<<radixBits|uint64(raw)
 	}
 	if used == 0 {
-		return kthLargestScratch(x, k)
+		return kthLargestCopy(x, cand, k)
 	}
 	for i, v := range cur {
 		cur[i] = math.Float64frombits(prefix<<(64-used) | math.Float64bits(v)>>used)
