@@ -106,7 +106,8 @@ guard:
 # decoder, the job description's JSON decoder, the matrix products,
 # im2col and col2im against their plain loops, the ReLU and max
 # pooling layers against theirs, the momentum step kernel against its Go
-# loop and the TCP transport's frame reader.
+# loop, the TCP transport's frame reader and the cluster member's receive
+# path (arbitrary frames: no panic, every lent payload released once).
 fuzz:
 	$(GO) test -fuzz=FuzzDecompressRobustness -fuzztime=15s -run '^$$' ./internal/compress/
 	$(GO) test -fuzz=FuzzCompressRoundTrip -fuzztime=15s -run '^$$' ./internal/compress/
@@ -127,6 +128,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzConvHalfMatchesReference -fuzztime=15s -run '^$$' ./internal/nn/
 	$(GO) test -fuzz=FuzzSGDStepMatchesReference -fuzztime=15s -run '^$$' ./internal/optim/
 	$(GO) test -fuzz=FuzzReadFrame -fuzztime=15s -run '^$$' ./internal/comm/
+	$(GO) test -fuzz=FuzzMemberReceive -fuzztime=15s -run '^$$' ./internal/cluster/
 
 # Non-blank, non-comment, non-test Go lines per package directory, then
 # the total outside the nested bench/ module: the count the before/after

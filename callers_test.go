@@ -360,3 +360,29 @@ func TestEveryConfigFieldHasASetter(t *testing.T) {
 		}
 	}
 }
+
+// The pool gate: outside internal/scratch no non-test file names
+// sync.Pool. A pool's Get misses when the goroutine has moved to another
+// P and a collection empties it, so "allocation-free in steady state"
+// would hold only between collections; a buffer has an owner instead.
+func TestNoSyncPoolOutsideScratch(t *testing.T) {
+	l, err := loadModule()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for path, files := range l.files {
+		if path == "fftgrad/internal/scratch" {
+			continue
+		}
+		for _, f := range files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				if sel, ok := n.(*ast.SelectorExpr); ok {
+					if tn, ok := l.info.Uses[sel.Sel].(*types.TypeName); ok && tn.Pkg().Path() == "sync" && tn.Name() == "Pool" {
+						t.Errorf("%s: sync.Pool outside internal/scratch", l.fset.Position(sel.Pos()))
+					}
+				}
+				return true
+			})
+		}
+	}
+}

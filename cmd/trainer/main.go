@@ -154,6 +154,11 @@ func parseArgs(args []string, stderr io.Writer) (spec serve.Spec, opt options, e
 	return spec, opt, nil
 }
 
+// drainGrace is how long a run halted by a signal keeps its metrics
+// listener up after training stops, so that a readiness poller (one probe
+// a second, say) sees /readyz answer 503 before the port closes.
+const drainGrace = 2 * time.Second
+
 // run is main with its process edges as parameters; the return value is
 // the exit status.
 func run(args []string, stdout, stderr io.Writer) int {
@@ -258,7 +263,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stderr, err)
 			return 1
 		}
-		defer func() { _ = shutdown() }()
+		defer func() {
+			if draining.Load() {
+				time.Sleep(drainGrace) // let readiness pollers see the drain
+			}
+			_ = shutdown()
+		}()
 		fmt.Fprintf(stdout, "metrics: http://%s/metrics (Prometheus) and /metrics.json\n", bound)
 		if tracer != nil {
 			fmt.Fprintf(stdout, "trace:   http://%s/trace (Chrome trace_event JSON)\n", bound)
@@ -275,7 +285,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// the run returns normally (Halted set), so the trace dump, metrics
 	// summary, and the deferred graceful mux shutdown all still happen —
 	// previously an interrupt killed the process and could lose the
-	// flight recorder's final dump. A second signal force-quits.
+	// flight recorder's final dump. The shutdown waits drainGrace first,
+	// /readyz answering 503 meanwhile. A second signal force-quits.
 	stopCh := make(chan struct{})
 	cfg.Stop = stopCh
 	sigCh := make(chan os.Signal, 2)

@@ -489,3 +489,56 @@ func TestSmokeServe(t *testing.T) {
 		t.Fatal("the service did not drain on SIGTERM")
 	}
 }
+
+// TestSmokeReadyzDrains: once SIGTERM has halted a `-metrics-addr` run,
+// its listener stays up for the drain grace, with /readyz answering 503
+// draining — not closing the moment the run stops, which left the drain
+// visible for about one iteration.
+func TestSmokeReadyzDrains(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full training runs in -short mode")
+	}
+	var stdout, stderr syncBuffer
+	exit := make(chan int, 1)
+	go func() {
+		exit <- run([]string{"trainer", "-metrics-addr", "127.0.0.1:0", "-epochs", "100"}, &stdout, &stderr)
+	}()
+	await := func(what string, cond func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(60 * time.Second); !cond(); time.Sleep(5 * time.Millisecond) {
+			if time.Now().After(deadline) || len(exit) > 0 {
+				t.Fatalf("no %s\nstdout: %s\nstderr: %s", what, &stdout, &stderr)
+			}
+		}
+	}
+	var base string
+	await("the listen address", func() bool {
+		m := regexp.MustCompile(`metrics: (http://\S+)/metrics`).FindStringSubmatch(stdout.String())
+		if m != nil {
+			base = m[1]
+		}
+		return m != nil
+	})
+	await("training", func() bool { return strings.Contains(stdout.String(), "\ntraining ") })
+	if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	await("the halt", func() bool { return strings.Contains(stdout.String(), "halted by signal") })
+	resp, err := http.Get(base + "/readyz")
+	if err != nil {
+		t.Fatalf("/readyz after the halt: %v", err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable || !strings.Contains(string(body), "draining") {
+		t.Errorf("/readyz after the halt: %s %q, want 503 draining", resp.Status, body)
+	}
+	select {
+	case code := <-exit:
+		if code != 0 {
+			t.Errorf("exit %d after SIGTERM\nstderr: %s", code, &stderr)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("the run did not exit after SIGTERM")
+	}
+}

@@ -49,6 +49,11 @@
 //     payload SyncBroadcast returns are valid until that member's next
 //     exchange or sync call. A View's Alive slice is shared and
 //     read-only; the runtime copies it before every membership change.
+//   - A comm.Transport lends what Recv returns: the receiver hands each
+//     payload back through Release exactly once and does not touch it
+//     afterwards, while Send leaves the caller's buffer the caller's as
+//     soon as it returns. A cluster.Member does the releasing for its
+//     transport; its Close hands back what it still holds.
 //   - A transform codec (NewFFT, NewDCT) owns its model-size buffers —
 //     one spectrum, one real work array and one decode-side quantizer,
 //     sized at its first call — and calls on one codec serialize on its

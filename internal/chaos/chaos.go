@@ -199,6 +199,10 @@ func (t *Transport) P() int { return t.inner.P() }
 // Close implements comm.Transport.
 func (t *Transport) Close() error { return t.inner.Close() }
 
+// Release implements comm.Transport: every payload Recv lends is the
+// inner transport's.
+func (t *Transport) Release(payload []byte) { t.inner.Release(payload) }
+
 func (t *Transport) crashedAt(op uint64) bool {
 	for _, c := range t.h.cfg.Crashes {
 		if c.Rank != t.rank {
@@ -329,7 +333,8 @@ func (t *Transport) Send(to int, m comm.Message) error {
 
 // Recv implements comm.Transport. Inside a crash window it refuses with
 // ErrCrashed and discards anything queued (a rebooted process has no
-// memory of frames that arrived while it was down).
+// memory of frames that arrived while it was down), handing each
+// discarded payload back to the inner transport.
 func (t *Transport) Recv(timeout time.Duration) (comm.Message, error) {
 	op := t.ops.Add(1) - 1
 	if t.crashedAt(op) {
@@ -337,9 +342,11 @@ func (t *Transport) Recv(timeout time.Duration) (comm.Message, error) {
 		t.noteCrashEdge(op, true)
 		// Drain without delivering, then report the crash.
 		for {
-			if _, err := t.inner.Recv(0); err != nil {
+			msg, err := t.inner.Recv(0)
+			if err != nil {
 				break
 			}
+			t.inner.Release(msg.Payload)
 		}
 		return comm.Message{}, &comm.OpError{Op: "recv", Rank: t.rank, Peer: -1, Err: ErrCrashed}
 	}

@@ -78,6 +78,12 @@ type ExchangeResult struct {
 // Member is one rank's handle on the failure-aware runtime: it owns the
 // rank's transport, a receiver goroutine that keeps draining it (so
 // heartbeats are answered even mid-compute), and a heartbeat goroutine.
+//
+// Every payload the transport lends has one holder at a time — dataCh,
+// pending, the round, lastGood[j] or syncBuf — and goes back to the
+// transport when its holder lets go of it. The round lets go at the start
+// of the next exchange call, when the result that may reference its
+// buffers stops being valid; Close hands back whatever is left.
 type Member struct {
 	rt   *Runtime
 	tr   comm.Transport
@@ -106,9 +112,13 @@ type Member struct {
 	sentMu sync.Mutex
 	sent   []sentSlot
 
-	syncMu  sync.Mutex
-	syncSeq uint64
-	syncBuf []byte
+	// syncBuf is the newest sync: a lent payload (syncLent), or syncOwn,
+	// the root's copy of what it broadcast.
+	syncMu   sync.Mutex
+	syncSeq  uint64
+	syncBuf  []byte
+	syncLent bool
+	syncOwn  []byte
 
 	lastSeen []atomic.Int64 // unix nanos of the last message from each peer
 	selfDown atomic.Bool    // local transport is failing (crash window)
@@ -161,6 +171,7 @@ func (rt *Runtime) Join(tr comm.Transport) *Member {
 		arrivalNs:   make([]int64, rt.p),
 		rd: round{
 			msgs:    make([][]byte, rt.p),
+			held:    make([][]byte, rt.p),
 			stale:   make([]bool, rt.p),
 			staleBy: make([]uint64, rt.p),
 		},
@@ -177,13 +188,32 @@ func (rt *Runtime) Join(tr comm.Transport) *Member {
 	return m
 }
 
-// Close stops the member's goroutines and closes its transport.
+// Close closes the member's transport, stops its goroutines and hands
+// every payload it still holds back. No exchange may be in progress or
+// follow.
 func (m *Member) Close() {
 	m.closeOnce.Do(func() {
 		close(m.closed)
 		m.tr.Close()
+		m.wg.Wait()
+		for len(m.dataCh) > 0 {
+			m.tr.Release((<-m.dataCh).Payload)
+		}
+		for seq, got := range m.pending {
+			m.unpend(seq, got)
+		}
+		m.release(m.rd.held)
+		m.release(m.lastGood)
+		m.keepSync(0, nil, false)
 	})
-	m.wg.Wait()
+}
+
+// release hands bufs' payloads back to the transport and clears them.
+func (m *Member) release(bufs [][]byte) {
+	for _, b := range bufs {
+		m.tr.Release(b)
+	}
+	clear(bufs)
 }
 
 // noteSeen refreshes a peer's liveness timestamp.
@@ -257,25 +287,27 @@ func (m *Member) receiver() {
 			}
 			m.syncMu.Unlock()
 		case kindData, kindSync:
-			if v := m.rt.cfg.Verify; v != nil {
-				if err := v(msg.Payload); err != nil {
-					// Corrupt frame: reject before it can reach a
-					// decompressor. Dropping here makes corruption
-					// indistinguishable from loss, so the nack/resend (or
-					// sync retry) machinery fetches a fresh copy from the
-					// sender, whose buffer still holds the good bytes.
-					m.rt.noteCorrupt()
-					m.tc.Instant(trace.OpCorruptFrame, int64(msg.From))
-					continue
-				}
+			if v := m.rt.cfg.Verify; v != nil && v(msg.Payload) != nil {
+				// Corrupt frame: reject before it can reach a
+				// decompressor. Dropping here makes corruption
+				// indistinguishable from loss, so the nack/resend (or
+				// sync retry) machinery fetches a fresh copy from the
+				// sender, whose buffer still holds the good bytes.
+				m.rt.noteCorrupt()
+				m.tc.Instant(trace.OpCorruptFrame, int64(msg.From))
+				break
 			}
 			select {
 			case m.dataCh <- msg:
+				continue // the exchange goroutine holds it now
 			default:
 				// Queue overflow behaves like packet loss; nack repair or
 				// the sync retry loop recovers.
 			}
 		}
+		// What is not passed on goes back: a rejected or overflowing
+		// frame, and a control frame's payload (nil when well-formed).
+		m.tr.Release(msg.Payload)
 	}
 }
 
@@ -388,6 +420,7 @@ type round struct {
 	view   View  // the view it runs under; suspicion moves it on
 
 	msgs    [][]byte
+	held    [][]byte // the lent payloads the round holds, by sender
 	stale   []bool
 	staleBy []uint64 // all 0 under strict, which never measures a cache's age
 
@@ -445,6 +478,7 @@ func (m *Member) exchange(seq uint64, payload []byte, pol waiting, window uint64
 		return nil, fmt.Errorf("cluster: rank %d: %w", m.rank, ErrEvicted)
 	}
 	r := &m.rd
+	m.release(r.held) // the previous result stops being valid here
 	r.seq, r.pol, r.window, r.view, r.startEpoch = seq, pol, window, view, m.viewEpoch
 	r.degraded, r.retries = false, 0
 	m.viewEpoch = r.view.Epoch
@@ -461,7 +495,7 @@ func (m *Member) exchange(seq uint64, payload []byte, pol waiting, window uint64
 	if got := m.pending[seq]; got != nil {
 		for j, b := range got {
 			if b != nil && r.msgs[j] == nil {
-				r.msgs[j] = b
+				r.msgs[j], r.held[j], got[j] = b, b, nil
 			}
 		}
 		m.unpend(seq, got)
@@ -484,11 +518,12 @@ func (m *Member) exchange(seq uint64, payload []byte, pol waiting, window uint64
 	if err != nil {
 		return r, err
 	}
-	// Refresh the cache that StaleReuse and the stale folds serve from.
-	for j, b := range r.msgs {
-		if j != m.rank && b != nil && !r.stale[j] && seq >= m.lastGoodSeq[j] {
-			m.lastGood[j] = b
-			m.lastGoodSeq[j] = seq
+	// Refresh the cache that StaleReuse and the stale folds serve from: a
+	// fresh payload moves from the round to lastGood.
+	for j, b := range r.held {
+		if b != nil && !r.stale[j] && seq >= m.lastGoodSeq[j] {
+			m.tr.Release(m.lastGood[j])
+			m.lastGood[j], m.lastGoodSeq[j], r.held[j] = b, seq, nil
 		}
 	}
 	return r, nil
@@ -631,9 +666,7 @@ func (r *round) missing() []int {
 // measured from the moment this rank entered the exchange.
 func (m *Member) resetArrivals() {
 	m.exStart = time.Now()
-	for j := range m.arrivalNs {
-		m.arrivalNs[j] = 0
-	}
+	clear(m.arrivalNs)
 }
 
 // noteArrival marks peer j's fresh payload as landed now (first landing
@@ -684,13 +717,8 @@ func (m *Member) attributeWait(res *ExchangeResult) {
 // delivered or the budget expires. Messages for other seqs are stashed in
 // pending (future) or banked as the sender's freshest payload (past).
 func (m *Member) collect(r *round, budget time.Duration) {
-	deadline := time.Now().Add(budget)
-	for {
-		remain := time.Until(deadline)
-		if len(r.missing()) == 0 || remain <= 0 {
-			return
-		}
-		expired := m.wait.Arm(remain)
+	expired := m.wait.Arm(budget)
+	for len(r.missing()) > 0 {
 		select {
 		case msg := <-m.dataCh:
 			m.absorb(r, msg)
@@ -702,30 +730,38 @@ func (m *Member) collect(r *round, budget time.Duration) {
 	}
 }
 
-// absorb files one data/sync message relative to the round in progress.
+// absorb files one data/sync message relative to the round in progress,
+// handing back what it has no place for (a duplicate, say).
 func (m *Member) absorb(r *round, msg comm.Message) {
-	from := msg.From
+	from, b := msg.From, msg.Payload
 	switch {
 	case msg.Kind == kindSync || msg.Seq > r.seq:
 		// A sync that raced into the data stream, or a fast peer already
 		// one round on.
 		m.stash(msg)
-	case from < 0 || from >= m.p:
-	case msg.Seq == r.seq:
-		if r.msgs[from] == nil {
-			r.msgs[from] = msg.Payload
-			m.noteArrival(from)
-			m.tc.Instant(trace.OpRecvPeer, int64(from))
-		}
-	case from != m.rank && msg.Seq > m.lastGoodSeq[from]:
+		return
+	case from < 0 || from >= m.p || from == m.rank:
+	case msg.Seq == r.seq && r.msgs[from] == nil:
+		r.msgs[from], r.held[from] = b, b
+		m.noteArrival(from)
+		m.tc.Instant(trace.OpRecvPeer, int64(from))
+		return
+	case msg.Seq < r.seq && msg.Seq > m.lastGoodSeq[from]:
 		// Data from a past exchange: too late for that round, but still
 		// the peer's freshest payload — bank it so a bounded-staleness
 		// fold can use it with a measured staleness. (A straggler's data
 		// always arrives under old seqs; this is the only way its
-		// gradient ever contributes again.)
-		m.lastGood[from] = msg.Payload
-		m.lastGoodSeq[from] = msg.Seq
+		// gradient ever contributes again.) A cache this round already
+		// folded stays the round's until the next call.
+		if r.stale[from] && r.held[from] == nil {
+			r.held[from] = m.lastGood[from]
+		} else {
+			m.tr.Release(m.lastGood[from])
+		}
+		m.lastGood[from], m.lastGoodSeq[from] = b, msg.Seq
+		return
 	}
+	m.tr.Release(b)
 }
 
 // suspectDead runs suspicion for a heartbeat-silent rank and applies the
@@ -764,8 +800,8 @@ func (m *Member) suspectDead(r *round, j int) error {
 // sequence seq. The root stores the payload (for syncNack repair) and
 // sends to every live peer; non-roots wait for it, nacking on timeout.
 // It returns the received payload — the member's buffer, valid until its
-// next SyncBroadcast — and ok=false when the sync had to be abandoned
-// (counted; the next SyncEvery boundary repairs the drift).
+// next SyncBroadcast or exchange call — and ok=false when the sync had to
+// be abandoned (counted; the next SyncEvery boundary repairs the drift).
 func (m *Member) SyncBroadcast(seq uint64, payload []byte, root int) ([]byte, bool, error) {
 	if m.selfDown.Load() {
 		return nil, false, fmt.Errorf("cluster: rank %d: %w", m.rank, ErrSelfDown)
@@ -776,8 +812,8 @@ func (m *Member) SyncBroadcast(seq uint64, payload []byte, root int) ([]byte, bo
 	}
 	if m.rank == root {
 		m.syncMu.Lock()
-		m.syncSeq = seq
-		m.syncBuf = append(m.syncBuf[:0], payload...)
+		m.syncOwn = append(m.syncOwn[:0], payload...)
+		m.keepSync(seq, m.syncOwn, false)
 		buf := m.syncBuf
 		m.syncMu.Unlock()
 		for j := 0; j < m.p; j++ {
@@ -799,13 +835,7 @@ func (m *Member) SyncBroadcast(seq uint64, payload []byte, root int) ([]byte, bo
 		if remain := time.Until(deadline); budget > remain {
 			budget = remain
 		}
-		end := time.Now().Add(budget)
-		for {
-			remain := time.Until(end)
-			if remain <= 0 {
-				break
-			}
-			expired := m.wait.Arm(remain)
+		for expired, waiting := m.wait.Arm(budget), true; waiting; {
 			select {
 			case msg := <-m.dataCh:
 				m.stash(msg)
@@ -815,9 +845,7 @@ func (m *Member) SyncBroadcast(seq uint64, payload []byte, root int) ([]byte, bo
 			case <-m.closed:
 				return nil, false, fmt.Errorf("cluster: rank %d: %w", m.rank, comm.ErrClosed)
 			case <-expired:
-			}
-			if time.Now().After(end) {
-				break
+				waiting = false
 			}
 		}
 		if m.selfDown.Load() {
@@ -834,7 +862,7 @@ func (m *Member) SyncBroadcast(seq uint64, payload []byte, root int) ([]byte, bo
 
 // takeSync returns the stored sync payload when it covers seq. It is the
 // member's buffer, not a copy: only this goroutine replaces or rewrites
-// it, in a later SyncBroadcast.
+// it, in a later SyncBroadcast or exchange.
 func (m *Member) takeSync(seq uint64) ([]byte, bool) {
 	m.syncMu.Lock()
 	defer m.syncMu.Unlock()
@@ -850,7 +878,9 @@ func (m *Member) stash(msg comm.Message) {
 	if msg.Kind == kindSync {
 		m.syncMu.Lock()
 		if msg.Seq >= m.syncSeq {
-			m.syncSeq, m.syncBuf = msg.Seq, msg.Payload
+			m.keepSync(msg.Seq, msg.Payload, true)
+		} else {
+			m.tr.Release(msg.Payload)
 		}
 		m.syncMu.Unlock()
 		return
@@ -866,13 +896,25 @@ func (m *Member) stash(msg comm.Message) {
 	}
 	if msg.From >= 0 && msg.From < m.p && got[msg.From] == nil {
 		got[msg.From] = msg.Payload
+	} else {
+		m.tr.Release(msg.Payload)
 	}
 }
 
-// unpend removes seq's pending entry got and keeps its slice for reuse.
+// keepSync makes b the stored sync for seq, handing back the lent payload
+// it replaces. The caller holds syncMu.
+func (m *Member) keepSync(seq uint64, b []byte, lent bool) {
+	if m.syncLent {
+		m.tr.Release(m.syncBuf)
+	}
+	m.syncSeq, m.syncBuf, m.syncLent = seq, b, lent
+}
+
+// unpend removes seq's pending entry got, hands back the payloads left in
+// it and keeps its slice for reuse.
 func (m *Member) unpend(seq uint64, got [][]byte) {
 	delete(m.pending, seq)
-	clear(got)
+	m.release(got)
 	m.spare = append(m.spare, got)
 }
 

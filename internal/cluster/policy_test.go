@@ -52,8 +52,9 @@ type scripted struct {
 	failed int  // Recvs that reported it
 }
 
-func (s *scripted) RankID() int { return 0 }
-func (s *scripted) P() int      { return s.p }
+func (s *scripted) RankID() int    { return 0 }
+func (s *scripted) P() int         { return s.p }
+func (s *scripted) Release([]byte) {}
 func (s *scripted) Close() error {
 	close(s.closed)
 	return nil

@@ -50,31 +50,11 @@ func (e *OpError) Error() string {
 
 func (e *OpError) Unwrap() error { return e.Err }
 
-// Timeout reports whether the wrapped error is a deadline expiry, either
-// the package sentinel or a net.Error timeout.
-func (e *OpError) Timeout() bool {
-	if errors.Is(e.Err, ErrTimeout) {
-		return true
-	}
-	var ne net.Error
-	return errors.As(e.Err, &ne) && ne.Timeout()
-}
-
 // IsRetryable reports whether err is transient: a timeout (deadline
 // expiry or injected loss) that a bounded-backoff retry may clear.
 // Closed endpoints and downed peers are not retryable — those resolve
 // through the cluster membership protocol, not retransmission.
 func IsRetryable(err error) bool {
-	if err == nil {
-		return false
-	}
-	if errors.Is(err, ErrTimeout) {
-		return true
-	}
-	var oe *OpError
-	if errors.As(err, &oe) && oe.Timeout() {
-		return true
-	}
 	var ne net.Error
-	return errors.As(err, &ne) && ne.Timeout()
+	return errors.Is(err, ErrTimeout) || errors.As(err, &ne) && ne.Timeout()
 }

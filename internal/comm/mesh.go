@@ -1,6 +1,7 @@
 package comm
 
 import (
+	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -17,14 +18,17 @@ type Transport interface {
 	RankID() int
 	// P returns the cluster size.
 	P() int
-	// Send delivers m to rank `to`. The transport owns m.Payload after the
-	// call returns (implementations copy), so callers may reuse their
-	// buffers immediately. Delivery is best-effort: a lost message
+	// Send delivers m to rank `to`. The caller may reuse m.Payload as soon
+	// as the call returns. Delivery is best-effort: a lost message
 	// surfaces as the receiver's Recv timeout, not a send error.
 	Send(to int, m Message) error
 	// Recv returns the next inbound message, waiting at most timeout.
-	// Expiry returns an *OpError wrapping ErrTimeout.
+	// Expiry returns an *OpError wrapping ErrTimeout. A non-nil Payload is
+	// lent: the receiver hands it back through Release exactly once.
 	Recv(timeout time.Duration) (Message, error)
+	// Release returns a payload Recv lent; the caller must not touch it
+	// afterwards. A nil payload is a no-op.
+	Release(payload []byte)
 	// Close tears the endpoint down; blocked Recvs return ErrClosed.
 	Close() error
 }
@@ -42,10 +46,49 @@ type Message struct {
 // Mesh is the in-process Transport: one buffered mailbox per rank. It
 // models a full mesh of lossless-but-unordered-latency links; loss,
 // delay and partitions come from wrapping endpoints with internal/chaos.
+// A send copies its payload into a buffer from the receiving rank's free
+// list, which that rank's Releases refill, so a steady stream of
+// messages allocates nothing.
 type Mesh struct {
 	p     int
 	boxes []chan Message
 	done  []chan struct{} // closed when the endpoint closes
+	free  []freeList
+}
+
+// freeList is one rank's released receive buffers.
+type freeList struct {
+	mu   sync.Mutex
+	bufs [][]byte
+}
+
+// take returns the smallest free buffer that holds n bytes, emptied. Data
+// and sync payloads differ about 15× in size, so the smallest fit keeps a
+// data message from taking (and a sync from regrowing) the other's
+// buffer. With none big enough it gives up the first one for the caller
+// to regrow, so the list never holds more than was ever in flight.
+func (f *freeList) take(n int) (b []byte) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	k := -1
+	for i, c := range f.bufs {
+		if k < 0 || cap(c) >= n && (cap(f.bufs[k]) < n || cap(c) < cap(f.bufs[k])) {
+			k = i
+		}
+	}
+	if k >= 0 {
+		last := len(f.bufs) - 1
+		b, f.bufs[k], f.bufs = f.bufs[k], f.bufs[last], f.bufs[:last]
+	}
+	return b[:0]
+}
+
+func (f *freeList) put(b []byte) {
+	if b != nil {
+		f.mu.Lock()
+		f.bufs = append(f.bufs, b)
+		f.mu.Unlock()
+	}
 }
 
 // mailboxDepth bounds each rank's inbound queue. The cluster runtime
@@ -61,7 +104,7 @@ func NewMesh(p int) *Mesh {
 	if p < 1 {
 		panic("comm: mesh needs at least one rank")
 	}
-	m := &Mesh{p: p, boxes: make([]chan Message, p), done: make([]chan struct{}, p)}
+	m := &Mesh{p: p, boxes: make([]chan Message, p), done: make([]chan struct{}, p), free: make([]freeList, p)}
 	for i := range m.boxes {
 		m.boxes[i] = make(chan Message, mailboxDepth)
 		m.done[i] = make(chan struct{})
@@ -94,10 +137,11 @@ func (e *MeshEndpoint) RankID() int { return e.rank }
 // P returns the mesh size.
 func (e *MeshEndpoint) P() int { return e.mesh.p }
 
-// Send implements Transport. The payload is copied, so the caller keeps
-// ownership of its buffer. Sends to closed or saturated mailboxes are
-// silently dropped — exactly how a network loses frames to a dead host or
-// a full queue; the receiver-side timeout surfaces it.
+// Send implements Transport. The payload is copied into a buffer of the
+// receiver's, so the caller keeps its own. Sends to closed or saturated
+// mailboxes are silently dropped — exactly how a network loses frames to
+// a dead host or a full queue; the receiver-side timeout surfaces it —
+// and the copy goes straight back to the receiver's free list.
 func (e *MeshEndpoint) Send(to int, m Message) error {
 	if e.closed.Load() {
 		return &OpError{Op: "send", Rank: e.rank, Peer: to, Err: ErrClosed}
@@ -107,17 +151,20 @@ func (e *MeshEndpoint) Send(to int, m Message) error {
 	}
 	m.From = e.rank
 	if m.Payload != nil {
-		m.Payload = append([]byte(nil), m.Payload...)
+		m.Payload = append(e.mesh.free[to].take(len(m.Payload)), m.Payload...)
 	}
 	select {
-	case <-e.mesh.done[to]:
-		return nil // peer closed: frame vanishes on the floor
+	case <-e.mesh.done[to]: // peer closed: the frame vanishes
 	case e.mesh.boxes[to] <- m:
 		return nil
-	default:
-		return nil // mailbox full: dropped like any congested link
+	default: // mailbox full: dropped like any congested link
 	}
+	e.mesh.free[to].put(m.Payload)
+	return nil
 }
+
+// Release implements Transport: the buffer joins this rank's free list.
+func (e *MeshEndpoint) Release(payload []byte) { e.mesh.free[e.rank].put(payload) }
 
 // Recv implements Transport.
 func (e *MeshEndpoint) Recv(timeout time.Duration) (Message, error) {

@@ -29,6 +29,7 @@ type TCPComm struct {
 	ln      net.Listener
 	timeout time.Duration      // per-frame I/O deadline; 0 = block forever
 	tx, rx  *telemetry.Counter // actual frame bytes on the wire (nil = off)
+	stages  [][]byte           // stages[j]: readFrame's staging buffer for frames from rank j
 }
 
 // SetTimeout arms a per-frame I/O deadline on every subsequent collective.
@@ -58,29 +59,26 @@ func writeFrame(w io.Writer, payload []byte) error {
 	return err
 }
 
-func readFrame(r io.Reader) ([]byte, error) {
+// readFrame reads one frame, staging a long one through *stage, which it
+// keeps grown for the next frame.
+func readFrame(r io.Reader, stage *[]byte) ([]byte, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, err
 	}
 	// The length is the peer's claim, not a fact. Past the first chunk, the
-	// frame is read into a reused staging buffer that doubles as bytes
+	// frame is read into the staging buffer, which doubles as bytes
 	// arrive, and the payload is allocated once half of it is in hand: a
 	// lying header costs at most about twice what was actually sent.
 	n := int(binary.LittleEndian.Uint32(hdr[:]))
 	var head []byte
 	if n > firstFrameChunk {
-		st, _ := stages.Get().(*[]byte)
-		if st == nil {
-			st = new([]byte)
-		}
-		defer stages.Put(st)
-		head = (*st)[:0]
+		head = (*stage)[:0]
 		for step := firstFrameChunk; 2*len(head) < n; step = len(head) {
 			head = slices.Grow(head, step)
 			m, err := io.ReadFull(r, head[len(head):len(head)+step])
 			head = head[:len(head)+m]
-			*st = head[:0]
+			*stage = head[:0]
 			if err != nil {
 				return nil, truncated(err, len(head))
 			}
@@ -108,9 +106,6 @@ func truncated(err error, got int) error {
 // of wide_fft's 1.9 MB gradient, so such a message takes one exact
 // allocation and no copy.
 const firstFrameChunk = 256 << 10
-
-// stages holds the staging buffers of frames longer than firstFrameChunk.
-var stages sync.Pool
 
 // wrapNetErr types a raw socket error: net.Error timeouts become
 // *OpError{Err: ErrTimeout} (retryable), everything else is wrapped
@@ -152,7 +147,7 @@ func (c *TCPComm) readFrameFrom(j int) ([]byte, error) {
 			return nil, c.wrapNetErr("read", j, err)
 		}
 	}
-	payload, err := readFrame(conn)
+	payload, err := readFrame(conn, &c.stages[j])
 	return payload, c.wrapNetErr("read", j, err)
 }
 
@@ -176,7 +171,7 @@ func DialTCPClusterContext(ctx context.Context, rank, p int, addrs []string, ln 
 	if len(addrs) != p {
 		return nil, fmt.Errorf("comm: %d addrs for %d ranks", len(addrs), p)
 	}
-	c := &TCPComm{rank: rank, p: p, conns: make([]net.Conn, p), ln: ln}
+	c := &TCPComm{rank: rank, p: p, conns: make([]net.Conn, p), ln: ln, stages: make([][]byte, p)}
 
 	var wg sync.WaitGroup
 	errs := make([]error, 2)

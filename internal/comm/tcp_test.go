@@ -160,9 +160,10 @@ func BenchmarkTCPAllgather4x256K(b *testing.B) {
 // honest frame past the first chunk still arrives whole.
 func TestReadFrameLyingHeader(t *testing.T) {
 	in := []byte{0xF0, 0xFF, 0xFF, 0xFF, 1, 2, 3}
+	var stage []byte
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	_, err := readFrame(bytes.NewReader(in))
+	_, err := readFrame(bytes.NewReader(in), &stage)
 	runtime.ReadMemStats(&after)
 	if !errors.Is(err, io.ErrUnexpectedEOF) {
 		t.Fatalf("truncated frame returned %v, want io.ErrUnexpectedEOF", err)
@@ -180,10 +181,10 @@ func TestReadFrameLyingHeader(t *testing.T) {
 		t.Fatal(err)
 	}
 	cut := buf.Bytes()[:buf.Len()-firstFrameChunk]
-	if _, err := readFrame(bytes.NewReader(cut)); !errors.Is(err, io.ErrUnexpectedEOF) {
+	if _, err := readFrame(bytes.NewReader(cut), &stage); !errors.Is(err, io.ErrUnexpectedEOF) {
 		t.Fatalf("frame cut after its payload was allocated returned %v, want io.ErrUnexpectedEOF", err)
 	}
-	if got, err := readFrame(&buf); err != nil || !bytes.Equal(got, want) {
+	if got, err := readFrame(&buf, &stage); err != nil || !bytes.Equal(got, want) {
 		t.Fatalf("honest %d-byte frame: %d bytes back, %v", len(want), len(got), err)
 	}
 }
@@ -195,7 +196,8 @@ func FuzzReadFrame(f *testing.F) {
 	f.Add([]byte{3, 0, 0, 0, 1, 2, 3, 4})
 	f.Add([]byte{0, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, in []byte) {
-		payload, err := readFrame(bytes.NewReader(in))
+		var stage []byte
+		payload, err := readFrame(bytes.NewReader(in), &stage)
 		if err == nil {
 			n := int(binary.LittleEndian.Uint32(in))
 			if len(payload) != n || !bytes.Equal(payload, in[4:4+n]) {
@@ -206,7 +208,7 @@ func FuzzReadFrame(f *testing.F) {
 		if err := writeFrame(&buf, in); err != nil {
 			t.Fatal(err)
 		}
-		back, err := readFrame(&buf)
+		back, err := readFrame(&buf, &stage)
 		if err != nil || !bytes.Equal(back, in) {
 			t.Fatalf("round trip of %d bytes: %v", len(in), err)
 		}

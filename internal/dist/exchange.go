@@ -26,7 +26,6 @@ import (
 	"fftgrad/internal/collective"
 	"fftgrad/internal/comm"
 	"fftgrad/internal/compress"
-	"fftgrad/internal/scratch"
 	"fftgrad/internal/trace"
 )
 
@@ -78,7 +77,7 @@ type gathered struct {
 // so every element takes the float32 operations of the dense loop —
 // avg = +0; avg += wt·x per message; avg *= 1/Σwt — in the same order. A
 // damped contribution whose withheld mass is banked (wt < 1, bank > 0)
-// still decodes densely, into pooled scratch, for the residual.
+// still decodes densely, into the worker's dense buffer, for the residual.
 func (w *worker) average(codec compress.Compressor, b int, g *gathered) (n, max int, err error) {
 	lo, hi := w.bk.Range(b)
 	avg := w.avg[lo:hi]
@@ -117,13 +116,12 @@ func (w *worker) average(codec compress.Compressor, b int, g *gathered) (n, max 
 func (w *worker) accumulate(codec compress.Compressor, b int, avg []float32, m []byte, wt, scale float32, bank int) error {
 	if wt < 1 && bank > 0 {
 		if sink, ok := compress.As[scaledResidualSink](w.comps[b]); ok {
-			xb := scratch.Float32s(len(avg))
-			defer scratch.PutFloat32s(xb)
-			if err := codec.DecompressInto(*xb, m); err != nil {
+			xb := w.denseOf(len(avg))
+			if err := codec.DecompressInto(xb, m); err != nil {
 				return err
 			}
-			compress.Accumulate(avg, *xb, wt, scale)
-			sink.AddToResidualScaled(*xb, (1-wt)/float32(bank))
+			compress.Accumulate(avg, xb, wt, scale)
+			sink.AddToResidualScaled(xb, (1-wt)/float32(bank))
 			return nil
 		}
 	}
@@ -141,7 +139,10 @@ type pipeline struct {
 	// every rank must finish that before it can enter iteration i+1's first
 	// barrier. So by the time this rank compresses iteration i+1 into the
 	// buffer last sent at i-1, no reader of that buffer remains, and the
-	// steady state is allocation-free. (The mesh copies on send.)
+	// steady state is allocation-free. (A mesh send copies the message
+	// into a receive buffer the peer's endpoint lends it, so the failure-
+	// aware links would do with one; a peer's message in a gathered result
+	// is valid until the member's next exchange call.)
 	msgs [2][][]byte
 
 	// The round in progress, read by the two pipeline stages. The caller

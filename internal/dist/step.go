@@ -25,7 +25,6 @@ import (
 	"fftgrad/internal/nn"
 	"fftgrad/internal/obs"
 	"fftgrad/internal/optim"
-	"fftgrad/internal/scratch"
 	"fftgrad/internal/telemetry"
 	"fftgrad/internal/tensor"
 	"fftgrad/internal/trace"
@@ -125,6 +124,11 @@ type worker struct {
 	// the gradient(), and a GradSamples entry is a copy.
 	grad, avg   []float32
 	syncPayload []byte
+	// dense is the one dense decode of a whole message, sized to the
+	// largest bucket at first use: the banked-staleness fold (accumulate)
+	// and the crash fold (fold) both run on the round's goroutine, never
+	// at once.
+	dense []float32
 
 	// priceSync models one parameter sync of m bytes across n ranks: the
 	// strategy's broadcast, unless the link syncs some other way.
@@ -248,10 +252,11 @@ func (w *worker) observeRound(sent, max int, seconds float64) float64 {
 }
 
 // encodeParams frames the current parameters for a sync. Reusing the
-// payload buffer across syncs is safe on every link: the mesh copies
-// on send, and on the barrier path every receiver finishes decoding before
-// entering the next collective's barrier, at least one of which separates
-// consecutive syncs.
+// payload buffer across syncs is safe on every link: a mesh send copies it
+// into a buffer the receiving endpoint lends its member (the member
+// releases it once it holds a newer sync), and on the barrier path every
+// receiver finishes decoding before entering the next collective's
+// barrier, at least one of which separates consecutive syncs.
 func (w *worker) encodeParams(iter int) ([]byte, error) {
 	payload, err := w.wireSync.AppendCompress(w.syncPayload[:0], w.net.Data())
 	if err != nil {
@@ -324,8 +329,8 @@ func (w *worker) recover(ab *aborted, iter int, compressed bool) (int, error) {
 // ab.bucket were averaged by the survivors; every bucket from ab.bucket up
 // folds. Compressing a bucket already moved its gradient into the
 // residual, less what the message carries — so for a bucket whose message
-// was built, what the message carries goes back, decoded into pooled
-// scratch; one never compressed folds whole.
+// was built, what the message carries goes back, decoded into the
+// worker's dense buffer; one never compressed folds whole.
 func (w *worker) fold(ab *aborted, compressed bool) error {
 	for b := ab.bucket; b < len(w.comps); b++ {
 		sink, ok := compress.As[residualSink](w.comps[b])
@@ -337,17 +342,26 @@ func (w *worker) fold(ab *aborted, compressed bool) error {
 			sink.AddToResidual(w.grad[lo:hi])
 			continue
 		}
-		lost := scratch.Float32s(hi - lo)
-		err := w.comps[b].DecompressInto(*lost, ab.msgs[b])
-		if err == nil {
-			sink.AddToResidual(*lost)
-		}
-		scratch.PutFloat32s(lost)
-		if err != nil {
+		lost := w.denseOf(hi - lo)
+		if err := w.comps[b].DecompressInto(lost, ab.msgs[b]); err != nil {
 			return fmt.Errorf("bucket %d decoding the undelivered message: %w", b, err)
 		}
+		sink.AddToResidual(lost)
 	}
 	return nil
+}
+
+// denseOf returns the first n values of the worker's dense-decode buffer.
+func (w *worker) denseOf(n int) []float32 {
+	if w.dense == nil {
+		size := 0
+		for b := 0; b < w.bk.Count(); b++ {
+			lo, hi := w.bk.Range(b)
+			size = max(size, hi-lo)
+		}
+		w.dense = make([]float32, size)
+	}
+	return w.dense[:n]
 }
 
 // train runs the iteration loop from startIter and returns the rank's
