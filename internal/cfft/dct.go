@@ -1,10 +1,6 @@
 package cfft
 
-import (
-	"math"
-
-	"fftgrad/internal/scratch"
-)
+import "math"
 
 // DCTPlan computes the type-II discrete cosine transform (and its
 // inverse, DCT-III) of power-of-two lengths via a mirrored 2n-point real
@@ -39,19 +35,18 @@ func NewDCTPlan(n int) *DCTPlan {
 //	dst[k] = Σ_j src[j] · cos(π(2j+1)k / 2n)
 //
 // dst has length n; work, of length 2n, is the work array and all of it
-// is overwritten.
-func (p *DCTPlan) ForwardInPlace(dst, work []float64) {
+// is overwritten; spec, of length n+1, receives the half spectrum of the
+// mirrored signal on the way. The caller owns both, so the plan borrows
+// nothing.
+func (p *DCTPlan) ForwardInPlace(dst, work []float64, spec []complex128) {
 	n := p.n
-	if len(dst) != n || len(work) != 2*n {
+	if len(dst) != n || len(work) != 2*n || len(spec) != n+1 {
 		panic("cfft: bad DCT forward lengths")
 	}
 	// Even-symmetric extension: y = [x0..x_{n-1}, x_{n-1}..x0].
 	for j := 0; j < n; j++ {
 		work[2*n-1-j] = work[j]
 	}
-	specb := scratch.Complex128s(p.rp.SpectrumLen())
-	defer scratch.PutComplex128s(specb)
-	spec := *specb
 	p.rp.ForwardInPlace(spec, work)
 	// Y[k] = e^{iπk/2n} · 2·C[k]  ⇒  C[k] = Re(Y[k]·e^{-iπk/2n}) / 2.
 	for k := 0; k < n; k++ {
@@ -60,19 +55,16 @@ func (p *DCTPlan) ForwardInPlace(dst, work []float64) {
 }
 
 // Inverse computes the normalized inverse (DCT-III scaled so that
-// Inverse(Forward(x)) == x up to round-off). dst and src must both have
-// length n; src is not modified.
-func (p *DCTPlan) Inverse(dst, src []float64) {
+// Inverse(Forward(x)) == x up to round-off) of src, of length n, into
+// work[:n]. work, of length 2n, is the work array and all of it is
+// overwritten; spec, of length n+1, holds the mirrored signal's half
+// spectrum on the way. src is not modified.
+func (p *DCTPlan) Inverse(work, src []float64, spec []complex128) {
 	n := p.n
-	if len(dst) != n || len(src) != n {
+	if len(work) != 2*n || len(src) != n || len(spec) != n+1 {
 		panic("cfft: bad DCT inverse lengths")
 	}
 	// Rebuild the half spectrum of the mirrored signal and invert it.
-	specb := scratch.Complex128s(p.rp.SpectrumLen())
-	yb := scratch.Float64s(2 * n)
-	defer scratch.PutComplex128s(specb)
-	defer scratch.PutFloat64s(yb)
-	spec, y := *specb, *yb
 	for k := 0; k < n; k++ {
 		// Y[k] = 2·C[k]·e^{iπk/2n} = 2·C[k]·conj(tw[k])
 		c := p.tw[k]
@@ -80,6 +72,5 @@ func (p *DCTPlan) Inverse(dst, src []float64) {
 	}
 	spec[n] = 0 // the k=n bin of an even-symmetric signal is always zero
 	spec[0] = complex(real(spec[0]), 0)
-	p.rp.Inverse(y, spec)
-	copy(dst, y[:n])
+	p.rp.Inverse(work, spec)
 }

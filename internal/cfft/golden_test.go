@@ -96,8 +96,7 @@ func goldenHash(n int) string {
 				coef[i] = 0
 			}
 		}
-		dp.Inverse(back, coef)
-		buf = hashFloats(buf, back)
+		buf = hashFloats(buf, dctInverse(dp, coef))
 	}
 	sum := sha256.Sum256(buf)
 	return hex.EncodeToString(sum[:8])

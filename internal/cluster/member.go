@@ -98,9 +98,12 @@ type Member struct {
 
 	// pending stashes data messages for future seqs (a fast peer may send
 	// iteration i+1 while we are still collecting i); spare holds the
-	// per-seq slices of adopted entries for the next stash to reuse.
+	// per-seq slices of adopted entries for the next stash to reuse. past
+	// is one more than the seq of the last exchange this member completed,
+	// lowered to the frontier by a rejoin: data under it is never pended.
 	pending map[uint64][][]byte
 	spare   [][][]byte
+	past    uint64
 
 	// lastGood[j] is the most recent payload received from rank j, for
 	// StaleReuse and the bounded-staleness stale folds;
@@ -526,6 +529,7 @@ func (m *Member) exchange(seq uint64, payload []byte, pol waiting, window uint64
 			m.lastGood[j], m.lastGoodSeq[j], r.held[j] = b, seq, nil
 		}
 	}
+	m.past = seq + 1
 	return r, nil
 }
 
@@ -739,29 +743,38 @@ func (m *Member) absorb(r *round, msg comm.Message) {
 		// A sync that raced into the data stream, or a fast peer already
 		// one round on.
 		m.stash(msg)
-		return
 	case from < 0 || from >= m.p || from == m.rank:
+		m.tr.Release(b)
 	case msg.Seq == r.seq && r.msgs[from] == nil:
 		r.msgs[from], r.held[from] = b, b
 		m.noteArrival(from)
 		m.tc.Instant(trace.OpRecvPeer, int64(from))
-		return
-	case msg.Seq < r.seq && msg.Seq > m.lastGoodSeq[from]:
-		// Data from a past exchange: too late for that round, but still
-		// the peer's freshest payload — bank it so a bounded-staleness
-		// fold can use it with a measured staleness. (A straggler's data
-		// always arrives under old seqs; this is the only way its
-		// gradient ever contributes again.) A cache this round already
-		// folded stays the round's until the next call.
-		if r.stale[from] && r.held[from] == nil {
-			r.held[from] = m.lastGood[from]
-		} else {
-			m.tr.Release(m.lastGood[from])
-		}
-		m.lastGood[from], m.lastGoodSeq[from] = b, msg.Seq
+	case msg.Seq < r.seq:
+		m.bank(r, msg)
+	default: // a duplicate for a filled slot
+		m.tr.Release(b)
+	}
+}
+
+// bank files data from a past exchange: too late for that round, but
+// still its sender's freshest payload when it is newer than the cached
+// one — banked so a bounded-staleness fold can use it with a measured
+// staleness. (A straggler's data always arrives under old seqs; this is
+// the only way its gradient ever contributes again.) Anything older is
+// handed back. A cache that r, the round in progress or the last one,
+// folded stays the round's until the next exchange call.
+func (m *Member) bank(r *round, msg comm.Message) {
+	from, b := msg.From, msg.Payload
+	if from < 0 || from >= m.p || from == m.rank || msg.Seq <= m.lastGoodSeq[from] {
+		m.tr.Release(b)
 		return
 	}
-	m.tr.Release(b)
+	if r.stale[from] && r.held[from] == nil {
+		r.held[from] = m.lastGood[from]
+	} else {
+		m.tr.Release(m.lastGood[from])
+	}
+	m.lastGood[from], m.lastGoodSeq[from] = b, msg.Seq
 }
 
 // suspectDead runs suspicion for a heartbeat-silent rank and applies the
@@ -872,8 +885,11 @@ func (m *Member) takeSync(seq uint64) ([]byte, bool) {
 	return nil, false
 }
 
-// stash files a message outside any active exchange: syncs to the sync
-// buffer, data to pending for the next Exchange to adopt.
+// stash files a message outside the round in progress: syncs to the sync
+// buffer, data for a seq this member has yet to complete to pending for
+// that Exchange to adopt, and data for a completed one as bank does (a
+// late resend or a duplicate can land while the member waits for a sync;
+// no exchange would ever adopt it).
 func (m *Member) stash(msg comm.Message) {
 	if msg.Kind == kindSync {
 		m.syncMu.Lock()
@@ -883,6 +899,10 @@ func (m *Member) stash(msg comm.Message) {
 			m.tr.Release(msg.Payload)
 		}
 		m.syncMu.Unlock()
+		return
+	}
+	if msg.Seq < m.past {
+		m.bank(&m.rd, msg)
 		return
 	}
 	got := m.pending[msg.Seq]
@@ -946,11 +966,14 @@ func (m *Member) AwaitRejoin() (View, uint64, *checkpoint.State, error) {
 	}
 	m.tc.Instant(trace.OpRejoin, int64(view.Epoch))
 	m.viewEpoch = view.Epoch
-	// Drop stale per-exchange state from before the crash.
+	// Drop stale per-exchange state from before the crash. The rank runs
+	// the frontier's exchange again even if it had completed it, so data
+	// for it is pended from here on.
 	for k, got := range m.pending {
 		if k < frontier {
 			m.unpend(k, got)
 		}
 	}
+	m.past = min(m.past, frontier)
 	return view, frontier, st, nil
 }

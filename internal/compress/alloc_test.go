@@ -241,6 +241,42 @@ func TestTransformOwnsItsState(t *testing.T) {
 	}
 }
 
+// TestTransformRoundTripSurvivesCollections: a warm transform codec's
+// round trip allocates nothing right after a collection either. Nothing on
+// its path is borrowed from a pool that a collection empties: the DCT's
+// plan works in the mirrored spectrum and signal its codec hands it.
+func TestTransformRoundTripSurvivesCollections(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are inflated under -race")
+	}
+	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
+	runtime.MemProfileRate = 1
+	grad := allocGrad(1<<14 + 123)
+	rec := make([]float32, len(grad))
+	for _, c := range []*Transform{NewFFT(0.85), NewDCT(0.85)} {
+		var msg []byte
+		round := func() {
+			var err error
+			if msg, err = c.AppendCompress(msg[:0], grad); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.DecompressInto(rec, msg); err != nil {
+				t.Fatal(err)
+			}
+		}
+		round()
+		var d int64
+		for r := 0; r < 5; r++ {
+			before := moduleAllocBytes() // two collections, then the count
+			round()
+			d += moduleAllocBytes() - before
+		}
+		if d != 0 {
+			t.Errorf("%s: 5 round trips, each after a collection, allocated %d B, want 0", c.Name(), d)
+		}
+	}
+}
+
 // moduleAllocBytes returns the bytes the memory profile has seen this
 // module's code allocate so far: a record counts when a frame under
 // fftgrad/ is on its stack and the allocating function is not in package

@@ -86,7 +86,8 @@ func referenceDecompress(c *Transform, dst []float32, msg []byte) error {
 				vi++
 			}
 		}
-		cfft.DCTPlanFor(paddedN).Inverse(sig, bins)
+		sig = make([]float64, 2*paddedN) // the DCT's work array; the signal is its first half
+		cfft.DCTPlanFor(paddedN).Inverse(sig, bins, make([]complex128, paddedN+1))
 	}
 	for i := range dst {
 		dst[i] = float32(sig[i])

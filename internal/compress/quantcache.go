@@ -14,8 +14,8 @@ const tuneSample = 4096
 // tuning (the paper estimates the range once from early iterations), in
 // place and on its own sample array, so a re-tune allocates nothing. The
 // decode side keeps nothing: a decoder is a pure function of the header's
-// five words, rebuilt per call into the codec's codecWork. The codec's
-// lock serializes every call.
+// five words, rebuilt per call into the decode workspace. Every encode
+// holds the encode workspace's lock, which serializes the cache's users.
 type quantCache struct {
 	enc     quant.RangeQuantizer
 	tunedAt float64 // absmax enc was tuned for, 0 before the first tuning

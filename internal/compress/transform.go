@@ -28,13 +28,16 @@ import (
 //	⑤ pack the sparse bins into a dense message: bin bitmap + bit-packed
 //	   codes.
 //
-// The receiver runs the inverse pipeline. Both directions work in the
-// codec's one codecWork (the spectrum and its work array, the decode-side
-// quantizer), sized at the first call and owned for the codec's life, and
-// the sender reuses its cached tuning, so the steady state of
-// AppendCompress + DecompressInto allocates nothing, a re-tune included.
-// Calls on one codec serialize on its lock; the training paths give every
-// rank and bucket a codec of its own, so it is never contended there.
+// The receiver runs the inverse pipeline. A call works in a codecWork
+// (the spectrum and its work array, the decode-side quantizer), sized at
+// its first use and kept for the codec's life, and the sender reuses its
+// cached tuning, so the steady state of AppendCompress + DecompressInto
+// allocates nothing, a re-tune included. A new codec has one codecWork
+// serving both directions; ShareWork gives a set of codecs one encode and
+// one decode workspace between them. Calls that work in one codecWork
+// serialize on its lock; the training paths give every rank and bucket a
+// codec of its own, and a bucketed rank's codecs share its two workspaces,
+// which its compress and average stages use one each.
 //
 // NewFFT builds the paper's codec, NewDCT its real-transform ablation.
 // Ablation finding (tested in transform_test.go): at equal θ the value
@@ -56,17 +59,19 @@ type Transform struct {
 	name  string
 	tr    *sparsify.Transform
 	theta atomicTheta
-	qc    quantCache
-	mu    sync.Mutex // held by every call: one call at a time works in w
-	w     codecWork
-	st    *telemetry.StageTimer
+	qc    quantCache // the encoder's, used under enc's lock
+	// enc and dec are the workspaces AppendCompress and the decodes work
+	// in: one codecWork for both, unless ShareWork split them.
+	enc, dec *codecWork
+	st       *telemetry.StageTimer
 }
 
 // FFT is the transform codec under the name its callers have always used.
 type FFT = Transform
 
 func newTransform(name string, tr *sparsify.Transform, theta float64) *Transform {
-	c := &Transform{QuantBits: 10, UseHalf: true, name: name, tr: tr}
+	w := new(codecWork)
+	c := &Transform{QuantBits: 10, UseHalf: true, name: name, tr: tr, enc: w, dec: w}
 	c.theta.Store(theta)
 	return c
 }
@@ -93,12 +98,32 @@ func (c *Transform) Theta() float64 { return c.theta.Load() }
 func (c *Transform) Instrument(st *telemetry.StageTimer) { c.st = st }
 
 // codecWork is the state a call works in: the spectrum either direction
-// uses (its bins and real work array are the codec's model-size buffers)
-// and, decoding, the quantizer rebuilt from the message's header. The
-// codec owns one; calls serialize on the codec's lock to use it.
+// uses (its bins and real work array are the model-size buffers) and,
+// decoding, the quantizer rebuilt from the message's header. Every call
+// holds its lock throughout.
 type codecWork struct {
+	mu   sync.Mutex
 	spec sparsify.Spectrum
 	dec  quant.Decoder
+}
+
+// ShareWork gives the transform codecs among cs — found through any
+// wrappers with As — one encode and one decode workspace between them, in
+// place of one workspace each. A caller that runs at most one compress
+// and one decode at a time over the set, as a bucketed rank's pipeline
+// does, keeps two workspaces' worth of transform state however many
+// codecs it has. A lone codec is left as it is: its one workspace serves
+// both directions. Call it before the codecs' first use.
+func ShareWork(cs []Compressor) {
+	if len(cs) < 2 {
+		return
+	}
+	enc, dec := new(codecWork), new(codecWork)
+	for _, c := range cs {
+		if t, ok := As[*Transform](c); ok {
+			t.enc, t.dec = enc, dec
+		}
+	}
 }
 
 // transformHeaderWords is the number of u32 header words in the wire format.
@@ -118,9 +143,9 @@ func (c *Transform) AppendCompress(dst []byte, grad []float32) ([]byte, error) {
 	// transform's work array; after the transform one cache-blocked sweep
 	// builds the keep mask and gathers the surviving coefficients as
 	// float32 in bin order.
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	spec := &c.w.spec
+	c.enc.mu.Lock()
+	defer c.enc.mu.Unlock()
+	spec := &c.enc.spec
 	if c.UseHalf {
 		c.tr.AnalyzeHalf(spec, grad, c.theta.Load(), c.st)
 	} else {
@@ -155,7 +180,7 @@ func (c *Transform) AppendCompress(dst []byte, grad []float32) ([]byte, error) {
 }
 
 // DecompressInto implements Compressor: the inverse pipeline in the
-// codec's own state, with the quantizer the header describes.
+// codec's decode workspace, with the quantizer the header describes.
 func (c *Transform) DecompressInto(dst []float32, msg []byte) error {
 	return c.decode(dst, msg, nil)
 }
@@ -200,16 +225,17 @@ func (c *Transform) decode(dst []float32, msg []byte, f *fold) error {
 	if kept > nbins {
 		return fmt.Errorf("%s: kept %d exceeds %d bins", c.name, kept, nbins)
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	q := &c.w.dec
+	w := c.dec
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	q := &w.dec
 	if err := q.Reset(int(hdr[3]), int(hdr[4]),
 		math.Float32frombits(hdr[5]), math.Float32frombits(hdr[6]), math.Float32frombits(hdr[7])); err != nil {
 		return fmt.Errorf("%s: rebuilding quantizer: %w", c.name, err)
 	}
 
 	t0 := time.Now()
-	spec := &c.w.spec
+	spec := &w.spec
 	spec.L, spec.N, spec.Kept = n, paddedN, kept
 	words := pack.BitmapWords(nbins)
 	if len(rest) < words*8 {

@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"testing"
 
+	"fftgrad/internal/collective"
 	"fftgrad/internal/compress"
 	"fftgrad/internal/data"
 	"fftgrad/internal/models"
@@ -15,7 +16,8 @@ import (
 // parameter per rank: an MLP of n = 1,029,632 at P = 2, read after a
 // collection at the end of the third block, when both ranks are past
 // their first exchanges (every buffer sized, every plan built) and rank 1
-// is waiting for rank 0 in the fourth.
+// is waiting for rank 0 in the fourth. What was live before the run —
+// the process-wide cfft plans an earlier row built, say — is left out.
 //
 // The budget, in B/param/rank (N = 2^20 is the padded transform length,
 // N/n ≈ 1.02):
@@ -31,6 +33,13 @@ import (
 //     (a real plan's untangle table over the N/2-point complex plan's
 //     twiddles, 16.8 MB), ≈ 8.15; the surviving values, the messages and
 //     the masks, ≈ 1.3; 44 in all.
+//   - FFT in sixteen 256 KiB buckets: the bucket codecs share two
+//     workspaces, one the compress stage works in and one the average,
+//     each a spectrum and a work array at the bucket's N = 2^16, 4 × 0.5
+//     MB per rank, ≈ 2.05; the plans at 2^16, shared by both ranks,
+//     ≈ 0.5; a quantizer cache per bucket, ≈ 0.3; the surviving values,
+//     the messages and the masks, ≈ 1.3; 22 in all. It read 37 while
+//     every bucket codec kept a workspace of its own.
 //
 // Before each model-size codec buffer had one owner the FFT run read 62.5
 // here: a codec's encode and decode minted a spectrum each, and the
@@ -42,17 +51,21 @@ func TestTrainHeapPerParam(t *testing.T) {
 	}
 	const p, blocks = 2, 3
 	train, _ := data.GaussianBlobs(64+8, 32, 256, 3.0, 1).Split(64)
+	fft := func() compress.Compressor { return compress.NewFFT(0.85) }
 	for _, c := range []struct {
-		name  string
-		codec func() compress.Compressor
-		max   float64 // B/param/rank
+		name        string
+		codec       func() compress.Compressor
+		bucketBytes int
+		max         float64 // B/param/rank
 	}{
-		{"fp32", func() compress.Compressor { return compress.FP32{} }, 27},
-		{"fft", func() compress.Compressor { return compress.NewFFT(0.85) }, 45},
+		{"fp32", func() compress.Compressor { return compress.FP32{} }, 0, 27},
+		{"fft", fft, 0, 45},
+		{"fft-bucketed", fft, 256 << 10, 25},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			var n int
-			var live uint64
+			var before, live uint64
+			var ms runtime.MemStats
 			cfg := Config{
 				Workers:       p,
 				Batch:         4,
@@ -71,12 +84,17 @@ func TestTrainHeapPerParam(t *testing.T) {
 				OnEpoch: func(e EpochStats) {
 					if e.Epoch == blocks-1 {
 						runtime.GC()
-						var ms runtime.MemStats
 						runtime.ReadMemStats(&ms)
-						live = ms.HeapAlloc
+						live = ms.HeapAlloc - before
 					}
 				},
 			}
+			if c.bucketBytes > 0 {
+				cfg.Collective = &collective.Config{BucketBytes: c.bucketBytes}
+			}
+			runtime.GC()
+			runtime.ReadMemStats(&ms)
+			before = ms.HeapAlloc
 			if _, err := Train(cfg); err != nil {
 				t.Fatal(err)
 			}

@@ -187,6 +187,10 @@ func newWorker(cfg Config, rank, p int, restore *checkpoint.State) (*worker, err
 		compress.Instrument(w.comps[b], wst)
 		w.wire[b] = w.gs.wrap(compress.FP32{})
 	}
+	// The pipeline compresses one bucket while it averages another, so
+	// the bucket codecs need one encode and one decode workspace between
+	// them, not one each.
+	compress.ShareWork(w.comps)
 	w.wireSync = w.gs.wrap(compress.FP32{})
 
 	w.grad = w.net.Grad()

@@ -6,11 +6,11 @@
 // implementation pays for 10+ fresh slices per gradient per iteration, so
 // GC pressure dominates Tf/Tp/Ts. A buffer with an owner is the owner's:
 // the transform codec keeps its model-size spectrum, work array and
-// select state in its own codecWork, sized once. The temporaries no one
-// owns — the Top-k, QSGD and TernGrad codecs' codes and masks, the dense
-// decode behind a codec that cannot accumulate, the DCT plan's mirrored
-// spectrum — are borrowed from these pools, so a steady-state round trip
-// of every codec is allocation-free. A pool keeps its buffers per P: a
+// select state in its codecWork, sized once, and hands the DCT plan the
+// buffers it works in. The temporaries no one owns — the Top-k, QSGD and
+// TernGrad codecs' codes and masks, the dense decode behind a codec that
+// cannot accumulate — are borrowed from these pools, so a steady-state
+// round trip of every codec is allocation-free. A pool keeps its buffers per P: a
 // Get on another P than the last Put can miss and allocate, and a
 // collection empties the pools; a FreeList has neither behaviour.
 //
@@ -97,12 +97,11 @@ func (p *pool[T]) put(b *[]T) {
 }
 
 var (
-	f64Pool  pool[float64]
-	f32Pool  pool[float32]
-	c128Pool pool[complex128]
-	u32Pool  pool[uint32]
-	u64Pool  pool[uint64]
-	intPool  pool[int]
+	f64Pool pool[float64]
+	f32Pool pool[float32]
+	u32Pool pool[uint32]
+	u64Pool pool[uint64]
+	intPool pool[int]
 )
 
 // Float64s borrows a []float64 of length n. Contents are unspecified.
@@ -116,12 +115,6 @@ func Float32s(n int) *[]float32 { return f32Pool.get(n) }
 
 // PutFloat32s returns a box borrowed from Float32s.
 func PutFloat32s(b *[]float32) { f32Pool.put(b) }
-
-// Complex128s borrows a []complex128 of length n. Contents are unspecified.
-func Complex128s(n int) *[]complex128 { return c128Pool.get(n) }
-
-// PutComplex128s returns a box borrowed from Complex128s.
-func PutComplex128s(b *[]complex128) { c128Pool.put(b) }
 
 // Uint32s borrows a []uint32 of length n. Contents are unspecified.
 func Uint32s(n int) *[]uint32 { return u32Pool.get(n) }

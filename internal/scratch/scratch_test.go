@@ -59,18 +59,14 @@ func TestSteadyStateZeroAlloc(t *testing.T) {
 	// Warm every pool this test uses.
 	for i := 0; i < 4; i++ {
 		f := Float64s(4096)
-		c := Complex128s(4096)
 		u := Uint64s(64)
 		PutFloat64s(f)
-		PutComplex128s(c)
 		PutUint64s(u)
 	}
 	allocs := testing.AllocsPerRun(100, func() {
 		f := Float64s(4096)
-		c := Complex128s(4096)
 		u := Uint64s(64)
 		PutUint64s(u)
-		PutComplex128s(c)
 		PutFloat64s(f)
 	})
 	if allocs != 0 {

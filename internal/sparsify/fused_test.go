@@ -24,7 +24,7 @@ func analyzeReference(t *Transform, spec *Spectrum, x []float32, theta float64) 
 	mags := make([]float64, nb)
 	if t.real {
 		spec.rbins = make([]float64, nb)
-		cfft.DCTPlanFor(n).ForwardInPlace(spec.rbins, sig)
+		cfft.DCTPlanFor(n).ForwardInPlace(spec.rbins, sig, make([]complex128, n+1))
 		magsReal(mags, spec.rbins, 0, nb)
 	} else {
 		spec.cbins = make([]complex128, nb)

@@ -61,8 +61,11 @@ type Spectrum struct {
 	Vals   []float32 // surviving coefficients in bin order, Width floats per bin
 	AbsMax float64   // max |v| over Vals (set by Analyze)
 
-	cbins []complex128 // FFT: half spectrum, N/2+1 bins
-	rbins []float64    // DCT: N coefficients
+	// cbins is the FFT's half spectrum, N/2+1 bins; under the DCT it
+	// holds the mirrored 2N-point signal's, N+1 bins, on the way to and
+	// from rbins, the N coefficients.
+	cbins []complex128
+	rbins []float64
 	// work is the transform's real array, 2·nb long for nb bins: N+2 for
 	// the FFT, 2N for the DCT (which mirrors the signal behind itself).
 	// It holds the widened signal, then the bins' magnitudes beside the
@@ -161,7 +164,8 @@ func (t *Transform) analyze(spec *Spectrum, x []float32, theta float64, half boo
 	t0 = time.Now()
 	if t.real {
 		spec.rbins = grow(spec.rbins, nb)
-		cfft.DCTPlanFor(n).ForwardInPlace(spec.rbins, work)
+		spec.cbins = grow(spec.cbins, nb+1)
+		cfft.DCTPlanFor(n).ForwardInPlace(spec.rbins, work, spec.cbins)
 	} else {
 		spec.cbins = grow(spec.cbins, nb)
 		cfft.RealPlanFor(n).ForwardInPlace(spec.cbins, work[:n])
@@ -450,7 +454,8 @@ func (t *Transform) inverse(dst []float32, spec *Spectrum, acc *accum, st *telem
 	sig := spec.work[:spec.N]
 	t0 := time.Now()
 	if t.real {
-		cfft.DCTPlanFor(spec.N).Inverse(sig, spec.rbins)
+		spec.cbins = grow(spec.cbins, spec.N+1)
+		cfft.DCTPlanFor(spec.N).Inverse(spec.work, spec.rbins, spec.cbins)
 	} else {
 		cfft.RealPlanFor(spec.N).Inverse(sig, spec.cbins)
 	}
